@@ -181,10 +181,7 @@ class NativeEngine:
             query, timeout_s=timeout_s, tracer=tracer, metrics=metrics,
             budget=budget,
         )
-        decode = self.database.dictionary.decode
-        answers = frozenset(
-            tuple(decode(v) for v in row) for row in relation.to_tuples()
-        )
+        answers = self.database.dictionary.decode_rows(relation.rows)
         get_registry().histogram(
             "repro.engine.evaluate_seconds",
             labels={"engine": self.name},

@@ -79,7 +79,12 @@ class Relation:
         return Relation(names, self.rows)
 
     def to_tuples(self) -> List[Tuple[int, ...]]:
-        """Rows as Python tuples (for the decode boundary and tests)."""
+        """Rows as Python tuples of codes, for tests and external drivers.
+
+        Not the decode boundary: answers leave the engine through
+        :meth:`repro.storage.dictionary.Dictionary.decode_rows`, which
+        reads ``rows`` as columns.
+        """
         return [tuple(row) for row in self.rows.tolist()]
 
     def __repr__(self) -> str:

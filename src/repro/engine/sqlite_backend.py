@@ -36,6 +36,8 @@ import threading
 import time
 from typing import List, Optional
 
+import numpy as np
+
 from ..cache.lru import MISSING, LRUCache
 from ..storage.database import RDFDatabase
 from ..telemetry.metrics import MetricsRecorder
@@ -162,7 +164,7 @@ class SQLiteEngine:
         rows = self.database.table.match((None, None, None))
         cursor.executemany(
             "INSERT INTO triples VALUES (?, ?, ?)",
-            (tuple(int(v) for v in row) for row in rows),
+            rows.tolist(),
         )
         for order in _INDEX_ORDERS:
             columns = ", ".join(order)
@@ -223,13 +225,15 @@ class SQLiteEngine:
                 f"result of {len(rows)} rows exceeds the budget's "
                 f"max_result_rows={result_cap}"
             )
-        if getattr(query, "arity", None) == 0:
-            # Boolean query: the SQL emits a marker column instead of an
-            # (invalid) empty select list.
-            answers: AnswerSet = frozenset({()}) if rows else frozenset()
+        if not rows:
+            answers: AnswerSet = frozenset()
         else:
-            decode = self.database.dictionary.decode
-            answers = frozenset(tuple(decode(v) for v in row) for row in rows)
+            codes = np.array(rows, dtype=np.int64)
+            if getattr(query, "arity", None) == 0:
+                # Boolean query: the SQL emits a marker column instead of
+                # an (invalid) empty select list.
+                codes = codes[:, :0]
+            answers = self.database.dictionary.decode_rows(codes)
         get_registry().histogram(
             "repro.engine.evaluate_seconds",
             labels={"engine": self.name},

@@ -74,11 +74,8 @@ class RDFDatabase:
     # ------------------------------------------------------------------
     def facts_graph(self) -> RDFGraph:
         """The stored facts decoded back into an :class:`RDFGraph`."""
-        decode = self.dictionary.decode
-        graph = RDFGraph()
-        for s, p, o in self.table.iter_matches((None, None, None)):
-            graph.add(Triple(decode(s), decode(p), decode(o)))
-        return graph
+        rows = self.table.match((None, None, None))
+        return RDFGraph(map(Triple, *self.dictionary.decode_columns(rows)))
 
     def saturated(self) -> "RDFDatabase":
         """A new database whose facts are the saturation of this one's.

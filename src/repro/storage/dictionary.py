@@ -26,12 +26,20 @@ Per-kind counts (:meth:`stats`) are maintained incrementally at
 allocation time: the old implementation rescanned every stored term on
 each call, an O(n) walk per report that made frequent ``stats``/CLI
 polling quadratic over the load.
+
+The result boundary (DESIGN.md §17): every answer crosses code → term
+exactly once, through :meth:`Dictionary.decode_rows`, which decodes an
+``(n, k)`` code array by column against the snapshot's ``term_of`` and
+builds the row tuples with one ``zip``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..rdf.terms import BlankNode, Literal, Term, URI
 
@@ -131,6 +139,27 @@ class Dictionary:
         """The term a code stands for."""
         return self._snapshot.term_of[code]
 
+    def decode_columns(self, codes: np.ndarray) -> List[List[Term]]:
+        """An ``(n, k)`` code array decoded column-wise: ``k`` lists of ``n``.
+
+        The one code → term loop in ``src/``: one list index per cell,
+        no call, generator or tuple per row.
+        """
+        term_of = self._snapshot.term_of
+        return [[term_of[v] for v in column] for column in codes.T.tolist()]
+
+    def decode_rows(self, codes: np.ndarray) -> FrozenSet[Tuple[Term, ...]]:
+        """The distinct rows of an ``(n, k)`` code array, decoded.
+
+        The crossing every engine's answers take, once.  A zero-column
+        array is a Boolean result: ``{()}`` when it has rows, else the
+        empty set.
+        """
+        n, k = codes.shape
+        if k == 0:
+            return frozenset({()}) if n else frozenset()
+        return frozenset(zip(*self.decode_columns(codes)))
+
     def items(self) -> Iterator[Tuple[int, Term]]:
         """Iterate ``(code, term)`` pairs of one consistent snapshot."""
         snap = self._snapshot
@@ -146,11 +175,19 @@ class Dictionary:
         whole-object references (copy-on-write renumbering, the LiteMat
         assigner's re-encode path).
         """
-        new = Dictionary()
+        # Built in bulk, not by |dictionary| locked ``encode`` calls (most
+        # of a LiteMat re-encode).  ``dict.fromkeys`` keeps each term's
+        # first occurrence, in order: the codes ``encode`` would allocate.
+        leading = list(leading)
         for term in leading:
-            new.encode(term)
-        for term in list(self._snapshot.term_of):
-            new.encode(term)
+            self._check_encodable(term)
+        terms = list(dict.fromkeys(leading + self._snapshot.term_of))
+        new = Dictionary()
+        new._snapshot = _Snapshot(
+            dict(zip(terms, range(len(terms)))),
+            terms,
+            dict(Counter(map(_kind_of, terms))),
+        )
         return new
 
     def __len__(self) -> int:

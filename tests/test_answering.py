@@ -5,8 +5,10 @@ import pytest
 from repro.answering import STRATEGIES, QueryAnswerer
 from repro.datasets import lubm_query, motivating_q1
 from repro.engine import NATIVE_MERGE, NativeEngine, SQLiteEngine
-from repro.query import evaluate
+from repro.query import BGPQuery, evaluate
+from repro.rdf import RDFS_SUBCLASS, RDFSchema, RDF_TYPE, Triple, URI, Variable
 from repro.reasoning import saturate
+from repro.storage import RDFDatabase
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +97,30 @@ class TestOtherEngines:
         assert report.answers == ground_truth(query)
         # The saturated engine keeps the same personality.
         assert answerer._saturated_engine.profile is NATIVE_MERGE
+
+
+class TestReadAllocatesCodes:
+    """Evaluation itself grows the dictionary: an empty-body conjunct's
+    head constants are encoded on first sight, after the store was
+    built — the decode boundary must resolve codes younger than the
+    store (DESIGN.md §17)."""
+
+    @pytest.mark.parametrize("engine_cls", [NativeEngine, SQLiteEngine])
+    def test_schema_resolved_constants_absent_from_the_data(self, engine_cls):
+        def ex(name):
+            return URI(f"http://alloc/{name}")
+
+        # 70 subclasses that occur in no fact.
+        subclasses = [ex(f"Sub{i}") for i in range(70)]
+        schema = RDFSchema()
+        for cls in subclasses:
+            schema.add_subclass(cls, ex("Top"))
+        db = RDFDatabase(schema=schema)
+        db.load_facts([Triple(ex("a"), RDF_TYPE, ex("Top"))])
+        assert all(db.dictionary.lookup(cls) is None for cls in subclasses)
+
+        x = Variable("x")
+        query = BGPQuery([x], [Triple(x, RDFS_SUBCLASS, ex("Top"))])
+        report = QueryAnswerer(db, engine=engine_cls(db)).answer(query, strategy="ucq")
+        assert report.answers == {(cls,) for cls in subclasses}
+        assert all(db.dictionary.lookup(cls) is not None for cls in subclasses)

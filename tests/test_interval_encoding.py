@@ -15,11 +15,12 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rdf import Literal, RDFSchema, RDF_TYPE, Triple, URI, Variable
+from repro.rdf import BlankNode, Literal, RDFSchema, RDF_TYPE, Triple, URI, Variable
 from repro.rdf.terms import IdRange
 from repro.storage import (
     CyclicHierarchyError,
@@ -390,6 +391,33 @@ class TestDictionaryRemap:
             assert d.decode(code) == u(name)
         assert len(d) == 3
 
+    def test_bulk_construction_equals_repeated_encode(self):
+        """``remapped`` builds its snapshot in bulk; pin it to the old
+        construction (one ``encode`` per term): same codes, same order,
+        same kind counts, leading duplicates and unseen terms included."""
+        d = Dictionary()
+        for i in range(150):
+            d.encode((u, Literal, BlankNode)[i % 3](f"t{i}"))
+        leading = [u("t30"), Literal("t1"), u("fresh"), u("t30"), BlankNode("t2")]
+        old = Dictionary()
+        for term in leading:
+            old.encode(term)
+        for _, term in d.items():
+            old.encode(term)
+        new = d.remapped(leading)
+        assert list(new.items()) == list(old.items())
+        assert new.stats() == old.stats()
+        assert all(new.lookup(term) == code for code, term in old.items())
+        # A one-shot iterable of leading terms is consumed once.
+        assert list(d.remapped(iter(leading)).items()) == list(old.items())
+        # The remapped dictionary decodes in bulk and keeps allocating
+        # after the bulk build.
+        codes = np.arange(len(new), dtype=np.int64).reshape(-1, 1)
+        assert new.decode_rows(codes) == {(term,) for _, term in old.items()}
+        assert new.encode(u("later")) == old.encode(u("later")) == len(old) - 1
+        with pytest.raises(TypeError):
+            d.remapped([Variable("x")])
+
     def test_concurrent_encode_never_tears(self):
         """Hammer the miss path from several threads: every term must
         end with exactly one code, and every handed-out code decodes."""
@@ -446,6 +474,50 @@ class TestDictionaryRemap:
             stop.set()
             t.join()
         assert not errors
+
+    def test_concurrent_encode_and_decode_rows(self):
+        """Writers allocate fresh terms while readers bulk-decode codes
+        they were handed: never an ``IndexError``, never a wrong term."""
+        d = Dictionary()
+        handed = []  # (code, term) pairs, appended after encode returns
+        stop = threading.Event()
+        errors = []
+
+        def writer(slot):
+            i = 0
+            while not stop.is_set() and i < 2000:
+                term = u(f"w{slot}-{i}")
+                handed.append((d.encode(term), term))
+                i += 1
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                while not stop.is_set():
+                    known = len(handed)
+                    if not known:
+                        continue
+                    pairs = [handed[rng.randrange(known)] for _ in range(64)]
+                    codes = np.array([[c, c] for c, _ in pairs], dtype=np.int64)
+                    expected = {(t, t) for _, t in pairs}
+                    if d.decode_rows(codes) != expected:
+                        errors.append("wrong term")
+                        return
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(repr(error))
+
+        writers = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
+        readers = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        stop.set()
+        for t in readers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in writers + readers)
+        assert not errors, errors
+        assert len(d) == 4000
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.rdf import Literal, RDF_TYPE, Triple, URI, Variable
+from repro.rdf import BlankNode, Literal, RDF_TYPE, Triple, URI, Variable
 from repro.storage import Dictionary, RDFDatabase, TripleTable
 from repro.storage.triple_table import PERMUTATIONS
 
@@ -45,6 +46,46 @@ class TestDictionary:
         d.encode(u("a"))
         d.encode(Literal("b"))
         assert d.stats() == {"uris": 1, "literals": 1, "blank_nodes": 0}
+
+
+def _reference_decode(dictionary, codes):
+    """The per-cell loop ``decode_rows`` replaced, kept as the oracle."""
+    return frozenset(
+        tuple(dictionary.decode(v) for v in row) for row in codes.tolist()
+    )
+
+
+class TestDecodeRows:
+    """The columnar result boundary against the per-row ``decode``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=300),
+        n=st.integers(min_value=0, max_value=40),
+        k=st.integers(min_value=0, max_value=4),
+        # A small pool forces duplicate rows; a large one spreads them.
+        pool=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # Boolean results: {()} with rows, else ∅.
+    @example(size=1, n=0, k=0, pool=1, seed=0)
+    @example(size=1, n=1, k=0, pool=1, seed=0)
+    @example(size=200, n=0, k=3, pool=200, seed=0)
+    def test_equals_per_row_decode(self, size, n, k, pool, seed):
+        d = Dictionary()
+        kinds = (u, Literal, BlankNode)
+        for i in range(size):
+            d.encode(kinds[i % 3](f"t{i}"))
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, min(pool, size), size=(n, k)).astype(np.int64)
+        assert d.decode_rows(codes) == _reference_decode(d, codes)
+
+    def test_unallocated_code_is_an_index_error(self):
+        d = Dictionary()
+        for i in range(5):
+            d.encode(u(f"v{i}"))
+        with pytest.raises(IndexError):
+            d.decode_rows(np.full((3, 2), 5, dtype=np.int64))
 
 
 @pytest.fixture()
