@@ -15,6 +15,13 @@ reformulations"):
   limit, mirroring engines (the paper's DB2) that throw "stack depth
   limit exceeded" on huge unions.
 
+Reformulation emits union terms by the hundred that differ only in a
+class or property constant, so a union is evaluated one *template* —
+one family of same-shaped terms (:mod:`repro.query.templates`) — at a
+time: each distinct scan once, the scans of an atom stacked, one join
+order and one join pipeline for the whole family (DESIGN.md §18).  A
+CQ is the family of one.
+
 The limits are honest emulations of real failure modes the paper hit
 (footnote 1: stack-depth errors, I/O exceptions while materializing
 intermediate results); crossing one raises :class:`EngineFailure`, and
@@ -25,18 +32,28 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
-from ..rdf.terms import IdRange, Term, Variable
+from ..query.templates import ConstantPattern, Template, VariableLayout
+from ..rdf.terms import Term, Variable
 from ..storage.database import RDFDatabase
 from ..telemetry.metrics import MetricsRecorder
 from ..telemetry.registry import get_registry
 from ..telemetry.tracer import NULL_TRACER
-from .operators import cross_product, distinct, hash_join, merge_join, scan_atom, union_all
+from .operators import (
+    bind_variables,
+    cross_product,
+    distinct,
+    encode_pattern,
+    hash_join,
+    match_pattern,
+    merge_join,
+    union_all,
+)
 from .relation import Relation
 
 #: Decoded answers: a set of tuples of RDF terms.
@@ -68,6 +85,13 @@ class EngineProfile:
     compile-time default is 500); ``max_intermediate_rows`` caps any
     materialized intermediate result (beyond it, real engines spill and
     may abort with I/O errors, which the paper observed).
+
+    Union terms are evaluated a *template* at a time (DESIGN.md §18), so
+    an intermediate is a template's: the sum of its members' (their
+    scans stacked, their joins in one pass).  Combinations of constants
+    no member has are excluded by the join key, so they are neither
+    built nor counted.  ``max_union_terms`` still counts terms, not
+    templates.
     """
 
     name: str
@@ -205,19 +229,15 @@ class NativeEngine:
         """
         tracer = NULL_TRACER if tracer is None else tracer
         deadline = _Deadline(timeout_s, budget)
-        if isinstance(query, BGPQuery):
-            joined = self._eval_cq(
-                query, deadline, _positional_names(query.head), metrics
-            )
-            with tracer.span("dedup", rows_in=len(joined)) as span:
-                result = distinct(joined, metrics)
-                span.set(rows_out=len(result))
-        elif isinstance(query, UCQ):
-            result = self._eval_ucq(
-                query, deadline, _positional_names(query.head), tracer, metrics
+        scans: Dict[ConstantPattern, np.ndarray] = {}
+        if isinstance(query, (BGPQuery, UCQ)):
+            # A CQ is the union of one term: the one-member template.
+            result = self._eval_union(
+                query.templates(), deadline,
+                _positional_names(query.head), scans, tracer, metrics,
             )
         elif isinstance(query, JUCQ):
-            result = self._eval_jucq(query, deadline, tracer, metrics)
+            result = self._eval_jucq(query, deadline, scans, tracer, metrics)
         else:
             raise TypeError(f"cannot evaluate {type(query).__name__}")
         result_cap = deadline.max_result_rows
@@ -256,25 +276,25 @@ class NativeEngine:
         raise TypeError(f"cannot explain {type(query).__name__}")
 
     def _explain_ucq(self, ucq: UCQ, indent: str) -> str:
-        satisfiable = 0
-        total_scan = 0
-        for cq in ucq:
-            counts = self._atom_counts(cq)
-            if all(c > 0 for c in counts) or not cq.body:
-                satisfiable += 1
-                total_scan += sum(counts)
-        lines = [
-            f"{indent}UCQ: {len(ucq)} union terms "
-            f"({satisfiable} satisfiable, scan volume {total_scan} tuples), "
+        scans = {
+            pattern
+            for template in ucq.templates()
+            for patterns in template.patterns
+            for pattern in patterns
+        }
+        volume = sum(self._pattern_count(pattern) for pattern in scans)
+        return (
+            f"{indent}UCQ: {len(ucq)} union terms in {len(ucq.templates())} "
+            f"templates, {len(scans)} distinct scans (~{volume} tuples), "
             f"union + distinct"
-        ]
-        return "\n".join(lines)
+        )
 
     def _explain_cq(self, cq: BGPQuery, indent: str) -> str:
         if not cq.body:
             return f"{indent}CQ: constant row (schema-resolved conjunct)"
-        counts = self._atom_counts(cq)
-        order = self._join_order(cq)
+        (template,) = cq.templates()
+        counts = [self._pattern_count(p) for (p,) in template.patterns]
+        order = _greedy_order(counts, template.atoms)
         steps = []
         for position, atom_index in enumerate(order):
             atom = cq.body[atom_index]
@@ -286,142 +306,57 @@ class NativeEngine:
         header = f"{indent}CQ: {len(cq.body)} atoms, join order {[i + 1 for i in order]}"
         return "\n".join([header] + steps)
 
-    def _atom_counts(self, cq: BGPQuery) -> List[int]:
-        stats = self.database.statistics
-        dictionary = self.database.dictionary
-        counts: List[int] = []
-        for atom in cq.body:
-            pattern = []
-            missing = False
-            range_position: Optional[int] = None
-            range_term: Optional[IdRange] = None
-            for position, term in enumerate(atom):
-                if isinstance(term, Variable):
-                    pattern.append(None)
-                elif isinstance(term, IdRange):
-                    pattern.append(None)
-                    range_position = position
-                    range_term = term
-                else:
-                    code = dictionary.lookup(term)
-                    if code is None:
-                        missing = True
-                        break
-                    pattern.append(code)
-            if missing:
-                counts.append(0)
-            elif range_term is not None and range_position is not None:
-                counts.append(
-                    self.database.table.match_range_count(
-                        tuple(pattern), range_position, range_term.lo, range_term.hi
-                    )
-                )
-            else:
-                counts.append(stats.pattern_count(tuple(pattern)))
-        return counts
+    def _pattern_count(self, constants: ConstantPattern) -> int:
+        """Exact number of triples one scan would match (nothing is read)."""
+        encoded = encode_pattern(constants, self.database.dictionary)
+        if encoded is None:
+            return 0
+        pattern, range_position, range_term = encoded
+        if range_term is not None and range_position is not None:
+            return self.database.table.match_range_count(
+                pattern, range_position, range_term.lo, range_term.hi
+            )
+        return self.database.statistics.pattern_count(pattern)
 
     # ------------------------------------------------------------------
-    # CQ
+    # Unions, one join pipeline per template (DESIGN.md §18)
     # ------------------------------------------------------------------
-    def _eval_cq(
+    def _eval_union(
         self,
-        cq: BGPQuery,
+        templates: Sequence[Template],
         deadline: _Deadline,
         out_names: Sequence[str],
-        metrics: Optional[MetricsRecorder] = None,
-    ) -> Relation:
-        """Evaluate one conjunct; columns renamed to ``out_names``.
-
-        Runs once per union term, so it carries counters but no spans —
-        a traced UCQ reformulation can have thousands of conjuncts.
-        """
-        deadline.check()
-        table, dictionary = self.database.table, self.database.dictionary
-        if not cq.body:
-            # Schema-resolved constant conjunct: one row of head constants.
-            values = [dictionary.encode(t) for t in cq.head]
-            return Relation.single_row(out_names, values)
-        row_cap = deadline.row_limit(self.profile.max_intermediate_rows)
-        order = self._join_order(cq)
-        current: Optional[Relation] = None
-        for atom_index in order:
-            deadline.check()
-            scanned = scan_atom(cq.body[atom_index], table, dictionary, metrics)
-            if current is None:
-                current = scanned
-            else:
-                shared = set(current.columns) & set(scanned.columns)
-                if shared:
-                    current = self.profile.join(current, scanned, metrics)
-                else:
-                    current = cross_product(current, scanned, metrics)
-                if metrics is not None:
-                    metrics.inc("materialized.intermediate_rows", len(current))
-            if len(current) > row_cap:
-                raise EngineFailure(
-                    f"intermediate result of {len(current)} rows exceeds "
-                    f"the limit of {row_cap} ({self.profile.name})"
-                )
-            if len(current) == 0:
-                # Unsatisfiable conjunct; later atoms' columns would be
-                # missing, so emit the empty result directly.
-                return Relation.empty(out_names)
-        return self._project_head(current, cq, out_names)
-
-    def _project_head(
-        self, relation: Relation, cq: BGPQuery, out_names: Sequence[str]
-    ) -> Relation:
-        n = len(relation)
-        columns: List[np.ndarray] = []
-        for term in cq.head:
-            if isinstance(term, Variable):
-                columns.append(relation.column(term.value))
-            else:
-                code = self.database.dictionary.encode(term)
-                columns.append(np.full(n, code, dtype=np.int64))
-        if columns:
-            rows = np.column_stack(columns)
-        else:
-            rows = np.empty((n, 0), dtype=np.int64)
-        return Relation(out_names, rows)
-
-    def _join_order(self, cq: BGPQuery) -> List[int]:
-        """Greedy statistics-driven join order: smallest connected next."""
-        counts = self._atom_counts(cq)
-        remaining = set(range(len(cq.body)))
-        atom_vars = [cq.atom_variables(i) for i in range(len(cq.body))]
-        order: List[int] = []
-        bound: set = set()
-        while remaining:
-            connected = [i for i in remaining if atom_vars[i] & bound] or list(remaining)
-            chosen = min(connected, key=lambda i: counts[i])
-            order.append(chosen)
-            bound |= atom_vars[chosen]
-            remaining.discard(chosen)
-        return order
-
-    # ------------------------------------------------------------------
-    # UCQ
-    # ------------------------------------------------------------------
-    def _eval_ucq(
-        self,
-        ucq: UCQ,
-        deadline: _Deadline,
-        out_names: Sequence[str],
+        scans: Dict[ConstantPattern, np.ndarray],
         tracer=NULL_TRACER,
         metrics: Optional[MetricsRecorder] = None,
     ) -> Relation:
+        """Union + distinct of the union terms grouped into ``templates``.
+
+        ``scans`` memoizes matched rows per constant pattern for the
+        whole ``evaluate_relation`` call, so a pattern shared by several
+        templates or JUCQ operands is read from the indexes once.
+        """
+        terms = sum(template.size for template in templates)
         union_cap = deadline.union_limit(self.profile.max_union_terms)
-        if len(ucq) > union_cap:
+        if terms > union_cap:
             raise EngineFailure(
-                f"{len(ucq)} union terms exceed the compound statement "
+                f"{terms} union terms exceed the compound statement "
                 f"limit of {union_cap} ({self.profile.name})"
             )
-        with tracer.span("union", terms=len(ucq)) as span:
-            parts = [self._eval_cq(cq, deadline, out_names, metrics) for cq in ucq]
-            combined = union_all(parts, out_names, metrics)
+        row_cap = deadline.row_limit(self.profile.max_intermediate_rows)
+        with tracer.span("union", terms=terms, templates=len(templates)) as span:
+            parts = [
+                self._eval_template(template, deadline, row_cap, out_names, scans, metrics)
+                for template in templates
+            ]
+            combined = union_all(parts, out_names)
             span.set(rows=len(combined))
-        if len(combined) > deadline.row_limit(self.profile.max_intermediate_rows):
+        if metrics is not None:
+            metrics.inc("union.count")
+            metrics.inc("union.terms", terms)
+            metrics.inc("union.templates", len(templates))
+            metrics.inc("union.input_rows", len(combined))
+        if len(combined) > row_cap:
             raise EngineFailure(
                 f"union result of {len(combined)} rows exceeds "
                 f"{self.profile.name}'s limit"
@@ -432,6 +367,159 @@ class NativeEngine:
             span.set(rows_out=len(result))
         return result
 
+    def _eval_template(
+        self,
+        template: Template,
+        deadline: _Deadline,
+        row_cap: int,
+        out_names: Sequence[str],
+        scans: Dict[ConstantPattern, np.ndarray],
+        metrics: Optional[MetricsRecorder] = None,
+    ) -> Relation:
+        """All of a template's members at once; columns named ``out_names``.
+
+        Runs once per template, so it carries counters but no spans.
+        """
+        deadline.check()
+        relations: List[Relation] = []
+        for index in range(len(template.atoms)):
+            relation = self._stack_scans(template, index, scans, metrics)
+            if len(relation) == 0:
+                # No member is satisfiable; skip the remaining scans.
+                return Relation.empty(out_names)
+            relations.append(relation)
+        members = self._members(template)
+
+        def check_rows(relation: Relation) -> None:
+            if len(relation) > row_cap:
+                raise EngineFailure(
+                    f"intermediate result of {len(relation)} rows exceeds "
+                    f"the limit of {row_cap} ({self.profile.name})"
+                )
+
+        current = Relation.unit()
+        for step, index in enumerate(
+            _greedy_order([len(r) for r in relations], template.atoms)
+        ):
+            deadline.check()
+            if step == 0:
+                current = relations[index]
+            else:
+                incoming = relations[index]
+                if index in template.tagged:
+                    current, incoming = self._pair_with_members(
+                        current, incoming, index, members, template, metrics
+                    )
+                    check_rows(current)
+                    check_rows(incoming)
+                current = self._join(current, incoming, metrics)
+                if metrics is not None:
+                    metrics.inc("materialized.intermediate_rows", len(current))
+            check_rows(current)
+            if len(current) == 0:
+                return Relation.empty(out_names)
+        if template.head_constants:
+            # Tag combination -> head constants: one-to-many, because
+            # members may share a body and differ only in the head.
+            current = self._join(current, members, metrics)
+        return self._project(current, template.head, out_names, members.columns)
+
+    def _stack_scans(
+        self,
+        template: Template,
+        index: int,
+        scans: Dict[ConstantPattern, np.ndarray],
+        metrics: Optional[MetricsRecorder],
+    ) -> Relation:
+        """One atom of a template: its distinct patterns' scans, stacked."""
+        table, dictionary = self.database.table, self.database.dictionary
+        matched: List[np.ndarray] = []
+        for pattern in template.patterns[index]:
+            rows = scans.get(pattern)
+            if rows is None:
+                rows = scans[pattern] = match_pattern(pattern, table, dictionary, metrics)
+            matched.append(rows)
+        stacked = matched[0] if len(matched) == 1 else np.vstack(matched)
+        tag = None
+        if index in template.tagged:
+            sizes = [rows.shape[0] for rows in matched]
+            tag = (f"#{index}", np.repeat(np.arange(len(matched)), sizes))
+        return bind_variables(stacked, template.atoms[index], metrics, tag)
+
+    def _members(self, template: Template) -> Relation:
+        """``template.members`` with head-constant indices turned into codes."""
+        encode = self.database.dictionary.encode
+        names = [f"#{index}" for index in template.tagged]
+        rows = template.members
+        if template.head_constants:
+            rows = rows.copy()
+            for column, terms in enumerate(template.head_constants, len(names)):
+                codes = np.array([encode(term) for term in terms], dtype=np.int64)
+                rows[:, column] = codes[rows[:, column]]
+                names.append(f"={column}")
+        return Relation(names, rows)
+
+    def _pair_with_members(
+        self,
+        current: Relation,
+        incoming: Relation,
+        index: int,
+        members: Relation,
+        template: Template,
+        metrics: Optional[MetricsRecorder],
+    ) -> Tuple[Relation, Relation]:
+        """Make the join that brings tag ``index`` in join on the tags too.
+
+        When the members do not pair every pattern of atom ``index``
+        with every tag combination ``current`` carries, the smaller side
+        is first joined with the combinations they do have, so the tags
+        become part of the join key and the pairs no member has are
+        never built: ``(x type A, x p y) ∪ (x type B, x q y)`` must not
+        materialize ``A``/``q`` and ``B``/``p``.  The paired side grows
+        to the sum of its members' rows, no further.
+        """
+        present = [f"#{j}" for j in template.tagged if f"#{j}" in current.columns]
+        if not present:
+            return current, incoming
+        allowed = distinct(members.project(present + [f"#{index}"]))
+        carried = len(distinct(members.project(present)))
+        if len(allowed) == carried * len(template.patterns[index]):
+            return current, incoming
+        if len(current) <= len(incoming):
+            return self._join(current, allowed, metrics), incoming
+        return current, self._join(incoming, allowed, metrics)
+
+    def _join(
+        self, left: Relation, right: Relation, metrics: Optional[MetricsRecorder]
+    ) -> Relation:
+        if set(left.columns) & set(right.columns):
+            return self.profile.join(left, right, metrics)
+        return cross_product(left, right, metrics)
+
+    def _project(
+        self,
+        relation: Relation,
+        head: Sequence,
+        out_names: Sequence[str],
+        member_names: Sequence[str] = (),
+    ) -> Relation:
+        """Head positions as columns: variables, member constants, constants."""
+        n = len(relation)
+        columns: List[np.ndarray] = []
+        for entry in head:
+            if isinstance(entry, str):
+                columns.append(relation.column(entry))
+            elif isinstance(entry, int):
+                columns.append(relation.column(member_names[entry]))
+            else:
+                code = self.database.dictionary.encode(entry)
+                columns.append(np.full(n, code, dtype=np.int64))
+        if columns:
+            rows = np.column_stack(columns)
+        else:
+            rows = np.empty((n, 0), dtype=np.int64)
+        return Relation(out_names, rows)
+
     # ------------------------------------------------------------------
     # JUCQ
     # ------------------------------------------------------------------
@@ -439,6 +527,7 @@ class NativeEngine:
         self,
         jucq: JUCQ,
         deadline: _Deadline,
+        scans: Dict[ConstantPattern, np.ndarray],
         tracer=NULL_TRACER,
         metrics: Optional[MetricsRecorder] = None,
     ) -> Relation:
@@ -448,7 +537,9 @@ class NativeEngine:
             names = _variable_names(ucq.head)
             with tracer.span("operand", index=index, terms=len(ucq)) as span:
                 started = time.perf_counter()
-                operand = self._eval_ucq(ucq, deadline, names, tracer, metrics)
+                operand = self._eval_union(
+                    ucq.templates(), deadline, names, scans, tracer, metrics
+                )
                 span.set(rows=len(operand))
             if metrics is not None:
                 metrics.append("jucq.operand_rows", len(operand))
@@ -467,11 +558,7 @@ class NativeEngine:
             ] or remaining
             chosen = min(joinable, key=lambda i: len(operands[i]))
             remaining.remove(chosen)
-            other = operands[chosen]
-            if set(other.columns) & set(current.columns):
-                current = self.profile.join(current, other, metrics)
-            else:
-                current = cross_product(current, other, metrics)
+            current = self._join(current, operands[chosen], metrics)
             if metrics is not None:
                 metrics.inc("materialized.intermediate_rows", len(current))
             if len(current) > row_cap:
@@ -479,25 +566,28 @@ class NativeEngine:
                     f"join intermediate of {len(current)} rows exceeds "
                     f"the limit of {row_cap} ({self.profile.name})"
                 )
-        # Final projection to the JUCQ head.
-        n = len(current)
-        columns: List[np.ndarray] = []
-        for term in jucq.head:
-            if isinstance(term, Variable):
-                columns.append(current.column(term.value))
-            else:
-                columns.append(
-                    np.full(n, self.database.dictionary.encode(term), dtype=np.int64)
-                )
-        if columns:
-            rows = np.column_stack(columns)
-        else:
-            rows = np.empty((n, 0), dtype=np.int64)
+        head = [t.value if isinstance(t, Variable) else t for t in jucq.head]
+        projected = self._project(current, head, _positional_names(jucq.head))
         deadline.check()
-        with tracer.span("dedup", rows_in=n) as span:
-            result = distinct(Relation(_positional_names(jucq.head), rows), metrics)
+        with tracer.span("dedup", rows_in=len(projected)) as span:
+            result = distinct(projected, metrics)
             span.set(rows_out=len(result))
         return result
+
+
+def _greedy_order(sizes: Sequence[int], atoms: Sequence[VariableLayout]) -> List[int]:
+    """Join order over a template's atoms: smallest connected next."""
+    variables = [{name for name in atom if name is not None} for atom in atoms]
+    remaining = set(range(len(atoms)))
+    order: List[int] = []
+    bound: set = set()
+    while remaining:
+        connected = [i for i in remaining if variables[i] & bound] or list(remaining)
+        chosen = min(connected, key=lambda i: sizes[i])
+        order.append(chosen)
+        bound |= variables[chosen]
+        remaining.discard(chosen)
+    return order
 
 
 def _positional_names(head: Sequence[Term]) -> List[str]:

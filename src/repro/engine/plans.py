@@ -6,10 +6,12 @@ out into a tree of :class:`PlanNode` objects that can be built,
 printed, costed, and *then* executed — the shape a user coming from a
 relational engine expects.
 
-The compiler produces exactly the plans the native engine runs (same
-greedy statistics-driven join order, same operand handling), so
-``compile_query(q, db).execute(db)`` and ``NativeEngine(db).evaluate(q)``
-agree — a property pinned in ``tests/test_plans.py``.
+The compiler produces the textbook plan — one greedy statistics-driven
+join tree per union term, same operand handling as the native engine —
+while the engine itself runs one pipeline per *template* of same-shaped
+terms (DESIGN.md §18).  ``compile_query(q, db).execute(db)`` and
+``NativeEngine(db).evaluate(q)`` agree on the answers — a property
+pinned in ``tests/test_plans.py``.
 
 Example::
 

@@ -7,6 +7,7 @@ to RDF terms happens once, at the answering layer.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -91,28 +92,49 @@ class Relation:
         return f"Relation(cols={self.columns}, rows={len(self)})"
 
 
+#: Mixed-radix keys stay below this, so every product fits an int64.
+_KEY_LIMIT = 1 << 62
+
+
 def pack_columns(rows: np.ndarray, col_indices: Sequence[int]) -> np.ndarray:
     """Collapse selected columns into one int64 key per row.
 
-    Keys are equal iff the column tuples are equal.  Built by iterated
-    factorization (``np.unique`` inverse codes), so it is safe for any
-    number of columns and any value magnitudes.
+    Keys are equal iff the column tuples are equal.  Each column is
+    shifted to start at 0 and appended as one digit of a mixed-radix
+    number whose radices are the columns' value ranges — no sorting.
+    Dictionary codes are < 2**21, so three columns always fit 62 bits
+    and more do whenever their ranges are narrow.  Where the next digit
+    would not fit, the key so far (and, if still needed, the column) is
+    first replaced by its dense rank (``np.unique`` inverse codes, < n),
+    which is safe for any number of columns and any magnitudes.
     """
-    if rows.shape[0] == 0:
+    n = rows.shape[0]
+    if n == 0:
         return np.empty(0, dtype=np.int64)
-    if not col_indices:
-        return np.zeros(rows.shape[0], dtype=np.int64)
-    keys = None
-    for index in col_indices:
-        column = rows[:, index]
-        if keys is None:
-            keys = column.astype(np.int64, copy=True)
-            continue
-        _, keys = np.unique(keys, return_inverse=True)
-        _, col_codes = np.unique(column, return_inverse=True)
-        width = int(col_codes.max()) + 1
-        keys = keys * width + col_codes
+    columns = [rows[:, index] for index in col_indices]
+    if not columns:
+        return np.zeros(n, dtype=np.int64)
+    if len(columns) == 1:
+        # One column is its own key: the commonest join needs no pass at all.
+        return np.ascontiguousarray(columns[0], dtype=np.int64)
+    keys = np.zeros(n, dtype=np.int64)
+    span = 1  # keys < span
+    for column in columns:
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        if span * width >= _KEY_LIMIT:
+            keys, span = _dense_rank(keys), n
+            if span * width >= _KEY_LIMIT:
+                column, low, width = _dense_rank(column), 0, n
+        keys *= width
+        keys += np.subtract(column, low, dtype=np.int64)
+        span *= width
     return keys
+
+
+def _dense_rank(values: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values: equal iff equal, < n."""
+    return np.unique(values, return_inverse=True)[1].astype(np.int64, copy=False)
 
 
 def dedup_rows(rows: np.ndarray) -> np.ndarray:
@@ -122,5 +144,9 @@ def dedup_rows(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] == 0:
         return rows[:1]
     keys = pack_columns(rows, range(rows.shape[1]))
-    _, first_positions = np.unique(keys, return_index=True)
-    return rows[np.sort(first_positions)]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return rows.take(order[first], axis=0)

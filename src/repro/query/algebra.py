@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import Term, Variable
 from .bgp import BGPQuery
+from .templates import Template, partition_terms
 
 
 class UCQ:
@@ -33,7 +34,7 @@ class UCQ:
     number of distinct union terms, and so do we.
     """
 
-    __slots__ = ("head", "cqs", "name")
+    __slots__ = ("head", "cqs", "name", "_templates")
 
     def __init__(
         self,
@@ -61,6 +62,7 @@ class UCQ:
                 unique.append(cq)
         self.cqs: Tuple[BGPQuery, ...] = tuple(unique)
         self.name = name
+        self._templates: Optional[Tuple[Template, ...]] = None
 
     @property
     def arity(self) -> int:
@@ -70,6 +72,19 @@ class UCQ:
     def head_variables(self) -> Tuple[Variable, ...]:
         """Variables among the head terms, in order."""
         return tuple(t for t in self.head if isinstance(t, Variable))
+
+    def templates(self) -> Tuple[Template, ...]:
+        """The terms grouped by shape (cached; DESIGN.md §18).
+
+        A pure function of the immutable ``cqs``, so a plan-cached UCQ
+        never recomputes it.  Unlocked on purpose: two threads racing
+        here both compute the same immutable value and one reference
+        write wins.
+        """
+        cached = self._templates
+        if cached is None:
+            cached = self._templates = partition_terms(self.cqs)
+        return cached
 
     def __len__(self) -> int:
         """Number of union terms (the paper's ``|q_ref|``)."""

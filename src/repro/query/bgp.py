@@ -13,9 +13,10 @@ so the constructor renames them to fresh variables up front.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import BlankNode, Term, Triple, Variable
+from .templates import Template, partition_terms
 
 #: A substitution maps variables to arbitrary terms.
 Substitution = Dict[Variable, Term]
@@ -45,7 +46,8 @@ class BGPQuery:
     atoms, so atom order is irrelevant.
     """
 
-    __slots__ = ("name", "head", "body", "_body_set", "_canonical", "_fingerprint")
+    __slots__ = ("name", "head", "body", "_body_set", "_canonical", "_fingerprint",
+                 "_templates")
 
     def __init__(
         self,
@@ -72,6 +74,7 @@ class BGPQuery:
         self._canonical = None
         #: Lazily filled by :func:`repro.cache.fingerprint.query_fingerprint`.
         self._fingerprint = None
+        self._templates: Optional[Tuple[Template, ...]] = None
         self._check_safety()
 
     @classmethod
@@ -91,6 +94,7 @@ class BGPQuery:
         query._body_set = frozenset(body)
         query._canonical = None
         query._fingerprint = None
+        query._templates = None
         return query
 
     def _check_safety(self) -> None:
@@ -219,6 +223,13 @@ class BGPQuery:
         result = (head_key, frozenset(atom_keys))
         self._canonical = result
         return result
+
+    def templates(self) -> Tuple[Template, ...]:
+        """This CQ as the one-member template group (cached; DESIGN.md §18)."""
+        cached = self._templates
+        if cached is None:
+            cached = self._templates = partition_terms((self,))
+        return cached
 
     # ------------------------------------------------------------------
     # Dunder protocol

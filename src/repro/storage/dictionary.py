@@ -35,13 +35,47 @@ builds the row tuples with one ``zip``.
 
 from __future__ import annotations
 
+import gc
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..rdf.terms import BlankNode, Literal, Term, URI
+
+
+# Who paused the collector: [callers inside, was it on when the first came].
+_pause_lock = threading.Lock()
+_pause_state = [0, False]
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector out of one bulk build of acyclic objects.
+
+    Allocating tens of thousands of GC-tracked tuples trips a young
+    collection every 700 of them and promotes the half-built set into
+    the old generation, whose collections then rescan it (and the whole
+    heap) again and again.  Pauses nest across threads: the first caller
+    in records whether the collector was on and turns it off, the last
+    one out turns it back on if it was.  (Without the count, a thread
+    entering inside another's pause reads "off", and by disabling after
+    the other's re-enable leaves collection off for the whole process.)
+    """
+    with _pause_lock:
+        if _pause_state[0] == 0:
+            _pause_state[1] = gc.isenabled()
+            gc.disable()
+        _pause_state[0] += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_state[0] -= 1
+            if _pause_state[0] == 0 and _pause_state[1]:
+                gc.enable()
 
 
 def _kind_of(term: Term) -> str:
@@ -158,7 +192,9 @@ class Dictionary:
         n, k = codes.shape
         if k == 0:
             return frozenset({()}) if n else frozenset()
-        return frozenset(zip(*self.decode_columns(codes)))
+        # Rows are tuples of existing terms in one frozenset: acyclic.
+        with _collector_paused():
+            return frozenset(zip(*self.decode_columns(codes)))
 
     def items(self) -> Iterator[Tuple[int, Term]]:
         """Iterate ``(code, term)`` pairs of one consistent snapshot."""

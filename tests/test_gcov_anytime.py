@@ -1,5 +1,7 @@
 """Tests for GCov's anytime stop conditions and exploration trace."""
 
+import re
+
 import pytest
 
 from repro.cost import CostModel
@@ -62,7 +64,11 @@ class TestExplain:
         text = engine.explain(query)
         assert "CQ:" in text and "join order" in text
         ucq = reformulator.reformulate(query)
-        assert "union terms" in engine.explain(ucq)
+        assert re.match(
+            rf"UCQ: {len(ucq)} union terms in {len(ucq.templates())} templates, "
+            r"\d+ distinct scans",
+            engine.explain(ucq),
+        )
         jucq = gcov(query, reformulator, model.cost).jucq
         explained = engine.explain(jucq)
         assert "operand" in explained or "union terms" in explained

@@ -67,6 +67,48 @@ class TestPackAndDedup:
         rows = np.array([[1], [2]], dtype=np.int64)
         assert pack_columns(rows, []).tolist() == [0, 0]
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        n_columns=st.integers(1, 5),
+        top=st.sampled_from([2, 40, (1 << 21) - 1]),
+    )
+    def test_pack_keys_equal_iff_rows_equal(self, data, n_columns, top):
+        # Dictionary-code magnitudes: up to three 21-bit columns take the
+        # sort-free path, five wide ones must overflow into the fallback.
+        cell = st.integers(0, top)
+        distinct_rows = data.draw(
+            st.lists(st.tuples(*[cell] * n_columns), min_size=1, max_size=12)
+        )
+        picks = data.draw(
+            st.lists(st.integers(0, len(distinct_rows) - 1), min_size=1, max_size=30)
+        )
+        rows = np.array([distinct_rows[i] for i in picks], dtype=np.int64)
+        keys = pack_columns(rows, range(n_columns)).tolist()
+        for i, left in enumerate(rows.tolist()):
+            for j, right in enumerate(rows.tolist()):
+                assert (keys[i] == keys[j]) == (left == right)
+
+    def test_pack_overflow_falls_back_to_ranks(self):
+        # 5 columns spanning 2**21 each need 105 bits: the mixed-radix
+        # product overflows after the second column, so the key so far
+        # is replaced by its dense rank before each further digit.
+        rng = np.random.default_rng(7)
+        base = rng.integers(0, 1 << 21, size=(200, 5), dtype=np.int64)
+        base[0], base[1] = 0, (1 << 21) - 1  # pin every column's full range
+        rows = np.vstack([base, base[::3]])
+        keys = pack_columns(rows, range(5))
+        assert len(set(keys.tolist())) == len({tuple(r) for r in rows.tolist()})
+        assert keys[200:].tolist() == keys[:200:3].tolist()
+        assert dedup_rows(rows).shape[0] == len({tuple(r) for r in rows.tolist()})
+
+    def test_pack_survives_full_int64_range(self):
+        # One column wider than 62 bits cannot even be shifted to zero.
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        rows = np.array([[lo, 1], [hi, 1], [lo, 1], [0, 2]], dtype=np.int64)
+        keys = pack_columns(rows, [0, 1]).tolist()
+        assert keys[0] == keys[2] and len(set(keys)) == 3
+
     def test_dedup(self):
         rows = np.array([[1, 2], [1, 2], [3, 4]], dtype=np.int64)
         assert dedup_rows(rows).shape[0] == 2

@@ -87,6 +87,84 @@ class TestDecodeRows:
         with pytest.raises(IndexError):
             d.decode_rows(np.full((3, 2), 5, dtype=np.int64))
 
+    def test_overlapping_pauses_share_one_count(self):
+        """``decode_rows`` pauses the cyclic collector for its bulk build.
+
+        The pause belongs to everyone inside it: off while any caller is
+        still building, back on when the last one leaves.  A pause that
+        only remembered "was it on when I came" turns collection on under
+        the second caller here -- and, with the two steps of its entry
+        interleaved with the first caller's exit, off for the rest of
+        the process.
+        """
+        import gc
+
+        from repro.storage.dictionary import _collector_paused
+
+        assert gc.isenabled()
+        first, second = _collector_paused(), _collector_paused()
+        try:
+            first.__enter__()
+            second.__enter__()
+            assert not gc.isenabled()
+            first.__exit__(None, None, None)
+            assert not gc.isenabled()  # the second caller is still building
+            second.__exit__(None, None, None)
+            assert gc.isenabled()
+        finally:
+            gc.enable()  # do not let a failure here poison later tests
+
+    def test_concurrent_decodes_leave_the_collector_on(self):
+        """Eight threads, tiny decodes, a 1 µs switch interval: the
+        schedule under which an uncounted pause gets stuck off (in about
+        one run of two; the deterministic check is the test above)."""
+        import gc
+        import sys
+        import threading
+
+        d = Dictionary()
+        d.encode(u("a"))
+        codes = np.zeros((1, 1), dtype=np.int64)
+        expected = _reference_decode(d, codes)
+        wrong = []
+
+        def work():
+            for _ in range(5000):
+                if d.decode_rows(codes) != expected:
+                    wrong.append(True)
+
+        assert gc.isenabled()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            was_enabled = gc.isenabled()
+            gc.enable()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert was_enabled
+
+    def test_a_collector_the_caller_turned_off_stays_off(self):
+        import gc
+
+        d = Dictionary()
+        d.encode(u("a"))
+        gc.disable()
+        try:
+            d.decode_rows(np.zeros((2, 1), dtype=np.int64))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        with pytest.raises(IndexError):
+            d.decode_rows(np.full((1, 1), 7, dtype=np.int64))
+        assert gc.isenabled()  # re-enabled on the error path too
+
 
 @pytest.fixture()
 def table():

@@ -9,6 +9,7 @@ from repro.answering import QueryAnswerer
 from repro.engine import NativeEngine
 from repro.query import parse_query
 from repro.rdf import Triple, URI, Variable
+from repro.query import UCQ
 from repro.query.bgp import BGPQuery
 from repro.storage import RDFDatabase
 from repro.telemetry import (
@@ -209,6 +210,35 @@ class TestOperatorCounters:
         # Final projection dedups 1 row to 1 row.
         assert counters["dedup.input_rows"] == 1
         assert counters["dedup.output_rows"] == 1
+
+    def test_union_counters_count_each_pattern_once(self, chain_db):
+        """Two same-shaped terms are one template: ``x p y`` is scanned
+        once for both, and the union stacks per template, not per term."""
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        ucq = UCQ([
+            BGPQuery([x, z], [Triple(x, ex("p"), y), Triple(y, ex(name), z)])
+            for name in ("q", "r")
+        ])
+        metrics = MetricsRecorder()
+        relation = NativeEngine(chain_db).evaluate_relation(ucq, metrics=metrics)
+        assert len(relation) == 2
+        counters = metrics.counters
+        assert counters["union.count"] == 1
+        assert counters["union.terms"] == 2
+        assert counters["union.templates"] == 1
+        # p, q and r: three distinct patterns for four atoms.
+        assert counters["scan.atoms"] == 3
+        assert counters["scan.rows"] == 6
+        # The join sees p (3 rows) and q ∪ r stacked (2 + 1 rows) ...
+        assert counters["scan.rows_emitted"] == 6
+        assert counters["join.hash.count"] == 1
+        assert counters["join.hash.probe_rows"] == 6
+        # ... and emits the two x-y-z chains through q; none through r.
+        assert counters["join.hash.emit_rows"] == 2
+        assert counters["materialized.intermediate_rows"] == 2
+        assert counters["union.input_rows"] == 2
+        assert counters["dedup.input_rows"] == 2
+        assert counters["dedup.output_rows"] == 2
 
     def test_counters_off_by_default(self, chain_db, chain_query):
         engine = NativeEngine(chain_db)
