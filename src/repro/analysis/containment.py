@@ -16,8 +16,9 @@ one CQ, this module compares whole CQs:
   head-fixing endomorphisms (the query's core);
 * :func:`minimize_ucq` — the UCQ subsumption pass: drop union terms
   contained in a sibling, terms equivalent to a sibling up to variable
-  renaming (detected via the renaming-invariant cache fingerprints of
-  :mod:`repro.cache.fingerprint`), and terms that are statically empty
+  renaming (detected via the equivalence of the renaming-invariant
+  cache fingerprints of :mod:`repro.cache.fingerprint`, keyed directly),
+  and terms that are statically empty
   because they retain an unresolved RDFS constraint atom (constraints
   live in the schema closure, never in the triples table, so such an
   atom can match no data).
@@ -38,7 +39,12 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..query.algebra import UCQ
-from ..query.bgp import BGPQuery, Substitution, substitute_triple
+from ..query.bgp import (
+    BGPQuery,
+    Substitution,
+    renaming_invariant_key,
+    substitute_triple,
+)
 from ..rdf.terms import Term, Triple, Variable
 from ..rdf.vocabulary import SCHEMA_PROPERTIES
 
@@ -369,6 +375,25 @@ def _predicates(term: BGPQuery) -> Tuple[FrozenSet[Term], bool]:
     return frozenset(constant), has_variable
 
 
+def _duplicate_key(term: BGPQuery) -> Tuple:
+    """A renaming-invariant key: equal exactly when the fingerprints are.
+
+    The equivalence of :func:`repro.cache.fingerprint.query_fingerprint`
+    — head variables named by position, the others by first occurrence
+    over the atoms sorted by shape — computed directly: pass 2 wants a
+    dictionary key per union term, not a digest, and the digest costs a
+    substituted query, a ``canonical()``, a ``repr``, a sort and a hash
+    each.  The two partition a union identically (a query that itself
+    uses the fingerprint's ``_qfp0`` names aside: there the digest
+    renames defensively and may tell two copies apart).
+    """
+    positional: Dict[Variable, Tuple[int, str]] = {}
+    for head_term in term.head:
+        if type(head_term) is Variable and head_term not in positional:
+            positional[head_term] = (3, f"_qfp{len(positional)}")
+    return renaming_invariant_key(term.head, term.body, positional)
+
+
 def _may_subsume(
     keeper_meta: Tuple[FrozenSet[Term], FrozenSet[Term], bool],
     candidate_meta: Tuple[FrozenSet[Term], FrozenSet[Term], bool],
@@ -399,8 +424,8 @@ def minimize_ucq(
 
     1. **empty** — terms retaining an unresolved RDFS constraint atom
        match no data triple and are dropped;
-    2. **duplicate** — terms with the same renaming-invariant cache
-       fingerprint (:func:`repro.cache.fingerprint.query_fingerprint`)
+    2. **duplicate** — terms with the same renaming-invariant key (the
+       equivalence of the cache fingerprint, :func:`_duplicate_key`)
        are collapsed to their first representative;
     3. **subsumed** — a term contained in a surviving sibling
        (homomorphism check) is dropped; the survivors form an antichain
@@ -414,8 +439,6 @@ def minimize_ucq(
     Unions larger than ``max_terms`` skip the quadratic subsumption
     sweep (passes 1-2 still run).
     """
-    from ..cache.fingerprint import query_fingerprint
-
     del schema
     witnesses: List[Witness] = []
     checks = 0
@@ -423,9 +446,9 @@ def minimize_ucq(
     empty = 0
     subsumed = 0
 
-    # Pass 1 + 2: linear sweeps (empty terms, fingerprint duplicates).
+    # Pass 1 + 2: linear sweeps (empty terms, renamed duplicates).
     survivors: List[BGPQuery] = []
-    first_by_fingerprint: Dict[str, BGPQuery] = {}
+    first_by_key: Dict[Tuple, BGPQuery] = {}
     for term in ucq:
         empty_atoms = schema_empty_atoms(term)
         if empty_atoms:
@@ -439,8 +462,8 @@ def minimize_ucq(
             )
             empty += 1
             continue
-        fingerprint = query_fingerprint(term)
-        keeper = first_by_fingerprint.get(fingerprint)
+        key = _duplicate_key(term)
+        keeper = first_by_key.get(key)
         if keeper is not None:
             checks += 1
             mapping = containment_witness(term, keeper)
@@ -455,9 +478,9 @@ def minimize_ucq(
                 )
                 duplicates += 1
                 continue
-            # A fingerprint collision without containment: keep both.
+            # Equal keys without containment: keep both.
         else:
-            first_by_fingerprint[fingerprint] = term
+            first_by_key[key] = term
         survivors.append(term)
 
     # Pass 3: pairwise subsumption, skipped for oversized unions.

@@ -19,7 +19,7 @@ of various subqueries of the JUCQ".  This module provides them:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
@@ -28,17 +28,86 @@ from ..storage.database import RDFDatabase
 from ..storage.triple_table import Pattern
 
 
+class AtomStatistics(NamedTuple):
+    """What the store knows about one atom, from a single encoding of it."""
+
+    #: Exact number of stored triples matching the atom.
+    count: int
+    #: Variable → exact distinct values it takes among the matches (the
+    #: tightest position when it occurs twice), in ``atom.variables()``
+    #: iteration order: the per-variable divisions of the join formula
+    #: run in that order, and a float result depends on it.
+    distinct: Dict[Variable, int]
+
+
+class OperandSummary(NamedTuple):
+    """Everything the Section 4.1 formulas read of one UCQ operand."""
+
+    #: Σ over terms and atoms of the exact match counts.
+    scan_size: int
+    #: Σ over terms of the conjunct estimates.
+    cardinality: float
+    #: (head variable, distinct-count proxy), in ``set(head_variables())``
+    #: iteration order (the operand-join divisions run in that order).
+    distinct: Tuple[Tuple[Variable, float], ...]
+
+
+def _join_selectivity(estimate: float, occurrences: Dict[Variable, List]) -> float:
+    """Per join variable: divide by all-but-the-smallest distinct counts."""
+    for distincts in occurrences.values():
+        distincts.sort()
+        for d in distincts[1:]:
+            estimate /= d
+    return estimate
+
+
+class _Memo:
+    """The per-atom, per-conjunct and per-operand memos of one epoch."""
+
+    __slots__ = ("epoch", "atoms", "cqs", "operands")
+
+    def __init__(self, epoch: int):
+        self.epoch = epoch
+        self.atoms: Dict[Triple, AtomStatistics] = {}
+        self.cqs: Dict[Tuple, float] = {}
+        #: ``id(ucq)`` → (the operand, its summary).  Keyed on identity
+        #: because ``UCQ.__hash__`` hashes a frozenset of every term;
+        #: the entry holds the operand, so its id cannot be recycled.
+        self.operands: Dict[int, Tuple[UCQ, OperandSummary]] = {}
+
+
 class CardinalityEstimator:
     """Estimates answer-set sizes against one database.
 
-    Estimates are memoized per canonical query form; the optimizers
-    re-ask about the same fragments constantly.
+    The cover searches re-ask about the same fragments constantly, so
+    every level is memoized: atoms by the atom, conjuncts by canonical
+    form, operands by identity (the ``Reformulator`` memo hands a
+    repeated fragment the *same* ``UCQ``).  The three memos live in one
+    record stamped with the statistics epoch it was filled under
+    (DESIGN.md §19).  A computation captures the record once and writes
+    only into it; a new epoch swaps in a fresh record by one reference
+    assignment.  So a worker that started under epoch *n* cannot store
+    into the memos of epoch *n + 1* (the clear-then-stale-write race of
+    a dictionary cleared in place), and the read path takes no lock.
+
+    Only a table write moves the epoch.  The term dictionary can also
+    grow *without* one (``cq_to_sql`` encodes head constants), and that
+    cannot invalidate an entry: a constant that was unknown when an
+    atom was encoded occurs in no triple before or after, so its count
+    stays 0.
     """
 
     def __init__(self, database: RDFDatabase):
         self.database = database
-        self._cq_cache: Dict[Tuple, float] = {}
-        self._synced_epoch = database.statistics.epoch
+        self._memo = _Memo(database.statistics.epoch)
+
+    def _current(self) -> _Memo:
+        """The memo record of the current statistics epoch."""
+        memo = self._memo
+        epoch = self.database.statistics.epoch
+        if memo.epoch != epoch:
+            memo = self._memo = _Memo(epoch)
+        return memo
 
     # ------------------------------------------------------------------
     # Atoms
@@ -47,9 +116,9 @@ class CardinalityEstimator:
         """The encoded index pattern of an atom; None when a constant is unknown.
 
         An :class:`~repro.rdf.terms.IdRange` position is left unbound in
-        the pattern (the range constraint is applied by
-        :meth:`atom_count`; distinct-count estimates over the unbounded
-        pattern are safe overestimates).
+        the pattern (the range constraint is applied to the count only;
+        distinct-count estimates over the unbounded pattern are safe
+        overestimates).
         """
         pattern: List[Optional[int]] = []
         lookup = self.database.dictionary.lookup
@@ -63,38 +132,45 @@ class CardinalityEstimator:
                 pattern.append(code)
         return tuple(pattern)
 
-    @staticmethod
-    def _atom_range(atom: Triple) -> Optional[Tuple[int, IdRange]]:
-        for position, term in enumerate(atom):
-            if isinstance(term, IdRange):
-                return position, term
-        return None
+    def _atom_statistics(self, memo: _Memo, atom: Triple) -> AtomStatistics:
+        """Count and per-variable distincts of one atom (memoized)."""
+        cached = memo.atoms.get(atom)
+        if cached is not None:
+            return cached
+        pattern = self.atom_pattern(atom)
+        if pattern is None:
+            result = AtomStatistics(0, dict.fromkeys(atom.variables(), 0))
+        else:
+            statistics = self.database.statistics
+            count: Optional[int] = None
+            distinct = dict.fromkeys(atom.variables())
+            for position, term in enumerate(atom):
+                if isinstance(term, IdRange):
+                    count = self.database.table.match_range_count(
+                        pattern, position, term.lo, term.hi
+                    )
+                elif isinstance(term, Variable):
+                    here = statistics.distinct(pattern, position)
+                    best = distinct[term]
+                    if best is None or here < best:
+                        distinct[term] = here
+            if count is None:
+                count = statistics.pattern_count(pattern)
+            result = AtomStatistics(count, distinct)
+        memo.atoms[atom] = result
+        return result
+
+    def _body_statistics(self, memo: _Memo, cq: BGPQuery) -> List[AtomStatistics]:
+        return [self._atom_statistics(memo, atom) for atom in cq.body]
 
     def atom_count(self, atom: Triple) -> int:
         """Exact number of stored triples matching the atom."""
-        pattern = self.atom_pattern(atom)
-        if pattern is None:
-            return 0
-        interval = self._atom_range(atom)
-        if interval is not None:
-            position, term = interval
-            return self.database.table.match_range_count(
-                pattern, position, term.lo, term.hi
-            )
-        return self.database.statistics.pattern_count(pattern)
+        return self._atom_statistics(self._current(), atom).count
 
     def atom_distinct(self, atom: Triple, variable: Variable) -> int:
         """Exact distinct values the variable takes among the atom's matches."""
-        pattern = self.atom_pattern(atom)
-        if pattern is None:
-            return 0
-        best: Optional[int] = None
-        for position, term in enumerate(atom):
-            if term == variable:
-                distinct = self.database.statistics.distinct(pattern, position)
-                if best is None or distinct < best:
-                    best = distinct
-        return best if best is not None else 0
+        distinct = self._atom_statistics(self._current(), atom).distinct
+        return distinct.get(variable, 0)
 
     # ------------------------------------------------------------------
     # Conjunctive queries
@@ -102,117 +178,122 @@ class CardinalityEstimator:
     def cq_cardinality(self, cq: BGPQuery) -> float:
         """Estimated answer count of one conjunct (before head projection cap).
 
-        Memoized per canonical conjunct form; the memo is epoch-guarded
-        so estimates never survive a data update (DESIGN.md §9).
+        Memoized per canonical conjunct form, for the current epoch.
         """
-        epoch = self.database.statistics.epoch
-        if epoch != self._synced_epoch:
-            self._cq_cache.clear()
-            self._synced_epoch = epoch
+        memo = self._current()
+        return self._cq_cardinality(memo, cq, self._body_statistics(memo, cq))
+
+    def _cq_cardinality(
+        self, memo: _Memo, cq: BGPQuery, atoms: Sequence[AtomStatistics]
+    ) -> float:
         key = cq.canonical()
-        cached = self._cq_cache.get(key)
+        cached = memo.cqs.get(key)
         if cached is None:
-            cached = self._cq_cardinality(cq)
-            self._cq_cache[key] = cached
+            cached = memo.cqs[key] = self._estimate_cq(cq, atoms)
         return cached
 
-    def _cq_cardinality(self, cq: BGPQuery) -> float:
-        if not cq.body:
+    @staticmethod
+    def _estimate_cq(cq: BGPQuery, atoms: Sequence[AtomStatistics]) -> float:
+        if not atoms:
             return 1.0
-        counts = [self.atom_count(atom) for atom in cq.body]
-        if any(c == 0 for c in counts):
+        if any(atom.count == 0 for atom in atoms):
             return 0.0
         estimate = 1.0
-        for count in counts:
-            estimate *= count
-        # Per join variable: divide by all-but-the-smallest distinct counts.
+        for atom in atoms:
+            estimate *= atom.count
         occurrences: Dict[Variable, List[int]] = {}
-        for atom in cq.body:
-            for variable in atom.variables():
-                occurrences.setdefault(variable, [])
-        for variable, distincts in occurrences.items():
-            for atom in cq.body:
-                if variable in atom.variables():
-                    distincts.append(max(1, self.atom_distinct(atom, variable)))
-        for variable, distincts in occurrences.items():
-            if len(distincts) > 1:
-                distincts.sort()
-                for d in distincts[1:]:
-                    estimate /= d
+        for atom in atoms:
+            for variable, distinct in atom.distinct.items():
+                occurrences.setdefault(variable, []).append(max(1, distinct))
+        estimate = _join_selectivity(estimate, occurrences)
         # Head projection cap: no more rows than the product of the head
         # variables' tightest domains (constants contribute factor 1).
         cap = 1.0
-        capped = False
         for term in cq.head:
             if isinstance(term, Variable):
-                domain = min(
-                    (
-                        max(1, self.atom_distinct(atom, term))
-                        for atom in cq.body
-                        if term in atom.variables()
-                    ),
-                    default=1,
-                )
-                cap *= domain
-                capped = True
-        if capped:
-            estimate = min(estimate, cap)
-        else:
-            # No head variables (boolean or all-constant head): at most
-            # one distinct answer row under set semantics.
-            estimate = min(estimate, 1.0)
-        return max(estimate, 0.0)
+                cap *= occurrences[term][0] if term in occurrences else 1
+        # With no head variables (boolean or all-constant head) the cap
+        # stays 1.0: at most one distinct answer row under set semantics.
+        return max(min(estimate, cap), 0.0)
 
     def cq_scan_size(self, cq: BGPQuery) -> int:
         """Σ over atoms of their exact match counts (the scan volume)."""
-        return sum(self.atom_count(atom) for atom in cq.body)
+        return sum(atom.count for atom in self._body_statistics(self._current(), cq))
 
     # ------------------------------------------------------------------
     # Unions and joins of unions
     # ------------------------------------------------------------------
+    def operand_summary(self, ucq: UCQ) -> OperandSummary:
+        """Scan volume, cardinality and head-variable distincts of one operand.
+
+        Computed in one pass over the terms, once per distinct operand
+        object and epoch; every UCQ-level question reads it.
+        """
+        memo = self._current()
+        entry = memo.operands.get(id(ucq))
+        if entry is None or entry[0] is not ucq:
+            entry = memo.operands[id(ucq)] = (ucq, self._summarize(memo, ucq))
+        return entry[1]
+
+    def _summarize(self, memo: _Memo, ucq: UCQ) -> OperandSummary:
+        head_variables = list(set(ucq.head_variables()))
+        totals = [0.0] * len(head_variables)
+        scan_size = 0
+        sizes: List[float] = []
+        for cq in ucq:
+            atoms = self._body_statistics(memo, cq)
+            size = self._cq_cardinality(memo, cq, atoms)
+            sizes.append(size)
+            for atom in atoms:
+                scan_size += atom.count
+            for index, variable in enumerate(head_variables):
+                # The tightest atom-level distinct mentioning the variable;
+                # a term that instantiated it contributes its own size.
+                totals[index] += min(
+                    (
+                        float(max(1, atom.distinct[variable]))
+                        for atom in atoms
+                        if variable in atom.distinct
+                    ),
+                    default=size,
+                )
+        return OperandSummary(
+            scan_size,
+            sum(sizes),
+            tuple(
+                (variable, max(total, 1.0))
+                for variable, total in zip(head_variables, totals)
+            ),
+        )
+
     def ucq_cardinality(self, ucq: UCQ) -> float:
         """Sum of the conjunct estimates (overlap between terms ignored)."""
-        return sum(self.cq_cardinality(cq) for cq in ucq)
+        return self.operand_summary(ucq).cardinality
 
     def ucq_scan_size(self, ucq: UCQ) -> int:
         """Total scan volume over all union terms (drives c_scan/c_join)."""
-        return sum(self.cq_scan_size(cq) for cq in ucq)
+        return self.operand_summary(ucq).scan_size
 
     def ucq_distinct(self, ucq: UCQ, variable: Variable) -> float:
         """Distinct-count proxy for a head variable of a UCQ operand."""
-        total = 0.0
-        for cq in ucq:
-            best: Optional[float] = None
-            for atom in cq.body:
-                if variable in atom.variables():
-                    d = float(max(1, self.atom_distinct(atom, variable)))
-                    if best is None or d < best:
-                        best = d
-            if best is None:
-                best = self.cq_cardinality(cq)
-            total += best
-        return max(total, 1.0)
+        return dict(self.operand_summary(ucq).distinct)[variable]
+
+    def join_cardinality(self, operands: Sequence[OperandSummary]) -> float:
+        """Estimated size of the natural join of summarized operands."""
+        if any(operand.cardinality == 0 for operand in operands):
+            return 0.0
+        estimate = 1.0
+        for operand in operands:
+            estimate *= operand.cardinality
+        occurrences: Dict[Variable, List[float]] = {}
+        for operand in operands:
+            for variable, distinct in operand.distinct:
+                occurrences.setdefault(variable, []).append(distinct)
+        return max(_join_selectivity(estimate, occurrences), 0.0)
 
     def jucq_cardinality(self, jucq: JUCQ) -> float:
         """Estimated final result size of a JUCQ (join of operand results)."""
-        sizes = [self.ucq_cardinality(u) for u in jucq]
-        if any(size == 0 for size in sizes):
-            return 0.0
-        estimate = 1.0
-        for size in sizes:
-            estimate *= size
-        occurrences: Dict[Variable, List[float]] = {}
-        for ucq in jucq:
-            for variable in set(ucq.head_variables()):
-                occurrences.setdefault(variable, []).append(
-                    self.ucq_distinct(ucq, variable)
-                )
-        for variable, distincts in occurrences.items():
-            if len(distincts) > 1:
-                distincts.sort()
-                for d in distincts[1:]:
-                    estimate /= d
-        return max(estimate, 0.0)
+        return self.join_cardinality([self.operand_summary(u) for u in jucq])
 
     def estimate(self, query) -> float:
         """Estimate any supported query form (dispatch by type)."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
@@ -138,12 +138,16 @@ class CostModel:
     # ------------------------------------------------------------------
     # Components
     # ------------------------------------------------------------------
+    def _operand_cost(self, scan_volume: int, result_size: float) -> Tuple[float, float]:
+        """(ii) scan + join and (iii) dedup of one operand, kept apart."""
+        k = self.constants
+        return (k.c_t + k.c_j) * scan_volume, self.unique_cost(result_size)
+
     def ucq_eval_cost(self, ucq: UCQ) -> float:
         """(ii)+(iii): evaluate one UCQ operand and dedup its result."""
-        k = self.constants
-        scan_volume = self.estimator.ucq_scan_size(ucq)
-        result_size = self.estimator.ucq_cardinality(ucq)
-        return (k.c_t + k.c_j) * scan_volume + self.unique_cost(result_size)
+        operand = self.estimator.operand_summary(ucq)
+        scan_join, dedup = self._operand_cost(operand.scan_size, operand.cardinality)
+        return scan_join + dedup
 
     # ------------------------------------------------------------------
     # Entry points
@@ -156,14 +160,13 @@ class CostModel:
         ):
             return CostBreakdown(connection=float("inf"))
         breakdown = CostBreakdown(connection=k.c_db)
-        sizes: List[float] = []
-        for ucq in jucq:
-            scan_volume = self.estimator.ucq_scan_size(ucq)
-            size = self.estimator.ucq_cardinality(ucq)
-            sizes.append(size)
-            breakdown.scan_join += (k.c_t + k.c_j) * scan_volume
-            breakdown.operand_dedup += self.unique_cost(size)
-        if len(jucq) > 1:
+        operands = [self.estimator.operand_summary(ucq) for ucq in jucq]
+        for operand in operands:
+            scan_join, dedup = self._operand_cost(operand.scan_size, operand.cardinality)
+            breakdown.scan_join += scan_join
+            breakdown.operand_dedup += dedup
+        if len(operands) > 1:
+            sizes = [operand.cardinality for operand in operands]
             breakdown.operand_join = k.c_j * sum(sizes)
             if self.charge_materialization:
                 # The largest sub-result is pipelined; the rest are
@@ -172,7 +175,7 @@ class CostModel:
                 breakdown.materialization = k.c_m * sum(
                     size for i, size in enumerate(sizes) if i != pipelined
                 )
-            final_size = self.estimator.jucq_cardinality(jucq)
+            final_size = self.estimator.join_cardinality(operands)
             breakdown.final_dedup = self.unique_cost(final_size)
         return breakdown
 
@@ -185,5 +188,10 @@ class CostModel:
                 return float("inf")
             return self.constants.c_db + self.ucq_eval_cost(query)
         if isinstance(query, BGPQuery):
-            return self.constants.c_db + self.ucq_eval_cost(UCQ([query]))
+            # A bare CQ is its own one-term operand.
+            scan_join, dedup = self._operand_cost(
+                self.estimator.cq_scan_size(query),
+                self.estimator.cq_cardinality(query),
+            )
+            return self.constants.c_db + (scan_join + dedup)
         raise TypeError(f"cannot cost {type(query).__name__}")

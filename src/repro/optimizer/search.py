@@ -17,7 +17,7 @@ from typing import Callable, Dict
 from ..query.algebra import JUCQ
 from ..query.bgp import BGPQuery
 from ..reformulation.covers import Cover
-from ..reformulation.jucq import jucq_for_cover
+from ..reformulation.jucq import CoverQueryMemo, jucq_for_cover
 from ..reformulation.reformulate import Reformulator
 
 #: A cost function maps a JUCQ to an estimated scalar cost.
@@ -58,6 +58,8 @@ class CoverScorer:
         self.reformulator = reformulator
         self.cost_function = cost_function
         self._jucq_cache: Dict[Cover, JUCQ] = {}
+        #: A move changes one fragment; the others keep their cover query.
+        self._cover_queries: CoverQueryMemo = {}
         self._cost_cache: Dict[Cover, float] = {}
         #: Distinct covers whose cost was computed.
         self.covers_explored = 0
@@ -68,7 +70,11 @@ class CoverScorer:
         cached = self._jucq_cache.get(cover)
         if cached is None:
             cached = jucq_for_cover(
-                self.query, cover, self.reformulator, validate=False
+                self.query,
+                cover,
+                self.reformulator,
+                validate=False,
+                cover_queries=self._cover_queries,
             )
             self._jucq_cache[cover] = cached
         return cached

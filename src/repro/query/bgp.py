@@ -38,6 +38,43 @@ def substitute_triple(triple: Triple, substitution: Substitution) -> Triple:
     )
 
 
+#: The sort-time stand-in of a renameable variable: above every term kind.
+_RENAMEABLE = (4, "")
+
+
+def renaming_invariant_key(
+    head: Sequence[Term],
+    body: Sequence[Triple],
+    fixed: Dict[Variable, Tuple[int, str]],
+) -> Tuple:
+    """``(head key, frozenset of atom keys)`` up to renaming of variables.
+
+    Every term maps to a ``(kind, value)`` pair.  The variables in
+    ``fixed`` map to the pair given there; every other variable is
+    renameable: kind 4 — above every real term kind — with the empty
+    string while the atoms are sorted by shape, and its first-occurrence
+    index over the sorted atoms afterwards (atoms of one shape keep the
+    order of the atoms themselves).
+    """
+
+    def mask(term: Term) -> Tuple[int, object]:
+        if type(term) is Variable:
+            return fixed.get(term, _RENAMEABLE)
+        return (term.kind, term.value)
+
+    shaped = sorted(((mask(a.s), mask(a.p), mask(a.o)), a) for a in body)
+    numbering: Dict[Term, int] = {}
+    atom_keys = []
+    for shape, atom in shaped:
+        if _RENAMEABLE in shape:
+            shape = tuple(
+                (4, numbering.setdefault(t, len(numbering))) if m is _RENAMEABLE else m
+                for m, t in zip(shape, (atom.s, atom.p, atom.o))
+            )
+        atom_keys.append(shape)
+    return tuple(mask(t) for t in head), frozenset(atom_keys)
+
+
 class BGPQuery:
     """A conjunctive query over triples: head terms + body atoms.
 
@@ -190,39 +227,17 @@ class BGPQuery:
         recognize ``q(x) :- x p y0`` and ``q(x) :- x p y7`` as the same
         conjunct.
 
-        Key encoding: every term maps to a ``(kind, value)`` pair; a
-        masked (renameable) variable uses kind 4 — above every real term
-        kind — with the empty string while sorting and its occurrence
-        index afterwards.
+        Head variables keep their names (two queries with different
+        heads answer different columns); see
+        :func:`renaming_invariant_key` for the encoding.
         """
         cached = self._canonical
-        if cached is not None:
-            return cached
-        head_vars = {t for t in self.head if type(t) is Variable}
-
-        def mask(term: Term):
-            if type(term) is Variable and term not in head_vars:
-                return (4, "")
-            return (term.kind, term.value)
-
-        masked = sorted(
-            ((mask(a.s), mask(a.p), mask(a.o)), a) for a in self.body
-        )
-        renaming: Dict[Variable, int] = {}
-        atom_keys = []
-        for _, atom in masked:
-            key = []
-            for term in (atom.s, atom.p, atom.o):
-                if type(term) is Variable and term not in head_vars:
-                    index = renaming.setdefault(term, len(renaming))
-                    key.append((4, index))
-                else:
-                    key.append((term.kind, term.value))
-            atom_keys.append((key[0], key[1], key[2]))
-        head_key = tuple((t.kind, t.value) for t in self.head)
-        result = (head_key, frozenset(atom_keys))
-        self._canonical = result
-        return result
+        if cached is None:
+            fixed = {t: (3, t.value) for t in self.head if type(t) is Variable}
+            cached = self._canonical = renaming_invariant_key(
+                self.head, self.body, fixed
+            )
+        return cached
 
     def templates(self) -> Tuple[Template, ...]:
         """This CQ as the one-member template group (cached; DESIGN.md §18)."""

@@ -22,7 +22,7 @@ queries.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from ..analysis.diagnostics import CoverValidationError, Diagnostic, Severity
 from ..query.bgp import BGPQuery
@@ -168,36 +168,59 @@ def validate_cover(query: BGPQuery, cover: Cover) -> None:
         raise CoverValidationError(findings)
 
 
-def cover_query(query: BGPQuery, fragment: Fragment, cover: Cover) -> BGPQuery:
-    """The cover query ``q_f`` of ``fragment`` w.r.t. ``cover`` (Def. 3.4).
+def exported_heads(
+    query: BGPQuery, cover: Cover
+) -> List[Tuple[Fragment, Tuple[Variable, ...]]]:
+    """Each fragment of ``cover`` with the head of its cover query (Def. 3.4).
 
     Head = the query's distinguished variables appearing in the
     fragment, in the original head order, followed by the join
     variables shared with other fragments (sorted by name for
-    determinism).
+    determinism).  Fragments come in deterministic order.  A fragment's
+    cover query is a function of (fragment, head) alone, which is what
+    lets a cover search reuse it across covers.
     """
     atom_vars = [query.atom_variables(i) for i in range(len(query.body))]
-    own_vars: Set[Variable] = set().union(*(atom_vars[i] for i in fragment))
-    other_vars: Set[Variable] = set()
-    for other in cover:
-        if other != fragment:
-            other_vars |= set().union(*(atom_vars[i] for i in other))
-    head: List[Variable] = []
-    for term in query.head:
-        if isinstance(term, Variable) and term in own_vars and term not in head:
-            head.append(term)
-    for var in sorted(own_vars & other_vars):
-        if var not in head:
-            head.append(var)
+    ordered = sorted(cover, key=lambda f: (min(f), len(f), sorted(f)))
+    fragment_vars = [set().union(*(atom_vars[i] for i in f)) for f in ordered]
+    exported = []
+    for index, own_vars in enumerate(fragment_vars):
+        other_vars: Set[Variable] = set()
+        for other, vars_ in enumerate(fragment_vars):
+            if other != index:
+                other_vars |= vars_
+        head: List[Variable] = []
+        for term in query.head:
+            if isinstance(term, Variable) and term in own_vars and term not in head:
+                head.append(term)
+        for var in sorted(own_vars & other_vars):
+            if var not in head:
+                head.append(var)
+        exported.append((ordered[index], tuple(head)))
+    return exported
+
+
+def fragment_query(
+    query: BGPQuery, fragment: Fragment, head: Sequence[Variable]
+) -> BGPQuery:
+    """The fragment's atoms under an exported ``head``, paper-style named."""
     body = [query.body[i] for i in sorted(fragment)]
     label = "".join(f"t{i + 1}" for i in sorted(fragment))
     return BGPQuery(head, body, name=f"{query.name}_{label}")
 
 
+def cover_query(query: BGPQuery, fragment: Fragment, cover: Cover) -> BGPQuery:
+    """The cover query ``q_f`` of ``fragment`` w.r.t. ``cover`` (Def. 3.4)."""
+    heads = dict(exported_heads(query, cover | {fragment}))
+    return fragment_query(query, fragment, heads[fragment])
+
+
 def cover_queries(query: BGPQuery, cover: Cover) -> List[BGPQuery]:
     """All cover queries of ``cover``, in deterministic fragment order."""
-    ordered = sorted(cover, key=lambda f: (min(f), len(f), sorted(f)))
-    return [cover_query(query, fragment, cover) for fragment in ordered]
+    return [
+        fragment_query(query, fragment, head)
+        for fragment, head in exported_heads(query, cover)
+    ]
 
 
 def connected_fragments(query: BGPQuery, max_size: int = None) -> List[Fragment]:

@@ -16,12 +16,24 @@ The two classic strategies fall out as special covers:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..query.algebra import JUCQ, UCQ, ucq_as_jucq
 from ..query.bgp import BGPQuery
-from .covers import Cover, cover_queries, scq_cover, ucq_cover, validate_cover
+from ..rdf.terms import Variable
+from .covers import (
+    Cover,
+    Fragment,
+    exported_heads,
+    fragment_query,
+    scq_cover,
+    ucq_cover,
+    validate_cover,
+)
 from .reformulate import Reformulator
+
+#: (fragment, exported head) → the fragment's cover query.
+CoverQueryMemo = Dict[Tuple[Fragment, Tuple[Variable, ...]], BGPQuery]
 
 
 def jucq_for_cover(
@@ -29,13 +41,26 @@ def jucq_for_cover(
     cover: Cover,
     reformulator: Reformulator,
     validate: bool = True,
+    cover_queries: Optional[CoverQueryMemo] = None,
 ) -> JUCQ:
-    """Build the cover-based JUCQ reformulation of ``query`` for ``cover``."""
+    """Build the cover-based JUCQ reformulation of ``query`` for ``cover``.
+
+    A cover search passes its own ``cover_queries`` memo: covers share
+    most of their fragments, and a fragment met again under the same
+    exported head reuses its cover query — already built and
+    canonicalized — so asking the reformulator about it is one memo
+    lookup.  The memo is only valid for one ``query``.
+    """
     if validate:
         validate_cover(query, cover)
-    operands = [
-        reformulator.reformulate(cq) for cq in cover_queries(query, cover)
-    ]
+    if cover_queries is None:
+        cover_queries = {}
+    operands = []
+    for key in exported_heads(query, cover):
+        cover_query = cover_queries.get(key)
+        if cover_query is None:
+            cover_query = cover_queries[key] = fragment_query(query, *key)
+        operands.append(reformulator.reformulate(cover_query))
     return JUCQ(query.head, operands, name=f"{query.name}_jucq")
 
 

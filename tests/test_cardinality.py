@@ -89,9 +89,9 @@ class TestCQ:
         est = CardinalityEstimator(db)
         q = BGPQuery([x, y], [Triple(x, u("p"), y)])
         est.cq_cardinality(q)
-        assert len(est._cq_cache) == 1
+        assert len(est._memo.cqs) == 1
         est.cq_cardinality(q)
-        assert len(est._cq_cache) == 1
+        assert len(est._memo.cqs) == 1
 
 
 class TestUCQAndJUCQ:

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.containment import (
     Witness,
+    _duplicate_key,
     core,
     equivalent,
     find_homomorphism,
@@ -32,6 +33,7 @@ from repro.analysis.containment import (
 )
 from repro.analysis.verifier import check_minimization, verify_minimization
 from repro.analysis.diagnostics import IRVerificationError
+from repro.cache.fingerprint import query_fingerprint
 from repro.datasets import dblp_workload, lubm_workload
 from repro.engine import SQLiteEngine
 from repro.query import BGPQuery, UCQ
@@ -392,6 +394,32 @@ def test_minimize_ucq_preserves_evaluation(terms, graph):
     after = frozenset().union(*(evaluate_cq(t, graph) for t in result.ucq.cqs))
     assert before == after
     assert check_minimization(ucq, result) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    left=_bgp(),
+    right=_bgp(),
+    names=st.permutations(["a", "b", "c", "v0", "zz"]),
+    order=st.randoms(use_true_random=False),
+)
+def test_duplicate_key_partitions_terms_like_the_cache_fingerprint(
+    left, right, names, order
+):
+    """Pass 2's key is the fingerprint's equivalence, not a new one.
+
+    Equal keys exactly when the digests are equal — on unrelated terms,
+    and on a renamed, reshuffled copy (where both may miss an
+    isomorphism the same way: atoms of one shape are ordered by name).
+    """
+    renaming = {old: Variable(new) for old, new in zip(_VARS, names)}
+    atoms = [Triple(*(renaming.get(t, t) for t in atom)) for atom in left.body]
+    order.shuffle(atoms)
+    copy = BGPQuery([renaming[left.head[0]]], atoms)
+    for other in (right, copy):
+        assert (_duplicate_key(left) == _duplicate_key(other)) == (
+            query_fingerprint(left) == query_fingerprint(other)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -144,3 +144,37 @@ class TestMoveMechanics:
         )
         moved = _apply_move(query, cover, frozenset({0, 1}), 3, key)
         assert moved == frozenset({frozenset({0, 1, 3}), frozenset({0, 2})})
+
+
+class TestFragmentReuse:
+    def test_a_search_builds_each_exported_fragment_once(self, lubm_db3):
+        """A move changes one fragment: the others keep their cover query.
+
+        The scorer builds one cover query per distinct (fragment,
+        exported head), not one per operand of every cover; the
+        reformulator is still asked every time (its memo, and its hit
+        counters, see every request), and a repeated fragment is the
+        *same* ``UCQ`` in every cover's JUCQ — which is what the
+        estimator's identity-keyed summaries rely on.
+        """
+        from repro.optimizer.search import CoverScorer
+        from repro.reformulation.covers import exported_heads
+
+        asked = []
+
+        class Spy(Reformulator):
+            def reformulate(self, query):
+                asked.append(query)
+                return super().reformulate(query)
+
+        query = lubm_query("Q04")
+        scorer = CoverScorer(query, Spy(lubm_db3.schema), CostModel(lubm_db3).cost)
+        operands = {}
+        total = 0
+        for cover in enumerate_covers(query):
+            jucq = scorer.jucq(cover)
+            for key, operand in zip(exported_heads(query, cover), jucq):
+                assert operands.setdefault(key, operand) is operand
+                total += 1
+        assert len(asked) == total > len(operands)
+        assert len({id(cover_query) for cover_query in asked}) == len(operands)
