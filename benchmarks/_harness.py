@@ -220,24 +220,6 @@ def answerer(
 
 
 @lru_cache(maxsize=None)
-def parallel_answerer(dataset: str, engine_name: str, workers: int) -> QueryAnswerer:
-    """A QueryAnswerer whose evaluations run on a shared worker pool.
-
-    Shares the serial answerer's cost model and reformulator so that a
-    serial-vs-parallel comparison differs *only* in the evaluation
-    path (DESIGN.md §11).
-    """
-    return QueryAnswerer(
-        database(dataset),
-        engine=engine(dataset, engine_name),
-        cost_model=cost_model(dataset, engine_name),
-        reformulator=reformulator(dataset),
-        ecov_max_covers=20_000,
-        workers=workers,
-    )
-
-
-@lru_cache(maxsize=None)
 def cached_answerer(dataset: str, engine_name: str) -> QueryAnswerer:
     """A QueryAnswerer with the multi-level query cache enabled.
 
@@ -333,7 +315,6 @@ def measure(
     trace: bool = False,
     verify_ir: bool = False,
     cache: bool = False,
-    workers: Optional[int] = None,
     repeats: Optional[int] = None,
     minimize: Optional[bool] = None,
 ) -> Measurement:
@@ -349,7 +330,7 @@ def measure(
     for _ in range(repeats):
         run = _measure_once(
             dataset, entry, strategy, engine_name,
-            timeout_s, trace, verify_ir, cache, workers, minimize,
+            timeout_s, trace, verify_ir, cache, minimize,
         )
         runs.append(run)
         if run.status != "ok":
@@ -373,7 +354,6 @@ def _measure_once(
     trace: bool = False,
     verify_ir: bool = False,
     cache: bool = False,
-    workers: Optional[int] = None,
     minimize: Optional[bool] = None,
 ) -> Measurement:
     """Answer one query under one strategy/engine, with missing-bar semantics.
@@ -387,21 +367,14 @@ def _measure_once(
     ``cache=True`` the measurement goes through the cache-enabled
     answerer (:func:`cached_answerer`): repeated measurements of the
     same (query, strategy) are then warm, and the per-call cache
-    counters appear under ``metrics``.  A non-``None`` ``workers``
-    routes evaluation through :func:`parallel_answerer`'s shared worker
-    pool (mutually exclusive with ``cache`` — the cached answerer keeps
-    its self-contained accounting serial).
+    counters appear under ``metrics``.
     """
     from repro.optimizer import SearchInfeasible
     from repro.reformulation import ReformulationLimitExceeded
 
     timeout_s = EVAL_TIMEOUT_S if timeout_s is None else timeout_s
     tracer = Tracer() if trace else None
-    if workers is not None:
-        if cache:
-            raise ValueError("measure(): pass either cache=True or workers=, not both")
-        qa = parallel_answerer(dataset, engine_name, workers)
-    elif cache:
+    if cache:
         qa = cached_answerer(dataset, engine_name)
     else:
         qa = answerer(dataset, engine_name, minimize)
@@ -451,7 +424,6 @@ def run_grid(
     trace: bool = False,
     verify_ir: bool = False,
     cache: bool = False,
-    workers: Optional[int] = None,
 ) -> List[Measurement]:
     """The full (query × strategy × engine) grid of one figure."""
     results = []
@@ -468,7 +440,6 @@ def run_grid(
                         trace,
                         verify_ir,
                         cache,
-                        workers,
                     )
                 )
     return results

@@ -37,7 +37,6 @@ import bench_ablation_calibration
 import bench_ablation_pruning
 import bench_cache
 import bench_litemat
-import bench_parallel
 
 from repro.bench import BenchReport, write_combined
 
@@ -58,7 +57,6 @@ TARGETS = {
     "ablation-pruning": bench_ablation_pruning.main,
     "cache": bench_cache.main,
     "litemat": lambda: bench_litemat.main([]),
-    "parallel": lambda: bench_parallel.main(["--quick"]),
 }
 
 

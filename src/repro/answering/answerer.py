@@ -33,20 +33,18 @@ Strategies
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache.lru import MISSING, LRUCache
 from ..cache.manager import QueryCache
 from ..cost.model import CostModel
-from ..engine.evaluator import AnswerSet, EngineFailure, NativeEngine
+from ..engine.evaluator import AnswerSet, Engine, NativeEngine
 from ..optimizer.ecov import ecov
 from ..optimizer.gcov import gcov
 from ..optimizer.search import SearchInfeasible
-from ..parallel import WorkerPool, evaluate_parallel
 from ..query.algebra import JUCQ, ucq_as_jucq
 from ..query.bgp import BGPQuery
 from ..reformulation.jucq import scq_reformulation
@@ -128,41 +126,13 @@ class AnswerReport:
         return len(self.answers)
 
 
-#: Per-engine-class cache: which keyword arguments ``evaluate`` accepts.
-_ENGINE_ACCEPTS: Dict[type, frozenset] = {}
-
-
-def _engine_accepts(engine) -> frozenset:
-    """The keyword parameters ``engine.evaluate`` takes (cached per class).
-
-    Drives graceful degradation for third-party engines: telemetry is
-    only passed when (``tracer``, ``metrics``) exist, and a budget is
-    passed whole when ``budget`` exists, else collapsed to its
-    remaining time as ``timeout_s``.
-    """
-    kind = type(engine)
-    cached = _ENGINE_ACCEPTS.get(kind)
-    if cached is None:
-        try:
-            cached = frozenset(inspect.signature(engine.evaluate).parameters)
-        except (TypeError, ValueError):
-            cached = frozenset()
-        _ENGINE_ACCEPTS[kind] = cached
-    return cached
-
-
-def _engine_supports_telemetry(engine) -> bool:
-    accepted = _engine_accepts(engine)
-    return "tracer" in accepted and "metrics" in accepted
-
-
 class QueryAnswerer:
     """Answer BGP queries over an RDF database, with pluggable strategy."""
 
     def __init__(
         self,
         database: RDFDatabase,
-        engine=None,
+        engine: Optional[Engine] = None,
         cost_model: Optional[CostModel] = None,
         reformulator: Optional[Reformulator] = None,
         ecov_max_covers: int = 100_000,
@@ -171,12 +141,10 @@ class QueryAnswerer:
         cache: Optional[QueryCache] = None,
         budget: Optional[ExecutionBudget] = None,
         fallback: Optional[FallbackPolicy] = None,
-        workers: Optional[int] = None,
-        pool: Optional[WorkerPool] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         self.database = database
-        self.engine = engine if engine is not None else NativeEngine(database)
+        self.engine: Engine = engine if engine is not None else NativeEngine(database)
         self.cost_model = (
             cost_model if cost_model is not None else CostModel(database)
         )
@@ -222,25 +190,12 @@ class QueryAnswerer:
         #: the answerer's lifetime; per-call deltas are folded into each
         #: resilient report's ``metrics``.
         self.resilience_metrics = MetricsRecorder()
-        #: Parallel evaluation (DESIGN.md §11).  An explicit ``pool`` is
-        #: shared, not owned; otherwise ``workers`` sizes an owned pool:
-        #: ``None``/``1`` keep the serial path, ``0`` means one worker
-        #: per CPU, ``N >= 2`` means exactly N workers.
-        if pool is not None:
-            self.pool: Optional[WorkerPool] = pool
-            self._owns_pool = False
-        elif workers is not None and workers != 1:
-            self.pool = WorkerPool(workers if workers else None)
-            self._owns_pool = True
-        else:
-            self.pool = None
-            self._owns_pool = False
         self._breaker: Optional[CircuitBreaker] = None
-        self._saturated_engine = None
-        self._saturated_key = None
-        self._litemat_engine = None
-        self._litemat_key = None
-        #: Guards the lazily-built shared members (saturated engine,
+        #: Engines over the derived stores, built through
+        #: ``engine.for_database``: strategy -> (key the store was
+        #: derived at, engine).  The answerer owns them (see ``close``).
+        self._derived: Dict[str, Tuple[Any, Engine]] = {}
+        #: Guards the lazily-built shared members (derived engines,
         #: default breaker) against duplicate construction when
         #: concurrent callers share one answerer.
         self._lock = threading.Lock()
@@ -267,21 +222,11 @@ class QueryAnswerer:
             lambda: len(self.reformulator.cache),
             help="entries in the reformulator's CQ->UCQ memo",
         )
-        registry.register_gauge(
-            "repro.worker_pool.max_workers",
-            lambda: 0 if self.pool is None else self.pool.max_workers,
-            help="configured worker-pool width (0 = serial answerer)",
-        )
-        registry.register_gauge(
-            "repro.worker_pool.in_flight",
-            lambda: 0 if self.pool is None else self.pool.in_flight(),
-            help="worker-pool tasks submitted but not yet finished",
-        )
         pool_size = getattr(self.engine, "pool_size", None)
         registry.register_gauge(
             "repro.engine.connection_pool_size",
             (lambda: 0) if pool_size is None else pool_size,
-            labels={"engine": getattr(self.engine, "name", type(self.engine).__name__)},
+            labels={"engine": self.engine.name},
             help="open per-thread engine connections (SQLite pool)",
         )
         registry.register_multi_gauge(
@@ -574,48 +519,10 @@ class QueryAnswerer:
             optimization_s = time.perf_counter() - start
             engine = self._engine_for(strategy)
             start = time.perf_counter()
-            with tracer.span(
-                "evaluate", engine=getattr(engine, "name", type(engine).__name__)
-            ) as eval_span:
-                if self.pool is not None and isinstance(planned, JUCQ):
-                    # Parallel path (DESIGN.md §11): batches of the
-                    # reformulation spread over the shared worker pool.
-                    # Result caps, cancellation and the exception
-                    # taxonomy all match the serial path.
-                    eval_span.set(parallel=True, workers=self.pool.max_workers)
-                    answers = evaluate_parallel(
-                        engine,
-                        planned,
-                        self.pool,
-                        timeout_s=timeout_s,
-                        tracer=tracer,
-                        metrics=metrics,
-                        budget=budget,
-                    )
-                else:
-                    accepted = _engine_accepts(engine)
-                    kwargs: Dict[str, Any] = {}
-                    if "tracer" in accepted and "metrics" in accepted:
-                        kwargs.update(tracer=tracer, metrics=metrics)
-                    if budget is not None and "budget" in accepted:
-                        kwargs["budget"] = budget
-                    else:
-                        # Legacy engines: collapse the budget to its
-                        # remaining clock, enforce the row cap below.
-                        kwargs["timeout_s"] = (
-                            timeout_s if budget is None else budget.remaining_s()
-                        )
-                    answers = engine.evaluate(planned, **kwargs)
-                    if (
-                        budget is not None
-                        and "budget" not in accepted
-                        and budget.max_result_rows is not None
-                        and len(answers) > budget.max_result_rows
-                    ):
-                        raise EngineFailure(
-                            f"result of {len(answers)} rows exceeds the "
-                            f"budget's max_result_rows={budget.max_result_rows}"
-                        )
+            with tracer.span("evaluate", engine=engine.name) as eval_span:
+                answers = engine.evaluate(
+                    planned, tracer=tracer, metrics=metrics, budget=budget
+                )
                 eval_span.set(answers=len(answers))
             evaluation_s = time.perf_counter() - start
             root.set(answers=len(answers))
@@ -892,69 +799,54 @@ class QueryAnswerer:
                 )
         return predicted_cost, predicted_rows
 
-    def _engine_for(self, strategy: str):
+    def _engine_for(self, strategy: str) -> Engine:
+        """The engine a strategy's plan runs on."""
+        if strategy == "saturation":
+            return self._derived_engine(
+                strategy,
+                (self.database.schema.fingerprint(), self.database.epoch),
+                self.database.saturated,
+            )
         if strategy == "litemat":
-            # The interval-encoded store is a derived artifact exactly
-            # like the saturated one; the assigner rebuilds it (and
-            # bumps its epoch) whenever the schema or the data mutated,
-            # so a stale engine is never served.
             _encoding, store, epoch = self.interval_assigner.current(self.database)
-            with self._lock:
-                if self._litemat_engine is None or self._litemat_key != epoch:
-                    factory = getattr(self.engine, "for_database", None)
-                    if factory is not None:
-                        self._litemat_engine = factory(store)
-                    else:
-                        self._litemat_engine = type(self.engine)(
-                            store, *self._engine_extra_args()
-                        )
-                    self._litemat_key = epoch
-                return self._litemat_engine
-        if strategy != "saturation":
-            return self.engine
-        # The saturated store is a derived artifact: rebuild it whenever
-        # the schema or the data has mutated since it was computed.  The
-        # lock keeps concurrent first-callers from saturating the store
-        # twice (and from publishing a half-built engine).
-        current = (self.database.schema.fingerprint(), self.database.epoch)
-        with self._lock:
-            if self._saturated_engine is None or self._saturated_key != current:
-                saturated_db = self.database.saturated()
-                factory = getattr(self.engine, "for_database", None)
-                if factory is not None:
-                    # The engine protocol's way to derive a sibling over
-                    # another store — decorators (chaos) decide here
-                    # whether the derived engine is wrapped.
-                    self._saturated_engine = factory(saturated_db)
-                else:
-                    self._saturated_engine = type(self.engine)(
-                        saturated_db, *self._engine_extra_args()
-                    )
-                self._saturated_key = current
-            return self._saturated_engine
+            return self._derived_engine(strategy, epoch, lambda: store)
+        return self.engine
 
-    def _engine_extra_args(self):
-        profile = getattr(self.engine, "profile", None)
-        return (profile,) if profile is not None else ()
+    def _derived_engine(
+        self, strategy: str, key: Any, derive: Callable[[], RDFDatabase]
+    ) -> Engine:
+        """The engine over a strategy's derived store, rebuilt on a new key.
+
+        The saturated and the interval-encoded store are derived from
+        the database; ``key`` changes whenever the schema or the data
+        has mutated since, so a stale engine is never served.  The lock
+        keeps concurrent first callers from deriving the store twice
+        (and from publishing a half-built engine).  A replaced engine
+        is not closed here: a reader may still be inside it.
+        """
+        with self._lock:
+            held = self._derived.get(strategy)
+            if held is None or held[0] != key:
+                held = (key, self.engine.for_database(derive()))
+                self._derived[strategy] = held
+            return held[1]
 
     def close(self) -> None:
-        """Release owned resources (the worker pool, when this answerer
-        created it from ``workers=``; a shared ``pool=`` is left alone).
+        """Close the derived-store engines this answerer built.
 
         Idempotent and safe under concurrent callers: the service's
         drain path may call it from a signal handler while another
-        thread is already closing.  Exactly one caller wins the claim
-        under the lock and performs the (blocking) shutdown outside it;
-        everyone else sees nothing left to release and returns.
+        thread is already closing.  Exactly one caller claims the
+        engines under the lock and closes them outside it; everyone
+        else finds nothing left to release.  The engine passed to the
+        constructor stays its creator's to close.
         """
         with self._lock:
-            pool = self.pool
-            owned = self._owns_pool
-            if owned:
-                self.pool = None
-                self._owns_pool = False
-        if owned and pool is not None:
-            pool.shutdown()
+            derived, self._derived = self._derived, {}
+        for _key, engine in derived.values():
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
 
     def __enter__(self) -> "QueryAnswerer":
         return self

@@ -10,9 +10,9 @@ counters that the answerer exports through
 ``capacity=None`` means unbounded — used where the legacy behaviour
 (memoize forever) is still wanted, while keeping the accounting.
 
-The cache is thread-safe: levels are shared across the parallel worker
-pool (per-thread SQLite engines share one SQL cache, every worker bumps
-the same counters), and an ``OrderedDict``'s ``move_to_end``/eviction
+The cache is thread-safe: levels are shared by every thread answering
+through one answerer (an engine's per-thread SQLite connections share
+one SQL cache, every thread bumps the same counters), and an ``OrderedDict``'s ``move_to_end``/eviction
 dance is a multi-step mutation that must not interleave.  All compound
 operations hold a per-cache lock; the counter reads used for reporting
 stay lock-free (single attribute loads are atomic in CPython).

@@ -97,7 +97,14 @@ from .bench import (
 )
 from .cache import QueryCache
 from .datasets import DBLPGenerator, DBLPProfile, LUBMGenerator, dblp_schema, lubm_schema
-from .engine import EngineFailure, EngineTimeout, NativeEngine, SQLiteEngine, to_sql
+from .engine import (
+    Engine,
+    EngineFailure,
+    EngineTimeout,
+    NativeEngine,
+    SQLiteEngine,
+    to_sql,
+)
 from .optimizer import SearchInfeasible
 from .query import parse_query
 from .rdf import read_ntriples, write_ntriples
@@ -156,17 +163,6 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="enable the multi-level query cache (DESIGN.md §9); "
         "cache counters appear in the metrics output",
-    )
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate reformulation batches on N pool workers "
-        "(0 = one per CPU; default: serial; DESIGN.md §11)",
     )
 
 
@@ -251,14 +247,11 @@ def _answerer(
     engine_kind: str,
     verify_ir: bool = False,
     cache: Optional[QueryCache] = None,
-    workers: Optional[int] = None,
 ) -> QueryAnswerer:
-    engine = (
+    engine: Engine = (
         SQLiteEngine(database) if engine_kind == "sqlite" else NativeEngine(database)
     )
-    return QueryAnswerer(
-        database, engine=engine, verify_ir=verify_ir, cache=cache, workers=workers
-    )
+    return QueryAnswerer(database, engine=engine, verify_ir=verify_ir, cache=cache)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +297,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     parse_s = time.perf_counter() - parse_start
     cache = QueryCache() if args.cache else None
     answerer = _answerer(
-        database,
-        args.engine,
-        verify_ir=args.verify_ir,
-        cache=cache,
-        workers=args.workers,
+        database, args.engine, verify_ir=args.verify_ir, cache=cache
     )
     _print_lint_findings(lint_query(query, database=database))
     budget = _budget_from_args(args)
@@ -397,7 +386,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         args.engine,
         verify_ir=args.verify_ir,
         cache=QueryCache() if args.cache else None,
-        workers=args.workers,
     )
     _print_lint_findings(lint_query(query, database=database))
     budget = _budget_from_args(args)
@@ -767,7 +755,7 @@ def _print_runtime_state(answerer: QueryAnswerer) -> None:
 
     Covers the runtime occupancy the counters can't show: SQLite
     connection-pool size, circuit-breaker circuits by state, the
-    reformulator memo, worker-pool width, and cache level fills.
+    reformulator memo, and cache level fills.
     """
     print("\n== runtime state ==")
     for sample in answerer.registry.gauge_samples():
@@ -840,9 +828,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
         chaos = ChaosEngine(engine, config)
         chaos.sleeper = lambda _s: None
-        answerer = QueryAnswerer(
-            database, engine=chaos, fallback=policy, workers=args.workers
-        )
+        answerer = QueryAnswerer(database, engine=chaos, fallback=policy)
         answerer.reformulator.limit = args.limit
         degraded = 0
         for name, query in queries:
@@ -1093,7 +1079,7 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     set_registry(registry)
     database = _load_database(args.data)
-    engine = (
+    engine: Engine = (
         SQLiteEngine(database) if args.engine == "sqlite" else NativeEngine(database)
     )
     answerer = QueryAnswerer(
@@ -1213,7 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
     query = commands.add_parser("query", help="answer a query over a dataset")
     _add_query_arguments(query)
     _add_resilience_arguments(query)
-    _add_workers_argument(query)
     query.add_argument("--timeout", type=float, default=None, help="seconds")
     query.add_argument(
         "--trace", metavar="FILE", help="export a JSON-lines telemetry trace"
@@ -1237,7 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_query_arguments(profile)
     _add_resilience_arguments(profile)
-    _add_workers_argument(profile)
     profile.add_argument("--timeout", type=float, default=None, help="seconds")
     profile.add_argument(
         "--trace", metavar="FILE", help="export a JSON-lines telemetry trace"
@@ -1456,7 +1440,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = commands.add_parser(
         "chaos", help="differential fault-injection run (DESIGN.md §10)"
     )
-    _add_workers_argument(chaos)
     chaos.add_argument("data", help="N-Triples file (constraints + facts)")
     chaos.add_argument(
         "-q", "--query", action="append", default=[], help="SPARQL BGP text (repeatable)"

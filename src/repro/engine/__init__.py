@@ -4,6 +4,7 @@ from .evaluator import (
     NATIVE_HASH,
     NATIVE_MERGE,
     AnswerSet,
+    Engine,
     EngineFailure,
     EngineProfile,
     EngineTimeout,
@@ -17,6 +18,7 @@ from .sqlite_backend import SQLiteEngine
 
 __all__ = [
     "AnswerSet",
+    "Engine",
     "EngineCostEstimator",
     "EngineFailure",
     "EngineProfile",

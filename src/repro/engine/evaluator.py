@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,45 @@ from .relation import Relation
 
 #: Decoded answers: a set of tuples of RDF terms.
 AnswerSet = FrozenSet[Tuple[Term, ...]]
+
+
+class Engine(Protocol):
+    """What :class:`~repro.answering.QueryAnswerer` asks of an engine.
+
+    The paper hands the reformulated query to *the engine* and lets it
+    union, join and deduplicate (Figure 1); this is that hand-off.
+    :class:`NativeEngine`, :class:`~repro.engine.SQLiteEngine` and
+    :class:`~repro.resilience.ChaosEngine` implement it; a wrapper
+    that forwards ``**kwargs`` to an inner engine does too.
+    """
+
+    @property
+    def name(self) -> str:
+        """How reports, spans and gauge labels call this engine."""
+
+    def evaluate(
+        self,
+        query,
+        timeout_s: Optional[float] = None,
+        tracer=None,
+        metrics: Optional[MetricsRecorder] = None,
+        budget=None,
+    ) -> AnswerSet:
+        """The decoded answers of a CQ, UCQ or JUCQ.
+
+        ``budget`` (:class:`repro.resilience.ExecutionBudget`) carries
+        the shared deadline and the row/term caps and supersedes
+        ``timeout_s``; a crossed limit raises :class:`EngineFailure`, a
+        crossed deadline :class:`EngineTimeout`.
+        """
+
+    def for_database(self, database: RDFDatabase) -> "Engine":
+        """A sibling engine over another (derived) store.
+
+        The answerer builds the engines of the saturated and the
+        interval-encoded store only through this; a decorator decides
+        here whether its sibling is decorated too.
+        """
 
 
 class EngineFailure(RuntimeError):

@@ -13,20 +13,19 @@ failed on its large-reformulation queries.  Such failures surface as
 Concurrency model
 -----------------
 
-One engine may be driven by many threads at once (the
-:mod:`repro.parallel` worker pool evaluates partitioned union-term
-batches concurrently).  SQLite connections must not be shared across
-threads mid-statement, so the engine keeps a **per-thread connection
-pool**: each thread lazily opens its own connection on first use, loads
-(or, for file-backed stores, observes) the triple data, and caches it
-thread-locally.  Every pooled connection tracks the
-:attr:`~repro.storage.triple_table.TripleTable.version` it last loaded
-and refreshes independently when the store mutates, so a stale worker
-can never serve pre-mutation rows.  ``close()`` drains the whole pool.
+One engine may be driven by many threads at once (the service's
+executor threads share each tenant store's engine).  SQLite connections
+must not be shared across threads mid-statement, so the engine keeps a
+**per-thread connection pool**: each thread lazily opens its own
+connection on first use, loads (or, for file-backed stores, observes)
+the triple data, and caches it thread-locally.  Every pooled connection
+tracks the :attr:`~repro.storage.triple_table.TripleTable.version` it
+last loaded and refreshes independently when the store mutates, so a
+stale thread can never serve pre-mutation rows.  ``close()`` drains the
+whole pool.
 
-SQLite releases the GIL while stepping a statement, so concurrent
-batches genuinely overlap on multi-core hosts — this engine is the one
-the parallel speedup benchmark exercises.
+SQLite releases the GIL while stepping a statement, so statements on
+different threads overlap on multi-core hosts.
 """
 
 from __future__ import annotations
@@ -263,7 +262,7 @@ class SQLiteEngine:
         interrupted = [False]
         if budget is not None:
             budget = budget.start()
-            if budget.timeout_s is not None or getattr(budget, "cancellable", False):
+            if budget.timeout_s is not None:
 
                 def check() -> int:
                     if budget.expired:

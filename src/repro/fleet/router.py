@@ -50,6 +50,7 @@ from ..service.http import (
     BadRequest,
     HTTPRequest,
     json_body,
+    read_head,
     read_request,
     render_request,
     write_response,
@@ -773,9 +774,10 @@ class FleetRouter:
 
 async def _read_upstream_response(reader: asyncio.StreamReader) -> _Outcome:
     """Parse one upstream HTTP/1.1 response (strict, bounded)."""
-    line = await reader.readline()
-    if not line:
+    head = await read_head(reader)
+    if head is None:
         raise asyncio.IncompleteReadError(b"", None)
+    line, headers = head
     parts = line.decode("latin-1").strip().split(None, 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
         raise BadRequest(f"malformed status line: {line!r}")
@@ -783,17 +785,6 @@ async def _read_upstream_response(reader: asyncio.StreamReader) -> _Outcome:
         status = int(parts[1])
     except ValueError as error:
         raise BadRequest(f"malformed status code: {line!r}") from error
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n"):
-            break
-        if not raw:
-            raise asyncio.IncompleteReadError(b"", None)
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise BadRequest(f"malformed header line: {raw!r}")
-        headers[name.strip().lower()] = value.strip()
     length_text = headers.get("content-length")
     if length_text is None:
         body = await reader.read()

@@ -1,23 +1,11 @@
-"""Parallel JUCQ evaluation: shared worker pool + batch evaluator.
+"""The service's bounded executor (DESIGN.md §11, "Concurrency model").
 
-See DESIGN.md §11.  The pool is engine-agnostic; per-engine concurrency
-(e.g. SQLite's per-thread connections) lives inside the engines.
+Queries are evaluated by the engine, serially, on whichever thread
+calls :meth:`~repro.answering.QueryAnswerer.answer`; this package only
+provides the :class:`WorkerPool` those calling threads come from when
+the caller is :class:`~repro.service.QueryService`.
 """
 
-from .evaluator import (
-    MIN_BATCH_TERMS,
-    CancellableBudget,
-    evaluate_parallel,
-    partition_jucq,
-)
-from .pool import WorkerPool, current_worker, default_workers
+from .pool import WorkerPool, default_workers
 
-__all__ = [
-    "MIN_BATCH_TERMS",
-    "CancellableBudget",
-    "WorkerPool",
-    "current_worker",
-    "default_workers",
-    "evaluate_parallel",
-    "partition_jucq",
-]
+__all__ = ["WorkerPool", "default_workers"]

@@ -1,18 +1,17 @@
-"""A bounded shared worker pool for parallel query evaluation.
+"""A bounded, lazily started thread pool: the service's executor.
 
-One :class:`WorkerPool` is meant to be shared by everything in a
-process that evaluates concurrently — the answerer's parallel JUCQ
-path, the benchmark harness, tests — so the *total* evaluation
-parallelism is bounded once, instead of every caller spawning its own
-threads.  The backing :class:`~concurrent.futures.ThreadPoolExecutor`
-is created lazily on first submit, so constructing an answerer with
-``workers=N`` costs nothing until a parallel query actually runs.
+:class:`~repro.service.QueryService` hands every admitted request to
+one :class:`WorkerPool`, so the number of queries executing at once is
+bounded by the pool width rather than by the number of open
+connections.  The backing
+:class:`~concurrent.futures.ThreadPoolExecutor` is created on first
+submit.
 
-Threads (not processes) are the right grain here: SQLite releases the
-GIL while stepping a statement and numpy releases it inside array
-kernels, so fragment evaluations genuinely overlap on multi-core
-hosts, while all workers still share the engine's caches, the
-dictionary, and the statistics memos without serialization overhead.
+The threads share one interpreter lock: they overlap where SQLite
+steps a statement or numpy runs an array kernel, not in Python
+bytecode, and they share the engine's caches, the dictionary and the
+statistics memos without copying.  Scale-out beyond one process is the
+fleet's job (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -22,19 +21,13 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
-#: Thread-name prefix of pool workers; ``current_worker`` reports the
-#: full thread name, which spans record as their ``worker`` attribute.
+#: Thread-name prefix of pool workers.
 WORKER_PREFIX = "repro-worker"
 
 
 def default_workers() -> int:
     """The default pool width: one worker per available CPU."""
     return os.cpu_count() or 1
-
-
-def current_worker() -> str:
-    """The calling thread's name (the span ``worker`` attribute)."""
-    return threading.current_thread().name
 
 
 class WorkerPool:
@@ -44,8 +37,7 @@ class WorkerPool:
     pool is safe to share across threads and across many queries; it is
     shut down explicitly via :meth:`shutdown` or by using it as a
     context manager.  Submitting to a shut-down pool raises
-    ``RuntimeError`` (the executor's own behaviour), so a stale
-    answerer fails loudly instead of silently going serial.
+    ``RuntimeError`` (the executor's own behaviour).
     """
 
     def __init__(self, max_workers: Optional[int] = None):
@@ -55,7 +47,6 @@ class WorkerPool:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._shut_down = False
-        self._in_flight = 0
 
     @property
     def started(self) -> bool:
@@ -75,20 +66,7 @@ class WorkerPool:
 
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         """Schedule ``fn(*args, **kwargs)`` on a pool worker."""
-        future = self._ensure_executor().submit(fn, *args, **kwargs)
-        with self._lock:
-            self._in_flight += 1
-        future.add_done_callback(self._task_done)
-        return future
-
-    def _task_done(self, _future: Future) -> None:
-        with self._lock:
-            self._in_flight -= 1
-
-    def in_flight(self) -> int:
-        """Tasks submitted but not yet finished (the occupancy gauge)."""
-        with self._lock:
-            return self._in_flight
+        return self._ensure_executor().submit(fn, *args, **kwargs)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work and (optionally) wait for the workers."""

@@ -164,8 +164,17 @@ def parse_query(text: str, name: str = "q") -> BGPQuery:
 
     >>> parse_query('SELECT ?x WHERE { ?x a rdfs:Class }').arity
     1
+
+    Every rejection is a :class:`SPARQLSyntaxError`, including what the
+    grammar lets through and the term or query constructors refuse (an
+    empty IRI, a head variable the body never binds).
     """
-    return _Parser(_tokenize(text), name).parse()
+    try:
+        return _Parser(_tokenize(text), name).parse()
+    except SPARQLSyntaxError:
+        raise
+    except ValueError as error:
+        raise SPARQLSyntaxError(str(error)) from error
 
 
 def _sparql_term(term: Term) -> str:

@@ -85,9 +85,9 @@ class ChaosEngine:
         self.config = config if config is not None else ChaosConfig()
         self._rng = random.Random(self.config.seed)
         #: Guards the RNG and the fault accounting: a draw is *three*
-        #: RNG values plus a ``max_faults`` check, and parallel batch
-        #: evaluations must not interleave the triple (which would
-        #: desynchronize the seeded stream mid-call).
+        #: RNG values plus a ``max_faults`` check, and threads sharing
+        #: the engine (the service's workers) must not interleave the
+        #: triple (which would desynchronize the seeded stream mid-call).
         self._lock = threading.Lock()
         #: Total faults raised so far (bounded by ``max_faults``).
         self.faults_injected = 0
@@ -99,8 +99,7 @@ class ChaosEngine:
 
     @property
     def name(self) -> str:
-        inner = getattr(self.engine, "name", type(self.engine).__name__)
-        return f"chaos({inner})"
+        return f"chaos({self.engine.name})"
 
     @property
     def database(self):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Set, Tuple
 from urllib.parse import parse_qsl, unquote
 
 #: Hard parser bounds (bytes).
@@ -69,35 +69,47 @@ class HTTPRequest:
             raise BadRequest(f"request body is not valid JSON: {error}") from error
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body: int = DEFAULT_MAX_BODY
-) -> Optional[HTTPRequest]:
-    """Parse one request off the stream; None on a clean EOF.
-
-    Raises :class:`BadRequest` on malformed framing and
-    ``asyncio.IncompleteReadError`` when the peer hangs up mid-body.
-    """
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """``reader.readline()``; a line that outruns the stream's own buffer
+    limit (64 KiB by default) surfaces there as a bare ``ValueError``."""
     try:
-        line = await reader.readline()
-    except (ConnectionResetError, asyncio.LimitOverrunError):
-        return None
+        return await reader.readline()
+    except ValueError as error:
+        raise BadRequest(f"{what} too long") from error
+
+
+async def read_head(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[bytes, Dict[str, str]]]:
+    """The start line and header block of one HTTP/1.1 message, bounded.
+
+    The one framing reader for both directions: :func:`read_request`
+    inbound and the fleet router's upstream response reader.  Returns
+    ``(start_line, headers)`` — header names lower-cased, the last
+    value of a repeated header kept — or ``None`` when the stream ends,
+    or holds a bare line end, where a start line should be.
+
+    Raises :class:`BadRequest` for a start line over
+    :data:`MAX_REQUEST_LINE`, a header block over
+    :data:`MAX_HEADER_BYTES`, a header line without a colon or
+    ``Content-Length`` headers that disagree, and
+    ``asyncio.IncompleteReadError`` when the peer hangs up inside the
+    header block.
+    """
+    line = await _read_line(reader, "start line")
     if not line or line in (b"\r\n", b"\n"):
         return None
     if len(line) > MAX_REQUEST_LINE:
-        raise BadRequest("request line too long")
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise BadRequest(f"malformed request line: {line!r}")
-    method, target, _version = parts
+        raise BadRequest("start line too long")
     headers: Dict[str, str] = {}
-    content_lengths: list = []
+    content_lengths: Set[str] = set()
     header_bytes = 0
     while True:
-        raw = await reader.readline()
+        raw = await _read_line(reader, "header line")
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
-            raise BadRequest("connection closed inside headers")
+            raise asyncio.IncompleteReadError(b"", None)
         header_bytes += len(raw)
         if header_bytes > MAX_HEADER_BYTES:
             raise BadRequest("headers too large")
@@ -109,13 +121,37 @@ async def read_request(
         if name == "content-length":
             # Conflicting duplicates are a request-smuggling staple
             # (RFC 9112 §6.3): never let last-wins paper over them.
-            content_lengths.append(value)
+            content_lengths.add(value)
         headers[name] = value
+    if len(content_lengths) > 1:
+        raise BadRequest(
+            f"conflicting Content-Length headers: {sorted(content_lengths)}"
+        )
+    return line, headers
+
+
+async def read_request(
+    reader: asyncio.StreamReader, max_body: int = DEFAULT_MAX_BODY
+) -> Optional[HTTPRequest]:
+    """Parse one request off the stream; None on a clean EOF.
+
+    Raises :class:`BadRequest` on malformed framing and
+    ``asyncio.IncompleteReadError`` when the peer hangs up mid-message.
+    """
+    try:
+        head = await read_head(reader)
+    except ConnectionResetError:
+        return None
+    if head is None:
+        return None
+    line, headers = head
+    parts = line.decode("latin-1").strip().split()
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise BadRequest(f"malformed request line: {line!r}")
+    method, target, _version = parts
     body = b""
-    if len(set(content_lengths)) > 1:
-        raise BadRequest(f"conflicting Content-Length headers: {content_lengths}")
-    if content_lengths:
-        length_text = content_lengths[0]
+    length_text = headers.get("content-length")
+    if length_text is not None:
         # int() is looser than the RFC 9110 1*DIGIT grammar — it takes
         # "+5", "1_0", unicode digits, surrounding whitespace.  A peer
         # sending any of those disagrees with us about framing, which

@@ -8,7 +8,8 @@ Dataflow of one ``POST /query``::
 
 The event loop only parses HTTP and arbitrates admission; every
 blocking step — query parsing, planning, evaluation — runs on the
-shared :class:`~repro.parallel.WorkerPool`, so N concurrent clients
+service's :class:`~repro.parallel.WorkerPool` (``ServiceConfig.workers``
+threads, each answering one request serially), so N concurrent clients
 multiplex onto one bounded set of threads instead of each connection
 spawning its own.  Backpressure is explicit: when the number of
 accepted-but-not-yet-executing requests reaches
@@ -328,8 +329,9 @@ class QueryService:
         self.close()
 
     def close(self) -> None:
-        """Release the owned execution pool and the owned answerers'
-        resources (idempotent; shared pools are left alone)."""
+        """Shut down the owned execution pool and close the engines the
+        answerers derived for their saturated / interval-encoded stores
+        (idempotent; a shared pool is left alone)."""
         if self._owns_pool:
             self.pool.shutdown()
         for answerer in self._answerers.values():

@@ -36,8 +36,8 @@ from .triple_table import Pattern, TripleTable
 class TableStatistics:
     """Memoizing statistics facade over a :class:`TripleTable`.
 
-    Reads are thread-safe: parallel evaluation workers probe the same
-    statistics while ordering joins, and the clear-and-rebuild sync on
+    Reads are thread-safe: threads answering through one shared
+    answerer probe the same statistics while ordering joins, and the clear-and-rebuild sync on
     version mismatch must not interleave with another thread's memo
     read (a probe could otherwise cache a *pre*-mutation count under the
     *post*-mutation version).  The lock is re-entrant because

@@ -11,9 +11,9 @@ All operators accept ``metrics=None`` and skip recording entirely in
 that case, so the untraced hot path pays one ``is None`` test per
 operator call.
 
-One recorder may be shared by several worker threads (the parallel
-evaluator threads a single recorder through every batch), so every
-read-modify-write — ``inc``'s fetch-add, ``append``'s setdefault,
+One recorder may be shared by several threads (an answerer's
+lifetime ``resilience_metrics`` is bumped by every thread answering
+through it), so every read-modify-write — ``inc``'s fetch-add, ``append``'s setdefault,
 ``merge``'s fold — happens under a per-recorder lock; unsynchronized
 counters would silently lose increments under concurrent bumps.
 """

@@ -7,12 +7,11 @@ per-call counters that travel with one answer report, the
 
 * :class:`Histogram` — fixed-bucket latency distributions with
   p50/p90/p99 quantile estimation, bumped on the hot path by the
-  answerer, both engines, the parallel evaluator and the fallback
-  ladder;
+  answerer, both engines and the fallback ladder;
 * :class:`Gauge` / :class:`MultiGauge` — callbacks sampled at read
   time, surfacing otherwise-hidden runtime state (cache fill, SQLite
-  connection-pool size, circuit-breaker states, worker-pool occupancy,
-  reformulator-memo size);
+  connection-pool size, circuit-breaker states, reformulator-memo
+  size);
 * counter *sources* — callables returning monotone counter mappings
   (e.g. the answerer's resilience counters), re-read per export.
 
@@ -84,7 +83,7 @@ class Histogram:
     at bucket boundaries and within one bucket's width elsewhere.
 
     ``observe`` is a lock-guarded bisect-plus-increment, safe for
-    concurrent bumps from the worker pool.
+    concurrent bumps from the service's worker threads.
     """
 
     __slots__ = ("name", "help", "labels", "buckets", "_counts", "_sum", "_count", "_lock")

@@ -21,11 +21,10 @@ wall-clock reads are ``Span.start_unix`` and ``Tracer.created_at``,
 kept purely so exported traces can be correlated with external logs.
 
 Thread model: one tracer may collect spans from many threads at once
-(the parallel evaluator's workers).  The live-span stack is
-*thread-local*, so nesting in one thread never corrupts another's; the
-shared span forest and record list are guarded by a lock.  A worker
-attaches its spans under the submitting thread's span by passing
-``parent=`` explicitly (see :meth:`Tracer.span`).
+(threads sharing one answerer's default tracer).  The live-span stack
+is *thread-local*, so nesting in one thread never corrupts another's;
+the shared span forest and record list are guarded by a lock.  A span
+nests under the innermost live span of the thread that enters it.
 """
 
 from __future__ import annotations
@@ -64,16 +63,9 @@ class Span:
         "children",
         "_tracer",
         "_start_mono",
-        "_parent",
     )
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        attributes: Dict[str, Any],
-        parent: Optional["Span"] = None,
-    ):
+    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, Any]):
         self._tracer = tracer
         self.name = name
         self.attributes: Dict[str, Any] = dict(attributes)
@@ -85,9 +77,6 @@ class Span:
         self.duration_s = 0.0
         self.children: List["Span"] = []
         self._start_mono = 0.0
-        #: Explicit parent override (cross-thread attachment); ``None``
-        #: means "nest under the entering thread's innermost live span".
-        self._parent = parent
 
     def set(self, **attributes: Any) -> "Span":
         """Attach attributes to this span; returns the span for chaining."""
@@ -97,9 +86,7 @@ class Span:
     def __enter__(self) -> "Span":
         tracer = self._tracer
         stack = tracer._stack
-        parent = self._parent
-        if parent is None:
-            parent = stack[-1] if stack else None
+        parent = stack[-1] if stack else None
         with tracer._lock:
             (parent.children if parent is not None else tracer.roots).append(self)
         stack.append(self)
@@ -146,17 +133,9 @@ class Tracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def span(
-        self, name: str, parent: Optional[Span] = None, **attributes: Any
-    ) -> Span:
-        """A new span; nests under the innermost live span when entered.
-
-        ``parent`` overrides the nesting: a worker thread passes the
-        span that was live on the *submitting* thread, so parallel
-        batches hang under the ``evaluate`` span instead of becoming
-        disconnected roots.
-        """
-        return Span(self, name, attributes, parent=parent)
+    def span(self, name: str, **attributes: Any) -> Span:
+        """A new span; nests under the innermost live span when entered."""
+        return Span(self, name, attributes)
 
     def annotate(self, **attributes: Any) -> None:
         """Attach attributes to the innermost live span (no-op if none)."""
@@ -252,9 +231,7 @@ class NullTracer:
     roots: tuple = ()
     records: tuple = ()
 
-    def span(
-        self, name: str, parent: Optional[Any] = None, **attributes: Any
-    ) -> _NullSpan:
+    def span(self, name: str, **attributes: Any) -> _NullSpan:
         return _NULL_SPAN
 
     def annotate(self, **attributes: Any) -> None:

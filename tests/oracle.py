@@ -42,19 +42,13 @@ def make_answerer(
     engine=None,
     cache: Optional[QueryCache] = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
-    workers: Optional[int] = None,
 ) -> QueryAnswerer:
-    """An answerer wired for differential sweeps (own term-limited memo).
-
-    ``workers`` routes evaluation through the shared worker pool
-    (DESIGN.md §11); the default stays serial.
-    """
+    """An answerer wired for differential sweeps (own term-limited memo)."""
     return QueryAnswerer(
         database,
         engine=engine,
         reformulator=Reformulator(database.schema, limit=term_budget),
         cache=cache,
-        workers=workers,
     )
 
 
@@ -116,15 +110,11 @@ def make_chaos_answerer(
     transient: bool = True,
     term_budget: int = DEFAULT_TERM_BUDGET,
     engine=None,
-    workers: Optional[int] = None,
 ) -> QueryAnswerer:
     """An answerer whose engine injects seeded faults.
 
     The fallback policy never actually sleeps, and neither do injected
-    slowdowns, so chaos sweeps stay fast and deterministic.  With
-    ``workers`` the chaos engine is driven through the parallel
-    evaluator: each batch rolls its own fault dice, and the recovery
-    invariant (exact baseline answers or an exception) must still hold.
+    slowdowns, so chaos sweeps stay fast and deterministic.
     """
     chaos = ChaosEngine(
         engine or NativeEngine(database),
@@ -142,7 +132,6 @@ def make_chaos_answerer(
         engine=chaos,
         reformulator=Reformulator(database.schema, limit=term_budget),
         fallback=FallbackPolicy(sleep=lambda _s: None),
-        workers=workers,
     )
 
 

@@ -96,7 +96,7 @@ class TestOtherEngines:
         report = answerer.answer(query, strategy="saturation")
         assert report.answers == ground_truth(query)
         # The saturated engine keeps the same personality.
-        assert answerer._saturated_engine.profile is NATIVE_MERGE
+        assert answerer._engine_for("saturation").profile is NATIVE_MERGE
 
 
 class TestReadAllocatesCodes:

@@ -1,16 +1,18 @@
-"""Parallel JUCQ evaluation: pool, partitioning, parity, concurrency.
+"""The concurrency model (DESIGN.md §11): shared state under many threads.
 
-The contract under test (DESIGN.md §11): routing evaluation through the
-shared worker pool must be *observationally identical* to the serial
-path — same answer sets, same exception taxonomy, same budget
-semantics — while the shared infrastructure (SQLite connection pool,
-tracer, metrics, dictionary, caches) stays correct under many threads.
+Queries are evaluated serially by the engine on the calling thread;
+what many threads share — one answerer and its caches, one SQLite
+engine's per-thread connections, the dictionary, a tracer, the
+service's :class:`WorkerPool` — must stay correct under them.  Also
+here: the one engine hand-off in ``answer()`` (the ``Engine``
+protocol), its budget semantics, and what ``close()`` releases.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -21,6 +23,7 @@ from oracle import (
     make_chaos_answerer,
     random_queries,
 )
+from repro.answering import QueryAnswerer
 from repro.cache import QueryCache
 from repro.engine import (
     EngineFailure,
@@ -29,23 +32,13 @@ from repro.engine import (
     SQLiteEngine,
 )
 from repro.optimizer import SearchInfeasible
-from repro.parallel import (
-    MIN_BATCH_TERMS,
-    CancellableBudget,
-    WorkerPool,
-    default_workers,
-    evaluate_parallel,
-    partition_jucq,
-)
-from repro.query import BGPQuery, JUCQ, UCQ
+from repro.parallel import WorkerPool, default_workers
+from repro.query import BGPQuery
 from repro.rdf import Literal, RDF_TYPE, Triple, URI, Variable
 from repro.reformulation import ReformulationLimitExceeded
-from repro.resilience import ExecutionBudget
+from repro.resilience import ChaosConfig, ChaosEngine, ExecutionBudget
 from repro.storage import RDFDatabase
 from repro.telemetry import Tracer
-
-ALL_STRATEGIES = ("ucq", "pruned-ucq", "scq", "ecov", "gcov", "saturation")
-
 
 def ex(name: str) -> URI:
     return URI(f"http://ex/{name}")
@@ -100,141 +93,7 @@ class TestWorkerPool:
 
 
 # ----------------------------------------------------------------------
-# partition_jucq
-# ----------------------------------------------------------------------
-def _ucq(terms: int, name: str = "u") -> UCQ:
-    x = Variable("x")
-    return UCQ(
-        [
-            BGPQuery([x], [Triple(x, RDF_TYPE, ex(f"C{i}"))], name=f"{name}{i}")
-            for i in range(terms)
-        ],
-        name=name,
-    )
-
-
-class TestPartitionJUCQ:
-    def test_one_task_per_operand_when_enough(self):
-        jucq = JUCQ([Variable("x")], [_ucq(2, "a"), _ucq(3, "b")])
-        tasks = partition_jucq(jucq, max_tasks=2)
-        assert [(i, len(u)) for i, u in tasks] == [(0, 2), (1, 3)]
-
-    def test_small_operands_never_split(self):
-        jucq = JUCQ([Variable("x")], [_ucq(2 * MIN_BATCH_TERMS - 1, "a")])
-        assert len(partition_jucq(jucq, max_tasks=8)) == 1
-
-    def test_largest_operand_splits_first(self):
-        jucq = JUCQ([Variable("x")], [_ucq(4, "small"), _ucq(16, "big")])
-        tasks = partition_jucq(jucq, max_tasks=3)
-        sizes = {}
-        for index, ucq in tasks:
-            sizes.setdefault(index, []).append(len(ucq))
-        assert sizes[0] == [4]
-        assert sorted(sizes[1]) == [8, 8]
-
-    def test_no_batch_below_min_terms(self):
-        jucq = JUCQ([Variable("x")], [_ucq(20, "a")])
-        tasks = partition_jucq(jucq, max_tasks=64)
-        assert all(len(ucq) >= MIN_BATCH_TERMS for _, ucq in tasks)
-
-    def test_batches_cover_operand_exactly(self):
-        original = _ucq(13, "a")
-        jucq = JUCQ([Variable("x")], [original])
-        tasks = partition_jucq(jucq, max_tasks=3)
-        recombined = [cq for _, ucq in tasks for cq in ucq.cqs]
-        assert sorted(recombined, key=str) == sorted(original.cqs, key=str)
-        assert all(ucq.head == original.head for _, ucq in tasks)
-
-    def test_max_tasks_validated(self):
-        with pytest.raises(ValueError):
-            partition_jucq(JUCQ([Variable("x")], [_ucq(1)]), max_tasks=0)
-
-
-# ----------------------------------------------------------------------
-# CancellableBudget
-# ----------------------------------------------------------------------
-class TestCancellableBudget:
-    def test_token_forces_expiry(self):
-        token = threading.Event()
-        shared = CancellableBudget(None, token)
-        assert not shared.expired
-        token.set()
-        assert shared.expired
-
-    def test_wraps_inner_budget(self):
-        inner = ExecutionBudget(
-            timeout_s=5.0,
-            max_union_terms=100,
-            max_intermediate_rows=50,
-            max_result_rows=7,
-            clock=_scripted_clock([0.0, 1.0]),
-        )
-        shared = CancellableBudget(inner, threading.Event())
-        assert shared.timeout_s == 5.0
-        assert shared.union_limit(500) == 100
-        assert shared.row_limit(500) == 50
-        # The final-result cap is enforced once at the merge boundary,
-        # never per batch: a batch may legally exceed it.
-        assert shared.max_result_rows is None
-        assert shared.cancellable is True
-        assert shared.start() is shared
-
-
-# ----------------------------------------------------------------------
-# Parallel ≡ serial answers, all strategies, both engine families
-# ----------------------------------------------------------------------
-def _strategy_answers(answerer, query):
-    out = {}
-    for strategy in ALL_STRATEGIES:
-        try:
-            out[strategy] = answerer.answer(query, strategy=strategy).answers
-        except (ReformulationLimitExceeded, SearchInfeasible):
-            out[strategy] = None
-        except EngineFailure as error:
-            out[strategy] = ("failed", type(error).__name__)
-    return out
-
-
-@pytest.mark.parametrize("engine_name", ("native-hash", "sqlite"))
-def test_parallel_matches_serial_all_strategies(lubm_db, engine_name):
-    engine = None if engine_name == "native-hash" else SQLiteEngine(lubm_db)
-    serial = make_answerer(lubm_db, engine=engine)
-    with make_answerer(lubm_db, engine=engine, workers=3) as parallel:
-        for query in random_queries(lubm_db, 8, seed=7):
-            expected = _strategy_answers(serial, query)
-            observed = _strategy_answers(parallel, query)
-            for strategy in ALL_STRATEGIES:
-                if expected[strategy] is None or isinstance(
-                    expected[strategy], tuple
-                ):
-                    # Serial skip/engine-limit: no answer set to compare
-                    # (splitting may evaluate what one statement cannot).
-                    continue
-                assert observed[strategy] == expected[strategy], (
-                    f"{query.name}/{strategy} on {engine_name}: "
-                    f"parallel diverged from serial"
-                )
-
-
-def test_parallel_handles_single_term_and_boolean_queries(lubm_db):
-    x = Variable("x")
-    some_class = sorted(lubm_db.schema.classes, key=str)[0]
-    queries = [
-        BGPQuery([x], [Triple(x, RDF_TYPE, some_class)], name="single"),
-        BGPQuery([], [Triple(x, RDF_TYPE, some_class)], name="boolean"),
-    ]
-    serial = make_answerer(lubm_db)
-    with make_answerer(lubm_db, workers=2) as parallel:
-        for query in queries:
-            for strategy in ("ucq", "gcov", "saturation"):
-                assert (
-                    parallel.answer(query, strategy=strategy).answers
-                    == serial.answer(query, strategy=strategy).answers
-                )
-
-
-# ----------------------------------------------------------------------
-# Budget parity: deadline, result cap, intermediate cap
+# Budget semantics: deadline, result cap, intermediate cap
 # ----------------------------------------------------------------------
 def _rich_query(lubm_db):
     """A random query with at least two answers (for cap tests)."""
@@ -249,43 +108,44 @@ def _rich_query(lubm_db):
     raise AssertionError("no random query produced >= 2 answers")
 
 
+def _both_paths(lubm_db, query, make_budget):
+    """The two ways a budget reaches the engine: handed to the call, and
+    as the answerer's default for calls that hand over none."""
+    answerer = make_answerer(lubm_db)
+    yield lambda: answerer.answer(query, strategy="ucq", budget=make_budget())
+    answerer.budget = make_budget()
+    yield lambda: answerer.answer(query, strategy="ucq")
+
+
 def test_expired_deadline_raises_timeout_on_both_paths(lubm_db):
-    query = _rich_query(lubm_db)
-    for workers in (None, 2):
-        budget = ExecutionBudget(
-            timeout_s=1.0, clock=_scripted_clock([0.0, 100.0])
-        )
-        with make_answerer(lubm_db, workers=workers) as answerer:
-            with pytest.raises(EngineTimeout):
-                answerer.answer(query, strategy="ucq", budget=budget)
+    def expired():
+        return ExecutionBudget(timeout_s=1.0, clock=_scripted_clock([0.0, 100.0]))
+
+    for answer in _both_paths(lubm_db, _rich_query(lubm_db), expired):
+        with pytest.raises(EngineTimeout):
+            answer()
 
 
 def test_result_cap_raises_failure_on_both_paths(lubm_db):
-    query = _rich_query(lubm_db)
-    for workers in (None, 2):
-        with make_answerer(lubm_db, workers=workers) as answerer:
-            with pytest.raises(EngineFailure, match="max_result_rows"):
-                answerer.answer(
-                    query,
-                    strategy="ucq",
-                    budget=ExecutionBudget(max_result_rows=1),
-                )
+    def one_row():
+        return ExecutionBudget(max_result_rows=1)
+
+    for answer in _both_paths(lubm_db, _rich_query(lubm_db), one_row):
+        with pytest.raises(EngineFailure, match="max_result_rows"):
+            answer()
 
 
 def test_intermediate_cap_raises_failure_on_both_paths(lubm_db):
-    query = _rich_query(lubm_db)
-    for workers in (None, 2):
-        with make_answerer(lubm_db, workers=workers) as answerer:
-            with pytest.raises(EngineFailure, match="exceeds"):
-                answerer.answer(
-                    query,
-                    strategy="ucq",
-                    budget=ExecutionBudget(max_intermediate_rows=1),
-                )
+    def one_row():
+        return ExecutionBudget(max_intermediate_rows=1)
+
+    for answer in _both_paths(lubm_db, _rich_query(lubm_db), one_row):
+        with pytest.raises(EngineFailure, match="exceeds"):
+            answer()
 
 
 # ----------------------------------------------------------------------
-# 8-thread differential-oracle stress (the ISSUE's headline test)
+# 8-thread differential-oracle stress over one shared answerer
 # ----------------------------------------------------------------------
 def _stress(answerer, lubm_db, threads: int = 8, queries_per_thread: int = 3):
     """Hammer one shared answerer from many threads; collect failures."""
@@ -325,41 +185,23 @@ def test_stress_eight_threads_warm_cache(lubm_db):
     _stress(answerer, lubm_db)
 
 
-def test_stress_eight_threads_parallel_answerer(lubm_db):
-    """Outer threads × inner worker pool: the pool is safely shared."""
-    with make_answerer(lubm_db, workers=2) as answerer:
-        _stress(answerer, lubm_db, threads=8, queries_per_thread=2)
-
-
 # ----------------------------------------------------------------------
-# Chaos regression: parallel ≡ serial answers under injected faults
+# Chaos regression: the ladder recovers the exact saturation baseline
 # ----------------------------------------------------------------------
-def test_chaos_parallel_recovers_exact_baseline(lubm_db):
+def test_chaos_ladder_recovers_exact_baseline(lubm_db):
     clean = make_answerer(lubm_db)
     queries = random_queries(lubm_db, 3, seed=3, max_atoms=2)
     baselines = {
         q.name: clean.answer(q, strategy="saturation").answers for q in queries
     }
     for seed in (1, 2, 3):
-        with make_chaos_answerer(lubm_db, seed=seed, workers=2) as chaos:
-            for query in queries:
-                chaos_differential_check(
-                    chaos,
-                    baselines[query.name],
-                    query,
-                    label=f"seed{seed}:{query.name}",
-                )
-
-
-def test_chaos_parallel_serial_reports_agree(lubm_db):
-    """Same seed, serial vs parallel ladder: identical final answers."""
-    query = random_queries(lubm_db, 1, seed=5, max_atoms=2)[0]
-    for seed in (7, 8):
-        serial = make_chaos_answerer(lubm_db, seed=seed)
-        with make_chaos_answerer(lubm_db, seed=seed, workers=2) as parallel:
-            assert (
-                serial.answer_resilient(query).answers
-                == parallel.answer_resilient(query).answers
+        chaos = make_chaos_answerer(lubm_db, seed=seed)
+        for query in queries:
+            chaos_differential_check(
+                chaos,
+                baselines[query.name],
+                query,
+                label=f"seed{seed}:{query.name}",
             )
 
 
@@ -530,29 +372,9 @@ class TestDictionaryConcurrency:
 
 
 # ----------------------------------------------------------------------
-# Tracer: worker attribution, thread isolation, timing discipline
+# Tracer: thread isolation, timing discipline
 # ----------------------------------------------------------------------
 class TestTracerThreading:
-    def test_batch_spans_nest_under_evaluate_with_worker(self, lubm_db):
-        tracer = Tracer()
-        query = random_queries(lubm_db, 1, seed=2, max_atoms=2)[0]
-        with make_answerer(lubm_db, workers=2) as answerer:
-            answerer.answer(query, strategy="ucq", tracer=tracer)
-        entries = {
-            entry["id"]: entry
-            for entry in tracer.to_dicts()
-            if entry["type"] == "span"
-        }
-        evaluates = [
-            e for e in entries.values() if e["name"] == "parallel.evaluate"
-        ]
-        batches = [e for e in entries.values() if e["name"] == "parallel.batch"]
-        assert len(evaluates) == 1 and batches
-        for batch in batches:
-            assert batch["parent"] == evaluates[0]["id"]
-            assert batch["attributes"]["worker"].startswith("repro-worker")
-            assert batch["duration_s"] >= 0.0
-
     def test_concurrent_spans_stay_thread_local(self):
         tracer = Tracer()
         barrier = threading.Barrier(6)
@@ -589,42 +411,92 @@ class TestTracerThreading:
 
 
 # ----------------------------------------------------------------------
-# evaluate_parallel direct-call edges
+# The engine hand-off: one protocol, derived engines via for_database
 # ----------------------------------------------------------------------
-def test_evaluate_parallel_delegates_bgp_queries(lubm_db):
-    engine = NativeEngine(lubm_db.saturated())
-    x = Variable("x")
-    some_class = sorted(lubm_db.schema.classes, key=str)[0]
-    query = BGPQuery([x], [Triple(x, RDF_TYPE, some_class)], name="bgp")
-    with WorkerPool(2) as pool:
-        assert evaluate_parallel(engine, query, pool) == engine.evaluate(query)
+class ForwardingEngine:
+    """The shape of the test-suite wrappers: ``**kwargs`` through to an
+    inner engine, everything else by ``__getattr__``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, query, **kwargs):
+        return self.inner.evaluate(query, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
-def test_evaluate_parallel_first_error_wins(lubm_db):
-    """A failing batch surfaces as the one exception; no partial answers."""
+ENGINES = {
+    "native": NativeEngine,
+    "sqlite": SQLiteEngine,
+    "chaos": lambda database: ChaosEngine(NativeEngine(database), ChaosConfig()),
+    "wrapper": lambda database: ForwardingEngine(NativeEngine(database)),
+}
 
-    class ExplodingEngine(NativeEngine):
-        def evaluate(self, query, timeout_s=None, tracer=None, metrics=None,
-                     budget=None):
-            raise EngineFailure("boom")
 
-    engine = ExplodingEngine(lubm_db)
-    jucq = JUCQ([Variable("x")], [_ucq(9, "a"), _ucq(9, "b")])
-    with WorkerPool(4) as pool:
-        with pytest.raises(EngineFailure, match="boom"):
-            evaluate_parallel(engine, jucq, pool)
+@pytest.mark.parametrize("kind", sorted(ENGINES))
+def test_every_engine_gets_the_same_handoff(lubm_db, kind):
+    """``answer()`` calls ``evaluate(planned, tracer=, metrics=, budget=)``
+    on every engine alike, and reaches a derived store's engine only
+    through ``for_database``."""
+    engine = ENGINES[kind](lubm_db)
+    built = []
+    real_for_database = engine.for_database
+
+    def for_database(database):
+        built.append(real_for_database(database))
+        return built[-1]
+
+    tracer = Tracer()
+    budget = ExecutionBudget(max_result_rows=10_000_000)
+    query = _rich_query(lubm_db)
+    with (
+        mock.patch.object(engine, "evaluate", wraps=engine.evaluate) as evaluate,
+        mock.patch.object(engine, "for_database", for_database),
+        QueryAnswerer(lubm_db, engine=engine) as answerer,
+    ):
+        expected = answerer.answer(
+            query, strategy="gcov", tracer=tracer, budget=budget
+        ).answers
+        evaluate.assert_called_once()
+        planned, handed = evaluate.call_args
+        assert len(planned) == 1
+        assert sorted(handed) == ["budget", "metrics", "tracer"]
+        assert handed["tracer"] is tracer
+        assert handed["budget"].max_result_rows == 10_000_000
+        assert handed["metrics"] is not None
+        assert built == []
+        for strategy in ("saturation", "litemat"):
+            # The second answer reuses the derived engine.
+            for _ in range(2):
+                report = answerer.answer(query, strategy=strategy)
+                assert report.answers == expected
+        assert [
+            answerer._engine_for(strategy)
+            for strategy in ("saturation", "litemat")
+        ] == built
+        evaluate.assert_called_once()
+    if kind == "sqlite":
+        engine.close()
 
 
 # ----------------------------------------------------------------------
-# Answerer close(): idempotent and concurrency-safe (the service's
-# drain path calls it from a signal handler while workers still run)
+# Answerer close(): releases the derived engines; idempotent and safe
+# under concurrent callers (the service's drain path calls it from a
+# signal handler while another thread is already closing)
 # ----------------------------------------------------------------------
 def test_close_is_idempotent_and_safe_under_concurrent_callers(lubm_db):
-    answerer = make_answerer(lubm_db, workers=2)
+    engine = SQLiteEngine(lubm_db)
+    answerer = make_answerer(lubm_db, engine=engine)
     x = Variable("x")
     some_class = sorted(lubm_db.schema.classes, key=str)[0]
     query = BGPQuery([x], [Triple(x, RDF_TYPE, some_class)], name="close-probe")
     expected = answerer.answer(query, strategy="saturation").answers
+    assert answerer.answer(query, strategy="litemat").answers == expected
+    derived = [held[1] for held in answerer._derived.values()]
+    assert len(derived) == 2
+    assert all(sibling.pool_size() == 1 for sibling in derived)
 
     callers = 8
     barrier = threading.Barrier(callers)
@@ -642,23 +514,15 @@ def test_close_is_idempotent_and_safe_under_concurrent_callers(lubm_db):
         thread.start()
     for thread in threads:
         thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert answerer.pool is None
+    assert all(sibling.pool_size() == 0 for sibling in derived)
+    # The engine the caller passed in is the caller's to close.
+    assert engine.pool_size() == 1
 
-    # A third close is still a no-op, and the answerer still answers
-    # (serially) after its pool is gone.
+    # One more close is a no-op, and the answerer derives a fresh engine
+    # if it is asked again.
     answerer.close()
     assert answerer.answer(query, strategy="saturation").answers == expected
-
-
-def test_close_leaves_a_shared_pool_running(lubm_db):
-    pool = WorkerPool(2)
-    try:
-        answerer = make_answerer(lubm_db)
-        answerer.pool = pool
-        answerer.close()
-        answerer.close()
-        # The shared pool was not the answerer's to shut down.
-        assert pool.submit(lambda: 41 + 1).result(timeout=10) == 42
-    finally:
-        pool.shutdown()
+    answerer.close()
+    engine.close()

@@ -217,8 +217,6 @@ class TestAnswererInstruments:
         gauges = {sample["name"] for sample in answered_registry.gauge_samples()}
         assert {
             "repro.reformulator.memo_size",
-            "repro.worker_pool.max_workers",
-            "repro.worker_pool.in_flight",
             "repro.engine.connection_pool_size",
             "repro.breaker.circuits",
         } <= gauges

@@ -19,6 +19,7 @@ import socket
 import pytest
 
 from oracle import make_answerer
+from repro.fleet.router import _read_upstream_response
 from repro.service import QueryService, ServiceConfig
 from repro.service.http import BadRequest, read_request, render_request
 
@@ -82,6 +83,44 @@ class TestContentLengthParsing:
             parse(_request("Content-Length: 99999999\r\n"), )
 
 
+class TestUpstreamResponseFraming:
+    """The router reads replica responses through the same bounded
+    start-line + header reader as ``read_request``."""
+
+    @staticmethod
+    def read(raw: bytes):
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await _read_upstream_response(reader)
+
+        return asyncio.run(go())
+
+    def test_well_formed_response_parses(self):
+        outcome = self.read(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+        assert (outcome.status, outcome.body) == (200, b"{}")
+
+    def test_line_past_the_stream_limit_is_a_protocol_error(self):
+        with pytest.raises(BadRequest, match="too long"):
+            self.read(b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n")
+
+    def test_header_block_is_bounded(self):
+        padding = b"".join(b"X-%d: %s\r\n" % (i, b"a" * 1000) for i in range(40))
+        with pytest.raises(BadRequest, match="too large"):
+            self.read(b"HTTP/1.1 200 OK\r\n" + padding + b"\r\n")
+
+    def test_conflicting_content_lengths_are_a_protocol_error(self):
+        with pytest.raises(BadRequest, match="conflicting"):
+            self.read(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{}"
+            )
+
+    def test_hangup_inside_headers_is_a_short_read(self):
+        with pytest.raises(asyncio.IncompleteReadError):
+            self.read(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n")
+
+
 class TestRenderRequest:
     def test_round_trips_through_read_request(self):
         raw = render_request(
@@ -138,6 +177,25 @@ def test_live_service_answers_400_on_conflicting_lengths(service):
     )
     assert response.startswith(b"HTTP/1.1 400 ")
     assert b"conflicting" in response
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+    ],
+    ids=["request-line", "header-line"],
+)
+def test_live_service_answers_400_on_a_line_past_the_stream_limit(service, payload):
+    # asyncio reports such a line as a bare ValueError; it used to kill
+    # the connection task instead of producing a response.
+    response = _raw_exchange(service, payload)
+    assert response.startswith(b"HTTP/1.1 400 ")
+    assert b"too long" in response
+    # ... and the service keeps serving the next connection.
+    response = _raw_exchange(service, b"GET /healthz HTTP/1.1\r\n\r\n")
+    assert response.startswith(b"HTTP/1.1 200 ")
 
 
 def test_live_service_still_answers_well_formed_requests(service):
