@@ -49,6 +49,7 @@ from ..query.algebra import JUCQ, ucq_as_jucq
 from ..query.bgp import BGPQuery
 from ..reformulation.jucq import scq_reformulation
 from ..reformulation.litemat import IntervalReformulator
+from ..reasoning.encoded import Saturated, saturate_database
 from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 from ..resilience.budget import ExecutionBudget
 from ..resilience.errors import (
@@ -164,9 +165,10 @@ class QueryAnswerer:
         #: caching entirely; when set, the reformulator's memo and the
         #: engine's SQL cache (if any) are registered for unified stats.
         #: LiteMat interval machinery (DESIGN.md §16): the assigner owns
-        #: the derived interval-encoded store (epoch-keyed, rebuilt on
-        #: schema/data mutation); the reformulator memoizes interval
-        #: plans guarded by (schema fingerprint, encoding epoch).
+        #: the derived interval-encoded store (re-encoded on schema
+        #: mutation, extended on data mutation); the reformulator
+        #: memoizes interval plans guarded by (schema fingerprint,
+        #: encoding epoch).
         self.interval_assigner = IntervalAssigner()
         self.interval_reformulator = IntervalReformulator(database.schema)
         self.cache = cache
@@ -195,6 +197,9 @@ class QueryAnswerer:
         #: ``engine.for_database``: strategy -> (key the store was
         #: derived at, engine).  The answerer owns them (see ``close``).
         self._derived: Dict[str, Tuple[Any, Engine]] = {}
+        #: ``(schema fingerprint, saturated store)`` as derived last: the
+        #: state the next write's re-saturation starts from.
+        self._saturated: Optional[Tuple[str, Saturated]] = None
         #: Guards the lazily-built shared members (derived engines,
         #: default breaker) against duplicate construction when
         #: concurrent callers share one answerer.
@@ -430,8 +435,8 @@ class QueryAnswerer:
             return query, None
         if strategy == "litemat":
             with tracer.span("reformulate", strategy=strategy) as span:
-                encoding, _store, epoch = self.interval_assigner.current(
-                    self.database
+                encoding, _store, (epoch, _version) = (
+                    self.interval_assigner.current(self.database)
                 )
                 reformulated = self.interval_reformulator.reformulate(
                     query, encoding, epoch
@@ -802,15 +807,27 @@ class QueryAnswerer:
     def _engine_for(self, strategy: str) -> Engine:
         """The engine a strategy's plan runs on."""
         if strategy == "saturation":
+            fingerprint = self.database.schema.fingerprint()
             return self._derived_engine(
                 strategy,
-                (self.database.schema.fingerprint(), self.database.epoch),
-                self.database.saturated,
+                (fingerprint, self.database.epoch),
+                lambda: self._saturate(fingerprint),
             )
         if strategy == "litemat":
-            _encoding, store, epoch = self.interval_assigner.current(self.database)
-            return self._derived_engine(strategy, epoch, lambda: store)
+            _encoding, store, key = self.interval_assigner.current(self.database)
+            return self._derived_engine(strategy, key, lambda: store)
         return self.engine
+
+    def _saturate(self, fingerprint: str) -> RDFDatabase:
+        """The saturated store; while the schema stands, the one derived
+        last is handed back in and only extended (DESIGN.md §20)."""
+        held = self._saturated
+        saturated = saturate_database(
+            self.database,
+            held[1] if held is not None and held[0] == fingerprint else None,
+        )
+        self._saturated = (fingerprint, saturated)  # lock: held by _derived_engine
+        return saturated.database
 
     def _derived_engine(
         self, strategy: str, key: Any, derive: Callable[[], RDFDatabase]
@@ -843,6 +860,7 @@ class QueryAnswerer:
         """
         with self._lock:
             derived, self._derived = self._derived, {}
+            self._saturated = None
         for _key, engine in derived.values():
             close = getattr(engine, "close", None)
             if close is not None:

@@ -19,6 +19,11 @@ consequences.
 
 ``tests/test_counting.py`` checks the view equals batch re-saturation
 after arbitrary interleavings of inserts and deletes (Hypothesis).
+
+Not wired into answering: insert-only maintenance needs no counts
+(``reasoning/encoded.py`` merges the new rows' consequences, DESIGN.md
+§20) and the store has no delete API yet; deletion maintenance starts
+from this module once ``TripleTable`` can delete.
 """
 
 from __future__ import annotations

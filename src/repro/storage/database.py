@@ -49,7 +49,7 @@ class RDFDatabase:
         return cls.from_triples(graph, bits=bits)
 
     def load_facts(self, facts: Iterable[Triple]) -> int:
-        """Add fact triples and rebuild the indexes.
+        """Add fact triples and merge them into the indexes.
 
         Statistics invalidation is automatic: the mutation bumps the
         table version (and thus :attr:`epoch`), which every statistics
@@ -88,7 +88,7 @@ class RDFDatabase:
         """
         from ..reasoning.encoded import saturate_database
 
-        return saturate_database(self)
+        return saturate_database(self).database
 
     def __len__(self) -> int:
         """Number of stored fact triples."""

@@ -212,17 +212,26 @@ class Dictionary:
         assigner's re-encode path).
         """
         # Built in bulk, not by |dictionary| locked ``encode`` calls (most
-        # of a LiteMat re-encode).  ``dict.fromkeys`` keeps each term's
-        # first occurrence, in order: the codes ``encode`` would allocate.
-        leading = list(leading)
+        # of a LiteMat re-encode).  ``dict.fromkeys`` keeps each leading
+        # term's first occurrence, in order; the rest are told apart by
+        # old code, so no stored term is hashed or classified twice.
+        leading = list(dict.fromkeys(leading))
         for term in leading:
             self._check_encodable(term)
-        terms = list(dict.fromkeys(leading + self._snapshot.term_of))
+        with self._lock:  # one state of term_of, code_of and kind_counts
+            snap = self._snapshot
+            stored = list(snap.term_of)
+            moved = {snap.code_of.get(term) for term in leading}
+            kind_counts = Counter(snap.kind_counts)
+            kind_counts.update(
+                _kind_of(term) for term in leading if term not in snap.code_of
+            )
+        terms = leading + [
+            term for code, term in enumerate(stored) if code not in moved
+        ]
         new = Dictionary()
         new._snapshot = _Snapshot(
-            dict(zip(terms, range(len(terms)))),
-            terms,
-            dict(Counter(map(_kind_of, terms))),
+            dict(zip(terms, range(len(terms)))), terms, dict(kind_counts)
         )
         return new
 

@@ -35,7 +35,8 @@ change goes through :class:`IntervalAssigner`, which rebuilds the
 derived store copy-on-write (the old dictionary and table are never
 touched, so concurrent readers of the previous epoch stay consistent)
 and bumps its :attr:`~IntervalAssigner.epoch`, the *encoding epoch*
-that reformulation memos and plan-cache keys must include.
+that reformulation memos and plan-cache keys must include.  A data-only
+write leaves encoding and epoch alone and extends the derived store.
 
 This module is kept dependency-light and ``mypy --strict``-clean; the
 numpy bulk re-encode of the fact table lives in
@@ -52,6 +53,7 @@ from ..rdf.terms import Term
 from ..rdf.vocabulary import RDFS_SUBCLASS, RDFS_SUBPROPERTY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from ..reasoning.litemat import IntervalStore
     from .database import RDFDatabase
 
 #: A half-open code interval ``[lo, hi)``.
@@ -334,14 +336,16 @@ class IntervalEncoding:
 class IntervalAssigner:
     """Owns the interval-encoded derived store of one base database.
 
-    Rebuilds are copy-on-write: a schema or data mutation makes the
-    current ``(schema fingerprint, data epoch)`` key stale, and the next
-    :meth:`current` call builds a *new* encoding, dictionary and table
-    and publishes them by swapping references under the lock — the
-    superseded store is never mutated, so readers still evaluating
-    against it (or holding its codes) stay consistent.  Each publish
-    bumps :attr:`epoch`, the encoding epoch that reformulation memos
-    include in their keys (DESIGN.md §16).
+    Republishing is copy-on-write: a schema or data mutation makes the
+    current ``(schema fingerprint, data version)`` key stale, and the
+    next :meth:`current` call derives a *new* store and publishes it by
+    swapping references under the lock — the superseded store's table is
+    never mutated, so readers still evaluating against it stay
+    consistent.  A schema change re-encodes from scratch and bumps
+    :attr:`epoch`, the encoding epoch that reformulation memos include
+    in their keys (DESIGN.md §16).  A data-only write keeps encoding and
+    epoch and extends the held store by the new rows (DESIGN.md §20):
+    interval plans embed class and property codes only.
 
     Thread-safe; covered by ``tools/lint_locks.py``.
     """
@@ -349,9 +353,8 @@ class IntervalAssigner:
     def __init__(self, on_cycle: str = "collapse") -> None:
         self._lock = threading.Lock()
         self._on_cycle = on_cycle
-        self._key: Optional[Tuple[str, int]] = None
-        self._encoding: Optional[IntervalEncoding] = None
-        self._store: Optional["RDFDatabase"] = None
+        #: ``((schema fingerprint, data version), store)`` as published.
+        self._published: Optional[Tuple[Tuple[str, int], "IntervalStore"]] = None
         self._epoch = 0
 
     @property
@@ -361,29 +364,35 @@ class IntervalAssigner:
 
     def current(
         self, database: "RDFDatabase"
-    ) -> Tuple[IntervalEncoding, "RDFDatabase", int]:
-        """The ``(encoding, derived store, encoding epoch)`` for ``database``.
+    ) -> Tuple[IntervalEncoding, "RDFDatabase", Tuple[int, int]]:
+        """The ``(encoding, derived store, store key)`` for ``database``.
 
-        Rebuilds when the database's schema fingerprint or data epoch
-        moved since the last call; otherwise returns the published
-        triple unchanged.
+        The store key is ``(encoding epoch, base data version)``: what
+        the store was built from, so what anything built over it (an
+        engine) is keyed on.  Republishes when the schema fingerprint or
+        data version moved since the last call.
         """
         key = (database.schema.fingerprint(), database.epoch)
         with self._lock:
-            if self._key == key and self._encoding is not None and self._store is not None:
-                return self._encoding, self._store, self._epoch
-        # Build outside the lock: re-encoding is the expensive part and
-        # readers of the previous epoch must not block on it.
+            published = self._published
+            if published is not None and published[0] == key:
+                store = published[1]
+                return store.encoding, store.database, (self._epoch, key[1])
+        # Derive outside the lock: readers of the published store must
+        # not block on it.
         from ..reasoning.litemat import interval_encode_database
 
-        encoding, store = interval_encode_database(database, on_cycle=self._on_cycle)
+        held = None
+        if published is not None and published[1].encoding.schema_fingerprint == key[0]:
+            held = published[1]
+        derived = interval_encode_database(database, on_cycle=self._on_cycle, held=held)
         with self._lock:
-            if self._key != key:
-                self._key = key
-                self._encoding = encoding
-                self._store = store
-                self._epoch += 1
-            current_encoding = self._encoding
-            current_store = self._store
-            assert current_encoding is not None and current_store is not None
-            return current_encoding, current_store, self._epoch
+            published = self._published
+            if published is None or published[0] != key:
+                # Plans embed the encoding's codes: a different encoding
+                # (even one racing in late) must drop them.
+                if published is None or derived.encoding is not published[1].encoding:
+                    self._epoch += 1
+                published = self._published = (key, derived)
+            (_fingerprint, version), store = published
+            return store.encoding, store.database, (self._epoch, version)

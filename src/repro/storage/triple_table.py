@@ -24,10 +24,18 @@ s, p, o      spo
 
 Column codes must fit in ``BITS`` bits (default 21 → two million
 distinct values, ample for the benchmark scales; raise it for more).
+
+Writes merge (DESIGN.md §20): :meth:`TripleTable.freeze` sorts only the
+buffered rows and merges the ones not yet stored into each index.
+Published index arrays are read-only and never written in place; a
+merge builds new arrays and swaps the index dict once.  Buffering and
+merging serialize on one lock (a reader that sees a new ``version`` and
+then reads gets that version's rows); reads of a clean table take none.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,12 +92,27 @@ def index_for_range(pattern: Pattern, position: int) -> str:
     return _RANGE_INDEX[(bound, position)]
 
 
+def _dedup_sorted(values: np.ndarray) -> np.ndarray:
+    """A sorted array without its adjacent duplicates."""
+    keep = np.ones(values.shape, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def keys_absent_from(keys: np.ndarray, stored: np.ndarray) -> np.ndarray:
+    """The members of ``keys`` that ``stored`` lacks (both sorted, duplicate-free)."""
+    if stored.size == 0:
+        return keys
+    at = np.minimum(np.searchsorted(stored, keys), stored.size - 1)
+    return keys[stored[at] != keys]
+
+
 class TripleTable:
     """Sorted-array triple store over a :class:`Dictionary`.
 
     Usage: ``add_triples`` (or ``add_encoded``) then :meth:`freeze`;
     lookups require a frozen table.  ``freeze`` is idempotent and
-    re-freezing after more adds rebuilds the indexes.
+    re-freezing after more adds merges them into the indexes.
     """
 
     def __init__(self, dictionary: Optional[Dictionary] = None, bits: int = 21):
@@ -98,6 +121,8 @@ class TripleTable:
         self.dictionary = dictionary if dictionary is not None else Dictionary()
         self.bits = bits
         self._mask = (1 << bits) - 1
+        #: Serializes buffering and :meth:`freeze`; reads take no lock.
+        self._lock = threading.Lock()
         self._pending: List[Tuple[int, int, int]] = []
         self._pending_blocks: List[np.ndarray] = []
         self._indexes: Optional[dict] = None
@@ -123,73 +148,86 @@ class TripleTable:
     def add_triples(self, triples: Iterable[Triple]) -> int:
         """Encode and buffer ground triples; returns how many were buffered."""
         encode = self.dictionary.encode
-        added = 0
-        for triple in triples:
-            self._pending.append((encode(triple.s), encode(triple.p), encode(triple.o)))
-            added += 1
-        if added:
-            self._dirty = True
-            self._version += 1
-        return added
+        return self.add_encoded(
+            [(encode(triple.s), encode(triple.p), encode(triple.o)) for triple in triples]
+        )
 
     def add_encoded(self, rows: Iterable[Tuple[int, int, int]]) -> int:
         """Buffer already-encoded rows."""
-        before = len(self._pending)
-        self._pending.extend(rows)
-        added = len(self._pending) - before
-        if added:
-            self._dirty = True
-            self._version += 1
-        return added
+        rows = list(rows)
+        with self._lock:
+            self._pending.extend(rows)
+            if rows:
+                self._dirty = True
+                self._version += 1
+        return len(rows)
 
     def add_block(self, block: np.ndarray) -> int:
         """Buffer an already-encoded ``(n, 3)`` array without conversion."""
         if block.ndim != 2 or block.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) block, got shape {block.shape}")
-        self._pending_blocks.append(np.asarray(block, dtype=np.int64))
-        if block.shape[0]:
-            self._dirty = True
-            self._version += 1
+        with self._lock:
+            self._pending_blocks.append(np.asarray(block, dtype=np.int64))
+            if block.shape[0]:
+                self._dirty = True
+                self._version += 1
         return int(block.shape[0])
 
     def freeze(self) -> None:
-        """(Re)build the six sorted composite-key indexes; dedups rows."""
+        """Merge the buffered rows into the six sorted composite-key indexes.
+
+        Rows already stored (or repeated in the buffer) are dropped; the
+        rest are merged into *new* index arrays, published together.  The
+        first build is the same merge into six empty arrays.
+        """
         if self._indexes is not None and not self._dirty:
             return
-        if len(self.dictionary) > (1 << self.bits):
-            raise OverflowError(
-                f"{len(self.dictionary)} dictionary codes exceed {self.bits}-bit columns"
-            )
-        blocks = list(self._pending_blocks)
-        if self._pending:
-            blocks.append(np.array(self._pending, dtype=np.int64))
-        base = self._existing_rows()
-        if base is not None:
-            blocks.insert(0, base)
-        if blocks:
+        with self._lock:
+            if self._indexes is not None and not self._dirty:
+                return
+            if len(self.dictionary) > (1 << self.bits):
+                raise OverflowError(
+                    f"{len(self.dictionary)} dictionary codes exceed {self.bits}-bit columns"
+                )
+            blocks = [np.empty((0, 3), dtype=np.int64), *self._pending_blocks]
+            if self._pending:
+                blocks.append(np.array(self._pending, dtype=np.int64))
             rows = np.vstack(blocks)
-        else:
-            rows = np.empty((0, 3), dtype=np.int64)
-        self._pending = []
-        self._pending_blocks = []
-        self._dirty = False
-        indexes = {}
-        shift2, shift1 = 2 * self.bits, self.bits
-        for name, order in PERMUTATIONS.items():
-            keys = (
-                (rows[:, order[0]] << shift2)
-                | (rows[:, order[1]] << shift1)
-                | rows[:, order[2]]
-            )
-            keys = np.unique(keys)  # sorts and removes duplicate triples
-            indexes[name] = keys
-        self._indexes = indexes
-        self._count = int(indexes["spo"].shape[0])
+            stored = self._indexes or dict.fromkeys(PERMUTATIONS, np.empty(0, dtype=np.int64))
+            fresh = _dedup_sorted(np.sort(self._pack(rows[:, 0], rows[:, 1], rows[:, 2])))
+            fresh = keys_absent_from(fresh, stored["spo"])
+            if fresh.size or self._indexes is None:
+                columns = [self._column_from_keys(fresh, slot) for slot in range(3)]
+                indexes = {}
+                for name, order in PERMUTATIONS.items():
+                    keys = fresh
+                    if name != "spo":
+                        keys = np.sort(self._pack(*(columns[position] for position in order)))
+                    held = stored[name]
+                    if held.size:
+                        keys = np.insert(held, np.searchsorted(held, keys), keys)
+                    keys.setflags(write=False)
+                    indexes[name] = keys
+                self._indexes = indexes
+                self._count = int(indexes["spo"].shape[0])
+            # Cleared last: a reader that finds the table clean finds the rows.
+            self._pending = []
+            self._pending_blocks = []
+            self._dirty = False
 
-    def _existing_rows(self) -> Optional[np.ndarray]:
-        if self._indexes is None:
-            return None
-        return self._decode_keys(self._indexes["spo"], "spo")
+    def copy(self) -> "TripleTable":
+        """A new table over the same dictionary and (shared, read-only) indexes."""
+        self.freeze()
+        other = TripleTable(dictionary=self.dictionary, bits=self.bits)
+        other._indexes = dict(self._indexes)
+        other._count = self._count
+        other._dirty = False
+        return other
+
+    def index(self, name: str) -> np.ndarray:
+        """The published sorted key array of one permutation (read-only)."""
+        self.freeze()
+        return self._indexes[name]
 
     # ------------------------------------------------------------------
     # Lookup
@@ -207,7 +245,7 @@ class TripleTable:
         """All matching triples as an ``(n, 3)`` array in (s, p, o) order."""
         lo, hi, name = self._range(pattern)
         keys = self._indexes[name][lo:hi]
-        return self._decode_keys(keys, name)
+        return self.decode_keys(keys, name)
 
     def match_columns(self, pattern: Pattern, positions: Sequence[int]) -> np.ndarray:
         """Matching rows restricted to the given positions (0=s, 1=p, 2=o)."""
@@ -230,7 +268,7 @@ class TripleTable:
         """
         row_lo, row_hi, name = self._range_interval(pattern, position, lo, hi)
         keys = self._indexes[name][row_lo:row_hi]
-        return self._decode_keys(keys, name)
+        return self.decode_keys(keys, name)
 
     def iter_matches(self, pattern: Pattern) -> Iterator[Tuple[int, int, int]]:
         """Iterate matches as plain tuples (used by tuple-at-a-time code)."""
@@ -248,9 +286,10 @@ class TripleTable:
         order = PERMUTATIONS[name]
         slot = order.index(position)
         column = self._column_from_keys(keys, slot)
-        if column.size == 0:
-            return 0
-        return int(np.unique(column).size)
+        # The slot right after the bound prefix is sorted within the range.
+        if slot != sum(value is not None for value in pattern):
+            column = np.sort(column)
+        return int(_dedup_sorted(column).size)
 
     # ------------------------------------------------------------------
     # Internals
@@ -313,7 +352,12 @@ class TripleTable:
         shift = (2 * self.bits, self.bits, 0)[slot]
         return (keys >> shift) & self._mask
 
-    def _decode_keys(self, keys: np.ndarray, name: str) -> np.ndarray:
+    def _pack(self, first: np.ndarray, second: np.ndarray, third: np.ndarray) -> np.ndarray:
+        """Composite keys of three code columns, most significant first."""
+        return (first << (2 * self.bits)) | (second << self.bits) | third
+
+    def decode_keys(self, keys: np.ndarray, name: str = "spo") -> np.ndarray:
+        """Composite keys of one permutation back to ``(n, 3)`` (s, p, o) rows."""
         order = PERMUTATIONS[name]
         out = np.empty((keys.shape[0], 3), dtype=np.int64)
         for slot, position in enumerate(order):
@@ -321,6 +365,6 @@ class TripleTable:
         return out
 
     def __repr__(self) -> str:
-        pending = len(self._pending)
+        pending = len(self._pending) + sum(len(b) for b in self._pending_blocks)
         frozen = self._count if self._indexes is not None else 0
         return f"TripleTable({frozen} triples frozen, {pending} pending)"

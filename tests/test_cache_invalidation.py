@@ -258,20 +258,28 @@ class TestLitematInvalidation:
         assert answerer.interval_assigner.epoch > epoch_before
         assert memo.invalidations > invalidations_before
 
-    def test_data_mutation_bumps_encoding_epoch(self, book_db):
-        """Data-only changes re-encode too (the derived store embeds the
-        facts), so the memo guard must move even though the schema
-        fingerprint — the old, insufficient key — is unchanged."""
+    def test_data_write_keeps_encoding_epoch(self, book_db):
+        """An insert-only write extends the derived store under the same
+        encoding: the encoding epoch and the reformulation memo survive,
+        and the engine — keyed on (encoding epoch, data version), not on
+        the epoch alone — is the one over the store with the new row."""
         answerer = make_answerer(book_db, cache=QueryCache())
         query = self._publications_query()
         _answers(answerer, query, strategy="litemat")
         fingerprint = book_db.schema.fingerprint()
         epoch_before = answerer.interval_assigner.epoch
+        engine_before = answerer._engine_for("litemat")
+        memo = answerer.interval_reformulator.cache
+        hits_before, runs_before = memo.hits, answerer.interval_reformulator.runs
         book_db.load_facts([Triple(ex("doi4"), RDF_TYPE, ex("Book"))])
         after = _answers(answerer, query, strategy="litemat")
         assert book_db.schema.fingerprint() == fingerprint
-        assert answerer.interval_assigner.epoch > epoch_before
         assert ex("doi4") in {row[0] for row in after}
+        assert answerer.interval_assigner.epoch == epoch_before
+        assert answerer._engine_for("litemat") is not engine_before
+        assert memo.hits == hits_before + 1
+        assert answerer.interval_reformulator.runs == runs_before
+        assert after == _answers(make_answerer(book_db), query, strategy="saturation")
 
     def test_interval_memo_guard_includes_encoding_epoch(self, book_db):
         """The memo key regression pinned directly: same schema
@@ -282,7 +290,7 @@ class TestLitematInvalidation:
         query = self._publications_query()
         _answers(answerer, query, strategy="litemat")
         reformulator = answerer.interval_reformulator
-        encoding, _store, epoch = answerer.interval_assigner.current(book_db)
+        encoding, _store, (epoch, _version) = answerer.interval_assigner.current(book_db)
         hits_before = reformulator.cache.hits
         reformulator.reformulate(query, encoding, epoch)
         assert reformulator.cache.hits == hits_before + 1

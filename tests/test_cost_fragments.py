@@ -207,7 +207,7 @@ def test_a_value_computed_under_the_old_epoch_is_not_served_under_the_new():
 def test_id_range_atoms_are_counted_by_range_scan_on_the_shared_atom_path(
     lubm_db, monkeypatch
 ):
-    encoding, store = interval_encode_database(lubm_db)
+    encoding, store, _base_keys, _remap = interval_encode_database(lubm_db)
     x = Variable("x")
     professor = URI("http://swat.cse.lehigh.edu/onto/univ-bench.owl#Professor")
     plan = interval_reformulate(

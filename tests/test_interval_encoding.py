@@ -541,8 +541,8 @@ class TestIntervalAssigner:
         assigner = IntervalAssigner()
         assert assigner.epoch == 0
         db = _tiny_db()
-        _, _, epoch = assigner.current(db)
-        assert epoch == 1
+        _, _, (epoch, _version) = assigner.current(db)
+        assert epoch == 1 and assigner.epoch == 1
 
     def test_same_key_returns_identical_objects(self):
         assigner = IntervalAssigner()
@@ -560,7 +560,7 @@ class TestIntervalAssigner:
         db.schema.add_subclass(u("Report"), u("Publication"))
         db.load_facts([Triple(u("r1"), RDF_TYPE, u("Report"))])
         enc2, store2, e2 = assigner.current(db)
-        assert e2 == e1 + 1
+        assert e2[0] == e1[0] + 1
         assert store2 is not store1 and enc2 is not enc1
         # The superseded derived store was never mutated.
         assert len(store1.table) == old_len

@@ -128,13 +128,13 @@ class TestIncremental:
 
 class TestEncodedSaturation:
     def test_matches_reference_on_lubm(self, lubm_db):
-        fast = saturate_database(lubm_db)
+        fast = saturate_database(lubm_db).database
         reference = saturate(lubm_db.facts_graph(), lubm_db.schema)
         assert len(fast) == len(reference)
         assert fast.facts_graph() == reference
 
     def test_database_saturated_shortcut(self, lubm_db):
-        assert len(lubm_db.saturated()) == len(saturate_database(lubm_db))
+        assert len(lubm_db.saturated()) == len(saturate_database(lubm_db).database)
 
 
 # ----------------------------------------------------------------------
@@ -190,4 +190,4 @@ def test_encoded_equals_reference_saturation(schema, facts):
     reference = saturate(RDFGraph(facts), schema)
     db = RDFDatabase(schema=schema)
     db.load_facts(facts)
-    assert saturate_database(db).facts_graph() == reference
+    assert saturate_database(db).database.facts_graph() == reference
