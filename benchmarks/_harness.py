@@ -20,12 +20,10 @@ variable                 default  meaning
 =======================  =======  ===========================================
 
 Structured results: every benchmark's ``main()`` funnels its rows
-through a :class:`repro.bench.BenchReport` and returns it, so
-``run_all.py`` can aggregate one schema-versioned ``BENCH_<name>.json``
-perf-trajectory document (compared across commits by
-``repro bench-diff``).  :func:`finish_grid` is the shared epilogue for
+through a :class:`repro.bench.BenchReport` and writes it as
+``results/<name>.txt``.  :func:`finish_grid` is the shared epilogue for
 grid-shaped benchmarks — it prints the paper-style table and writes the
-``results/*.txt`` file from the *same* cells the JSON carries.
+text file from the same cells.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ from repro.datasets import (
 )
 from repro.engine import (
     EngineFailure,
+    EngineTimeout,
     NATIVE_HASH,
     NATIVE_MERGE,
     NativeEngine,
@@ -64,21 +63,16 @@ LUBM_LARGE_UNIVERSITIES = int(os.environ.get("REPRO_LUBM_LARGE", "48"))
 DBLP_PUBLICATIONS = int(os.environ.get("REPRO_DBLP_PUBS", "12000"))
 EVAL_TIMEOUT_S = float(os.environ.get("REPRO_BENCH_TIMEOUT", "60"))
 BENCH_REPEATS = max(1, int(os.environ.get("REPRO_BENCH_REPEATS", "1")))
-#: ``REPRO_MINIMIZE=0`` turns the containment-based UCQ minimization
-#: pass off for the whole run — the "before" arm of a before/after
-#: BENCH pair (the explicit ``minimize=`` arguments still win).
-MINIMIZE_DEFAULT = os.environ.get("REPRO_MINIMIZE", "1") != "0"
 
 
 def scales() -> Dict[str, Any]:
-    """The dataset/measurement scales in effect (BENCH provenance)."""
+    """The dataset/measurement scales in effect (the ``# scales:`` line)."""
     return {
         "lubm_small_universities": LUBM_SMALL_UNIVERSITIES,
         "lubm_large_universities": LUBM_LARGE_UNIVERSITIES,
         "dblp_publications": DBLP_PUBLICATIONS,
         "timeout_s": EVAL_TIMEOUT_S,
         "repeats": BENCH_REPEATS,
-        "minimize": MINIMIZE_DEFAULT,
     }
 
 #: The three engine personalities of the study (the paper's "three
@@ -192,22 +186,22 @@ REFORMULATION_TERM_LIMIT = 50_000
 
 
 @lru_cache(maxsize=None)
-def reformulator(dataset: str, minimize: Optional[bool] = None) -> Reformulator:
+def reformulator(dataset: str, minimize: bool = True) -> Reformulator:
     """A shared memoizing reformulator per store.
 
     ``minimize=False`` turns the containment-based UCQ minimization
-    pass off — the ablation arm of the minimize-on/off bench cells.
+    pass off — the ablation arm of fig4's ``+nomin`` cells.
     """
     return Reformulator(
         database(dataset).schema,
         limit=REFORMULATION_TERM_LIMIT,
-        minimize=MINIMIZE_DEFAULT if minimize is None else minimize,
+        minimize=minimize,
     )
 
 
 @lru_cache(maxsize=None)
 def answerer(
-    dataset: str, engine_name: str, minimize: Optional[bool] = None
+    dataset: str, engine_name: str, minimize: bool = True
 ) -> QueryAnswerer:
     """A ready QueryAnswerer wired with the calibrated cost model."""
     return QueryAnswerer(
@@ -278,8 +272,6 @@ class Measurement:
     reformulation_terms: int = 0
     covers_explored: int = 0
     detail: str = ""
-    #: Operator counters/series from the report (always attached on ok).
-    metrics: Dict[str, Any] = field(default_factory=dict)
     #: Flattened telemetry trace (``Tracer.to_dicts`` form) when the
     #: measurement ran traced; ``None`` otherwise.
     trace: Optional[List[Dict[str, Any]]] = None
@@ -316,13 +308,13 @@ def measure(
     verify_ir: bool = False,
     cache: bool = False,
     repeats: Optional[int] = None,
-    minimize: Optional[bool] = None,
+    minimize: bool = True,
 ) -> Measurement:
     """Answer a query ``repeats`` times (default ``REPRO_BENCH_REPEATS``).
 
     The first repeat's Measurement is returned with every ok repeat's
     timings collected into ``*_samples_s`` — the repeat distribution
-    the BENCH cells carry.  A non-ok repeat ends the loop: missing-bar
+    the report cells carry.  A non-ok repeat ends the loop: missing-bar
     failures are deterministic and don't repay re-measurement.
     """
     repeats = BENCH_REPEATS if repeats is None else max(1, repeats)
@@ -354,7 +346,7 @@ def _measure_once(
     trace: bool = False,
     verify_ir: bool = False,
     cache: bool = False,
-    minimize: Optional[bool] = None,
+    minimize: bool = True,
 ) -> Measurement:
     """Answer one query under one strategy/engine, with missing-bar semantics.
 
@@ -366,8 +358,7 @@ def _measure_once(
     because it marks a pipeline bug rather than an engine limit.  With
     ``cache=True`` the measurement goes through the cache-enabled
     answerer (:func:`cached_answerer`): repeated measurements of the
-    same (query, strategy) are then warm, and the per-call cache
-    counters appear under ``metrics``.
+    same (query, strategy) are then warm.
     """
     from repro.optimizer import SearchInfeasible
     from repro.reformulation import ReformulationLimitExceeded
@@ -395,7 +386,7 @@ def _measure_once(
             dataset, entry.name, strategy, engine_name, "infeasible", detail=str(error)
         )
     except EngineFailure as error:
-        status = "timeout" if "timed out" in str(error).lower() else "failed"
+        status = "timeout" if isinstance(error, EngineTimeout) else "failed"
         return Measurement(
             dataset, entry.name, strategy, engine_name, status, detail=str(error)
         )
@@ -410,7 +401,6 @@ def _measure_once(
         answers=report.answer_count,
         reformulation_terms=report.reformulation_terms,
         covers_explored=report.covers_explored,
-        metrics=report.metrics,
         trace=tracer.to_dicts() if tracer is not None else None,
     )
 
@@ -502,7 +492,6 @@ def measurement_cell(report: BenchReport, m: Measurement) -> None:
         evaluation = m.evaluation_samples_s or [m.evaluation_s]
         metrics["optimization_ms"] = summarize(s * 1000 for s in optimization)
         metrics["evaluation_ms"] = summarize(s * 1000 for s in evaluation)
-    counters = m.metrics.get("counters", {}) if isinstance(m.metrics, dict) else {}
     info: Dict[str, Any] = {
         "answers": m.answers,
         "reformulation_terms": m.reformulation_terms,
@@ -519,7 +508,6 @@ def measurement_cell(report: BenchReport, m: Measurement) -> None:
         },
         status=m.status,
         metrics=metrics,
-        counters=counters,
         info=info,
     )
 
@@ -541,7 +529,7 @@ def finish_grid(
     strategies: Sequence[str],
 ) -> BenchReport:
     """Shared grid epilogue: print the table, write ``results/<name>.txt``
-    from the same cells the JSON document will carry, return the report."""
+    from the same cells, return the report."""
     print_grid(title, results, strategies)
     report = grid_report(name, results, title=title)
     out = report.write_text(results_dir() / f"{name}.txt")

@@ -101,11 +101,6 @@ def main():
         )
         report.add_cell(
             {"dataset": DATASET, "engine": ENGINE, "cache_level": level},
-            counters={
-                "size": stats["size"],
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-            },
             info={"hit_rate": round(stats["hit_rate"], 3)},
         )
     report.write_text(H.results_dir() / "cache.txt")

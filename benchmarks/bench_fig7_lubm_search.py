@@ -94,7 +94,7 @@ def search_main(bench_name: str, title: str, dataset: str, fresh_tools):
     """Shared fig7/fig8 driver: per-(query, method) optimizer timings.
 
     Each method — ECov/GCov search, UCQ/SCQ construction — becomes one
-    BENCH cell with a ``time_ms`` metric (infeasible/over-limit methods
+    report cell with a ``time_ms`` metric (infeasible/over-limit methods
     keep the paper's missing-cell semantics as non-ok statuses).
     """
     import gc

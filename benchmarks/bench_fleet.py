@@ -13,8 +13,8 @@ Every 200 response is byte-compared against a serially-computed oracle
 answer.  The battery *fails* (exit 1) on any answer mismatch or if any
 leg's success rate drops below 99% — replication must buy availability
 without ever changing answers.  Per-leg latency distributions,
-success rates, and the killed replica's recovery time land in a
-schema-versioned ``BENCH_fleet.json`` document.
+success rates, and the killed replica's recovery time land in
+``results/fleet.txt``.
 
 Two modes:
 
@@ -43,7 +43,7 @@ from urllib.parse import urlsplit
 
 import _harness as H
 from repro.answering import QueryAnswerer
-from repro.bench import summarize, write_combined
+from repro.bench import summarize
 from repro.datasets import build_lubm_database
 from repro.query import to_sparql
 
@@ -327,12 +327,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="router --state-file output (enables the kill leg in --url mode)",
     )
-    parser.add_argument(
-        "-o",
-        "--output",
-        default=str(H.results_dir() / "BENCH_fleet.json"),
-        help="BENCH document path",
-    )
     args = parser.parse_args(argv)
 
     print(
@@ -416,10 +410,6 @@ def run(argv: Optional[List[str]] = None) -> int:
                 print(f"  {kill_name} recovered in {recovery_s:.2f}s")
         else:
             print("  leg kill   skipped (no replica pid; pass --state-file)")
-        try:
-            router_counters = _router_status(host, port).get("counters", {})
-        except (http.client.HTTPException, OSError, ValueError):
-            router_counters = {}
     finally:
         if proxy is not None:
             proxy.stop()
@@ -447,12 +437,6 @@ def run(argv: Optional[List[str]] = None) -> int:
                 "throughput_rps": round(throughput, 3),
                 "success_rate": round(stats.success_rate, 6),
             },
-            counters={
-                "requests": stats.total,
-                "ok": stats.ok,
-                "errors": len(stats.errors),
-                "mismatches": len(stats.mismatches),
-            },
         )
         print(
             f"{stats.leg:8}{stats.total:>6}{stats.ok:>6}"
@@ -467,17 +451,9 @@ def run(argv: Optional[List[str]] = None) -> int:
             metrics={} if recovery_s is None else {"recovery_s": round(recovery_s, 3)},
             info={"killed": kill_name},
         )
-    if router_counters:
-        # The router's own view of the run: retries, failovers, hedges,
-        # restarts.  Pure observability — the gates above don't read it.
-        report.add_cell(
-            {"leg": "router"},
-            counters=dict(sorted(router_counters.items())),
-        )
 
-    write_combined([report], "fleet", args.output)
-    report.write_text(H.results_dir() / "fleet.txt")
-    print(f"\nwrote {args.output}")
+    out = report.write_text(H.results_dir() / "fleet.txt")
+    print(f"\nwrote {out}")
 
     failed = False
     for stats, _wall_s in legs:

@@ -10,7 +10,7 @@ subset of the LUBM workload — the Fig-4-class queries dominated by
 ``rdf:type`` atoms over classes with deep subclass trees, where the
 fan-out is worst.
 
-Headline cells (committed ``BENCH_litemat.json``):
+Headline cells (committed ``results/litemat.txt``):
 
 * union terms collapse to a *single range-scan term* on every
   type-heavy query — ≥11x fewer than the plain UCQ (Q05 65→1,
@@ -28,18 +28,16 @@ gcov-chosen JUCQ).  The differential sweeps in
 ``tests/test_differential.py`` cover them for correctness.
 
 ``python benchmarks/bench_litemat.py`` runs the grid, prints one table
-per engine plus the union-term comparison, and writes the
-schema-versioned BENCH document (``-o`` to choose the path) that the CI
-``litemat-smoke`` job diffs against ``BENCH_litemat_baseline.json``.
+per engine plus the union-term comparison, and writes
+``results/litemat.txt``; the CI ``litemat-smoke`` job fails on any cell
+of it that is not ``status=ok``.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import _harness as H
-from repro.bench import write_combined
 
 DATASET = "lubm-small"
 STRATEGIES = ("ucq", "scq", "gcov", "saturation", "litemat")
@@ -97,15 +95,7 @@ def _print_union_terms(results: Sequence[H.Measurement]) -> None:
         print(row)
 
 
-def main(argv: Optional[List[str]] = None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "-o",
-        "--output",
-        default=str(H.results_dir() / "BENCH_litemat.json"),
-        help="BENCH document path (default benchmarks/results/BENCH_litemat.json)",
-    )
-    args = parser.parse_args(argv)
+def main():
     _warm_derived_stores()
     results = H.run_grid(DATASET, _entries(), STRATEGIES, H.ENGINE_NAMES)
     report = H.finish_grid(
@@ -116,8 +106,6 @@ def main(argv: Optional[List[str]] = None):
         STRATEGIES,
     )
     _print_union_terms(results)
-    out = write_combined([report], "litemat", args.output)
-    print(f"BENCH document written to {out}")
     return report
 
 

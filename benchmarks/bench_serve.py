@@ -6,9 +6,8 @@ external one reached with ``--url`` (the CI ``serve-smoke`` job boots
 ``repro serve`` and points here).  Clients alternate between two
 tenant classes (``gold``/``bronze`` API keys), every response is
 byte-compared against a serially-computed oracle answer, and the
-per-tenant latency distributions plus throughput land as cells in a
-schema-versioned ``BENCH_serve.json`` document (compared across
-commits by ``repro bench-diff``).
+per-tenant latency distributions plus throughput land as cells in
+``results/serve.txt``.
 
 In ``--url`` mode the oracle rebuilds the datasets locally at the
 ``REPRO_*`` scales, so the server must have been booted at the same
@@ -36,7 +35,7 @@ from urllib.parse import urlsplit
 
 import _harness as H
 from repro.answering import QueryAnswerer
-from repro.bench import BenchReport, summarize, write_combined
+from repro.bench import summarize
 from repro.cache import QueryCache
 from repro.query import to_sparql
 from repro.reformulation import Reformulator
@@ -90,7 +89,6 @@ class ClientStats:
     def __init__(self, tenant: str) -> None:
         self.tenant = tenant
         self.latencies_s: List[float] = []
-        self.rejected_429 = 0
         self.errors: List[str] = []
         self.mismatches: List[str] = []
 
@@ -124,7 +122,6 @@ def _drive_client(
                     stats.errors.append(f"{dataset}/{name}: {error}")
                     break
                 if response.status == 429:
-                    stats.rejected_429 += 1
                     time.sleep(
                         min(2.0, float(payload.get("retry_after_s", 0.2)) or 0.2)
                     )
@@ -200,12 +197,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         "--url",
         default=None,
         help="drive an external server instead of booting one in-process",
-    )
-    parser.add_argument(
-        "-o",
-        "--output",
-        default=str(H.results_dir() / "BENCH_serve.json"),
-        help="BENCH document path",
     )
     args = parser.parse_args(argv)
 
@@ -285,7 +276,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         latencies_ms = [
             1000.0 * value for s in members for value in s.latencies_s
         ]
-        rejected = sum(s.rejected_429 for s in members)
         for s in members:
             if tenant != "all":
                 mismatches.extend(s.mismatches)
@@ -299,12 +289,6 @@ def run(argv: Optional[List[str]] = None) -> int:
                 "latency_ms": distribution,
                 "throughput_rps": round(throughput, 3),
             },
-            counters={
-                "requests": len(latencies_ms),
-                "rejected_429": rejected,
-                "errors": sum(len(s.errors) for s in members),
-                "mismatches": sum(len(s.mismatches) for s in members),
-            },
         )
         print(
             f"{tenant:8}{len(latencies_ms):>6}"
@@ -314,9 +298,8 @@ def run(argv: Optional[List[str]] = None) -> int:
             f"{throughput:>9.1f}"
         )
 
-    write_combined([report], "serve", args.output)
-    report.write_text(H.results_dir() / "serve.txt")
-    print(f"\nwall: {wall_s:.2f}s | wrote {args.output}")
+    out = report.write_text(H.results_dir() / "serve.txt")
+    print(f"\nwall: {wall_s:.2f}s | wrote {out}")
 
     if errors:
         print(f"\n{len(errors)} request errors:", file=sys.stderr)

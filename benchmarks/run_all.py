@@ -4,13 +4,9 @@ Usage::
 
     python benchmarks/run_all.py                   # everything
     python benchmarks/run_all.py table2 fig6       # a selection
-    python benchmarks/run_all.py --name smoke fig4 # custom BENCH name
 
-Full grids are printed paper-style, per-bench text tables land under
-``benchmarks/results/``, and every benchmark's structured cells are
-aggregated into one schema-versioned ``BENCH_<name>.json`` at the repo
-root — the perf-trajectory document ``repro bench-diff`` compares
-across commits.  Scales and timeouts come from the ``REPRO_*``
+Full grids are printed paper-style and per-bench text tables land under
+``benchmarks/results/``.  Scales and timeouts come from the ``REPRO_*``
 environment variables (see ``_harness.py``).
 """
 
@@ -19,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 import bench_table1_q1_stats
 import bench_table2_q1_covers
@@ -38,8 +33,6 @@ import bench_ablation_pruning
 import bench_cache
 import bench_litemat
 
-from repro.bench import BenchReport, write_combined
-
 TARGETS = {
     "table1": bench_table1_q1_stats.main,
     "table2": bench_table2_q1_covers.main,
@@ -56,7 +49,7 @@ TARGETS = {
     "ablation-calibration": bench_ablation_calibration.main,
     "ablation-pruning": bench_ablation_pruning.main,
     "cache": bench_cache.main,
-    "litemat": lambda: bench_litemat.main([]),
+    "litemat": bench_litemat.main,
 }
 
 
@@ -68,35 +61,16 @@ def main(argv):
         metavar="TARGET",
         help=f"benchmarks to run (default all): {', '.join(sorted(TARGETS))}",
     )
-    parser.add_argument(
-        "--name",
-        default="all",
-        help="BENCH document name: writes BENCH_<name>.json at the repo root",
-    )
-    parser.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="override the BENCH document path",
-    )
     args = parser.parse_args(argv)
     chosen = args.targets or list(TARGETS)
     unknown = [name for name in chosen if name not in TARGETS]
     if unknown:
         raise SystemExit(f"unknown targets {unknown}; choose from {sorted(TARGETS)}")
-    reports = []
     for name in chosen:
         print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
         start = time.perf_counter()
-        report = TARGETS[name]()
+        TARGETS[name]()
         print(f"[{name} done in {time.perf_counter() - start:.1f}s]")
-        if isinstance(report, BenchReport):
-            reports.append(report)
-    if reports:
-        path = args.output or Path(__file__).parent.parent / f"BENCH_{args.name}.json"
-        out = write_combined(reports, args.name, path)
-        cells = sum(len(report) for report in reports)
-        print(f"\nBENCH document ({len(reports)} benches, {cells} cells): {out}")
 
 
 if __name__ == "__main__":

@@ -1,50 +1,10 @@
-"""Structured benchmark reporting and regression gating (DESIGN.md §12).
+"""Structured reporting for the paper-figure benchmarks.
 
-:mod:`repro.bench.report` turns benchmark measurements into
-schema-versioned ``BENCH_*.json`` documents (and the matching text
-tables under ``benchmarks/results/``); :mod:`repro.bench.diff`
-compares two such documents with per-metric noise thresholds — the
-``repro bench-diff`` regression gate.
+:mod:`repro.bench.report` turns the measurements of the
+``benchmarks/bench_*.py`` scripts into the text tables under
+``benchmarks/results/``.
 """
 
-from .diff import (
-    DEFAULT_MAX_RATIO,
-    DEFAULT_MIN_ABS,
-    Delta,
-    DiffResult,
-    classify,
-    diff_documents,
-    format_diff,
-)
-from .report import (
-    BENCH_SCHEMA_VERSION,
-    BenchReport,
-    central,
-    combine,
-    environment,
-    git_sha,
-    load_document,
-    repro_env,
-    summarize,
-    write_combined,
-)
+from .report import BenchReport, central, summarize
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchReport",
-    "DEFAULT_MAX_RATIO",
-    "DEFAULT_MIN_ABS",
-    "Delta",
-    "DiffResult",
-    "central",
-    "classify",
-    "combine",
-    "diff_documents",
-    "environment",
-    "format_diff",
-    "git_sha",
-    "load_document",
-    "repro_env",
-    "summarize",
-    "write_combined",
-]
+__all__ = ["BenchReport", "central", "summarize"]

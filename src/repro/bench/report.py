@@ -1,78 +1,27 @@
-"""Structured benchmark results — the ``BENCH_*.json`` perf trajectory.
+"""Structured benchmark results behind the ``benchmarks/results/*.txt`` tables.
 
-Every benchmark in ``benchmarks/`` funnels its measurements through a
-:class:`BenchReport`: a named list of *cells*, one per measured
+Every paper-figure script in ``benchmarks/`` funnels its measurements
+through a :class:`BenchReport`: a named list of *cells*, one per measured
 configuration (e.g. query × strategy × engine), each carrying
 
 * ``labels`` — the configuration coordinates (all strings),
 * ``status`` — ``"ok"`` or a missing-bar kind (``failed``/``timeout``/
   ``infeasible``),
 * ``metrics`` — numeric results; timing metrics are repeat
-  *distributions* (:func:`summarize`) so later runs can be compared
-  against noise rather than a single sample,
-* ``counters`` — operator/cache counter deltas attached to the run,
+  *distributions* (:func:`summarize`), rendered by their median,
 * ``info`` — auxiliary scalars (answer counts, reformulation sizes).
 
-One report renders two ways from the same cells — the human text table
-written under ``benchmarks/results/`` and the JSON document aggregated
-by ``benchmarks/run_all.py`` into ``BENCH_<name>.json`` at the repo
-root — so the text and JSON outputs can never drift apart.  The JSON
-document is schema-versioned (:data:`BENCH_SCHEMA_VERSION`) and stamped
-with the git SHA, interpreter/platform, and the ``REPRO_*`` scale
-variables, which is what makes two documents comparable by
-``repro bench-diff`` (:mod:`repro.bench.diff`).
+:meth:`BenchReport.render_text` is the one rendering: the greppable
+one-line-per-cell table EXPERIMENTS.md quotes.  The repo's performance
+gate is ``BENCHMARK.json`` + ``benchmarks/e2e/``, not these tables.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import subprocess
-import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-#: Version of the ``BENCH_*.json`` document layout.  Bump on any
-#: backward-incompatible change to the cell or document structure.
-BENCH_SCHEMA_VERSION = 1
-
 Number = Union[int, float]
-
-
-def git_sha(cwd: Optional[str] = None) -> Optional[str]:
-    """The current commit's SHA, or None outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-def environment() -> Dict[str, Any]:
-    """Interpreter/host facts that contextualize timing numbers."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def repro_env() -> Dict[str, str]:
-    """The ``REPRO_*`` variables in effect (dataset scales, timeouts)."""
-    return {
-        key: value for key, value in sorted(os.environ.items())
-        if key.startswith("REPRO_")
-    }
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
@@ -89,9 +38,8 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
 def summarize(values: Iterable[Number], unit: str = "ms") -> Dict[str, Any]:
     """A repeat distribution: count/mean/min/max/p50 plus raw samples.
 
-    The raw samples are kept (rounded) so a future reader can recompute
-    any statistic; the derived fields make the common comparisons —
-    ``repro bench-diff`` reads ``p50`` — cheap and explicit.
+    The raw samples are kept (rounded) so a reader can recompute any
+    statistic; ``render_text`` prints ``p50``.
     """
     ordered = sorted(float(v) for v in values)
     if not ordered:
@@ -115,11 +63,11 @@ def summarize(values: Iterable[Number], unit: str = "ms") -> Dict[str, Any]:
 
 
 def central(metric: Any) -> Optional[float]:
-    """The comparable central value of a metric cell entry.
+    """The central value of a metric cell entry, as the text table prints it.
 
-    Plain numbers compare as themselves; :func:`summarize`
-    distributions compare by ``p50`` (falling back to ``mean``).
-    Anything else — including an empty distribution — is incomparable.
+    Plain numbers read as themselves; :func:`summarize` distributions
+    read by ``p50`` (falling back to ``mean``).  Anything else —
+    including an empty distribution — has none and is left out.
     """
     if isinstance(metric, bool):
         return None
@@ -134,7 +82,7 @@ def central(metric: Any) -> Optional[float]:
 
 
 class BenchReport:
-    """One benchmark's structured results (cells + provenance)."""
+    """One benchmark's structured results (cells + the scales they ran at)."""
 
     def __init__(
         self,
@@ -152,7 +100,6 @@ class BenchReport:
         labels: Dict[str, Any],
         status: str = "ok",
         metrics: Optional[Dict[str, Any]] = None,
-        counters: Optional[Dict[str, Number]] = None,
         info: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """Record one measured configuration; returns the cell dict."""
@@ -160,29 +107,14 @@ class BenchReport:
             "labels": {key: str(value) for key, value in labels.items()},
             "status": status,
             "metrics": dict(metrics or {}),
-            "counters": {k: v for k, v in (counters or {}).items()},
             "info": dict(info or {}),
         }
         self.cells.append(cell)
         return cell
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    # ------------------------------------------------------------------
-    # Rendering (the single code path for text and JSON)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "title": self.title,
-            "scales": self.scales,
-            "cells": self.cells,
-        }
-
     def render_text(self) -> str:
-        """Greppable one-line-per-cell text form of the same cells."""
-        lines = [f"# bench: {self.name} (schema v{BENCH_SCHEMA_VERSION})"]
+        """Greppable one-line-per-cell text form of the cells."""
+        lines = [f"# bench: {self.name} (schema v1)"]
         if self.title != self.name:
             lines.append(f"# title: {self.title}")
         if self.scales:
@@ -205,46 +137,3 @@ class BenchReport:
         path = Path(path)
         path.write_text(self.render_text())
         return path
-
-    def write_json(self, path: Union[str, Path]) -> Path:
-        """This report alone, wrapped as a full BENCH document."""
-        return write_combined([self], self.name, path)
-
-
-# ----------------------------------------------------------------------
-# BENCH_<name>.json documents
-# ----------------------------------------------------------------------
-def combine(reports: Sequence[BenchReport], name: str) -> Dict[str, Any]:
-    """The schema-versioned document aggregating several reports."""
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "name": name,
-        "created_unix": round(time.time(), 3),
-        "git_sha": git_sha(),
-        "env": environment(),
-        "repro_env": repro_env(),
-        "benches": [report.to_dict() for report in reports],
-    }
-
-
-def write_combined(
-    reports: Sequence[BenchReport], name: str, path: Union[str, Path]
-) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(combine(reports, name), indent=2) + "\n")
-    return path
-
-
-def load_document(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read and validate a ``BENCH_*.json`` document."""
-    with open(path, "r", encoding="utf-8") as source:
-        document = json.load(source)
-    version = document.get("schema_version")
-    if version != BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported BENCH schema version {version!r} "
-            f"(this build reads v{BENCH_SCHEMA_VERSION})"
-        )
-    if not isinstance(document.get("benches"), list):
-        raise ValueError(f"{path}: malformed BENCH document (no 'benches' list)")
-    return document

@@ -48,10 +48,6 @@ Commands
     (DESIGN.md §12) — callback-sampled gauges and latency histograms
     with quantiles — as Prometheus-style text or a JSON snapshot.
 
-``bench-diff``
-    Compare two ``BENCH_*.json`` perf-trajectory documents with
-    per-metric noise thresholds; exits 8 on any regression.
-
 ``serve``
     Run the multi-tenant HTTP query service (DESIGN.md §14): shared
     answerers with per-tenant admission control, bounded queueing,
@@ -60,7 +56,7 @@ Commands
 
 Failures map to distinct exit codes instead of tracebacks: 2 usage /
 IR verification, 3 chaos mismatch, 4 timeout, 5 engine failure,
-6 planning infeasible, 7 resilience exhausted, 8 bench regression.
+6 planning infeasible, 7 resilience exhausted.
 
 Examples::
 
@@ -88,13 +84,6 @@ from typing import List, Optional
 from .analysis import IRVerificationError, Severity
 from .analysis.lint import lint_query, lint_text
 from .answering import STRATEGIES, QueryAnswerer
-from .bench import (
-    DEFAULT_MAX_RATIO,
-    DEFAULT_MIN_ABS,
-    diff_documents,
-    format_diff,
-    load_document,
-)
 from .cache import QueryCache
 from .datasets import DBLPGenerator, DBLPProfile, LUBMGenerator, dblp_schema, lubm_schema
 from .engine import (
@@ -126,7 +115,6 @@ EXIT_TIMEOUT = 4
 EXIT_ENGINE_FAILURE = 5
 EXIT_PLANNING = 6
 EXIT_RESILIENCE = 7
-EXIT_REGRESSION = 8
 
 #: SQLite's compile-time compound-select limit: the strictest statement
 #: limit among the engines, used as the lint's default for rule L109.
@@ -1127,30 +1115,6 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_diff(args: argparse.Namespace) -> int:
-    """``repro bench-diff``: regression-gate two BENCH documents.
-
-    Exits :data:`EXIT_REGRESSION` when any metric worsens past both
-    noise thresholds (or an ok cell starts failing); improvements and
-    in-threshold drift exit 0.
-    """
-    try:
-        old_document = load_document(args.old)
-        new_document = load_document(args.new)
-    except (OSError, ValueError) as error:
-        print(f"repro: bench-diff: {error}", file=sys.stderr)
-        return 2
-    result = diff_documents(
-        old_document,
-        new_document,
-        max_ratio=args.max_ratio,
-        min_abs=args.min_abs,
-        metrics=args.metric or None,
-    )
-    print(format_diff(result, verbose=args.verbose))
-    return EXIT_REGRESSION if result.has_regressions else 0
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     """``repro stats``: summarize a dataset."""
     database = _load_database(args.data)
@@ -1406,36 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="write the export to a file (default stdout)"
     )
     metrics_export.set_defaults(handler=cmd_metrics_export)
-
-    bench_diff = commands.add_parser(
-        "bench-diff",
-        help="compare two BENCH_*.json documents; exit 8 on regression",
-    )
-    bench_diff.add_argument("old", help="baseline BENCH_*.json")
-    bench_diff.add_argument("new", help="candidate BENCH_*.json")
-    bench_diff.add_argument(
-        "--max-ratio",
-        type=float,
-        default=DEFAULT_MAX_RATIO,
-        help=f"relative noise gate (default {DEFAULT_MAX_RATIO}x)",
-    )
-    bench_diff.add_argument(
-        "--min-abs",
-        type=float,
-        default=DEFAULT_MIN_ABS,
-        help="absolute noise gate in the metric's unit "
-        f"(default {DEFAULT_MIN_ABS}, i.e. 1 ms for *_ms metrics)",
-    )
-    bench_diff.add_argument(
-        "--metric",
-        action="append",
-        default=[],
-        help="restrict the comparison to this metric (repeatable)",
-    )
-    bench_diff.add_argument(
-        "--verbose", action="store_true", help="also list neutral deltas"
-    )
-    bench_diff.set_defaults(handler=cmd_bench_diff)
 
     chaos = commands.add_parser(
         "chaos", help="differential fault-injection run (DESIGN.md §10)"

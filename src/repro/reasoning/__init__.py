@@ -3,11 +3,10 @@
 from .counting import CountingSaturator
 from .litemat import interval_encode_database
 from .rules import entail_from_triple, explain_entailment
-from .saturation import IncrementalSaturator, saturate, saturate_in_place
+from .saturation import saturate, saturate_in_place
 
 __all__ = [
     "CountingSaturator",
-    "IncrementalSaturator",
     "entail_from_triple",
     "explain_entailment",
     "interval_encode_database",

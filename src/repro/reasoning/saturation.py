@@ -10,19 +10,17 @@ Because :func:`repro.reasoning.rules.entail_from_triple` works over the
 a fact is derivable directly from that fact.  The worklist still guards
 against duplicates so shared consequences are derived once.
 
-The module also provides incremental maintenance for insertions
-(:meth:`IncrementalSaturator.add`) — the paper motivates reformulation
-by the cost of maintaining a saturated store under updates, and the
-benchmark for Figure 10 charges saturation for exactly this work.
+This is the reference oracle the differential tests compare against.
+The store the answerer serves is saturated, and maintained under
+insertions, by :func:`repro.reasoning.encoded.saturate_database`
+(``held=``, DESIGN.md §20) — the paper motivates reformulation by the
+cost of exactly that maintenance.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from ..rdf.graph import RDFGraph
 from ..rdf.schema import RDFSchema
-from ..rdf.terms import Triple
 from .rules import entail_from_triple
 
 
@@ -63,45 +61,3 @@ def saturate_in_place(graph: RDFGraph, schema: RDFSchema) -> int:
                 added += 1
                 worklist.append(consequence)
     return added
-
-
-class IncrementalSaturator:
-    """Maintains a saturated graph under triple insertions.
-
-    >>> sat = IncrementalSaturator(schema)
-    >>> sat.add(Triple(doi, written_by, author))
-    >>> implicit_count = len(sat.graph) - explicit_count
-
-    Deletion is intentionally not supported: sound deletion requires
-    provenance counting (as in the paper's reference [4]); insertions
-    are all the Figure 10 benchmark needs to charge saturation for
-    maintenance work.
-    """
-
-    def __init__(
-        self,
-        schema: RDFSchema,
-        initial: Optional[Iterable[Triple]] = None,
-    ) -> None:
-        self.schema = schema
-        self.graph = RDFGraph()
-        if initial is not None:
-            self.add_all(initial)
-
-    def add(self, triple: Triple) -> int:
-        """Insert ``triple`` and every new consequence; returns triples added."""
-        if not self.graph.add(triple):
-            return 0
-        added = 1
-        worklist = [triple]
-        while worklist:
-            current = worklist.pop()
-            for consequence in entail_from_triple(current, self.schema):
-                if self.graph.add(consequence):
-                    added += 1
-                    worklist.append(consequence)
-        return added
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns the total number of triples added."""
-        return sum(self.add(t) for t in triples)

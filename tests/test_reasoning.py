@@ -1,11 +1,10 @@
-"""Tests for RDFS entailment rules, saturation and incremental maintenance."""
+"""Tests for RDFS entailment rules and saturation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import RDFGraph, RDFSchema, RDF_TYPE, Triple, URI
 from repro.reasoning import (
-    IncrementalSaturator,
     entail_from_triple,
     explain_entailment,
     saturate,
@@ -99,31 +98,6 @@ class TestSaturation:
 
     def test_empty_graph(self, schema):
         assert len(saturate(RDFGraph(), schema)) == 0
-
-
-class TestIncremental:
-    def test_matches_batch(self, schema):
-        facts = [
-            Triple(u("i"), u("p"), u("j")),
-            Triple(u("k"), RDF_TYPE, u("A")),
-            Triple(u("j"), u("q"), u("k")),
-        ]
-        batch = saturate(RDFGraph(facts), schema)
-        incremental = IncrementalSaturator(schema, initial=facts[:1])
-        incremental.add_all(facts[1:])
-        assert incremental.graph == batch
-
-    def test_duplicate_add_is_noop(self, schema):
-        sat = IncrementalSaturator(schema)
-        first = sat.add(Triple(u("i"), u("p"), u("j")))
-        again = sat.add(Triple(u("i"), u("p"), u("j")))
-        assert first > 0
-        assert again == 0
-
-    def test_add_counts_consequences(self, schema):
-        sat = IncrementalSaturator(schema)
-        added = sat.add(Triple(u("i"), RDF_TYPE, u("A")))
-        assert added == 3  # the triple + types B and C
 
 
 class TestEncodedSaturation:
