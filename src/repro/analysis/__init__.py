@@ -51,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         check_jucq,
         check_minimization,
         check_plan,
+        check_subsumption,
         plan_schema,
         verify_bgp,
         verify_cover,
@@ -58,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         verify_minimization,
         verify_pipeline,
         verify_plan,
+        verify_subsumption,
     )
 
 _LAZY = {
@@ -66,6 +68,7 @@ _LAZY = {
     "check_jucq": "verifier",
     "check_minimization": "verifier",
     "check_plan": "verifier",
+    "check_subsumption": "verifier",
     "plan_schema": "verifier",
     "verify_bgp": "verifier",
     "verify_cover": "verifier",
@@ -73,6 +76,7 @@ _LAZY = {
     "verify_minimization": "verifier",
     "verify_plan": "verifier",
     "verify_pipeline": "verifier",
+    "verify_subsumption": "verifier",
     "check_sql": "sqlcheck",
     "verify_sql": "sqlcheck",
     "sql_output_columns": "sqlcheck",

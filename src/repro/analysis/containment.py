@@ -14,14 +14,14 @@ one CQ, this module compares whole CQs:
   characterization ``q1 ⊑ q2  iff  ∃ hom h: q2 → q1``;
 * :func:`core` — single-BGP minimization by folding atoms under
   head-fixing endomorphisms (the query's core);
-* :func:`minimize_ucq` — the UCQ subsumption pass: drop union terms
-  contained in a sibling, terms equivalent to a sibling up to variable
-  renaming (detected via the equivalence of the renaming-invariant
-  cache fingerprints of :mod:`repro.cache.fingerprint`, keyed directly),
-  and terms that are statically empty
+* :func:`minimize_ucq` — the UCQ subsumption pass over a *listed*
+  union: drop union terms contained in a sibling, terms equal to a
+  sibling up to variable renaming, and terms that are statically empty
   because they retain an unresolved RDFS constraint atom (constraints
   live in the schema closure, never in the triples table, so such an
-  atom can match no data).
+  atom can match no data).  It groups the terms by shape and runs the
+  pass the reformulator runs on its factors
+  (:mod:`repro.analysis.subsumption`): one minimizer, two ways in.
 
 Every elimination carries a :class:`Witness` — an equivalence
 certificate the IR verifier's ``IR-M*`` rules re-check independently
@@ -36,17 +36,21 @@ keyed by (query, schema) stay correct across data updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..cache.fingerprint import query_fingerprint
 from ..query.algebra import UCQ
-from ..query.bgp import (
-    BGPQuery,
-    Substitution,
-    renaming_invariant_key,
-    substitute_triple,
-)
+from ..query.bgp import BGPQuery, Substitution, substitute_triple
 from ..rdf.terms import Term, Triple, Variable
 from ..rdf.vocabulary import SCHEMA_PROPERTIES
+from .subsumption import (
+    DEFAULT_MAX_TERMS,
+    Domain,
+    Shape,
+    cells_of,
+    layout_of,
+    subsume,
+)
 
 __all__ = [
     "MinimizationResult",
@@ -60,11 +64,6 @@ __all__ = [
     "schema_empty_atoms",
     "verify_witness",
 ]
-
-#: Union sizes past which the quadratic subsumption sweep is skipped
-#: (the paper's q2-class reformulations reach ~300k terms; pairwise
-#: homomorphism checks there would dwarf evaluation itself).
-DEFAULT_MAX_TERMS = 512
 
 
 # ----------------------------------------------------------------------
@@ -354,63 +353,75 @@ def schema_empty_atoms(term: BGPQuery) -> List[int]:
     ]
 
 
-def _constants(term: BGPQuery) -> FrozenSet[Term]:
-    values: Set[Term] = set()
-    for atom in term.body:
-        for position in atom:
-            if not isinstance(position, Variable):
-                values.add(position)
-    return frozenset(values)
+def _describe(
+    term: BGPQuery, atoms: Dict[Triple, Tuple[Tuple, Tuple[Term, ...]]]
+) -> Tuple[Tuple, Tuple[Term, ...], Tuple]:
+    """``(layout key, head constants, pattern per atom)`` of a listed term.
 
-
-def _predicates(term: BGPQuery) -> Tuple[FrozenSet[Term], bool]:
-    """(constant predicates, has-variable-predicate) of a term's body."""
-    constant: Set[Term] = set()
-    has_variable = False
-    for atom in term.body:
-        if isinstance(atom.p, Variable):
-            has_variable = True
-        else:
-            constant.add(atom.p)
-    return frozenset(constant), has_variable
-
-
-def _duplicate_key(term: BGPQuery) -> Tuple:
-    """A renaming-invariant key: equal exactly when the fingerprints are.
-
-    The equivalence of :func:`repro.cache.fingerprint.query_fingerprint`
-    — head variables named by position, the others by first occurrence
-    over the atoms sorted by shape — computed directly: pass 2 wants a
-    dictionary key per union term, not a digest, and the digest costs a
-    substituted query, a ``canonical()``, a ``repr``, a sort and a hash
-    each.  The two partition a union identically (a query that itself
-    uses the fingerprint's ``_qfp0`` names aside: there the digest
-    renames defensively and may tell two copies apart).
+    Variables are numbered by first occurrence over the body, so terms
+    that differ in variable names and constants only share a key.
+    ``atoms`` memoizes each atom's cells and pattern: the terms of a
+    reformulation are built from few distinct atoms.
     """
-    positional: Dict[Variable, Tuple[int, str]] = {}
-    for head_term in term.head:
-        if type(head_term) is Variable and head_term not in positional:
-            positional[head_term] = (3, f"_qfp{len(positional)}")
-    return renaming_invariant_key(term.head, term.body, positional)
+    numbers: Dict[Variable, int] = {}
+    layout = []
+    patterns = []
+    for atom in term.body:
+        described = atoms.get(atom)
+        if described is None:
+            cells = cells_of(atom, lambda variable: variable)
+            described = atoms[atom] = (
+                cells,
+                tuple(t for t, c in zip((atom.s, atom.p, atom.o), cells) if c is None),
+            )
+        layout.append(
+            tuple(
+                numbers.setdefault(c, len(numbers)) if type(c) is Variable else c
+                for c in described[0]
+            )
+        )
+        patterns.append(described[1])
+    head = tuple(
+        numbers.setdefault(t, len(numbers)) if type(t) is Variable else None
+        for t in term.head
+    )
+    constants = tuple(t for t in term.head if type(t) is not Variable)
+    return (head, tuple(layout)), constants, tuple(patterns)
 
 
-def _may_subsume(
-    keeper_meta: Tuple[FrozenSet[Term], FrozenSet[Term], bool],
-    candidate_meta: Tuple[FrozenSet[Term], FrozenSet[Term], bool],
-) -> bool:
-    """Cheap necessary condition for a homomorphism keeper → candidate.
+def _listed_shapes(
+    terms: Sequence[Tuple[int, BGPQuery]],
+) -> Tuple[List[Shape], Dict[int, int]]:
+    """Group listed terms into shapes; also the terms that repeat a row.
 
-    Constants map to themselves, so every constant of the keeper must
-    occur in the candidate; likewise every constant predicate (the only
-    exception would be a keeper variable in predicate position, which
-    the metadata tracks).
+    Two terms with the same layout, head constants and patterns are the
+    same term up to variable names: the later one maps to the earlier.
     """
-    keeper_constants, keeper_preds, _ = keeper_meta
-    candidate_constants, candidate_preds, candidate_has_var = candidate_meta
-    del candidate_has_var
-    if not keeper_constants <= candidate_constants:
-        return False
-    return keeper_preds <= candidate_preds | candidate_constants
+    groups: Dict[Tuple, Tuple[List[Dict], Dict[Tuple[int, ...], int]]] = {}
+    repeated: Dict[int, int] = {}
+    atoms: Dict[Triple, Tuple[Tuple, Tuple[Term, ...]]] = {}
+    for number, term in terms:
+        layout, constants, patterns = _describe(term, atoms)
+        indexes, listed = groups.setdefault(
+            (layout, constants), ([{} for _ in patterns], {})
+        )
+        positions = tuple(
+            index.setdefault(pattern, len(index))
+            for index, pattern in zip(indexes, patterns)
+        )
+        earlier = listed.setdefault(positions, number)
+        if earlier != number:
+            repeated[number] = earlier
+    shapes = [
+        Shape(
+            layout_of(*key),
+            constants,
+            tuple(Domain(patterns=list(index)) for index in indexes),
+            listed=listed,
+        )
+        for (key, constants), (indexes, listed) in groups.items()
+    ]
+    return shapes, repeated
 
 
 def minimize_ucq(
@@ -418,38 +429,34 @@ def minimize_ucq(
     schema: object = None,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> MinimizationResult:
-    """Statically minimize a UCQ, recording a certificate per elimination.
+    """Statically minimize a listed UCQ, with a certificate per elimination.
 
-    Three passes, in order:
+    The terms are grouped into shapes and handed to the shape-level pass
+    the reformulator runs on its factors
+    (:func:`repro.analysis.subsumption.subsume`, DESIGN.md §13), which
+    eliminates, in effect, in three passes:
 
     1. **empty** — terms retaining an unresolved RDFS constraint atom
        match no data triple and are dropped;
-    2. **duplicate** — terms with the same renaming-invariant key (the
-       equivalence of the cache fingerprint, :func:`_duplicate_key`)
-       are collapsed to their first representative;
-    3. **subsumed** — a term contained in a surviving sibling
-       (homomorphism check) is dropped; the survivors form an antichain
-       under containment, processed in union order for determinism.
+    2. **duplicate** — terms equal up to renaming of variables (head
+       variables named by position) collapse to their first
+       representative;
+    3. **subsumed** — a term strictly contained in a sibling, or
+       equivalent to an earlier one, is dropped; the survivors form an
+       antichain under containment, in union order.
 
     If every term is eliminable, the first term is kept so the result
     stays a well-formed UCQ (this can only happen in the all-empty
     case, where keeping an empty term preserves the empty answer).
     ``schema`` is accepted for signature stability but unused: the
     constraint-vocabulary test needs only the fixed RDFS vocabulary.
-    Unions larger than ``max_terms`` skip the quadratic subsumption
-    sweep (passes 1-2 still run).
+    Unions larger than ``max_terms`` after passes 1-2 skip pass 3.
     """
     del schema
+    terms = ucq.cqs
     witnesses: List[Witness] = []
-    checks = 0
-    duplicates = 0
-    empty = 0
-    subsumed = 0
-
-    # Pass 1 + 2: linear sweeps (empty terms, renamed duplicates).
-    survivors: List[BGPQuery] = []
-    first_by_key: Dict[Tuple, BGPQuery] = {}
-    for term in ucq:
+    live: List[Tuple[int, BGPQuery]] = []
+    for number, term in enumerate(terms):
         empty_atoms = schema_empty_atoms(term)
         if empty_atoms:
             witnesses.append(
@@ -460,109 +467,73 @@ def minimize_ucq(
                     atom_index=empty_atoms[0],
                 )
             )
-            empty += 1
-            continue
-        key = _duplicate_key(term)
-        keeper = first_by_key.get(key)
-        if keeper is not None:
-            checks += 1
-            mapping = containment_witness(term, keeper)
-            if mapping is not None:
-                witnesses.append(
-                    Witness(
-                        kind="duplicate",
-                        removed=term,
-                        keeper=keeper,
-                        mapping=_frozen_mapping(mapping),
-                    )
-                )
-                duplicates += 1
-                continue
-            # Equal keys without containment: keep both.
         else:
-            first_by_key[key] = term
-        survivors.append(term)
+            live.append((number, term))
+    empty = len(witnesses)
+    if not live:
+        # Keep one empty term so the UCQ stays well-formed (it evaluates to ∅).
+        witnesses = witnesses[1:]
+        empty -= 1
 
-    # Pass 3: pairwise subsumption, skipped for oversized unions.
-    skipped = len(survivors) > max_terms
-    if not skipped and len(survivors) > 1:
-        metas = {
-            id(term): (_constants(term), *_predicates(term))
-            for term in survivors
-        }
-        kept: List[BGPQuery] = []
-        for term in survivors:
-            term_meta = metas[id(term)]
-            swallowed_by: Optional[BGPQuery] = None
-            mapping = None
-            for keeper in kept:
-                if not _may_subsume(metas[id(keeper)], term_meta):
-                    continue
-                checks += 1
-                mapping = containment_witness(term, keeper)
-                if mapping is not None:
-                    swallowed_by = keeper
-                    break
-            if swallowed_by is not None and mapping is not None:
-                witnesses.append(
-                    Witness(
-                        kind="subsumed",
-                        removed=term,
-                        keeper=swallowed_by,
-                        mapping=_frozen_mapping(mapping),
-                    )
-                )
-                subsumed += 1
-                continue
-            # The new term may in turn swallow earlier survivors.
-            still_kept: List[BGPQuery] = []
-            for keeper in kept:
-                if _may_subsume(term_meta, metas[id(keeper)]):
-                    checks += 1
-                    reverse = containment_witness(keeper, term)
-                    if reverse is not None:
-                        witnesses.append(
-                            Witness(
-                                kind="subsumed",
-                                removed=keeper,
-                                keeper=term,
-                                mapping=_frozen_mapping(reverse),
-                            )
-                        )
-                        subsumed += 1
-                        continue
-                still_kept.append(keeper)
-            still_kept.append(term)
-            kept = still_kept
-        survivors = kept
+    shapes, repeated = _listed_shapes(live)
 
-    if not survivors:
-        # Only reachable when every term was statically empty; keep one
-        # empty term so the UCQ stays well-formed (it evaluates to ∅).
-        survivors = [ucq.cqs[0]]
-        witnesses = [w for w in witnesses if w.removed is not ucq.cqs[0]]
-        empty = max(0, empty - 1)
+    def form(row: int) -> str:
+        # Pass 2's notion of a duplicate: equal cache fingerprints.
+        return query_fingerprint(terms[row])
 
+    capped = len(live) - len(repeated) > max_terms
+    result = subsume(shapes, form, renamings_only=capped)
+    if capped and len(live) - len(repeated) - len(result.duplicates) <= max_terms:
+        capped = False
+        result = subsume(shapes, form)
+    duplicates = len(repeated) + len(result.duplicates)
+    for removed, keeper in repeated.items():
+        pi = tuple(range(len(terms[removed].body)))
+        witnesses.append(_witness("duplicate", terms[removed], terms[keeper], pi))
+    for removed, (keeper, number) in result.eliminated.items():
+        kind = "duplicate" if removed in result.duplicates else "subsumed"
+        pi = result.certificates[number].hom.pi
+        witnesses.append(_witness(kind, terms[removed], terms[keeper], pi))
+
+    gone = {id(witness.removed) for witness in witnesses}
+    survivors = [term for term in terms if id(term) not in gone]
     minimized = (
         ucq
         if len(survivors) == len(ucq)
         else UCQ(survivors, name=ucq.name, head=ucq.head)
     )
     counters = {
-        "analysis.containment_checks": checks,
+        "analysis.containment_checks": result.checks,
         "analysis.terms_eliminated": len(witnesses),
     }
-    if skipped:
+    if capped:
         counters["analysis.minimize_skipped"] = 1
     return MinimizationResult(
         ucq=minimized,
         witnesses=tuple(witnesses),
-        checks=checks,
-        skipped=skipped,
+        checks=result.checks,
+        skipped=capped,
         duplicates=duplicates,
         empty=empty,
-        subsumed=subsumed,
+        subsumed=len(result.eliminated) - len(result.duplicates),
         counters=counters,
+    )
+
+
+def _witness(
+    kind: str, removed: BGPQuery, keeper: BGPQuery, pi: Sequence[int]
+) -> Witness:
+    """The per-term certificate: the mapping ``pi`` spells out on two terms."""
+    mapping: Substitution = {}
+    for atom, onto in zip(keeper.body, pi):
+        for term, image in zip(atom, removed.body[onto]):
+            if type(term) is Variable:
+                mapping[term] = image
+    for term, image in zip(keeper.head, removed.head):
+        if type(term) is Variable:
+            mapping[term] = image
+    return Witness(
+        kind=kind, removed=removed, keeper=keeper, mapping=_frozen_mapping(mapping)
     )
 
 
@@ -581,24 +552,3 @@ def minimization_summary(
         "skipped_subsumption": result.skipped,
         "witnesses": [w.describe() for w in result.witnesses],
     }
-
-
-def contained_terms(
-    terms: Iterable[BGPQuery], max_terms: int = DEFAULT_MAX_TERMS
-) -> List[Tuple[int, int]]:
-    """Pairs ``(i, j)`` where term ``i`` is contained in sibling ``j``.
-
-    Used by lint rule L111; bounded by ``max_terms`` like the pass.
-    """
-    indexed = list(terms)
-    if len(indexed) > max_terms:
-        return []
-    pairs: List[Tuple[int, int]] = []
-    metas = [(_constants(t), *_predicates(t)) for t in indexed]
-    for i, term in enumerate(indexed):
-        for j, other in enumerate(indexed):
-            if i == j or not _may_subsume(metas[j], metas[i]):
-                continue
-            if is_contained(term, other):
-                pairs.append((i, j))
-    return pairs

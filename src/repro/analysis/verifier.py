@@ -43,7 +43,9 @@ from ..engine.plans import (
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..rdf.terms import BlankNode, Variable
+from ..rdf.vocabulary import RDF_TYPE
 from ..reformulation.covers import Cover, check_cover, cover_queries
+from .subsumption import TYPE
 from .diagnostics import (
     Diagnostic,
     IRVerificationError,
@@ -54,12 +56,14 @@ from .diagnostics import (
 
 __all__ = [
     "check_bgp",
+    "check_subsumption",
     "check_cover",
     "check_jucq",
     "check_minimization",
     "check_plan",
     "plan_schema",
     "verify_bgp",
+    "verify_subsumption",
     "verify_cover",
     "verify_jucq",
     "verify_minimization",
@@ -576,6 +580,197 @@ def check_minimization(original: UCQ, result) -> List[Diagnostic]:
     return sort_diagnostics(findings)
 
 
+def _replay(source, target, hom):
+    """What a mapping between two layouts demands, or a defect text.
+
+    Every keeper cell must land on the cell ``hom`` says.  Returns the
+    removed head constant each keeper head constant must equal, the
+    removed slots each keeper pattern is made of, and the pairs of
+    removed constants the mapping forces to be equal.
+    """
+    pi, theta = hom.pi, hom.theta
+    if len(pi) != len(source.atoms) or len(source.head) != len(target.head):
+        return "mapping does not fit the keeper's layout"
+    equal = []
+
+    def lands(cell, onto) -> bool:
+        image = theta.get(cell)
+        if image is None or image == onto:
+            return image is not None
+        if type(image) is tuple and type(onto) is tuple:
+            equal.append((image, onto))
+            return True
+        return False
+
+    numbers = iter(range(len(target.head)))
+    heads = []
+    for cell, onto in zip(source.head, target.head):
+        if onto is None:
+            onto = (-1, next(numbers))
+        if cell is None:
+            if type(onto) is not tuple:
+                return "a keeper head constant lands on a variable"
+            heads.append(onto[1])
+        elif not lands(cell, onto):
+            return f"head variable {cell} is not mapped onto the removed head"
+    made_of = []
+    for i, j in enumerate(pi):
+        if not 0 <= j < len(target.atoms):
+            return f"keeper atom {i} is mapped onto no atom"
+        slots = []
+        for cell, onto, slot in zip(source.atoms[i], target.atoms[j], target.slots[j]):
+            if cell is None or cell is TYPE:
+                if onto is not cell:
+                    return f"a constant of keeper atom {i} lands on a variable"
+                if cell is None:
+                    slots.append(slot)
+                continue
+            if onto is None:
+                onto = (j, slot)
+            elif onto is TYPE:
+                onto = (-2, RDF_TYPE)
+            if not lands(cell, onto):
+                return (
+                    f"variable {cell} of keeper atom {i} does not land on "
+                    f"removed atom {j}"
+                )
+        made_of.append(slots)
+    return heads, made_of, equal
+
+
+def _certified_pairs(certificate, replays):
+    """``{removed row: keeper row}`` a certificate proves, or a defect text.
+
+    Nothing here is shared with the search that produced the
+    certificate: the mapping is *replayed* (:func:`_replay`, once per
+    mapping), and then the head constants, the pattern table and the
+    rows are held to what the replay demands.
+    """
+    keeper, removed, hom = certificate.keeper, certificate.removed, certificate.hom
+    replay = replays.get(id(hom))
+    if replay is None:
+        replay = replays[id(hom)] = _replay(keeper.layout, removed.layout, hom)
+    if isinstance(replay, str):
+        return replay
+    heads, made_of, equal = replay
+    pi = hom.pi
+    if len(heads) != len(keeper.head_constants) or any(
+        mine != removed.head_constants[number]
+        for mine, number in zip(keeper.head_constants, heads)
+    ):
+        return "keeper and removed rows disagree on a head constant"
+
+    tables = []
+    for j, found in enumerate(certificate.entries):
+        landing = [i for i, onto in enumerate(pi) if onto == j]
+        patterns = removed.domains[j].patterns
+        if found is None:
+            if landing or any(j in (left[0], right[0]) for left, right in equal):
+                return f"removed atom {j} is constrained but its table is open"
+            tables.append({at: () for at in range(len(patterns))})
+            continue
+        for at, picked in found:
+            if len(picked) != len(landing) or not 0 <= at < len(patterns):
+                return f"malformed table entry for removed atom {j}"
+            for i, there in zip(landing, picked):
+                options = keeper.domains[i].patterns
+                if not 0 <= there < len(options) or options[there] != tuple(
+                    patterns[at][slot] for slot in made_of[i]
+                ):
+                    return (
+                        f"keeper pattern {there} of atom {i} is not what the "
+                        f"mapping makes of pattern {at} of removed atom {j}"
+                    )
+        tables.append({at: tuple(zip(landing, picked)) for at, picked in found})
+
+    def constant(ref, positions):
+        if ref[0] == -1:
+            return removed.head_constants[ref[1]]
+        if ref[0] == -2:
+            return ref[1]
+        return removed.domains[ref[0]].patterns[positions[ref[0]]][ref[1]]
+
+    pairs = {}
+    there = [0] * len(keeper.domains)
+    for positions in removed.within(tables):
+        if any(constant(l, positions) != constant(r, positions) for l, r in equal):
+            continue
+        for table, at in zip(tables, positions):
+            for i, mine in table[at]:
+                there[i] = mine
+        a = keeper.number(there)
+        if a is not None:
+            pairs[removed.number(positions)] = a
+    return pairs
+
+
+def check_subsumption(result) -> List[Diagnostic]:
+    """Re-check a shape-level subsumption (stage ``M``, DESIGN.md §13).
+
+    ``result`` is a :class:`repro.analysis.subsumption.Subsumption`.
+
+    * ``IR-M01`` — a certificate's mapping is not a homomorphism from
+      its keeper layout into its removed layout, its pattern table pairs
+      patterns the mapping does not relate, or an eliminated row is not
+      among the rows its certificate covers (or names another keeper);
+    * ``IR-M04`` — an eliminated row's keeper chain does not reach a
+      surviving row.
+    """
+
+    def finding(code: str, message: str) -> Diagnostic:
+        return Diagnostic(
+            code=code,
+            severity=Severity.ERROR,
+            message=message,
+            stage="minimize",
+            subject="union",
+        )
+
+    findings: List[Diagnostic] = []
+    proven = []
+    replays: dict = {}
+    for number, certificate in enumerate(result.certificates):
+        pairs = _certified_pairs(certificate, replays)
+        if isinstance(pairs, str):
+            findings.append(finding("IR-M01", f"certificate {number}: {pairs}"))
+            pairs = {}
+        proven.append(pairs)
+    eliminated = result.eliminated
+    for removed, (keeper, number) in eliminated.items():
+        if not 0 <= number < len(proven) or removed == keeper or (
+            proven[number].get(removed) != keeper
+        ):
+            findings.append(
+                finding(
+                    "IR-M01",
+                    f"certificate {number} does not prove row {removed} "
+                    f"contained in row {keeper}",
+                )
+            )
+    #: Every dropped row -> the row said to contain it.
+    follows = dict(result.merged)
+    follows.update((removed, keeper) for removed, (keeper, _) in eliminated.items())
+    anchored: set = set()
+    for removed in eliminated:
+        chain = []
+        row = removed
+        while row in follows and row not in anchored:
+            if len(chain) > len(follows):
+                findings.append(
+                    finding(
+                        "IR-M04",
+                        f"keeper chain of eliminated row {removed} does not "
+                        "reach a surviving row",
+                    )
+                )
+                break
+            chain.append(row)
+            row = follows[row]
+        else:
+            anchored.update(chain)
+    return sort_diagnostics(findings)
+
+
 # ----------------------------------------------------------------------
 # Raising wrappers and the pipeline driver
 # ----------------------------------------------------------------------
@@ -612,6 +807,11 @@ def verify_plan(plan: PlanNode, expected_arity: Optional[int] = None) -> None:
 def verify_minimization(original: UCQ, result) -> None:
     """Raise :class:`IRVerificationError` unless every certificate holds."""
     _raise_on_error(check_minimization(original, result))
+
+
+def verify_subsumption(result) -> None:
+    """Raise :class:`IRVerificationError` unless every certificate holds."""
+    _raise_on_error(check_subsumption(result))
 
 
 def verify_pipeline(

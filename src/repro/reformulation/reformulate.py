@@ -33,6 +33,14 @@ classes/properties), and they never bind variables shared across atoms
 result.  ``tests/test_reformulate.py`` pins this with the golden
 equivalence property against saturation.
 
+The two phases are kept *as factors* (:class:`_Factors`: per skeleton
+the head and the per-atom alternative tuples, each alternative in one
+of three layout classes) until the union is known: duplicate rows, the
+term limit and — in :class:`Reformulator` — UCQ subsumption are all
+decided on the factors (:mod:`repro.analysis.subsumption`, DESIGN.md
+§13), and only the rows that survive are expanded into ``BGPQuery``
+terms, in skeleton-major product order.
+
 Reproduction of the paper's Example 4: for
 ``q(x, y) :- x rdf:type y`` over the book/author schema, this module
 produces exactly the 11 union terms (0)-(10) listed in the paper.
@@ -40,9 +48,19 @@ produces exactly the 11 union terms (0)-(10) listed in the paper.
 
 from __future__ import annotations
 
-from itertools import product
+from bisect import bisect_right
+from itertools import compress, product
+from math import prod
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from ..analysis.subsumption import (
+    DEFAULT_MAX_TERMS,
+    Domain,
+    Shape,
+    cells_of,
+    layout_of,
+    subsume,
+)
 from ..cache.lru import MISSING, LRUCache
 from ..rdf.schema import RDFSchema
 from ..rdf.terms import Triple, Variable
@@ -73,6 +91,175 @@ class ReformulationLimitExceeded(RuntimeError):
         return (type(self), (self.limit,))
 
 
+class _Factors:
+    """The factorized union of one query: skeletons × per-atom alternatives.
+
+    Union term number ``base + Σ_j k_j · stride_j`` of a skeleton takes
+    alternative ``k_j`` for atom ``j`` (the last atom varies fastest:
+    ``itertools.product`` order), skeletons in :func:`_skeletons` order.
+    """
+
+    __slots__ = ("name", "head", "skeletons", "count")
+
+    def __init__(self, query: BGPQuery, schema: RDFSchema) -> None:
+        fresh = _fresh_factory(query)
+        self.name = f"{query.name}_ref"
+        self.head = query.head
+        #: Per skeleton: the CQ, per atom its alternatives and where
+        #: their evidence classes start, then the number of its first
+        #: union term and how many it has.
+        self.skeletons: List[Tuple[BGPQuery, Tuple, Tuple, int, int]] = []
+        total = 0
+        for skeleton in _skeletons(query, schema):
+            atoms = [_atom_alternatives(a, schema, fresh) for a in skeleton.body]
+            alternatives = tuple(options for options, _ in atoms)
+            size = prod(map(len, alternatives))
+            self.skeletons.append(
+                (skeleton, alternatives, tuple(cuts for _, cuts in atoms), total, size)
+            )
+            total += size
+        #: Σ skeleton ∏ |alternatives|: the union's size before duplicate
+        #: rows (equal up to renaming) are merged.
+        self.count = total
+
+    def shapes(self) -> List[Shape]:
+        """One :class:`Shape` per skeleton × layout class per atom."""
+        shapes: List[Shape] = []
+        for skeleton, alternatives, cuts, base, stride in self.skeletons:
+            head = tuple(t if type(t) is Variable else None for t in skeleton.head)
+            constants = tuple(t for t in skeleton.head if type(t) is not Variable)
+            empty = _keeps_constraint_atom(skeleton)
+            classes = []
+            for j, (options, (domain, range_)) in enumerate(zip(alternatives, cuts)):
+                stride //= len(options)
+                own = (options[0].s, options[0].p, options[0].o)
+                atom_classes = []
+                for start, stop in (0, domain), (domain, range_), (range_, len(options)):
+                    if start < stop:
+                        # An evidence class brings one fresh variable;
+                        # the atom's number stands for it in the layout.
+                        cells = cells_of(
+                            options[start], lambda v: v if v in own else j
+                        )
+                        atom_classes.append(
+                            (
+                                cells,
+                                Domain(triples=options[start:stop], cells=cells),
+                                range(start * stride, stop * stride, stride),
+                            )
+                        )
+                classes.append(atom_classes)
+            for choice in product(*classes):
+                shapes.append(
+                    Shape(
+                        layout_of(head, tuple(cells for cells, _, _ in choice)),
+                        constants,
+                        tuple(domain for _, domain, _ in choice),
+                        tuple(parts for _, _, parts in choice),
+                        base,
+                        empty,
+                    )
+                )
+        return shapes
+
+    def empty_rows(self) -> Set[int]:
+        """Rows that keep an RDFS constraint atom (they match no data)."""
+        rows: Set[int] = set()
+        for skeleton, _, _, base, size in self.skeletons:
+            if _keeps_constraint_atom(skeleton):
+                rows.update(range(base, base + size))
+        return rows
+
+    def _term(self, row: int) -> BGPQuery:
+        at = bisect_right(self.skeletons, row, key=lambda entry: entry[3]) - 1
+        skeleton, alternatives, _, base, _ = self.skeletons[at]
+        rest = row - base
+        body = []
+        for options in reversed(alternatives):
+            rest, k = divmod(rest, len(options))
+            body.append(options[k])
+        return BGPQuery._raw(skeleton.head, tuple(reversed(body)), skeleton.name)
+
+    def form(self, row: int) -> Tuple:
+        """The canonical form of union term ``row``: what ``UCQ`` merges on."""
+        return self._term(row).canonical()
+
+    def terms(self, dropped: Set[int]) -> List[BGPQuery]:
+        """The union terms, in order, minus the ``dropped`` rows."""
+        keep = bytearray(b"\x01") * self.count
+        for row in dropped:
+            keep[row] = 0
+        results: List[BGPQuery] = []
+        for skeleton, alternatives, _, base, size in self.skeletons:
+            if not alternatives:
+                if keep[base]:
+                    results.append(skeleton)
+                continue
+            head, name = skeleton.head, skeleton.name
+            rows = compress(product(*alternatives), keep[base : base + size])
+            results.extend([BGPQuery._raw(head, body, name) for body in rows])
+        return results
+
+
+def _keeps_constraint_atom(skeleton: BGPQuery) -> bool:
+    return any(atom.p in SCHEMA_PROPERTIES for atom in skeleton.body)
+
+
+def _materialize(
+    factors: _Factors,
+    limit: Optional[int],
+    minimize: bool,
+    counters: Dict[str, int],
+) -> UCQ:
+    """The union of ``factors``: minimized on the factors, then expanded.
+
+    Rows equal to an earlier row up to renaming are always merged, and
+    ``limit`` is checked against what is left of ``factors.count``; with
+    ``minimize`` the constraint-atom rows and, up to
+    :data:`DEFAULT_MAX_TERMS` rows, the subsumed rows are dropped too,
+    each elimination re-checked from its certificate.  Only survivors
+    are ever built.
+    """
+    total = factors.count
+    if total == 1 and (limit is None or limit >= 1):
+        # One row: nothing to merge it into, nothing to contain it.
+        return UCQ(factors.terms(set()), name=factors.name, head=factors.head)
+    shapes = factors.shapes()
+    empty = factors.empty_rows() if minimize else set()
+    # Past the cap only renamings are looked for, as long as merging
+    # them does not bring the union back under it.
+    capped = not minimize or total - len(empty) > DEFAULT_MAX_TERMS
+    result = subsume(shapes, factors.form, renamings_only=capped)
+    if limit is not None and total - len(result.duplicates) > limit:
+        raise ReformulationLimitExceeded(limit)
+    if minimize and capped:
+        live = total - len(empty) - len(result.duplicates - empty)
+        if live <= DEFAULT_MAX_TERMS:
+            capped = False
+            result = subsume(shapes, factors.form)
+    if result.eliminated:
+        from ..analysis.verifier import verify_subsumption
+
+        verify_subsumption(result)
+    dropped = set(result.merged) | set(result.eliminated)
+    if minimize:
+        empty -= result.duplicates
+        if len(dropped | empty) == total:
+            # Every term keeps a constraint atom; one stays so the UCQ
+            # is well-formed (it evaluates to ∅).
+            empty.discard(min(empty))
+        dropped |= empty
+        counters["analysis.containment_checks"] += result.checks
+        counters["analysis.terms_eliminated"] += len(dropped) - len(
+            result.duplicates
+        )
+        if capped:
+            counters["analysis.minimize_skipped"] = (
+                counters.get("analysis.minimize_skipped", 0) + 1
+            )
+    return UCQ(factors.terms(dropped), name=factors.name, head=factors.head)
+
+
 class Reformulator:
     """Reusable CQ → UCQ reformulation engine bound to one schema.
 
@@ -85,18 +272,17 @@ class Reformulator:
     mutation drops every entry on the next call, while data updates
     leave it untouched (a reformulation is a pure schema consequence).
 
-    ``minimize`` (on by default) runs the containment-based UCQ
-    subsumption pass (:func:`repro.analysis.containment.minimize_ucq`,
-    DESIGN.md §13) over every freshly materialized reformulation, so
-    all strategies — ucq, pruned-ucq, scq and the gcov/ecov cover
-    searches, which all reformulate through this class — plan over the
-    minimized union.  The pass is a pure function of (query, schema),
-    so memoizing its output keeps the cache contract intact.  With
-    ``verify_certificates`` (also on by default) every elimination's
-    witness homomorphism is immediately re-checked by the IR verifier's
-    ``IR-M*`` rules; the re-check is linear in the witness sizes and a
-    failure raises :class:`repro.analysis.IRVerificationError` rather
-    than letting an unsound elimination reach the planner.
+    ``minimize`` (on by default) runs the shape-level subsumption pass
+    (:func:`repro.analysis.subsumption.subsume`, DESIGN.md §13) on the
+    factorized union before any term is built, so all strategies — ucq,
+    pruned-ucq, scq and the gcov/ecov cover searches, which all
+    reformulate through this class — plan over the minimized union and
+    only its terms are ever materialized.  The pass is a pure function
+    of (query, schema), so memoizing its output keeps the cache contract
+    intact.  Every elimination's certificate is re-checked by the IR
+    verifier's ``IR-M*`` rules before the union is returned; a failure
+    raises :class:`repro.analysis.IRVerificationError` rather than
+    letting an unsound elimination reach the planner.
     """
 
     def __init__(
@@ -105,20 +291,17 @@ class Reformulator:
         limit: Optional[int] = None,
         capacity: Optional[int] = None,
         minimize: bool = True,
-        verify_certificates: bool = True,
-        minimize_max_terms: Optional[int] = None,
     ):
         self.schema = schema
         self.limit = limit
         #: Canonical query form → UCQ (or a memoized limit failure).
         self.cache: LRUCache = LRUCache(capacity)
-        self._count_cache: LRUCache = LRUCache(capacity)
+        #: Canonical query form → its factors, for :meth:`count`.
+        self._factors: LRUCache = LRUCache(capacity)
         self._schema_fp: Optional[str] = None
         #: Number of non-memoized reformulation runs (instrumentation).
         self.runs = 0
         self.minimize = minimize
-        self.verify_certificates = verify_certificates
-        self.minimize_max_terms = minimize_max_terms
         #: Monotone counters of the minimization pass's work, exported
         #: by the answerer as ``repro.analysis.*`` registry counters and
         #: folded (as deltas) into per-answer report metrics.
@@ -133,53 +316,31 @@ class Reformulator:
         if fingerprint != self._schema_fp:
             if self._schema_fp is not None:
                 self.cache.clear()
-                self._count_cache.clear()
+                self._factors.clear()
             self._schema_fp = fingerprint
-
-    def _minimize(self, ucq: UCQ) -> UCQ:
-        """Run the subsumption pass, fold counters, re-check witnesses."""
-        from ..analysis.containment import DEFAULT_MAX_TERMS, minimize_ucq
-
-        max_terms = (
-            DEFAULT_MAX_TERMS
-            if self.minimize_max_terms is None
-            else self.minimize_max_terms
-        )
-        try:
-            result = minimize_ucq(ucq, self.schema, max_terms=max_terms)
-        except ValueError:
-            # Malformed IR (e.g. an unsafe head smuggled in via _raw)
-            # breaks fingerprinting; skip the optimization and let the
-            # IR verifier report the corruption with a rule code.
-            return ucq
-        counters = self.analysis_counters
-        for name, value in result.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        if self.verify_certificates and result.witnesses:
-            from ..analysis.verifier import verify_minimization
-
-            verify_minimization(ucq, result)
-        return result.ucq
 
     def reformulate(self, query: BGPQuery) -> UCQ:
         """The (minimized) UCQ reformulation of ``query`` w.r.t. the schema.
 
         Limit overruns are memoized too, so a fragment that once blew
-        the term limit fails instantly on every later request instead
-        of re-materializing up to the limit each time.
+        the term limit fails instantly on every later request.
         """
         self._sync()
         key = query.canonical()
         cached = self.cache.get(key, MISSING)
         if cached is MISSING:
+            factors = self._factors.peek(key) or _Factors(query, self.schema)
             try:
-                cached = reformulate(query, self.schema, limit=self.limit)
+                cached = _materialize(
+                    factors,
+                    self.limit,
+                    self.minimize,
+                    self.analysis_counters,
+                )
             except ReformulationLimitExceeded as error:
                 self.cache.put(key, error)
                 self.runs += 1
                 raise
-            if self.minimize:
-                cached = self._minimize(cached)
             self.cache.put(key, cached)
             self.runs += 1
         if isinstance(cached, ReformulationLimitExceeded):
@@ -187,56 +348,30 @@ class Reformulator:
         return cached
 
     def count(self, query: BGPQuery) -> int:
-        """``|q_ref|`` without materializing the union (see
-        :func:`reformulation_count`).
+        """``|q_ref|`` without materializing the union.
 
-        When nothing is memoized this is the pre-minimization upper
-        bound; once :meth:`reformulate` has run, the memoized (and, by
-        default, minimized) union's exact size is returned instead.
+        The memoized (and, by default, minimized) union's exact size
+        once :meth:`reformulate` has built it; until then the size of
+        the factorized union, Σ skeleton ∏ |alternatives| — an upper
+        bound, computed once per query.
         """
         self._sync()
         key = query.canonical()
-        cached = self._count_cache.get(key, MISSING)
-        if cached is MISSING:
-            already = self.cache.peek(key, MISSING)
-            cached = (
-                len(already)
-                if already is not MISSING and isinstance(already, UCQ)
-                else reformulation_count(query, self.schema)
-            )
-            self._count_cache.put(key, cached)
-        return cached
+        union = self.cache.peek(key)
+        if isinstance(union, UCQ):
+            return len(union)
+        factors = self._factors.get(key)
+        if factors is None:
+            factors = _Factors(query, self.schema)
+            self._factors.put(key, factors)
+        return factors.count
 
 
 def reformulate(
     query: BGPQuery, schema: RDFSchema, limit: Optional[int] = None
 ) -> UCQ:
-    """One-shot CQ → UCQ reformulation (see :class:`Reformulator`)."""
-    fresh = _fresh_factory(query)
-    seen: Set[Tuple] = set()
-    results: List[BGPQuery] = []
-    for skeleton in _skeletons(query, schema):
-        alternative_sets = [
-            _atom_alternatives(atom, schema, fresh) for atom in skeleton.body
-        ]
-        if not alternative_sets:
-            key = skeleton.canonical()
-            if key not in seen:
-                seen.add(key)
-                results.append(skeleton)
-            continue
-        head = skeleton.head
-        name = skeleton.name
-        for combination in product(*alternative_sets):
-            candidate = BGPQuery._raw(head, combination, name)
-            key = candidate.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            if limit is not None and len(seen) > limit:
-                raise ReformulationLimitExceeded(limit)
-            results.append(candidate)
-    return UCQ(results, name=f"{query.name}_ref", head=query.head)
+    """One-shot, unminimized CQ → UCQ reformulation (see :class:`Reformulator`)."""
+    return _materialize(_Factors(query, schema), limit, False, {})
 
 
 def reformulation_count(query: BGPQuery, schema: RDFSchema) -> int:
@@ -247,14 +382,7 @@ def reformulation_count(query: BGPQuery, schema: RDFSchema) -> int:
     cross-skeleton and renaming-isomorphic duplicates that full
     materialization would additionally merge.
     """
-    fresh = _fresh_factory(query)
-    total = 0
-    for skeleton in _skeletons(query, schema):
-        count = 1
-        for atom in skeleton.body:
-            count *= len(_atom_alternatives(atom, schema, fresh))
-        total += count
-    return total
+    return _Factors(query, schema).count
 
 
 def _fresh_factory(query: BGPQuery):
@@ -319,32 +447,41 @@ def _instantiation_step(cq: BGPQuery, schema: RDFSchema) -> Iterator[BGPQuery]:
 # ----------------------------------------------------------------------
 def _atom_alternatives(
     atom: Triple, schema: RDFSchema, fresh
-) -> Tuple[Triple, ...]:
-    """The atom itself plus every rule-1-4/12-13 specialization of it."""
+) -> Tuple[Tuple[Triple, ...], Tuple[int, int]]:
+    """The atom itself plus every rule-1-4/12-13 specialization of it.
+
+    The alternatives come in three layout classes, in this order: the
+    atom's own layout with another constant (rules 1 and 4), domain
+    evidence ``s p _f`` (rules 2 & 12) and range evidence ``_f p s``
+    (rules 3 & 13); the second value says where the two evidence
+    classes start.
+    """
     prop = atom.p
     if isinstance(prop, Variable) or prop in SCHEMA_PROPERTIES:
-        return (atom,)
+        return (atom,), (1, 1)
     if prop == RDF_TYPE:
         cls = atom.o
         if isinstance(cls, Variable):
-            return (atom,)
+            return (atom,), (1, 1)
         alternatives = [atom]
         # Rule 1: specialize the class along the subclass closure.
         for sub in schema.subclasses(cls):
             alternatives.append(Triple(atom.s, RDF_TYPE, sub))
+        domain = len(alternatives)
         # Rules 2 & 12: evidence via a property whose closed domain
         # includes the class.
         for p in schema.properties_with_domain(cls):
             alternatives.append(Triple(atom.s, p, fresh()))
+        range_ = len(alternatives)
         # Rules 3 & 13: same, via range.
         for p in schema.properties_with_range(cls):
             alternatives.append(Triple(fresh(), p, atom.s))
-        return tuple(alternatives)
+        return tuple(alternatives), (domain, range_)
     # Rule 4: specialize the property along the subproperty closure.
     alternatives = [atom]
     for sub in schema.subproperties(prop):
         alternatives.append(Triple(atom.s, sub, atom.o))
-    return tuple(alternatives)
+    return tuple(alternatives), (len(alternatives),) * 2
 
 
 def _resolve_schema_atom(

@@ -46,7 +46,7 @@ class TableStatistics:
 
     def __init__(self, table: TripleTable):
         self.table = table
-        self._count_cache: Dict[Pattern, int] = {}
+        self._pattern_counts: Dict[Pattern, int] = {}
         self._distinct_cache: Dict[Tuple[Pattern, int], int] = {}
         self._synced_version = table.version
         self._lock = threading.RLock()
@@ -61,7 +61,7 @@ class TableStatistics:
         """
         version = self.table.version
         if version != self._synced_version:
-            self._count_cache.clear()
+            self._pattern_counts.clear()
             self._distinct_cache.clear()
             self._synced_version = version  # lock: held by every caller
             self.auto_invalidations += 1
@@ -85,10 +85,10 @@ class TableStatistics:
         """Exact number of triples matching an encoded pattern."""
         with self._lock:
             self._sync()
-            cached = self._count_cache.get(pattern)
+            cached = self._pattern_counts.get(pattern)
             if cached is None:
                 cached = self.table.match_count(pattern)
-                self._count_cache[pattern] = cached
+                self._pattern_counts[pattern] = cached
             return cached
 
     def distinct(self, pattern: Pattern, position: int) -> int:
@@ -116,10 +116,10 @@ class TableStatistics:
         table version (see the module docstring).
         """
         with self._lock:
-            self._count_cache.clear()
+            self._pattern_counts.clear()
             self._distinct_cache.clear()
             self._synced_version = self.table.version
 
     def probe_calls(self) -> Tuple[int, int]:
         """(count-cache size, distinct-cache size) — for instrumentation."""
-        return len(self._count_cache), len(self._distinct_cache)
+        return len(self._pattern_counts), len(self._distinct_cache)

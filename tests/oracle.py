@@ -15,15 +15,30 @@ sweeps are reproducible without a fixed workload.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.containment import (
+    DEFAULT_MAX_TERMS,
+    is_contained,
+    schema_empty_atoms,
+)
 from repro.answering import AnswerReport, QueryAnswerer
 from repro.cache import QueryCache
 from repro.engine import EngineFailure, NativeEngine
 from repro.optimizer import SearchInfeasible
-from repro.query import BGPQuery
+from repro.query import UCQ, BGPQuery
+from repro.query.bgp import renaming_invariant_key
+from repro.query.naive import evaluate_cq, evaluate_ucq
 from repro.rdf import RDF_TYPE, Triple, Variable
+from repro.reasoning import saturate
 from repro.reformulation import ReformulationLimitExceeded, Reformulator
+from repro.reformulation.reformulate import (
+    _atom_alternatives,
+    _fresh_factory,
+    _skeletons,
+)
 from repro.resilience import ChaosConfig, ChaosEngine, FallbackPolicy
 from repro.storage import RDFDatabase
 
@@ -253,3 +268,126 @@ def minimization_differential_check(
         compared += 1
     assert compared, f"{context}: no strategy was feasible for the comparison"
     return minimized.reformulator.analysis_counters["analysis.terms_eliminated"]
+
+
+# ----------------------------------------------------------------------
+# Reference minimizer: the pairwise sweep over listed terms
+# ----------------------------------------------------------------------
+#: The term-level pass ``minimize_ucq`` ran before subsumption moved to
+#: the factorized union (DESIGN.md §13).  It is kept here, verbatim in
+#: what it computes, as the reference the shape-level pass is compared
+#: against term for term: one renaming-invariant key per term, then one
+#: homomorphism search per pair of terms the constant/predicate filter
+#: lets through.
+@dataclass
+class ReferenceMinimization:
+    terms: List[BGPQuery]
+    eliminated: int
+    skipped: bool
+
+
+def duplicate_key(term: BGPQuery):
+    """A renaming-invariant key: equal exactly when the fingerprints are.
+
+    The equivalence of :func:`repro.cache.fingerprint.query_fingerprint`
+    — head variables named by position, the others by first occurrence
+    over the atoms sorted by shape — computed directly.
+    """
+    positional = {}
+    for head_term in term.head:
+        if type(head_term) is Variable and head_term not in positional:
+            positional[head_term] = (3, f"_qfp{len(positional)}")
+    return renaming_invariant_key(term.head, term.body, positional)
+
+
+def _term_meta(term: BGPQuery):
+    """(constants, constant predicates) of a term's body."""
+    constants = {t for atom in term.body for t in atom if not isinstance(t, Variable)}
+    predicates = {a.p for a in term.body if not isinstance(a.p, Variable)}
+    return frozenset(constants), frozenset(predicates)
+
+
+def _may_subsume(keeper_meta, candidate_meta) -> bool:
+    """Cheap necessary condition for a homomorphism keeper → candidate."""
+    keeper_constants, keeper_predicates = keeper_meta
+    candidate_constants, candidate_predicates = candidate_meta
+    if not keeper_constants <= candidate_constants:
+        return False
+    return keeper_predicates <= candidate_predicates | candidate_constants
+
+
+def reference_minimize_ucq(
+    ucq: UCQ, max_terms: int = DEFAULT_MAX_TERMS
+) -> ReferenceMinimization:
+    """Empty terms, renamed duplicates, then the pairwise antichain sweep."""
+    eliminated = 0
+    survivors: List[BGPQuery] = []
+    first_by_key = {}
+    for term in ucq:
+        if schema_empty_atoms(term):
+            eliminated += 1
+            continue
+        key = duplicate_key(term)
+        keeper = first_by_key.setdefault(key, term)
+        if keeper is not term and is_contained(term, keeper):
+            eliminated += 1
+            continue
+        survivors.append(term)
+    skipped = len(survivors) > max_terms
+    if not skipped and len(survivors) > 1:
+        metas = {id(term): _term_meta(term) for term in survivors}
+        kept: List[BGPQuery] = []
+        for term in survivors:
+            meta = metas[id(term)]
+            if any(
+                _may_subsume(metas[id(keeper)], meta) and is_contained(term, keeper)
+                for keeper in kept
+            ):
+                eliminated += 1
+                continue
+            # The new term may in turn swallow earlier survivors.
+            still_kept = []
+            for keeper in kept:
+                if _may_subsume(meta, metas[id(keeper)]) and is_contained(keeper, term):
+                    eliminated += 1
+                else:
+                    still_kept.append(keeper)
+            still_kept.append(term)
+            kept = still_kept
+        survivors = kept
+    if not survivors:
+        # Every term was statically empty; one stays so the UCQ is well-formed.
+        survivors = [ucq.cqs[0]]
+        eliminated -= 1
+    return ReferenceMinimization(survivors, eliminated, skipped)
+
+
+def reference_reformulate(
+    query: BGPQuery, schema, limit: Optional[int] = None
+) -> UCQ:
+    """The unminimized reformulation, expanded term by term.
+
+    Every row of skeletons × alternatives is built and kept unless an
+    earlier term has its canonical form; ``limit`` is checked as the
+    terms are listed.  This is what ``reformulate`` did before duplicate
+    rows were found on the factors.
+    """
+    fresh = _fresh_factory(query)
+    seen = set()
+    results: List[BGPQuery] = []
+    for skeleton in _skeletons(query, schema):
+        alternatives = [_atom_alternatives(a, schema, fresh)[0] for a in skeleton.body]
+        for body in product(*alternatives):
+            term = BGPQuery._raw(skeleton.head, body, skeleton.name)
+            if term.canonical() in seen:
+                continue
+            seen.add(term.canonical())
+            if limit is not None and len(seen) > limit:
+                raise ReformulationLimitExceeded(limit)
+            results.append(term)
+    return UCQ(results, name=f"{query.name}_ref", head=query.head)
+
+
+def saturation_answers_match(query: BGPQuery, schema, graph, union: UCQ) -> bool:
+    """Theorem 3.1 on one graph: ``union(graph) == query(saturate(graph))``."""
+    return evaluate_ucq(union, graph) == evaluate_cq(query, saturate(graph, schema))

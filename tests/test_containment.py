@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.containment import (
     Witness,
-    _duplicate_key,
     core,
     equivalent,
     find_homomorphism,
@@ -51,6 +50,7 @@ from repro.reasoning import saturate
 from repro.reformulation import Reformulator, reformulate
 from repro.reformulation.minimize import minimize_query
 
+from oracle import duplicate_key as _duplicate_key
 from oracle import minimization_differential_check
 
 
@@ -406,7 +406,7 @@ def test_minimize_ucq_preserves_evaluation(terms, graph):
 def test_duplicate_key_partitions_terms_like_the_cache_fingerprint(
     left, right, names, order
 ):
-    """Pass 2's key is the fingerprint's equivalence, not a new one.
+    """The reference minimizer's key is the fingerprint's equivalence.
 
     Equal keys exactly when the digests are equal — on unrelated terms,
     and on a renamed, reshuffled copy (where both may miss an

@@ -55,7 +55,22 @@ class TestReformulatorCount:
         reformulator = Reformulator(schema)
         query = motivating_q1().query
         assert reformulator.count(query) == reformulator.count(query)
-        assert len(reformulator._count_cache) == 1
+        assert len(reformulator._factors) == 1
+
+    @pytest.mark.parametrize("name", ["Q05", "Q19"])
+    def test_count_does_not_depend_on_call_order(self, schema, name):
+        """count → reformulate → count: the union's size once it exists."""
+        query = next(e.query for e in lubm_workload() if e.name == name)
+        planned_first = Reformulator(schema)
+        exact = len(planned_first.reformulate(query))
+        assert planned_first.count(query) == exact
+        counted_first = Reformulator(schema)
+        bound = counted_first.count(query)
+        assert bound == reformulation_count(query, schema) > exact
+        assert len(counted_first.reformulate(query)) == exact
+        assert counted_first.count(query) == exact
+        # count() is not a lookup of the reformulation memo.
+        assert counted_first.cache.lookups == 1
 
 
 class TestLimitMemoization:
