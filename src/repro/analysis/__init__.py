@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         is_contained,
         minimize_ucq,
     )
-    from .lint import format_report, lint_many, lint_query, lint_text
+    from .lint import format_report, lint_query, lint_text
     from .sqlcheck import check_sql, verify_sql
     from .verifier import (
         check_bgp,
@@ -82,7 +82,6 @@ _LAZY = {
     "sql_output_columns": "sqlcheck",
     "lint_query": "lint",
     "lint_text": "lint",
-    "lint_many": "lint",
     "format_report": "lint",
     "MinimizationResult": "containment",
     "Witness": "containment",

@@ -419,26 +419,6 @@ def lint_text(
     return report
 
 
-def lint_many(
-    queries,
-    database=None,
-    schema=None,
-    reformulator=None,
-    max_operand_terms: Optional[int] = None,
-) -> List[LintReport]:
-    """Lint a sequence of parsed queries (used by the workload smoke run)."""
-    return [
-        lint_query(
-            query,
-            database=database,
-            schema=schema,
-            reformulator=reformulator,
-            max_operand_terms=max_operand_terms,
-        )
-        for query in queries
-    ]
-
-
 def format_report(report: LintReport, verbose: bool = True) -> str:
     """Text rendering of a lint report, one diagnostic per line."""
     minimum = Severity.INFO if verbose else Severity.WARNING

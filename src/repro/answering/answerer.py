@@ -2,33 +2,13 @@
 
 :class:`QueryAnswerer` ties everything together (the paper's Figure 1
 pipeline): given a BGP query it produces a reformulation under one of
-five strategies, hands it to an evaluation engine, and reports both the
-answers and the time split between optimization and evaluation.
-
-Strategies
-----------
-
-``ucq``
-    The classic single-union reformulation of prior work.
-``pruned-ucq``
-    The UCQ with statically-empty union terms removed — the mixed
-    technique of the paper's reference [11]; smaller syntactically, but
-    (as the ablation benchmark shows) not necessarily easier to run.
-``scq``
-    The semi-conjunctive reformulation of [13] (all-singleton cover).
-``ecov``
-    The JUCQ chosen by exhaustive cover search (golden standard).
-``gcov``
-    The JUCQ chosen by the greedy Algorithm 1 — the paper's
-    contribution and the recommended default.
-``saturation``
-    No reformulation: evaluate the original query on the pre-saturated
-    store (the paper's Section 5.3 baseline).
-``litemat``
-    LiteMat-style interval encoding (DESIGN.md §16): class/property
-    atoms become contiguous range scans over an interval-ordered
-    derived store, collapsing the subclass/subproperty union fan-out
-    to (usually) one atom per skeleton.
+the strategies of :mod:`repro.answering.strategies` (one table row
+each: how the query is rewritten, which store the plan runs on), hands
+it to an evaluation engine, and reports both the answers and the time
+split between optimization and evaluation.  :meth:`QueryAnswerer.answer`
+is the pipeline, in stages: resolve the budget → plan through the cache
+→ verify → union budget → :meth:`~QueryAnswerer.engine_for` → evaluate
+→ report.  No stage compares strategy names.
 """
 
 from __future__ import annotations
@@ -42,12 +22,9 @@ from ..cache.lru import MISSING, LRUCache
 from ..cache.manager import QueryCache
 from ..cost.model import CostModel
 from ..engine.evaluator import AnswerSet, Engine, NativeEngine
-from ..optimizer.ecov import ecov
-from ..optimizer.gcov import gcov
 from ..optimizer.search import SearchInfeasible
-from ..query.algebra import JUCQ, ucq_as_jucq
+from ..query.algebra import JUCQ
 from ..query.bgp import BGPQuery
-from ..reformulation.jucq import scq_reformulation
 from ..reformulation.litemat import IntervalReformulator
 from ..reasoning.encoded import Saturated, saturate_database
 from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
@@ -73,11 +50,11 @@ from ..telemetry import (
     MetricsRecorder,
     MetricsRegistry,
     get_registry,
-    trajectory,
 )
+from ..telemetry.registry import Histogram
+from .strategies import STRATEGIES, Strategy, strategy_named
 
-#: The strategy names accepted by :meth:`QueryAnswerer.answer`.
-STRATEGIES = ("ucq", "pruned-ucq", "scq", "ecov", "gcov", "saturation", "litemat")
+__all__ = ["STRATEGIES", "AnswerReport", "QueryAnswerer"]
 
 
 @dataclass
@@ -200,6 +177,8 @@ class QueryAnswerer:
         #: ``(schema fingerprint, saturated store)`` as derived last: the
         #: state the next write's re-saturation starts from.
         self._saturated: Optional[Tuple[str, Saturated]] = None
+        #: strategy -> its (optimize, evaluate) latency histograms.
+        self._latency: Dict[str, Tuple[Histogram, Histogram]] = {}
         #: Guards the lazily-built shared members (derived engines,
         #: default breaker) against duplicate construction when
         #: concurrent callers share one answerer.
@@ -301,25 +280,36 @@ class QueryAnswerer:
             from ..analysis.verifier import verify_bgp
 
             verify_bgp(query)
-        planned, search = self._plan_cached(query, strategy, tracer, budget)
+        planned, search = self._plan_cached(
+            strategy_named(strategy),
+            query,
+            self.tracer if tracer is None else tracer,
+            budget,
+        )
         if verify:
-            from ..analysis.verifier import verify_pipeline
-
-            verify_pipeline(
-                query,
-                planned,
-                cover=None if search is None else search.cover,
-            )
+            self._verify(query, planned, search)
         return planned, search
+
+    def _verify(self, query: BGPQuery, planned, search, database=None) -> None:
+        """The verify stage: assert the compiled IR (DESIGN.md §8); with
+        a ``database``, down to the plan tree and the generated SQL."""
+        from ..analysis.verifier import verify_pipeline
+
+        verify_pipeline(
+            query,
+            planned,
+            cover=None if search is None else search.cover,
+            database=database,
+        )
 
     def _plan_cached(
         self,
+        row: Strategy,
         query: BGPQuery,
-        strategy: str,
-        tracer=None,
+        tracer,
         budget: Optional[ExecutionBudget] = None,
     ):
-        """Plan-cache wrapper around :meth:`_plan` (DESIGN.md §9).
+        """Plan-cache wrapper around :meth:`Strategy.plan` (DESIGN.md §9).
 
         Entries are keyed by (query fingerprint, strategy, schema
         fingerprint, stats epoch), so any schema or data mutation makes
@@ -330,15 +320,16 @@ class QueryAnswerer:
         *frozen* as ``(type, args)``, never as the live exception object
         (whose ``__traceback__`` would pin every active frame in the LRU
         for the entry's lifetime), and thawed into a fresh instance per
-        hit.  The ``saturation`` strategy plans to the query itself, so
-        there is nothing worth caching; and nothing is *stored* when a
-        deadline budget was active, because the budget is not part of
-        the key — a plan truncated (or a failure caused) by one caller's
-        nearly-spent clock must not be served to the next caller.
+        hit.  A strategy that does not rewrite plans to the query
+        itself, so there is nothing worth caching; and nothing is
+        *stored* when a deadline budget was active, because the budget
+        is not part of the key — a plan truncated (or a failure caused)
+        by one caller's nearly-spent clock must not be served to the
+        next caller.
         """
-        if self.cache is None or strategy == "saturation":
-            return self._plan(query, strategy, tracer, budget)
-        entry = self.cache.get_plan(self.database, query, strategy)
+        if self.cache is None or row.rewrite is None:
+            return row.plan(self, query, tracer, budget)
+        entry = self.cache.get_plan(self.database, query, row.name)
         if entry is not MISSING:
             outcome, payload = entry
             if outcome == "error":
@@ -346,108 +337,36 @@ class QueryAnswerer:
             return payload
         deadline_active = budget is not None and budget.timeout_s is not None
         try:
-            planned, search = self._plan(query, strategy, tracer, budget)
+            planned, search = row.plan(self, query, tracer, budget)
         except (ReformulationLimitExceeded, SearchInfeasible) as error:
             if not deadline_active:
                 self.cache.put_plan(
                     self.database,
                     query,
-                    strategy,
+                    row.name,
                     ("error", freeze_exception(error)),
                 )
             raise
         if not deadline_active:
             self.cache.put_plan(
-                self.database, query, strategy, ("ok", (planned, search))
+                self.database, query, row.name, ("ok", (planned, search))
             )
         return planned, search
-
-    def _plan(
-        self,
-        query: BGPQuery,
-        strategy: str = "gcov",
-        tracer=None,
-        budget: Optional[ExecutionBudget] = None,
-    ):
-        tracer = self.tracer if tracer is None else tracer
-        if strategy == "ucq":
-            with tracer.span("reformulate", strategy=strategy) as span:
-                reformulated = self.reformulator.reformulate(query)
-                span.set(union_terms=len(reformulated))
-            return ucq_as_jucq(reformulated), None
-        if strategy == "pruned-ucq":
-            from ..reformulation.prune import prune_empty_conjuncts
-
-            with tracer.span("reformulate", strategy=strategy) as span:
-                reformulated = self.reformulator.reformulate(query)
-                span.set(union_terms=len(reformulated))
-            with tracer.span("prune") as span:
-                pruned = prune_empty_conjuncts(
-                    reformulated, self.cost_model.estimator
-                )
-                span.set(union_terms=len(pruned))
-            return ucq_as_jucq(pruned), None
-        if strategy == "scq":
-            with tracer.span("reformulate", strategy=strategy) as span:
-                if len(query.body) == 1:
-                    planned = ucq_as_jucq(self.reformulator.reformulate(query))
-                else:
-                    planned = scq_reformulation(query, self.reformulator)
-                span.set(union_terms=planned.total_union_terms())
-            return planned, None
-        if strategy in ("ecov", "gcov"):
-            search_trace = [] if tracer.enabled else None
-            with tracer.span("cover-search", algorithm=strategy) as span:
-                if strategy == "ecov":
-                    result = ecov(
-                        query,
-                        self.reformulator,
-                        self.cost_model.cost,
-                        max_covers=self.ecov_max_covers,
-                        trace=search_trace,
-                        budget=budget,
-                    )
-                else:
-                    result = gcov(
-                        query,
-                        self.reformulator,
-                        self.cost_model.cost,
-                        trace=search_trace,
-                        budget=budget,
-                    )
-                span.set(
-                    covers_explored=result.covers_explored,
-                    estimated_cost=result.estimated_cost,
-                )
-            if search_trace:
-                tracer.record(
-                    "search",
-                    {
-                        "algorithm": strategy,
-                        "query": query.name,
-                        "covers_explored": result.covers_explored,
-                        "best_cost": result.estimated_cost,
-                        "trajectory": trajectory(search_trace),
-                    },
-                )
-            return result.jucq, result
-        if strategy == "saturation":
-            return query, None
-        if strategy == "litemat":
-            with tracer.span("reformulate", strategy=strategy) as span:
-                encoding, _store, (epoch, _version) = (
-                    self.interval_assigner.current(self.database)
-                )
-                reformulated = self.interval_reformulator.reformulate(
-                    query, encoding, epoch
-                )
-                span.set(union_terms=len(reformulated))
-            return ucq_as_jucq(reformulated), None
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
     # ------------------------------------------------------------------
     # Answering
     # ------------------------------------------------------------------
+    def _prologue(self, tracer, budget, timeout_s):
+        """The call's tracer and its started budget: an explicit
+        ``budget`` wins, a bare ``timeout_s`` becomes a deadline-only
+        one, otherwise the answerer's default applies."""
+        budget = ExecutionBudget.resolve(budget, timeout_s)
+        if budget is None:
+            budget = self.budget
+        if budget is not None:
+            budget = budget.start()
+        return (self.tracer if tracer is None else tracer), budget
+
     def answer(
         self,
         query: BGPQuery,
@@ -481,48 +400,34 @@ class QueryAnswerer:
         errors); classification and recovery live in
         :meth:`answer_resilient`.
         """
-        tracer = self.tracer if tracer is None else tracer
+        tracer, budget = self._prologue(tracer, budget, timeout_s)
+        row = strategy_named(strategy)
         verify = self.verify_ir if verify_ir is None else verify_ir
         if record_accuracy is None:
             record_accuracy = tracer.enabled
-        budget = ExecutionBudget.resolve(budget, timeout_s)
-        if budget is None:
-            budget = self.budget
-        if budget is not None:
-            budget = budget.start()
         metrics = MetricsRecorder()
         counters_before = None if self.cache is None else self.cache.counters()
         analysis_before = dict(self.reformulator.analysis_counters)
         with tracer.span("answer", query=query.name, strategy=strategy) as root:
             start = time.perf_counter()
             with tracer.span("plan", strategy=strategy):
-                planned, search = self.plan(
-                    query, strategy, tracer=tracer, verify_ir=False, budget=budget
-                )
+                planned, search = self._plan_cached(row, query, tracer, budget)
             if verify:
-                from ..analysis.verifier import verify_pipeline
-
                 with tracer.span("verify-ir"):
-                    verify_pipeline(
-                        query,
-                        planned,
-                        cover=None if search is None else search.cover,
-                        database=self.database,
-                    )
+                    self._verify(query, planned, search, database=self.database)
+            terms = 0 if row.rewrite is None else planned.total_union_terms()
             if (
                 budget is not None
                 and budget.max_union_terms is not None
-                and strategy != "saturation"
+                and terms > budget.max_union_terms
             ):
-                planned_terms = planned.total_union_terms()
-                if planned_terms > budget.max_union_terms:
-                    raise UnionBudgetExceeded(
-                        f"{strategy} reformulation of {query.name} has "
-                        f"{planned_terms} union terms, over the budget's "
-                        f"max_union_terms={budget.max_union_terms}"
-                    )
+                raise UnionBudgetExceeded(
+                    f"{strategy} reformulation of {query.name} has "
+                    f"{terms} union terms, over the budget's "
+                    f"max_union_terms={budget.max_union_terms}"
+                )
             optimization_s = time.perf_counter() - start
-            engine = self._engine_for(strategy)
+            engine = self.engine_for(strategy)
             start = time.perf_counter()
             with tracer.span("evaluate", engine=engine.name) as eval_span:
                 answers = engine.evaluate(
@@ -531,16 +436,9 @@ class QueryAnswerer:
                 eval_span.set(answers=len(answers))
             evaluation_s = time.perf_counter() - start
             root.set(answers=len(answers))
-        self.registry.histogram(
-            "repro.answer.optimize_seconds",
-            labels={"strategy": strategy},
-            help="per-answer optimization (planning) time",
-        ).observe(optimization_s)
-        self.registry.histogram(
-            "repro.answer.evaluate_seconds",
-            labels={"strategy": strategy},
-            help="per-answer evaluation time",
-        ).observe(evaluation_s)
+        optimize_seconds, evaluate_seconds = self._latency_histograms(strategy)
+        optimize_seconds.observe(optimization_s)
+        evaluate_seconds.observe(evaluation_s)
         if counters_before is not None:
             # Export this call's cache activity as metric deltas
             # (cache.<level>.<hits|misses|evictions|invalidations>).
@@ -558,13 +456,14 @@ class QueryAnswerer:
         predicted_cost = None
         predicted_rows = None
         accuracy = AccuracyRecorder()
-        if record_accuracy and strategy not in ("saturation", "litemat"):
+        # The cost model is bound to the base store: a plan that ran on
+        # a derived one has no meaningful prediction to compare.
+        if record_accuracy and row.store is None:
             predicted_cost, predicted_rows = self._record_accuracy(
                 accuracy, query, planned, metrics, evaluation_s, len(answers)
             )
             for sample in accuracy.records:
                 tracer.record("accuracy", sample.to_dict())
-        terms = 0 if strategy == "saturation" else planned.total_union_terms()
         return AnswerReport(
             query=query,
             strategy=strategy,
@@ -580,6 +479,25 @@ class QueryAnswerer:
             predicted_cardinality=predicted_rows,
             strategy_used=strategy,
         )
+
+    def _latency_histograms(self, strategy: str) -> Tuple[Histogram, Histogram]:
+        """The (optimize, evaluate) histograms of one strategy, bound on
+        its first finished answer and kept: no registry lookup per call."""
+        bound = self._latency.get(strategy)
+        if bound is None:
+            bound = self._latency[strategy] = (
+                self.registry.histogram(
+                    "repro.answer.optimize_seconds",
+                    labels={"strategy": strategy},
+                    help="per-answer optimization (planning) time",
+                ),
+                self.registry.histogram(
+                    "repro.answer.evaluate_seconds",
+                    labels={"strategy": strategy},
+                    help="per-answer evaluation time",
+                ),
+            )
+        return bound
 
     def answer_resilient(
         self,
@@ -617,12 +535,7 @@ class QueryAnswerer:
         if policy is None:
             policy = FallbackPolicy()
         breaker = policy.breaker if policy.breaker is not None else self._default_breaker()
-        tracer = self.tracer if tracer is None else tracer
-        budget = ExecutionBudget.resolve(budget, timeout_s)
-        if budget is None:
-            budget = self.budget
-        if budget is not None:
-            budget = budget.start()
+        tracer, budget = self._prologue(tracer, budget, timeout_s)
         ladder = policy.strategies_for(strategy)
         requested = ladder[0]
         attempts: List[AttemptRecord] = []
@@ -770,13 +683,8 @@ class QueryAnswerer:
         evaluation_s: float,
         answer_count: int,
     ):
-        """Sample predicted-vs-observed for the query and its operands.
-
-        The saturation and litemat strategies are excluded by the
-        caller: their engines run over a *derived* store while the cost
-        model is bound to the original one, so the comparison would be
-        meaningless.
-        """
+        """Sample predicted-vs-observed for the query and its operands
+        (base-store strategies only: see the caller)."""
         estimator = self.cost_model.estimator
         predicted_cost = self.cost_model.cost(planned)
         predicted_rows = estimator.estimate(planned)
@@ -804,19 +712,14 @@ class QueryAnswerer:
                 )
         return predicted_cost, predicted_rows
 
-    def _engine_for(self, strategy: str) -> Engine:
-        """The engine a strategy's plan runs on."""
-        if strategy == "saturation":
-            fingerprint = self.database.schema.fingerprint()
-            return self._derived_engine(
-                strategy,
-                (fingerprint, self.database.epoch),
-                lambda: self._saturate(fingerprint),
-            )
-        if strategy == "litemat":
-            _encoding, store, key = self.interval_assigner.current(self.database)
-            return self._derived_engine(strategy, key, lambda: store)
-        return self.engine
+    def engine_for(self, strategy: str) -> Engine:
+        """The engine a strategy's plan runs on: the answerer's own, or
+        a sibling over the strategy's derived store (kept current)."""
+        row = strategy_named(strategy)
+        if row.store is None:
+            return self.engine
+        key, derive = row.store(self)
+        return self._derived_engine(row.name, key, derive)
 
     def _saturate(self, fingerprint: str) -> RDFDatabase:
         """The saturated store; while the schema stands, the one derived

@@ -12,6 +12,9 @@ result sizes through the join order instead of charging a flat
 linear-in-inputs join cost, and it has its own constants.  Feeding it
 to ECov/GCov (instead of the paper model) reproduces the Figure 9
 comparison.
+
+Its one caller is ``benchmarks/bench_fig9_cost_models.py``:
+:class:`EngineCostEstimator` is that figure's "engine-internal estimate".
 """
 
 from __future__ import annotations

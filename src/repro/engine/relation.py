@@ -7,7 +7,6 @@ to RDF terms happens once, at the answering layer.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np

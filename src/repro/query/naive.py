@@ -5,6 +5,9 @@ definition (Section 2.2): the set of head-term images under every total
 assignment of the query's variables that embeds all atoms into the
 graph.  It is deliberately simple (index-guided backtracking), serving
 as the ground truth the optimized engines are tested against.
+
+It lives in ``src/`` because it is :func:`repro.query.evaluate`, which
+``tests/oracle.py`` and the e2e benchmark's checker compare against.
 """
 
 from __future__ import annotations

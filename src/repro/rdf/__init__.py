@@ -10,7 +10,6 @@ from .terms import (
     Triple,
     URI,
     Variable,
-    fresh_variable_factory,
 )
 from .vocabulary import (
     RDF_TYPE,
@@ -37,7 +36,6 @@ __all__ = [
     "URI",
     "Variable",
     "dump_graph",
-    "fresh_variable_factory",
     "load_graph",
     "read_ntriples",
     "split_graph",

@@ -143,17 +143,6 @@ def _closure_and_cycles(
     return closure, cycles
 
 
-def _transitive_closure(direct: Dict[Term, Set[Term]]) -> Dict[Term, Set[Term]]:
-    """Transitive closure of a binary relation given as adjacency sets.
-
-    Strict on DAGs (a node is never its own successor); members of a
-    declaration cycle are mutually — and self — related, per the
-    cycle-equivalence policy of :func:`_closure_and_cycles`.
-    """
-    closure, _ = _closure_and_cycles(direct)
-    return closure
-
-
 def _invert(relation: Dict[Term, Set[Term]]) -> Dict[Term, Set[Term]]:
     """Invert a binary relation given as adjacency sets."""
     inverse: Dict[Term, Set[Term]] = {}

@@ -244,20 +244,3 @@ class Triple:
     def terms(self) -> tuple:
         """The ``(s, p, o)`` tuple."""
         return (self.s, self.p, self.o)
-
-
-def fresh_variable_factory(prefix: str = "v"):
-    """Return a callable producing variables ``?prefix0, ?prefix1, ...``.
-
-    Used by reformulation rules that introduce fresh non-distinguished
-    variables (e.g. the domain/range rules) and by blank-node renaming.
-    """
-    counter = 0
-
-    def fresh() -> Variable:
-        nonlocal counter
-        var = Variable(f"{prefix}{counter}")
-        counter += 1
-        return var
-
-    return fresh

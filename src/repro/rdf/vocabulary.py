@@ -35,8 +35,3 @@ SCHEMA_PROPERTIES = frozenset(
 
 #: All built-ins recognized by the DB fragment.
 BUILTIN_PROPERTIES = frozenset(SCHEMA_PROPERTIES | {RDF_TYPE})
-
-
-def is_schema_property(term: URI) -> bool:
-    """True when ``term`` is one of the four RDFS constraint properties."""
-    return term in SCHEMA_PROPERTIES

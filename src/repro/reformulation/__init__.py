@@ -17,10 +17,8 @@ from .minimize import is_minimal, minimize_query, redundant_atoms
 from .prune import prune, prune_empty_conjuncts, prune_jucq
 from .jucq import (
     jucq_for_cover,
-    reformulation_size,
     scq_reformulation,
     ucq_reformulation,
-    ucq_reformulation_as_jucq,
 )
 from .litemat import IntervalReformulator, interval_reformulate
 from .reformulate import (
@@ -51,12 +49,10 @@ __all__ = [
     "prune_jucq",
     "reformulate",
     "reformulation_count",
-    "reformulation_size",
     "redundant_atoms",
     "scq_cover",
     "scq_reformulation",
     "ucq_cover",
     "ucq_reformulation",
-    "ucq_reformulation_as_jucq",
     "validate_cover",
 ]

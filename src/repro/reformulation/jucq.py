@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..query.algebra import JUCQ, UCQ, ucq_as_jucq
+from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..rdf.terms import Variable
 from .covers import (
@@ -27,7 +27,6 @@ from .covers import (
     exported_heads,
     fragment_query,
     scq_cover,
-    ucq_cover,
     validate_cover,
 )
 from .reformulate import Reformulator
@@ -69,27 +68,6 @@ def ucq_reformulation(query: BGPQuery, reformulator: Reformulator) -> UCQ:
     return reformulator.reformulate(query)
 
 
-def ucq_reformulation_as_jucq(
-    query: BGPQuery, reformulator: Reformulator
-) -> JUCQ:
-    """``q_ref`` wrapped as a one-operand JUCQ (for uniform execution)."""
-    return ucq_as_jucq(ucq_reformulation(query, reformulator))
-
-
 def scq_reformulation(query: BGPQuery, reformulator: Reformulator) -> JUCQ:
     """The SCQ reformulation of [13]: per-atom unions joined together."""
     return jucq_for_cover(query, scq_cover(query), reformulator)
-
-
-def reformulation_size(jucq: JUCQ) -> int:
-    """The paper's "#reformulations" figure: total union terms in the JUCQ."""
-    return jucq.total_union_terms()
-
-
-def cover_of_strategy(query: BGPQuery, strategy: str) -> Optional[Cover]:
-    """The fixed cover behind a named baseline strategy, if any."""
-    if strategy == "ucq":
-        return ucq_cover(query)
-    if strategy == "scq":
-        return scq_cover(query)
-    return None

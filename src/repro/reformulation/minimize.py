@@ -19,6 +19,10 @@ under the schema closure:
 Removing a redundant atom preserves the certain answers provided its
 variables remain covered — non-head variables occurring nowhere else
 are existential anyway, and the rules above never require them.
+
+Library API with no caller inside the package (README quick tour); it
+is the schema-aware special case of ``analysis.containment.core()``,
+where ROADMAP item 6 means to fold it.
 """
 
 from __future__ import annotations

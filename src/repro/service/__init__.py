@@ -1,9 +1,11 @@
 """The multi-tenant query service front-end (DESIGN.md §14).
 
-Three layers, bottom-up:
+Three layers and the executor, bottom-up:
 
 * :mod:`.http` — a bounded, stdlib-only asyncio HTTP/1.1 parser and
   response writer;
+* :mod:`.pool` — :class:`~repro.service.pool.WorkerPool`, the bounded
+  thread pool admitted requests run on (DESIGN.md §11);
 * :mod:`.tenants` — API keys, post-paid row token buckets, concurrency
   gates, and per-tenant fallback ladders;
 * :mod:`.server` — :class:`QueryService`: admission → bounded queue →

@@ -8,7 +8,7 @@ Dataflow of one ``POST /query``::
 
 The event loop only parses HTTP and arbitrates admission; every
 blocking step — query parsing, planning, evaluation — runs on the
-service's :class:`~repro.parallel.WorkerPool` (``ServiceConfig.workers``
+service's :class:`~repro.service.pool.WorkerPool` (``ServiceConfig.workers``
 threads, each answering one request serially), so N concurrent clients
 multiplex onto one bounded set of threads instead of each connection
 spawning its own.  Backpressure is explicit: when the number of
@@ -45,7 +45,6 @@ from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
 from ..answering import STRATEGIES, QueryAnswerer
 from ..engine.evaluator import EngineFailure, EngineTimeout
 from ..optimizer.search import SearchInfeasible
-from ..parallel import WorkerPool
 from ..query.parser import parse_query
 from ..reformulation.reformulate import ReformulationLimitExceeded
 from ..resilience.errors import (
@@ -62,6 +61,7 @@ from .http import (
     read_request,
     write_response,
 )
+from .pool import WorkerPool
 from .tenants import QuotaExceeded, Tenant, TenantRegistry, UnknownTenant
 
 #: Histogram buckets for service latencies: the default operator-scale

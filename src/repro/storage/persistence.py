@@ -11,6 +11,9 @@ Layout::
 The dictionary file reuses the N-Triples term syntax (one term per
 line, no trailing dot), so codes are recovered as line numbers and the
 whole format stays human-inspectable.
+
+Library API with no caller inside the package: the README quick tour
+saves and reloads a database through it.
 """
 
 from __future__ import annotations

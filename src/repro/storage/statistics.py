@@ -76,11 +76,6 @@ class TableStatistics:
         """
         return self.table.version
 
-    @property
-    def triple_count(self) -> int:
-        """Total number of stored triples."""
-        return len(self.table)
-
     def pattern_count(self, pattern: Pattern) -> int:
         """Exact number of triples matching an encoded pattern."""
         with self._lock:

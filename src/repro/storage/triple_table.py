@@ -36,7 +36,7 @@ then reads gets that version's rows); reads of a clean table take none.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -246,11 +246,6 @@ class TripleTable:
         lo, hi, name = self._range(pattern)
         keys = self._indexes[name][lo:hi]
         return self.decode_keys(keys, name)
-
-    def match_columns(self, pattern: Pattern, positions: Sequence[int]) -> np.ndarray:
-        """Matching rows restricted to the given positions (0=s, 1=p, 2=o)."""
-        rows = self.match(pattern)
-        return rows[:, list(positions)]
 
     def match_range_count(self, pattern: Pattern, position: int, lo: int, hi: int) -> int:
         """Number of triples matching ``pattern`` with ``position``'s code in ``[lo, hi)``."""

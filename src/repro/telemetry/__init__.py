@@ -26,7 +26,7 @@ from .registry import (
     get_registry,
     set_registry,
 )
-from .search_trace import best_cost_trajectory, cover_fragments, trajectory
+from .search_trace import cover_fragments, trajectory
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "best_cost_trajectory",
     "cover_fragments",
     "get_registry",
     "q_error",

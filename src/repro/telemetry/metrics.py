@@ -21,7 +21,7 @@ counters would silently lose increments under concurrent bumps.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 class MetricsRecorder:
@@ -85,8 +85,3 @@ class MetricsRecorder:
 
     def __repr__(self) -> str:
         return f"MetricsRecorder({len(self.counters)} counters, {len(self.series)} series)"
-
-
-def maybe_recorder(metrics: Optional[MetricsRecorder]) -> MetricsRecorder:
-    """The given recorder, or a fresh one when ``None`` was passed."""
-    return metrics if metrics is not None else MetricsRecorder()

@@ -34,14 +34,3 @@ def trajectory(trace: Sequence[Tuple[Any, float]]) -> List[Dict[str, Any]]:
             }
         )
     return records
-
-
-def best_cost_trajectory(trace: Sequence[Tuple[Any, float]]) -> List[float]:
-    """Just the running best cost per exploration step."""
-    best = float("inf")
-    out: List[float] = []
-    for _, cost in trace:
-        if cost < best:
-            best = cost
-        out.append(best)
-    return out

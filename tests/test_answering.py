@@ -3,12 +3,16 @@
 import pytest
 
 from repro.answering import STRATEGIES, QueryAnswerer
+from repro.cache import QueryCache
 from repro.datasets import lubm_query, motivating_q1
 from repro.engine import NATIVE_MERGE, NativeEngine, SQLiteEngine
 from repro.query import BGPQuery, evaluate
 from repro.rdf import RDFS_SUBCLASS, RDFSchema, RDF_TYPE, Triple, URI, Variable
 from repro.reasoning import saturate
 from repro.storage import RDFDatabase
+from repro.telemetry import Tracer
+
+from conftest import ex
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +100,7 @@ class TestOtherEngines:
         report = answerer.answer(query, strategy="saturation")
         assert report.answers == ground_truth(query)
         # The saturated engine keeps the same personality.
-        assert answerer._engine_for("saturation").profile is NATIVE_MERGE
+        assert answerer.engine_for("saturation").profile is NATIVE_MERGE
 
 
 class TestReadAllocatesCodes:
@@ -124,3 +128,50 @@ class TestReadAllocatesCodes:
         report = QueryAnswerer(db, engine=engine_cls(db)).answer(query, strategy="ucq")
         assert report.answers == {(cls,) for cls in subclasses}
         assert all(db.dictionary.lookup(cls) is not None for cls in subclasses)
+
+
+#: What the answerer derives from each row of the ``Strategy`` table
+#: (``repro.answering.strategies``): plan-cache misses after answering
+#: the same query twice, whether ``reformulation_terms`` is 0, whether a
+#: traced answer carries cost-model accuracy samples, and whether the
+#: plan runs on the answerer's own engine.  Flipping ``rewrite`` or
+#: ``store`` on a row changes a column here.
+STRATEGY_FACTS = {
+    # strategy:     (plan misses, zero terms, accuracy, base engine)
+    "ucq":          (1, False, True, True),
+    "pruned-ucq":   (1, False, True, True),
+    "scq":          (1, False, True, True),
+    "ecov":         (1, False, True, True),
+    "gcov":         (1, False, True, True),
+    "saturation":   (0, True, False, False),
+    "litemat":      (1, False, False, False),
+}
+
+
+@pytest.mark.parametrize("engine_class", [NativeEngine, SQLiteEngine])
+def test_strategy_table(book_schema, book_facts, engine_class):
+    assert tuple(STRATEGY_FACTS) == STRATEGIES
+    database = RDFDatabase.from_triples([*book_schema.to_triples(), *book_facts])
+    x, y = Variable("x"), Variable("y")
+    query = BGPQuery(
+        (x,),
+        [Triple(x, RDF_TYPE, ex("Publication")), Triple(x, ex("hasAuthor"), y)],
+    )
+    with QueryAnswerer(database, engine=engine_class(database)) as baseline:
+        expected = baseline.answer(query, strategy="saturation").answers
+    assert len(expected) == 1
+    for strategy, facts in STRATEGY_FACTS.items():
+        cache = QueryCache()
+        with QueryAnswerer(
+            database, engine=engine_class(database), cache=cache
+        ) as answerer:
+            report = answerer.answer(query, strategy=strategy, tracer=Tracer())
+            again = answerer.answer(query, strategy=strategy)
+            assert report.answers == again.answers == expected, strategy
+            derived = (
+                cache.stats()["plan"]["misses"],
+                report.reformulation_terms == 0,
+                bool(report.accuracy),
+                answerer.engine_for(strategy) is answerer.engine,
+            )
+            assert derived == facts, strategy

@@ -268,7 +268,7 @@ class TestLitematInvalidation:
         _answers(answerer, query, strategy="litemat")
         fingerprint = book_db.schema.fingerprint()
         epoch_before = answerer.interval_assigner.epoch
-        engine_before = answerer._engine_for("litemat")
+        engine_before = answerer.engine_for("litemat")
         memo = answerer.interval_reformulator.cache
         hits_before, runs_before = memo.hits, answerer.interval_reformulator.runs
         book_db.load_facts([Triple(ex("doi4"), RDF_TYPE, ex("Book"))])
@@ -276,7 +276,7 @@ class TestLitematInvalidation:
         assert book_db.schema.fingerprint() == fingerprint
         assert ex("doi4") in {row[0] for row in after}
         assert answerer.interval_assigner.epoch == epoch_before
-        assert answerer._engine_for("litemat") is not engine_before
+        assert answerer.engine_for("litemat") is not engine_before
         assert memo.hits == hits_before + 1
         assert answerer.interval_reformulator.runs == runs_before
         assert after == _answers(make_answerer(book_db), query, strategy="saturation")

@@ -84,7 +84,7 @@ def test_maintained_stores_equal_from_scratch_ones_across_writes_and_schema_togg
     ):
         before = {
             strategy: (
-                answerer._engine_for(strategy),
+                answerer.engine_for(strategy),
                 [answerer.plan(query, strategy)[0] for query in QUERIES],
             )
             for strategy in ("saturation", "litemat")
@@ -126,7 +126,7 @@ def test_maintained_stores_equal_from_scratch_ones_across_writes_and_schema_togg
 
         # Readers still inside the superseded stores see the old state.
         for strategy, (engine, plans) in before.items():
-            assert answerer._engine_for(strategy) is not engine
+            assert answerer.engine_for(strategy) is not engine
             assert [engine.evaluate(plan) for plan in plans] == before_answers[strategy]
     assert delta_rounds == 4
 

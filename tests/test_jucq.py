@@ -3,20 +3,18 @@
 import pytest
 
 from repro.query import BGPQuery, evaluate
+from repro.query.algebra import ucq_as_jucq
 from repro.rdf import RDFGraph, RDF_TYPE, Triple, URI, Variable
 from repro.reasoning import saturate
 from repro.reformulation import (
     Reformulator,
     enumerate_covers,
     jucq_for_cover,
-    reformulation_size,
     scq_cover,
     scq_reformulation,
     ucq_cover,
     ucq_reformulation,
-    ucq_reformulation_as_jucq,
 )
-from repro.reformulation.jucq import cover_of_strategy
 
 from conftest import ex
 
@@ -76,7 +74,7 @@ class TestTheorem31:
 
 class TestShapes:
     def test_ucq_as_jucq_single_operand(self, query, reformulator):
-        jucq = ucq_reformulation_as_jucq(query, reformulator)
+        jucq = ucq_as_jucq(ucq_reformulation(query, reformulator))
         assert len(jucq) == 1
 
     def test_scq_operands_are_per_atom(self, query, reformulator):
@@ -89,16 +87,11 @@ class TestShapes:
         # A *raw*-shape invariant: minimization can shrink the one-block
         # UCQ across atoms while per-atom SCQ fragments stay put.
         raw = Reformulator(book_schema, minimize=False)
-        ucq_j = ucq_reformulation_as_jucq(query, raw)
+        ucq_j = ucq_as_jucq(ucq_reformulation(query, raw))
         scq_j = scq_reformulation(query, raw)
         # SCQ never exceeds UCQ in union-term count (no cross products).
-        assert reformulation_size(scq_j) <= reformulation_size(ucq_j) * len(query.body)
-        assert reformulation_size(ucq_j) == len(ucq_j.operands[0])
-
-    def test_cover_of_strategy(self, query):
-        assert cover_of_strategy(query, "ucq") == ucq_cover(query)
-        assert cover_of_strategy(query, "scq") == scq_cover(query)
-        assert cover_of_strategy(query, "gcov") is None
+        assert scq_j.total_union_terms() <= ucq_j.total_union_terms() * len(query.body)
+        assert ucq_j.total_union_terms() == len(ucq_j.operands[0])
 
     def test_validation_rejects_bad_cover(self, query, reformulator):
         bad = frozenset({frozenset({0})})

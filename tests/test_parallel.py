@@ -32,11 +32,11 @@ from repro.engine import (
     SQLiteEngine,
 )
 from repro.optimizer import SearchInfeasible
-from repro.parallel import WorkerPool, default_workers
 from repro.query import BGPQuery
 from repro.rdf import Literal, RDF_TYPE, Triple, URI, Variable
 from repro.reformulation import ReformulationLimitExceeded
 from repro.resilience import ChaosConfig, ChaosEngine, ExecutionBudget
+from repro.service.pool import WorkerPool, default_workers
 from repro.storage import RDFDatabase
 from repro.telemetry import Tracer
 
@@ -473,7 +473,7 @@ def test_every_engine_gets_the_same_handoff(lubm_db, kind):
                 report = answerer.answer(query, strategy=strategy)
                 assert report.answers == expected
         assert [
-            answerer._engine_for(strategy)
+            answerer.engine_for(strategy)
             for strategy in ("saturation", "litemat")
         ] == built
         evaluate.assert_called_once()

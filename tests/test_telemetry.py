@@ -18,7 +18,6 @@ from repro.telemetry import (
     MetricsRecorder,
     NullTracer,
     Tracer,
-    best_cost_trajectory,
     q_error,
     trajectory,
 )
@@ -279,7 +278,6 @@ class TestSearchTrajectory:
         assert [s["cost"] for s in steps] == [5.0, 7.0, 3.0]
         assert [s["best_cost"] for s in steps] == [5.0, 5.0, 3.0]
         assert steps[0]["fragments"] == [[0], [1]]
-        assert best_cost_trajectory(trace) == [5.0, 5.0, 3.0]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.rdf import BlankNode, Literal, Triple, URI, Variable
-from repro.rdf.terms import fresh_variable_factory
 
 
 class TestTermEquality:
@@ -111,13 +110,3 @@ class TestTriple:
         a = Triple(URI("a"), URI("p"), URI("o"))
         b = Triple(URI("b"), URI("p"), URI("o"))
         assert a < b
-
-
-class TestFreshVariables:
-    def test_distinct_sequence(self):
-        fresh = fresh_variable_factory()
-        assert fresh() != fresh()
-
-    def test_prefix(self):
-        fresh = fresh_variable_factory("z")
-        assert fresh().value.startswith("z")
