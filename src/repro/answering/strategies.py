@@ -66,13 +66,6 @@ class Strategy:
     rewrite: Optional[Rewrite] = None
     store: Optional[Store] = None
 
-    @property
-    def bound_to_store(self) -> bool:
-        """True when the plan was rewritten *against* the derived store
-        (it embeds that store's codes), so SQL and plan estimates only
-        render there; ``saturation``'s plan is the query as written."""
-        return self.rewrite is not None and self.store is not None
-
     def plan(self, answerer: "QueryAnswerer", query: BGPQuery, tracer, budget) -> Planned:
         """``(planned query, search result or None)`` for ``query``."""
         if self.rewrite is None:

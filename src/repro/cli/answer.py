@@ -245,11 +245,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"estimated cost: {search.estimated_cost:.6f}")
         if row.rewrite is not None:
             print(f"union terms: {planned.total_union_terms()}")
-        # A plan rewritten against a derived store embeds that store's
-        # codes, so SQL and plan estimates must be rendered against it
-        # (DESIGN.md §16).
+        # SQL and plan estimates describe the store the plan runs on: a
+        # litemat plan embeds its derived store's codes (DESIGN.md §16),
+        # and saturation's as-written query only matches saturated data.
         explain_db = database
-        if row.bound_to_store:
+        if row.store is not None:
             explain_db = answerer.engine_for(args.strategy).database
         if args.sql:
             print("\n-- SQL --")

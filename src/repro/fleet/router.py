@@ -35,28 +35,25 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
-import signal
-import sys
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..cache.lru import LRUCache
 from ..resilience.budget import ExecutionBudget
 from ..resilience.fallback import CircuitBreaker
+from ..service.endpoint import HTTPEndpoint
 from ..service.http import (
     BadRequest,
     HTTPRequest,
-    json_body,
-    read_head,
-    read_request,
+    Response,
+    json_response,
+    read_response,
     render_request,
-    write_response,
 )
 from ..service.server import SERVICE_LATENCY_BUCKETS_S
-from ..telemetry import MetricsRecorder, MetricsRegistry, get_registry
+from ..telemetry import MetricsRegistry
 from .health import UP, HealthPolicy
 from .replicas import Replica
 
@@ -106,24 +103,15 @@ class RouterConfig:
     metrics_flush_path: Optional[str] = None
 
 
+@dataclass(slots=True)
 class _Outcome:
     """One upstream attempt's result (response or classified failure)."""
 
-    __slots__ = ("status", "headers", "body", "kind", "error")
-
-    def __init__(
-        self,
-        status: Optional[int] = None,
-        headers: Optional[Dict[str, str]] = None,
-        body: bytes = b"",
-        kind: Optional[str] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        self.status = status
-        self.headers = headers if headers is not None else {}
-        self.body = body
-        self.kind = kind
-        self.error = error
+    status: Optional[int] = None
+    headers: Dict[str, str] = field(default_factory=dict)
+    body: bytes = b""
+    kind: Optional[str] = None
+    error: Optional[str] = None
 
     @property
     def usable(self) -> bool:
@@ -131,8 +119,16 @@ class _Outcome:
         return self.kind is None and self.status is not None and self.status < 500
 
 
-class FleetRouter:
-    """A supervising HTTP router over a set of serve replicas."""
+class FleetRouter(HTTPEndpoint):
+    """A supervising HTTP router over a set of serve replicas.
+
+    The front door itself — listener, routes, lifecycle, drain — is the
+    :class:`~repro.service.endpoint.HTTPEndpoint` core's, shared with
+    :class:`~repro.service.QueryService`.
+    """
+
+    role = "fleet"
+    config: RouterConfig
 
     def __init__(
         self,
@@ -141,36 +137,23 @@ class FleetRouter:
         registry: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        super().__init__(config if config is not None else RouterConfig(), registry)
         if not replicas:
             raise ValueError("FleetRouter needs at least one replica")
         names = [replica.name for replica in replicas]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate replica names: {names}")
         self.replicas = list(replicas)
-        self.config = config if config is not None else RouterConfig()
-        self.registry = registry if registry is not None else get_registry()
         self.clock = clock
-        self.metrics = MetricsRecorder()
         self.breaker = CircuitBreaker(
             storage=LRUCache(max(64, 2 * len(replicas))),
             failure_threshold=self.config.breaker_failure_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
             clock=clock,
         )
-        self._lock = threading.Lock()
-        self._active_http = 0
         self._rr = 0
-        self._draining = False
-        self._drain_requested = False
-        self._drain_async: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._ready = threading.Event()
-        self._serve_thread: Optional[threading.Thread] = None
         self._control_thread: Optional[threading.Thread] = None
         self._control_stop = threading.Event()
-        #: ``(host, port)`` once the listener is bound.
-        self.address: Optional[Tuple[str, int]] = None
         self._request_hist = self.registry.histogram(
             "repro.fleet.request_seconds",
             buckets=SERVICE_LATENCY_BUCKETS_S,
@@ -226,142 +209,44 @@ class FleetRouter:
         )
 
     # ------------------------------------------------------------------
-    # Lifecycle (mirrors QueryService)
+    # What the endpoint core asks of its subclass
     # ------------------------------------------------------------------
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()  # lock: set once before serving
-        self._drain_async = asyncio.Event()  # lock: set once before serving
-        if self._drain_requested:
-            self._drain_async.set()
-        server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.address = server.sockets[0].getsockname()[:2]
-        self._start_control_thread()
-        self._ready.set()
-        try:
-            await self._drain_async.wait()
-            self._draining = True  # lock: monotonic flag, single writer
-            server.close()
-            await self._wait_idle(self.config.drain_grace_s)
-            for writer in list(self._writers):
-                writer.close()
-            await asyncio.sleep(0)
-            await server.wait_closed()
-        finally:
-            self._stop_control_thread()
-            self._terminate_managed()
-            self._flush_metrics()
-
-    async def _wait_idle(self, grace_s: float) -> None:
-        deadline = time.perf_counter() + grace_s
-        while time.perf_counter() < deadline:
-            with self._lock:
-                busy = self._active_http
-            if not busy:
-                return
-            await asyncio.sleep(0.02)
-
-    def request_drain(self) -> None:
-        """Begin a graceful drain (idempotent, any thread)."""
-        self._draining = True  # lock: monotonic flag
-        self._drain_requested = True  # lock: monotonic flag
-        loop, event = self._loop, self._drain_async
-        if loop is not None and event is not None:
-            try:
-                loop.call_soon_threadsafe(event.set)
-            except RuntimeError:
-                pass  # loop already closed: the drain has happened
-
-    def run(self, install_signals: bool = True) -> int:
-        """Serve until a drain completes (the ``repro fleet`` body)."""
-
-        async def main() -> None:
-            loop = asyncio.get_running_loop()
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    try:
-                        loop.add_signal_handler(signum, self.request_drain)
-                    except (NotImplementedError, RuntimeError):
-                        pass
-            await self._amain()
-
-        asyncio.run(main())
-        return 0
-
-    def start(self) -> "FleetRouter":
-        """Serve on a background thread (tests, benchmarks)."""
-        if self._serve_thread is not None:
-            raise RuntimeError("router already started")
-        thread = threading.Thread(
-            target=lambda: asyncio.run(self._amain()),
-            name="repro-fleet-router",
-            daemon=True,
-        )
-        self._serve_thread = thread  # lock: set before the thread starts
-        thread.start()
-        if not self.wait_ready(15):
-            raise RuntimeError("router did not come up within 15s")
-        return self
-
-    def wait_ready(self, timeout_s: Optional[float] = None) -> bool:
-        return self._ready.wait(timeout_s)
-
-    def stop(self, timeout_s: float = 60.0) -> None:
-        """Drain, wait for the serving thread to finish."""
-        self.request_drain()
-        thread = self._serve_thread
-        if thread is not None:
-            thread.join(timeout_s)
-            self._serve_thread = None  # lock: serving thread has exited
-
-    @property
-    def url(self) -> str:
-        if self.address is None:
-            raise RuntimeError("router is not listening yet")
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def _flush_metrics(self) -> None:
-        path = self.config.metrics_flush_path
-        if path:
-            try:
-                with open(path, "w", encoding="utf-8") as sink:
-                    json.dump(self.registry.snapshot(), sink, indent=2)
-            except OSError as error:  # pragma: no cover - disk trouble
-                print(f"# repro-fleet: metrics flush failed: {error}", file=sys.stderr)
-        counters = self.metrics.as_dict()["counters"]
-        print(
-            f"# repro-fleet drained: requests={counters.get('requests', 0)} "
-            f"answered={counters.get('answered', 0)} "
-            f"retries={counters.get('route.retries', 0)} "
-            f"hedged={counters.get('route.hedged', 0)} "
-            f"restarts={counters.get('replica.restarts', 0)}",
-            file=sys.stderr,
-        )
-
-    def _terminate_managed(self) -> None:
-        for replica in self.replicas:
-            if replica.process is not None:
-                replica.process.terminate(self.config.replica_grace_s)
-
-    # ------------------------------------------------------------------
-    # Health probing + supervision (control thread)
-    # ------------------------------------------------------------------
-    def _start_control_thread(self) -> None:
+    def _listening(self) -> None:
+        """Start the control thread (health probes + supervision)."""
         thread = threading.Thread(
             target=self._control_loop, name="repro-fleet-control", daemon=True
         )
         self._control_thread = thread  # lock: set before the thread starts
         thread.start()
 
-    def _stop_control_thread(self) -> None:
+    def close(self) -> None:
+        """Stop the control thread, then the managed replicas."""
         self._control_stop.set()
         thread = self._control_thread
         if thread is not None:
             thread.join(10.0)
             self._control_thread = None  # lock: control thread has exited
+        for replica in self.replicas:
+            if replica.process is not None:
+                replica.process.terminate(self.config.replica_grace_s)
 
+    def _drain_line(self, counters: Dict[str, int]) -> str:
+        return (
+            f"requests={counters.get('requests', 0)} "
+            f"answered={counters.get('answered', 0)} "
+            f"retries={counters.get('route.retries', 0)} "
+            f"hedged={counters.get('route.hedged', 0)} "
+            f"restarts={counters.get('replica.restarts', 0)}"
+        )
+
+    def _health(self) -> Dict[str, Any]:
+        up = sum(1 for r in self.replicas if r.health.routable())
+        status = "draining" if self._draining else ("ok" if up else "degraded")
+        return {"status": status, "replicas_up": up}
+
+    # ------------------------------------------------------------------
+    # Health probing + supervision (control thread)
+    # ------------------------------------------------------------------
     def _control_loop(self) -> None:
         while not self._control_stop.is_set():
             for replica in self.replicas:
@@ -411,80 +296,6 @@ class FleetRouter:
             return False, self.clock() - start, f"{type(error).__name__}: {error}"
         finally:
             conn.close()
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except BadRequest as error:
-                    self.metrics.inc("rejected.bad_request")
-                    body, ctype = json_body({"error": str(error)})
-                    await write_response(
-                        writer, 400, body, ctype, keep_alive=False
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionResetError):
-                    return
-                if request is None:
-                    return
-                with self._lock:
-                    self._active_http += 1
-                try:
-                    try:
-                        status, body, ctype, extra = await self._dispatch(request)
-                    except Exception:  # route bugs must not drop connections
-                        traceback.print_exc(file=sys.stderr)
-                        self.metrics.inc("errors.internal")
-                        body, ctype = json_body(
-                            {"error": "internal router error", "code": "internal"}
-                        )
-                        status, extra = 500, {}
-                    keep = request.keep_alive and not self._draining
-                    await write_response(
-                        writer, status, body, ctype, extra, keep_alive=keep
-                    )
-                finally:
-                    with self._lock:
-                        self._active_http -= 1
-                if not keep:
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _dispatch(
-        self, request: HTTPRequest
-    ) -> Tuple[int, bytes, str, Dict[str, str]]:
-        if request.path == "/query":
-            if request.method != "POST":
-                body, ctype = json_body({"error": "POST /query"})
-                return 405, body, ctype, {"Allow": "POST"}
-            return await self._route_query(request)
-        if request.method != "GET":
-            body, ctype = json_body({"error": "method not allowed"})
-            return 405, body, ctype, {"Allow": "GET"}
-        if request.path == "/metrics":
-            text = self.registry.render_text()
-            return 200, text.encode("utf-8"), "text/plain; charset=utf-8", {}
-        if request.path == "/healthz":
-            up = sum(1 for r in self.replicas if r.health.routable())
-            status = "draining" if self._draining else ("ok" if up else "degraded")
-            body, ctype = json_body({"status": status, "replicas_up": up})
-            return 200, body, ctype, {}
-        if request.path == "/status":
-            body, ctype = json_body(self.status())
-            return 200, body, ctype, {}
-        body, ctype = json_body({"error": f"no route {request.path}"})
-        return 404, body, ctype, {}
 
     def status(self) -> Dict[str, Any]:
         """The fleet-topology snapshot behind ``GET /status``."""
@@ -564,14 +375,13 @@ class FleetRouter:
         )
         return None if budget is None else budget.start()
 
-    async def _route_query(
-        self, request: HTTPRequest
-    ) -> Tuple[int, bytes, str, Dict[str, str]]:
+    async def _handle_query(self, request: HTTPRequest) -> Response:
         self.metrics.inc("requests")
         if self._draining:
             self.metrics.inc("rejected.draining")
-            body, ctype = json_body({"error": "fleet is draining", "code": "draining"})
-            return 503, body, ctype, {}
+            return json_response(
+                503, {"error": "fleet is draining", "code": "draining"}
+            )
         budget = self._request_budget(request)
         started = time.perf_counter()
         tried: Set[str] = set()
@@ -623,28 +433,29 @@ class FleetRouter:
         self._request_hist.observe(time.perf_counter() - started)
         if budget is not None and (budget.remaining_s() or 0.0) <= 0:
             self.metrics.inc("errors.timeout")
-            body, ctype = json_body(
-                {"error": "request budget exhausted while routing", "code": "timeout"}
+            return json_response(
+                504,
+                {"error": "request budget exhausted while routing", "code": "timeout"},
             )
-            return 504, body, ctype, {}
         if not saw_replica:
             self.metrics.inc("rejected.no_replicas")
-            body, ctype = json_body(
-                {"error": "no routable replica", "code": "no_replicas"}
+            return json_response(
+                503,
+                {"error": "no routable replica", "code": "no_replicas"},
+                {"Retry-After": "1"},
             )
-            return 503, body, ctype, {"Retry-After": "1"}
         if last_5xx is not None and last_5xx.status is not None:
             self.metrics.inc("errors.upstream_5xx")
             ctype = last_5xx.headers.get("content-type", "application/json")
             return last_5xx.status, last_5xx.body, ctype, {}
         self.metrics.inc("errors.upstream_unavailable")
-        body, ctype = json_body(
+        return json_response(
+            502,
             {
                 "error": f"all {self.config.max_attempts} routing attempts failed",
                 "code": "upstream_unavailable",
-            }
+            },
         )
-        return 502, body, ctype, {}
 
     async def _attempt_with_hedge(
         self,
@@ -735,9 +546,7 @@ class FleetRouter:
                 return self._fail(replica, "timeout", f"no response in {timeout_s:g}s")
             except asyncio.IncompleteReadError:
                 return self._fail(replica, "truncated", "short read mid-body")
-            except (ConnectionResetError, BrokenPipeError) as error:
-                return self._fail(replica, "reset", str(error))
-            except OSError as error:
+            except OSError as error:  # reset, broken pipe, ...
                 return self._fail(replica, "reset", str(error))
             except BadRequest as error:
                 return self._fail(replica, "protocol", str(error))
@@ -773,25 +582,9 @@ class FleetRouter:
 
 
 async def _read_upstream_response(reader: asyncio.StreamReader) -> _Outcome:
-    """Parse one upstream HTTP/1.1 response (strict, bounded)."""
-    head = await read_head(reader)
-    if head is None:
-        raise asyncio.IncompleteReadError(b"", None)
-    line, headers = head
-    parts = line.decode("latin-1").strip().split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise BadRequest(f"malformed status line: {line!r}")
-    try:
-        status = int(parts[1])
-    except ValueError as error:
-        raise BadRequest(f"malformed status code: {line!r}") from error
-    length_text = headers.get("content-length")
-    if length_text is None:
-        body = await reader.read()
-    else:
-        if not (length_text.isascii() and length_text.isdigit()):
-            raise BadRequest(f"bad upstream Content-Length {length_text!r}")
-        body = await reader.readexactly(int(length_text))
+    """One replica response (:func:`~repro.service.http.read_response`:
+    strict, bounded) as an unclassified outcome."""
+    status, headers, body = await read_response(reader)
     return _Outcome(status=status, headers=headers, body=body)
 
 

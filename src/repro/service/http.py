@@ -1,8 +1,9 @@
 """A minimal asyncio HTTP/1.1 layer (stdlib only; DESIGN.md §14).
 
-Just enough HTTP for the query service: request-line + header parsing,
-``Content-Length`` bodies, keep-alive, and a response writer.  The
-parser is deliberately strict and bounded — malformed framing raises
+Just enough HTTP for the front doors (:mod:`~repro.service.endpoint`)
+and the fleet router's upstream side: start-line + header parsing,
+``Content-Length`` bodies, keep-alive, and a writer, for requests and
+responses alike.  The parser is deliberately strict and bounded — malformed framing raises
 :class:`BadRequest` (one 400 response, then the connection closes)
 and oversized headers/bodies raise before anything is buffered
 unbounded.  No chunked encoding, no HTTP/2, no TLS: the service is an
@@ -65,7 +66,8 @@ class HTTPRequest:
             return {}
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+            # RecursionError: a body of 200 000 "[" is a client error too.
             raise BadRequest(f"request body is not valid JSON: {error}") from error
 
 
@@ -84,7 +86,7 @@ async def read_head(
     """The start line and header block of one HTTP/1.1 message, bounded.
 
     The one framing reader for both directions: :func:`read_request`
-    inbound and the fleet router's upstream response reader.  Returns
+    inbound and :func:`read_response` from a replica.  Returns
     ``(start_line, headers)`` — header names lower-cased, the last
     value of a repeated header kept — or ``None`` when the stream ends,
     or holds a bare line end, where a start line should be.
@@ -130,13 +132,26 @@ async def read_head(
     return line, headers
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body: int = DEFAULT_MAX_BODY
-) -> Optional[HTTPRequest]:
+def _content_length(headers: Mapping[str, str]) -> Optional[int]:
+    """The declared body length; None when the header is absent."""
+    text = headers.get("content-length")
+    if text is None:
+        return None
+    # int() is looser than the RFC 9110 1*DIGIT grammar — it takes
+    # "+5", "1_0", unicode digits, surrounding whitespace.  A peer
+    # sending any of those disagrees with us about framing, which
+    # is exactly when parsing must stop, not guess.
+    if not (text.isascii() and text.isdigit()):
+        raise BadRequest(f"bad Content-Length {text!r}")
+    return int(text)
+
+
+async def read_request(reader: asyncio.StreamReader) -> Optional[HTTPRequest]:
     """Parse one request off the stream; None on a clean EOF.
 
-    Raises :class:`BadRequest` on malformed framing and
-    ``asyncio.IncompleteReadError`` when the peer hangs up mid-message.
+    Raises :class:`BadRequest` on malformed framing or a body over
+    :data:`DEFAULT_MAX_BODY`, and ``asyncio.IncompleteReadError`` when
+    the peer hangs up mid-message.
     """
     try:
         head = await read_head(reader)
@@ -150,19 +165,13 @@ async def read_request(
         raise BadRequest(f"malformed request line: {line!r}")
     method, target, _version = parts
     body = b""
-    length_text = headers.get("content-length")
-    if length_text is not None:
-        # int() is looser than the RFC 9110 1*DIGIT grammar — it takes
-        # "+5", "1_0", unicode digits, surrounding whitespace.  A peer
-        # sending any of those disagrees with us about framing, which
-        # is exactly when parsing must stop, not guess.
-        if not (length_text.isascii() and length_text.isdigit()):
-            raise BadRequest(f"bad Content-Length {length_text!r}")
-        length = int(length_text)
-        if length > max_body:
-            raise BadRequest(f"body of {length} bytes exceeds the {max_body} cap")
-        if length:
-            body = await reader.readexactly(length)
+    length = _content_length(headers)
+    if length:
+        if length > DEFAULT_MAX_BODY:
+            raise BadRequest(
+                f"body of {length} bytes exceeds the {DEFAULT_MAX_BODY} cap"
+            )
+        body = await reader.readexactly(length)
     path, _, query_string = target.partition("?")
     query = dict(parse_qsl(query_string, keep_blank_values=True))
     return HTTPRequest(
@@ -172,6 +181,37 @@ async def read_request(
         headers=headers,
         body=body,
     )
+
+
+async def read_response(
+    reader: asyncio.StreamReader,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """Parse one response off the stream: ``(status, headers, body)``.
+
+    The client side of :func:`read_request` (the fleet router reads its
+    replicas through it): same bounded head, same ``Content-Length``
+    rule; without the header the body runs to EOF.  Raises
+    :class:`BadRequest` on malformed framing and
+    ``asyncio.IncompleteReadError`` on a hang-up, also before the
+    status line.
+    """
+    head = await read_head(reader)
+    if head is None:
+        raise asyncio.IncompleteReadError(b"", None)
+    line, headers = head
+    parts = line.decode("latin-1").strip().split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        raise BadRequest(f"malformed status line: {line!r}")
+    try:
+        status = int(parts[1])
+    except ValueError as error:
+        raise BadRequest(f"malformed status code: {line!r}") from error
+    length = _content_length(headers)
+    if length is None:
+        body = await reader.read()
+    else:
+        body = await reader.readexactly(length)
+    return status, headers, body
 
 
 def render_response(
@@ -231,3 +271,15 @@ def render_request(
 def json_body(payload: Any) -> Tuple[bytes, str]:
     """``(body, content_type)`` for a JSON payload."""
     return (json.dumps(payload).encode("utf-8") + b"\n", "application/json")
+
+
+#: What a route handler returns: ``(status, body, content_type,
+#: extra_headers)`` — :func:`write_response`'s arguments, in order.
+Response = Tuple[int, bytes, str, Dict[str, str]]
+
+
+def json_response(
+    status: int, payload: Any, headers: Optional[Dict[str, str]] = None
+) -> Response:
+    """A :data:`Response` carrying a JSON payload."""
+    return (status, *json_body(payload), headers if headers is not None else {})

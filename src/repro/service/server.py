@@ -8,8 +8,8 @@ Dataflow of one ``POST /query``::
 
 The event loop only parses HTTP and arbitrates admission; every
 blocking step — query parsing, planning, evaluation — runs on the
-service's :class:`~repro.service.pool.WorkerPool` (``ServiceConfig.workers``
-threads, each answering one request serially), so N concurrent clients
+service's ``ThreadPoolExecutor`` (``ServiceConfig.workers`` threads,
+each answering one request serially), so N concurrent clients
 multiplex onto one bounded set of threads instead of each connection
 spawning its own.  Backpressure is explicit: when the number of
 accepted-but-not-yet-executing requests reaches
@@ -24,23 +24,22 @@ breaker) guards its requests, and its
 tightened with the request's own timeout.  The answerers' caches are
 plain shared state — every client warms every other client's plans.
 
-Graceful drain (SIGTERM/SIGINT, or :meth:`QueryService.request_drain`):
-stop accepting connections, answer late in-flight-connection requests
-with ``503``, let queued and executing queries finish (bounded by
-``drain_grace_s``), flush metrics, exit 0.
+Listener, connection loop, route table, lifecycle and graceful drain
+are :class:`~repro.service.endpoint.HTTPEndpoint`'s; a drain here also
+waits for queued and executing queries, and late requests on open
+connections answer ``503``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import signal
+import os
 import sys
-import threading
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..answering import STRATEGIES, QueryAnswerer
 from ..engine.evaluator import EngineFailure, EngineTimeout
@@ -52,16 +51,9 @@ from ..resilience.errors import (
     BudgetExhausted,
     ResilienceError,
 )
-from ..telemetry import MetricsRecorder, MetricsRegistry, get_registry
-from .http import (
-    DEFAULT_MAX_BODY,
-    BadRequest,
-    HTTPRequest,
-    json_body,
-    read_request,
-    write_response,
-)
-from .pool import WorkerPool
+from ..telemetry import MetricsRegistry
+from .endpoint import HTTPEndpoint
+from .http import BadRequest, HTTPRequest, Response, json_response
 from .tenants import QuotaExceeded, Tenant, TenantRegistry, UnknownTenant
 
 #: Histogram buckets for service latencies: the default operator-scale
@@ -90,7 +82,6 @@ class ServiceConfig:
     default_timeout_s: Optional[float] = None
     #: How long a drain waits for queued + in-flight work.
     drain_grace_s: float = 30.0
-    max_body_bytes: int = DEFAULT_MAX_BODY
     #: Where the drain path writes the final registry snapshot (JSON);
     #: None keeps the flush on stderr only.
     metrics_flush_path: Optional[str] = None
@@ -122,15 +113,18 @@ _ERROR_MAP: Tuple[Tuple[type, int, str], ...] = (
 )
 
 
-class QueryService:
+class QueryService(HTTPEndpoint):
     """A long-lived HTTP front-end over one or more answerers.
 
     ``answerers`` maps dataset names to :class:`QueryAnswerer`
     instances (a bare answerer serves as the single ``"default"``
     dataset).  ``tenants`` defaults to the open single-tenant registry.
-    The service can either own its execution pool (``config.workers``)
-    or share an explicit ``pool``.
+    Listener, routes, lifecycle and drain are the
+    :class:`~repro.service.endpoint.HTTPEndpoint` core's.
     """
+
+    role = "serve"
+    config: ServiceConfig
 
     def __init__(
         self,
@@ -138,8 +132,8 @@ class QueryService:
         tenants: Optional[TenantRegistry] = None,
         config: Optional[ServiceConfig] = None,
         registry: Optional[MetricsRegistry] = None,
-        pool: Optional[WorkerPool] = None,
     ) -> None:
+        super().__init__(config if config is not None else ServiceConfig(), registry)
         if isinstance(answerers, QueryAnswerer):
             answerers = {"default": answerers}
         if not answerers:
@@ -149,32 +143,17 @@ class QueryService:
             "default" if "default" in self._answerers else next(iter(self._answerers))
         )
         self.tenants = tenants if tenants is not None else TenantRegistry.open_registry()
-        self.config = config if config is not None else ServiceConfig()
         if self.config.default_strategy not in STRATEGIES:
             raise ValueError(f"unknown default strategy {self.config.default_strategy!r}")
-        self.registry = registry if registry is not None else get_registry()
-        if pool is not None:
-            self.pool = pool
-            self._owns_pool = False
-        else:
-            self.pool = WorkerPool(self.config.workers)
-            self._owns_pool = True
-        #: Monotone service counters, exported as ``repro.service.*``.
-        self.metrics = MetricsRecorder()
-        self._counts_lock = threading.Lock()
+        #: Execution-pool width; every admitted request runs on the
+        #: executor, one query per thread (DESIGN.md §11).
+        self._workers = self.config.workers or os.cpu_count() or 1
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._workers, thread_name_prefix="repro-worker"
+        )
         self._queued = 0          # accepted, waiting for a worker
         self._executing = 0       # running on a worker right now
-        self._active_http = 0     # requests between parse and response
         self._latency_ewma_s = 0.25
-        self._draining = False
-        self._drain_requested = False
-        self._drain_async: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._ready = threading.Event()
-        self._serve_thread: Optional[threading.Thread] = None
-        #: ``(host, port)`` once the listener is bound.
-        self.address: Optional[Tuple[str, int]] = None
         self._queue_wait_hist = self.registry.histogram(
             "repro.service.queue_wait_seconds",
             buckets=SERVICE_LATENCY_BUCKETS_S,
@@ -232,203 +211,29 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # What the endpoint core asks of its subclass
     # ------------------------------------------------------------------
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._drain_async = asyncio.Event()
-        if self._drain_requested:
-            self._drain_async.set()
-        server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.address = server.sockets[0].getsockname()[:2]
-        self._ready.set()
-        try:
-            await self._drain_async.wait()
-            self._draining = True
-            server.close()
-            await self._wait_idle(self.config.drain_grace_s)
-            # Kick idle keep-alive connections so their handlers unwind
-            # (their next read sees EOF); in-flight responses are done.
-            for writer in list(self._writers):
-                writer.close()
-            await asyncio.sleep(0)
-            await server.wait_closed()
-        finally:
-            self._flush_metrics()
-
-    async def _wait_idle(self, grace_s: float) -> None:
-        """Wait for queued + executing + unanswered HTTP to hit zero."""
-        deadline = time.perf_counter() + grace_s
-        while time.perf_counter() < deadline:
-            with self._counts_lock:
-                busy = self._queued or self._executing or self._active_http
-            if not busy:
-                return
-            await asyncio.sleep(0.02)
-
-    def request_drain(self) -> None:
-        """Begin a graceful drain (signal handlers land here).
-
-        Safe from any thread and idempotent; the serving coroutine
-        stops accepting, finishes in-flight work, flushes metrics.
-        """
-        self._draining = True
-        self._drain_requested = True
-        loop, event = self._loop, self._drain_async
-        if loop is not None and event is not None:
-            try:
-                loop.call_soon_threadsafe(event.set)
-            except RuntimeError:
-                pass  # loop already closed: the drain has happened
-
-    def run(self, install_signals: bool = True) -> int:
-        """Serve until a drain completes (the ``repro serve`` body)."""
-
-        async def main() -> None:
-            loop = asyncio.get_running_loop()
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    try:
-                        loop.add_signal_handler(signum, self.request_drain)
-                    except (NotImplementedError, RuntimeError):
-                        pass
-            await self._amain()
-
-        try:
-            asyncio.run(main())
-        finally:
-            self.close()
-        return 0
-
-    def start(self) -> "QueryService":
-        """Serve on a background thread (tests, in-process benchmarks)."""
-        if self._serve_thread is not None:
-            raise RuntimeError("service already started")
-        self._serve_thread = threading.Thread(
-            target=lambda: asyncio.run(self._amain()),
-            name="repro-service",
-            daemon=True,
-        )
-        self._serve_thread.start()
-        if not self.wait_ready(15):
-            raise RuntimeError("service did not come up within 15s")
-        return self
-
-    def wait_ready(self, timeout_s: Optional[float] = None) -> bool:
-        """Block until the listener is bound (``address`` is readable)."""
-        return self._ready.wait(timeout_s)
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        """Drain, wait for the serving thread, release owned resources."""
-        self.request_drain()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout_s)
-            self._serve_thread = None
-        self.close()
+    def _busy(self) -> int:
+        return self._active_http or self._queued or self._executing
 
     def close(self) -> None:
-        """Shut down the owned execution pool and close the engines the
+        """Shut down the execution pool and close the engines the
         answerers derived for their saturated / interval-encoded stores
-        (idempotent; a shared pool is left alone)."""
-        if self._owns_pool:
-            self.pool.shutdown()
+        (idempotent)."""
+        self._executor.shutdown()
         for answerer in self._answerers.values():
             answerer.close()
 
-    @property
-    def url(self) -> str:
-        if self.address is None:
-            raise RuntimeError("service is not listening yet")
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def _flush_metrics(self) -> None:
-        """The drain-time metrics flush (file snapshot + stderr line)."""
-        path = self.config.metrics_flush_path
-        if path:
-            try:
-                with open(path, "w", encoding="utf-8") as sink:
-                    json.dump(self.registry.snapshot(), sink, indent=2)
-            except OSError as error:  # pragma: no cover - disk trouble
-                print(f"# repro-serve: metrics flush failed: {error}", file=sys.stderr)
-        counters = self.metrics.as_dict()["counters"]
+    def _drain_line(self, counters: Dict[str, int]) -> str:
         rejected = sum(v for k, v in counters.items() if k.startswith("rejected."))
-        print(
-            f"# repro-serve drained: requests={counters.get('requests', 0)} "
-            f"answered={counters.get('answered', 0)} rejected={rejected}",
-            file=sys.stderr,
+        return (
+            f"requests={counters.get('requests', 0)} "
+            f"answered={counters.get('answered', 0)} rejected={rejected}"
         )
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader, self.config.max_body_bytes)
-                except BadRequest as error:
-                    body, content_type = json_body({"error": str(error)})
-                    await write_response(
-                        writer, 400, body, content_type, keep_alive=False
-                    )
-                    return
-                except (asyncio.IncompleteReadError, ConnectionResetError):
-                    return
-                if request is None:
-                    return
-                with self._counts_lock:
-                    self._active_http += 1
-                try:
-                    status, body, content_type, extra = await self._dispatch(request)
-                    keep = request.keep_alive and not self._draining
-                    await write_response(
-                        writer, status, body, content_type, extra, keep_alive=keep
-                    )
-                finally:
-                    with self._counts_lock:
-                        self._active_http -= 1
-                if not keep:
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _dispatch(
-        self, request: HTTPRequest
-    ) -> Tuple[int, bytes, str, Dict[str, str]]:
-        if request.path == "/query":
-            if request.method != "POST":
-                body, ctype = json_body({"error": "POST /query"})
-                return 405, body, ctype, {"Allow": "POST"}
-            return await self._handle_query(request)
-        if request.method != "GET":
-            body, ctype = json_body({"error": "method not allowed"})
-            return 405, body, ctype, {"Allow": "GET"}
-        if request.path == "/metrics":
-            text = self.registry.render_text()
-            return 200, text.encode("utf-8"), "text/plain; charset=utf-8", {}
-        if request.path == "/healthz":
-            body, ctype = json_body(
-                {"status": "draining" if self._draining else "ok"}
-            )
-            return 200, body, ctype, {}
-        if request.path == "/status":
-            body, ctype = json_body(self.status())
-            return 200, body, ctype, {}
-        body, ctype = json_body({"error": f"no route {request.path}"})
-        return 404, body, ctype, {}
 
     def status(self) -> Dict[str, Any]:
         """The JSON service snapshot behind ``GET /status``."""
-        with self._counts_lock:
+        with self._lock:
             queued, executing = self._queued, self._executing
         return {
             "draining": self._draining,
@@ -437,7 +242,7 @@ class QueryService:
             "queue_depth": queued,
             "queue_capacity": self.config.queue_depth,
             "in_flight": executing,
-            "workers": self.pool.max_workers,
+            "workers": self._workers,
             "tenants": {t.name: t.snapshot() for t in self.tenants.tenants()},
             "counters": self.metrics.as_dict()["counters"],
         }
@@ -445,52 +250,47 @@ class QueryService:
     # ------------------------------------------------------------------
     # The /query pipeline
     # ------------------------------------------------------------------
-    async def _handle_query(
-        self, request: HTTPRequest
-    ) -> Tuple[int, bytes, str, Dict[str, str]]:
+    async def _handle_query(self, request: HTTPRequest) -> Response:
         self.metrics.inc("requests")
         if self._draining:
-            self.metrics.inc("rejected.draining")
-            body, ctype = json_body({"error": "service is draining", "code": "draining"})
-            return 503, body, ctype, {}
+            return self._reject_draining()
         try:
             tenant = self.tenants.resolve(request.headers.get("x-api-key"))
         except UnknownTenant as error:
             self.metrics.inc("rejected.auth")
-            body, ctype = json_body({"error": str(error), "code": "unauthorized"})
-            return 401, body, ctype, {}
+            return json_response(401, {"error": str(error), "code": "unauthorized"})
         try:
             job = self._parse_job(request, tenant)
         except BadRequest as error:
             self.metrics.inc("rejected.bad_request")
-            body, ctype = json_body({"error": str(error), "code": "bad_request"})
-            return 400, body, ctype, {}
+            return json_response(400, {"error": str(error), "code": "bad_request"})
         if job.dataset not in self._answerers:
             self.metrics.inc("rejected.bad_request")
-            body, ctype = json_body(
+            return json_response(
+                404,
                 {
                     "error": f"unknown dataset {job.dataset!r}; "
                     f"serving {sorted(self._answerers)}",
                     "code": "unknown_dataset",
-                }
+                },
             )
-            return 404, body, ctype, {}
         # --- admission: tenant gates first, then the global queue ----
         try:
             tenant.admit(concurrency_retry_after_s=self._retry_after_estimate_s(1))
         except QuotaExceeded as error:
             self.metrics.inc("rejected.quota")
             self.metrics.inc(f"rejected.quota.{error.kind}")
-            body, ctype = json_body(
+            return json_response(
+                429,
                 {
                     "error": str(error),
                     "code": f"quota_{error.kind}",
                     "tenant": tenant.name,
                     "retry_after_s": round(error.retry_after_s, 3),
-                }
+                },
+                _retry_after_header(error.retry_after_s),
             )
-            return 429, body, ctype, _retry_after_header(error.retry_after_s)
-        with self._counts_lock:
+        with self._lock:
             if self._queued >= self.config.queue_depth:
                 queue_full = True
             else:
@@ -500,38 +300,42 @@ class QueryService:
             tenant.release(0)
             self.metrics.inc("rejected.queue_full")
             retry_after = self._retry_after_estimate_s(self.config.queue_depth)
-            body, ctype = json_body(
+            return json_response(
+                429,
                 {
                     "error": f"request queue is full "
                     f"({self.config.queue_depth} waiting)",
                     "code": "queue_full",
                     "retry_after_s": round(retry_after, 3),
-                }
+                },
+                _retry_after_header(retry_after),
             )
-            return 429, body, ctype, _retry_after_header(retry_after)
         # --- execution on the shared worker pool ----------------------
         started = time.perf_counter()
         try:
-            future = self.pool.submit(self._execute, job)
+            future = self._executor.submit(self._execute, job)
         except RuntimeError:
-            # Pool shut down by a racing drain: undo the accounting.
-            with self._counts_lock:
+            # Executor shut down by a racing drain: undo the accounting.
+            with self._lock:
                 self._queued -= 1
             tenant.release(0)
-            self.metrics.inc("rejected.draining")
-            body, ctype = json_body({"error": "service is draining", "code": "draining"})
-            return 503, body, ctype, {}
+            return self._reject_draining()
         status, payload = await asyncio.wrap_future(future)
         elapsed = time.perf_counter() - started
         self._request_hist(tenant.name).observe(elapsed)
-        with self._counts_lock:
+        with self._lock:
             self._latency_ewma_s = 0.8 * self._latency_ewma_s + 0.2 * elapsed
         if status == 200:
             self.metrics.inc("answered")
         else:
             self.metrics.inc(f"errors.{payload.get('code', 'internal')}")
-        body, ctype = json_body(payload)
-        return status, body, ctype, {}
+        return json_response(status, payload)
+
+    def _reject_draining(self) -> Response:
+        self.metrics.inc("rejected.draining")
+        return json_response(
+            503, {"error": "service is draining", "code": "draining"}
+        )
 
     def _parse_job(self, request: HTTPRequest, tenant: Tenant) -> _Job:
         """Validate the request body into a :class:`_Job` (BadRequest on junk)."""
@@ -575,15 +379,15 @@ class QueryService:
 
     def _retry_after_estimate_s(self, position: int) -> float:
         """A Retry-After guess: observed latency × queue position ÷ workers."""
-        with self._counts_lock:
+        with self._lock:
             ewma = self._latency_ewma_s
-        return max(0.1, ewma * max(1, position) / max(1, self.pool.max_workers))
+        return max(0.1, ewma * max(1, position) / max(1, self._workers))
 
     # ------------------------------------------------------------------
     # Worker-side execution (blocking; runs on the pool)
     # ------------------------------------------------------------------
     def _execute(self, job: _Job) -> Tuple[int, Dict[str, Any]]:
-        with self._counts_lock:
+        with self._lock:
             self._queued -= 1
             self._executing += 1
         queue_wait_s = time.perf_counter() - job.enqueued_at
@@ -633,7 +437,7 @@ class QueryService:
                 payload["attempts"] = [a.to_dict() for a in report.attempts]
             return 200, payload
         finally:
-            with self._counts_lock:
+            with self._lock:
                 self._executing -= 1
             job.tenant.release(rows_returned)
 

@@ -164,6 +164,31 @@ class TestExplain:
         assert "SELECT DISTINCT" in out
         assert "FROM triples" in out
 
+    @pytest.mark.parametrize("sql", [False, True], ids=["plan", "sql"])
+    def test_saturation_renders_against_the_saturated_store(
+        self, dataset, capsys, sql
+    ):
+        # No Person triple is explicit in LUBM; the as-written query
+        # runs on the saturated store, where 384 are.  Rendered against
+        # the base store this read "~0 tuples" / "WHERE 0".
+        argv = [
+            "explain",
+            str(dataset),
+            "-q",
+            "SELECT ?x WHERE { ?x a ub:Person }",
+            "--prefix",
+            f"ub={UB}",
+            "--strategy",
+            "saturation",
+        ]
+        code, out, _ = run_cli(argv + (["--sql"] if sql else []), capsys)
+        assert code == 0
+        if sql:
+            assert "WHERE 0" not in out
+            assert "t0.o = " in out
+        else:
+            assert "~384 tuples" in out
+
 
 class TestProfile:
     def test_sections_printed(self, dataset, capsys):

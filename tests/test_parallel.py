@@ -2,10 +2,10 @@
 
 Queries are evaluated serially by the engine on the calling thread;
 what many threads share — one answerer and its caches, one SQLite
-engine's per-thread connections, the dictionary, a tracer, the
-service's :class:`WorkerPool` — must stay correct under them.  Also
-here: the one engine hand-off in ``answer()`` (the ``Engine``
-protocol), its budget semantics, and what ``close()`` releases.
+engine's per-thread connections, the dictionary, a tracer — must stay
+correct under them.  Also here: the one engine hand-off in ``answer()``
+(the ``Engine`` protocol), its budget semantics, and what ``close()``
+releases.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.query import BGPQuery
 from repro.rdf import Literal, RDF_TYPE, Triple, URI, Variable
 from repro.reformulation import ReformulationLimitExceeded
 from repro.resilience import ChaosConfig, ChaosEngine, ExecutionBudget
-from repro.service.pool import WorkerPool, default_workers
 from repro.storage import RDFDatabase
 from repro.telemetry import Tracer
 
@@ -54,42 +53,6 @@ def _scripted_clock(values):
         return state[0]
 
     return clock
-
-
-# ----------------------------------------------------------------------
-# WorkerPool
-# ----------------------------------------------------------------------
-class TestWorkerPool:
-    def test_default_width_is_cpu_count(self):
-        assert WorkerPool().max_workers == default_workers()
-        assert WorkerPool(0).max_workers == default_workers()
-        assert WorkerPool(3).max_workers == 3
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerPool(-1)
-
-    def test_lazy_start_and_submit(self):
-        pool = WorkerPool(2)
-        assert not pool.started
-        try:
-            assert pool.submit(lambda: 6 * 7).result() == 42
-            assert pool.started
-        finally:
-            pool.shutdown()
-
-    def test_submit_after_shutdown_raises(self):
-        pool = WorkerPool(1)
-        pool.submit(lambda: None).result()
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.submit(lambda: None)
-
-    def test_context_manager_shuts_down(self):
-        with WorkerPool(1) as pool:
-            assert pool.submit(lambda: "ok").result() == "ok"
-        with pytest.raises(RuntimeError):
-            pool.submit(lambda: None)
 
 
 # ----------------------------------------------------------------------

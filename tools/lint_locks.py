@@ -10,7 +10,8 @@ is either a data race or an invariant that deserves a comment.
 This tool walks ``src/repro`` and reports each write to a private
 ``self`` attribute that is
 
-* inside a class whose ``__init__`` assigns ``self._lock``,
+* inside a class whose ``__init__`` assigns ``self._lock`` or whose
+  methods take it (a subclass sharing its base's lock),
 * outside every ``with self._lock:`` block,
 * not in ``__init__`` itself (construction happens-before publication),
 * not the lock attribute itself, and
@@ -51,7 +52,11 @@ class Finding(NamedTuple):
 
 
 def _declares_lock(cls: ast.ClassDef) -> bool:
-    """True when the class's ``__init__`` assigns ``self._lock``."""
+    """True when the class's ``__init__`` assigns ``self._lock``, or a
+    method takes ``with self._lock:`` (a lock inherited from a base
+    class in another file, e.g. the service's ``HTTPEndpoint``)."""
+    if any(isinstance(n, ast.With) and _is_lock_guard(n) for n in ast.walk(cls)):
+        return True
     for node in cls.body:
         if isinstance(node, ast.FunctionDef) and node.name == "__init__":
             for stmt in ast.walk(node):
