@@ -30,9 +30,13 @@ benchmark harnesses report it the way the paper reports missing bars.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+from collections.abc import Set as AbstractSet
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +60,136 @@ from .operators import (
 )
 from .relation import Relation
 
-#: Decoded answers: a set of tuples of RDF terms.
-AnswerSet = FrozenSet[Tuple[Term, ...]]
+#: One decoded answer: a tuple of RDF terms, one per head position.
+Row = Tuple[Term, ...]
+
+# Who paused the collector: [callers inside, was it on when the first came].
+_pause_lock = threading.Lock()
+_pause_state = [0, False]
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector out of one bulk build of acyclic objects.
+
+    Allocating tens of thousands of GC-tracked tuples trips a young
+    collection every 700 of them and promotes the half-built set into
+    the old generation, whose collections then rescan it (and the whole
+    heap) again and again.  Pauses nest across threads: the first caller
+    in records whether the collector was on and turns it off, the last
+    one out turns it back on if it was.  (Without the count, a thread
+    entering inside another's pause reads "off", and by disabling after
+    the other's re-enable leaves collection off for the whole process.)
+    """
+    with _pause_lock:
+        if _pause_state[0] == 0:
+            _pause_state[1] = gc.isenabled()
+            gc.disable()
+        _pause_state[0] += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_state[0] -= 1
+            if _pause_state[0] == 0 and _pause_state[1]:
+                gc.enable()
+
+
+class AnswerSet(AbstractSet):
+    """An engine's answers: a set of tuples of RDF terms, kept as codes.
+
+    Holds the engine's distinct ``(n, k)`` int64 code rows (read-only)
+    and the dictionary snapshot that decodes them, and decodes only what
+    a caller reads (DESIGN.md §17).  ``len`` is ``n`` (for ``k = 0``, a
+    Boolean answer: 1 if there are rows, else 0) — the rows must be
+    distinct, which every engine guarantees.  Iteration decodes by
+    column and yields term tuples; :meth:`rendered` builds the sorted
+    tab-joined rows the service returns from the snapshot's string
+    table.  ``==`` against a view on the *same* snapshot compares the
+    sorted code rows; anything else (a ``frozenset``, or a view over a
+    ``remapped()`` dictionary such as LiteMat's) compares by terms,
+    through a ``frozenset`` built on first need and kept.  Membership,
+    hashing and the set operators (which return plain ``frozenset``
+    objects) go through that same ``frozenset``.
+    """
+
+    __slots__ = ("codes", "_snapshot", "_sorted", "_terms")
+
+    def __init__(self, codes: np.ndarray, snapshot) -> None:
+        codes = codes.view()
+        codes.flags.writeable = False
+        self.codes = codes
+        self._snapshot = snapshot
+        self._sorted: Optional[np.ndarray] = None
+        self._terms: Optional[FrozenSet[Row]] = None
+
+    def __len__(self) -> int:
+        n, k = self.codes.shape
+        return n if k else min(n, 1)
+
+    def __iter__(self) -> Iterator[Row]:
+        if self.codes.shape[1] == 0:
+            return iter([()] * len(self))
+        return zip(*self._snapshot.decode_columns(self.codes))
+
+    def __contains__(self, row) -> bool:
+        return row in self._frozen()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AnswerSet):
+            if other._snapshot is self._snapshot:
+                return self._same_codes(other)
+            other = other._frozen()
+        elif not isinstance(other, AbstractSet):
+            return NotImplemented
+        return self._frozen() == other
+
+    def __hash__(self) -> int:
+        return hash(self._frozen())
+
+    @classmethod
+    def _from_iterable(cls, rows) -> FrozenSet[Row]:
+        return frozenset(rows)
+
+    def rendered(self) -> List[str]:
+        """``sorted("\\t".join(str(t) for t in row) for row in self)``.
+
+        Built by column from the snapshot's string table: one list index
+        per cell, one C-level join per row, one sort.
+        """
+        n, k = self.codes.shape
+        if n == 0:
+            return []
+        if k == 0:
+            return [""]
+        texts = self._snapshot.texts(int(self.codes.max()) + 1)
+        columns = [[texts[v] for v in column] for column in self.codes.T.tolist()]
+        rows = columns[0] if k == 1 else list(map("\t".join, zip(*columns)))
+        rows.sort()
+        return rows
+
+    def _same_codes(self, other: "AnswerSet") -> bool:
+        """Equality of two views on one snapshot: sorted code rows."""
+        if len(self) != len(other):
+            return False
+        if not len(self) or self.codes.shape[1] == other.codes.shape[1] == 0:
+            return True
+        return np.array_equal(self._sorted_codes(), other._sorted_codes())
+
+    def _sorted_codes(self) -> np.ndarray:
+        if self._sorted is None:
+            self._sorted = self.codes[np.lexsort(self.codes.T[::-1])]
+        return self._sorted
+
+    def _frozen(self) -> FrozenSet[Row]:
+        if self._terms is None:
+            # Rows are tuples of existing terms in one frozenset: acyclic.
+            with _collector_paused():
+                self._terms = frozenset(self)
+        return self._terms
+
+    def __repr__(self) -> str:
+        return f"AnswerSet({len(self)} rows x {self.codes.shape[1]})"
 
 
 class Engine(Protocol):
@@ -82,7 +214,7 @@ class Engine(Protocol):
         metrics: Optional[MetricsRecorder] = None,
         budget=None,
     ) -> AnswerSet:
-        """The decoded answers of a CQ, UCQ or JUCQ.
+        """The answers of a CQ, UCQ or JUCQ: distinct rows, still encoded.
 
         ``budget`` (:class:`repro.resilience.ExecutionBudget`) carries
         the shared deadline and the row/term caps and supersedes
@@ -238,13 +370,13 @@ class NativeEngine:
         metrics: Optional[MetricsRecorder] = None,
         budget=None,
     ) -> AnswerSet:
-        """Evaluate and decode: a set of tuples of RDF terms."""
+        """Evaluate: the distinct answer rows, as an :class:`AnswerSet`."""
         started = time.perf_counter()
         relation = self.evaluate_relation(
             query, timeout_s=timeout_s, tracer=tracer, metrics=metrics,
             budget=budget,
         )
-        answers = self.database.dictionary.decode_rows(relation.rows)
+        answers = AnswerSet(relation.rows, self.database.dictionary.snapshot)
         get_registry().histogram(
             "repro.engine.evaluate_seconds",
             labels={"engine": self.name},

@@ -1,8 +1,9 @@
 """Column-named integer relations — the tuples flowing between operators.
 
 A :class:`Relation` is an ``(n, k)`` int64 array plus ``k`` column
-names.  All engine-internal values are dictionary codes; decoding back
-to RDF terms happens once, at the answering layer.
+names.  All engine-internal values are dictionary codes; they are
+decoded back to RDF terms only where a caller reads an answer's terms
+(:class:`repro.engine.evaluator.AnswerSet`).
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class Relation:
     def to_tuples(self) -> List[Tuple[int, ...]]:
         """Rows as Python tuples of codes, for tests and external drivers.
 
-        Not the decode boundary: answers leave the engine through
-        :meth:`repro.storage.dictionary.Dictionary.decode_rows`, which
-        reads ``rows`` as columns.
+        Not the result boundary: answers leave the engine as a
+        :class:`repro.engine.evaluator.AnswerSet` over ``rows``, which
+        decodes by column.
         """
         return [tuple(row) for row in self.rows.tolist()]
 

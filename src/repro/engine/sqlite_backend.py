@@ -192,7 +192,7 @@ class SQLiteEngine:
         metrics: Optional[MetricsRecorder] = None,
         budget=None,
     ) -> AnswerSet:
-        """Evaluate and decode answers (a set of tuples of RDF terms).
+        """Evaluate: the distinct answer rows, as an :class:`AnswerSet`.
 
         SQLite's internal operators are opaque, so telemetry records the
         SQL boundary instead: compile/execute spans, statement size, and
@@ -224,15 +224,15 @@ class SQLiteEngine:
                 f"result of {len(rows)} rows exceeds the budget's "
                 f"max_result_rows={result_cap}"
             )
-        if not rows:
-            answers: AnswerSet = frozenset()
-        else:
+        if rows:
             codes = np.array(rows, dtype=np.int64)
-            if getattr(query, "arity", None) == 0:
+            if query.arity == 0:
                 # Boolean query: the SQL emits a marker column instead of
                 # an (invalid) empty select list.
                 codes = codes[:, :0]
-            answers = self.database.dictionary.decode_rows(codes)
+        else:
+            codes = np.empty((0, query.arity), dtype=np.int64)
+        answers = AnswerSet(codes, self.database.dictionary.snapshot)
         get_registry().histogram(
             "repro.engine.evaluate_seconds",
             labels={"engine": self.name},

@@ -7,9 +7,10 @@ Dataflow of one ``POST /query``::
      → tenant)  gates)       429 when full)    execution)      ladder+budget)
 
 The event loop only parses HTTP and arbitrates admission; every
-blocking step — query parsing, planning, evaluation — runs on the
-service's ``ThreadPoolExecutor`` (``ServiceConfig.workers`` threads,
-each answering one request serially), so N concurrent clients
+blocking step — query parsing, planning, evaluation, rendering the rows
+and encoding the JSON body — runs on the service's
+``ThreadPoolExecutor`` (``ServiceConfig.workers`` threads, each
+answering one request serially), so N concurrent clients
 multiplex onto one bounded set of threads instead of each connection
 spawning its own.  Backpressure is explicit: when the number of
 accepted-but-not-yet-executing requests reaches
@@ -53,7 +54,7 @@ from ..resilience.errors import (
 )
 from ..telemetry import MetricsRegistry
 from .endpoint import HTTPEndpoint
-from .http import BadRequest, HTTPRequest, Response, json_response
+from .http import BadRequest, HTTPRequest, Response, json_body, json_response
 from .tenants import QuotaExceeded, Tenant, TenantRegistry, UnknownTenant
 
 #: Histogram buckets for service latencies: the default operator-scale
@@ -320,7 +321,7 @@ class QueryService(HTTPEndpoint):
                 self._queued -= 1
             tenant.release(0)
             return self._reject_draining()
-        status, payload = await asyncio.wrap_future(future)
+        status, code, (body, content_type) = await asyncio.wrap_future(future)
         elapsed = time.perf_counter() - started
         self._request_hist(tenant.name).observe(elapsed)
         with self._lock:
@@ -328,8 +329,8 @@ class QueryService(HTTPEndpoint):
         if status == 200:
             self.metrics.inc("answered")
         else:
-            self.metrics.inc(f"errors.{payload.get('code', 'internal')}")
-        return json_response(status, payload)
+            self.metrics.inc(f"errors.{code}")
+        return status, body, content_type, {}
 
     def _reject_draining(self) -> Response:
         self.metrics.inc("rejected.draining")
@@ -386,7 +387,14 @@ class QueryService(HTTPEndpoint):
     # ------------------------------------------------------------------
     # Worker-side execution (blocking; runs on the pool)
     # ------------------------------------------------------------------
-    def _execute(self, job: _Job) -> Tuple[int, Dict[str, Any]]:
+    def _execute(self, job: _Job) -> Tuple[int, Optional[str], Tuple[bytes, str]]:
+        """Answer one job and encode its JSON body, both on the worker:
+        ``(status, error code or None, (body, content type))``."""
+        status, payload = self._answer(job)
+        code = None if status == 200 else payload.get("code", "internal")
+        return status, code, json_body(payload)
+
+    def _answer(self, job: _Job) -> Tuple[int, Dict[str, Any]]:
         with self._lock:
             self._queued -= 1
             self._executing += 1
@@ -417,9 +425,7 @@ class QueryService(HTTPEndpoint):
                     )
             except Exception as error:  # mapped below; never a traceback
                 return self._error_payload(error)
-            rows = sorted(
-                "\t".join(str(term) for term in row) for row in report.answers
-            )
+            rows = report.answers.rendered()
             rows_returned = len(rows)
             payload: Dict[str, Any] = {
                 "dataset": job.dataset,

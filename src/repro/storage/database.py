@@ -75,7 +75,7 @@ class RDFDatabase:
     def facts_graph(self) -> RDFGraph:
         """The stored facts decoded back into an :class:`RDFGraph`."""
         rows = self.table.match((None, None, None))
-        return RDFGraph(map(Triple, *self.dictionary.decode_columns(rows)))
+        return RDFGraph(map(Triple, *self.dictionary.snapshot.decode_columns(rows)))
 
     def saturated(self) -> "RDFDatabase":
         """A new database whose facts are the saturation of this one's.

@@ -27,55 +27,23 @@ allocation time: the old implementation rescanned every stored term on
 each call, an O(n) walk per report that made frequent ``stats``/CLI
 polling quadratic over the load.
 
-The result boundary (DESIGN.md §17): every answer crosses code → term
-exactly once, through :meth:`Dictionary.decode_rows`, which decodes an
-``(n, k)`` code array by column against the snapshot's ``term_of`` and
-builds the row tuples with one ``zip``.
+The result boundary (DESIGN.md §17): engines return their answers as
+codes plus the snapshot that decodes them
+(:class:`repro.engine.evaluator.AnswerSet`).  A snapshot decodes an
+``(n, k)`` code array by column against its ``term_of``, and keeps a
+grow-only per-code string table, ``text_of``, that answers are rendered
+from without building a term tuple per row.
 """
 
 from __future__ import annotations
 
-import gc
 import threading
 from collections import Counter
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..rdf.terms import BlankNode, Literal, Term, URI
-
-
-# Who paused the collector: [callers inside, was it on when the first came].
-_pause_lock = threading.Lock()
-_pause_state = [0, False]
-
-
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Keep the cyclic collector out of one bulk build of acyclic objects.
-
-    Allocating tens of thousands of GC-tracked tuples trips a young
-    collection every 700 of them and promotes the half-built set into
-    the old generation, whose collections then rescan it (and the whole
-    heap) again and again.  Pauses nest across threads: the first caller
-    in records whether the collector was on and turns it off, the last
-    one out turns it back on if it was.  (Without the count, a thread
-    entering inside another's pause reads "off", and by disabling after
-    the other's re-enable leaves collection off for the whole process.)
-    """
-    with _pause_lock:
-        if _pause_state[0] == 0:
-            _pause_state[1] = gc.isenabled()
-            gc.disable()
-        _pause_state[0] += 1
-    try:
-        yield
-    finally:
-        with _pause_lock:
-            _pause_state[0] -= 1
-            if _pause_state[0] == 0 and _pause_state[1]:
-                gc.enable()
 
 
 def _kind_of(term: Term) -> str:
@@ -98,12 +66,20 @@ class _Snapshot:
     snapshot a ``term_of`` entry is appended *before* the code is
     published in ``code_of``, so any code a reader can obtain already
     decodes.
+
+    ``text_of[code] == str(term_of[code])`` for every code below its
+    length: the string table answers are rendered from.  It grows only
+    when a render asks for a code it does not cover yet, under the
+    owning dictionary's lock, and by the same rule as ``term_of``: the
+    strings are built first and published with one ``extend``, so a
+    reader that sees the new length sees every string under it.
     """
 
-    __slots__ = ("code_of", "term_of", "kind_counts")
+    __slots__ = ("code_of", "term_of", "kind_counts", "text_of", "_lock")
 
     def __init__(
         self,
+        lock: threading.Lock,
         code_of: Optional[Dict[Term, int]] = None,
         term_of: Optional[List[Term]] = None,
         kind_counts: Optional[Dict[str, int]] = None,
@@ -115,14 +91,39 @@ class _Snapshot:
             if kind_counts is not None
             else {"uris": 0, "literals": 0, "blank_nodes": 0}
         )
+        self.text_of: List[str] = []
+        self._lock = lock
+
+    def decode_columns(self, codes: np.ndarray) -> List[List[Term]]:
+        """An ``(n, k)`` code array decoded column-wise: ``k`` lists of ``n``.
+
+        The one code → term loop in ``src/``: one list index per cell,
+        no call, generator or tuple per row.
+        """
+        term_of = self.term_of
+        return [[term_of[v] for v in column] for column in codes.T.tolist()]
+
+    def texts(self, size: int) -> List[str]:
+        """The string table, grown to cover at least the codes ``< size``.
+
+        A code that was never allocated stays uncovered, so indexing the
+        table with it is an ``IndexError``, as with ``term_of``.
+        """
+        text_of = self.text_of
+        if len(text_of) < size:
+            with self._lock:
+                start = len(text_of)
+                if start < size:
+                    text_of.extend([str(term) for term in self.term_of[start:size]])
+        return text_of
 
 
 class Dictionary:
     """Two-way value ↔ integer-code map for ground RDF terms."""
 
     def __init__(self) -> None:
-        self._snapshot = _Snapshot()
         self._lock = threading.Lock()
+        self._snapshot = _Snapshot(self._lock)
 
     @staticmethod
     def _check_encodable(term: Term) -> None:
@@ -173,28 +174,11 @@ class Dictionary:
         """The term a code stands for."""
         return self._snapshot.term_of[code]
 
-    def decode_columns(self, codes: np.ndarray) -> List[List[Term]]:
-        """An ``(n, k)`` code array decoded column-wise: ``k`` lists of ``n``.
-
-        The one code → term loop in ``src/``: one list index per cell,
-        no call, generator or tuple per row.
-        """
-        term_of = self._snapshot.term_of
-        return [[term_of[v] for v in column] for column in codes.T.tolist()]
-
-    def decode_rows(self, codes: np.ndarray) -> FrozenSet[Tuple[Term, ...]]:
-        """The distinct rows of an ``(n, k)`` code array, decoded.
-
-        The crossing every engine's answers take, once.  A zero-column
-        array is a Boolean result: ``{()}`` when it has rows, else the
-        empty set.
-        """
-        n, k = codes.shape
-        if k == 0:
-            return frozenset({()}) if n else frozenset()
-        # Rows are tuples of existing terms in one frozenset: acyclic.
-        with _collector_paused():
-            return frozenset(zip(*self.decode_columns(codes)))
+    @property
+    def snapshot(self) -> _Snapshot:
+        """The current state of the map: what an engine's answers decode
+        against (``term_of``, ``code_of`` and the string table)."""
+        return self._snapshot
 
     def items(self) -> Iterator[Tuple[int, Term]]:
         """Iterate ``(code, term)`` pairs of one consistent snapshot."""
@@ -231,7 +215,7 @@ class Dictionary:
         ]
         new = Dictionary()
         new._snapshot = _Snapshot(
-            dict(zip(terms, range(len(terms)))), terms, dict(kind_counts)
+            new._lock, dict(zip(terms, range(len(terms)))), terms, dict(kind_counts)
         )
         return new
 

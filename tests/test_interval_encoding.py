@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.evaluator import AnswerSet
 from repro.rdf import BlankNode, Literal, RDFSchema, RDF_TYPE, Triple, URI, Variable
 from repro.rdf.terms import IdRange
 from repro.storage import (
@@ -410,10 +411,12 @@ class TestDictionaryRemap:
         assert all(new.lookup(term) == code for code, term in old.items())
         # A one-shot iterable of leading terms is consumed once.
         assert list(d.remapped(iter(leading)).items()) == list(old.items())
-        # The remapped dictionary decodes in bulk and keeps allocating
-        # after the bulk build.
+        # The remapped dictionary decodes and renders in bulk and keeps
+        # allocating after the bulk build.
         codes = np.arange(len(new), dtype=np.int64).reshape(-1, 1)
-        assert new.decode_rows(codes) == {(term,) for _, term in old.items()}
+        view = AnswerSet(codes, new.snapshot)
+        assert view == {(term,) for _, term in old.items()}
+        assert view.rendered() == sorted(str(term) for _, term in old.items())
         assert new.encode(u("later")) == old.encode(u("later")) == len(old) - 1
         with pytest.raises(TypeError):
             d.remapped([Variable("x")])
@@ -476,8 +479,10 @@ class TestDictionaryRemap:
         assert not errors
 
     def test_concurrent_encode_and_decode_rows(self):
-        """Writers allocate fresh terms while readers bulk-decode codes
-        they were handed: never an ``IndexError``, never a wrong term."""
+        """Writers allocate fresh terms while readers decode and render
+        views of codes they were handed — the string table grows under
+        the readers: never an ``IndexError``, never a wrong term or
+        string."""
         d = Dictionary()
         handed = []  # (code, term) pairs, appended after encode returns
         stop = threading.Event()
@@ -497,10 +502,13 @@ class TestDictionaryRemap:
                     known = len(handed)
                     if not known:
                         continue
-                    pairs = [handed[rng.randrange(known)] for _ in range(64)]
-                    codes = np.array([[c, c] for c, _ in pairs], dtype=np.int64)
-                    expected = {(t, t) for _, t in pairs}
-                    if d.decode_rows(codes) != expected:
+                    pairs = dict(handed[rng.randrange(known)] for _ in range(64))
+                    codes = np.array([[c, c] for c in pairs], dtype=np.int64)
+                    view = AnswerSet(codes, d.snapshot)
+                    if view.rendered() != sorted(f"{t}\t{t}" for t in pairs.values()):
+                        errors.append("wrong string")
+                        return
+                    if set(view) != {(t, t) for t in pairs.values()}:
                         errors.append("wrong term")
                         return
             except Exception as error:  # noqa: BLE001 — reported below

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.engine.evaluator import AnswerSet
 from repro.rdf import BlankNode, Literal, RDF_TYPE, Triple, URI, Variable
 from repro.storage import Dictionary, RDFDatabase, TripleTable
 from repro.storage.triple_table import PERMUTATIONS
@@ -49,14 +50,24 @@ class TestDictionary:
 
 
 def _reference_decode(dictionary, codes):
-    """The per-cell loop ``decode_rows`` replaced, kept as the oracle."""
+    """The per-cell decode loop, kept as the oracle of the result boundary."""
     return frozenset(
         tuple(dictionary.decode(v) for v in row) for row in codes.tolist()
     )
 
 
+def _view(dictionary, codes):
+    """An engine's answers over ``codes``: their distinct rows, encoded."""
+    if codes.shape[1] == 0:
+        codes = codes[:1]
+    elif len(codes):
+        codes = np.unique(codes, axis=0)
+    return AnswerSet(codes, dictionary.snapshot)
+
+
 class TestDecodeRows:
-    """The columnar result boundary against the per-row ``decode``."""
+    """The columnar result boundary (``AnswerSet``) against the per-row
+    ``decode``; ``tests/test_answer_view.py`` holds the full property."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -78,17 +89,27 @@ class TestDecodeRows:
             d.encode(kinds[i % 3](f"t{i}"))
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, min(pool, size), size=(n, k)).astype(np.int64)
-        assert d.decode_rows(codes) == _reference_decode(d, codes)
+        reference = _reference_decode(d, codes)
+        view = _view(d, codes)
+        assert set(view) == reference and len(view) == len(reference)
+        assert view == reference
+        assert view.rendered() == sorted(
+            "\t".join(str(term) for term in row) for row in reference
+        )
 
     def test_unallocated_code_is_an_index_error(self):
         d = Dictionary()
         for i in range(5):
             d.encode(u(f"v{i}"))
+        view = _view(d, np.full((3, 2), 5, dtype=np.int64))
         with pytest.raises(IndexError):
-            d.decode_rows(np.full((3, 2), 5, dtype=np.int64))
+            list(view)
+        with pytest.raises(IndexError):
+            view.rendered()
 
     def test_overlapping_pauses_share_one_count(self):
-        """``decode_rows`` pauses the cyclic collector for its bulk build.
+        """The lazy term set of a view is built with the cyclic
+        collector paused.
 
         The pause belongs to everyone inside it: off while any caller is
         still building, back on when the last one leaves.  A pause that
@@ -99,7 +120,7 @@ class TestDecodeRows:
         """
         import gc
 
-        from repro.storage.dictionary import _collector_paused
+        from repro.engine.evaluator import _collector_paused
 
         assert gc.isenabled()
         first, second = _collector_paused(), _collector_paused()
@@ -115,29 +136,41 @@ class TestDecodeRows:
             gc.enable()  # do not let a failure here poison later tests
 
     def test_concurrent_decodes_leave_the_collector_on(self):
-        """Eight threads, tiny decodes, a 1 µs switch interval: the
-        schedule under which an uncounted pause gets stuck off (in about
-        one run of two; the deterministic check is the test above)."""
+        """Six reader threads compare tiny views by terms (a paused
+        build each) and render them, while two writers ``encode()``
+        fresh terms -- growing the dictionary and its string table under
+        the readers -- at a 1 µs switch interval: the schedule under
+        which an uncounted pause gets stuck off (in about one run of
+        two; the deterministic check is the test above)."""
         import gc
         import sys
         import threading
 
         d = Dictionary()
         d.encode(u("a"))
-        codes = np.zeros((1, 1), dtype=np.int64)
-        expected = _reference_decode(d, codes)
+        handed = [(0, u("a"))]
         wrong = []
 
-        def work():
-            for _ in range(5000):
-                if d.decode_rows(codes) != expected:
-                    wrong.append(True)
+        def write(slot):
+            for i in range(2000):
+                term = Literal(f"w{slot}-{i}\t\"")
+                handed.append((d.encode(term), term))
+
+        def read(seed):
+            for i in range(1500):
+                code, term = handed[(seed * 7919 + i) % len(handed)]
+                view = _view(d, np.array([[code, 0]], dtype=np.int64))
+                if view != frozenset({(term, u("a"))}):
+                    wrong.append(("term", code))
+                if view.rendered() != [f"{term}\t{u('a')}"]:
+                    wrong.append(("string", code))
 
         assert gc.isenabled()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work) for _ in range(8)]
+            threads = [threading.Thread(target=write, args=(i,)) for i in range(2)]
+            threads += [threading.Thread(target=read, args=(i,)) for i in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -147,8 +180,9 @@ class TestDecodeRows:
             was_enabled = gc.isenabled()
             gc.enable()
         assert not any(thread.is_alive() for thread in threads)
-        assert not wrong
+        assert not wrong, wrong[:5]
         assert was_enabled
+        assert len(d) == 4001
 
     def test_a_collector_the_caller_turned_off_stays_off(self):
         import gc
@@ -157,12 +191,12 @@ class TestDecodeRows:
         d.encode(u("a"))
         gc.disable()
         try:
-            d.decode_rows(np.zeros((2, 1), dtype=np.int64))
+            assert _view(d, np.zeros((2, 1), dtype=np.int64)) == {(u("a"),)}
             assert not gc.isenabled()
         finally:
             gc.enable()
         with pytest.raises(IndexError):
-            d.decode_rows(np.full((1, 1), 7, dtype=np.int64))
+            hash(_view(d, np.full((1, 1), 7, dtype=np.int64)))  # a paused build
         assert gc.isenabled()  # re-enabled on the error path too
 
 
