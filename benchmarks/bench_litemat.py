@@ -58,7 +58,7 @@ def _entries():
 
 def _warm_derived_stores() -> None:
     """Build each engine's interval-encoded derived store outside the
-    timed cells: the re-encode is a one-time, epoch-keyed cost amortized
+    timed cells: the re-encode is a one-time, snapshot-keyed cost amortized
     over the whole query stream (and cached by the assigner), so timing
     it inside the first cell would misattribute it to that query."""
     entry = _entries()[0]

@@ -6,9 +6,9 @@ the strategies of :mod:`repro.answering.strategies` (one table row
 each: how the query is rewritten, which store the plan runs on), hands
 it to an evaluation engine, and reports both the answers and the time
 split between optimization and evaluation.  :meth:`QueryAnswerer.answer`
-is the pipeline, in stages: resolve the budget → plan through the cache
-→ verify → union budget → :meth:`~QueryAnswerer.engine_for` → evaluate
-→ report.  No stage compares strategy names.
+is the pipeline, in stages: resolve the budget → resolve the derived
+store → plan through the cache → verify → union budget → the engine over
+that store → evaluate → report.  No stage compares strategy names.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cache.lru import MISSING, LRUCache
 from ..cache.manager import QueryCache
@@ -41,7 +41,7 @@ from ..resilience.errors import (
     thaw_exception,
 )
 from ..resilience.fallback import AttemptRecord, CircuitBreaker, FallbackPolicy
-from ..storage.database import RDFDatabase
+from ..storage.database import RDFDatabase, Snapshot
 from ..storage.interval_encoding import IntervalAssigner
 from ..telemetry import (
     NULL_TRACER,
@@ -52,7 +52,7 @@ from ..telemetry import (
     get_registry,
 )
 from ..telemetry.registry import Histogram
-from .strategies import STRATEGIES, Strategy, strategy_named
+from .strategies import STRATEGIES, Derived, Strategy, strategy_named
 
 __all__ = ["STRATEGIES", "AnswerReport", "QueryAnswerer"]
 
@@ -144,8 +144,7 @@ class QueryAnswerer:
         #: LiteMat interval machinery (DESIGN.md §16): the assigner owns
         #: the derived interval-encoded store (re-encoded on schema
         #: mutation, extended on data mutation); the reformulator
-        #: memoizes interval plans guarded by (schema fingerprint,
-        #: encoding epoch).
+        #: memoizes interval plans per encoding.
         self.interval_assigner = IntervalAssigner()
         self.interval_reformulator = IntervalReformulator(database.schema)
         self.cache = cache
@@ -171,12 +170,12 @@ class QueryAnswerer:
         self.resilience_metrics = MetricsRecorder()
         self._breaker: Optional[CircuitBreaker] = None
         #: Engines over the derived stores, built through
-        #: ``engine.for_database``: strategy -> (key the store was
+        #: ``engine.for_database``: strategy -> (snapshot the store was
         #: derived at, engine).  The answerer owns them (see ``close``).
-        self._derived: Dict[str, Tuple[Any, Engine]] = {}
-        #: ``(schema fingerprint, saturated store)`` as derived last: the
-        #: state the next write's re-saturation starts from.
-        self._saturated: Optional[Tuple[str, Saturated]] = None
+        self._derived: Dict[str, Tuple[Snapshot, Engine]] = {}
+        #: ``(snapshot, saturated store)`` as derived last: the state the
+        #: next write's re-saturation starts from.
+        self._saturated: Optional[Tuple[Snapshot, Saturated]] = None
         #: strategy -> its (optimize, evaluate) latency histograms.
         self._latency: Dict[str, Tuple[Histogram, Histogram]] = {}
         #: Guards the lazily-built shared members (derived engines,
@@ -280,11 +279,13 @@ class QueryAnswerer:
             from ..analysis.verifier import verify_bgp
 
             verify_bgp(query)
+        row = strategy_named(strategy)
         planned, search = self._plan_cached(
-            strategy_named(strategy),
+            row,
             query,
             self.tracer if tracer is None else tracer,
             budget,
+            self._resolve(row),
         )
         if verify:
             self._verify(query, planned, search)
@@ -307,13 +308,15 @@ class QueryAnswerer:
         row: Strategy,
         query: BGPQuery,
         tracer,
-        budget: Optional[ExecutionBudget] = None,
+        budget: Optional[ExecutionBudget],
+        derived: Optional[Derived],
     ):
         """Plan-cache wrapper around :meth:`Strategy.plan` (DESIGN.md §9).
 
-        Entries are keyed by (query fingerprint, strategy, schema
-        fingerprint, stats epoch), so any schema or data mutation makes
-        a fresh key and stale plans are never served.  Planning
+        Entries are keyed by (query fingerprint, strategy, snapshot),
+        the snapshot taken once before planning — the derived store's
+        when the plan runs on one — so any schema or data mutation
+        makes a fresh key and stale plans are never served.  Planning
         *failures* (reformulation-limit overruns, infeasible cover
         searches) are memoized too and re-raised on warm hits, so a
         query that cannot be planned fails fast on every retry — stored
@@ -328,8 +331,11 @@ class QueryAnswerer:
         next caller.
         """
         if self.cache is None or row.rewrite is None:
-            return row.plan(self, query, tracer, budget)
-        entry = self.cache.get_plan(self.database, query, row.name)
+            return row.plan(self, query, tracer, budget, derived)
+        snapshot = self.database.snapshot() if derived is None else derived.snapshot
+        key = self.cache.plan_key(snapshot, query, row.name)
+        plans = self.cache.plans
+        entry = plans.get(key, MISSING)
         if entry is not MISSING:
             outcome, payload = entry
             if outcome == "error":
@@ -337,20 +343,13 @@ class QueryAnswerer:
             return payload
         deadline_active = budget is not None and budget.timeout_s is not None
         try:
-            planned, search = row.plan(self, query, tracer, budget)
+            planned, search = row.plan(self, query, tracer, budget, derived)
         except (ReformulationLimitExceeded, SearchInfeasible) as error:
             if not deadline_active:
-                self.cache.put_plan(
-                    self.database,
-                    query,
-                    row.name,
-                    ("error", freeze_exception(error)),
-                )
+                plans.put(key, ("error", freeze_exception(error)))
             raise
         if not deadline_active:
-            self.cache.put_plan(
-                self.database, query, row.name, ("ok", (planned, search))
-            )
+            plans.put(key, ("ok", (planned, search)))
         return planned, search
 
     # ------------------------------------------------------------------
@@ -411,7 +410,8 @@ class QueryAnswerer:
         with tracer.span("answer", query=query.name, strategy=strategy) as root:
             start = time.perf_counter()
             with tracer.span("plan", strategy=strategy):
-                planned, search = self._plan_cached(row, query, tracer, budget)
+                derived = self._resolve(row)
+                planned, search = self._plan_cached(row, query, tracer, budget, derived)
             if verify:
                 with tracer.span("verify-ir"):
                     self._verify(query, planned, search, database=self.database)
@@ -427,7 +427,7 @@ class QueryAnswerer:
                     f"max_union_terms={budget.max_union_terms}"
                 )
             optimization_s = time.perf_counter() - start
-            engine = self.engine_for(strategy)
+            engine = self._engine_over(row, derived)
             start = time.perf_counter()
             with tracer.span("evaluate", engine=engine.name) as eval_span:
                 answers = engine.evaluate(
@@ -716,39 +716,40 @@ class QueryAnswerer:
         """The engine a strategy's plan runs on: the answerer's own, or
         a sibling over the strategy's derived store (kept current)."""
         row = strategy_named(strategy)
-        if row.store is None:
-            return self.engine
-        key, derive = row.store(self)
-        return self._derived_engine(row.name, key, derive)
+        return self._engine_over(row, self._resolve(row))
 
-    def _saturate(self, fingerprint: str) -> RDFDatabase:
+    def _resolve(self, row: Strategy) -> Optional[Derived]:
+        """The row's derived store as of now (None: the base store)."""
+        return None if row.store is None else row.store(self)
+
+    def _saturate(self, snapshot: Snapshot) -> RDFDatabase:
         """The saturated store; while the schema stands, the one derived
         last is handed back in and only extended (DESIGN.md §20)."""
         held = self._saturated
         saturated = saturate_database(
             self.database,
-            held[1] if held is not None and held[0] == fingerprint else None,
+            held[1] if held is not None and held[0].schema == snapshot.schema else None,
         )
-        self._saturated = (fingerprint, saturated)  # lock: held by _derived_engine
+        self._saturated = (snapshot, saturated)  # lock: held by _engine_over
         return saturated.database
 
-    def _derived_engine(
-        self, strategy: str, key: Any, derive: Callable[[], RDFDatabase]
-    ) -> Engine:
-        """The engine over a strategy's derived store, rebuilt on a new key.
+    def _engine_over(self, row: Strategy, derived: Optional[Derived]) -> Engine:
+        """The engine over a resolved derived store, rebuilt on a new snapshot.
 
         The saturated and the interval-encoded store are derived from
-        the database; ``key`` changes whenever the schema or the data
-        has mutated since, so a stale engine is never served.  The lock
-        keeps concurrent first callers from deriving the store twice
-        (and from publishing a half-built engine).  A replaced engine
-        is not closed here: a reader may still be inside it.
+        the database; their snapshot changes whenever the schema or the
+        data has mutated since, so a stale engine is never served.  The
+        lock keeps concurrent first callers from deriving the store
+        twice (and from publishing a half-built engine).  A replaced
+        engine is not closed here: a reader may still be inside it.
         """
+        if derived is None:
+            return self.engine
         with self._lock:
-            held = self._derived.get(strategy)
-            if held is None or held[0] != key:
-                held = (key, self.engine.for_database(derive()))
-                self._derived[strategy] = held
+            held = self._derived.get(row.name)
+            if held is None or held[0] != derived.snapshot:
+                held = (derived.snapshot, self.engine.for_database(derived.build()))
+                self._derived[row.name] = held
             return held[1]
 
     def close(self) -> None:

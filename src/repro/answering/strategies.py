@@ -9,14 +9,16 @@ derived from them:
 
 ``rewrite``
     How the planned query is produced — ``(answerer, query, tracer,
-    budget) -> (planned, search result or None)``.  ``None`` means the
-    query is evaluated as written, so there is nothing to plan-cache,
-    no union-term budget to check and ``reformulation_terms`` is 0.
+    budget, derived) -> (planned, search result or None)``.  ``None``
+    means the query is evaluated as written, so there is nothing to
+    plan-cache, no union-term budget to check and
+    ``reformulation_terms`` is 0.
 ``store``
-    ``None`` for the base database; otherwise ``answerer -> (key,
-    derive)``: the key the derived store is current at, and how to
-    derive it.  The cost model is bound to the base store, so a plan
-    that runs elsewhere yields no accuracy sample.
+    ``None`` for the base database; otherwise ``answerer ->``
+    :class:`Derived`: the store as resolved once per answer, so the
+    plan and the engine it runs on see the same one.  The cost model is
+    bound to the base store, so a plan that runs elsewhere yields no
+    accuracy sample.
 
 The rows, in the order ``STRATEGIES`` and the CLI list them:
 
@@ -35,7 +37,7 @@ An eighth strategy is one more row here plus its rewrite function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..optimizer.ecov import ecov
 from ..optimizer.gcov import gcov
@@ -45,17 +47,33 @@ from ..query.bgp import BGPQuery
 from ..reformulation.covers import Cover, scq_cover, ucq_cover
 from ..reformulation.jucq import jucq_for_cover
 from ..reformulation.prune import prune_jucq
-from ..storage.database import RDFDatabase
+from ..storage.database import RDFDatabase, Snapshot
+from ..storage.interval_encoding import IntervalEncoding
 from ..telemetry import trajectory
 
 if TYPE_CHECKING:
     from .answerer import QueryAnswerer
 
+
+class Derived(NamedTuple):
+    """A strategy's derived store, resolved once for one answer."""
+
+    #: The base snapshot the store is current at: the key of the engine
+    #: over it and of every plan cached for it.
+    snapshot: Snapshot
+    #: Returns the store; called only when the engine over it is rebuilt.
+    build: Callable[[], RDFDatabase]
+    #: The interval encoding a ``litemat`` plan must embed.
+    encoding: Optional[IntervalEncoding] = None
+
+
 Planned = Tuple[Any, Optional[CoverSearchResult]]
-#: ``(answerer, query, search trace or None, budget)`` -> the rewriting.
-Chooser = Callable[["QueryAnswerer", BGPQuery, Optional[list], Any], Planned]
-Rewrite = Callable[["QueryAnswerer", BGPQuery, Any, Any], Planned]
-Store = Callable[["QueryAnswerer"], Tuple[Any, Callable[[], RDFDatabase]]]
+#: ``(answerer, query, search trace or None, budget, derived)`` -> the rewriting.
+Chooser = Callable[
+    ["QueryAnswerer", BGPQuery, Optional[list], Any, Optional[Derived]], Planned
+]
+Rewrite = Callable[["QueryAnswerer", BGPQuery, Any, Any, Optional[Derived]], Planned]
+Store = Callable[["QueryAnswerer"], Derived]
 
 
 @dataclass(frozen=True)
@@ -66,17 +84,24 @@ class Strategy:
     rewrite: Optional[Rewrite] = None
     store: Optional[Store] = None
 
-    def plan(self, answerer: "QueryAnswerer", query: BGPQuery, tracer, budget) -> Planned:
+    def plan(
+        self,
+        answerer: "QueryAnswerer",
+        query: BGPQuery,
+        tracer,
+        budget,
+        derived: Optional[Derived],
+    ) -> Planned:
         """``(planned query, search result or None)`` for ``query``."""
         if self.rewrite is None:
             return query, None
-        return self.rewrite(answerer, query, tracer, budget)
+        return self.rewrite(answerer, query, tracer, budget, derived)
 
 
 def _fixed(cover_of: Callable[[BGPQuery], Cover]) -> Chooser:
     """A §3 strategy: the pipeline under a cover that needs no search."""
 
-    def choose(answerer, query, trace, budget) -> Planned:
+    def choose(answerer, query, trace, budget, derived) -> Planned:
         cover = cover_of(query)
         if len(cover) == 1:  # the query is its own cover query
             return ucq_as_jucq(answerer.reformulator.reformulate(query)), None
@@ -85,7 +110,7 @@ def _fixed(cover_of: Callable[[BGPQuery], Cover]) -> Chooser:
     return choose
 
 
-def _ecov(answerer, query, trace, budget) -> Planned:
+def _ecov(answerer, query, trace, budget, derived) -> Planned:
     result = ecov(
         query,
         answerer.reformulator,
@@ -97,7 +122,7 @@ def _ecov(answerer, query, trace, budget) -> Planned:
     return result.jucq, result
 
 
-def _gcov(answerer, query, trace, budget) -> Planned:
+def _gcov(answerer, query, trace, budget, derived) -> Planned:
     result = gcov(
         query,
         answerer.reformulator,
@@ -108,11 +133,8 @@ def _gcov(answerer, query, trace, budget) -> Planned:
     return result.jucq, result
 
 
-def _intervals(answerer, query, trace, budget) -> Planned:
-    encoding, _store, (epoch, _version) = answerer.interval_assigner.current(
-        answerer.database
-    )
-    reformulated = answerer.interval_reformulator.reformulate(query, encoding, epoch)
+def _intervals(answerer, query, trace, budget, derived) -> Planned:
+    reformulated = answerer.interval_reformulator.reformulate(query, derived.encoding)
     return ucq_as_jucq(reformulated), None
 
 
@@ -137,10 +159,10 @@ def _rewriting(
         ("cover-search", "algorithm") if searches else ("reformulate", "strategy")
     )
 
-    def rewrite(answerer, query, tracer, budget) -> Planned:
+    def rewrite(answerer, query, tracer, budget, derived) -> Planned:
         trace: Optional[list] = [] if searches and tracer.enabled else None
         with tracer.span(span_name, **{label: name}) as span:
-            planned, search = choose(answerer, query, trace, budget)
+            planned, search = choose(answerer, query, trace, budget, derived)
             if search is None:
                 span.set(union_terms=planned.total_union_terms())
             else:
@@ -166,17 +188,14 @@ def _rewriting(
     return Strategy(name, rewrite, store)
 
 
-def _saturated_store(answerer):
-    fingerprint = answerer.database.schema.fingerprint()
-    return (
-        (fingerprint, answerer.database.epoch),
-        lambda: answerer._saturate(fingerprint),
-    )
+def _saturated_store(answerer) -> Derived:
+    snapshot = answerer.database.snapshot()
+    return Derived(snapshot, lambda: answerer._saturate(snapshot))
 
 
-def _interval_store(answerer):
-    _encoding, store, key = answerer.interval_assigner.current(answerer.database)
-    return key, lambda: store
+def _interval_store(answerer) -> Derived:
+    encoding, store, snapshot = answerer.interval_assigner.current(answerer.database)
+    return Derived(snapshot, lambda: store, encoding)
 
 
 #: The seven rows, in public order.

@@ -4,14 +4,14 @@ Three pieces:
 
 * :mod:`.lru` — the bounded LRU map with hit/miss/eviction counters
   that backs every cache level;
-* :mod:`.fingerprint` — variable-renaming-invariant query fingerprints
-  and RDFS schema fingerprints, the cache-key ingredients;
+* :mod:`.fingerprint` — variable-renaming-invariant query fingerprints,
+  the query half of every cache key;
 * :mod:`.manager` — :class:`QueryCache`, coordinating the plan cache
   with the reformulation and engine caches and exporting their
   counters through telemetry.
 """
 
-from .fingerprint import query_fingerprint, schema_fingerprint
+from .fingerprint import query_fingerprint
 from .lru import LRUCache, MISSING
 from .manager import QueryCache
 
@@ -20,5 +20,4 @@ __all__ = [
     "MISSING",
     "QueryCache",
     "query_fingerprint",
-    "schema_fingerprint",
 ]

@@ -1,22 +1,13 @@
-"""Canonical fingerprints for cache keys (DESIGN.md §9).
+"""Canonical query fingerprints for cache keys (DESIGN.md §9).
 
-Two fingerprints key the answering caches:
-
-* :func:`query_fingerprint` — a digest of a BGP query that is invariant
-  under renaming of *all* variables (head variables are canonicalized
-  positionally, non-distinguished ones by the canonical-form machinery
-  of :meth:`repro.query.bgp.BGPQuery.canonical`) and under reordering
-  of body atoms, while distinguishing genuinely non-isomorphic queries
-  (different constants, different head arity/order, different join
-  shapes).
-* :func:`schema_fingerprint` — a digest of the *asserted* RDFS
-  constraints plus the declared vocabulary, delegating to
-  :meth:`repro.rdf.schema.RDFSchema.fingerprint` (cached there, and
-  dropped by every schema mutator).
-
-The reformulation of a query is a pure function of these two values,
-which is exactly why the reformulation cache survives data updates
-(paper Section 2's update-robustness argument) but not schema updates.
+:func:`query_fingerprint` is a digest of a BGP query that is invariant
+under renaming of *all* variables (head variables are canonicalized
+positionally, non-distinguished ones by the canonical-form machinery of
+:meth:`repro.query.bgp.BGPQuery.canonical`) and under reordering of
+body atoms, while distinguishing genuinely non-isomorphic queries
+(different constants, different head arity/order, different join
+shapes).  The rest of every key is the database's
+:class:`~repro.storage.database.Snapshot`, or one of its parts.
 """
 
 from __future__ import annotations
@@ -25,7 +16,6 @@ import hashlib
 from typing import Dict, List
 
 from ..query.bgp import BGPQuery
-from ..rdf.schema import RDFSchema
 from ..rdf.terms import Variable
 
 
@@ -77,8 +67,3 @@ def _canonical_head(query: BGPQuery) -> BGPQuery:
         taken.add(name)
         substitution[variable] = Variable(name)
     return query.substitute(substitution)
-
-
-def schema_fingerprint(schema: RDFSchema) -> str:
-    """Digest of the schema's asserted constraints + declared vocabulary."""
-    return schema.fingerprint()

@@ -4,24 +4,24 @@ A :class:`QueryCache` coordinates the cache levels of one answering
 pipeline:
 
 * **plan cache** (owned here) — the planned reformulation per
-  ``(query-fingerprint, strategy, schema-fingerprint, stats-epoch)``,
-  including memoized *failures* (infeasible searches, blown term
-  limits), so a repeated monster query fails fast;
+  ``(query fingerprint, strategy, snapshot)``, including memoized
+  *failures* (infeasible searches, blown term limits), so a repeated
+  monster query fails fast;
 * **reformulation cache** (owned by
   :class:`repro.reformulation.Reformulator`, registered here) — CQ→UCQ
-  rewritings keyed by query canonical form, guarded by the schema
-  fingerprint, deliberately *not* by the stats epoch: reformulations
-  are pure schema consequences and survive data updates;
+  rewritings keyed by ``(schema part of the snapshot, canonical
+  form)``, deliberately *not* by the data part: reformulations are pure
+  schema consequences and survive data updates;
 * **engine caches** (e.g. the SQLite engine's compiled-SQL cache,
-  registered here) — keyed per plan and stats epoch.
+  registered here) — keyed per plan and dictionary size.
 
-Key invalidation matrix:
+Key invalidation matrix (a new key, never a clear):
 
 =====================  ==============  ============
 update                 reformulations  plans / SQL
 =====================  ==============  ============
-data (insert/delete)   survive         invalidated
-schema (constraints)   invalidated     invalidated
+data (insert)          survive         re-keyed
+schema (constraints)   re-keyed        re-keyed
 =====================  ==============  ============
 
 The registry exists so one ``cache-stats`` surface (CLI, telemetry
@@ -38,7 +38,7 @@ from .lru import LRUCache, MISSING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..query.bgp import BGPQuery
-    from ..storage.database import RDFDatabase
+    from ..storage.database import RDFDatabase, Snapshot
 
 
 class QueryCache:
@@ -72,28 +72,25 @@ class QueryCache:
     # ------------------------------------------------------------------
     # Plan cache
     # ------------------------------------------------------------------
+    @staticmethod
     def plan_key(
-        self, database: "RDFDatabase", query: "BGPQuery", strategy: str
+        snapshot: "Snapshot", query: "BGPQuery", strategy: str
     ) -> Tuple[Hashable, ...]:
-        """The full invalidation-aware key for one planning request.
+        """The key of one planning request against one database state.
 
-        The schema fingerprint invalidates on constraint changes; the
-        statistics epoch invalidates on any data mutation (the chosen
-        cover, pruning decisions and join orders are all
-        statistics-driven).
+        Both parts of the snapshot count: the schema decides the
+        reformulation, the data the statistics-driven choices (cover,
+        pruned terms, join orders).
         """
-        return (
-            query_fingerprint(query),
-            strategy,
-            database.schema.fingerprint(),
-            database.epoch,
-        )
+        return (query_fingerprint(query), strategy, snapshot)
 
     def get_plan(
         self, database: "RDFDatabase", query: "BGPQuery", strategy: str
     ) -> Any:
         """Cached plan entry or :data:`~repro.cache.lru.MISSING`."""
-        return self.plans.get(self.plan_key(database, query, strategy), MISSING)
+        return self.plans.get(
+            self.plan_key(database.snapshot(), query, strategy), MISSING
+        )
 
     def put_plan(
         self,
@@ -103,7 +100,7 @@ class QueryCache:
         entry: Any,
     ) -> None:
         """Store a plan entry (a result or a memoized failure)."""
-        self.plans.put(self.plan_key(database, query, strategy), entry)
+        self.plans.put(self.plan_key(database.snapshot(), query, strategy), entry)
 
     # ------------------------------------------------------------------
     # Accounting

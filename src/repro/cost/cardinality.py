@@ -62,12 +62,12 @@ def _join_selectivity(estimate: float, occurrences: Dict[Variable, List]) -> flo
 
 
 class _Memo:
-    """The per-atom, per-conjunct and per-operand memos of one epoch."""
+    """The per-atom, per-conjunct and per-operand memos of one data version."""
 
-    __slots__ = ("epoch", "atoms", "cqs", "operands")
+    __slots__ = ("version", "atoms", "cqs", "operands")
 
-    def __init__(self, epoch: int):
-        self.epoch = epoch
+    def __init__(self, version: Optional[int]):
+        self.version = version
         self.atoms: Dict[Triple, AtomStatistics] = {}
         self.cqs: Dict[Tuple, float] = {}
         #: ``id(ucq)`` → (the operand, its summary).  Keyed on identity
@@ -83,30 +83,31 @@ class CardinalityEstimator:
     every level is memoized: atoms by the atom, conjuncts by canonical
     form, operands by identity (the ``Reformulator`` memo hands a
     repeated fragment the *same* ``UCQ``).  The three memos live in one
-    record stamped with the statistics epoch it was filled under
-    (DESIGN.md §19).  A computation captures the record once and writes
-    only into it; a new epoch swaps in a fresh record by one reference
-    assignment.  So a worker that started under epoch *n* cannot store
-    into the memos of epoch *n + 1* (the clear-then-stale-write race of
-    a dictionary cleared in place), and the read path takes no lock.
+    record stamped with the data part of the database snapshot it was
+    filled under (DESIGN.md §19).  A computation captures the record
+    once and writes only into it; a new version swaps in a fresh record
+    by one reference assignment.  So a worker that started under
+    version *n* cannot store into the memos of version *n + 1* (the
+    clear-then-stale-write race of a dictionary cleared in place), and
+    the read path takes no lock.
 
-    Only a table write moves the epoch.  The term dictionary can also
-    grow *without* one (``cq_to_sql`` encodes head constants), and that
-    cannot invalidate an entry: a constant that was unknown when an
-    atom was encoded occurs in no triple before or after, so its count
-    stays 0.
+    Only a table write that stores a row moves the version.  The term
+    dictionary can also grow *without* one (``cq_to_sql`` encodes head
+    constants), and that cannot invalidate an entry: a constant that
+    was unknown when an atom was encoded occurs in no triple before or
+    after, so its count stays 0.
     """
 
     def __init__(self, database: RDFDatabase):
         self.database = database
-        self._memo = _Memo(database.statistics.epoch)
+        self._memo = _Memo(None)
 
     def _current(self) -> _Memo:
-        """The memo record of the current statistics epoch."""
+        """The memo record of the current data version."""
         memo = self._memo
-        epoch = self.database.statistics.epoch
-        if memo.epoch != epoch:
-            memo = self._memo = _Memo(epoch)
+        version = self.database.snapshot().data
+        if memo.version != version:
+            memo = self._memo = _Memo(version)
         return memo
 
     # ------------------------------------------------------------------
@@ -178,7 +179,7 @@ class CardinalityEstimator:
     def cq_cardinality(self, cq: BGPQuery) -> float:
         """Estimated answer count of one conjunct (before head projection cap).
 
-        Memoized per canonical conjunct form, for the current epoch.
+        Memoized per canonical conjunct form, for the current data version.
         """
         memo = self._current()
         return self._cq_cardinality(memo, cq, self._body_statistics(memo, cq))
@@ -227,7 +228,7 @@ class CardinalityEstimator:
         """Scan volume, cardinality and head-variable distincts of one operand.
 
         Computed in one pass over the terms, once per distinct operand
-        object and epoch; every UCQ-level question reads it.
+        object and data version; every UCQ-level question reads it.
         """
         memo = self._current()
         entry = memo.operands.get(id(ucq))

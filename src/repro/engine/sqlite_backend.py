@@ -19,10 +19,10 @@ must not be shared across threads mid-statement, so the engine keeps a
 **per-thread connection pool**: each thread lazily opens its own
 connection on first use, loads (or, for file-backed stores, observes)
 the triple data, and caches it thread-locally.  Every pooled connection
-tracks the :attr:`~repro.storage.triple_table.TripleTable.version` it
-last loaded and refreshes independently when the store mutates, so a
-stale thread can never serve pre-mutation rows.  ``close()`` drains the
-whole pool.
+tracks the data part of the store's
+:meth:`~repro.storage.database.RDFDatabase.snapshot` it last loaded
+and refreshes independently when the store mutates, so a stale thread
+can never serve pre-mutation rows.  ``close()`` drains the whole pool.
 
 SQLite releases the GIL while stepping a statement, so statements on
 different threads overlap on multi-core hosts.
@@ -144,7 +144,7 @@ class SQLiteEngine:
         connections share the file: the first to observe a new version
         rebuilds it under the load lock, the rest just adopt it.
         """
-        version = self.database.table.version
+        version = self.database.snapshot().data
         if state.loaded_version == version:
             return
         if self.path == ":memory:":

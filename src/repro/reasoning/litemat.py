@@ -22,9 +22,8 @@ every superclass's interval).  Domain/range typing, however, creates
 can conjure — so those are stored.
 
 The base database is never touched: its dictionary and table keep
-serving concurrent readers of the previous encoding epoch
-(copy-on-write renumbering, the re-encoding race fix of
-``storage/dictionary.py``).
+serving concurrent readers of the previous store (copy-on-write
+renumbering, the re-encoding race fix of ``storage/dictionary.py``).
 
 Insert-only writes under an unchanged schema extend the store instead
 (DESIGN.md §20): the encoding is kept, the derived dictionary only
@@ -76,9 +75,7 @@ def _renumbering(
 
 
 def interval_encode_database(
-    database: RDFDatabase,
-    on_cycle: str = "collapse",
-    held: Optional[IntervalStore] = None,
+    database: RDFDatabase, held: Optional[IntervalStore] = None
 ) -> IntervalStore:
     """Build the interval-encoded store for one base database state.
 
@@ -93,7 +90,7 @@ def interval_encode_database(
     # Read after the index: every code in ``base_keys`` is below it.
     known = len(base_dictionary)
     if held is None:
-        encoding = IntervalEncoding.from_schema(schema, on_cycle=on_cycle)
+        encoding = IntervalEncoding.from_schema(schema)
         new_dictionary = base_dictionary.remapped(encoding.leading_terms)
         remap = _renumbering(base_dictionary, new_dictionary, encoding.leading_terms, known)
         out = TripleTable(dictionary=new_dictionary, bits=table.bits)

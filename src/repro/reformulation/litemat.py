@@ -21,10 +21,10 @@ class/property the encoding does not know (no entailments exist) keep
 their original constant form, as do single-code runs (a plain constant
 scan is the same index probe).
 
-The memo is guarded by ``(schema fingerprint, encoding epoch)``: an
-interval atom hard-codes dictionary codes of one encoding epoch, so a
-re-encode — even one producing the same schema fingerprint — must drop
-every memoized plan (the stale-range-scan bug this key closes).
+The memo is keyed on the encoding's schema fingerprint and the query:
+an interval atom hard-codes the codes of one encoding, and an encoding
+is a pure function of the schema fingerprint, so a plan is reused
+exactly when the codes it embeds are the ones the store uses.
 """
 
 from __future__ import annotations
@@ -105,12 +105,10 @@ def interval_reformulate(
 class IntervalReformulator:
     """Memoizing interval-UCQ planner bound to one schema.
 
-    Mirrors :class:`repro.reformulation.Reformulator`, with one crucial
-    difference in the memo guard: entries are dropped when *either* the
-    schema fingerprint *or* the interval-encoding epoch moves.  Interval
-    atoms embed dictionary codes of a specific derived store, so plans
-    must never survive a re-encode (the encoding epoch is threaded in
-    by the answerer from its :class:`IntervalAssigner`).
+    Mirrors :class:`repro.reformulation.Reformulator`; the schema part
+    of the memo key is the fingerprint the *encoding* was laid out for,
+    since interval atoms embed that encoding's codes (the answerer
+    hands in the encoding of the store the plan will run on).
     """
 
     def __init__(
@@ -121,28 +119,15 @@ class IntervalReformulator:
     ) -> None:
         self.schema = schema
         self.limit = limit
-        #: Canonical query form → UCQ (or a memoized limit failure).
+        #: (encoding's schema fingerprint, canonical query form) → UCQ
+        #: (or a memoized limit failure).
         self.cache: LRUCache = LRUCache(capacity)
-        self._guard: Optional[Tuple[str, int]] = None
         #: Number of non-memoized planning runs (instrumentation).
         self.runs = 0
 
-    def _sync(self, encoding_epoch: int) -> None:
-        guard = (self.schema.fingerprint(), encoding_epoch)
-        if guard != self._guard:
-            if self._guard is not None:
-                self.cache.clear()
-            self._guard = guard
-
-    def reformulate(
-        self,
-        query: BGPQuery,
-        encoding: IntervalEncoding,
-        encoding_epoch: int,
-    ) -> UCQ:
-        """The interval-UCQ plan of ``query`` under one encoding epoch."""
-        self._sync(encoding_epoch)
-        key = query.canonical()
+    def reformulate(self, query: BGPQuery, encoding: IntervalEncoding) -> UCQ:
+        """The interval-UCQ plan of ``query`` under ``encoding``."""
+        key = (encoding.schema_fingerprint, query.canonical())
         cached = self.cache.get(key, MISSING)
         if cached is MISSING:
             try:

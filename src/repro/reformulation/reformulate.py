@@ -267,10 +267,11 @@ class Reformulator:
     cover queries (fragments) many times while scoring candidate covers.
 
     The memo is the *reformulation cache* level of DESIGN.md §9: a
-    (bounded, when ``capacity`` is given) LRU keyed by the query's
-    canonical form, guarded by the schema fingerprint — any schema
-    mutation drops every entry on the next call, while data updates
-    leave it untouched (a reformulation is a pure schema consequence).
+    (bounded, when ``capacity`` is given) LRU keyed by the schema
+    fingerprint — the schema part of the database snapshot — and the
+    query's canonical form.  A schema mutation makes every later lookup
+    a new key, while data updates leave the entries valid (a
+    reformulation is a pure schema consequence).
 
     ``minimize`` (on by default) runs the shape-level subsumption pass
     (:func:`repro.analysis.subsumption.subsume`, DESIGN.md §13) on the
@@ -294,11 +295,11 @@ class Reformulator:
     ):
         self.schema = schema
         self.limit = limit
-        #: Canonical query form → UCQ (or a memoized limit failure).
+        #: (schema fingerprint, canonical query form) → UCQ (or a
+        #: memoized limit failure).
         self.cache: LRUCache = LRUCache(capacity)
-        #: Canonical query form → its factors, for :meth:`count`.
+        #: The same key → the query's factors, for :meth:`count`.
         self._factors: LRUCache = LRUCache(capacity)
-        self._schema_fp: Optional[str] = None
         #: Number of non-memoized reformulation runs (instrumentation).
         self.runs = 0
         self.minimize = minimize
@@ -310,14 +311,8 @@ class Reformulator:
             "analysis.containment_checks": 0,
         }
 
-    def _sync(self) -> None:
-        """Drop the memos when the schema has mutated since they filled."""
-        fingerprint = self.schema.fingerprint()
-        if fingerprint != self._schema_fp:
-            if self._schema_fp is not None:
-                self.cache.clear()
-                self._factors.clear()
-            self._schema_fp = fingerprint
+    def _key(self, query: BGPQuery) -> Tuple[str, Tuple]:
+        return self.schema.fingerprint(), query.canonical()
 
     def reformulate(self, query: BGPQuery) -> UCQ:
         """The (minimized) UCQ reformulation of ``query`` w.r.t. the schema.
@@ -325,8 +320,7 @@ class Reformulator:
         Limit overruns are memoized too, so a fragment that once blew
         the term limit fails instantly on every later request.
         """
-        self._sync()
-        key = query.canonical()
+        key = self._key(query)
         cached = self.cache.get(key, MISSING)
         if cached is MISSING:
             factors = self._factors.peek(key) or _Factors(query, self.schema)
@@ -355,8 +349,7 @@ class Reformulator:
         the factorized union, Σ skeleton ∏ |alternatives| — an upper
         bound, computed once per query.
         """
-        self._sync()
-        key = query.canonical()
+        key = self._key(query)
         union = self.cache.peek(key)
         if isinstance(union, UCQ):
             return len(union)

@@ -1,6 +1,6 @@
 """RDBMS-style storage: dictionary encoding, triple table, statistics."""
 
-from .database import RDFDatabase
+from .database import RDFDatabase, Snapshot
 from .persistence import load_database, save_database
 from .dictionary import Dictionary
 from .interval_encoding import (
@@ -21,6 +21,7 @@ __all__ = [
     "RDFDatabase",
     "load_database",
     "save_database",
+    "Snapshot",
     "TableStatistics",
     "TripleTable",
 ]

@@ -5,11 +5,15 @@ the reformulation algorithm reads its schema, the engines read its
 triple table, the cost model reads its statistics.  Mirrors the paper's
 setup where "RDFS constraints are kept in memory, while RDF facts are
 stored in a Triples(s,p,o) table".
+
+:meth:`RDFDatabase.snapshot` names the state everything derived from
+the database is current at (DESIGN.md §9): every cache key and derived
+store is stamped with it, or with one of its two parts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..rdf.graph import RDFGraph
 from ..rdf.schema import RDFSchema, split_graph
@@ -17,6 +21,15 @@ from ..rdf.terms import Triple
 from .dictionary import Dictionary
 from .statistics import TableStatistics
 from .triple_table import TripleTable
+
+
+class Snapshot(NamedTuple):
+    """One state of a database: equal snapshots saw the same schema and rows."""
+
+    #: ``RDFSchema.fingerprint()``: what reformulations depend on.
+    schema: str
+    #: ``TripleTable.version``: what statistics and stored rows depend on.
+    data: int
 
 
 class RDFDatabase:
@@ -31,6 +44,7 @@ class RDFDatabase:
         self.schema = schema if schema is not None else RDFSchema()
         self.table = table if table is not None else TripleTable(bits=bits)
         self.statistics = TableStatistics(self.table)
+        self._snapshot = Snapshot("", -1)
 
     # ------------------------------------------------------------------
     # Construction
@@ -51,23 +65,33 @@ class RDFDatabase:
     def load_facts(self, facts: Iterable[Triple]) -> int:
         """Add fact triples and merge them into the indexes.
 
-        Statistics invalidation is automatic: the mutation bumps the
-        table version (and thus :attr:`epoch`), which every statistics
-        read — and every epoch-keyed cache — checks.
+        A load that stores a new row moves the :meth:`snapshot`; one
+        that stores nothing new leaves it, and every cache, alone.
         """
         added = self.table.add_triples(facts)
         self.table.freeze()
         return added
 
+    def snapshot(self) -> Snapshot:
+        """The current :class:`Snapshot`, after merging any buffered rows.
+
+        Freezing first counts the rows buffered before the call in
+        ``data``, so what is derived next from the table is not stamped
+        older than the rows it reads.  While neither part moves, every
+        call returns the same object (every cache lookup asks).
+        """
+        table = self.table
+        table.freeze()
+        fingerprint, version = self.schema.fingerprint(), table.version
+        held = self._snapshot
+        if held.data != version or held.schema != fingerprint:
+            held = self._snapshot = Snapshot(fingerprint, version)
+        return held
+
     @property
     def epoch(self) -> int:
-        """The statistics snapshot epoch; bumps on every data mutation.
-
-        Plan- and cardinality-cache entries are keyed by this value so
-        data updates invalidate them, while schema-fingerprint-keyed
-        reformulations survive (DESIGN.md §9).
-        """
-        return self.statistics.epoch
+        """The table version: ``snapshot().data`` without the freeze."""
+        return self.table.version
 
     # ------------------------------------------------------------------
     # Views

@@ -29,14 +29,13 @@ schemas:
   per cycle; ``on_cycle="reject"`` raises :class:`CyclicHierarchyError`
   instead for callers that consider cycles schema corruption.
 
-An encoding is a pure function of the schema — it is keyed by
-``RDFSchema.fingerprint()`` and never mutated.  Renumbering on schema
-change goes through :class:`IntervalAssigner`, which rebuilds the
-derived store copy-on-write (the old dictionary and table are never
-touched, so concurrent readers of the previous epoch stay consistent)
-and bumps its :attr:`~IntervalAssigner.epoch`, the *encoding epoch*
-that reformulation memos and plan-cache keys must include.  A data-only
-write leaves encoding and epoch alone and extends the derived store.
+An encoding is a pure function of the schema — it is stamped with
+``RDFSchema.fingerprint()`` and never mutated, so the fingerprint alone
+says which codes a plan embeds.  Renumbering on schema change goes
+through :class:`IntervalAssigner`, which rebuilds the derived store
+copy-on-write (the old dictionary and table are never touched, so
+concurrent readers of the previous store stay consistent).  A
+data-only write keeps the encoding and extends the derived store.
 
 This module is kept dependency-light and ``mypy --strict``-clean; the
 numpy bulk re-encode of the fact table lives in
@@ -54,7 +53,7 @@ from ..rdf.vocabulary import RDFS_SUBCLASS, RDFS_SUBPROPERTY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..reasoning.litemat import IntervalStore
-    from .database import RDFDatabase
+    from .database import RDFDatabase, Snapshot
 
 #: A half-open code interval ``[lo, hi)``.
 Range = Tuple[int, int]
@@ -336,63 +335,48 @@ class IntervalEncoding:
 class IntervalAssigner:
     """Owns the interval-encoded derived store of one base database.
 
-    Republishing is copy-on-write: a schema or data mutation makes the
-    current ``(schema fingerprint, data version)`` key stale, and the
-    next :meth:`current` call derives a *new* store and publishes it by
-    swapping references under the lock — the superseded store's table is
-    never mutated, so readers still evaluating against it stay
-    consistent.  A schema change re-encodes from scratch and bumps
-    :attr:`epoch`, the encoding epoch that reformulation memos include
-    in their keys (DESIGN.md §16).  A data-only write keeps encoding and
-    epoch and extends the held store by the new rows (DESIGN.md §20):
-    interval plans embed class and property codes only.
+    The published store is keyed on the base database's
+    :class:`~repro.storage.database.Snapshot`.  Republishing is
+    copy-on-write: when the snapshot moved, the next :meth:`current`
+    call derives a *new* store and publishes it by swapping references
+    under the lock — the superseded store's table is never mutated, so
+    readers still evaluating against it stay consistent.  A schema
+    change re-encodes from scratch; a data-only write keeps the encoding
+    and extends the held store by the new rows (DESIGN.md §20).
 
     Thread-safe; covered by ``tools/lint_locks.py``.
     """
 
-    def __init__(self, on_cycle: str = "collapse") -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._on_cycle = on_cycle
-        #: ``((schema fingerprint, data version), store)`` as published.
-        self._published: Optional[Tuple[Tuple[str, int], "IntervalStore"]] = None
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """Monotone re-encode counter; 0 means nothing built yet."""
-        return self._epoch
+        #: ``(snapshot, store)`` as published.
+        self._published: Optional[Tuple["Snapshot", "IntervalStore"]] = None
 
     def current(
         self, database: "RDFDatabase"
-    ) -> Tuple[IntervalEncoding, "RDFDatabase", Tuple[int, int]]:
-        """The ``(encoding, derived store, store key)`` for ``database``.
+    ) -> Tuple[IntervalEncoding, "RDFDatabase", "Snapshot"]:
+        """The ``(encoding, derived store, snapshot)`` for ``database``.
 
-        The store key is ``(encoding epoch, base data version)``: what
-        the store was built from, so what anything built over it (an
-        engine) is keyed on.  Republishes when the schema fingerprint or
-        data version moved since the last call.
+        The snapshot is the one the store was built at, so what anything
+        built over the store (an engine, a plan embedding its codes) is
+        keyed on; it changes whenever the store does.
         """
-        key = (database.schema.fingerprint(), database.epoch)
-        with self._lock:
-            published = self._published
-            if published is not None and published[0] == key:
-                store = published[1]
-                return store.encoding, store.database, (self._epoch, key[1])
+        snapshot = database.snapshot()
+        published = self._published
+        if published is not None and published[0] == snapshot:
+            store = published[1]
+            return store.encoding, store.database, snapshot
         # Derive outside the lock: readers of the published store must
         # not block on it.
         from ..reasoning.litemat import interval_encode_database
 
         held = None
-        if published is not None and published[1].encoding.schema_fingerprint == key[0]:
+        if published is not None and published[0].schema == snapshot.schema:
             held = published[1]
-        derived = interval_encode_database(database, on_cycle=self._on_cycle, held=held)
+        derived = interval_encode_database(database, held=held)
         with self._lock:
             published = self._published
-            if published is None or published[0] != key:
-                # Plans embed the encoding's codes: a different encoding
-                # (even one racing in late) must drop them.
-                if published is None or derived.encoding is not published[1].encoding:
-                    self._epoch += 1
-                published = self._published = (key, derived)
-            (_fingerprint, version), store = published
-            return store.encoding, store.database, (self._epoch, version)
+            if published is None or published[0] != snapshot:
+                published = self._published = (snapshot, derived)
+        snapshot, store = published
+        return store.encoding, store.database, snapshot

@@ -15,76 +15,61 @@ various fragments"):
 Both are memoized: the optimizer probes the same patterns many times
 across candidate covers.
 
-Staleness is handled automatically: every read compares the table's
-:attr:`~repro.storage.triple_table.TripleTable.version` against the
-version the memos were built for and drops them on mismatch, so write
-paths need no manual :meth:`TableStatistics.invalidate` call.  The
-:attr:`epoch` derived from the same version is the *statistics snapshot
-epoch* that keys every statistics-dependent cache entry (plans,
-cardinalities — DESIGN.md §9): a data update bumps it and thereby
-invalidates those entries, while schema-stable reformulations survive.
+The memos live in one record stamped with the data part of the
+database's snapshot — the table version after a freeze — and a read
+that finds the version moved swaps in a fresh record instead of
+clearing this one (DESIGN.md §19), so no write path has anything to
+invalidate.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .triple_table import Pattern, TripleTable
+
+
+class _Counts:
+    """The pattern-count and distinct-count memos of one table version."""
+
+    __slots__ = ("version", "patterns", "distincts")
+
+    def __init__(self, version: Optional[int]):
+        self.version = version
+        self.patterns: Dict[Pattern, int] = {}
+        self.distincts: Dict[Tuple[Pattern, int], int] = {}
 
 
 class TableStatistics:
     """Memoizing statistics facade over a :class:`TripleTable`.
 
-    Reads are thread-safe: threads answering through one shared
-    answerer probe the same statistics while ordering joins, and the clear-and-rebuild sync on
-    version mismatch must not interleave with another thread's memo
-    read (a probe could otherwise cache a *pre*-mutation count under the
-    *post*-mutation version).  The lock is re-entrant because
-    :meth:`distinct` calls :meth:`pattern_count` on bound positions.
+    Threads answering through one shared answerer probe the same
+    statistics while ordering joins; the read path takes no lock.  A
+    probe captures the current record once and stores only into it, so
+    a count computed while a write lands goes into the record of the
+    version the probe started under, never into a newer one.
     """
 
     def __init__(self, table: TripleTable):
         self.table = table
-        self._pattern_counts: Dict[Pattern, int] = {}
-        self._distinct_cache: Dict[Tuple[Pattern, int], int] = {}
-        self._synced_version = table.version
-        self._lock = threading.RLock()
-        #: How many times the memos were dropped because the table
-        #: changed underneath (instrumentation).
-        self.auto_invalidations = 0
+        self._counts = _Counts(None)
 
-    def _sync(self) -> None:
-        """Drop the memos when the table has mutated since they were built.
-
-        Callers must hold ``self._lock``.
-        """
+    def _current(self) -> _Counts:
+        """The memo record of the table's current version."""
+        self.table.freeze()
         version = self.table.version
-        if version != self._synced_version:
-            self._pattern_counts.clear()
-            self._distinct_cache.clear()
-            self._synced_version = version  # lock: held by every caller
-            self.auto_invalidations += 1
-
-    @property
-    def epoch(self) -> int:
-        """The statistics snapshot epoch (the table's mutation version).
-
-        Any two reads with equal epochs saw identical data; caches
-        keyed by ``(…, epoch)`` therefore invalidate exactly when the
-        data changes.
-        """
-        return self.table.version
+        counts = self._counts
+        if counts.version != version:
+            counts = self._counts = _Counts(version)
+        return counts
 
     def pattern_count(self, pattern: Pattern) -> int:
         """Exact number of triples matching an encoded pattern."""
-        with self._lock:
-            self._sync()
-            cached = self._pattern_counts.get(pattern)
-            if cached is None:
-                cached = self.table.match_count(pattern)
-                self._pattern_counts[pattern] = cached
-            return cached
+        counts = self._current()
+        cached = counts.patterns.get(pattern)
+        if cached is None:
+            cached = counts.patterns[pattern] = self.table.match_count(pattern)
+        return cached
 
     def distinct(self, pattern: Pattern, position: int) -> int:
         """Distinct values at ``position`` among the pattern's matches.
@@ -94,27 +79,14 @@ class TableStatistics:
         """
         if pattern[position] is not None:
             return 1 if self.pattern_count(pattern) else 0
-        with self._lock:
-            self._sync()
-            key = (pattern, position)
-            cached = self._distinct_cache.get(key)
-            if cached is None:
-                cached = self.table.distinct_count(pattern, position)
-                self._distinct_cache[key] = cached
-            return cached
-
-    def invalidate(self) -> None:
-        """Drop the memos explicitly.
-
-        Retained for callers that want to bound memory; correctness no
-        longer depends on it — every read auto-invalidates against the
-        table version (see the module docstring).
-        """
-        with self._lock:
-            self._pattern_counts.clear()
-            self._distinct_cache.clear()
-            self._synced_version = self.table.version
+        counts = self._current()
+        key = (pattern, position)
+        cached = counts.distincts.get(key)
+        if cached is None:
+            cached = counts.distincts[key] = self.table.distinct_count(pattern, position)
+        return cached
 
     def probe_calls(self) -> Tuple[int, int]:
         """(count-cache size, distinct-cache size) — for instrumentation."""
-        return len(self._pattern_counts), len(self._distinct_cache)
+        counts = self._counts
+        return len(counts.patterns), len(counts.distincts)

@@ -28,9 +28,10 @@ distinct values, ample for the benchmark scales; raise it for more).
 Writes merge (DESIGN.md §20): :meth:`TripleTable.freeze` sorts only the
 buffered rows and merges the ones not yet stored into each index.
 Published index arrays are read-only and never written in place; a
-merge builds new arrays and swaps the index dict once.  Buffering and
-merging serialize on one lock (a reader that sees a new ``version`` and
-then reads gets that version's rows); reads of a clean table take none.
+merge builds new arrays and swaps the index dict once, then bumps
+``version``.  Buffering and merging serialize on one lock (a reader
+that sees a new ``version`` and then reads gets that version's rows);
+reads of a clean table take none.
 """
 
 from __future__ import annotations
@@ -132,13 +133,12 @@ class TripleTable:
 
     @property
     def version(self) -> int:
-        """Monotone content-mutation counter.
+        """Monotone content counter: bumped by each :meth:`freeze` that
+        stores a new row, and by nothing else.
 
-        Bumped by every buffering call that could change the stored
-        content; :class:`~repro.storage.statistics.TableStatistics`
-        (and everything derived from it — cardinality estimates, plan
-        caches) compares this against the version it last synced to, so
-        statistics can never silently go stale (DESIGN.md §9).
+        Buffered rows are not counted until merged; read it through
+        :meth:`~repro.storage.database.RDFDatabase.snapshot`, which
+        freezes first (DESIGN.md §9).
         """
         return self._version
 
@@ -159,7 +159,6 @@ class TripleTable:
             self._pending.extend(rows)
             if rows:
                 self._dirty = True
-                self._version += 1
         return len(rows)
 
     def add_block(self, block: np.ndarray) -> int:
@@ -170,15 +169,15 @@ class TripleTable:
             self._pending_blocks.append(np.asarray(block, dtype=np.int64))
             if block.shape[0]:
                 self._dirty = True
-                self._version += 1
         return int(block.shape[0])
 
     def freeze(self) -> None:
         """Merge the buffered rows into the six sorted composite-key indexes.
 
         Rows already stored (or repeated in the buffer) are dropped; the
-        rest are merged into *new* index arrays, published together.  The
-        first build is the same merge into six empty arrays.
+        rest are merged into *new* index arrays, published together, and
+        only then is :attr:`version` bumped.  The first build is the same
+        merge into six empty arrays.
         """
         if self._indexes is not None and not self._dirty:
             return
@@ -210,6 +209,9 @@ class TripleTable:
                     indexes[name] = keys
                 self._indexes = indexes
                 self._count = int(indexes["spo"].shape[0])
+                if fresh.size:
+                    # After the swap: a reader of the new version gets its rows.
+                    self._version += 1
             # Cleared last: a reader that finds the table clean finds the rows.
             self._pending = []
             self._pending_blocks = []
@@ -238,19 +240,15 @@ class TripleTable:
 
     def match_count(self, pattern: Pattern) -> int:
         """Exact number of triples matching ``pattern`` (O(log n))."""
-        lo, hi, _ = self._range(pattern)
-        return hi - lo
+        return self._range(pattern)[0].shape[0]
 
     def match(self, pattern: Pattern) -> np.ndarray:
         """All matching triples as an ``(n, 3)`` array in (s, p, o) order."""
-        lo, hi, name = self._range(pattern)
-        keys = self._indexes[name][lo:hi]
-        return self.decode_keys(keys, name)
+        return self.decode_keys(*self._range(pattern))
 
     def match_range_count(self, pattern: Pattern, position: int, lo: int, hi: int) -> int:
         """Number of triples matching ``pattern`` with ``position``'s code in ``[lo, hi)``."""
-        row_lo, row_hi, _ = self._range_interval(pattern, position, lo, hi)
-        return row_hi - row_lo
+        return self._range_interval(pattern, position, lo, hi)[0].shape[0]
 
     def match_range(self, pattern: Pattern, position: int, lo: int, hi: int) -> np.ndarray:
         """Triples matching ``pattern`` whose ``position`` code lies in ``[lo, hi)``.
@@ -261,9 +259,7 @@ class TripleTable:
         contiguous key range (the LiteMat range-scan primitive,
         DESIGN.md §16).  Returns an ``(n, 3)`` array in (s, p, o) order.
         """
-        row_lo, row_hi, name = self._range_interval(pattern, position, lo, hi)
-        keys = self._indexes[name][row_lo:row_hi]
-        return self.decode_keys(keys, name)
+        return self.decode_keys(*self._range_interval(pattern, position, lo, hi))
 
     def iter_matches(self, pattern: Pattern) -> Iterator[Tuple[int, int, int]]:
         """Iterate matches as plain tuples (used by tuple-at-a-time code)."""
@@ -276,8 +272,7 @@ class TripleTable:
 
     def distinct_count(self, pattern: Pattern, position: int) -> int:
         """Number of distinct values at ``position`` among matches."""
-        lo, hi, name = self._range(pattern)
-        keys = self._indexes[name][lo:hi]
+        keys, name = self._range(pattern)
         order = PERMUTATIONS[name]
         slot = order.index(position)
         column = self._column_from_keys(keys, slot)
@@ -289,11 +284,12 @@ class TripleTable:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _range(self, pattern: Pattern) -> Tuple[int, int, str]:
+    def _range(self, pattern: Pattern) -> Tuple[np.ndarray, str]:
         """Binary-search the composite range for a pattern.
 
-        Returns ``(lo, hi, index_name)``; matches are
-        ``index[lo:hi]``.
+        Returns ``(keys, index_name)``: the matching slice of the index,
+        cut from the one array the search ran on, so a merge published
+        meanwhile cannot pair one version's bounds with another's rows.
         """
         self.freeze()
         bound = frozenset(i for i, v in enumerate(pattern) if v is not None)
@@ -314,11 +310,11 @@ class TripleTable:
         hi_key = prefix + (1 << width) if width else prefix + 1
         lo = int(np.searchsorted(keys, lo_key, side="left"))
         hi = int(np.searchsorted(keys, hi_key, side="left"))
-        return lo, hi, name
+        return keys[lo:hi], name
 
     def _range_interval(
         self, pattern: Pattern, position: int, lo: int, hi: int
-    ) -> Tuple[int, int, str]:
+    ) -> Tuple[np.ndarray, str]:
         """Binary-search the composite range for a pattern plus code interval."""
         self.freeze()
         if pattern[position] is not None:
@@ -335,13 +331,13 @@ class TripleTable:
         lo = max(lo, 0)
         hi = min(hi, self._mask + 1)
         if lo >= hi:
-            return 0, 0, name
+            return keys[:0], name
         shift = shifts[len(bound)]
         lo_key = prefix | (lo << shift)
         hi_key = prefix + (hi << shift)
         row_lo = int(np.searchsorted(keys, lo_key, side="left"))
         row_hi = int(np.searchsorted(keys, hi_key, side="left"))
-        return row_lo, row_hi, name
+        return keys[row_lo:row_hi], name
 
     def _column_from_keys(self, keys: np.ndarray, slot: int) -> np.ndarray:
         shift = (2 * self.bits, self.bits, 0)[slot]

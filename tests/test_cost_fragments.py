@@ -2,14 +2,15 @@
 
 The estimator answers every UCQ-level question from a per-operand
 summary memoized on operand identity, inside a record stamped with the
-statistics epoch.  What must hold, and is checked here:
+data part of the database snapshot.  What must hold, and is checked
+here:
 
 * a long-lived estimator prices any cover exactly (``==`` on floats)
   like a freshly constructed one — cold, warm, after a data update,
   after a schema update, and for an operand that is ``==`` but not
   ``is`` an earlier one;
-* a value computed under epoch *n* is never stored into the memos of
-  epoch *n + 1* (the clear-then-stale-write race);
+* a value computed under data version *n* is never stored into the
+  memos of version *n + 1* (the clear-then-stale-write race);
 * an ``IdRange`` atom is counted by ``match_range_count`` through the
   same per-atom path as every other atom.
 """
@@ -32,7 +33,6 @@ from repro.reformulation.jucq import jucq_for_cover
 from repro.reformulation.litemat import interval_reformulate
 from repro.reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 from repro.storage import RDFDatabase
-from repro.storage.statistics import TableStatistics
 
 #: Covers with a fragment beyond this many union terms are left out.
 TERM_LIMIT = 300
@@ -157,31 +157,16 @@ def test_transient_operands_never_alias_through_a_recycled_id(world):
         del operand
 
 
-class _RacingStatistics(TableStatistics):
-    """Bumps the epoch between an estimator's compute and its store.
+def test_a_value_computed_under_the_old_epoch_is_not_served_under_the_new(monkeypatch):
+    """The table's count moves between a computation and its store.
 
-    The first count asked of it is read under the old epoch; before it
-    is handed back, a writer adds a matching triple and *another
-    worker* asks the same estimator something, moving it to the new
-    epoch.  The caller then finishes its computation from the stale
-    count and stores the result.
+    The first count asked of the table is read under the old data
+    version; before it is handed back, a writer adds a matching triple
+    and *another worker* asks the same estimator something, moving the
+    statistics and the estimator to the new version.  The caller then
+    finishes its computation from the stale count and stores the result
+    — into both layers' old records, which nobody reads again.
     """
-
-    def __init__(self, table, write, other_worker):
-        super().__init__(table)
-        self._race = (write, other_worker)
-
-    def pattern_count(self, pattern):
-        stale = super().pattern_count(pattern)
-        if self._race is not None:
-            write, other_worker = self._race
-            self._race = None
-            write()
-            other_worker()
-        return stale
-
-
-def test_a_value_computed_under_the_old_epoch_is_not_served_under_the_new():
     x, y = Variable("x"), Variable("y")
     database = RDFDatabase()
     database.load_facts(
@@ -191,14 +176,22 @@ def test_a_value_computed_under_the_old_epoch_is_not_served_under_the_new():
     query = BGPQuery([x, y], [Triple(x, t("p"), y)])
     other = BGPQuery([x, y], [Triple(x, t("q"), y)])
     estimator = CardinalityEstimator(database)
-    database.statistics = _RacingStatistics(
-        database.table,
-        write=lambda: database.load_facts([Triple(t("s9"), t("p"), t("o9"))]),
-        other_worker=lambda: estimator.cq_cardinality(other),
-    )
-    epoch = database.statistics.epoch
+    real = database.table.match_count
+    race = [
+        lambda: database.load_facts([Triple(t("s9"), t("p"), t("o9"))]),
+        lambda: estimator.cq_cardinality(other),
+    ]
+
+    def racing(pattern):
+        stale = real(pattern)
+        while race:
+            race.pop(0)()
+        return stale
+
+    monkeypatch.setattr(database.table, "match_count", racing)
+    snapshot = database.snapshot()
     assert estimator.cq_cardinality(query) == 4.0  # computed from the stale count
-    assert database.statistics.epoch > epoch
+    assert database.snapshot().data > snapshot.data
     assert estimator.cq_cardinality(query) == 5.0
     assert estimator.atom_count(query.body[0]) == 5
     assert estimator.ucq_scan_size(UCQ([query])) == 5

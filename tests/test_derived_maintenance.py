@@ -12,6 +12,7 @@ must keep answering as of before it.
 import random
 
 import numpy as np
+import pytest
 
 from oracle import make_answerer
 from repro.answering import STRATEGIES
@@ -93,7 +94,9 @@ def test_maintained_stores_equal_from_scratch_ones_across_writes_and_schema_togg
             strategy: [engine.evaluate(plan) for plan in plans]
             for strategy, (engine, plans) in before.items()
         }
-        epoch_before = answerer.interval_assigner.epoch
+        encoding_before, _store, snapshot_before = answerer.interval_assigner.current(
+            database
+        )
 
         if toggle == "add":
             database.schema.add_subclass(*EDGE)
@@ -109,20 +112,26 @@ def test_maintained_stores_equal_from_scratch_ones_across_writes_and_schema_togg
                 assert answers == expected[query.name], (step, query.name, strategy)
 
         # The stores the answerer now serves, against stores from nothing.
-        _fingerprint, saturated = answerer._saturated
+        snapshot = database.snapshot()
+        saturated_at, saturated = answerer._saturated
+        assert saturated_at == snapshot
         assert_same_indexes(saturated.database, saturate_database(database).database)
-        _encoding, interval_store, _key = answerer.interval_assigner.current(database)
+        encoding, interval_store, interval_at = answerer.interval_assigner.current(database)
+        assert interval_at == snapshot
         scratch = interval_encode_database(database)
         assert_same_indexes(interval_store, scratch.database)
         for term in scratch.encoding.leading_terms:
             assert interval_store.dictionary.lookup(term) == scratch.database.dictionary.lookup(term)
 
-        # A schema change re-encodes; a data-only write keeps the epoch.
+        # A schema change re-encodes; a data-only write keeps the encoding.
+        assert snapshot.data > snapshot_before.data
         if toggle is None:
-            assert answerer.interval_assigner.epoch == epoch_before
+            assert snapshot.schema == snapshot_before.schema
+            assert encoding is encoding_before
             delta_rounds += 1
         else:
-            assert answerer.interval_assigner.epoch == epoch_before + 1
+            assert snapshot.schema != snapshot_before.schema
+            assert encoding is not encoding_before
 
         # Readers still inside the superseded stores see the old state.
         for strategy, (engine, plans) in before.items():
@@ -153,16 +162,35 @@ def test_held_state_is_only_a_shortcut():
 
 
 def test_readers_beside_a_writer_only_ever_see_more():
-    """One writer, four readers on one answerer (more threads than cores,
-    short switch interval): the held state is swapped under the locks, so
-    no reader fails, none sees an answer set shrink or leave the bounds
+    """One writer, one reader per strategy on one answerer (more threads
+    than cores, short switch interval): the held state is swapped under
+    the locks and every table read slices the index it searched, so no
+    reader fails, none sees an answer set shrink or leave the bounds
     [before the writes, after them], and the last read is exact."""
+    readers_beside_a_writer(make_answerer(build_lubm_database(universities=1, seed=0)))
+
+
+@pytest.mark.slow
+def test_readers_beside_a_writer_on_sqlite():
+    """The same on the SQLite engine: every reader thread's pooled
+    connection reloads when the snapshot's data part moves."""
+    from repro.engine import SQLiteEngine
+
+    database = build_lubm_database(universities=1, seed=0)
+    with SQLiteEngine(database) as engine:
+        answerer = make_answerer(database, engine=engine)
+        try:
+            readers_beside_a_writer(answerer)
+        finally:
+            answerer.close()
+
+
+def readers_beside_a_writer(answerer):
     import sys
     import threading
 
     rng = random.Random(3)
-    database = build_lubm_database(universities=1, seed=0)
-    answerer = make_answerer(database)
+    database = answerer.database
     persons = QUERIES[0]
     floor = answerer.answer(persons, strategy="saturation").answers
     batches = [write_batch(rng, f"stress{step}") for step in range(12)]
@@ -185,10 +213,7 @@ def test_readers_beside_a_writer_only_ever_see_more():
         results[threading.get_ident()] = seen
 
     results = {}
-    readers = [
-        threading.Thread(target=read, args=(strategy,))
-        for strategy in ("saturation", "litemat") * 2
-    ]
+    readers = [threading.Thread(target=read, args=(strategy,)) for strategy in STRATEGIES]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

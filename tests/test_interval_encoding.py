@@ -5,7 +5,7 @@ table's range-scan primitive, the interval layout itself (trees, DAGs,
 cycles, and a hypothesis sweep over random DAG hierarchies asserting
 every class's ranges exactly cover its subclass-closure code set), the
 dictionary's copy-on-write renumbering under concurrency, and the
-epoch-keyed :class:`IntervalAssigner`.
+snapshot-keyed :class:`IntervalAssigner`.
 """
 
 from __future__ import annotations
@@ -529,7 +529,7 @@ class TestDictionaryRemap:
 
 
 # ----------------------------------------------------------------------
-# The epoch-keyed assigner
+# The snapshot-keyed assigner
 # ----------------------------------------------------------------------
 def _tiny_db() -> RDFDatabase:
     schema = RDFSchema()
@@ -545,12 +545,12 @@ def _tiny_db() -> RDFDatabase:
 
 
 class TestIntervalAssigner:
-    def test_epoch_starts_at_zero_and_bumps_on_build(self):
+    def test_key_is_the_database_snapshot(self):
         assigner = IntervalAssigner()
-        assert assigner.epoch == 0
         db = _tiny_db()
-        _, _, (epoch, _version) = assigner.current(db)
-        assert epoch == 1 and assigner.epoch == 1
+        encoding, _, snapshot = assigner.current(db)
+        assert snapshot == db.snapshot() == (db.schema.fingerprint(), db.table.version)
+        assert encoding.schema_fingerprint == snapshot.schema
 
     def test_same_key_returns_identical_objects(self):
         assigner = IntervalAssigner()
@@ -568,7 +568,7 @@ class TestIntervalAssigner:
         db.schema.add_subclass(u("Report"), u("Publication"))
         db.load_facts([Triple(u("r1"), RDF_TYPE, u("Report"))])
         enc2, store2, e2 = assigner.current(db)
-        assert e2[0] == e1[0] + 1
+        assert e2 == db.snapshot() and e2.schema != e1.schema and e2.data > e1.data
         assert store2 is not store1 and enc2 is not enc1
         # The superseded derived store was never mutated.
         assert len(store1.table) == old_len
@@ -582,15 +582,6 @@ class TestIntervalAssigner:
             assert store.dictionary.lookup(cls) == encoding.class_code(cls)
         for prop in db.schema.properties:
             assert store.dictionary.lookup(prop) == encoding.property_code(prop)
-
-    def test_reject_mode_propagates(self):
-        db = _tiny_db()
-        db.schema.add_subclass(u("Publication"), u("Book"))  # closes a cycle
-        with pytest.raises(CyclicHierarchyError):
-            IntervalAssigner(on_cycle="reject").current(db)
-        # The default collapses and serves answers instead.
-        encoding, _, _ = IntervalAssigner().current(db)
-        assert encoding.stats()["cycles"] == 1
 
 
 # ----------------------------------------------------------------------
