@@ -50,6 +50,7 @@ from repro.datasets import (
 from repro.engine import (
     EngineFailure,
     EngineTimeout,
+    ExecutionBudget,
     NATIVE_HASH,
     NATIVE_MERGE,
     NativeEngine,
@@ -62,6 +63,8 @@ LUBM_SMALL_UNIVERSITIES = int(os.environ.get("REPRO_LUBM_SMALL", "12"))
 LUBM_LARGE_UNIVERSITIES = int(os.environ.get("REPRO_LUBM_LARGE", "48"))
 DBLP_PUBLICATIONS = int(os.environ.get("REPRO_DBLP_PUBS", "12000"))
 EVAL_TIMEOUT_S = float(os.environ.get("REPRO_BENCH_TIMEOUT", "60"))
+#: The per-evaluation allowance the figure scripts hand their engines.
+EVAL_BUDGET = ExecutionBudget(timeout_s=EVAL_TIMEOUT_S)
 BENCH_REPEATS = max(1, int(os.environ.get("REPRO_BENCH_REPEATS", "1")))
 
 
@@ -373,7 +376,7 @@ def _measure_once(
         report = qa.answer(
             entry.query,
             strategy=strategy,
-            timeout_s=timeout_s,
+            budget=ExecutionBudget(timeout_s=timeout_s),
             tracer=tracer,
             verify_ir=verify_ir,
         )

@@ -48,7 +48,7 @@ def test_ablation_variant_evaluation(benchmark, name, variant):
     engine = H.engine(DATASET, ENGINE)
 
     def evaluate():
-        return engine.count(result.jucq, timeout_s=H.EVAL_TIMEOUT_S)
+        return len(engine.evaluate(result.jucq, budget=H.EVAL_BUDGET))
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)
@@ -68,7 +68,7 @@ def test_ablation_all_variants_correct(benchmark):
             for variant in VARIANTS:
                 result = _choose(name, variant)
                 per_variant.add(
-                    engine.count(result.jucq, timeout_s=H.EVAL_TIMEOUT_S)
+                    len(engine.evaluate(result.jucq, budget=H.EVAL_BUDGET))
                 )
             counts[name] = per_variant
         return counts

@@ -33,7 +33,7 @@ def test_ablation_pruning(benchmark, name, strategy):
     engine = H.engine(DATASET, ENGINE)
 
     def evaluate():
-        return engine.count(planned, timeout_s=H.EVAL_TIMEOUT_S)
+        return len(engine.evaluate(planned, budget=H.EVAL_BUDGET))
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)

@@ -41,7 +41,7 @@ def test_fig10_answering_time(benchmark, name, approach):
         engine = H.engine(DATASET, "native-hash")
 
     def evaluate():
-        return engine.count(planned, timeout_s=H.EVAL_TIMEOUT_S)
+        return len(engine.evaluate(planned, budget=H.EVAL_BUDGET))
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)
@@ -66,8 +66,10 @@ def test_fig10_same_answers(benchmark):
     def run():
         agreements = []
         for name in QUERY_SUBSET:
-            sat = H.saturated_engine(DATASET, "native-hash").count(
-                _entry(name).query, timeout_s=H.EVAL_TIMEOUT_S
+            sat = len(
+                H.saturated_engine(DATASET, "native-hash").evaluate(
+                    _entry(name).query, budget=H.EVAL_BUDGET
+                )
             )
             ref = H.measure(DATASET, _entry(name), "gcov", "native-hash")
             agreements.append(ref.status == "ok" and ref.answers == sat)
@@ -100,7 +102,7 @@ def main():
             for _ in range(H.BENCH_REPEATS):
                 start = time.perf_counter()
                 try:
-                    engine.count(entry.query, timeout_s=H.EVAL_TIMEOUT_S)
+                    engine.evaluate(entry.query, budget=H.EVAL_BUDGET)
                 except EngineFailure:
                     sat_status = "failed"
                     break

@@ -48,7 +48,7 @@ def test_fig4_answering_time(benchmark, name, strategy, engine_name):
     engine = H.engine(DATASET, engine_name)
 
     def evaluate():
-        return engine.count(planned, timeout_s=H.EVAL_TIMEOUT_S)
+        return len(engine.evaluate(planned, budget=H.EVAL_BUDGET))
 
     try:
         answers = benchmark.pedantic(evaluate, rounds=1, iterations=1)

@@ -30,9 +30,9 @@ def _triple_stats(index: int):
     single = BGPQuery(head, [atom], name=f"q1_t{index + 1}")
     engine = H.engine(DATASET, "native-hash")
     reformulator = H.reformulator(DATASET)
-    answers = engine.count(single)
+    answers = len(engine.evaluate(single))
     ucq = reformulator.reformulate(single)
-    return answers, len(ucq), engine.count(ucq)
+    return answers, len(ucq), len(engine.evaluate(ucq))
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])

@@ -24,9 +24,9 @@ def _triple_stats(index: int):
     single = BGPQuery(sorted(atom.variables()), [atom], name=f"q2_t{index + 1}")
     engine = H.engine(DATASET, "native-hash")
     reformulator = H.reformulator(DATASET)
-    answers = engine.count(single)
+    answers = len(engine.evaluate(single))
     ucq = reformulator.reformulate(single)
-    return answers, len(ucq), engine.count(ucq)
+    return answers, len(ucq), len(engine.evaluate(ucq))
 
 
 @pytest.mark.parametrize("index", list(range(6)))

@@ -38,7 +38,7 @@ def main() -> None:
         jucq = jucq_for_cover(query, cover, reformulator)
         breakdown = model.jucq_cost(jucq)
         start = time.perf_counter()
-        engine.count(jucq)
+        engine.evaluate(jucq)
         measured = (time.perf_counter() - start) * 1000
         print(
             f"{format_cover(query, cover):28}{breakdown.total:12.5f}"

@@ -6,7 +6,7 @@ the strategies of :mod:`repro.answering.strategies` (one table row
 each: how the query is rewritten, which store the plan runs on), hands
 it to an evaluation engine, and reports both the answers and the time
 split between optimization and evaluation.  :meth:`QueryAnswerer.answer`
-is the pipeline, in stages: resolve the budget → resolve the derived
+is the pipeline, in stages: start the budget → resolve the derived
 store → plan through the cache → verify → union budget → the engine over
 that store → evaluate → report.  No stage compares strategy names.
 """
@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..cache.lru import MISSING, LRUCache
 from ..cache.manager import QueryCache
 from ..cost.model import CostModel
+from ..engine.budget import UNLIMITED, ExecutionBudget
 from ..engine.evaluator import AnswerSet, Engine, NativeEngine
 from ..optimizer.search import SearchInfeasible
 from ..query.algebra import JUCQ
@@ -28,7 +29,6 @@ from ..query.bgp import BGPQuery
 from ..reformulation.litemat import IntervalReformulator
 from ..reasoning.encoded import Saturated, saturate_database
 from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
-from ..resilience.budget import ExecutionBudget
 from ..resilience.errors import (
     RECOVERABLE,
     AllStrategiesFailed,
@@ -114,10 +114,8 @@ class QueryAnswerer:
         cost_model: Optional[CostModel] = None,
         reformulator: Optional[Reformulator] = None,
         ecov_max_covers: int = 100_000,
-        tracer=None,
         verify_ir: bool = False,
         cache: Optional[QueryCache] = None,
-        budget: Optional[ExecutionBudget] = None,
         fallback: Optional[FallbackPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -132,8 +130,6 @@ class QueryAnswerer:
         #: Budget after which the exhaustive strategy declares the cover
         #: space infeasible (the paper's ECov on the 10-atom DBLP Q10).
         self.ecov_max_covers = ecov_max_covers
-        #: Default tracer for every call; the no-op tracer unless set.
-        self.tracer = NULL_TRACER if tracer is None else tracer
         #: Debug mode: assert IR well-formedness after each compilation
         #: stage (DESIGN.md §8); raises
         #: :class:`repro.analysis.IRVerificationError` on corruption.
@@ -156,10 +152,6 @@ class QueryAnswerer:
             engine_sql_cache = getattr(self.engine, "sql_cache", None)
             if engine_sql_cache is not None:
                 cache.register("sql", engine_sql_cache)
-        #: Default :class:`~repro.resilience.ExecutionBudget` template
-        #: applied to calls that pass neither ``budget`` nor
-        #: ``timeout_s`` (each call starts its own copy of the clock).
-        self.budget = budget
         #: Default :class:`~repro.resilience.FallbackPolicy` for
         #: :meth:`answer_resilient`; a stock policy when unset.
         self.fallback = fallback
@@ -260,19 +252,18 @@ class QueryAnswerer:
         strategy: str = "gcov",
         tracer=None,
         verify_ir: Optional[bool] = None,
-        budget: Optional[ExecutionBudget] = None,
+        budget: ExecutionBudget = UNLIMITED,
     ):
         """The reformulated query a strategy would evaluate (no execution).
 
         Returns ``(planned_query, search_result_or_None)``.  When a
-        live ``tracer`` is given (or set on the answerer), planning is
-        wrapped in ``reformulate``/``cover-search`` spans and the cover
-        search's exploration trajectory is attached as a ``search``
-        record.  ``verify_ir`` overrides the answerer's default; when
-        on, the input query and the produced reformulation are checked
-        by the IR verifier (:mod:`repro.analysis`).  A ``budget``
-        threads the shared answer-wide deadline into the cover
-        searches.
+        live ``tracer`` is given, planning is wrapped in
+        ``reformulate``/``cover-search`` spans and the cover search's
+        exploration trajectory is attached as a ``search`` record.
+        ``verify_ir`` overrides the answerer's default; when on, the
+        input query and the produced reformulation are checked by the
+        IR verifier (:mod:`repro.analysis`).  A ``budget`` threads the
+        shared answer-wide deadline into the cover searches.
         """
         verify = self.verify_ir if verify_ir is None else verify_ir
         if verify:
@@ -283,7 +274,7 @@ class QueryAnswerer:
         planned, search = self._plan_cached(
             row,
             query,
-            self.tracer if tracer is None else tracer,
+            NULL_TRACER if tracer is None else tracer,
             budget,
             self._resolve(row),
         )
@@ -308,7 +299,7 @@ class QueryAnswerer:
         row: Strategy,
         query: BGPQuery,
         tracer,
-        budget: Optional[ExecutionBudget],
+        budget: ExecutionBudget,
         derived: Optional[Derived],
     ):
         """Plan-cache wrapper around :meth:`Strategy.plan` (DESIGN.md §9).
@@ -341,7 +332,7 @@ class QueryAnswerer:
             if outcome == "error":
                 raise thaw_exception(payload)
             return payload
-        deadline_active = budget is not None and budget.timeout_s is not None
+        deadline_active = budget.timeout_s is not None
         try:
             planned, search = row.plan(self, query, tracer, budget, derived)
         except (ReformulationLimitExceeded, SearchInfeasible) as error:
@@ -355,31 +346,19 @@ class QueryAnswerer:
     # ------------------------------------------------------------------
     # Answering
     # ------------------------------------------------------------------
-    def _prologue(self, tracer, budget, timeout_s):
-        """The call's tracer and its started budget: an explicit
-        ``budget`` wins, a bare ``timeout_s`` becomes a deadline-only
-        one, otherwise the answerer's default applies."""
-        budget = ExecutionBudget.resolve(budget, timeout_s)
-        if budget is None:
-            budget = self.budget
-        if budget is not None:
-            budget = budget.start()
-        return (self.tracer if tracer is None else tracer), budget
-
     def answer(
         self,
         query: BGPQuery,
         strategy: str = "gcov",
-        timeout_s: Optional[float] = None,
         tracer=None,
         record_accuracy: Optional[bool] = None,
         verify_ir: Optional[bool] = None,
-        budget: Optional[ExecutionBudget] = None,
+        budget: ExecutionBudget = UNLIMITED,
     ) -> AnswerReport:
         """Answer ``query`` under ``strategy``; see :class:`AnswerReport`.
 
-        ``tracer`` overrides the answerer's default tracer for this
-        call.  ``record_accuracy`` forces predicted-vs-observed (cost,
+        ``tracer`` records this call's spans (none by default).
+        ``record_accuracy`` forces predicted-vs-observed (cost,
         cardinality) sampling on or off; by default it follows the
         tracer (accuracy needs extra estimator calls, so the untraced
         hot path skips them).  ``verify_ir`` overrides the answerer's
@@ -387,19 +366,19 @@ class QueryAnswerer:
         JUCQ, compiled plan tree, generated SQL — is asserted by the IR
         verifier before evaluation starts.
 
-        Limits: an explicit ``budget``
-        (:class:`~repro.resilience.ExecutionBudget`) wins; a bare
-        ``timeout_s`` becomes a deadline-only budget; otherwise the
-        answerer's default budget applies.  One started budget threads
-        the *same* deadline through planning (cover searches) and
-        evaluation, and its union/row caps tighten the engine profile's
-        own limits.  Failures keep their raw types
+        Limits: ``budget`` (:class:`~repro.resilience.ExecutionBudget`,
+        unlimited by default) is started here unless the caller already
+        started it, and the one started budget threads the *same*
+        deadline through planning (cover searches) and evaluation; its
+        union/row caps tighten the engine profile's own limits.
+        Failures keep their raw types
         (:class:`~repro.engine.evaluator.EngineTimeout`,
         :class:`~repro.engine.evaluator.EngineFailure`, planning
         errors); classification and recovery live in
         :meth:`answer_resilient`.
         """
-        tracer, budget = self._prologue(tracer, budget, timeout_s)
+        tracer = NULL_TRACER if tracer is None else tracer
+        budget = budget.start()
         row = strategy_named(strategy)
         verify = self.verify_ir if verify_ir is None else verify_ir
         if record_accuracy is None:
@@ -416,11 +395,7 @@ class QueryAnswerer:
                 with tracer.span("verify-ir"):
                     self._verify(query, planned, search, database=self.database)
             terms = 0 if row.rewrite is None else planned.total_union_terms()
-            if (
-                budget is not None
-                and budget.max_union_terms is not None
-                and terms > budget.max_union_terms
-            ):
+            if budget.max_union_terms is not None and terms > budget.max_union_terms:
                 raise UnionBudgetExceeded(
                     f"{strategy} reformulation of {query.name} has "
                     f"{terms} union terms, over the budget's "
@@ -504,8 +479,7 @@ class QueryAnswerer:
         query: BGPQuery,
         strategy: Optional[str] = None,
         policy: Optional[FallbackPolicy] = None,
-        budget: Optional[ExecutionBudget] = None,
-        timeout_s: Optional[float] = None,
+        budget: ExecutionBudget = UNLIMITED,
         tracer=None,
         record_accuracy: Optional[bool] = None,
         verify_ir: Optional[bool] = None,
@@ -535,7 +509,8 @@ class QueryAnswerer:
         if policy is None:
             policy = FallbackPolicy()
         breaker = policy.breaker if policy.breaker is not None else self._default_breaker()
-        tracer, budget = self._prologue(tracer, budget, timeout_s)
+        tracer = NULL_TRACER if tracer is None else tracer
+        budget = budget.start()
         ladder = policy.strategies_for(strategy)
         requested = ladder[0]
         attempts: List[AttemptRecord] = []
@@ -560,7 +535,7 @@ class QueryAnswerer:
                     continue
                 retry = 0
                 while True:
-                    if budget is not None and budget.expired:
+                    if budget.expired:
                         rmetrics.inc("resilience.budget_exhausted")
                         raise BudgetExhausted(
                             f"budget exhausted answering {query.name} after "
@@ -603,7 +578,7 @@ class QueryAnswerer:
                         if (
                             transient
                             and retry < policy.max_retries
-                            and not (budget is not None and budget.expired)
+                            and not budget.expired
                         ):
                             retry += 1
                             rmetrics.inc("resilience.retries")

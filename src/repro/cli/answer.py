@@ -7,7 +7,6 @@ import argparse
 import math
 import sys
 import time
-from typing import Optional
 
 from ..analysis import Severity
 from ..analysis.lint import lint_query
@@ -50,15 +49,14 @@ def _print_lint_findings(query, database) -> None:
             print(f"# lint: {diagnostic.format()}", file=sys.stderr)
 
 
-def _budget_from_args(args: argparse.Namespace) -> Optional[ExecutionBudget]:
-    """The :class:`ExecutionBudget` the flags describe (None = unlimited)."""
-    budget = ExecutionBudget(
+def _budget_from_args(args: argparse.Namespace) -> ExecutionBudget:
+    """The :class:`ExecutionBudget` the flags describe."""
+    return ExecutionBudget(
         timeout_s=args.timeout,
         max_union_terms=args.max_union_terms,
         max_intermediate_rows=args.budget_rows,
         max_result_rows=args.budget_rows,
     )
-    return None if budget.unlimited else budget
 
 
 def _answer_as_asked(

@@ -12,6 +12,7 @@ from ..answering import STRATEGIES, QueryAnswerer
 from ..engine import Engine, NativeEngine, SQLiteEngine
 from ..query import BGPQuery, parse_query
 from ..rdf import read_ntriples
+from ..service.http import positive_seconds
 from ..storage import RDFDatabase
 
 #: Exit codes for mapped failures (see the package docstring).
@@ -62,6 +63,11 @@ def attach(parser: argparse.ArgumentParser, *args) -> None:
             attach(parser, *arg)
 
 
+def seconds(text: str) -> float:
+    """``--timeout``'s type: a float, checked as a request body's is."""
+    return positive_seconds(float(text))
+
+
 DATA = Arg("data", help="N-Triples file (constraints + facts)")
 QUERY = Arg("-q", "--query", required=True, help="SPARQL BGP text")
 QUERIES = Arg(
@@ -80,7 +86,7 @@ STRATEGY = Arg(
 ENGINE = Arg(
     "--engine", choices=("native", "sqlite"), default="native", help="evaluation engine"
 )
-TIMEOUT = Arg("--timeout", type=float, help="seconds")
+TIMEOUT = Arg("--timeout", type=seconds, help="seconds")
 TRACE = Arg("--trace", metavar="FILE", help="export a JSON-lines telemetry trace")
 REPEAT = Arg("--repeat", type=int, default=1, metavar="N", help="answering passes")
 LIMIT = Arg(

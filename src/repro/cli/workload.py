@@ -13,7 +13,13 @@ from ..cache import QueryCache
 from ..engine import EngineFailure
 from ..optimizer import SearchInfeasible
 from ..reformulation.reformulate import ReformulationLimitExceeded
-from ..resilience import ChaosConfig, ChaosEngine, FallbackPolicy, ResilienceError
+from ..resilience import (
+    ChaosConfig,
+    ChaosEngine,
+    ExecutionBudget,
+    FallbackPolicy,
+    ResilienceError,
+)
 from ..telemetry import MetricsRegistry, set_registry
 from .common import (
     ENGINE,
@@ -48,6 +54,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     terms are skipped, so huge workload entries don't dominate.
     """
     queries = collect_queries(args)
+    budget = ExecutionBudget(timeout_s=args.timeout)
     cache = QueryCache()
     with open_answerer(load_database(args.data), args, cache=cache) as answerer:
         skipped = set()
@@ -59,7 +66,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
                     continue
                 try:
                     report = answerer.answer(
-                        query, strategy=args.strategy, timeout_s=args.timeout
+                        query, strategy=args.strategy, budget=budget
                     )
                 except SKIPPABLE:
                     skipped.add(name)
@@ -116,6 +123,7 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
     Prometheus-style text exposition or a JSON snapshot.
     """
     queries = collect_queries(args)
+    budget = ExecutionBudget(timeout_s=args.timeout)
     registry = MetricsRegistry()
     set_registry(registry)
     answered = skipped = 0
@@ -125,9 +133,7 @@ def cmd_metrics_export(args: argparse.Namespace) -> int:
         for _ in range(max(1, args.repeat)):
             for _name, query in queries:
                 try:
-                    answerer.answer(
-                        query, strategy=args.strategy, timeout_s=args.timeout
-                    )
+                    answerer.answer(query, strategy=args.strategy, budget=budget)
                     answered += 1
                 except SKIPPABLE:
                     skipped += 1

@@ -28,6 +28,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 from scipy.optimize import nnls
 
+from ..engine.budget import ExecutionBudget
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..rdf.terms import URI, Variable
@@ -109,6 +110,10 @@ def _features(query, estimator: CardinalityEstimator) -> np.ndarray:
     raise TypeError(f"cannot featurize {type(query).__name__}")
 
 
+#: Each probe's allowance: a probe slower than this is skipped.
+PROBE_BUDGET = ExecutionBudget(timeout_s=30.0)
+
+
 def _time_call(call: Callable[[], object], repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -123,12 +128,12 @@ def calibrate(
     engine,
     database: RDFDatabase,
     repeats: int = 3,
-    timeout_s: float = 30.0,
 ) -> CostConstants:
     """Fit :class:`CostConstants` for ``engine`` over ``database``.
 
-    ``engine`` is anything with ``evaluate(query, timeout_s=...)``
-    (native or SQLite).  Probes that fail or time out are skipped.
+    ``engine`` is any :class:`~repro.engine.Engine` (native or SQLite).
+    Each probe evaluation gets :data:`PROBE_BUDGET`; probes that fail
+    or time out are skipped.
     """
     estimator = CardinalityEstimator(database)
     rows: List[np.ndarray] = []
@@ -138,7 +143,7 @@ def calibrate(
     for probe in _probe_queries(database):
         try:
             elapsed = _time_call(
-                lambda: engine.evaluate(probe, timeout_s=timeout_s), repeats
+                lambda: engine.evaluate(probe, budget=PROBE_BUDGET), repeats
             )
         except EngineFailure:
             continue

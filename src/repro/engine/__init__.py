@@ -1,5 +1,6 @@
 """Query evaluation engines: native personalities, SQL generation, SQLite."""
 
+from .budget import UNLIMITED, ExecutionBudget
 from .evaluator import (
     NATIVE_HASH,
     NATIVE_MERGE,
@@ -23,6 +24,7 @@ __all__ = [
     "EngineFailure",
     "EngineProfile",
     "EngineTimeout",
+    "ExecutionBudget",
     "InternalCostConstants",
     "NATIVE_HASH",
     "NATIVE_MERGE",
@@ -31,6 +33,7 @@ __all__ = [
     "PlanNode",
     "Relation",
     "SQLiteEngine",
+    "UNLIMITED",
     "compile_query",
     "cq_to_sql",
     "jucq_to_sql",

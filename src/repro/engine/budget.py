@@ -1,4 +1,4 @@
-"""Execution budgets: one limit object threaded through a whole answer.
+"""Execution budgets: one limit value threaded through a whole answer.
 
 The paper's evaluation (Section 5) treats three independent failure
 axes: wall-clock timeouts, statement-size rejections (DB2's stack-depth
@@ -9,11 +9,15 @@ as *caller policy*, distinct from the per-engine
 a backend can physically do: the effective cap at any point is the
 minimum of the two.
 
-The deadline is shared across planning **and** evaluation (and, under
+It is the only deadline and cap below the doors that parse outside
+input (HTTP bodies, the tenants file, the command line): the answerer,
+the cover searches and every engine take a ``budget`` and nothing else.
+:data:`UNLIMITED` is the one spelling of "no limits" and every such
+parameter's default.  The deadline is shared across planning **and**
+evaluation (and, under
 :meth:`repro.answering.QueryAnswerer.answer_resilient`, across every
 retry and fallback attempt): ``start()`` pins the expiry once and every
-later layer observes the same clock, replacing the old per-layer
-``timeout_s`` plumbing.
+later layer observes the same clock.
 
 ``clock`` is injectable so tests can script exactly when a deadline
 fires (e.g. between two join steps) without sleeping.
@@ -23,12 +27,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Dict, Optional, TypeVar
 
 _N = TypeVar("_N", int, float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionBudget:
     """Caller-side limits for one answering call (or fallback run).
 
@@ -44,11 +48,12 @@ class ExecutionBudget:
     ``max_result_rows``
         Cap on the final answer relation.
 
-    A budget with every field ``None`` is unlimited.  ``start()``
-    returns a *running* copy with the deadline pinned; starting an
-    already-running budget is a no-op returning the same object, so one
-    budget can be handed down through answerer → optimizer → engine and
-    across fallback attempts while everyone shares the same expiry.
+    ``None`` on an axis means no cap there; with every axis ``None``
+    the budget equals :data:`UNLIMITED`.  ``start()`` returns a
+    *running* copy with the deadline pinned; starting a running budget
+    (or one without a deadline) returns the same object, so one budget
+    can be handed down through answerer → optimizer → engine and across
+    fallback attempts while everyone shares the same expiry.
     """
 
     timeout_s: Optional[float] = None
@@ -67,12 +72,13 @@ class ExecutionBudget:
     # Clock
     # ------------------------------------------------------------------
     def start(self) -> "ExecutionBudget":
-        """A running budget: ``self`` if already started, else a copy
-        with the deadline pinned at ``clock() + timeout_s``."""
+        """A running budget: ``self`` if already started or without a
+        deadline, else a copy with the deadline pinned at
+        ``clock() + timeout_s``."""
         if self.timeout_s is None or self._expires_at is not None:
             return self
         started = replace(self)
-        started._expires_at = self.clock() + self.timeout_s
+        object.__setattr__(started, "_expires_at", self.clock() + self.timeout_s)
         return started
 
     @property
@@ -82,11 +88,12 @@ class ExecutionBudget:
 
     @property
     def expired(self) -> bool:
-        """Whether the wall-clock deadline has passed."""
+        """Whether the wall-clock deadline has passed (reads the clock
+        only when one is running)."""
         return self._expires_at is not None and self.clock() > self._expires_at
 
     def remaining_s(self) -> Optional[float]:
-        """Seconds until the deadline (``None`` when unlimited).
+        """Seconds until the deadline (``None`` when there is none).
 
         Never negative: an expired budget reports ``0.0`` so it can be
         passed straight to APIs that treat the value as an allowance.
@@ -109,16 +116,6 @@ class ExecutionBudget:
         if self.max_union_terms is None:
             return engine_limit
         return min(engine_limit, self.max_union_terms)
-
-    @property
-    def unlimited(self) -> bool:
-        """True when no axis carries a cap."""
-        return (
-            self.timeout_s is None
-            and self.max_union_terms is None
-            and self.max_intermediate_rows is None
-            and self.max_result_rows is None
-        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -156,26 +153,7 @@ class ExecutionBudget:
             clock=self.clock,
         )
 
-    @classmethod
-    def resolve(
-        cls,
-        budget: Optional["ExecutionBudget"],
-        timeout_s: Optional[float] = None,
-    ) -> Optional["ExecutionBudget"]:
-        """The caller's budget, or one derived from a bare ``timeout_s``.
-
-        The adapter every layer uses to keep accepting the legacy
-        ``timeout_s`` argument: an explicit budget wins; otherwise a
-        bare timeout becomes a deadline-only budget; otherwise ``None``
-        (no limits).
-        """
-        if budget is not None:
-            return budget
-        if timeout_s is not None:
-            return cls(timeout_s=timeout_s)
-        return None
-
-    def to_dict(self) -> dict:
+    def to_dict(self) -> Dict[str, Optional[float]]:
         """JSON-friendly snapshot (reports, telemetry)."""
         return {
             "timeout_s": self.timeout_s,
@@ -183,3 +161,8 @@ class ExecutionBudget:
             "max_intermediate_rows": self.max_intermediate_rows,
             "max_result_rows": self.max_result_rows,
         }
+
+
+#: No deadline and no caps: the default of every ``budget`` parameter.
+#: Its ``start()`` is itself, so the unlimited path allocates nothing.
+UNLIMITED = ExecutionBudget()

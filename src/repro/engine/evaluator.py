@@ -48,6 +48,7 @@ from ..storage.database import RDFDatabase
 from ..telemetry.metrics import MetricsRecorder
 from ..telemetry.registry import get_registry
 from ..telemetry.tracer import NULL_TRACER
+from .budget import UNLIMITED, ExecutionBudget
 from .operators import (
     bind_variables,
     cross_product,
@@ -209,17 +210,16 @@ class Engine(Protocol):
     def evaluate(
         self,
         query,
-        timeout_s: Optional[float] = None,
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
-        budget=None,
+        budget: ExecutionBudget = UNLIMITED,
     ) -> AnswerSet:
         """The answers of a CQ, UCQ or JUCQ: distinct rows, still encoded.
 
-        ``budget`` (:class:`repro.resilience.ExecutionBudget`) carries
-        the shared deadline and the row/term caps and supersedes
-        ``timeout_s``; a crossed limit raises :class:`EngineFailure`, a
-        crossed deadline :class:`EngineTimeout`.
+        ``budget`` carries the shared deadline and the row/term caps
+        (started here if the caller has not); a crossed limit raises
+        :class:`EngineFailure`, a crossed deadline — already crossed
+        on entry included — :class:`EngineTimeout`.
         """
 
     def for_database(self, database: RDFDatabase) -> "Engine":
@@ -291,51 +291,19 @@ NATIVE_MERGE = EngineProfile(name="native-merge", join_algorithm="merge",
                              max_intermediate_rows=5_000_000)
 
 
-class _Deadline:
-    """Cooperative budget checkpoint between operator steps.
+def _check(budget: ExecutionBudget) -> None:
+    """A deadline checkpoint between operator steps."""
+    if budget.expired:
+        raise EngineTimeout("query evaluation exceeded its budget deadline")
 
-    Wraps either a bare ``timeout_s`` (the legacy API) or an
-    :class:`repro.resilience.ExecutionBudget`-shaped object (duck-typed
-    so this hot-path module depends on nothing above it): something
-    with ``start()``, ``expired``, ``row_limit(engine_limit)``,
-    ``union_limit(engine_limit)`` and ``max_result_rows``.  When both
-    are given, the shared budget wins — that is the whole point of a
-    budget.
-    """
 
-    __slots__ = ("expires_at", "budget")
-
-    def __init__(self, seconds: Optional[float] = None, budget=None):
-        if budget is not None:
-            self.budget = budget.start()
-            self.expires_at = None
-        else:
-            self.budget = None
-            self.expires_at = (
-                None if seconds is None else time.perf_counter() + seconds
-            )
-
-    def check(self) -> None:
-        if self.expires_at is not None and time.perf_counter() > self.expires_at:
-            raise EngineTimeout("query evaluation timed out")
-        if self.budget is not None and self.budget.expired:
-            raise EngineTimeout("query evaluation exceeded its budget deadline")
-
-    def row_limit(self, engine_limit: int) -> int:
-        """Effective intermediate-row cap: min(profile, budget)."""
-        if self.budget is None:
-            return engine_limit
-        return self.budget.row_limit(engine_limit)
-
-    def union_limit(self, engine_limit: int) -> int:
-        """Effective compound-union cap: min(profile, budget)."""
-        if self.budget is None:
-            return engine_limit
-        return self.budget.union_limit(engine_limit)
-
-    @property
-    def max_result_rows(self) -> Optional[int]:
-        return None if self.budget is None else self.budget.max_result_rows
+def _check_result_cap(budget: ExecutionBudget, rows: int) -> None:
+    """Fail an answer of ``rows`` rows over the budget's result cap."""
+    cap = budget.max_result_rows
+    if cap is not None and rows > cap:
+        raise EngineFailure(
+            f"result of {rows} rows exceeds the budget's max_result_rows={cap}"
+        )
 
 
 class NativeEngine:
@@ -365,16 +333,14 @@ class NativeEngine:
     def evaluate(
         self,
         query,
-        timeout_s: Optional[float] = None,
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
-        budget=None,
+        budget: ExecutionBudget = UNLIMITED,
     ) -> AnswerSet:
         """Evaluate: the distinct answer rows, as an :class:`AnswerSet`."""
         started = time.perf_counter()
         relation = self.evaluate_relation(
-            query, timeout_s=timeout_s, tracer=tracer, metrics=metrics,
-            budget=budget,
+            query, tracer=tracer, metrics=metrics, budget=budget
         )
         answers = AnswerSet(relation.rows, self.database.dictionary.snapshot)
         get_registry().histogram(
@@ -387,41 +353,30 @@ class NativeEngine:
     def evaluate_relation(
         self,
         query,
-        timeout_s: Optional[float] = None,
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
-        budget=None,
+        budget: ExecutionBudget = UNLIMITED,
     ) -> Relation:
         """Evaluate to an encoded relation (one column per head position).
 
-        ``budget`` is an :class:`repro.resilience.ExecutionBudget`
-        (shared deadline plus row/term caps tightened against the
-        profile's own limits); when given, ``timeout_s`` is ignored.
+        ``budget``'s shared deadline is checked between operator steps,
+        its row/term caps tighten the profile's own limits.
         """
         tracer = NULL_TRACER if tracer is None else tracer
-        deadline = _Deadline(timeout_s, budget)
+        budget = budget.start()
         scans: Dict[ConstantPattern, np.ndarray] = {}
         if isinstance(query, (BGPQuery, UCQ)):
             # A CQ is the union of one term: the one-member template.
             result = self._eval_union(
-                query.templates(), deadline,
+                query.templates(), budget,
                 _positional_names(query.head), scans, tracer, metrics,
             )
         elif isinstance(query, JUCQ):
-            result = self._eval_jucq(query, deadline, scans, tracer, metrics)
+            result = self._eval_jucq(query, budget, scans, tracer, metrics)
         else:
             raise TypeError(f"cannot evaluate {type(query).__name__}")
-        result_cap = deadline.max_result_rows
-        if result_cap is not None and len(result) > result_cap:
-            raise EngineFailure(
-                f"result of {len(result)} rows exceeds the budget's "
-                f"max_result_rows={result_cap}"
-            )
+        _check_result_cap(budget, len(result))
         return result
-
-    def count(self, query, timeout_s: Optional[float] = None) -> int:
-        """Number of distinct answers."""
-        return len(self.evaluate_relation(query, timeout_s=timeout_s))
 
     def explain(self, query) -> str:
         """A human-readable sketch of the plan this engine would run.
@@ -495,7 +450,7 @@ class NativeEngine:
     def _eval_union(
         self,
         templates: Sequence[Template],
-        deadline: _Deadline,
+        budget: ExecutionBudget,
         out_names: Sequence[str],
         scans: Dict[ConstantPattern, np.ndarray],
         tracer=NULL_TRACER,
@@ -508,16 +463,16 @@ class NativeEngine:
         templates or JUCQ operands is read from the indexes once.
         """
         terms = sum(template.size for template in templates)
-        union_cap = deadline.union_limit(self.profile.max_union_terms)
+        union_cap = budget.union_limit(self.profile.max_union_terms)
         if terms > union_cap:
             raise EngineFailure(
                 f"{terms} union terms exceed the compound statement "
                 f"limit of {union_cap} ({self.profile.name})"
             )
-        row_cap = deadline.row_limit(self.profile.max_intermediate_rows)
+        row_cap = budget.row_limit(self.profile.max_intermediate_rows)
         with tracer.span("union", terms=terms, templates=len(templates)) as span:
             parts = [
-                self._eval_template(template, deadline, row_cap, out_names, scans, metrics)
+                self._eval_template(template, budget, row_cap, out_names, scans, metrics)
                 for template in templates
             ]
             combined = union_all(parts, out_names)
@@ -532,7 +487,7 @@ class NativeEngine:
                 f"union result of {len(combined)} rows exceeds "
                 f"{self.profile.name}'s limit"
             )
-        deadline.check()
+        _check(budget)
         with tracer.span("dedup", rows_in=len(combined)) as span:
             result = distinct(combined, metrics)
             span.set(rows_out=len(result))
@@ -541,7 +496,7 @@ class NativeEngine:
     def _eval_template(
         self,
         template: Template,
-        deadline: _Deadline,
+        budget: ExecutionBudget,
         row_cap: int,
         out_names: Sequence[str],
         scans: Dict[ConstantPattern, np.ndarray],
@@ -551,7 +506,7 @@ class NativeEngine:
 
         Runs once per template, so it carries counters but no spans.
         """
-        deadline.check()
+        _check(budget)
         relations: List[Relation] = []
         for index in range(len(template.atoms)):
             relation = self._stack_scans(template, index, scans, metrics)
@@ -572,7 +527,7 @@ class NativeEngine:
         for step, index in enumerate(
             _greedy_order([len(r) for r in relations], template.atoms)
         ):
-            deadline.check()
+            _check(budget)
             if step == 0:
                 current = relations[index]
             else:
@@ -697,19 +652,19 @@ class NativeEngine:
     def _eval_jucq(
         self,
         jucq: JUCQ,
-        deadline: _Deadline,
+        budget: ExecutionBudget,
         scans: Dict[ConstantPattern, np.ndarray],
         tracer=NULL_TRACER,
         metrics: Optional[MetricsRecorder] = None,
     ) -> Relation:
-        row_cap = deadline.row_limit(self.profile.max_intermediate_rows)
+        row_cap = budget.row_limit(self.profile.max_intermediate_rows)
         operands: List[Relation] = []
         for index, ucq in enumerate(jucq):
             names = _variable_names(ucq.head)
             with tracer.span("operand", index=index, terms=len(ucq)) as span:
                 started = time.perf_counter()
                 operand = self._eval_union(
-                    ucq.templates(), deadline, names, scans, tracer, metrics
+                    ucq.templates(), budget, names, scans, tracer, metrics
                 )
                 span.set(rows=len(operand))
             if metrics is not None:
@@ -723,7 +678,7 @@ class NativeEngine:
         remaining.sort(key=lambda i: len(operands[i]))
         current = operands[remaining.pop(0)]
         while remaining:
-            deadline.check()
+            _check(budget)
             joinable = [
                 i for i in remaining if set(operands[i].columns) & set(current.columns)
             ] or remaining
@@ -739,7 +694,7 @@ class NativeEngine:
                 )
         head = [t.value if isinstance(t, Variable) else t for t in jucq.head]
         projected = self._project(current, head, _positional_names(jucq.head))
-        deadline.check()
+        _check(budget)
         with tracer.span("dedup", rows_in=len(projected)) as span:
             result = distinct(projected, metrics)
             span.set(rows_out=len(result))

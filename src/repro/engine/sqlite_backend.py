@@ -42,7 +42,8 @@ from ..storage.database import RDFDatabase
 from ..telemetry.metrics import MetricsRecorder
 from ..telemetry.registry import get_registry
 from ..telemetry.tracer import NULL_TRACER
-from .evaluator import AnswerSet, EngineFailure, EngineTimeout
+from .budget import UNLIMITED, ExecutionBudget
+from .evaluator import AnswerSet, EngineFailure, EngineTimeout, _check_result_cap
 from .sql import to_sql
 
 #: The six permutation indexes of the paper's storage layout.  The
@@ -187,18 +188,17 @@ class SQLiteEngine:
     def evaluate(
         self,
         query,
-        timeout_s: Optional[float] = None,
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
-        budget=None,
+        budget: ExecutionBudget = UNLIMITED,
     ) -> AnswerSet:
         """Evaluate: the distinct answer rows, as an :class:`AnswerSet`.
 
         SQLite's internal operators are opaque, so telemetry records the
         SQL boundary instead: compile/execute spans, statement size, and
-        fetched-row counters.  A ``budget``
-        (:class:`repro.resilience.ExecutionBudget`) supersedes
-        ``timeout_s`` and additionally caps the fetched result size.
+        fetched-row counters.  ``budget``'s deadline interrupts the
+        statement (:meth:`execute_sql`) and its result cap bounds the
+        fetched rows.
         """
         tracer = NULL_TRACER if tracer is None else tracer
         started = time.perf_counter()
@@ -208,7 +208,7 @@ class SQLiteEngine:
             span.set(sql_chars=len(sql), cached=self.sql_cache.hits > hits_before)
         with tracer.span("sqlite.execute", sql_chars=len(sql)) as span:
             execute_started = time.perf_counter()
-            rows = self.execute_sql(sql, timeout_s, budget=budget)
+            rows = self.execute_sql(sql, budget)
             span.set(rows=len(rows))
         get_registry().histogram(
             "repro.sqlite.execute_seconds",
@@ -218,12 +218,7 @@ class SQLiteEngine:
             metrics.inc("sqlite.statements")
             metrics.inc("sqlite.sql_chars", len(sql))
             metrics.inc("sqlite.rows_fetched", len(rows))
-        result_cap = None if budget is None else budget.max_result_rows
-        if result_cap is not None and len(rows) > result_cap:
-            raise EngineFailure(
-                f"result of {len(rows)} rows exceeds the budget's "
-                f"max_result_rows={result_cap}"
-            )
+        _check_result_cap(budget, len(rows))
         if rows:
             codes = np.array(rows, dtype=np.int64)
             if query.arity == 0:
@@ -240,50 +235,31 @@ class SQLiteEngine:
         ).observe(time.perf_counter() - started)
         return answers
 
-    def count(self, query, timeout_s: Optional[float] = None) -> int:
-        """Number of distinct answers."""
-        rows = self.execute_sql(self._compile(query), timeout_s)
-        return len(rows)
-
-    def execute_sql(self, sql: str, timeout_s: Optional[float] = None, budget=None):
+    def execute_sql(self, sql: str, budget: ExecutionBudget = UNLIMITED):
         """Run SQL text; engine errors become :class:`EngineFailure`.
 
-        The deadline — the budget's shared one when given, else a fresh
-        ``timeout_s`` one — is enforced cooperatively: the progress
-        handler runs every :attr:`progress_interval` VM instructions
-        and a non-zero return cancels the running statement.  Whether a
-        statement was interrupted is tracked by an explicit flag the
-        handler sets — *never* by matching "interrupted" in the error
-        text, which a user literal could spoof into misclassifying an
-        :class:`EngineFailure` as an :class:`EngineTimeout`.
+        ``budget``'s deadline (started here if the caller has not) is
+        checked once before the statement and then cooperatively: the
+        progress handler runs every :attr:`progress_interval` VM
+        instructions and a non-zero return cancels the running
+        statement.  Whether a statement was interrupted is tracked by an
+        explicit flag the handler sets — *never* by matching
+        "interrupted" in the error text, which a user literal could
+        spoof into misclassifying an :class:`EngineFailure` as an
+        :class:`EngineTimeout`.
         """
-        state = self._acquire()
-        connection = state.raw
+        budget = budget.start()
+        if budget.expired:
+            raise EngineTimeout("SQLite statement timed out before it started")
+        connection = self._acquire().raw
         interrupted = [False]
-        if budget is not None:
-            budget = budget.start()
-            if budget.timeout_s is not None:
 
-                def check() -> int:
-                    if budget.expired:
-                        interrupted[0] = True
-                        return 1
-                    return 0
+        def check() -> int:
+            interrupted[0] = budget.expired
+            return interrupted[0]
 
-            else:
-                check = None
-        elif timeout_s is not None:
-            deadline = time.perf_counter() + timeout_s
-
-            def check() -> int:
-                if time.perf_counter() > deadline:
-                    interrupted[0] = True
-                    return 1
-                return 0
-
-        else:
-            check = None
-        if check is not None:
+        deadline = budget.timeout_s is not None
+        if deadline:
             connection.set_progress_handler(check, self.progress_interval)
         try:
             cursor = connection.execute(sql)
@@ -295,7 +271,7 @@ class SQLiteEngine:
         except sqlite3.Error as error:
             raise EngineFailure(f"SQLite failed: {error}") from error
         finally:
-            if check is not None:
+            if deadline:
                 connection.set_progress_handler(None, 0)
 
     def explain(self, query) -> str:

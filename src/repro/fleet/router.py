@@ -11,7 +11,7 @@ answers, the router is free to:
 * **retry** transient upstream failures (connect refused, reset,
   timeout, truncated or garbled response, 5xx) against another
   replica, with exponential backoff, bounded by ``max_attempts`` and
-  the request's remaining :class:`~repro.resilience.budget.ExecutionBudget`;
+  the request's remaining :class:`~repro.engine.budget.ExecutionBudget`;
 * **hedge** the tail: once the request-latency histogram has enough
   samples, a second replica is fired when the first attempt exceeds
   the configured latency quantile, the first usable response wins, and
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..cache.lru import LRUCache
-from ..resilience.budget import ExecutionBudget
+from ..engine.budget import ExecutionBudget
 from ..resilience.fallback import CircuitBreaker
 from ..service.endpoint import HTTPEndpoint
 from ..service.http import (
@@ -49,6 +49,7 @@ from ..service.http import (
     HTTPRequest,
     Response,
     json_response,
+    positive_seconds,
     read_response,
     render_request,
 )
@@ -360,20 +361,19 @@ class FleetRouter(HTTPEndpoint):
             return None
         return max(config.hedge_min_s, quantile)
 
-    def _request_budget(self, request: HTTPRequest) -> Optional[ExecutionBudget]:
-        """The routing budget: the request's own timeout_s, else ours."""
-        timeout_s: Optional[float] = None
+    def _request_budget(self, request: HTTPRequest) -> ExecutionBudget:
+        """The started routing budget: the request's own ``timeout_s``
+        when it is a valid one, else ours.  The replica owns body
+        validation: an invalid ``timeout_s`` routes under our default
+        and the replica answers 400."""
+        timeout_s = self.config.default_timeout_s
         try:
             payload = request.json()
-            raw = payload.get("timeout_s") if isinstance(payload, dict) else None
-            if isinstance(raw, (int, float)) and raw > 0:
-                timeout_s = float(raw)
-        except BadRequest:
-            pass  # the replica owns body validation; it will answer 400
-        budget = ExecutionBudget.resolve(
-            None, timeout_s if timeout_s is not None else self.config.default_timeout_s
-        )
-        return None if budget is None else budget.start()
+            if isinstance(payload, dict) and "timeout_s" in payload:
+                timeout_s = positive_seconds(payload["timeout_s"])
+        except (BadRequest, ValueError):
+            pass
+        return ExecutionBudget(timeout_s=timeout_s).start()
 
     async def _handle_query(self, request: HTTPRequest) -> Response:
         self.metrics.inc("requests")
@@ -390,7 +390,7 @@ class FleetRouter(HTTPEndpoint):
         backoff = self.config.retry_backoff_s
         saw_replica = False
         for attempt in range(self.config.max_attempts):
-            remaining = budget.remaining_s() if budget is not None else None
+            remaining = budget.remaining_s()
             if remaining is not None and remaining <= 0:
                 break
             if attempt:
@@ -431,7 +431,7 @@ class FleetRouter(HTTPEndpoint):
                 last_5xx = outcome
         # Exhausted: classify the failure for the client.
         self._request_hist.observe(time.perf_counter() - started)
-        if budget is not None and (budget.remaining_s() or 0.0) <= 0:
+        if budget.remaining_s() == 0.0:
             self.metrics.inc("errors.timeout")
             return json_response(
                 504,
@@ -461,7 +461,7 @@ class FleetRouter(HTTPEndpoint):
         self,
         primary: Replica,
         request: HTTPRequest,
-        budget: Optional[ExecutionBudget],
+        budget: ExecutionBudget,
         tried: Set[str],
     ) -> Tuple[_Outcome, str]:
         """One routing step: primary attempt plus an optional hedge."""
@@ -503,16 +503,15 @@ class FleetRouter(HTTPEndpoint):
         self,
         replica: Replica,
         request: HTTPRequest,
-        budget: Optional[ExecutionBudget],
+        budget: ExecutionBudget,
     ) -> _Outcome:
         """One upstream exchange against one replica, classified."""
         timeout_s = self.config.upstream_timeout_s
-        if budget is not None:
-            remaining = budget.remaining_s()
-            if remaining is not None:
-                if remaining <= 0:
-                    return _Outcome(kind="timeout", error="budget exhausted")
-                timeout_s = min(timeout_s, remaining)
+        remaining = budget.remaining_s()
+        if remaining is not None:
+            if remaining <= 0:
+                return _Outcome(kind="timeout", error="budget exhausted")
+            timeout_s = min(timeout_s, remaining)
         started = time.perf_counter()
         replica.begin()
         writer: Optional[asyncio.StreamWriter] = None

@@ -7,7 +7,7 @@ judging GCov's choices.
 
 The cover space grows like the number of minimal set covers (6424 at
 six atoms and explosively beyond), so ECov accepts budgets: a cap on
-explored covers and a timeout.  Exceeding either raises
+explored covers and the answer's deadline.  Exceeding either raises
 :class:`~repro.optimizer.search.SearchInfeasible`, reproducing the
 paper's missing ECov bar on the 10-atom DBLP query.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..engine.budget import UNLIMITED, ExecutionBudget
 from ..query.bgp import BGPQuery
 from ..reformulation.covers import enumerate_covers
 from ..reformulation.reformulate import Reformulator
@@ -25,7 +26,6 @@ from .search import (
     CoverSearchResult,
     SearchInfeasible,
     Stopwatch,
-    effective_timeout,
 )
 
 
@@ -34,20 +34,19 @@ def ecov(
     reformulator: Reformulator,
     cost_function: CostFunction,
     max_covers: Optional[int] = 100_000,
-    timeout_s: Optional[float] = None,
     trace: Optional[list] = None,
-    budget=None,
+    budget: ExecutionBudget = UNLIMITED,
 ) -> CoverSearchResult:
     """Exhaustive search for the cheapest cover-based reformulation.
 
     Pass a list as ``trace`` to receive ``(cover, cost)`` pairs in
     enumeration order (same contract as :func:`repro.optimizer.gcov`'s
     trace), from which telemetry derives the best-cost trajectory.
-    ``budget`` tightens the timeout to a shared answer-wide deadline;
-    unlike GCov, an exhausted ECov clock is :class:`SearchInfeasible`
-    (the exhaustive search cannot vouch for a partial scan).
+    ``budget``'s deadline is the shared answer-wide one; unlike GCov,
+    an exhausted ECov clock is :class:`SearchInfeasible` (the
+    exhaustive search cannot vouch for a partial scan).
     """
-    timeout_s = effective_timeout(timeout_s, budget)
+    budget = budget.start()
     scorer = CoverScorer(query, reformulator, cost_function)
     watch = Stopwatch()
     best_cover = None
@@ -58,10 +57,10 @@ def ecov(
                 f"ECov exceeded its budget of {max_covers} covers on "
                 f"{len(query.body)}-atom query {query.name}"
             )
-        if timeout_s is not None and watch.elapsed() > timeout_s:
+        if budget.expired:
             raise SearchInfeasible(
-                f"ECov timed out after {timeout_s}s on query {query.name} "
-                f"({scorer.covers_explored} covers explored)"
+                f"ECov ran out of its {budget.timeout_s}s budget on query "
+                f"{query.name} ({scorer.covers_explored} covers explored)"
             )
         cost = scorer.cost(cover)
         if trace is not None:

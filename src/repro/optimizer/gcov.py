@@ -29,6 +29,7 @@ import heapq
 from itertools import count
 from typing import List, Optional, Set, Tuple
 
+from ..engine.budget import UNLIMITED, ExecutionBudget
 from ..query.bgp import BGPQuery
 from ..reformulation.covers import Cover, Fragment
 from ..reformulation.reformulate import Reformulator
@@ -37,7 +38,6 @@ from .search import (
     CoverScorer,
     CoverSearchResult,
     Stopwatch,
-    effective_timeout,
 )
 
 
@@ -105,22 +105,20 @@ def gcov(
     reformulator: Reformulator,
     cost_function: CostFunction,
     max_moves: Optional[int] = None,
-    timeout_s: Optional[float] = None,
     stop_ratio: Optional[float] = None,
     trace: Optional[list] = None,
-    budget=None,
+    budget: ExecutionBudget = UNLIMITED,
 ) -> CoverSearchResult:
     """Greedy anytime search for a low-cost cover (Algorithm 1).
 
-    ``max_moves`` / ``timeout_s`` / ``stop_ratio`` implement the paper's
+    ``max_moves`` / ``budget`` / ``stop_ratio`` implement the paper's
     remark that "one could easily change the stop condition, for
     instance to return the best found cover as soon as its cost has
     diminished by a certain ratio, or after a time-out period has
-    elapsed"; when any budget trips, the best cover found so far is
+    elapsed"; when any of them trips, the best cover found so far is
     returned (anytime behaviour).  ``stop_ratio=0.1`` stops once the
-    best cost is ≤ 10% of the initial (SCQ-shaped) cover's cost.
-    ``budget`` (an :class:`repro.resilience.ExecutionBudget`) tightens
-    the timeout to the answer-wide deadline's remaining time — GCov is
+    best cost is ≤ 10% of the initial (SCQ-shaped) cover's cost.  The
+    time-out is ``budget``'s deadline, the answer-wide one — GCov is
     the anytime rung of the fallback ladder, so running out of clock
     degrades the cover choice, never the answer.
 
@@ -128,7 +126,7 @@ def gcov(
     the order they were costed — the exploration the paper's Figure 7
     counts.
     """
-    timeout_s = effective_timeout(timeout_s, budget)
+    budget = budget.start()
     watch = Stopwatch()
     scorer = CoverScorer(query, reformulator, cost_function)
 
@@ -165,7 +163,7 @@ def gcov(
     while moves:
         if max_moves is not None and applied >= max_moves:
             break
-        if timeout_s is not None and watch.elapsed() > timeout_s:
+        if budget.expired:
             break
         if (
             stop_ratio is not None

@@ -110,20 +110,3 @@ class Stopwatch:
         """Seconds since construction."""
         return time.perf_counter() - self.start
 
-
-def effective_timeout(timeout_s, budget) -> "float | None":
-    """The tighter of a local timeout and a shared budget's remaining time.
-
-    ``budget`` is an :class:`repro.resilience.ExecutionBudget`-shaped
-    object (``start()`` + ``remaining_s()``); passing one threads the
-    answer-wide deadline into a cover search so planning and evaluation
-    drain the *same* clock instead of each getting a fresh allowance.
-    """
-    if budget is None:
-        return timeout_s
-    remaining = budget.start().remaining_s()
-    if remaining is None:
-        return timeout_s
-    if timeout_s is None:
-        return remaining
-    return min(timeout_s, remaining)

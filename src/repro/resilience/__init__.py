@@ -2,11 +2,13 @@
 
 DESIGN.md §10.  Three pieces:
 
-* :mod:`.budget` — :class:`ExecutionBudget`, one limit object (shared
-  wall-clock deadline, union-term and row caps) threaded through the
-  answerer, both engines and the optimizer searches;
-* :mod:`.errors` + :mod:`.fallback` — the structured
-  transient/permanent failure taxonomy, :class:`FallbackPolicy` (the
+* :class:`ExecutionBudget` (defined in :mod:`repro.engine.budget`, so
+  the engines can take it; re-exported here) — one limit value (shared
+  wall-clock deadline, union-term and row caps), started once per
+  answer and the only deadline the answerer, the optimizer searches and
+  every engine see; :data:`UNLIMITED` is the default everywhere;
+* :mod:`.errors` + :mod:`.fallback` — the transient/permanent
+  classification of raw pipeline failures, :class:`FallbackPolicy` (the
   ``gcov → scq → pruned-ucq → saturation`` degradation ladder with
   bounded retry/backoff) and the per-(query, strategy)
   :class:`CircuitBreaker`;
@@ -15,7 +17,7 @@ DESIGN.md §10.  Three pieces:
   degradation path runs in CI.
 """
 
-from .budget import ExecutionBudget
+from ..engine.budget import UNLIMITED, ExecutionBudget
 from .chaos import ChaosConfig, ChaosEngine, InjectedFailure, InjectedTimeout
 from .errors import (
     PERMANENT,
@@ -23,18 +25,12 @@ from .errors import (
     TRANSIENT,
     AllStrategiesFailed,
     BudgetExhausted,
-    EvaluationFault,
-    EvaluationTimeout,
-    PermanentFault,
-    PlanningFault,
     ResilienceError,
-    TransientFault,
     UnionBudgetExceeded,
     classify,
     freeze_exception,
     is_transient,
     thaw_exception,
-    wrap_failure,
 )
 from .fallback import (
     DEFAULT_LADDER,
@@ -51,23 +47,18 @@ __all__ = [
     "ChaosEngine",
     "CircuitBreaker",
     "DEFAULT_LADDER",
-    "EvaluationFault",
-    "EvaluationTimeout",
     "ExecutionBudget",
     "FallbackPolicy",
     "InjectedFailure",
     "InjectedTimeout",
     "PERMANENT",
-    "PermanentFault",
-    "PlanningFault",
     "RECOVERABLE",
     "ResilienceError",
     "TRANSIENT",
-    "TransientFault",
+    "UNLIMITED",
     "UnionBudgetExceeded",
     "classify",
     "freeze_exception",
     "is_transient",
     "thaw_exception",
-    "wrap_failure",
 ]

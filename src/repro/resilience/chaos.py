@@ -36,7 +36,9 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
-from ..engine.evaluator import EngineFailure, EngineTimeout
+from ..engine.budget import UNLIMITED, ExecutionBudget
+from ..engine.evaluator import AnswerSet, EngineFailure, EngineTimeout
+from ..telemetry.metrics import MetricsRecorder
 
 
 class InjectedTimeout(EngineTimeout):
@@ -147,11 +149,10 @@ class ChaosEngine:
     def evaluate(
         self,
         query,
-        timeout_s: Optional[float] = None,
         tracer=None,
-        metrics=None,
-        budget=None,
-    ):
+        metrics: Optional[MetricsRecorder] = None,
+        budget: ExecutionBudget = UNLIMITED,
+    ) -> AnswerSet:
         plan = self._draw(query)
         if plan["slow"]:
             self._record("slow", query, metrics)
@@ -165,8 +166,7 @@ class ChaosEngine:
             error.transient = self.config.transient
             raise error
         answers = self.engine.evaluate(
-            query, timeout_s=timeout_s, tracer=tracer, metrics=metrics,
-            budget=budget,
+            query, tracer=tracer, metrics=metrics, budget=budget
         )
         if plan["failure"]:
             # Mid-evaluation fault: the work was done, the rows are
@@ -179,10 +179,6 @@ class ChaosEngine:
             error.transient = self.config.transient
             raise error
         return answers
-
-    def count(self, query, timeout_s: Optional[float] = None) -> int:
-        """Delegated clean (diagnostics helper, not an answering path)."""
-        return self.engine.count(query, timeout_s=timeout_s)
 
     def explain(self, query) -> str:
         return self.engine.explain(query)

@@ -1,9 +1,9 @@
-"""Structured failure taxonomy for the answering pipeline.
+"""Failure classification for the answering pipeline.
 
 Every way an answer can fail — reformulations past a term budget,
 infeasible cover searches, engine statement/row limits, timeouts,
-injected chaos faults — maps into one :class:`ResilienceError` shape
-with a ``transient``/``permanent`` classification:
+injected chaos faults — keeps its raw type and is *classified*
+``transient`` or ``permanent``:
 
 * **transient** faults (a dropped connection, an injected chaos blip)
   may succeed if the *same* strategy is simply retried;
@@ -11,18 +11,19 @@ with a ``transient``/``permanent`` classification:
   limit, an exhausted search budget) will deterministically recur, so
   the only recovery is *falling back* to a different strategy.
 
-The raw exception types keep flowing through the direct
+The raw exception types flow through the direct
 :meth:`~repro.answering.QueryAnswerer.answer` API unchanged (callers
-catch :class:`~repro.engine.evaluator.EngineFailure` exactly as
-before); wrapping happens at the fallback layer, which needs the
-uniform classification to drive its retry ladder.
+catch :class:`~repro.engine.evaluator.EngineFailure`); the fallback
+ladder classifies them to drive its retries and, when it gives up,
+raises a :class:`ResilienceError` (:class:`BudgetExhausted` or
+:class:`AllStrategiesFailed`) carrying every attempt.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple, Type
 
-from ..engine.evaluator import EngineFailure, EngineTimeout
+from ..engine.evaluator import EngineFailure
 from ..optimizer.search import SearchInfeasible
 from ..reformulation.reformulate import ReformulationLimitExceeded
 
@@ -40,46 +41,9 @@ class ResilienceError(RuntimeError):
 
     transient: bool = False
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        strategy: Optional[str] = None,
-        phase: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        #: The answering strategy that was running, when known.
-        self.strategy = strategy
-        #: ``"plan"`` or ``"evaluate"``, when known.
-        self.phase = phase
-
     @property
     def classification(self) -> str:
         return TRANSIENT if self.transient else PERMANENT
-
-
-class TransientFault(ResilienceError):
-    """A fault that may not recur on retry."""
-
-    transient = True
-
-
-class PermanentFault(ResilienceError):
-    """A fault that will deterministically recur for this strategy."""
-
-    transient = False
-
-
-class PlanningFault(PermanentFault):
-    """Planning failed: term-limit overrun or infeasible cover search."""
-
-
-class EvaluationFault(ResilienceError):
-    """The engine rejected or aborted the evaluation."""
-
-
-class EvaluationTimeout(EvaluationFault):
-    """The engine ran past the deadline."""
 
 
 class UnionBudgetExceeded(EngineFailure):
@@ -94,7 +58,7 @@ class UnionBudgetExceeded(EngineFailure):
     transient = False
 
 
-class BudgetExhausted(PermanentFault):
+class BudgetExhausted(ResilienceError):
     """The shared execution budget ran out before an attempt succeeded."""
 
     def __init__(self, message: str, attempts: Optional[list] = None) -> None:
@@ -103,7 +67,7 @@ class BudgetExhausted(PermanentFault):
         self.attempts = attempts or []
 
 
-class AllStrategiesFailed(PermanentFault):
+class AllStrategiesFailed(ResilienceError):
     """Every rung of the fallback ladder failed (or was skipped)."""
 
     def __init__(self, message: str, attempts: Optional[list] = None) -> None:
@@ -113,7 +77,7 @@ class AllStrategiesFailed(PermanentFault):
 
 
 # ----------------------------------------------------------------------
-# Classification and wrapping of raw pipeline exceptions
+# Classification of raw pipeline exceptions
 # ----------------------------------------------------------------------
 #: Exception types the fallback ladder recovers from.  Anything else
 #: (programming errors, IR verification failures) propagates untouched.
@@ -134,39 +98,6 @@ def is_transient(error: BaseException) -> bool:
 def classify(error: BaseException) -> str:
     """``"transient"`` or ``"permanent"`` for any pipeline exception."""
     return TRANSIENT if is_transient(error) else PERMANENT
-
-
-def wrap_failure(
-    error: BaseException,
-    strategy: Optional[str] = None,
-    phase: Optional[str] = None,
-) -> ResilienceError:
-    """The :class:`ResilienceError` view of a raw pipeline exception.
-
-    The wrapper chains the original via ``__cause__`` and copies its
-    transient flag, so ``raise wrap_failure(e) from e`` preserves both
-    the traceback story and the classification.
-    """
-    if isinstance(error, ResilienceError):
-        return error
-    message = f"{type(error).__name__}: {error}"
-    if isinstance(error, (ReformulationLimitExceeded, SearchInfeasible)):
-        wrapped: ResilienceError = PlanningFault(
-            message, strategy=strategy, phase=phase or "plan"
-        )
-    elif isinstance(error, EngineTimeout):
-        wrapped = EvaluationTimeout(
-            message, strategy=strategy, phase=phase or "evaluate"
-        )
-    elif isinstance(error, EngineFailure):
-        wrapped = EvaluationFault(
-            message, strategy=strategy, phase=phase or "evaluate"
-        )
-    else:
-        wrapped = PermanentFault(message, strategy=strategy, phase=phase)
-    wrapped.transient = is_transient(error)
-    wrapped.__cause__ = error
-    return wrapped
 
 
 # ----------------------------------------------------------------------

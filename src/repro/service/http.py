@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Set, Tuple
 from urllib.parse import parse_qsl, unquote
@@ -43,6 +44,23 @@ REASONS = {
 
 class BadRequest(Exception):
     """Malformed HTTP framing; the handler answers 400 and closes."""
+
+
+def positive_seconds(value: Any) -> float:
+    """``value`` as a wall-clock allowance: a finite number of seconds > 0.
+
+    The one check for every ``timeout_s`` that comes from outside (a
+    request body, the router's view of it, the tenants file, the command
+    line after ``float``).  Raises ``ValueError`` for anything else:
+    ``bool`` (JSON ``true`` is not one second), strings, ``NaN`` and the
+    infinities (``json.loads`` accepts both, and neither ever expires),
+    zero and negatives.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a number of seconds: {value!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"not a positive, finite number of seconds: {value!r}")
+    return float(value)
 
 
 @dataclass

@@ -21,7 +21,7 @@ per-tenant quota rejections carry the exact token-bucket refill time.
 Each tenant rides the existing resilience machinery independently: its
 :class:`~repro.resilience.fallback.FallbackPolicy` (own circuit
 breaker) guards its requests, and its
-:class:`~repro.resilience.budget.ExecutionBudget` template is
+:class:`~repro.engine.budget.ExecutionBudget` template is
 tightened with the request's own timeout.  The answerers' caches are
 plain shared state — every client warms every other client's plans.
 
@@ -54,7 +54,14 @@ from ..resilience.errors import (
 )
 from ..telemetry import MetricsRegistry
 from .endpoint import HTTPEndpoint
-from .http import BadRequest, HTTPRequest, Response, json_body, json_response
+from .http import (
+    BadRequest,
+    HTTPRequest,
+    Response,
+    json_body,
+    json_response,
+    positive_seconds,
+)
 from .tenants import QuotaExceeded, Tenant, TenantRegistry, UnknownTenant
 
 #: Histogram buckets for service latencies: the default operator-scale
@@ -357,10 +364,13 @@ class QueryService(HTTPEndpoint):
         ):
             raise BadRequest('"prefixes" must map prefix names to IRIs')
         timeout_s = payload.get("timeout_s", self.config.default_timeout_s)
-        if timeout_s is not None and (
-            not isinstance(timeout_s, (int, float)) or timeout_s <= 0
-        ):
-            raise BadRequest('"timeout_s" must be a positive number')
+        if timeout_s is not None:
+            try:
+                timeout_s = positive_seconds(timeout_s)
+            except ValueError:
+                raise BadRequest(
+                    '"timeout_s" must be a positive, finite number'
+                ) from None
         resilient = payload.get("resilient", self.config.resilient)
         if not isinstance(resilient, bool):
             raise BadRequest('"resilient" must be a boolean')

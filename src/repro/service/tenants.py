@@ -2,7 +2,7 @@
 
 A *tenant* is one paying (or rate-limited) identity sharing the query
 service: it is identified by an API key, carries a :class:`TenantQuota`
-built on the resilience layer's :class:`~repro.resilience.budget.ExecutionBudget`,
+built on :class:`~repro.engine.budget.ExecutionBudget`,
 and owns its *own* :class:`~repro.resilience.fallback.FallbackPolicy`
 with its *own* :class:`~repro.resilience.fallback.CircuitBreaker` — so
 one tenant hammering a hopeless query opens circuits in its breaker
@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..cache.lru import LRUCache
-from ..resilience.budget import ExecutionBudget
+from ..engine.budget import UNLIMITED, ExecutionBudget
 from ..resilience.fallback import CircuitBreaker, FallbackPolicy
+from .http import positive_seconds
 
 
 class AdmissionError(Exception):
@@ -168,7 +169,7 @@ class TenantQuota:
     ``budget`` rides every request of the tenant through the existing
     resilience machinery: the service tightens it further with the
     request's own ``timeout_s`` (see
-    :meth:`~repro.resilience.budget.ExecutionBudget.tightened`) and
+    :meth:`~repro.engine.budget.ExecutionBudget.tightened`) and
     hands the result to the answerer, so tenant policy and caller
     limits share one clock and one row cap.
     """
@@ -176,14 +177,14 @@ class TenantQuota:
     max_concurrent: int = 8
     rows_per_second: Optional[float] = None
     burst_rows: Optional[float] = None
-    budget: Optional[ExecutionBudget] = None
+    budget: ExecutionBudget = UNLIMITED
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "max_concurrent": self.max_concurrent,
             "rows_per_second": self.rows_per_second,
             "burst_rows": self.burst_rows,
-            "budget": None if self.budget is None else self.budget.to_dict(),
+            "budget": self.budget.to_dict(),
         }
 
 
@@ -278,17 +279,10 @@ class Tenant:
         """Current row-bucket level, or None when the tenant is unmetered."""
         return None if self.bucket is None else self.bucket.level()
 
-    def request_budget(
-        self, timeout_s: Optional[float] = None
-    ) -> Optional[ExecutionBudget]:
-        """The effective budget for one request of this tenant.
-
-        The quota's template tightened by the request's own timeout;
-        None when no axis ends up capped (the unlimited fast path).
-        """
-        base = self.quota.budget if self.quota.budget is not None else ExecutionBudget()
-        effective = base.tightened(timeout_s=timeout_s)
-        return None if effective.unlimited else effective
+    def request_budget(self, timeout_s: Optional[float] = None) -> ExecutionBudget:
+        """The effective (unstarted) budget for one request of this tenant:
+        the quota's template tightened by the request's own timeout."""
+        return self.quota.budget.tightened(timeout_s=timeout_s)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-friendly state for the ``/status`` endpoint."""
@@ -390,8 +384,9 @@ def _tenant_from_spec(entry: Dict[str, Any]) -> Tenant:
     name = entry.get("name")
     if not name:
         raise ValueError(f"tenant entry without a name: {entry!r}")
+    timeout_s = entry.get("timeout_s")
     budget = ExecutionBudget(
-        timeout_s=entry.get("timeout_s"),
+        timeout_s=None if timeout_s is None else positive_seconds(timeout_s),
         max_union_terms=entry.get("max_union_terms"),
         max_intermediate_rows=entry.get("max_intermediate_rows"),
         max_result_rows=entry.get("max_result_rows"),
@@ -400,6 +395,6 @@ def _tenant_from_spec(entry: Dict[str, Any]) -> Tenant:
         max_concurrent=int(entry.get("max_concurrent", 8)),
         rows_per_second=entry.get("rows_per_second"),
         burst_rows=entry.get("burst_rows"),
-        budget=None if budget.unlimited else budget,
+        budget=budget,
     )
     return Tenant(name, api_key=entry.get("api_key", name), quota=quota)

@@ -288,7 +288,7 @@ OPTION_LEDGER = {
         ('-q --query', None, None, None),
         ('--repeat', 'int', 1, None),
         ('--strategy', None, 'gcov', _STRATEGIES),
-        ('--timeout', 'float', None, None),
+        ('--timeout', 'seconds', None, None),
         ('--trace', None, None, None),
         ('--verify-ir', None, False, None),
     },
@@ -312,7 +312,7 @@ OPTION_LEDGER = {
         ('--prefix', None, (), None),
         ('-q --query', None, None, None),
         ('--strategy', None, 'gcov', _STRATEGIES),
-        ('--timeout', 'float', None, None),
+        ('--timeout', 'seconds', None, None),
         ('--trace', None, None, None),
         ('--verify-ir', None, False, None),
     },
@@ -347,7 +347,7 @@ OPTION_LEDGER = {
         ('-q --query', None, (), None),
         ('--repeat', 'int', 2, None),
         ('--strategy', None, 'gcov', _STRATEGIES),
-        ('--timeout', 'float', None, None),
+        ('--timeout', 'seconds', None, None),
         ('--workload', None, None, ('lubm', 'dblp')),
     },
     "metrics-export": {
@@ -360,7 +360,7 @@ OPTION_LEDGER = {
         ('-q --query', None, (), None),
         ('--repeat', 'int', 1, None),
         ('--strategy', None, 'gcov', _STRATEGIES),
-        ('--timeout', 'float', None, None),
+        ('--timeout', 'seconds', None, None),
         ('--workload', None, None, ('lubm', 'dblp')),
     },
     "chaos": {
@@ -394,7 +394,7 @@ OPTION_LEDGER = {
         ('--seed', 'int', 0, None),
         ('--strategy', None, 'gcov', _STRATEGIES),
         ('--tenants', None, None, None),
-        ('--timeout', 'float', None, None),
+        ('--timeout', 'seconds', None, None),
         ('--workers', 'int', None, None),
     },
     "fleet": {
@@ -422,7 +422,7 @@ OPTION_LEDGER = {
         ('--state-file', None, None, None),
         ('--strategy', None, 'gcov', _STRATEGIES),
         ('--tenants', None, None, None),
-        ('--timeout', 'float', None, None),
+        ('--timeout', 'seconds', None, None),
         ('--upstream-timeout', 'float', 30.0, None),
         ('--workdir', None, None, None),
         ('--workers', 'int', None, None),

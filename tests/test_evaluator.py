@@ -10,6 +10,7 @@ from repro.engine import (
     EngineFailure,
     EngineProfile,
     EngineTimeout,
+    ExecutionBudget,
     NATIVE_HASH,
     NATIVE_MERGE,
     NativeEngine,
@@ -90,7 +91,7 @@ class TestCQ:
 
     def test_count(self, engine, graph):
         q = BGPQuery([x, y], [Triple(x, u("p"), y)])
-        assert engine.count(q) == len(evaluate(q, graph))
+        assert len(engine.evaluate(q)) == len(evaluate(q, graph))
 
 
 class TestUCQ:
@@ -148,7 +149,7 @@ class TestProfiles:
         engine = NativeEngine(db)
         q = BGPQuery([x, y], [Triple(x, u("p"), y)])
         with pytest.raises(EngineTimeout):
-            engine.evaluate(q, timeout_s=-1.0)
+            engine.evaluate(q, budget=ExecutionBudget(timeout_s=-1.0))
 
     def test_unknown_query_type(self, db):
         with pytest.raises(TypeError):
@@ -237,8 +238,6 @@ class TestTemplateGroups:
         assert metrics.counters["union.templates"] == 4
 
     def test_expired_budget_stops_between_templates(self, db):
-        from repro.resilience import ExecutionBudget
-
         ucq = UCQ([BGPQuery([x], [Triple(x, u("p"), u(f"o{i}"))]) for i in range(3)])
         with pytest.raises(EngineTimeout):
             NativeEngine(db).evaluate(ucq, budget=ExecutionBudget(timeout_s=0.0))

@@ -23,6 +23,7 @@ from repro.datasets import lubm_workload
 from repro.fleet import FleetRouter, HealthPolicy, Replica, RouterConfig
 from repro.query import to_sparql
 from repro.service import QueryService, ServiceConfig
+from repro.service.http import HTTPRequest
 from repro.telemetry import MetricsRegistry
 from service_utils import wait_until
 
@@ -178,6 +179,24 @@ def test_deeply_nested_json_is_a_400(door):
         assert [r["breaker"] for r in door.status()["replicas"]] == ["closed"] * 2
     else:
         assert counters["rejected.bad_request"] == 1
+
+
+# ----------------------------------------------------------------------
+# One timeout check on both doors: a finite number of seconds > 0
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "true", "-1", '"5"'])
+def test_bad_timeout_is_a_400(door, literal):
+    # ``json.loads`` takes NaN and Infinity; neither is a deadline.
+    body = _query_body()[:-1] + b', "timeout_s": ' + literal.encode() + b"}"
+    with _connect(door) as sock:
+        status, _headers, reply = _exchange(sock, _request("POST", "/query", body))
+    assert status == 400, reply
+    assert b"timeout_s" in reply
+    if isinstance(door, FleetRouter):
+        # The router routes it under its own default; the replica refuses.
+        routed = door._request_budget(HTTPRequest("POST", "/query", body=body))
+        assert routed.timeout_s == door.config.default_timeout_s
+        assert _counters(door).get("route.retries", 0) == 0
 
 
 # ----------------------------------------------------------------------

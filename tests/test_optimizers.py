@@ -4,6 +4,7 @@ import pytest
 
 from repro.cost import CostModel
 from repro.datasets import lubm_query, motivating_q1, motivating_q2
+from repro.engine import ExecutionBudget
 from repro.optimizer import SearchInfeasible, ecov, gcov
 from repro.query import BGPQuery
 from repro.rdf import Triple, URI, Variable
@@ -61,7 +62,7 @@ class TestECov:
         db, reformulator, model = setting
         query = motivating_q2().query
         with pytest.raises(SearchInfeasible):
-            ecov(query, reformulator, model.cost, timeout_s=0.0)
+            ecov(query, reformulator, model.cost, budget=ExecutionBudget(timeout_s=0.0))
 
 
 class TestGCov:

@@ -72,12 +72,12 @@ def _rich_query(lubm_db):
 
 
 def _both_paths(lubm_db, query, make_budget):
-    """The two ways a budget reaches the engine: handed to the call, and
-    as the answerer's default for calls that hand over none."""
+    """The two ways a budget reaches the engine: handed to ``answer()``,
+    and handed to the engine's ``evaluate`` directly."""
     answerer = make_answerer(lubm_db)
     yield lambda: answerer.answer(query, strategy="ucq", budget=make_budget())
-    answerer.budget = make_budget()
-    yield lambda: answerer.answer(query, strategy="ucq")
+    planned, _search = answerer.plan(query, strategy="ucq")
+    yield lambda: answerer.engine.evaluate(planned, budget=make_budget())
 
 
 def test_expired_deadline_raises_timeout_on_both_paths(lubm_db):
@@ -240,7 +240,8 @@ class TestSQLiteConnectionPool:
         try:
             with pytest.raises(EngineFailure) as excinfo:
                 engine.execute_sql(
-                    "SELECT * FROM missing_interrupted_table", timeout_s=60.0
+                    "SELECT * FROM missing_interrupted_table",
+                    ExecutionBudget(timeout_s=60.0),
                 )
             assert "interrupted" in str(excinfo.value)
             assert not isinstance(excinfo.value, EngineTimeout)
@@ -250,11 +251,12 @@ class TestSQLiteConnectionPool:
     def test_genuine_interrupt_is_a_timeout(self):
         engine = SQLiteEngine(_small_db())
         engine.progress_interval = 1
+        # Started at 0, alive before the statement, expired inside it.
         budget = ExecutionBudget(
-            timeout_s=1.0, clock=_scripted_clock([0.0, 100.0])
+            timeout_s=1.0, clock=_scripted_clock([0.0, 0.5, 100.0])
         )
         try:
-            with pytest.raises(EngineTimeout):
+            with pytest.raises(EngineTimeout, match="statement timed out$"):
                 engine.execute_sql(
                     "SELECT a.s FROM triples a, triples b, triples c",
                     budget=budget,

@@ -8,6 +8,8 @@ fallback policy, and the answerer-level orchestration
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.answering import QueryAnswerer
@@ -29,14 +31,13 @@ from repro.resilience import (
     BudgetExhausted,
     CircuitBreaker,
     ExecutionBudget,
+    UNLIMITED,
     FallbackPolicy,
-    PlanningFault,
     UnionBudgetExceeded,
     classify,
     freeze_exception,
     is_transient,
     thaw_exception,
-    wrap_failure,
 )
 from repro.resilience.fallback import CLOSED, HALF_OPEN, OPEN
 
@@ -87,12 +88,12 @@ class TestExecutionBudget:
         ).start()
         assert budget.remaining_s() == 0.0
 
-    def test_resolve_prefers_explicit_budget(self):
-        explicit = ExecutionBudget(max_union_terms=7)
-        assert ExecutionBudget.resolve(explicit, timeout_s=3.0) is explicit
-        derived = ExecutionBudget.resolve(None, timeout_s=3.0)
-        assert derived.timeout_s == 3.0
-        assert ExecutionBudget.resolve(None, None) is None
+    def test_unlimited_is_one_frozen_value(self):
+        assert ExecutionBudget() == UNLIMITED
+        assert UNLIMITED.start() is UNLIMITED, "the unlimited path allocates nothing"
+        assert not UNLIMITED.expired and UNLIMITED.remaining_s() is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            UNLIMITED.timeout_s = 1.0
 
     def test_caps_tighten_engine_limits(self):
         budget = ExecutionBudget(max_union_terms=5, max_intermediate_rows=100)
@@ -102,7 +103,7 @@ class TestExecutionBudget:
         loose = ExecutionBudget()
         assert loose.union_limit(500) == 500
         assert loose.row_limit(9) == 9
-        assert loose.unlimited and not budget.unlimited
+        assert loose == UNLIMITED and budget != UNLIMITED
 
     def test_to_dict_is_json_friendly(self):
         budget = ExecutionBudget(timeout_s=1.0, max_result_rows=2)
@@ -118,21 +119,10 @@ class TestExecutionBudget:
 # Error taxonomy
 # ----------------------------------------------------------------------
 class TestErrorTaxonomy:
-    def test_wrap_failure_maps_raw_types(self):
-        assert isinstance(
-            wrap_failure(ReformulationLimitExceeded(5)), PlanningFault
-        )
-        assert isinstance(wrap_failure(SearchInfeasible("no")), PlanningFault)
-        timeout = wrap_failure(EngineTimeout("slow"), strategy="gcov")
-        assert timeout.strategy == "gcov" and timeout.phase == "evaluate"
-        assert not timeout.transient
-        assert timeout.__cause__.args == ("slow",)
-
     def test_transient_flag_is_copied(self):
         error = EngineFailure("blip")
         error.transient = True
         assert is_transient(error)
-        assert wrap_failure(error).transient
         assert classify(error) == "transient"
         assert classify(EngineFailure("hard")) == "permanent"
 

@@ -8,7 +8,8 @@ The native engine's deadline is scripted through the budget's
 injectable clock, so the timeout fires at an exact operator boundary
 (between two join steps) without sleeping; SQLite's cooperative
 progress handler is exercised by shrinking ``progress_interval`` so
-even tiny statements reach a checkpoint.
+even tiny statements reach a checkpoint, with a clock scripted to pass
+the check before the statement and fail the first one inside it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.answering import QueryAnswerer
-from repro.datasets import lubm_query, lubm_workload
+from repro.datasets import lubm_workload
 from repro.engine import EngineTimeout, NativeEngine, SQLiteEngine
 from repro.query import BGPQuery
 from repro.rdf import RDF_TYPE, Triple, URI, Variable
@@ -41,6 +42,12 @@ class ScriptedClock:
         if self._values:
             self._last = self._values.pop(0)
         return self._last
+
+
+def interrupting_budget() -> ExecutionBudget:
+    """Started at 0, alive at ``execute_sql``'s pre-statement check (1),
+    expired at the progress handler's first call (100)."""
+    return ExecutionBudget(timeout_s=10.0, clock=ScriptedClock(0.0, 1.0, 100.0))
 
 
 def two_atom_query() -> BGPQuery:
@@ -105,11 +112,6 @@ class TestNativeDeadline:
         report = answerer.answer(query, strategy="saturation")
         assert report.answer_count >= 0 and report.answers is not None
 
-    def test_legacy_timeout_s_still_fires(self, lubm_db3):
-        answerer = QueryAnswerer(lubm_db3)
-        with pytest.raises(EngineTimeout):
-            answerer.answer(lubm_query("Q09"), strategy="ucq", timeout_s=-1.0)
-
 
 class TestSQLiteProgressHandler:
     def test_budget_deadline_interrupts_statement(self, lubm_db3):
@@ -120,15 +122,8 @@ class TestSQLiteProgressHandler:
         """
         engine = SQLiteEngine(lubm_db3)
         engine.progress_interval = 1
-        budget = ExecutionBudget(timeout_s=0.0)
-        with pytest.raises(EngineTimeout):
-            engine.evaluate(two_atom_query(), budget=budget)
-
-    def test_legacy_timeout_s_interrupts_statement(self, lubm_db3):
-        engine = SQLiteEngine(lubm_db3)
-        engine.progress_interval = 1
-        with pytest.raises(EngineTimeout):
-            engine.evaluate(two_atom_query(), timeout_s=-1.0)
+        with pytest.raises(EngineTimeout, match="SQLite statement timed out$"):
+            engine.evaluate(two_atom_query(), budget=interrupting_budget())
 
     def test_connection_usable_after_interrupt(self, lubm_db3):
         """An interrupted statement leaves the same connection healthy."""
@@ -136,11 +131,13 @@ class TestSQLiteProgressHandler:
         engine.progress_interval = 1
         query = two_atom_query()
         with pytest.raises(EngineTimeout):
-            engine.evaluate(query, budget=ExecutionBudget(timeout_s=0.0))
+            engine.evaluate(query, budget=interrupting_budget())
         # Handler cleared: the very next statement runs to completion.
         answers = engine.evaluate(query)
         assert len(answers) > 0
-        assert engine.count(query) == len(answers)
+        # A deadline that does not fire installs and clears it again.
+        roomy = ExecutionBudget(timeout_s=60.0)
+        assert len(engine.evaluate(query, budget=roomy)) == len(answers)
 
     def test_interrupt_never_returns_partial_rows(self, lubm_db3):
         engine = SQLiteEngine(lubm_db3)
@@ -148,9 +145,7 @@ class TestSQLiteProgressHandler:
         assert len(full) > 0
         engine.progress_interval = 1
         try:
-            answers = engine.evaluate(
-                two_atom_query(), budget=ExecutionBudget(timeout_s=0.0)
-            )
+            answers = engine.evaluate(two_atom_query(), budget=interrupting_budget())
         except EngineTimeout:
             answers = None
         assert answers is None, "an expired budget must interrupt, not truncate"
