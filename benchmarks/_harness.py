@@ -308,7 +308,6 @@ def measure(
     engine_name: str,
     timeout_s: Optional[float] = None,
     trace: bool = False,
-    verify_ir: bool = False,
     cache: bool = False,
     repeats: Optional[int] = None,
     minimize: bool = True,
@@ -325,7 +324,7 @@ def measure(
     for _ in range(repeats):
         run = _measure_once(
             dataset, entry, strategy, engine_name,
-            timeout_s, trace, verify_ir, cache, minimize,
+            timeout_s, trace, cache, minimize,
         )
         runs.append(run)
         if run.status != "ok":
@@ -347,7 +346,6 @@ def _measure_once(
     engine_name: str,
     timeout_s: Optional[float] = None,
     trace: bool = False,
-    verify_ir: bool = False,
     cache: bool = False,
     minimize: bool = True,
 ) -> Measurement:
@@ -355,13 +353,9 @@ def _measure_once(
 
     With ``trace=True`` the answering call runs under a fresh
     :class:`repro.telemetry.Tracer` and the flattened span/record list
-    is attached to the measurement.  With ``verify_ir=True`` every
-    compilation stage is asserted by the IR verifier; a verification
-    failure is *not* converted to missing-bar semantics — it propagates,
-    because it marks a pipeline bug rather than an engine limit.  With
-    ``cache=True`` the measurement goes through the cache-enabled
-    answerer (:func:`cached_answerer`): repeated measurements of the
-    same (query, strategy) are then warm.
+    is attached to the measurement.  With ``cache=True`` the measurement
+    goes through the cache-enabled answerer (:func:`cached_answerer`):
+    repeated measurements of the same (query, strategy) are then warm.
     """
     from repro.optimizer import SearchInfeasible
     from repro.reformulation import ReformulationLimitExceeded
@@ -378,7 +372,6 @@ def _measure_once(
             strategy=strategy,
             budget=ExecutionBudget(timeout_s=timeout_s),
             tracer=tracer,
-            verify_ir=verify_ir,
         )
     except ReformulationLimitExceeded as error:
         return Measurement(
@@ -415,7 +408,6 @@ def run_grid(
     engines: Sequence[str],
     timeout_s: Optional[float] = None,
     trace: bool = False,
-    verify_ir: bool = False,
     cache: bool = False,
 ) -> List[Measurement]:
     """The full (query × strategy × engine) grid of one figure."""
@@ -431,7 +423,6 @@ def run_grid(
                         engine_name,
                         timeout_s,
                         trace,
-                        verify_ir,
                         cache,
                     )
                 )

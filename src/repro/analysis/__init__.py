@@ -4,8 +4,9 @@ Two halves (DESIGN.md §8):
 
 * **IR verifier** (:mod:`.verifier`, :mod:`.sqlcheck`) — per-stage
   invariant checks over the pipeline's IRs (BGPQuery, cover, JUCQ,
-  plan tree, generated SQL), with stable ``IR-*`` rule codes.  Enabled
-  end-to-end by ``QueryAnswerer(verify_ir=True)`` / ``--verify-ir``.
+  the templates the native engine runs, generated SQL), with stable
+  ``IR-*`` rule codes.  Enabled end-to-end by the answerer's
+  IR-verification switch (CLI: ``--verify-ir``).
 * **Query lint** (:mod:`.lint`) — user-facing diagnostics (``L1xx``
   codes) for queries that parse but cannot mean what their author
   hoped: cartesian products, vocabulary absent from schema and data,
@@ -50,15 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         check_cover,
         check_jucq,
         check_minimization,
-        check_plan,
         check_subsumption,
-        plan_schema,
+        check_templates,
         verify_bgp,
         verify_cover,
         verify_jucq,
         verify_minimization,
         verify_pipeline,
-        verify_plan,
         verify_subsumption,
     )
 
@@ -67,14 +66,12 @@ _LAZY = {
     "check_cover": "verifier",
     "check_jucq": "verifier",
     "check_minimization": "verifier",
-    "check_plan": "verifier",
     "check_subsumption": "verifier",
-    "plan_schema": "verifier",
+    "check_templates": "verifier",
     "verify_bgp": "verifier",
     "verify_cover": "verifier",
     "verify_jucq": "verifier",
     "verify_minimization": "verifier",
-    "verify_plan": "verifier",
     "verify_pipeline": "verifier",
     "verify_subsumption": "verifier",
     "check_sql": "sqlcheck",

@@ -10,7 +10,7 @@ ordering (diagnostics sort by stage, code, atom index, then message).
 
 The rule-code catalogue lives in DESIGN.md §8.  Codes are permanent:
 ``IR-*`` codes belong to the verifier (one letter per stage: Q, C, J,
-P, S), ``L1xx`` codes to the lint.
+T, S, M), ``L1xx`` codes to the lint.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ STAGE_ORDER: Tuple[str, ...] = (
     "minimize",
     "cover",
     "jucq",
-    "plan",
+    "template",
     "sql",
     "lint",
 )

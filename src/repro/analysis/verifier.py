@@ -1,9 +1,10 @@
 """The IR verifier: per-stage invariant checks over the pipeline's IRs.
 
 The reformulation pipeline compiles a query through four intermediate
-representations — ``BGPQuery`` → cover → ``JUCQ`` → ``PlanNode`` tree
-(or SQL text) — and the paper's equivalence guarantee (Theorem 3.1)
-holds only for *structurally well-formed* instances of each.  The
+representations — ``BGPQuery`` → cover → ``JUCQ`` → the templates the
+native engine runs (or the SQL text SQLite runs) — and the paper's
+equivalence guarantee (Theorem 3.1) holds only for *structurally
+well-formed* instances of each.  The
 checks here make those well-formedness conditions executable: every
 ``check_*`` function returns :class:`~repro.analysis.diagnostics.Diagnostic`
 values with stable ``IR-*`` rule codes, and every ``verify_*`` wrapper
@@ -16,30 +17,21 @@ Stage letters (full catalogue in DESIGN.md §8):
 * ``IR-Cxx`` — cover validity (Definition 3.3; implemented in
   :mod:`repro.reformulation.covers` and re-exported here);
 * ``IR-Jxx`` — JUCQ structure (Definition 3.4 heads, operand shape);
-* ``IR-Pxx`` — plan-tree schema/type propagation;
+* ``IR-Txx`` — the per-shape templates the native engine executes
+  (DESIGN.md §18);
 * ``IR-Sxx`` — generated-SQL sanity (see :mod:`repro.analysis.sqlcheck`);
 * ``IR-Mxx`` — UCQ-minimization equivalence certificates (witness
   homomorphisms recorded by :mod:`repro.analysis.containment`).
 
-``verify_pipeline`` strings the stages together; it is what
-``QueryAnswerer(verify_ir=True)`` and the ``--verify-ir`` CLI flag run
-after each compilation stage.
+``verify_pipeline`` strings the stages together; it is what the
+answerer's IR-verification switch (CLI: ``--verify-ir``) runs after
+each compilation stage.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..engine.plans import (
-    ConstantRowNode,
-    DistinctNode,
-    JoinNode,
-    PlanNode,
-    ProjectNode,
-    RenameNode,
-    ScanNode,
-    UnionNode,
-)
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..rdf.terms import BlankNode, Variable
@@ -60,14 +52,12 @@ __all__ = [
     "check_cover",
     "check_jucq",
     "check_minimization",
-    "check_plan",
-    "plan_schema",
+    "check_templates",
     "verify_bgp",
     "verify_subsumption",
     "verify_cover",
     "verify_jucq",
     "verify_minimization",
-    "verify_plan",
     "verify_pipeline",
 ]
 
@@ -269,224 +259,64 @@ def _check_operand_connectivity(jucq: JUCQ) -> List[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# Stage P: plan-tree schema propagation
+# Stage T: the templates NativeEngine runs (DESIGN.md §18)
 # ----------------------------------------------------------------------
-def _scan_schema(node: ScanNode) -> Tuple[str, ...]:
-    """Output columns of a scan: the atom's distinct variables, in
-    position order (mirrors ``operators.scan_atom``)."""
-    names: List[str] = []
-    for term in node.atom:
-        if isinstance(term, Variable) and term.value not in names:
-            names.append(term.value)
-    return tuple(names)
+def check_templates(ucq: UCQ) -> List[Diagnostic]:
+    """The shape families ``ucq.templates()`` hands the engine (stage ``T``).
 
+    :class:`~repro.engine.NativeEngine` runs one join pipeline per
+    :class:`~repro.query.templates.Template`, so these are the checks on
+    what actually executes; none needs a database.
 
-def _infer_schema(
-    node: PlanNode, findings: List[Diagnostic], path: str
-) -> Tuple[str, ...]:
-    """Bottom-up variable-schema inference with invariant checks."""
-    if isinstance(node, ScanNode):
-        return _scan_schema(node)
-    if isinstance(node, JoinNode):
-        left = _infer_schema(node.left, findings, path + "/join.left")
-        right = _infer_schema(node.right, findings, path + "/join.right")
-        shared = [column for column in left if column in right]
-        if node.algorithm == "cross" and shared:
-            findings.append(
-                Diagnostic(
-                    code="IR-P02",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"cross join over shared columns {shared} would "
-                        "silently drop the join condition"
-                    ),
-                    stage="plan",
-                    subject=path,
-                )
-            )
-        if node.algorithm != "cross" and not shared:
-            findings.append(
-                Diagnostic(
-                    code="IR-P01",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"{node.algorithm} join has no join key: no column is "
-                        f"shared between {list(left)} and {list(right)}"
-                    ),
-                    stage="plan",
-                    subject=path,
-                )
-            )
-        return left + tuple(column for column in right if column not in shared)
-    if isinstance(node, ProjectNode):
-        child = _infer_schema(node.child, findings, path + "/project")
-        if len(node.head) != len(node.output_names):
-            findings.append(
-                Diagnostic(
-                    code="IR-P04",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"project has {len(node.head)} head terms but "
-                        f"{len(node.output_names)} output names"
-                    ),
-                    stage="plan",
-                    subject=path,
-                )
-            )
-        for term in node.head:
-            if isinstance(term, Variable) and term.value not in child:
-                findings.append(
-                    Diagnostic(
-                        code="IR-P03",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"projected variable {term} is absent from the "
-                            f"child schema {list(child)}"
-                        ),
-                        stage="plan",
-                        subject=path,
-                    )
-                )
-        return tuple(node.output_names)
-    if isinstance(node, ConstantRowNode):
-        for term in node.head:
-            if isinstance(term, Variable):
-                findings.append(
-                    Diagnostic(
-                        code="IR-P05",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"constant row carries variable {term}; only "
-                            "ground terms are dictionary-encodable"
-                        ),
-                        stage="plan",
-                        subject=path,
-                    )
-                )
-        if len(node.head) != len(node.output_names):
-            findings.append(
-                Diagnostic(
-                    code="IR-P04",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"constant row has {len(node.head)} head terms but "
-                        f"{len(node.output_names)} output names"
-                    ),
-                    stage="plan",
-                    subject=path,
-                )
-            )
-        return tuple(node.output_names)
-    if isinstance(node, UnionNode):
-        width = len(node.output_names)
-        for position, child in enumerate(node.inputs):
-            schema = _infer_schema(
-                child, findings, f"{path}/union.input[{position}]"
-            )
-            if len(schema) != width:
-                findings.append(
-                    Diagnostic(
-                        code="IR-P06",
-                        severity=Severity.ERROR,
-                        message=(
-                            f"union input {position} has arity {len(schema)}, "
-                            f"union output has arity {width}"
-                        ),
-                        stage="plan",
-                        subject=path,
-                    )
-                )
-            elif tuple(schema) != tuple(node.output_names):
-                findings.append(
-                    Diagnostic(
-                        code="IR-P07",
-                        severity=Severity.WARNING,
-                        message=(
-                            f"union input {position} columns {list(schema)} "
-                            f"differ from output columns "
-                            f"{list(node.output_names)} (positional union)"
-                        ),
-                        stage="plan",
-                        subject=path,
-                    )
-                )
-        return tuple(node.output_names)
-    if isinstance(node, DistinctNode):
-        # Distinct preserves its child's schema by construction.
-        return _infer_schema(node.child, findings, path + "/distinct")
-    if isinstance(node, RenameNode):
-        child = _infer_schema(node.child, findings, path + "/rename")
-        if len(node.output_names) != len(child):
-            findings.append(
-                Diagnostic(
-                    code="IR-P08",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"rename to {len(node.output_names)} columns over a "
-                        f"child of arity {len(child)}"
-                    ),
-                    stage="plan",
-                    subject=path,
-                )
-            )
-        return tuple(node.output_names)
-    findings.append(
-        Diagnostic(
-            code="IR-P00",
-            severity=Severity.WARNING,
-            message=f"unknown plan operator {type(node).__name__}; schema unknown",
-            stage="plan",
-            subject=path,
-        )
-    )
-    return ()
-
-
-def check_plan(
-    plan: PlanNode, expected_arity: Optional[int] = None
-) -> List[Diagnostic]:
-    """Schema/type propagation over a plan tree (stage ``P``).
-
-    Infers every operator's output schema bottom-up and reports:
-
-    * ``IR-P01`` — a hash/merge join whose children share no column;
-    * ``IR-P02`` — a cross join whose children *do* share columns;
-    * ``IR-P03`` — a projection referencing a column absent from its
-      child schema;
-    * ``IR-P04`` — head/output-name arity mismatch in project or
-      constant row;
-    * ``IR-P05`` — a constant row carrying a variable;
-    * ``IR-P06`` — union operands of incompatible arity;
-    * ``IR-P07`` — union operands whose column *names* differ
-      (warning: the union is positional, so this is legal but smells);
-    * ``IR-P08`` — rename arity mismatch;
-    * ``IR-P09`` — the root schema's arity differs from
-      ``expected_arity`` (the query's answer width).
-
-    Distinct (and any other materializing passthrough) must preserve its
-    child schema, which the inference encodes directly.
+    * ``IR-T01`` — a head variable is bound by no atom layout;
+    * ``IR-T02`` — the ``members`` width is not ``len(tagged) +
+      len(head_constants)``;
+    * ``IR-T03`` — a tag or head-constant index is out of range: a
+      tagged atom that does not exist, a member naming a pattern or head
+      constant that is not there, a head position naming no
+      head-constant column;
+    * ``IR-T04`` — the template sizes do not sum to the union's terms;
+    * ``IR-T05`` — a template's head width is not the union's arity.
     """
     findings: List[Diagnostic] = []
-    schema = _infer_schema(plan, findings, "root")
-    if expected_arity is not None and len(schema) != expected_arity:
+
+    def finding(code: str, message: str, subject: str = ucq.name) -> None:
         findings.append(
-            Diagnostic(
-                code="IR-P09",
-                severity=Severity.ERROR,
-                message=(
-                    f"plan produces {len(schema)} columns {list(schema)} but "
-                    f"the query's answer width is {expected_arity}"
-                ),
-                stage="plan",
-                subject="root",
-            )
+            Diagnostic(code, Severity.ERROR, message, stage="template", subject=subject)
         )
+
+    templates = ucq.templates()
+    terms = sum(template.size for template in templates)
+    if terms != len(ucq):
+        finding("IR-T04", f"templates hold {terms} terms, the union has {len(ucq)}")
+    for number, template in enumerate(templates):
+        label = f"{ucq.name}.template[{number}]"
+        tagged, constants = template.tagged, template.head_constants
+        members = template.members
+        width = len(tagged) + len(constants)
+        if len(template.head) != ucq.arity:
+            finding("IR-T05", f"head has {len(template.head)} positions, "
+                    f"the union's arity is {ucq.arity}", label)
+        bound = {name for atom in template.atoms for name in atom}
+        for entry in template.head:
+            if isinstance(entry, str) and entry not in bound:
+                finding("IR-T01", f"head variable {entry} is bound by no atom", label)
+            elif isinstance(entry, int) and not len(tagged) <= entry < width:
+                finding("IR-T03", f"head position names members column {entry}, "
+                        "which holds no head constant", label)
+        if members.ndim != 2 or members.shape[1] != width:
+            finding("IR-T02", f"members has shape {members.shape}, expected {width} "
+                    f"columns ({len(tagged)} tags + {len(constants)} head constants)", label)
+            continue
+        ranges = [
+            len(template.patterns[atom]) if 0 <= atom < len(template.atoms) else 0
+            for atom in tagged
+        ] + [len(choices) for choices in constants]
+        for column, (size, values) in enumerate(zip(ranges, members.T)):
+            if size == 0 or values.size and not 0 <= values.min() <= values.max() < size:
+                finding("IR-T03", f"members column {column} leaves its range "
+                        f"0..{size - 1}", label)
     return sort_diagnostics(findings)
-
-
-def plan_schema(plan: PlanNode) -> Tuple[str, ...]:
-    """The inferred output columns of a plan (ignoring diagnostics)."""
-    return _infer_schema(plan, [], "root")
 
 
 # ----------------------------------------------------------------------
@@ -799,11 +629,6 @@ def verify_jucq(
     _raise_on_error(check_jucq(jucq, query=query, cover=cover))
 
 
-def verify_plan(plan: PlanNode, expected_arity: Optional[int] = None) -> None:
-    """Raise :class:`IRVerificationError` unless the plan tree type-checks."""
-    _raise_on_error(check_plan(plan, expected_arity=expected_arity))
-
-
 def verify_minimization(original: UCQ, result) -> None:
     """Raise :class:`IRVerificationError` unless every certificate holds."""
     _raise_on_error(check_minimization(original, result))
@@ -824,10 +649,9 @@ def verify_pipeline(
 
     ``planned`` is the reformulated query the answerer will evaluate
     (a JUCQ, or the original BGPQuery under the saturation strategy).
-    With a ``database``, the planned query is additionally compiled to
-    a plan tree (checked by :func:`check_plan`) and to SQL (checked by
-    :mod:`repro.analysis.sqlcheck`); compilation is cheap — nothing is
-    executed.
+    Every union's templates are checked (:func:`check_templates`); with
+    a ``database``, the planned query is also compiled to SQL and
+    checked by :mod:`repro.analysis.sqlcheck` — nothing is executed.
 
     Raises :class:`IRVerificationError` carrying *all* error-severity
     findings, deterministically ordered.
@@ -840,15 +664,14 @@ def verify_pipeline(
     if cover is not None:
         verify_cover(query, cover)
         verify_jucq(planned, query=query, cover=cover)
-    elif isinstance(planned, (JUCQ,)):
+    elif isinstance(planned, JUCQ):
         verify_jucq(planned)
-    if database is not None and isinstance(planned, (JUCQ, UCQ)):
-        from ..engine.plans import compile_query
+    unions = planned.operands if isinstance(planned, JUCQ) else (planned,)
+    _raise_on_error([found for ucq in unions for found in check_templates(ucq)])
+    if database is not None:
         from ..engine.sql import to_sql
         from .sqlcheck import check_sql
 
-        plan = compile_query(planned, database)
-        verify_plan(plan, expected_arity=planned.arity)
         body_connected = len(query.body) <= 1 or query.is_connected(
             range(len(query.body))
         )

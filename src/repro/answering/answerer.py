@@ -251,7 +251,6 @@ class QueryAnswerer:
         query: BGPQuery,
         strategy: str = "gcov",
         tracer=None,
-        verify_ir: Optional[bool] = None,
         budget: ExecutionBudget = UNLIMITED,
     ):
         """The reformulated query a strategy would evaluate (no execution).
@@ -260,13 +259,13 @@ class QueryAnswerer:
         live ``tracer`` is given, planning is wrapped in
         ``reformulate``/``cover-search`` spans and the cover search's
         exploration trajectory is attached as a ``search`` record.
-        ``verify_ir`` overrides the answerer's default; when on, the
-        input query and the produced reformulation are checked by the
-        IR verifier (:mod:`repro.analysis`).  A ``budget`` threads the
-        shared answer-wide deadline into the cover searches.
+        Under IR verification the input query and the produced
+        reformulation, down to the templates the native engine runs,
+        are checked by the IR verifier (:mod:`repro.analysis`).  A
+        ``budget`` threads the shared answer-wide deadline into the
+        cover searches.
         """
-        verify = self.verify_ir if verify_ir is None else verify_ir
-        if verify:
+        if self.verify_ir:
             from ..analysis.verifier import verify_bgp
 
             verify_bgp(query)
@@ -278,13 +277,13 @@ class QueryAnswerer:
             budget,
             self._resolve(row),
         )
-        if verify:
+        if self.verify_ir:
             self._verify(query, planned, search)
         return planned, search
 
     def _verify(self, query: BGPQuery, planned, search, database=None) -> None:
         """The verify stage: assert the compiled IR (DESIGN.md §8); with
-        a ``database``, down to the plan tree and the generated SQL."""
+        a ``database``, down to the generated SQL."""
         from ..analysis.verifier import verify_pipeline
 
         verify_pipeline(
@@ -352,7 +351,6 @@ class QueryAnswerer:
         strategy: str = "gcov",
         tracer=None,
         record_accuracy: Optional[bool] = None,
-        verify_ir: Optional[bool] = None,
         budget: ExecutionBudget = UNLIMITED,
     ) -> AnswerReport:
         """Answer ``query`` under ``strategy``; see :class:`AnswerReport`.
@@ -361,10 +359,10 @@ class QueryAnswerer:
         ``record_accuracy`` forces predicted-vs-observed (cost,
         cardinality) sampling on or off; by default it follows the
         tracer (accuracy needs extra estimator calls, so the untraced
-        hot path skips them).  ``verify_ir`` overrides the answerer's
-        default; when on, every compilation stage — input query, cover,
-        JUCQ, compiled plan tree, generated SQL — is asserted by the IR
-        verifier before evaluation starts.
+        hot path skips them).  Under IR verification every compilation
+        stage — input query, cover, JUCQ, the engine's templates,
+        generated SQL — is asserted by the IR verifier before evaluation
+        starts.
 
         Limits: ``budget`` (:class:`~repro.resilience.ExecutionBudget`,
         unlimited by default) is started here unless the caller already
@@ -380,7 +378,6 @@ class QueryAnswerer:
         tracer = NULL_TRACER if tracer is None else tracer
         budget = budget.start()
         row = strategy_named(strategy)
-        verify = self.verify_ir if verify_ir is None else verify_ir
         if record_accuracy is None:
             record_accuracy = tracer.enabled
         metrics = MetricsRecorder()
@@ -391,7 +388,7 @@ class QueryAnswerer:
             with tracer.span("plan", strategy=strategy):
                 derived = self._resolve(row)
                 planned, search = self._plan_cached(row, query, tracer, budget, derived)
-            if verify:
+            if self.verify_ir:
                 with tracer.span("verify-ir"):
                     self._verify(query, planned, search, database=self.database)
             terms = 0 if row.rewrite is None else planned.total_union_terms()
@@ -482,7 +479,6 @@ class QueryAnswerer:
         budget: ExecutionBudget = UNLIMITED,
         tracer=None,
         record_accuracy: Optional[bool] = None,
-        verify_ir: Optional[bool] = None,
     ) -> AnswerReport:
         """:meth:`answer` behind the strategy-fallback ladder.
 
@@ -551,7 +547,6 @@ class QueryAnswerer:
                             strategy=rung,
                             tracer=tracer,
                             record_accuracy=record_accuracy,
-                            verify_ir=verify_ir,
                             budget=budget,
                         )
                     except RECOVERABLE as error:

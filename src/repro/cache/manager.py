@@ -44,15 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 class QueryCache:
     """Coordinates the cache levels threaded through a QueryAnswerer."""
 
-    def __init__(
-        self,
-        plan_capacity: int = 512,
-        reformulation_capacity: int = 4096,
-        sql_capacity: int = 256,
-    ) -> None:
-        #: Capacity handed to caches created on behalf of this manager.
-        self.reformulation_capacity = reformulation_capacity
-        self.sql_capacity = sql_capacity
+    def __init__(self, plan_capacity: int = 512) -> None:
         self.plans = LRUCache(plan_capacity)
         self._levels: Dict[str, LRUCache] = {"plan": self.plans}
 

@@ -12,7 +12,8 @@ Commands
 
 ``explain``
     Show the reformulation a strategy would evaluate — cover, union
-    term counts, generated SQL or native plan — without evaluating it.
+    term counts — and what the ``--engine`` would run for it: the
+    native template pipelines, or the SQL and SQLite's query plan.
 
 ``stats``
     Summarize a dataset: triples, dictionary, schema, class histogram.
@@ -74,7 +75,7 @@ Examples::
     python -m repro generate lubm --universities 2 -o campus.nt
     python -m repro query campus.nt -q "SELECT ?x WHERE { ?x a ub:Professor }" \\
         --prefix ub=http://swat.cse.lehigh.edu/onto/univ-bench.owl#
-    python -m repro explain campus.nt -q "..." --strategy gcov --sql
+    python -m repro explain campus.nt -q "..." --strategy gcov --engine sqlite
     python -m repro profile campus.nt -q "..." --strategy gcov --trace out.jsonl
     python -m repro lint campus.nt -q "..." --format json
     python -m repro lint campus.nt --workload lubm

@@ -13,7 +13,6 @@ from ..analysis.lint import lint_query
 from ..answering import AnswerReport, QueryAnswerer
 from ..answering.strategies import strategy_named
 from ..cache import QueryCache
-from ..engine import NativeEngine, to_sql
 from ..query import BGPQuery
 from ..resilience import ExecutionBudget
 from ..telemetry import NULL_TRACER, Tracer
@@ -21,7 +20,6 @@ from .common import (
     ONE_QUERY,
     REPEAT,
     RESILIENCE,
-    Arg,
     Command,
     collect_queries,
     load_database,
@@ -225,7 +223,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    """``repro explain``: show the chosen reformulation without running it."""
+    """``repro explain``: the chosen reformulation, and what the
+    ``--engine`` would run for it (native: the template pipelines;
+    sqlite: the SQL and SQLite's query plan), without running it."""
     database = load_database(args.data)
     [(_name, query)] = collect_queries(args)
     row = strategy_named(args.strategy)
@@ -243,18 +243,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"estimated cost: {search.estimated_cost:.6f}")
         if row.rewrite is not None:
             print(f"union terms: {planned.total_union_terms()}")
-        # SQL and plan estimates describe the store the plan runs on: a
-        # litemat plan embeds its derived store's codes (DESIGN.md §16),
-        # and saturation's as-written query only matches saturated data.
-        explain_db = database
-        if row.store is not None:
-            explain_db = answerer.engine_for(args.strategy).database
-        if args.sql:
-            print("\n-- SQL --")
-            print(to_sql(planned, explain_db.dictionary))
-        else:
-            print("\n-- plan --")
-            print(NativeEngine(explain_db).explain(planned))
+        # The engine that would answer, over the store the plan runs on
+        # (a litemat plan embeds its derived store's codes, DESIGN.md
+        # §16; saturation's as-written query only matches saturated data).
+        engine = answerer.engine_for(args.strategy)
+        print(f"\n-- plan ({engine.name}) --")
+        print(engine.explain(planned))
     return 0
 
 
@@ -272,9 +266,9 @@ QUERY = Command(
 )
 EXPLAIN = Command(
     "explain",
-    "show the chosen reformulation",
+    "show the chosen reformulation and the engine's plan for it",
     cmd_explain,
-    (ONE_QUERY, Arg("--sql", action="store_true", help="print generated SQL")),
+    ONE_QUERY,
 )
 PROFILE = Command(
     "profile",

@@ -12,7 +12,7 @@ from .evaluator import (
     NativeEngine,
 )
 from .explain import EngineCostEstimator, InternalCostConstants
-from .plans import PlanCompiler, PlanNode, compile_query
+from .plans import compile_query
 from .relation import Relation
 from .sql import cq_to_sql, jucq_to_sql, to_sql, ucq_to_sql
 from .sqlite_backend import SQLiteEngine
@@ -29,8 +29,6 @@ __all__ = [
     "NATIVE_HASH",
     "NATIVE_MERGE",
     "NativeEngine",
-    "PlanCompiler",
-    "PlanNode",
     "Relation",
     "SQLiteEngine",
     "UNLIMITED",

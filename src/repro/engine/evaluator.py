@@ -222,6 +222,13 @@ class Engine(Protocol):
         on entry included — :class:`EngineTimeout`.
         """
 
+    def explain(self, query) -> str:
+        """What :meth:`evaluate` would run for ``query``, as text.
+
+        Nothing is evaluated; ``repro explain`` prints this for the
+        engine that would answer.
+        """
+
     def for_database(self, database: RDFDatabase) -> "Engine":
         """A sibling engine over another (derived) store.
 
@@ -379,58 +386,120 @@ class NativeEngine:
         return result
 
     def explain(self, query) -> str:
-        """A human-readable sketch of the plan this engine would run.
+        """The pipelines :meth:`evaluate` would run, without running them.
 
-        For a CQ: the statistics-driven join order with per-atom exact
-        match counts.  For a UCQ: the conjunct summary.  For a JUCQ:
-        each operand plus the operand-join strategy.  Purely
-        informational — nothing is evaluated.
+        One walk over the templates (DESIGN.md §18), a CQ being the
+        one-member template: per template its term count, its distinct
+        scans with exact index counts, the join order
+        :func:`_greedy_order` picks over them, the tagged atoms that
+        pair with ``members`` and whether the head-constant join runs.
+        A JUCQ adds the operand join: the profile's algorithm, the
+        shared-variable keys and the smallest-materialized-first rule.
         """
-        if isinstance(query, BGPQuery):
-            return self._explain_cq(query, indent="")
-        if isinstance(query, UCQ):
-            return self._explain_ucq(query, indent="")
-        if isinstance(query, JUCQ):
-            lines = [
-                f"JUCQ: {self.profile.join_algorithm}-join of {len(query)} "
-                f"operands on shared head variables, then project+distinct"
-            ]
-            for index, operand in enumerate(query):
-                lines.append(f"  operand u{index}:")
-                lines.append(self._explain_ucq(operand, indent="    "))
-            return "\n".join(lines)
-        raise TypeError(f"cannot explain {type(query).__name__}")
+        if isinstance(query, (BGPQuery, UCQ)):
+            return "\n".join(self._explain_union(query, ""))
+        if not isinstance(query, JUCQ):
+            raise TypeError(f"cannot explain {type(query).__name__}")
+        operands = query.operands
+        lines = [
+            f"JUCQ: {len(operands)} operands, {query.total_union_terms()} union terms"
+        ]
+        for index, operand in enumerate(operands):
+            lines.append(f"  operand u{index} ({_terms(operand.head)}):")
+            lines += self._explain_union(operand, "    ")
+        lines.append(
+            f"  operand join: {self.profile.join_algorithm}-join, smallest "
+            "materialized operand first, then the smallest sharing a key with it"
+        )
+        for i, left in enumerate(operands):
+            for j in range(i + 1, len(operands)):
+                right = set(operands[j].head_variables())
+                keys = [v for v in left.head_variables() if v in right]
+                if keys:
+                    lines.append(f"    key u{i} = u{j} on {_terms(keys)}")
+        lines.append(f"  then project to ({_terms(query.head)}) + distinct")
+        return "\n".join(lines)
 
-    def _explain_ucq(self, ucq: UCQ, indent: str) -> str:
-        scans = {
-            pattern
-            for template in ucq.templates()
+    def _explain_union(self, union, indent: str) -> List[str]:
+        """A CQ's or UCQ's templates, each with its pipeline."""
+        templates = union.templates()
+        counts = {
+            pattern: self._pattern_count(pattern)
+            for template in templates
             for patterns in template.patterns
             for pattern in patterns
         }
-        volume = sum(self._pattern_count(pattern) for pattern in scans)
-        return (
-            f"{indent}UCQ: {len(ucq)} union terms in {len(ucq.templates())} "
-            f"templates, {len(scans)} distinct scans (~{volume} tuples), "
-            f"union + distinct"
-        )
-
-    def _explain_cq(self, cq: BGPQuery, indent: str) -> str:
-        if not cq.body:
-            return f"{indent}CQ: constant row (schema-resolved conjunct)"
-        (template,) = cq.templates()
-        counts = [self._pattern_count(p) for (p,) in template.patterns]
-        order = _greedy_order(counts, template.atoms)
-        steps = []
-        for position, atom_index in enumerate(order):
-            atom = cq.body[atom_index]
-            action = "scan" if position == 0 else f"{self.profile.join_algorithm}-join"
-            steps.append(
-                f"{indent}  {position + 1}. {action} t{atom_index + 1} "
-                f"[{atom.s} {atom.p} {atom.o}] ~{counts[atom_index]} tuples"
+        kind = "CQ" if isinstance(union, BGPQuery) else "UCQ"
+        terms = sum(template.size for template in templates)
+        lines = [
+            f"{indent}{kind}: {terms} union terms in {len(templates)} templates, "
+            f"{len(counts)} distinct scans (~{sum(counts.values())} tuples), "
+            "union + distinct"
+        ]
+        for number, template in enumerate(templates, 1):
+            lines += self._explain_template(
+                template, number, union.head, counts, indent + "  "
             )
-        header = f"{indent}CQ: {len(cq.body)} atoms, join order {[i + 1 for i in order]}"
-        return "\n".join([header] + steps)
+        return lines
+
+    def _explain_template(
+        self,
+        template: Template,
+        number: int,
+        head: Sequence[Term],
+        counts: Dict[ConstantPattern, int],
+        indent: str,
+    ) -> List[str]:
+        """One template's pipeline, named by the union's head variables."""
+        names = {
+            entry: str(term)
+            for entry, term in zip(template.head, head)
+            if isinstance(entry, str)
+        }
+        sizes = [sum(counts[p] for p in patterns) for patterns in template.patterns]
+        order = _greedy_order(sizes, template.atoms)
+        lines = [
+            f"{indent}template {number}: {template.size} terms, "
+            f"join order [{', '.join(f't{i + 1}' for i in order)}]"
+        ]
+        bound: set = set()
+        for step, index in enumerate(order, 1):
+            atom, patterns = template.atoms[index], template.patterns[index]
+            variables = {name for name in atom if name is not None}
+            action = (
+                "scan" if step == 1
+                else f"{self.profile.join_algorithm}-join" if variables & bound
+                else "cross-product"
+            )
+            bound |= variables
+            # The positions every pattern agrees on show their constant.
+            shared = tuple(
+                column[0] if len(set(column)) == 1 else None
+                for column in zip(*patterns)
+            )
+            tagged = ", tagged" if index in template.tagged else ""
+            lines.append(
+                f"{indent}  {step}. {action} t{index + 1} "
+                f"{_atom_text(atom, shared, names)} ~{sizes[index]} tuples "
+                f"in {len(patterns)} scans{tagged}"
+            )
+            if len(patterns) > 1:
+                for pattern in patterns:
+                    lines.append(
+                        f"{indent}       {_atom_text(atom, pattern, names)} "
+                        f"{counts[pattern]}"
+                    )
+        if not template.atoms:
+            lines.append(f"{indent}  constant row (schema-resolved conjunct)")
+        tags = ", ".join(f"t{i + 1}" for i in template.tagged)
+        pairing = (
+            f"{len(template.members)} rows pair the tags of [{tags}]" if tags
+            else "no tags (every combination of scans is a term)"
+        )
+        constants = len(template.head_constants)
+        joined = f"runs over {constants} varying head constants" if constants else "none"
+        lines.append(f"{indent}  members: {pairing}; head-constant join: {joined}")
+        return lines
 
     def _pattern_count(self, constants: ConstantPattern) -> int:
         """Exact number of triples one scan would match (nothing is read)."""
@@ -714,6 +783,22 @@ def _greedy_order(sizes: Sequence[int], atoms: Sequence[VariableLayout]) -> List
         bound |= variables[chosen]
         remaining.discard(chosen)
     return order
+
+
+def _terms(terms: Sequence[Term]) -> str:
+    return ", ".join(map(str, terms))
+
+
+def _atom_text(
+    atom: VariableLayout, pattern: ConstantPattern, names: Dict[str, str]
+) -> str:
+    """``[s p o]`` of one template atom; ``*`` where patterns differ."""
+    return "[" + " ".join(
+        (names.get(name) or f"?{name}") if name is not None
+        else "*" if constant is None
+        else str(constant)
+        for name, constant in zip(atom, pattern)
+    ) + "]"
 
 
 def _positional_names(head: Sequence[Term]) -> List[str]:

@@ -9,9 +9,11 @@ relational engine expects.
 The compiler produces the textbook plan — one greedy statistics-driven
 join tree per union term, same operand handling as the native engine —
 while the engine itself runs one pipeline per *template* of same-shaped
-terms (DESIGN.md §18).  ``compile_query(q, db).execute(db)`` and
-``NativeEngine(db).evaluate(q)`` agree on the answers — a property
-pinned in ``tests/test_plans.py``.
+terms (DESIGN.md §18).  No engine executes this tree: ``repro explain``
+and the IR verifier read the templates instead, and the module stays
+only while the e2e benchmark's micro cell times ``compile_query``.
+``compile_query(q, db).execute(db)`` and ``NativeEngine(db).evaluate(q)``
+agree on the answers — a property pinned in ``tests/test_plans.py``.
 
 Example::
 
@@ -29,9 +31,9 @@ import numpy as np
 
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
-from ..rdf.terms import IdRange, Term, Triple, Variable
+from ..rdf.terms import Term, Triple, Variable
 from ..storage.database import RDFDatabase
-from .evaluator import EngineProfile, NATIVE_HASH
+from .evaluator import NATIVE_HASH, EngineProfile, NativeEngine
 from .operators import cross_product, distinct, hash_join, merge_join, scan_atom, union_all
 from .relation import Relation
 
@@ -189,24 +191,6 @@ class DistinctNode(PlanNode):
         return "Distinct"
 
 
-@dataclass(frozen=True)
-class RenameNode(PlanNode):
-    """Positional column rename (aligns operand outputs)."""
-
-    child: PlanNode
-    output_names: Tuple[str, ...]
-
-    @property
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def execute(self, database: RDFDatabase) -> Relation:
-        return self.child.execute(database).rename(self.output_names)
-
-    def label(self) -> str:
-        return f"Rename [{', '.join(self.output_names)}]"
-
-
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
@@ -216,30 +200,14 @@ class PlanCompiler:
     def __init__(self, database: RDFDatabase, profile: EngineProfile = NATIVE_HASH):
         self.database = database
         self.profile = profile
+        self._engine = NativeEngine(database, profile)
 
     # -- helpers -------------------------------------------------------
     def _atom_count(self, atom: Triple) -> int:
-        pattern = []
-        range_position: Optional[int] = None
-        range_term: Optional[IdRange] = None
-        for position, term in enumerate(atom):
-            if isinstance(term, Variable):
-                pattern.append(None)
-            elif isinstance(term, IdRange):
-                pattern.append(None)
-                range_position = position
-                range_term = term
-            else:
-                code = self.database.dictionary.lookup(term)
-                if code is None:
-                    return 0
-                pattern.append(code)
-        if range_term is not None:
-            assert range_position is not None
-            return self.database.table.match_range_count(
-                tuple(pattern), range_position, range_term.lo, range_term.hi
-            )
-        return self.database.statistics.pattern_count(tuple(pattern))
+        """Exact index count of one atom, as the native engine's explain."""
+        return self._engine._pattern_count(
+            tuple(None if isinstance(term, Variable) else term for term in atom)
+        )
 
     def _join(self, left: PlanNode, right: PlanNode, shares: bool) -> JoinNode:
         if not shares:
@@ -330,23 +298,7 @@ class PlanCompiler:
 
 
 def compile_query(
-    query,
-    database: RDFDatabase,
-    profile: EngineProfile = NATIVE_HASH,
-    verify: bool = False,
+    query, database: RDFDatabase, profile: EngineProfile = NATIVE_HASH
 ) -> PlanNode:
-    """One-shot compilation (see :class:`PlanCompiler`).
-
-    With ``verify=True`` the produced tree is self-checked by the IR
-    verifier's schema-propagation pass (DESIGN.md §8): join keys must
-    exist in both child schemas, union operands must be
-    schema-compatible, and the root must produce the query's answer
-    width.  Raises :class:`repro.analysis.IRVerificationError` when the
-    compiler produced a corrupt plan.
-    """
-    plan = PlanCompiler(database, profile).compile(query)
-    if verify:
-        from ..analysis.verifier import verify_plan
-
-        verify_plan(plan, expected_arity=getattr(query, "arity", None))
-    return plan
+    """One-shot compilation (see :class:`PlanCompiler`)."""
+    return PlanCompiler(database, profile).compile(query)

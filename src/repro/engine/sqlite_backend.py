@@ -275,14 +275,20 @@ class SQLiteEngine:
                 connection.set_progress_handler(None, 0)
 
     def explain(self, query) -> str:
-        """SQLite's query plan for the compiled SQL (diagnostics)."""
+        """The SQL :meth:`evaluate` would run, then SQLite's own
+        ``EXPLAIN QUERY PLAN`` for it (one indented row per plan step)."""
         connection = self._acquire().raw
         sql = self._compile(query)
         try:
             rows = connection.execute(f"EXPLAIN QUERY PLAN {sql}").fetchall()
         except sqlite3.Error as error:
             raise EngineFailure(f"SQLite failed to plan: {error}") from error
-        return "\n".join(str(row) for row in rows)
+        depth = {0: 0}
+        lines = [sql, "", "-- SQLite query plan --"]
+        for node, parent, _unused, detail in rows:
+            depth[node] = depth.get(parent, 0) + 1
+            lines.append("  " * depth[node] + detail)
+        return "\n".join(lines)
 
     def close(self) -> None:
         """Release every pooled connection (safe from any thread)."""

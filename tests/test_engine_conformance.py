@@ -1,6 +1,7 @@
 """One contract, three engines: the ``Engine`` protocol's conformance suite.
 
-Every engine takes the same ``evaluate`` signature and honours one
+Every engine takes the same ``evaluate`` and ``explain`` signatures
+(``repro explain`` prints what the answering engine says) and honours one
 :class:`~repro.engine.ExecutionBudget` the same way (DESIGN.md §10): a
 deadline that has already passed is an :class:`EngineTimeout` before
 any work, a crossed result cap is an :class:`EngineFailure`, and
@@ -62,6 +63,14 @@ def test_evaluate_signature_is_the_protocols(engine):
     assert inspect.signature(type(engine).evaluate) == inspect.signature(
         Engine.evaluate
     )
+
+
+def test_explain_signature_is_the_protocols(engine):
+    assert inspect.signature(type(engine).explain) == inspect.signature(
+        Engine.explain
+    )
+    text = engine.explain(professors_and_courses())
+    assert isinstance(text, str) and text.strip()
 
 
 def test_expired_budget_is_a_timeout(engine):

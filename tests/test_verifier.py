@@ -1,10 +1,10 @@
 """Mutation-style tests for the IR verifier (DESIGN.md §8).
 
 Each test corrupts one IR — drops a head variable, breaks pairwise
-incomparability, swaps a join key, mismatches a union arity — and
-asserts the *exact* rule code the verifier reports.  A final sweep runs
-every LUBM/DBLP workload query through the full pipeline with
-``verify_ir=True`` and expects zero diagnostics (no false positives).
+incomparability, narrows a template's members table, mismatches a union
+arity — and asserts the *exact* rule code the verifier reports.  A final
+sweep runs every LUBM/DBLP workload query through the full pipeline
+under IR verification and expects zero diagnostics (no false positives).
 """
 
 from __future__ import annotations
@@ -18,25 +18,16 @@ from repro.analysis import (
     check_bgp,
     check_cover,
     check_jucq,
-    check_plan,
     check_sql,
-    plan_schema,
+    check_templates,
     verify_pipeline,
-    verify_plan,
 )
 from repro.answering import QueryAnswerer
 from repro.datasets import dblp_workload, lubm_workload, motivating_q1
-from repro.engine import compile_query, to_sql
-from repro.engine.plans import (
-    DistinctNode,
-    JoinNode,
-    ProjectNode,
-    RenameNode,
-    ScanNode,
-    UnionNode,
-)
+from repro.engine import EngineFailure, NativeEngine, SQLiteEngine, to_sql
 from repro.query.algebra import JUCQ, UCQ
 from repro.query.bgp import BGPQuery
+from repro.query.templates import Template
 from repro.rdf import BlankNode, Triple, URI, Variable
 from repro.reformulation import Reformulator, jucq_for_cover, validate_cover
 
@@ -238,66 +229,76 @@ class TestJUCQStage:
 
 
 # ----------------------------------------------------------------------
-# Stage P: plan-tree schema propagation
+# Stage T: the plan NativeEngine runs — its templates (DESIGN.md §18)
 # ----------------------------------------------------------------------
+def typed_union() -> UCQ:
+    """Three terms, one template: atom 0 tagged, one varying head constant."""
+    return UCQ(
+        [
+            BGPQuery([x, ex("A")], [Triple(x, ex("type"), ex("A"))]),
+            BGPQuery([x, ex("B")], [Triple(x, ex("type"), ex("B"))]),
+            BGPQuery([x, ex("B")], [Triple(x, ex("type"), ex("C"))]),
+        ],
+        name="typed",
+    )
+
+
+def corrupted(ucq: UCQ, **changes) -> UCQ:
+    """``ucq`` whose one template has ``changes`` applied."""
+    (template,) = ucq.templates()
+    fields = {name: getattr(template, name) for name in Template.__slots__}
+    fields.update(changes)
+    ucq._templates = (Template(**fields),)
+    return ucq
+
+
 class TestPlanStage:
-    def scan(self, *terms):
-        return ScanNode(Triple(*terms))
+    def test_wellformed_templates_are_clean(self):
+        ucq = typed_union()
+        (template,) = ucq.templates()
+        assert template.tagged == (0,) and len(template.head_constants) == 1
+        assert check_templates(ucq) == []
 
-    def test_schema_inference_bottom_up(self):
-        join = JoinNode(self.scan(x, ex("p"), y), self.scan(y, ex("q"), z))
-        assert plan_schema(join) == ("x", "y", "z")
-        assert check_plan(join) == []
+    def test_unbound_head_variable_is_t01(self):
+        ucq = corrupted(typed_union(), head=("ghost", 1))
+        assert codes(check_templates(ucq)) == {"IR-T01"}
 
-    def test_swapped_join_key_is_p01(self):
-        # Joining two scans that share no variable: the join key was
-        # "swapped away" and the hash join silently degenerates.
-        join = JoinNode(
-            self.scan(x, ex("p"), y), self.scan(Variable("a"), ex("q"), z)
-        )
-        assert codes(check_plan(join)) == {"IR-P01"}
+    def test_members_width_is_t02(self):
+        ucq = typed_union()
+        narrow = ucq.templates()[0].members[:, :1]
+        assert codes(check_templates(corrupted(ucq, members=narrow))) == {"IR-T02"}
 
-    def test_cross_join_over_shared_columns_is_p02(self):
-        join = JoinNode(
-            self.scan(x, ex("p"), y),
-            self.scan(y, ex("q"), z),
-            algorithm="cross",
-        )
-        assert codes(check_plan(join)) == {"IR-P02"}
+    def test_out_of_range_tag_is_t03(self):
+        ucq = typed_union()
+        members = ucq.templates()[0].members.copy()
+        members[0, 0] = 7  # atom 0 has three patterns
+        assert codes(check_templates(corrupted(ucq, members=members))) == {"IR-T03"}
 
-    def test_projection_of_missing_column_is_p03(self):
-        project = ProjectNode(self.scan(x, ex("p"), y), (z,), ("c0",))
-        assert codes(check_plan(project)) == {"IR-P03"}
+    def test_out_of_range_head_constant_is_t03(self):
+        ucq = corrupted(typed_union(), head_constants=((ex("A"),),))
+        assert codes(check_templates(ucq)) == {"IR-T03"}
 
-    def test_union_arity_mismatch_is_p06(self):
-        one = ProjectNode(self.scan(x, ex("p"), y), (x,), ("c0",))
-        two = ProjectNode(self.scan(x, ex("p"), y), (x, y), ("c0", "c1"))
-        union = UnionNode((one, two), ("c0",))
-        assert codes(check_plan(union)) == {"IR-P06"}
+    def test_template_sizes_are_t04(self):
+        ucq = corrupted(typed_union(), size=2)
+        assert codes(check_templates(ucq)) == {"IR-T04"}
 
-    def test_rename_arity_mismatch_is_p08(self):
-        rename = RenameNode(self.scan(x, ex("p"), y), ("a", "b", "c"))
-        assert codes(check_plan(rename)) == {"IR-P08"}
+    def test_head_width_is_t05(self):
+        ucq = corrupted(typed_union(), head=("v0",))
+        assert codes(check_templates(ucq)) == {"IR-T05"}
 
-    def test_root_arity_mismatch_is_p09(self):
-        plan = DistinctNode(ProjectNode(self.scan(x, ex("p"), y), (x,), ("c0",)))
-        assert check_plan(plan, expected_arity=1) == []
-        assert codes(check_plan(plan, expected_arity=2)) == {"IR-P09"}
-
-    def test_verify_plan_raises(self):
-        join = JoinNode(
-            self.scan(x, ex("p"), y), self.scan(Variable("a"), ex("q"), z)
-        )
+    def test_pipeline_raises_on_a_corrupt_template(self):
+        query = BGPQuery([x], [Triple(x, ex("type"), y)])
+        ucq = corrupted(typed_union(), size=5)
         with pytest.raises(IRVerificationError) as excinfo:
-            verify_plan(join)
-        assert excinfo.value.codes == ("IR-P01",)
+            verify_pipeline(query, ucq)
+        assert excinfo.value.codes == ("IR-T04",)
 
     def test_compiled_workload_plans_are_clean(self, lubm_db):
         answerer = QueryAnswerer(lubm_db)
         for entry in list(lubm_workload())[:6]:
             planned, _ = answerer.plan(entry.query, "gcov")
-            plan = compile_query(planned, lubm_db, verify=True)
-            assert check_plan(plan, expected_arity=planned.arity) == []
+            for operand in planned:
+                assert check_templates(operand) == []
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +352,9 @@ class TestSQLStage:
 # ----------------------------------------------------------------------
 # End-to-end: the answering pipeline under verify_ir
 # ----------------------------------------------------------------------
-ALL_STRATEGIES = ("ucq", "pruned-ucq", "scq", "ecov", "gcov", "saturation")
+ALL_STRATEGIES = (
+    "ucq", "pruned-ucq", "scq", "ecov", "gcov", "saturation", "litemat"
+)
 
 
 class TestPipelineVerification:
@@ -369,11 +372,22 @@ class TestPipelineVerification:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_all_strategies_answer_under_verification(self, lubm_db, strategy):
-        answerer = QueryAnswerer(lubm_db, verify_ir=True)
+        # Both engines: the template stage checks what the native one
+        # runs, the SQL stage what SQLite runs.
         entry = motivating_q1()
         baseline = QueryAnswerer(lubm_db).answer(entry.query, strategy=strategy)
-        verified = answerer.answer(entry.query, strategy=strategy)
-        assert verified.answers == baseline.answers
+        with SQLiteEngine(lubm_db) as sqlite:
+            for engine in (NativeEngine(lubm_db), sqlite):
+                answerer = QueryAnswerer(lubm_db, engine=engine, verify_ir=True)
+                with answerer:
+                    try:
+                        verified = answerer.answer(entry.query, strategy=strategy)
+                    except EngineFailure as failure:
+                        # Verified, then over SQLite's 500-term compound
+                        # SELECT: the paper's "giant UCQs break the RDBMS".
+                        assert "too many terms" in str(failure), failure
+                        continue
+                assert verified.answers == baseline.answers, engine.name
 
     def test_dblp_workload_plans_verify(self, dblp_db):
         answerer = QueryAnswerer(dblp_db, verify_ir=True)
