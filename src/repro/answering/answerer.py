@@ -711,12 +711,16 @@ class QueryAnswerer:
         data has mutated since, so a stale engine is never served.  The
         lock keeps concurrent first callers from deriving the store
         twice (and from publishing a half-built engine).  A replaced
-        engine is not closed here: a reader may still be inside it.
+        engine is not closed here: a reader may still be inside it.  A
+        reader whose snapshot is older than the held engine's gets an
+        engine of its own, unpublished, and the newer one stays.
         """
         if derived is None:
             return self.engine
         with self._lock:
             held = self._derived.get(row.name)
+            if held is not None and held[0].data > derived.snapshot.data:
+                return self.engine.for_database(derived.build())
             if held is None or held[0] != derived.snapshot:
                 held = (derived.snapshot, self.engine.for_database(derived.build()))
                 self._derived[row.name] = held

@@ -17,12 +17,17 @@ pipeline:
 
 Key invalidation matrix (a new key, never a clear):
 
-=====================  ==============  ============
-update                 reformulations  plans / SQL
-=====================  ==============  ============
-data (insert)          survive         re-keyed
-schema (constraints)   re-keyed        re-keyed
-=====================  ==============  ============
+=====================  ==============  ============  ==========================
+update                 reformulations  plans / SQL   statistics / estimates
+=====================  ==============  ============  ==========================
+data (insert)          survive         re-keyed      carried, less what matches
+schema (constraints)   re-keyed        re-keyed      survive
+=====================  ==============  ============  ==========================
+
+The statistics column is the table statistics and the cardinality
+estimator's records (DESIGN.md §19): a data write hands the next
+version's record every entry none of whose atom patterns a row of the
+write matches.
 
 The registry exists so one ``cache-stats`` surface (CLI, telemetry
 counters, the benchmark harness) sees every level regardless of which

@@ -15,17 +15,21 @@ of various subqueries of the JUCQ".  This module provides them:
 * **JUCQ operand joins** — the same join formula applied at the level
   of operand results, with per-variable distinct counts approximated
   from the tightest atom-level distinct count mentioning the variable.
+
+Every level is memoized per table version, and a write carries the
+entries it cannot have moved into the next version's record
+(DESIGN.md §19).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..rdf.terms import IdRange, Triple, Variable
 from ..storage.database import RDFDatabase
-from ..storage.triple_table import Pattern
+from ..storage.triple_table import Pattern, TripleTable
 
 
 class AtomStatistics(NamedTuple):
@@ -61,19 +65,65 @@ def _join_selectivity(estimate: float, occurrences: Dict[Variable, List]) -> flo
     return estimate
 
 
+#: An atom's encoded pattern; None when one of its constants is unknown.
+AtomPattern = Optional[Pattern]
+#: An atom's memo entry: its pattern and its statistics.
+AtomEntry = Tuple[AtomPattern, AtomStatistics]
+
+
 class _Memo:
-    """The per-atom, per-conjunct and per-operand memos of one data version."""
+    """The per-atom, per-conjunct and per-operand memos of one data version.
+
+    Every entry keeps the patterns of the atoms it was computed from, so
+    the successor can tell which entries a write left as they were.
+    """
 
     __slots__ = ("version", "atoms", "cqs", "operands")
 
     def __init__(self, version: Optional[int]):
         self.version = version
-        self.atoms: Dict[Triple, AtomStatistics] = {}
-        self.cqs: Dict[Tuple, float] = {}
-        #: ``id(ucq)`` → (the operand, its summary).  Keyed on identity
-        #: because ``UCQ.__hash__`` hashes a frozenset of every term;
-        #: the entry holds the operand, so its id cannot be recycled.
-        self.operands: Dict[int, Tuple[UCQ, OperandSummary]] = {}
+        self.atoms: Dict[Triple, AtomEntry] = {}
+        #: canonical form → (estimate, the patterns of its atoms).
+        self.cqs: Dict[Tuple, Tuple[float, Tuple[AtomPattern, ...]]] = {}
+        #: ``id(ucq)`` → (the operand, its summary, the patterns of its
+        #: atoms).  Keyed on identity because ``UCQ.__hash__`` hashes a
+        #: frozenset of every term; the entry holds the operand, so its
+        #: id cannot be recycled.
+        self.operands: Dict[int, Tuple[UCQ, OperandSummary, Set[AtomPattern]]] = {}
+
+    def successor(self, table: TripleTable) -> "_Memo":
+        """The memo of the table's current version.
+
+        An entry none of whose atoms a new row matches is carried; an
+        atom whose constant was unknown may match now, so it is dropped
+        with every conjunct and operand it occurs in.
+        """
+        moved, version = table.changed_patterns(self.version, len(self.atoms))
+        after = _Memo(version)
+        if moved is not None:
+            # Filtered from copies: a computation still holding this
+            # record may store into it meanwhile.
+            after.atoms = {
+                atom: entry
+                for atom, entry in self.atoms.copy().items()
+                if entry[0] is not None and entry[0] not in moved
+            }
+            after.cqs = {
+                key: entry
+                for key, entry in self.cqs.copy().items()
+                if _unmoved(entry[1], moved)
+            }
+            after.operands = {
+                key: entry
+                for key, entry in self.operands.copy().items()
+                if _unmoved(entry[2], moved)
+            }
+        return after
+
+
+def _unmoved(patterns: Collection[AtomPattern], moved: Set[Pattern]) -> bool:
+    """No pattern has an unknown constant or is one a write's rows match."""
+    return None not in patterns and moved.isdisjoint(patterns)
 
 
 class CardinalityEstimator:
@@ -83,19 +133,22 @@ class CardinalityEstimator:
     every level is memoized: atoms by the atom, conjuncts by canonical
     form, operands by identity (the ``Reformulator`` memo hands a
     repeated fragment the *same* ``UCQ``).  The three memos live in one
-    record stamped with the data part of the database snapshot it was
-    filled under (DESIGN.md §19).  A computation captures the record
-    once and writes only into it; a new version swaps in a fresh record
-    by one reference assignment.  So a worker that started under
-    version *n* cannot store into the memos of version *n + 1* (the
-    clear-then-stale-write race of a dictionary cleared in place), and
-    the read path takes no lock.
+    record stamped with the table version it is current at (DESIGN.md
+    §19).  A computation captures the record once and writes only into
+    it; a new version swaps in a successor record by one reference
+    assignment.  So a worker that started under version *n* cannot
+    store into the memos of version *n + 1* (the clear-then-stale-write
+    race of a dictionary cleared in place), and the read path takes no
+    lock.  The successor keeps every atom, conjunct and operand entry
+    none of whose atoms' encoded patterns a row of the write matches
+    (:meth:`TripleTable.changes` names the rows), so a write re-probes
+    only the atoms it touched and re-estimates only what reads them.
 
     Only a table write that stores a row moves the version.  The term
     dictionary can also grow *without* one (``cq_to_sql`` encodes head
     constants), and that cannot invalidate an entry: a constant that
-    was unknown when an atom was encoded occurs in no triple before or
-    after, so its count stays 0.
+    was unknown when an atom was encoded occurs in no triple until a
+    write stores one, and no successor carries such an entry.
     """
 
     def __init__(self, database: RDFDatabase):
@@ -106,8 +159,8 @@ class CardinalityEstimator:
         """The memo record of the current data version."""
         memo = self._memo
         version = self.database.snapshot().data
-        if memo.version != version:
-            memo = self._memo = _Memo(version)
+        if memo.version is None or memo.version < version:
+            memo = self._memo = memo.successor(self.database.table)
         return memo
 
     # ------------------------------------------------------------------
@@ -133,8 +186,8 @@ class CardinalityEstimator:
                 pattern.append(code)
         return tuple(pattern)
 
-    def _atom_statistics(self, memo: _Memo, atom: Triple) -> AtomStatistics:
-        """Count and per-variable distincts of one atom (memoized)."""
+    def _atom_entry(self, memo: _Memo, atom: Triple) -> AtomEntry:
+        """Pattern, count and per-variable distincts of one atom (memoized)."""
         cached = memo.atoms.get(atom)
         if cached is not None:
             return cached
@@ -158,19 +211,19 @@ class CardinalityEstimator:
             if count is None:
                 count = statistics.pattern_count(pattern)
             result = AtomStatistics(count, distinct)
-        memo.atoms[atom] = result
-        return result
+        entry = memo.atoms[atom] = (pattern, result)
+        return entry
 
-    def _body_statistics(self, memo: _Memo, cq: BGPQuery) -> List[AtomStatistics]:
-        return [self._atom_statistics(memo, atom) for atom in cq.body]
+    def _body(self, memo: _Memo, cq: BGPQuery) -> List[AtomEntry]:
+        return [self._atom_entry(memo, atom) for atom in cq.body]
 
     def atom_count(self, atom: Triple) -> int:
         """Exact number of stored triples matching the atom."""
-        return self._atom_statistics(self._current(), atom).count
+        return self._atom_entry(self._current(), atom)[1].count
 
     def atom_distinct(self, atom: Triple, variable: Variable) -> int:
         """Exact distinct values the variable takes among the atom's matches."""
-        distinct = self._atom_statistics(self._current(), atom).distinct
+        distinct = self._atom_entry(self._current(), atom)[1].distinct
         return distinct.get(variable, 0)
 
     # ------------------------------------------------------------------
@@ -182,15 +235,16 @@ class CardinalityEstimator:
         Memoized per canonical conjunct form, for the current data version.
         """
         memo = self._current()
-        return self._cq_cardinality(memo, cq, self._body_statistics(memo, cq))
+        return self._cq_entry(memo, cq, self._body(memo, cq))[0]
 
-    def _cq_cardinality(
-        self, memo: _Memo, cq: BGPQuery, atoms: Sequence[AtomStatistics]
-    ) -> float:
+    def _cq_entry(
+        self, memo: _Memo, cq: BGPQuery, body: Sequence[AtomEntry]
+    ) -> Tuple[float, Tuple[AtomPattern, ...]]:
         key = cq.canonical()
         cached = memo.cqs.get(key)
         if cached is None:
-            cached = memo.cqs[key] = self._estimate_cq(cq, atoms)
+            estimate = self._estimate_cq(cq, [statistics for _, statistics in body])
+            cached = memo.cqs[key] = (estimate, tuple(pattern for pattern, _ in body))
         return cached
 
     @staticmethod
@@ -219,7 +273,7 @@ class CardinalityEstimator:
 
     def cq_scan_size(self, cq: BGPQuery) -> int:
         """Σ over atoms of their exact match counts (the scan volume)."""
-        return sum(atom.count for atom in self._body_statistics(self._current(), cq))
+        return sum(statistics.count for _, statistics in self._body(self._current(), cq))
 
     # ------------------------------------------------------------------
     # Unions and joins of unions
@@ -233,17 +287,22 @@ class CardinalityEstimator:
         memo = self._current()
         entry = memo.operands.get(id(ucq))
         if entry is None or entry[0] is not ucq:
-            entry = memo.operands[id(ucq)] = (ucq, self._summarize(memo, ucq))
+            entry = memo.operands[id(ucq)] = (ucq, *self._summarize(memo, ucq))
         return entry[1]
 
-    def _summarize(self, memo: _Memo, ucq: UCQ) -> OperandSummary:
+    def _summarize(
+        self, memo: _Memo, ucq: UCQ
+    ) -> Tuple[OperandSummary, Set[AtomPattern]]:
         head_variables = list(set(ucq.head_variables()))
         totals = [0.0] * len(head_variables)
         scan_size = 0
         sizes: List[float] = []
+        patterns: Set[AtomPattern] = set()
         for cq in ucq:
-            atoms = self._body_statistics(memo, cq)
-            size = self._cq_cardinality(memo, cq, atoms)
+            body = self._body(memo, cq)
+            size, cq_patterns = self._cq_entry(memo, cq, body)
+            patterns.update(cq_patterns)
+            atoms = [statistics for _, statistics in body]
             sizes.append(size)
             for atom in atoms:
                 scan_size += atom.count
@@ -258,7 +317,7 @@ class CardinalityEstimator:
                     ),
                     default=size,
                 )
-        return OperandSummary(
+        summary = OperandSummary(
             scan_size,
             sum(sizes),
             tuple(
@@ -266,6 +325,7 @@ class CardinalityEstimator:
                 for variable, total in zip(head_variables, totals)
             ),
         )
+        return summary, patterns
 
     def ucq_cardinality(self, ucq: UCQ) -> float:
         """Sum of the conjunct estimates (overlap between terms ignored)."""

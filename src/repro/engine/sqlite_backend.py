@@ -19,10 +19,11 @@ must not be shared across threads mid-statement, so the engine keeps a
 **per-thread connection pool**: each thread lazily opens its own
 connection on first use, loads (or, for file-backed stores, observes)
 the triple data, and caches it thread-locally.  Every pooled connection
-tracks the data part of the store's
-:meth:`~repro.storage.database.RDFDatabase.snapshot` it last loaded
-and refreshes independently when the store mutates, so a stale thread
-can never serve pre-mutation rows.  ``close()`` drains the whole pool.
+tracks the table version it last loaded and, when the store has
+moved on, inserts the rows stored since
+(:meth:`~repro.storage.triple_table.TripleTable.changes`), so a stale
+thread can never serve pre-mutation rows.  ``close()`` drains the whole
+pool.
 
 SQLite releases the GIL while stepping a statement, so statements on
 different threads overlap on multi-core hosts.
@@ -140,38 +141,42 @@ class SQLiteEngine:
     def _ensure_loaded(self, state: _PooledConnection) -> None:
         """Version-checked refresh of one pooled connection.
 
-        An in-memory connection is its own database and (re)loads
-        whenever its recorded version lags the table.  File-backed
-        connections share the file: the first to observe a new version
-        rebuilds it under the load lock, the rest just adopt it.
+        An in-memory connection is its own database and takes the rows
+        stored since the version it loaded whenever that lags the table.
+        File-backed connections share the file: the first to observe a
+        new version extends it under the load lock, the rest just adopt
+        it.
         """
         version = self.database.snapshot().data
         if state.loaded_version == version:
             return
         if self.path == ":memory:":
-            self._load(state.raw)
+            state.loaded_version = self._load(state.raw, state.loaded_version)
         else:
             with self._load_lock:
-                if self._file_version != version:
-                    self._load(state.raw)
-                    self._file_version = version
-        state.loaded_version = version
+                if self._file_version is None or self._file_version < version:
+                    self._file_version = self._load(state.raw, self._file_version)
+                state.loaded_version = self._file_version
 
-    def _load(self, connection: sqlite3.Connection) -> None:
+    def _load(self, connection: sqlite3.Connection, since: Optional[int]) -> int:
+        """Insert the rows stored after version ``since`` (None: all of
+        them, into a new table); returns the version now loaded."""
+        table = self.database.table
+        keys, version = table.changes(since)
         cursor = connection.cursor()
-        cursor.execute("DROP TABLE IF EXISTS triples")
-        cursor.execute("CREATE TABLE triples (s INTEGER, p INTEGER, o INTEGER)")
-        rows = self.database.table.match((None, None, None))
+        if since is None:
+            cursor.execute("DROP TABLE IF EXISTS triples")
+            cursor.execute("CREATE TABLE triples (s INTEGER, p INTEGER, o INTEGER)")
         cursor.executemany(
             "INSERT INTO triples VALUES (?, ?, ?)",
-            rows.tolist(),
+            table.decode_keys(keys).tolist(),
         )
         for order in _INDEX_ORDERS:
             columns = ", ".join(order)
-            cursor.execute(f"DROP INDEX IF EXISTS idx_{order}")
-            cursor.execute(f"CREATE INDEX idx_{order} ON triples ({columns})")
+            cursor.execute(f"CREATE INDEX IF NOT EXISTS idx_{order} ON triples ({columns})")
         cursor.execute("ANALYZE")
         connection.commit()
+        return version
 
     def _compile(self, query) -> str:
         """``to_sql`` with a bounded per-(query, dictionary-size) memo."""

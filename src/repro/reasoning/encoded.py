@@ -16,7 +16,8 @@ so one pass over the explicit triples reaches the fixpoint.
 It also makes the store maintainable under insert-only writes
 (DESIGN.md §20): while the schema stands, sat(G ∪ Δ) = sat(G) ∪ sat(Δ),
 so :func:`saturate_database`, given the store it derived before, merges
-in only the base rows that store lacks and their consequences.
+in only the base rows stored since (``TripleTable.changes``) and their
+consequences.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..rdf.schema import RDFSchema
 from ..rdf.vocabulary import RDF_TYPE
 from ..storage.database import RDFDatabase
 from ..storage.dictionary import Dictionary
-from ..storage.triple_table import TripleTable, keys_absent_from
+from ..storage.triple_table import TripleTable
 
 
 def _grouped(rows: np.ndarray, column: int) -> Dict[int, np.ndarray]:
@@ -90,10 +91,10 @@ def consequences(
 
 
 class Saturated(NamedTuple):
-    """A saturated store and the base ``spo`` index it reflects."""
+    """A saturated store and the base table version it reflects."""
 
     database: RDFDatabase
-    base_keys: np.ndarray
+    base_version: int
 
 
 def saturate_database(
@@ -102,20 +103,20 @@ def saturate_database(
     """A new database whose fact table is the saturation of ``database``'s.
 
     ``held`` is an earlier result for the same database and schema: the
-    new store starts from its indexes and takes only the base rows it
-    lacks, with their consequences.  ``held`` itself is not touched.
+    new store starts from its indexes and takes only the base rows
+    stored since, with their consequences.  ``held`` itself is not
+    touched.
     """
     table = database.table
-    base_keys = table.index("spo")
     if held is None:
         out = TripleTable(dictionary=table.dictionary, bits=table.bits)
-        fresh = base_keys
+        fresh, base_version = table.changes(None)
     else:
         out = held.database.table.copy()
-        fresh = keys_absent_from(base_keys, held.base_keys)
+        fresh, base_version = table.changes(held.base_version)
     rows = table.decode_keys(fresh)
     out.add_block(rows)
     for block in consequences(database.schema, table.dictionary, rows):
         out.add_block(block)
     out.freeze()
-    return Saturated(RDFDatabase(schema=database.schema, table=out), base_keys)
+    return Saturated(RDFDatabase(schema=database.schema, table=out), base_version)

@@ -41,7 +41,7 @@ from ..rdf.terms import Term
 from ..storage.database import RDFDatabase
 from ..storage.dictionary import Dictionary
 from ..storage.interval_encoding import IntervalEncoding
-from ..storage.triple_table import TripleTable, keys_absent_from
+from ..storage.triple_table import TripleTable
 from .encoded import consequences
 
 
@@ -50,8 +50,8 @@ class IntervalStore(NamedTuple):
 
     encoding: IntervalEncoding
     database: RDFDatabase
-    #: The base ``spo`` index the store reflects.
-    base_keys: np.ndarray
+    #: The base table version the store reflects.
+    base_version: int
     #: Base code → derived code, for every base code known at the build.
     remap: np.ndarray
 
@@ -81,20 +81,20 @@ def interval_encode_database(
 
     ``held`` is an earlier result for the same database and schema: its
     encoding is kept, its dictionary and ``remap`` grow by the base codes
-    allocated since, and the new store takes only the base rows it lacks.
+    allocated since, and the new store takes only the base rows stored
+    since.
     """
     schema = database.schema
     base_dictionary = database.dictionary
     table = database.table
-    base_keys = table.index("spo")
-    # Read after the index: every code in ``base_keys`` is below it.
+    fresh, base_version = table.changes(None if held is None else held.base_version)
+    # Read after the rows: every code in ``fresh`` is below it.
     known = len(base_dictionary)
     if held is None:
         encoding = IntervalEncoding.from_schema(schema)
         new_dictionary = base_dictionary.remapped(encoding.leading_terms)
         remap = _renumbering(base_dictionary, new_dictionary, encoding.leading_terms, known)
         out = TripleTable(dictionary=new_dictionary, bits=table.bits)
-        fresh = base_keys
     else:
         encoding = held.encoding
         new_dictionary = held.database.dictionary
@@ -103,10 +103,9 @@ def interval_encode_database(
             [held.remap, np.array(new_dictionary.encode_many(appended), dtype=np.int64)]
         )
         out = held.database.table.copy()
-        fresh = keys_absent_from(base_keys, held.base_keys)
     rows = remap[table.decode_keys(fresh)]
     out.add_block(rows)
     for block in consequences(schema, new_dictionary, rows, hierarchy=False):
         out.add_block(block)
     out.freeze()
-    return IntervalStore(encoding, RDFDatabase(schema=schema, table=out), base_keys, remap)
+    return IntervalStore(encoding, RDFDatabase(schema=schema, table=out), base_version, remap)

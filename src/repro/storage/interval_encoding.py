@@ -342,7 +342,9 @@ class IntervalAssigner:
     under the lock — the superseded store's table is never mutated, so
     readers still evaluating against it stay consistent.  A schema
     change re-encodes from scratch; a data-only write keeps the encoding
-    and extends the held store by the new rows (DESIGN.md §20).
+    and extends the held store by the new rows (DESIGN.md §20).  A
+    reader whose derivation finishes after a newer one was published
+    keeps its store to itself: the newer entry stays.
 
     Thread-safe; covered by ``tools/lint_locks.py``.
     """
@@ -376,7 +378,9 @@ class IntervalAssigner:
         derived = interval_encode_database(database, held=held)
         with self._lock:
             published = self._published
-            if published is None or published[0] != snapshot:
+            if published is not None and published[0].data > snapshot.data:
+                published = (snapshot, derived)
+            elif published is None or published[0] != snapshot:
                 published = self._published = (snapshot, derived)
         snapshot, store = published
         return store.encoding, store.database, snapshot

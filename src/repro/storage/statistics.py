@@ -15,11 +15,13 @@ various fragments"):
 Both are memoized: the optimizer probes the same patterns many times
 across candidate covers.
 
-The memos live in one record stamped with the data part of the
-database's snapshot — the table version after a freeze — and a read
-that finds the version moved swaps in a fresh record instead of
-clearing this one (DESIGN.md §19), so no write path has anything to
-invalidate.
+The memos live in one record stamped with the table version it is
+current at, and a read that finds the version moved swaps in a
+successor record instead of clearing this one (DESIGN.md §19), so no
+write path has anything to invalidate.  The successor is a copy that
+keeps every entry no row of the write matches — a row matches only its
+eight ``None``-masks, so the others' counts are unmoved — and starts
+empty when the write has more rows than the record has entries.
 """
 
 from __future__ import annotations
@@ -39,6 +41,27 @@ class _Counts:
         self.patterns: Dict[Pattern, int] = {}
         self.distincts: Dict[Tuple[Pattern, int], int] = {}
 
+    def successor(self, table: TripleTable) -> "_Counts":
+        """The record of the table's current version, carrying what it can."""
+        moved, version = table.changed_patterns(
+            self.version, len(self.patterns) + len(self.distincts)
+        )
+        after = _Counts(version)
+        if moved is not None:
+            # Filtered from copies: a probe still holding this record may
+            # store into it meanwhile, and ``dict.copy`` is one atomic step.
+            after.patterns = {
+                pattern: count
+                for pattern, count in self.patterns.copy().items()
+                if pattern not in moved
+            }
+            after.distincts = {
+                key: count
+                for key, count in self.distincts.copy().items()
+                if key[0] not in moved
+            }
+        return after
+
 
 class TableStatistics:
     """Memoizing statistics facade over a :class:`TripleTable`.
@@ -47,7 +70,9 @@ class TableStatistics:
     statistics while ordering joins; the read path takes no lock.  A
     probe captures the current record once and stores only into it, so
     a count computed while a write lands goes into the record of the
-    version the probe started under, never into a newer one.
+    version the probe started under, never into a newer one.  A record
+    newer than the version a reader saw is still used: every count is
+    read from the current index anyway.
     """
 
     def __init__(self, table: TripleTable):
@@ -57,10 +82,9 @@ class TableStatistics:
     def _current(self) -> _Counts:
         """The memo record of the table's current version."""
         self.table.freeze()
-        version = self.table.version
         counts = self._counts
-        if counts.version != version:
-            counts = self._counts = _Counts(version)
+        if counts.version is None or counts.version < self.table.version:
+            counts = self._counts = counts.successor(self.table)
         return counts
 
     def pattern_count(self, pattern: Pattern) -> int:

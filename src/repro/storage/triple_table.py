@@ -28,16 +28,19 @@ distinct values, ample for the benchmark scales; raise it for more).
 Writes merge (DESIGN.md §20): :meth:`TripleTable.freeze` sorts only the
 buffered rows and merges the ones not yet stored into each index.
 Published index arrays are read-only and never written in place; a
-merge builds new arrays and swaps the index dict once, then bumps
-``version``.  Buffering and merging serialize on one lock (a reader
-that sees a new ``version`` and then reads gets that version's rows);
-reads of a clean table take none.
+merge builds new arrays and swaps the index dict once, logs its new
+``spo`` keys, then bumps ``version``.  :meth:`TripleTable.changes` reads
+that log, so whatever is derived from the table (statistics, the
+saturated and interval stores, the SQLite mirror) takes a write's rows
+instead of diffing the index.  Buffering and merging serialize on one
+lock (a reader that sees a new ``version`` and then reads gets that
+version's rows); reads of a clean table take none.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -130,6 +133,11 @@ class TripleTable:
         self._dirty = True
         self._count = 0
         self._version = 0
+        #: The new ``spo`` keys of every merge after the first build:
+        #: entry ``i`` took the table from version ``_log_floor + i`` to
+        #: the next (each such merge bumps the version once).
+        self._log: List[np.ndarray] = []
+        self._log_floor = 0
 
     @property
     def version(self) -> int:
@@ -175,9 +183,10 @@ class TripleTable:
         """Merge the buffered rows into the six sorted composite-key indexes.
 
         Rows already stored (or repeated in the buffer) are dropped; the
-        rest are merged into *new* index arrays, published together, and
-        only then is :attr:`version` bumped.  The first build is the same
-        merge into six empty arrays.
+        rest are merged into *new* index arrays, published together, then
+        logged for :meth:`changes`, and only then is :attr:`version`
+        bumped.  The first build is the same merge into six empty arrays,
+        and is not logged.
         """
         if self._indexes is not None and not self._dirty:
             return
@@ -207,18 +216,71 @@ class TripleTable:
                         keys = np.insert(held, np.searchsorted(held, keys), keys)
                     keys.setflags(write=False)
                     indexes[name] = keys
+                building = self._indexes is None
                 self._indexes = indexes
                 self._count = int(indexes["spo"].shape[0])
                 if fresh.size:
-                    # After the swap: a reader of the new version gets its rows.
+                    if not building:
+                        fresh.setflags(write=False)
+                        self._log.append(fresh)
+                    # After the swap and the log: a reader of the new
+                    # version gets its rows and its changes.
                     self._version += 1
+                if building:
+                    self._log_floor = self._version
             # Cleared last: a reader that finds the table clean finds the rows.
             self._pending = []
             self._pending_blocks = []
             self._dirty = False
 
+    def changes(self, since: Optional[int]) -> Tuple[np.ndarray, int]:
+        """The ``spo`` keys stored after version ``since``, and the version they reach.
+
+        ``since=None`` is the whole ``spo`` index.  Otherwise ``since`` is
+        a version this table has had since its first build (or since the
+        :meth:`copy` that made it), and the keys are the sorted rows the
+        merges after it stored — exactly the index at the returned
+        version minus the index at ``since``.
+        """
+        self.freeze()
+        with self._lock:
+            version = self._version
+            if since is None:
+                return self._indexes["spo"], version
+            if since < self._log_floor:
+                raise ValueError(f"version {since} predates this table's log")
+            blocks = self._log[since - self._log_floor :]
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *blocks])), version
+
+    def changed_patterns(
+        self, since: Optional[int], limit: int
+    ) -> Tuple[Optional[Set[Pattern]], int]:
+        """Every pattern a row stored after ``since`` matches, and the version reached.
+
+        A row ``(s, p, o)`` matches exactly its eight ``None``-masks, so a
+        count or distinct count memoized for any other pattern is unmoved
+        (DESIGN.md §20).  None instead of the set when more than ``limit``
+        rows were stored: a memo of ``limit`` entries is then cheaper to
+        refill than to filter.
+        """
+        keys, version = self.changes(since)
+        if keys.size > limit:
+            return None, version
+        matched: Set[Pattern] = set()
+        for s, p, o in self.decode_keys(keys).tolist():
+            matched.update(
+                (
+                    (s, p, o), (s, p, None), (s, None, o), (None, p, o),
+                    (s, None, None), (None, p, None), (None, None, o), (None, None, None),
+                )
+            )
+        return matched, version
+
     def copy(self) -> "TripleTable":
-        """A new table over the same dictionary and (shared, read-only) indexes."""
+        """A new table over the same dictionary and (shared, read-only) indexes.
+
+        The copy starts at version 0 with an empty log of its own.
+        """
         self.freeze()
         other = TripleTable(dictionary=self.dictionary, bits=self.bits)
         other._indexes = dict(self._indexes)

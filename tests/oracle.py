@@ -26,6 +26,7 @@ from repro.analysis.containment import (
 )
 from repro.answering import AnswerReport, QueryAnswerer
 from repro.cache import QueryCache
+from repro.cost import CardinalityEstimator
 from repro.engine import EngineFailure, NativeEngine
 from repro.optimizer import SearchInfeasible
 from repro.query import UCQ, BGPQuery
@@ -391,3 +392,33 @@ def reference_reformulate(
 def saturation_answers_match(query: BGPQuery, schema, graph, union: UCQ) -> bool:
     """Theorem 3.1 on one graph: ``union(graph) == query(saturate(graph))``."""
     return evaluate_ucq(union, graph) == evaluate_cq(query, saturate(graph, schema))
+
+
+def assert_memos_match_fresh_probes(estimator: CardinalityEstimator) -> int:
+    """Every entry a long-lived estimator and its table statistics hold
+    for the current version — atom statistics, operand summaries and
+    their conjunct estimates, pattern and distinct counts — equals what
+    is computed from a probe of the table as it is now.
+
+    The fresh side is an estimator over a new database object around the
+    same table and schema, so none of its statistics are carried.
+    Returns how many entries were compared.
+    """
+    database, table = estimator.database, estimator.database.table
+    memo = estimator._current()
+    counts = database.statistics._current()
+    fresh = CardinalityEstimator(RDFDatabase(schema=database.schema, table=table))
+    for atom, entry in list(memo.atoms.items()):
+        assert entry == fresh._atom_entry(fresh._current(), atom), atom
+    for operand, summary, patterns in list(memo.operands.values()):
+        assert summary == fresh.operand_summary(operand), operand.name
+        assert patterns == {fresh.atom_pattern(atom) for cq in operand for atom in cq.body}
+    fresh_cqs = fresh._current().cqs
+    for key, entry in list(memo.cqs.items()):
+        if key in fresh_cqs:  # the conjuncts of the operands just summarized
+            assert entry == fresh_cqs[key], key
+    for pattern, count in list(counts.patterns.items()):
+        assert count == table.match_count(pattern), pattern
+    for (pattern, position), distinct in list(counts.distincts.items()):
+        assert distinct == table.distinct_count(pattern, position), (pattern, position)
+    return len(memo.atoms) + len(memo.operands) + len(counts.patterns) + len(counts.distincts)

@@ -12,20 +12,32 @@ here:
 * a value computed under data version *n* is never stored into the
   memos of version *n + 1* (the clear-then-stale-write race);
 * an ``IdRange`` atom is counted by ``match_range_count`` through the
-  same per-atom path as every other atom.
+  same per-atom path as every other atom;
+* across writes, the record a write's successor rule carries holds
+  exactly what fresh probes return, and a pattern no new row matches is
+  not probed again.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import assert_memos_match_fresh_probes
 from repro.cost import CardinalityEstimator, CostModel
-from repro.datasets import build_lubm_database, lubm_workload, motivating_q1
+from repro.datasets import (
+    build_lubm_database,
+    department_uri,
+    lubm_workload,
+    motivating_q1,
+    ub,
+)
 from repro.query import BGPQuery, JUCQ, UCQ
-from repro.rdf import RDF_TYPE, Triple, URI, Variable
+from repro.rdf import RDF_TYPE, Literal, Triple, URI, Variable
 from repro.rdf.terms import IdRange
 from repro.reasoning import interval_encode_database
 from repro.reformulation import enumerate_covers
@@ -200,7 +212,7 @@ def test_a_value_computed_under_the_old_epoch_is_not_served_under_the_new(monkey
 def test_id_range_atoms_are_counted_by_range_scan_on_the_shared_atom_path(
     lubm_db, monkeypatch
 ):
-    encoding, store, _base_keys, _remap = interval_encode_database(lubm_db)
+    encoding, store, _base_version, _remap = interval_encode_database(lubm_db)
     x = Variable("x")
     professor = URI("http://swat.cse.lehigh.edu/onto/univ-bench.owl#Professor")
     plan = interval_reformulate(
@@ -230,3 +242,132 @@ def test_id_range_atoms_are_counted_by_range_scan_on_the_shared_atom_path(
     )
     assert estimator.atom_distinct(atom, x) >= len({int(s) for s in rows[:, 0]})
     assert len(calls) == len(ranged)
+
+
+STUDENT_KINDS = ("GraduateStudent", "UndergraduateStudent", "TeachingAssistant")
+
+
+def student_batch(rng: random.Random, step: int, department: URI):
+    """A churn-style write: four new students, five facts each."""
+    triples = []
+    for index in range(4):
+        student = URI(f"http://www.univ0.edu/carried/student{step}_{index}")
+        home = f"http://www.univ0.edu/dept{rng.randrange(4)}/"
+        triples += [
+            Triple(student, RDF_TYPE, ub(rng.choice(STUDENT_KINDS))),
+            Triple(student, ub("memberOf"), department),
+            Triple(student, ub("name"), Literal(f"Carried{step}.{index}")),
+            Triple(student, ub("takesCourse"), URI(f"{home}gradcourse{rng.randrange(8)}")),
+            Triple(URI(f"{home}pub{rng.randrange(40)}"), ub("publicationAuthor"), student),
+        ]
+    return triples
+
+
+def test_carried_records_equal_fresh_probes_after_seeded_writes():
+    """A long-lived estimator across writes: after each one, every entry
+    of its record and of its table statistics' record is what a fresh
+    probe returns, and every operand is priced like a fresh estimator
+    prices it.  The workload's fragments, an ``IdRange`` atom, and an
+    atom whose constant is stored only by the fourth write are asked
+    before and after every write."""
+    rng = random.Random(29)
+    database = build_lubm_database(universities=1, seed=0)
+    estimator = CardinalityEstimator(database)
+    reformulator = Reformulator(database.schema, limit=TERM_LIMIT)
+    operands = []
+    for entry in lubm_workload():
+        if len(entry.query.body) <= MAX_ATOMS:
+            try:
+                operands.append(reformulator.reformulate(entry.query))
+            except ReformulationLimitExceeded:
+                continue
+    assert len(operands) > 10
+    x = Variable("x")
+    codes = [database.dictionary.lookup(ub(kind)) for kind in STUDENT_KINDS]
+    newcomer = URI("http://www.univ0.edu/carried/department")
+    atoms = [
+        Triple(x, RDF_TYPE, IdRange(min(codes), max(codes) + 1)),
+        Triple(x, ub("memberOf"), newcomer),
+    ]
+    assert estimator.atom_pattern(atoms[1]) is None
+    operands += [UCQ([BGPQuery([x], [atom])]) for atom in atoms]
+    carried = Counter()
+    for step in range(8):
+        department = newcomer if step >= 3 else department_uri(0, step)
+        for operand in operands:
+            estimator.ucq_cardinality(operand)
+        held = len(estimator._memo.atoms), len(estimator._memo.operands)
+        database.load_facts(student_batch(rng, step, department))
+        memo = estimator._current()
+        carried.update(atoms=len(memo.atoms), operands=len(memo.operands))
+        assert len(memo.atoms) < held[0] and len(memo.operands) < held[1]
+        assert assert_memos_match_fresh_probes(estimator) > 0
+        fresh = CardinalityEstimator(RDFDatabase(schema=database.schema, table=database.table))
+        for operand in operands:
+            assert estimator.operand_summary(operand) == fresh.operand_summary(operand)
+    assert carried["atoms"] > 0 and carried["operands"] > 0
+    assert estimator.atom_count(atoms[1]) == 4 * 5
+    assert estimator.atom_count(atoms[0]) == database.table.match_range_count(
+        estimator.atom_pattern(atoms[0]), 2, min(codes), max(codes) + 1
+    )
+
+
+def test_a_write_reprobes_only_the_patterns_its_rows_match(monkeypatch):
+    """Counting probes: after a write to ``p``, the ``q`` atom's count
+    and distincts, the estimate of a conjunct over it and the summary of
+    an operand over it come from the carried records, so a regression to
+    dropping every entry on a write is caught."""
+    x, y = Variable("x"), Variable("y")
+    database = RDFDatabase()
+    database.load_facts(
+        [Triple(t(f"s{i}"), t("p"), t(f"o{i}")) for i in range(4)]
+        + [Triple(t("a"), t("q"), t("b"))]
+    )
+    table = database.table
+    probes = Counter()
+    for name in ("match_count", "distinct_count"):
+        real = getattr(table, name)
+
+        def counting(pattern, *rest, real=real, name=name):
+            probes[name, pattern] += 1
+            return real(pattern, *rest)
+
+        monkeypatch.setattr(table, name, counting)
+    estimator = CardinalityEstimator(database)
+    touched, untouched = Triple(x, t("p"), y), Triple(x, t("q"), y)
+    cqs = {atom: BGPQuery([x, y], [atom]) for atom in (touched, untouched)}
+    operands = {atom: UCQ([cq]) for atom, cq in cqs.items()}
+    both = UCQ(list(cqs.values()))
+    for atom, operand in operands.items():
+        estimator.atom_count(atom)
+        estimator.atom_distinct(atom, x)
+        estimator.operand_summary(operand)
+    p, q = (database.dictionary.lookup(t(name)) for name in "pq")
+    assert probes[("match_count", (None, q, None))] == 1
+    probes.clear()
+    summarized, estimated = [], []
+    real_summarize, real_estimate = estimator._summarize, estimator._estimate_cq
+
+    def summarize(memo, ucq):
+        summarized.append(ucq)
+        return real_summarize(memo, ucq)
+
+    def estimate(cq, atoms):
+        estimated.append(cq)
+        return real_estimate(cq, atoms)
+
+    monkeypatch.setattr(estimator, "_summarize", summarize)
+    monkeypatch.setattr(estimator, "_estimate_cq", estimate)
+    database.load_facts([Triple(t("s9"), t("p"), t("o9"))])
+    assert estimator.atom_count(untouched) == 1
+    assert estimator.atom_distinct(untouched, x) == 1
+    assert estimator.operand_summary(operands[untouched]).cardinality == 1
+    assert database.statistics.pattern_count((None, q, None)) == 1
+    assert estimator.atom_count(touched) == 5
+    assert estimator.atom_distinct(touched, y) == 5
+    assert estimator.operand_summary(operands[touched]).cardinality == 5
+    assert estimator.operand_summary(both).cardinality == 6
+    assert {pattern for _name, pattern in probes} == {(None, p, None)}
+    assert summarized == [operands[touched], both]
+    assert estimated == [cqs[touched]]
+    assert assert_memos_match_fresh_probes(estimator) > 0

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import make_answerer
+from oracle import assert_memos_match_fresh_probes, make_answerer
 from repro.answering import STRATEGIES
 from repro.cache import QueryCache
 from repro.datasets import build_lubm_database, department_uri, ub, university_uri
@@ -147,18 +147,79 @@ def test_held_state_is_only_a_shortcut():
     database = build_lubm_database(universities=1, seed=0)
     old_saturated = saturate_database(database)
     old_interval = interval_encode_database(database)
-    for step in range(3):
+    for step in range(2):
         database.load_facts(write_batch(rng, step))
     recent_saturated = saturate_database(database, old_saturated)
     database.load_facts(write_batch(rng, "last"))
+    version = database.snapshot().data
+    assert old_saturated.base_version == version - 3
+    assert recent_saturated.base_version == version - 1
     scratch = saturate_database(database).database
-    assert_same_indexes(saturate_database(database, old_saturated).database, scratch)
-    assert_same_indexes(saturate_database(database, recent_saturated).database, scratch)
+    for held in (old_saturated, recent_saturated, old_saturated):
+        maintained = saturate_database(database, held)
+        assert maintained.base_version == version
+        assert_same_indexes(maintained.database, scratch)
     assert len(old_saturated.database) < len(recent_saturated.database) < len(scratch)
     maintained = interval_encode_database(database, held=old_interval)
     assert maintained.encoding is old_interval.encoding
+    assert maintained.base_version == version
     assert_same_indexes(maintained.database, interval_encode_database(database).database)
     assert len(maintained.remap) == len(database.dictionary)
+
+
+def test_an_older_derivation_never_replaces_a_newer_one(monkeypatch):
+    """Two derivations finish out of order: the reader that derived at
+    version v finishes after a reader at v + 1 has published.  The newer
+    store and engine stay published, the older reader is handed its
+    own, and the next reader at v + 1 derives nothing."""
+    import threading
+
+    import repro.reasoning.litemat as litemat
+    from repro.answering.strategies import strategy_named
+
+    rng = random.Random(5)
+    database = build_lubm_database(universities=1, seed=0)
+    answerer = make_answerer(database)
+    assigner = answerer.interval_assigner
+    real = litemat.interval_encode_database
+    derived, resume, built = threading.Event(), threading.Event(), []
+
+    def paced(database, held=None):
+        store = real(database, held=held)
+        built.append(store.base_version)
+        if threading.current_thread() is reader:
+            derived.set()
+            assert resume.wait(30)
+        return store
+
+    monkeypatch.setattr(litemat, "interval_encode_database", paced)
+    older = []
+    reader = threading.Thread(target=lambda: older.append(assigner.current(database)))
+    before = database.snapshot()
+    reader.start()
+    assert derived.wait(30)
+    database.load_facts(write_batch(rng, "newer"))
+    _encoding, newer_store, newer_at = assigner.current(database)
+    resume.set()
+    reader.join(30)
+    (_encoding, older_store, older_at), = older
+    assert older_at == before and newer_at.data > before.data
+    assert len(older_store) < len(newer_store)
+    assert assigner._published[0] == newer_at
+    assert assigner.current(database)[1] is newer_store
+    assert built == [before.data, newer_at.data]
+
+    # The engines over the stores: a reader resolved before a write asks
+    # for its engine after the newer one is published.
+    for strategy in ("saturation", "litemat"):
+        row = strategy_named(strategy)
+        stale = answerer._resolve(row)
+        database.load_facts(write_batch(rng, f"again-{strategy}"))
+        newer_engine = answerer.engine_for(strategy)
+        own = answerer._engine_over(row, stale)
+        assert own is not newer_engine
+        assert answerer._derived[strategy][0] == database.snapshot()
+        assert answerer.engine_for(strategy) is newer_engine
 
 
 def test_readers_beside_a_writer_only_ever_see_more():
@@ -166,7 +227,9 @@ def test_readers_beside_a_writer_only_ever_see_more():
     than cores, short switch interval): the held state is swapped under
     the locks and every table read slices the index it searched, so no
     reader fails, none sees an answer set shrink or leave the bounds
-    [before the writes, after them], and the last read is exact."""
+    [before the writes, after them], and the last read is exact.  The
+    statistics the answerer's estimator carried through the writes then
+    equal fresh probes."""
     readers_beside_a_writer(make_answerer(build_lubm_database(universities=1, seed=0)))
 
 
@@ -232,3 +295,5 @@ def readers_beside_a_writer(answerer):
     expected = oracle_answers(database)[persons.name]
     assert len(results) == len(readers)
     assert all(seen == expected for seen in results.values())
+    # What the estimator carried through the writes is what a probe reads.
+    assert assert_memos_match_fresh_probes(answerer.cost_model.estimator) > 0

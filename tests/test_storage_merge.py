@@ -3,7 +3,9 @@
 The reference is what ``freeze`` used to do — ``np.unique`` of every
 row's composite key, per permutation, rebuilt from nothing — so the
 sorted merge (DESIGN.md §20) is pinned to it for every interleaving of
-the three buffering calls and ``freeze``.
+the three buffering calls and ``freeze``.  The merge log behind
+``TripleTable.changes`` is pinned the same way, to the difference of
+two observed ``spo`` indexes.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Triple, URI
 from repro.storage import Dictionary, TripleTable
-from repro.storage.triple_table import PERMUTATIONS
+from repro.storage.triple_table import PERMUTATIONS, keys_absent_from
 
 TERMS = [URI(f"http://merge/t{i}") for i in range(6)]
 BITS = 4
@@ -96,6 +98,63 @@ def test_any_write_history_yields_the_from_scratch_indexes(operations):
     assert table.version == version
     assert_matches(table, rows)
     assert table.version == version  # reading bumps nothing
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(operation, max_size=12))
+def test_changes_since_any_observed_version_are_the_index_difference(operations):
+    table = fresh_table()
+    observed = {}
+    for kind, batch_rows in [("freeze", [])] + operations:
+        apply(table, kind, batch_rows)
+        if kind != "freeze":
+            continue
+        version, spo = table.version, table.index("spo")
+        observed[version] = spo
+        whole, reached = table.changes(None)
+        assert reached == version and np.array_equal(whole, spo)
+        for since, held in observed.items():
+            keys, reached = table.changes(since)
+            assert reached == version
+            assert np.array_equal(keys, keys_absent_from(spo, held)), (since, version)
+
+
+def test_a_freeze_of_stored_rows_logs_nothing_and_keeps_the_version():
+    table = fresh_table()
+    table.add_encoded([(0, 1, 2)])
+    table.freeze()
+    table.add_encoded([(1, 2, 3), (2, 3, 4)])
+    table.freeze()
+    version, logged = table.version, len(table._log)
+    table.add_encoded([(0, 1, 2), (2, 3, 4), (2, 3, 4)])
+    table.add_block(np.array([[1, 2, 3]], dtype=np.int64))
+    table.freeze()
+    assert table.version == version
+    assert len(table._log) == logged == 1
+    keys, reached = table.changes(version)
+    assert reached == version and keys.size == 0
+    keys, reached = table.changes(version - 1)
+    assert table.decode_keys(keys).tolist() == [[1, 2, 3], [2, 3, 4]]
+
+
+def test_a_copy_starts_its_own_log():
+    table = fresh_table()
+    table.add_encoded([(0, 1, 2)])
+    table.freeze()
+    table.add_encoded([(1, 2, 3)])
+    table.freeze()
+    fork = table.copy()
+    assert fork.version == 0 and fork.changes(0)[0].size == 0
+    fork.add_encoded([(3, 4, 5), (1, 2, 3)])
+    keys, reached = fork.changes(0)
+    assert reached == 1 and fork.decode_keys(keys).tolist() == [[3, 4, 5]]
+    whole, _ = fork.changes(None)
+    assert fork.decode_keys(whole).tolist() == [[0, 1, 2], [1, 2, 3], [3, 4, 5]]
+    # The original's log is untouched by the fork's write.
+    keys, reached = table.changes(1)
+    assert reached == 2 and table.decode_keys(keys).tolist() == [[1, 2, 3]]
+    with pytest.raises(ValueError):
+        table.changes(0)  # before the first build: not in the log
 
 
 @settings(max_examples=60, deadline=None)
