@@ -6,9 +6,10 @@ the strategies of :mod:`repro.answering.strategies` (one table row
 each: how the query is rewritten, which store the plan runs on), hands
 it to an evaluation engine, and reports both the answers and the time
 split between optimization and evaluation.  :meth:`QueryAnswerer.answer`
-is the pipeline, in stages: start the budget → resolve the derived
-store → plan through the cache → verify → union budget → the engine over
-that store → evaluate → report.  No stage compares strategy names.
+is the pipeline, in stages: start the budget and take the snapshot →
+resolve the store → plan through the cache → verify → union budget → the
+engine over that store → evaluate → report.  No stage compares strategy
+names, and every stage reads the one snapshot taken at the door.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class QueryAnswerer:
         #: mutation, extended on data mutation); the reformulator
         #: memoizes interval plans per encoding.
         self.interval_assigner = IntervalAssigner()
-        self.interval_reformulator = IntervalReformulator(database.schema)
+        self.interval_reformulator = IntervalReformulator()
         self.cache = cache
         if cache is not None:
             cache.register("reformulation", self.reformulator.cache)
@@ -162,12 +163,13 @@ class QueryAnswerer:
         self.resilience_metrics = MetricsRecorder()
         self._breaker: Optional[CircuitBreaker] = None
         #: Engines over the derived stores, built through
-        #: ``engine.for_database``: strategy -> (snapshot the store was
-        #: derived at, engine).  The answerer owns them (see ``close``).
-        self._derived: Dict[str, Tuple[Snapshot, Engine]] = {}
-        #: ``(snapshot, saturated store)`` as derived last: the state the
-        #: next write's re-saturation starts from.
-        self._saturated: Optional[Tuple[Snapshot, Saturated]] = None
+        #: ``engine.for_database``: strategy -> (key of the snapshot the
+        #: store was derived at, engine).  The answerer owns them (see
+        #: ``close``).
+        self._derived: Dict[str, Tuple[Tuple[str, int], Engine]] = {}
+        #: ``(snapshot key, saturated store)`` as derived last: the state
+        #: the next write's re-saturation starts from.
+        self._saturated: Optional[Tuple[Tuple[str, int], Saturated]] = None
         #: strategy -> its (optimize, evaluate) latency histograms.
         self._latency: Dict[str, Tuple[Histogram, Histogram]] = {}
         #: Guards the lazily-built shared members (derived engines,
@@ -275,7 +277,7 @@ class QueryAnswerer:
             query,
             NULL_TRACER if tracer is None else tracer,
             budget,
-            self._resolve(row),
+            self._resolve(row, self.database.snapshot()),
         )
         if self.verify_ir:
             self._verify(query, planned, search)
@@ -299,14 +301,13 @@ class QueryAnswerer:
         query: BGPQuery,
         tracer,
         budget: ExecutionBudget,
-        derived: Optional[Derived],
+        derived: Derived,
     ):
         """Plan-cache wrapper around :meth:`Strategy.plan` (DESIGN.md §9).
 
-        Entries are keyed by (query fingerprint, strategy, snapshot),
-        the snapshot taken once before planning — the derived store's
-        when the plan runs on one — so any schema or data mutation
-        makes a fresh key and stale plans are never served.  Planning
+        Entries are keyed by (query fingerprint, strategy, snapshot key),
+        the key of the snapshot the plan is built from, so any schema or
+        data mutation makes a fresh key and stale plans are never served.  Planning
         *failures* (reformulation-limit overruns, infeasible cover
         searches) are memoized too and re-raised on warm hits, so a
         query that cannot be planned fails fast on every retry — stored
@@ -322,8 +323,7 @@ class QueryAnswerer:
         """
         if self.cache is None or row.rewrite is None:
             return row.plan(self, query, tracer, budget, derived)
-        snapshot = self.database.snapshot() if derived is None else derived.snapshot
-        key = self.cache.plan_key(snapshot, query, row.name)
+        key = self.cache.plan_key(derived.snapshot, query, row.name)
         plans = self.cache.plans
         entry = plans.get(key, MISSING)
         if entry is not MISSING:
@@ -364,6 +364,10 @@ class QueryAnswerer:
         generated SQL — is asserted by the IR verifier before evaluation
         starts.
 
+        State: the database's snapshot is taken here, once, and every
+        stage reads it, so the answers are those of that state whatever
+        writes or schema edits land while the call runs (DESIGN.md §9).
+
         Limits: ``budget`` (:class:`~repro.resilience.ExecutionBudget`,
         unlimited by default) is started here unless the caller already
         started it, and the one started budget threads the *same*
@@ -377,6 +381,7 @@ class QueryAnswerer:
         """
         tracer = NULL_TRACER if tracer is None else tracer
         budget = budget.start()
+        snapshot = self.database.snapshot()
         row = strategy_named(strategy)
         if record_accuracy is None:
             record_accuracy = tracer.enabled
@@ -386,7 +391,7 @@ class QueryAnswerer:
         with tracer.span("answer", query=query.name, strategy=strategy) as root:
             start = time.perf_counter()
             with tracer.span("plan", strategy=strategy):
-                derived = self._resolve(row)
+                derived = self._resolve(row, snapshot)
                 planned, search = self._plan_cached(row, query, tracer, budget, derived)
             if self.verify_ir:
                 with tracer.span("verify-ir"):
@@ -402,8 +407,13 @@ class QueryAnswerer:
             engine = self._engine_over(row, derived)
             start = time.perf_counter()
             with tracer.span("evaluate", engine=engine.name) as eval_span:
+                # A derived store is never written: its engine reads it as is.
                 answers = engine.evaluate(
-                    planned, tracer=tracer, metrics=metrics, budget=budget
+                    planned,
+                    tracer=tracer,
+                    metrics=metrics,
+                    budget=budget,
+                    snapshot=snapshot if row.store is None else None,
                 )
                 eval_span.set(answers=len(answers))
             evaluation_s = time.perf_counter() - start
@@ -432,7 +442,7 @@ class QueryAnswerer:
         # a derived one has no meaningful prediction to compare.
         if record_accuracy and row.store is None:
             predicted_cost, predicted_rows = self._record_accuracy(
-                accuracy, query, planned, metrics, evaluation_s, len(answers)
+                accuracy, query, planned, metrics, evaluation_s, len(answers), snapshot
             )
             for sample in accuracy.records:
                 tracer.record("accuracy", sample.to_dict())
@@ -652,12 +662,13 @@ class QueryAnswerer:
         metrics: MetricsRecorder,
         evaluation_s: float,
         answer_count: int,
+        snapshot: Snapshot,
     ):
         """Sample predicted-vs-observed for the query and its operands
         (base-store strategies only: see the caller)."""
-        estimator = self.cost_model.estimator
-        predicted_cost = self.cost_model.cost(planned)
-        predicted_rows = estimator.estimate(planned)
+        estimator, view = self.cost_model.estimator, snapshot.table
+        predicted_cost = self.cost_model.cost(planned, view)
+        predicted_rows = estimator.estimate(planned, view)
         accuracy.record(
             query.name,
             predicted_cost=predicted_cost,
@@ -673,11 +684,11 @@ class QueryAnswerer:
             for index, operand in enumerate(planned):
                 accuracy.record(
                     f"{query.name}.operand[{index}]",
-                    predicted_cost=self.cost_model.ucq_eval_cost(operand),
+                    predicted_cost=self.cost_model.ucq_eval_cost(operand, view),
                     observed_s=(
                         operand_s[index] if index < len(operand_s) else 0.0
                     ),
-                    predicted_rows=estimator.ucq_cardinality(operand),
+                    predicted_rows=estimator.ucq_cardinality(operand, view),
                     observed_rows=operand_rows[index],
                 )
         return predicted_cost, predicted_rows
@@ -686,21 +697,24 @@ class QueryAnswerer:
         """The engine a strategy's plan runs on: the answerer's own, or
         a sibling over the strategy's derived store (kept current)."""
         row = strategy_named(strategy)
-        return self._engine_over(row, self._resolve(row))
+        return self._engine_over(row, self._resolve(row, self.database.snapshot()))
 
-    def _resolve(self, row: Strategy) -> Optional[Derived]:
-        """The row's derived store as of now (None: the base store)."""
-        return None if row.store is None else row.store(self)
+    def _resolve(self, row: Strategy, snapshot: Snapshot) -> Derived:
+        """The store the row's plan runs on, at ``snapshot``."""
+        return Derived(snapshot) if row.store is None else row.store(self, snapshot)
 
     def _saturate(self, snapshot: Snapshot) -> RDFDatabase:
-        """The saturated store; while the schema stands, the one derived
-        last is handed back in and only extended (DESIGN.md §20)."""
+        """The saturated store at ``snapshot``; while the schema stands,
+        the one derived last, when not newer, is handed back in and only
+        extended (DESIGN.md §20)."""
         held = self._saturated
+        fingerprint, version = snapshot.key
+        if held is not None and (held[0][0] != fingerprint or held[0][1] > version):
+            held = None
         saturated = saturate_database(
-            self.database,
-            held[1] if held is not None and held[0].schema == snapshot.schema else None,
+            self.database, None if held is None else held[1], snapshot
         )
-        self._saturated = (snapshot, saturated)  # lock: held by _engine_over
+        self._saturated = (snapshot.key, saturated)  # lock: held by _engine_over
         return saturated.database
 
     def _engine_over(self, row: Strategy, derived: Optional[Derived]) -> Engine:
@@ -715,14 +729,15 @@ class QueryAnswerer:
         reader whose snapshot is older than the held engine's gets an
         engine of its own, unpublished, and the newer one stays.
         """
-        if derived is None:
+        if row.store is None:
             return self.engine
+        key = derived.snapshot.key
         with self._lock:
             held = self._derived.get(row.name)
-            if held is not None and held[0].data > derived.snapshot.data:
+            if held is not None and held[0][1] > key[1]:
                 return self.engine.for_database(derived.build())
-            if held is None or held[0] != derived.snapshot:
-                held = (derived.snapshot, self.engine.for_database(derived.build()))
+            if held is None or held[0] != key:
+                held = (key, self.engine.for_database(derived.build()))
                 self._derived[row.name] = held
             return held[1]
 

@@ -14,11 +14,11 @@ derived from them:
     plan-cache, no union-term budget to check and
     ``reformulation_terms`` is 0.
 ``store``
-    ``None`` for the base database; otherwise ``answerer ->``
-    :class:`Derived`: the store as resolved once per answer, so the
-    plan and the engine it runs on see the same one.  The cost model is
-    bound to the base store, so a plan that runs elsewhere yields no
-    accuracy sample.
+    ``None`` for the base database; otherwise ``(answerer, snapshot) ->``
+    :class:`Derived`: the store at the answer's snapshot, resolved once
+    per answer, so the plan and the engine it runs on see the same one.
+    The cost model is bound to the base store, so a plan that runs
+    elsewhere yields no accuracy sample.
 
 The rows, in the order ``STRATEGIES`` and the CLI list them:
 
@@ -37,6 +37,7 @@ An eighth strategy is one more row here plus its rewrite function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..optimizer.ecov import ecov
@@ -56,24 +57,23 @@ if TYPE_CHECKING:
 
 
 class Derived(NamedTuple):
-    """A strategy's derived store, resolved once for one answer."""
+    """The store a strategy's plan runs on, resolved once for one answer."""
 
-    #: The base snapshot the store is current at: the key of the engine
-    #: over it and of every plan cached for it.
+    #: The base snapshot the answer reads and the store is current at:
+    #: its key keys the engine over the store and every plan cached for it.
     snapshot: Snapshot
-    #: Returns the store; called only when the engine over it is rebuilt.
-    build: Callable[[], RDFDatabase]
+    #: Returns a derived store; called only when the engine over it is
+    #: rebuilt.  None for the base database.
+    build: Optional[Callable[[], RDFDatabase]] = None
     #: The interval encoding a ``litemat`` plan must embed.
     encoding: Optional[IntervalEncoding] = None
 
 
 Planned = Tuple[Any, Optional[CoverSearchResult]]
 #: ``(answerer, query, search trace or None, budget, derived)`` -> the rewriting.
-Chooser = Callable[
-    ["QueryAnswerer", BGPQuery, Optional[list], Any, Optional[Derived]], Planned
-]
-Rewrite = Callable[["QueryAnswerer", BGPQuery, Any, Any, Optional[Derived]], Planned]
-Store = Callable[["QueryAnswerer"], Derived]
+Chooser = Callable[["QueryAnswerer", BGPQuery, Optional[list], Any, Derived], Planned]
+Rewrite = Callable[["QueryAnswerer", BGPQuery, Any, Any, Derived], Planned]
+Store = Callable[["QueryAnswerer", Snapshot], Derived]
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class Strategy:
         query: BGPQuery,
         tracer,
         budget,
-        derived: Optional[Derived],
+        derived: Derived,
     ) -> Planned:
         """``(planned query, search result or None)`` for ``query``."""
         if self.rewrite is None:
@@ -103,9 +103,10 @@ def _fixed(cover_of: Callable[[BGPQuery], Cover]) -> Chooser:
 
     def choose(answerer, query, trace, budget, derived) -> Planned:
         cover = cover_of(query)
+        reformulator = answerer.reformulator.at(derived.snapshot.schema)
         if len(cover) == 1:  # the query is its own cover query
-            return ucq_as_jucq(answerer.reformulator.reformulate(query)), None
-        return jucq_for_cover(query, cover, answerer.reformulator), None
+            return ucq_as_jucq(reformulator.reformulate(query)), None
+        return jucq_for_cover(query, cover, reformulator), None
 
     return choose
 
@@ -113,8 +114,8 @@ def _fixed(cover_of: Callable[[BGPQuery], Cover]) -> Chooser:
 def _ecov(answerer, query, trace, budget, derived) -> Planned:
     result = ecov(
         query,
-        answerer.reformulator,
-        answerer.cost_model.cost,
+        answerer.reformulator.at(derived.snapshot.schema),
+        partial(answerer.cost_model.cost, view=derived.snapshot.table),
         max_covers=answerer.ecov_max_covers,
         trace=trace,
         budget=budget,
@@ -125,8 +126,8 @@ def _ecov(answerer, query, trace, budget, derived) -> Planned:
 def _gcov(answerer, query, trace, budget, derived) -> Planned:
     result = gcov(
         query,
-        answerer.reformulator,
-        answerer.cost_model.cost,
+        answerer.reformulator.at(derived.snapshot.schema),
+        partial(answerer.cost_model.cost, view=derived.snapshot.table),
         trace=trace,
         budget=budget,
     )
@@ -138,9 +139,10 @@ def _intervals(answerer, query, trace, budget, derived) -> Planned:
     return ucq_as_jucq(reformulated), None
 
 
-def _prune(answerer, planned: JUCQ, tracer) -> JUCQ:
+def _prune(answerer, planned: JUCQ, tracer, derived: Derived) -> JUCQ:
     with tracer.span("prune") as span:
-        pruned = prune_jucq(planned, answerer.cost_model.estimator)
+        view = derived.snapshot.table
+        pruned = prune_jucq(planned, answerer.cost_model.estimator, view)
         span.set(union_terms=pruned.total_union_terms())
     return pruned
 
@@ -149,7 +151,7 @@ def _rewriting(
     name: str,
     choose: Chooser,
     searches: bool = False,
-    post: Optional[Callable[["QueryAnswerer", JUCQ, Any], JUCQ]] = None,
+    post: Optional[Callable[["QueryAnswerer", JUCQ, Any, Derived], JUCQ]] = None,
     store: Optional[Store] = None,
 ) -> Strategy:
     """A row whose ``rewrite`` is the one body every rewriting strategy
@@ -182,19 +184,20 @@ def _rewriting(
                 },
             )
         if post is not None:
-            planned = post(answerer, planned, tracer)
+            planned = post(answerer, planned, tracer, derived)
         return planned, search
 
     return Strategy(name, rewrite, store)
 
 
-def _saturated_store(answerer) -> Derived:
-    snapshot = answerer.database.snapshot()
+def _saturated_store(answerer, snapshot: Snapshot) -> Derived:
     return Derived(snapshot, lambda: answerer._saturate(snapshot))
 
 
-def _interval_store(answerer) -> Derived:
-    encoding, store, snapshot = answerer.interval_assigner.current(answerer.database)
+def _interval_store(answerer, snapshot: Snapshot) -> Derived:
+    encoding, store, snapshot = answerer.interval_assigner.current(
+        answerer.database, snapshot
+    )
     return Derived(snapshot, lambda: store, encoding)
 
 

@@ -75,11 +75,11 @@ class QueryCache:
     ) -> Tuple[Hashable, ...]:
         """The key of one planning request against one database state.
 
-        Both parts of the snapshot count: the schema decides the
+        Both parts of the snapshot's key count: the schema decides the
         reformulation, the data the statistics-driven choices (cover,
         pruned terms, join orders).
         """
-        return (query_fingerprint(query), strategy, snapshot)
+        return (query_fingerprint(query), strategy, snapshot.key)
 
     def get_plan(
         self, database: "RDFDatabase", query: "BGPQuery", strategy: str

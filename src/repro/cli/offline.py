@@ -69,7 +69,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     type_code = database.dictionary.lookup(RDF_TYPE)
     if type_code is not None:
         print("class histogram (explicit assertions):")
-        rows = database.table.match((None, type_code, None))
+        rows = database.snapshot().table.match((None, type_code, None))
         import numpy as np
 
         classes, counts = np.unique(rows[:, 2], return_counts=True)

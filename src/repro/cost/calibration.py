@@ -41,16 +41,17 @@ def _probe_queries(database: RDFDatabase, max_properties: int = 8):
     """Build the probe workload from the database's own properties."""
     from ..rdf.vocabulary import RDF_TYPE
 
-    table = database.table
+    view = database.snapshot().table
+    counts = database.statistics.at(view)
     dictionary = database.dictionary
     # Collect per-property counts; keep a spread of sizes.
     property_counts: List[Tuple[URI, int]] = []
     seen: set = set()
-    for _, p, _ in table.iter_matches((None, None, None)):
+    for _, p, _ in view.iter_matches((None, None, None)):
         if p in seen:
             continue
         seen.add(p)
-        count = database.statistics.pattern_count((None, p, None))
+        count = counts.pattern_count((None, p, None))
         term = dictionary.decode(p)
         if term != RDF_TYPE:
             property_counts.append((term, count))

@@ -16,9 +16,9 @@ of various subqueries of the JUCQ".  This module provides them:
   of operand results, with per-variable distinct counts approximated
   from the tightest atom-level distinct count mentioning the variable.
 
-Every level is memoized per table version, and a write carries the
-entries it cannot have moved into the next version's record
-(DESIGN.md §19).
+Every level is memoized per table version and computed from that
+version's view only, and a write carries the entries it cannot have
+moved into the next version's record (DESIGN.md §19).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..rdf.terms import IdRange, Triple, Variable
 from ..storage.database import RDFDatabase
-from ..storage.triple_table import Pattern, TripleTable
+from ..storage.triple_table import Pattern, TableView
 
 
 class AtomStatistics(NamedTuple):
@@ -72,16 +72,16 @@ AtomEntry = Tuple[AtomPattern, AtomStatistics]
 
 
 class _Memo:
-    """The per-atom, per-conjunct and per-operand memos of one data version.
+    """The per-atom, per-conjunct and per-operand memos of one table view.
 
     Every entry keeps the patterns of the atoms it was computed from, so
     the successor can tell which entries a write left as they were.
     """
 
-    __slots__ = ("version", "atoms", "cqs", "operands")
+    __slots__ = ("view", "atoms", "cqs", "operands")
 
-    def __init__(self, version: Optional[int]):
-        self.version = version
+    def __init__(self, view: TableView):
+        self.view = view
         self.atoms: Dict[Triple, AtomEntry] = {}
         #: canonical form → (estimate, the patterns of its atoms).
         self.cqs: Dict[Tuple, Tuple[float, Tuple[AtomPattern, ...]]] = {}
@@ -91,15 +91,15 @@ class _Memo:
         #: id cannot be recycled.
         self.operands: Dict[int, Tuple[UCQ, OperandSummary, Set[AtomPattern]]] = {}
 
-    def successor(self, table: TripleTable) -> "_Memo":
-        """The memo of the table's current version.
+    def successor(self, view: TableView) -> "_Memo":
+        """The memo of a newer view.
 
         An entry none of whose atoms a new row matches is carried; an
         atom whose constant was unknown may match now, so it is dropped
         with every conjunct and operand it occurs in.
         """
-        moved, version = table.changed_patterns(self.version, len(self.atoms))
-        after = _Memo(version)
+        moved, _ = view.changed_patterns(self.view.version, len(self.atoms))
+        after = _Memo(view)
         if moved is not None:
             # Filtered from copies: a computation still holding this
             # record may store into it meanwhile.
@@ -133,13 +133,15 @@ class CardinalityEstimator:
     every level is memoized: atoms by the atom, conjuncts by canonical
     form, operands by identity (the ``Reformulator`` memo hands a
     repeated fragment the *same* ``UCQ``).  The three memos live in one
-    record stamped with the table version it is current at (DESIGN.md
-    §19).  A computation captures the record once and writes only into
-    it; a new version swaps in a successor record by one reference
-    assignment.  So a worker that started under version *n* cannot
-    store into the memos of version *n + 1* (the clear-then-stale-write
-    race of a dictionary cleared in place), and the read path takes no
-    lock.  The successor keeps every atom, conjunct and operand entry
+    record per table view (DESIGN.md §19), and every estimate is of the
+    ``view`` it is asked at: the answerer hands in its snapshot's, and a
+    caller that passes none gets the database's current one, taken once
+    per call.  A computation captures the record once and writes only
+    into it; a newer view swaps in a successor record by one reference
+    assignment, and a view older than the published record gets an
+    unpublished record of its own.  So a count stored in a record is of
+    that record's version, and the read path takes no lock.  The
+    successor keeps every atom, conjunct and operand entry
     none of whose atoms' encoded patterns a row of the write matches
     (:meth:`TripleTable.changes` names the rows), so a write re-probes
     only the atoms it touched and re-estimates only what reads them.
@@ -153,14 +155,17 @@ class CardinalityEstimator:
 
     def __init__(self, database: RDFDatabase):
         self.database = database
-        self._memo = _Memo(None)
+        self._memo = _Memo(database.table.view)
 
-    def _current(self) -> _Memo:
-        """The memo record of the current data version."""
+    def _current(self, view: Optional[TableView]) -> _Memo:
+        """The memo record of ``view`` (None: the database's current one)."""
+        if view is None:
+            view = self.database.snapshot().table
         memo = self._memo
-        version = self.database.snapshot().data
-        if memo.version is None or memo.version < version:
-            memo = self._memo = memo.successor(self.database.table)
+        if memo.view.version < view.version:
+            memo = self._memo = memo.successor(view)
+        elif memo.view is not view:
+            memo = _Memo(view)
         return memo
 
     # ------------------------------------------------------------------
@@ -195,12 +200,12 @@ class CardinalityEstimator:
         if pattern is None:
             result = AtomStatistics(0, dict.fromkeys(atom.variables(), 0))
         else:
-            statistics = self.database.statistics
+            statistics = self.database.statistics.at(memo.view)
             count: Optional[int] = None
             distinct = dict.fromkeys(atom.variables())
             for position, term in enumerate(atom):
                 if isinstance(term, IdRange):
-                    count = self.database.table.match_range_count(
+                    count = memo.view.match_range_count(
                         pattern, position, term.lo, term.hi
                     )
                 elif isinstance(term, Variable):
@@ -217,24 +222,24 @@ class CardinalityEstimator:
     def _body(self, memo: _Memo, cq: BGPQuery) -> List[AtomEntry]:
         return [self._atom_entry(memo, atom) for atom in cq.body]
 
-    def atom_count(self, atom: Triple) -> int:
+    def atom_count(self, atom: Triple, view: Optional[TableView] = None) -> int:
         """Exact number of stored triples matching the atom."""
-        return self._atom_entry(self._current(), atom)[1].count
+        return self._atom_entry(self._current(view), atom)[1].count
 
     def atom_distinct(self, atom: Triple, variable: Variable) -> int:
         """Exact distinct values the variable takes among the atom's matches."""
-        distinct = self._atom_entry(self._current(), atom)[1].distinct
+        distinct = self._atom_entry(self._current(None), atom)[1].distinct
         return distinct.get(variable, 0)
 
     # ------------------------------------------------------------------
     # Conjunctive queries
     # ------------------------------------------------------------------
-    def cq_cardinality(self, cq: BGPQuery) -> float:
+    def cq_cardinality(self, cq: BGPQuery, view: Optional[TableView] = None) -> float:
         """Estimated answer count of one conjunct (before head projection cap).
 
-        Memoized per canonical conjunct form, for the current data version.
+        Memoized per canonical conjunct form and table version.
         """
-        memo = self._current()
+        memo = self._current(view)
         return self._cq_entry(memo, cq, self._body(memo, cq))[0]
 
     def _cq_entry(
@@ -271,20 +276,23 @@ class CardinalityEstimator:
         # stays 1.0: at most one distinct answer row under set semantics.
         return max(min(estimate, cap), 0.0)
 
-    def cq_scan_size(self, cq: BGPQuery) -> int:
+    def cq_scan_size(self, cq: BGPQuery, view: Optional[TableView] = None) -> int:
         """Σ over atoms of their exact match counts (the scan volume)."""
-        return sum(statistics.count for _, statistics in self._body(self._current(), cq))
+        body = self._body(self._current(view), cq)
+        return sum(statistics.count for _, statistics in body)
 
     # ------------------------------------------------------------------
     # Unions and joins of unions
     # ------------------------------------------------------------------
-    def operand_summary(self, ucq: UCQ) -> OperandSummary:
+    def operand_summary(
+        self, ucq: UCQ, view: Optional[TableView] = None
+    ) -> OperandSummary:
         """Scan volume, cardinality and head-variable distincts of one operand.
 
         Computed in one pass over the terms, once per distinct operand
-        object and data version; every UCQ-level question reads it.
+        object and table version; every UCQ-level question reads it.
         """
-        memo = self._current()
+        memo = self._current(view)
         entry = memo.operands.get(id(ucq))
         if entry is None or entry[0] is not ucq:
             entry = memo.operands[id(ucq)] = (ucq, *self._summarize(memo, ucq))
@@ -327,17 +335,13 @@ class CardinalityEstimator:
         )
         return summary, patterns
 
-    def ucq_cardinality(self, ucq: UCQ) -> float:
+    def ucq_cardinality(self, ucq: UCQ, view: Optional[TableView] = None) -> float:
         """Sum of the conjunct estimates (overlap between terms ignored)."""
-        return self.operand_summary(ucq).cardinality
+        return self.operand_summary(ucq, view).cardinality
 
     def ucq_scan_size(self, ucq: UCQ) -> int:
         """Total scan volume over all union terms (drives c_scan/c_join)."""
         return self.operand_summary(ucq).scan_size
-
-    def ucq_distinct(self, ucq: UCQ, variable: Variable) -> float:
-        """Distinct-count proxy for a head variable of a UCQ operand."""
-        return dict(self.operand_summary(ucq).distinct)[variable]
 
     def join_cardinality(self, operands: Sequence[OperandSummary]) -> float:
         """Estimated size of the natural join of summarized operands."""
@@ -352,16 +356,16 @@ class CardinalityEstimator:
                 occurrences.setdefault(variable, []).append(distinct)
         return max(_join_selectivity(estimate, occurrences), 0.0)
 
-    def jucq_cardinality(self, jucq: JUCQ) -> float:
+    def jucq_cardinality(self, jucq: JUCQ, view: Optional[TableView] = None) -> float:
         """Estimated final result size of a JUCQ (join of operand results)."""
-        return self.join_cardinality([self.operand_summary(u) for u in jucq])
+        return self.join_cardinality([self.operand_summary(u, view) for u in jucq])
 
-    def estimate(self, query) -> float:
+    def estimate(self, query, view: Optional[TableView] = None) -> float:
         """Estimate any supported query form (dispatch by type)."""
         if isinstance(query, BGPQuery):
-            return self.cq_cardinality(query)
+            return self.cq_cardinality(query, view)
         if isinstance(query, UCQ):
-            return self.ucq_cardinality(query)
+            return self.ucq_cardinality(query, view)
         if isinstance(query, JUCQ):
-            return self.jucq_cardinality(query)
+            return self.jucq_cardinality(query, view)
         raise TypeError(f"cannot estimate {type(query).__name__}")

@@ -36,6 +36,7 @@ from typing import Dict, Optional, Tuple
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..storage.database import RDFDatabase
+from ..storage.triple_table import TableView
 from .cardinality import CardinalityEstimator
 
 
@@ -143,16 +144,16 @@ class CostModel:
         k = self.constants
         return (k.c_t + k.c_j) * scan_volume, self.unique_cost(result_size)
 
-    def ucq_eval_cost(self, ucq: UCQ) -> float:
+    def ucq_eval_cost(self, ucq: UCQ, view: Optional[TableView] = None) -> float:
         """(ii)+(iii): evaluate one UCQ operand and dedup its result."""
-        operand = self.estimator.operand_summary(ucq)
+        operand = self.estimator.operand_summary(ucq, view)
         scan_join, dedup = self._operand_cost(operand.scan_size, operand.cardinality)
         return scan_join + dedup
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def jucq_cost(self, jucq: JUCQ) -> CostBreakdown:
+    def jucq_cost(self, jucq: JUCQ, view: Optional[TableView] = None) -> CostBreakdown:
         """The full Section 4.1 cost of a JUCQ, itemized."""
         k = self.constants
         if self.max_operand_terms is not None and any(
@@ -160,7 +161,7 @@ class CostModel:
         ):
             return CostBreakdown(connection=float("inf"))
         breakdown = CostBreakdown(connection=k.c_db)
-        operands = [self.estimator.operand_summary(ucq) for ucq in jucq]
+        operands = [self.estimator.operand_summary(ucq, view) for ucq in jucq]
         for operand in operands:
             scan_join, dedup = self._operand_cost(operand.scan_size, operand.cardinality)
             breakdown.scan_join += scan_join
@@ -179,19 +180,20 @@ class CostModel:
             breakdown.final_dedup = self.unique_cost(final_size)
         return breakdown
 
-    def cost(self, query) -> float:
-        """Scalar estimated cost of a CQ, UCQ or JUCQ."""
+    def cost(self, query, view: Optional[TableView] = None) -> float:
+        """Scalar estimated cost of a CQ, UCQ or JUCQ, at ``view`` (None:
+        the database's current one)."""
         if isinstance(query, JUCQ):
-            return self.jucq_cost(query).total
+            return self.jucq_cost(query, view).total
         if isinstance(query, UCQ):
             if self.max_operand_terms is not None and len(query) > self.max_operand_terms:
                 return float("inf")
-            return self.constants.c_db + self.ucq_eval_cost(query)
+            return self.constants.c_db + self.ucq_eval_cost(query, view)
         if isinstance(query, BGPQuery):
             # A bare CQ is its own one-term operand.
             scan_join, dedup = self._operand_cost(
-                self.estimator.cq_scan_size(query),
-                self.estimator.cq_cardinality(query),
+                self.estimator.cq_scan_size(query, view),
+                self.estimator.cq_cardinality(query, view),
             )
             return self.constants.c_db + (scan_join + dedup)
         raise TypeError(f"cannot cost {type(query).__name__}")

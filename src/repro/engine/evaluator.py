@@ -44,7 +44,8 @@ from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..query.templates import ConstantPattern, Template, VariableLayout
 from ..rdf.terms import Term, Variable
-from ..storage.database import RDFDatabase
+from ..storage.database import RDFDatabase, Snapshot
+from ..storage.triple_table import TableView
 from ..telemetry.metrics import MetricsRecorder
 from ..telemetry.registry import get_registry
 from ..telemetry.tracer import NULL_TRACER
@@ -213,13 +214,16 @@ class Engine(Protocol):
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
         budget: ExecutionBudget = UNLIMITED,
+        snapshot: Optional[Snapshot] = None,
     ) -> AnswerSet:
         """The answers of a CQ, UCQ or JUCQ: distinct rows, still encoded.
 
-        ``budget`` carries the shared deadline and the row/term caps
-        (started here if the caller has not); a crossed limit raises
-        :class:`EngineFailure`, a crossed deadline — already crossed
-        on entry included — :class:`EngineTimeout`.
+        ``snapshot`` is the state the answers are of: every row read
+        comes from its table view (None: the database's snapshot, taken
+        once on entry).  ``budget`` carries the shared deadline and the
+        row/term caps (started here if the caller has not); a crossed
+        limit raises :class:`EngineFailure`, a crossed deadline —
+        already crossed on entry included — :class:`EngineTimeout`.
         """
 
     def explain(self, query) -> str:
@@ -343,11 +347,12 @@ class NativeEngine:
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
         budget: ExecutionBudget = UNLIMITED,
+        snapshot: Optional[Snapshot] = None,
     ) -> AnswerSet:
         """Evaluate: the distinct answer rows, as an :class:`AnswerSet`."""
         started = time.perf_counter()
         relation = self.evaluate_relation(
-            query, tracer=tracer, metrics=metrics, budget=budget
+            query, tracer=tracer, metrics=metrics, budget=budget, snapshot=snapshot
         )
         answers = AnswerSet(relation.rows, self.database.dictionary.snapshot)
         get_registry().histogram(
@@ -363,15 +368,20 @@ class NativeEngine:
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
         budget: ExecutionBudget = UNLIMITED,
+        snapshot: Optional[Snapshot] = None,
     ) -> Relation:
         """Evaluate to an encoded relation (one column per head position).
 
-        ``budget``'s shared deadline is checked between operator steps,
-        its row/term caps tighten the profile's own limits.
+        Every scan reads ``snapshot``'s table view (None: the database's
+        snapshot, taken here).  ``budget``'s shared deadline is checked
+        between operator steps, its row/term caps tighten the profile's
+        own limits.
         """
         tracer = NULL_TRACER if tracer is None else tracer
         budget = budget.start()
-        scans: Dict[ConstantPattern, np.ndarray] = {}
+        if snapshot is None:
+            snapshot = self.database.snapshot()
+        scans = _Scans(snapshot.table, self.database.dictionary, metrics)
         if isinstance(query, (BGPQuery, UCQ)):
             # A CQ is the union of one term: the one-member template.
             result = self._eval_union(
@@ -396,8 +406,9 @@ class NativeEngine:
         A JUCQ adds the operand join: the profile's algorithm, the
         shared-variable keys and the smallest-materialized-first rule.
         """
+        view = self.database.snapshot().table
         if isinstance(query, (BGPQuery, UCQ)):
-            return "\n".join(self._explain_union(query, ""))
+            return "\n".join(self._explain_union(query, "", view))
         if not isinstance(query, JUCQ):
             raise TypeError(f"cannot explain {type(query).__name__}")
         operands = query.operands
@@ -406,7 +417,7 @@ class NativeEngine:
         ]
         for index, operand in enumerate(operands):
             lines.append(f"  operand u{index} ({_terms(operand.head)}):")
-            lines += self._explain_union(operand, "    ")
+            lines += self._explain_union(operand, "    ", view)
         lines.append(
             f"  operand join: {self.profile.join_algorithm}-join, smallest "
             "materialized operand first, then the smallest sharing a key with it"
@@ -420,11 +431,11 @@ class NativeEngine:
         lines.append(f"  then project to ({_terms(query.head)}) + distinct")
         return "\n".join(lines)
 
-    def _explain_union(self, union, indent: str) -> List[str]:
+    def _explain_union(self, union, indent: str, view: TableView) -> List[str]:
         """A CQ's or UCQ's templates, each with its pipeline."""
         templates = union.templates()
         counts = {
-            pattern: self._pattern_count(pattern)
+            pattern: self._pattern_count(pattern, view)
             for template in templates
             for patterns in template.patterns
             for pattern in patterns
@@ -501,17 +512,17 @@ class NativeEngine:
         lines.append(f"{indent}  members: {pairing}; head-constant join: {joined}")
         return lines
 
-    def _pattern_count(self, constants: ConstantPattern) -> int:
+    def _pattern_count(self, constants: ConstantPattern, view: TableView) -> int:
         """Exact number of triples one scan would match (nothing is read)."""
         encoded = encode_pattern(constants, self.database.dictionary)
         if encoded is None:
             return 0
         pattern, range_position, range_term = encoded
         if range_term is not None and range_position is not None:
-            return self.database.table.match_range_count(
+            return view.match_range_count(
                 pattern, range_position, range_term.lo, range_term.hi
             )
-        return self.database.statistics.pattern_count(pattern)
+        return self.database.statistics.at(view).pattern_count(pattern)
 
     # ------------------------------------------------------------------
     # Unions, one join pipeline per template (DESIGN.md §18)
@@ -521,16 +532,11 @@ class NativeEngine:
         templates: Sequence[Template],
         budget: ExecutionBudget,
         out_names: Sequence[str],
-        scans: Dict[ConstantPattern, np.ndarray],
+        scans: "_Scans",
         tracer=NULL_TRACER,
         metrics: Optional[MetricsRecorder] = None,
     ) -> Relation:
-        """Union + distinct of the union terms grouped into ``templates``.
-
-        ``scans`` memoizes matched rows per constant pattern for the
-        whole ``evaluate_relation`` call, so a pattern shared by several
-        templates or JUCQ operands is read from the indexes once.
-        """
+        """Union + distinct of the union terms grouped into ``templates``."""
         terms = sum(template.size for template in templates)
         union_cap = budget.union_limit(self.profile.max_union_terms)
         if terms > union_cap:
@@ -568,7 +574,7 @@ class NativeEngine:
         budget: ExecutionBudget,
         row_cap: int,
         out_names: Sequence[str],
-        scans: Dict[ConstantPattern, np.ndarray],
+        scans: "_Scans",
         metrics: Optional[MetricsRecorder] = None,
     ) -> Relation:
         """All of a template's members at once; columns named ``out_names``.
@@ -623,17 +629,11 @@ class NativeEngine:
         self,
         template: Template,
         index: int,
-        scans: Dict[ConstantPattern, np.ndarray],
+        scans: "_Scans",
         metrics: Optional[MetricsRecorder],
     ) -> Relation:
         """One atom of a template: its distinct patterns' scans, stacked."""
-        table, dictionary = self.database.table, self.database.dictionary
-        matched: List[np.ndarray] = []
-        for pattern in template.patterns[index]:
-            rows = scans.get(pattern)
-            if rows is None:
-                rows = scans[pattern] = match_pattern(pattern, table, dictionary, metrics)
-            matched.append(rows)
+        matched = [scans[pattern] for pattern in template.patterns[index]]
         stacked = matched[0] if len(matched) == 1 else np.vstack(matched)
         tag = None
         if index in template.tagged:
@@ -722,7 +722,7 @@ class NativeEngine:
         self,
         jucq: JUCQ,
         budget: ExecutionBudget,
-        scans: Dict[ConstantPattern, np.ndarray],
+        scans: "_Scans",
         tracer=NULL_TRACER,
         metrics: Optional[MetricsRecorder] = None,
     ) -> Relation:
@@ -768,6 +768,19 @@ class NativeEngine:
             result = distinct(projected, metrics)
             span.set(rows_out=len(result))
         return result
+
+
+class _Scans(dict):
+    """The rows each constant pattern matches in one table view, read on
+    first ask: once per evaluation, however many templates share it."""
+
+    def __init__(self, view: TableView, dictionary, metrics) -> None:
+        super().__init__()
+        self.read = lambda pattern: match_pattern(pattern, view, dictionary, metrics)
+
+    def __missing__(self, pattern: ConstantPattern) -> np.ndarray:
+        rows = self[pattern] = self.read(pattern)
+        return rows
 
 
 def _greedy_order(sizes: Sequence[int], atoms: Sequence[VariableLayout]) -> List[int]:

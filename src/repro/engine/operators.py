@@ -22,6 +22,7 @@ from ..query.templates import ConstantPattern
 from ..rdf.terms import IdRange, Triple, Variable
 from ..storage.dictionary import Dictionary
 from ..storage.triple_table import Pattern, TripleTable, index_for_pattern, index_for_range
+from ..storage.triple_table import TableView
 from ..telemetry.metrics import MetricsRecorder
 from .relation import Relation, dedup_rows, pack_columns
 
@@ -62,7 +63,7 @@ def encode_pattern(
 
 def match_pattern(
     constants: ConstantPattern,
-    table: TripleTable,
+    table: TableView,
     dictionary: Dictionary,
     metrics: Optional[MetricsRecorder] = None,
 ) -> np.ndarray:

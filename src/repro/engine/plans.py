@@ -206,7 +206,8 @@ class PlanCompiler:
     def _atom_count(self, atom: Triple) -> int:
         """Exact index count of one atom, as the native engine's explain."""
         return self._engine._pattern_count(
-            tuple(None if isinstance(term, Variable) else term for term in atom)
+            tuple(None if isinstance(term, Variable) else term for term in atom),
+            self.database.snapshot().table,
         )
 
     def _join(self, left: PlanNode, right: PlanNode, shares: bool) -> JoinNode:

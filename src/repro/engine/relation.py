@@ -75,10 +75,6 @@ class Relation:
         idx = [self.column_index(n) for n in names]
         return Relation(tuple(names), self.rows[:, idx])
 
-    def rename(self, names: Sequence[str]) -> "Relation":
-        """Same data under new column names."""
-        return Relation(names, self.rows)
-
     def to_tuples(self) -> List[Tuple[int, ...]]:
         """Rows as Python tuples of codes, for tests and external drivers.
 

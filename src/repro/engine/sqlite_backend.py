@@ -1,7 +1,7 @@
 """SQLite-backed evaluation engine — the real-RDBMS personality.
 
-Loads the dictionary-encoded triples into an (in-memory by default)
-SQLite database with the paper's index layout — "indexed by all
+Loads the dictionary-encoded triples into an in-memory SQLite
+database with the paper's index layout — "indexed by all
 permutations of the s, p, o columns" — and evaluates generated SQL.
 
 SQLite brings *genuine* engine limits into the study: its compound
@@ -17,13 +17,13 @@ One engine may be driven by many threads at once (the service's
 executor threads share each tenant store's engine).  SQLite connections
 must not be shared across threads mid-statement, so the engine keeps a
 **per-thread connection pool**: each thread lazily opens its own
-connection on first use, loads (or, for file-backed stores, observes)
-the triple data, and caches it thread-locally.  Every pooled connection
-tracks the table version it last loaded and, when the store has
-moved on, inserts the rows stored since
-(:meth:`~repro.storage.triple_table.TripleTable.changes`), so a stale
-thread can never serve pre-mutation rows.  ``close()`` drains the whole
-pool.
+in-memory connection on first use, loads the triple data into it, and
+caches it thread-locally.  Every pooled connection tracks the table
+version it last loaded and, before a statement, takes the rows stored
+since, up to the version of the view the statement reads
+(:meth:`~repro.storage.triple_table.TableView.changes`); one that is
+ahead of the view is rebuilt from it.  So a statement reads exactly the
+rows of its view.  ``close()`` drains the whole pool.
 
 SQLite releases the GIL while stepping a statement, so statements on
 different threads overlap on multi-core hosts.
@@ -39,7 +39,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..cache.lru import MISSING, LRUCache
-from ..storage.database import RDFDatabase
+from ..storage.database import RDFDatabase, Snapshot
+from ..storage.triple_table import TableView
 from ..telemetry.metrics import MetricsRecorder
 from ..telemetry.registry import get_registry
 from ..telemetry.tracer import NULL_TRACER
@@ -65,14 +66,8 @@ class _PooledConnection:
 class SQLiteEngine:
     """Evaluates queries by compiling them to SQL and running SQLite."""
 
-    def __init__(
-        self,
-        database: RDFDatabase,
-        path: str = ":memory:",
-        sql_capacity: Optional[int] = 256,
-    ):
+    def __init__(self, database: RDFDatabase, sql_capacity: Optional[int] = 256):
         self.database = database
-        self.path = path
         #: Compiled-SQL text cache (the *SQL cache* level of DESIGN.md
         #: §9).  Keyed by (query, dictionary size): generated SQL depends
         #: on the data only through dictionary lookups — a constant that
@@ -89,14 +84,7 @@ class SQLiteEngine:
         self._pool_lock = threading.Lock()
         self._pool: List[_PooledConnection] = []
         self._closed = False
-        #: For file-backed stores the data lives in the shared file, so
-        #: one load per table version serves every connection; guarded
-        #: by ``_load_lock``.  ``:memory:`` connections are each their
-        #: own database and load independently.
-        self._load_lock = threading.Lock()
-        self._file_version: Optional[int] = None
-        # Eagerly open (and load) the constructing thread's connection,
-        # preserving the old fail-fast behaviour on bad paths.
+        # Eagerly open (and load) the constructing thread's connection.
         self._acquire()
 
     name = "sqlite"
@@ -118,8 +106,9 @@ class SQLiteEngine:
         with self._pool_lock:
             return len(self._pool)
 
-    def _acquire(self) -> _PooledConnection:
-        """This thread's connection, opened and loaded on first use."""
+    def _acquire(self, view: Optional[TableView] = None) -> _PooledConnection:
+        """This thread's connection, opened on first use and loaded up to
+        ``view`` (None: the database's snapshot's)."""
         state: Optional[_PooledConnection] = getattr(self._local, "state", None)
         if state is None:
             if self._closed:
@@ -127,7 +116,7 @@ class SQLiteEngine:
             # ``check_same_thread=False`` only so ``close()`` may drain
             # connections opened by other threads; each connection is
             # otherwise used exclusively by its owning thread.
-            raw = sqlite3.connect(self.path, check_same_thread=False)
+            raw = sqlite3.connect(":memory:", check_same_thread=False)
             state = _PooledConnection(raw)
             with self._pool_lock:
                 if self._closed:
@@ -135,41 +124,28 @@ class SQLiteEngine:
                     raise EngineFailure("SQLite engine is closed")
                 self._pool.append(state)
             self._local.state = state
-        self._ensure_loaded(state)
+        if view is None:
+            view = self.database.snapshot().table
+        since = state.loaded_version
+        if since != view.version:
+            if since is not None and since > view.version:
+                since = None  # ahead of this view: rebuild from it
+            state.loaded_version = self._load(state.raw, since, view)
         return state
 
-    def _ensure_loaded(self, state: _PooledConnection) -> None:
-        """Version-checked refresh of one pooled connection.
-
-        An in-memory connection is its own database and takes the rows
-        stored since the version it loaded whenever that lags the table.
-        File-backed connections share the file: the first to observe a
-        new version extends it under the load lock, the rest just adopt
-        it.
-        """
-        version = self.database.snapshot().data
-        if state.loaded_version == version:
-            return
-        if self.path == ":memory:":
-            state.loaded_version = self._load(state.raw, state.loaded_version)
-        else:
-            with self._load_lock:
-                if self._file_version is None or self._file_version < version:
-                    self._file_version = self._load(state.raw, self._file_version)
-                state.loaded_version = self._file_version
-
-    def _load(self, connection: sqlite3.Connection, since: Optional[int]) -> int:
-        """Insert the rows stored after version ``since`` (None: all of
-        them, into a new table); returns the version now loaded."""
-        table = self.database.table
-        keys, version = table.changes(since)
+    def _load(
+        self, connection: sqlite3.Connection, since: Optional[int], view: TableView
+    ) -> int:
+        """Insert the rows ``view`` stored after version ``since`` (None:
+        all of them, into a new table); returns the version now loaded."""
+        keys, version = view.changes(since)
         cursor = connection.cursor()
         if since is None:
             cursor.execute("DROP TABLE IF EXISTS triples")
             cursor.execute("CREATE TABLE triples (s INTEGER, p INTEGER, o INTEGER)")
         cursor.executemany(
             "INSERT INTO triples VALUES (?, ?, ?)",
-            table.decode_keys(keys).tolist(),
+            view.decode_keys(keys).tolist(),
         )
         for order in _INDEX_ORDERS:
             columns = ", ".join(order)
@@ -196,14 +172,16 @@ class SQLiteEngine:
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
         budget: ExecutionBudget = UNLIMITED,
+        snapshot: Optional[Snapshot] = None,
     ) -> AnswerSet:
         """Evaluate: the distinct answer rows, as an :class:`AnswerSet`.
 
         SQLite's internal operators are opaque, so telemetry records the
         SQL boundary instead: compile/execute spans, statement size, and
-        fetched-row counters.  ``budget``'s deadline interrupts the
-        statement (:meth:`execute_sql`) and its result cap bounds the
-        fetched rows.
+        fetched-row counters.  The statement runs on a mirror of
+        ``snapshot``'s table view (:meth:`execute_sql`); ``budget``'s
+        deadline interrupts it and its result cap bounds the fetched
+        rows.
         """
         tracer = NULL_TRACER if tracer is None else tracer
         started = time.perf_counter()
@@ -213,7 +191,7 @@ class SQLiteEngine:
             span.set(sql_chars=len(sql), cached=self.sql_cache.hits > hits_before)
         with tracer.span("sqlite.execute", sql_chars=len(sql)) as span:
             execute_started = time.perf_counter()
-            rows = self.execute_sql(sql, budget)
+            rows = self.execute_sql(sql, budget, snapshot)
             span.set(rows=len(rows))
         get_registry().histogram(
             "repro.sqlite.execute_seconds",
@@ -240,8 +218,15 @@ class SQLiteEngine:
         ).observe(time.perf_counter() - started)
         return answers
 
-    def execute_sql(self, sql: str, budget: ExecutionBudget = UNLIMITED):
-        """Run SQL text; engine errors become :class:`EngineFailure`.
+    def execute_sql(
+        self,
+        sql: str,
+        budget: ExecutionBudget = UNLIMITED,
+        snapshot: Optional[Snapshot] = None,
+    ):
+        """Run SQL text on this thread's mirror of ``snapshot``'s table
+        view (None: the database's snapshot, taken here); engine errors
+        become :class:`EngineFailure`.
 
         ``budget``'s deadline (started here if the caller has not) is
         checked once before the statement and then cooperatively: the
@@ -256,7 +241,7 @@ class SQLiteEngine:
         budget = budget.start()
         if budget.expired:
             raise EngineTimeout("SQLite statement timed out before it started")
-        connection = self._acquire().raw
+        connection = self._acquire(None if snapshot is None else snapshot.table).raw
         interrupted = [False]
 
         def check() -> int:

@@ -19,11 +19,17 @@ entailment rules of the DB fragment:
 Both saturation and reformulation consult the closure, which guarantees
 they agree (the golden equivalence tested in
 ``tests/test_reformulation_equivalence.py``).
+
+The schema is edited in place (:class:`RDFSchema`) but read as a value,
+the :class:`FrozenSchema` ``snapshot()`` returns: a reader that takes
+one value sees one schema however many edits land meanwhile.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set
 
 from .terms import Term, Triple, URI
@@ -152,12 +158,215 @@ def _invert(relation: Dict[Term, Set[Term]]) -> Dict[Term, Set[Term]]:
     return inverse
 
 
-class RDFSchema:
-    """The RDFS constraints of an RDF database, with lazily computed closure.
+class _SchemaReads:
+    """What a schema answers: every read asks the one
+    :class:`FrozenSchema` that ``snapshot()`` returns."""
 
-    Mutators (:meth:`add_subclass` etc.) invalidate the cached closure;
-    all query methods recompute it on demand.  Closure-level accessors
-    always work on the *closed* relations, which is what both the
+    # ------------------------------------------------------------------
+    # Vocabulary
+    # ------------------------------------------------------------------
+    @property
+    def classes(self) -> FrozenSet[Term]:
+        """All classes known to the schema."""
+        return self.snapshot()._classes
+
+    @property
+    def properties(self) -> FrozenSet[Term]:
+        """All (non-built-in) properties known to the schema."""
+        return self.snapshot()._properties
+
+    # ------------------------------------------------------------------
+    # Closure queries (all answers are w.r.t. the schema closure)
+    # ------------------------------------------------------------------
+    def subclasses(self, cls: Term) -> FrozenSet[Term]:
+        """Strict subclasses of ``cls`` in the closure.
+
+        Strict on acyclic hierarchies; members of a declaration cycle
+        are mutually sub- and super-classes of each other (and of
+        themselves — see :meth:`equivalent_classes`).
+        """
+        return frozenset(self.snapshot()._sub_of_class.get(cls, frozenset()))
+
+    def superclasses(self, cls: Term) -> FrozenSet[Term]:
+        """Strict superclasses of ``cls`` in the closure (see :meth:`subclasses`)."""
+        return frozenset(self.snapshot()._super_of_class.get(cls, frozenset()))
+
+    def subproperties(self, prop: Term) -> FrozenSet[Term]:
+        """Strict subproperties of ``prop`` in the closure."""
+        return frozenset(self.snapshot()._sub_of_property.get(prop, frozenset()))
+
+    def superproperties(self, prop: Term) -> FrozenSet[Term]:
+        """Strict superproperties of ``prop`` in the closure."""
+        return frozenset(self.snapshot()._super_of_property.get(prop, frozenset()))
+
+    def domains(self, prop: Term) -> FrozenSet[Term]:
+        """All classes ``c`` with ``domain(prop) = c`` in the closure."""
+        return frozenset(self.snapshot()._domains.get(prop, frozenset()))
+
+    def ranges(self, prop: Term) -> FrozenSet[Term]:
+        """All classes ``c`` with ``range(prop) = c`` in the closure."""
+        return frozenset(self.snapshot()._ranges.get(prop, frozenset()))
+
+    def properties_with_domain(self, cls: Term) -> FrozenSet[Term]:
+        """Properties whose closed domain includes ``cls``."""
+        return frozenset(self.snapshot()._domain_of.get(cls, frozenset()))
+
+    def properties_with_range(self, cls: Term) -> FrozenSet[Term]:
+        """Properties whose closed range includes ``cls``."""
+        return frozenset(self.snapshot()._range_of.get(cls, frozenset()))
+
+    def equivalent_classes(self, cls: Term) -> FrozenSet[Term]:
+        """The declaration-cycle equivalents of ``cls`` (itself included).
+
+        Cyclic ``rdfs:subClassOf`` assertions (``A ⊑ B ⊑ A``) make their
+        members mutually equivalent; for a class on no cycle this is the
+        singleton ``{cls}``.
+        """
+        return self.snapshot()._class_cycles.get(cls, frozenset((cls,)))
+
+    def equivalent_properties(self, prop: Term) -> FrozenSet[Term]:
+        """The declaration-cycle equivalents of ``prop`` (itself included)."""
+        return self.snapshot()._property_cycles.get(prop, frozenset((prop,)))
+
+    def class_cycles(self) -> "tuple[FrozenSet[Term], ...]":
+        """All non-trivial subclass declaration cycles, sorted."""
+        groups = set(self.snapshot()._class_cycles.values())
+        return tuple(sorted(groups, key=sorted))
+
+    def property_cycles(self) -> "tuple[FrozenSet[Term], ...]":
+        """All non-trivial subproperty declaration cycles, sorted."""
+        groups = set(self.snapshot()._property_cycles.values())
+        return tuple(sorted(groups, key=sorted))
+
+    def is_subclass(self, sub: Term, sup: Term) -> bool:
+        """True when ``sub ⊑sc sup`` holds in the closure (strictly)."""
+        return sup in self.snapshot()._super_of_class.get(sub, frozenset())
+
+    def is_subproperty(self, sub: Term, sup: Term) -> bool:
+        """True when ``sub ⊑sp sup`` holds in the closure (strictly)."""
+        return sup in self.snapshot()._super_of_property.get(sub, frozenset())
+
+    def closure_triples(self) -> Iterator[Triple]:
+        """Yield every constraint triple in the schema closure.
+
+        Used to answer query atoms over the schema itself (reformulation
+        rules 8-11 of DESIGN.md) and by the saturation engine when the
+        caller wants schema triples materialized alongside facts.
+        """
+        closed = self.snapshot()
+        for source, targets in closed._super_of_class.items():
+            for target in targets:
+                yield Triple(source, RDFS_SUBCLASS, target)
+        for source, targets in closed._super_of_property.items():
+            for target in targets:
+                yield Triple(source, RDFS_SUBPROPERTY, target)
+        for prop, classes in closed._domains.items():
+            for cls in classes:
+                yield Triple(prop, RDFS_DOMAIN, cls)
+        for prop, classes in closed._ranges.items():
+            for cls in classes:
+                yield Triple(prop, RDFS_RANGE, cls)
+
+    def fingerprint(self) -> str:
+        """A digest identifying this schema's asserted content.
+
+        Covers the asserted constraints *and* the declared vocabulary
+        (reformulation rules 5-7 instantiate class/property variables
+        over the declared classes and properties, so two schemas with
+        the same constraints but different vocabularies reformulate
+        differently).  This is the schema component of every
+        reformulation-cache key (DESIGN.md §9).
+        """
+        return self.snapshot().digest
+
+    def to_triples(self) -> Iterator[Triple]:
+        """Yield the asserted (non-closed) constraint triples."""
+        return iter(self.snapshot().triples)
+
+    def __len__(self) -> int:
+        """Number of asserted constraint triples."""
+        return len(self.snapshot().triples)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(classes={len(self.classes)}, "
+            f"properties={len(self.properties)}, constraints={len(self)})"
+        )
+
+
+class FrozenSchema(_SchemaReads):
+    """One immutable state of an :class:`RDFSchema`: its asserted
+    constraints and vocabulary, with their closure and fingerprint
+    computed once.  Later edits build another value (DESIGN.md §9)."""
+
+    def __init__(self, schema: "RDFSchema") -> None:
+        super_of_class, class_cycles = _closure_and_cycles(schema._subclass)
+        super_of_property, property_cycles = _closure_and_cycles(schema._subproperty)
+
+        # Close domains/ranges: inherit down the subproperty hierarchy,
+        # widen up the subclass hierarchy.
+        domains: Dict[Term, Set[Term]] = {}
+        ranges: Dict[Term, Set[Term]] = {}
+        properties = set(schema._declared_properties)
+        for prop in properties:
+            ancestors = {prop} | super_of_property.get(prop, set())
+            for target, source in ((domains, schema._domain), (ranges, schema._range)):
+                closed: Set[Term] = set()
+                for ancestor in ancestors:
+                    for cls in source.get(ancestor, ()):
+                        closed.add(cls)
+                        closed.update(super_of_class.get(cls, ()))
+                if closed:
+                    target[prop] = closed
+
+        self._super_of_class = super_of_class
+        self._sub_of_class = _invert(super_of_class)
+        self._super_of_property = super_of_property
+        self._sub_of_property = _invert(super_of_property)
+        self._class_cycles = class_cycles
+        self._property_cycles = property_cycles
+        self._domains = domains
+        self._ranges = ranges
+        self._domain_of = _invert(domains)
+        self._range_of = _invert(ranges)
+        self._classes = frozenset(schema._declared_classes)
+        self._properties = frozenset(schema._declared_properties)
+        #: The asserted constraints, sorted.
+        self.triples = tuple(
+            Triple(source, prop, target)
+            for relation, prop in (
+                (schema._subclass, RDFS_SUBCLASS),
+                (schema._subproperty, RDFS_SUBPROPERTY),
+                (schema._domain, RDFS_DOMAIN),
+                (schema._range, RDFS_RANGE),
+            )
+            for source in sorted(relation)
+            for target in sorted(relation[source])
+        )
+        digest = hashlib.blake2b(digest_size=16)
+        for triple in self.triples:
+            digest.update(
+                f"{triple.s.kind}:{triple.s.value}|{triple.p.value}"
+                f"|{triple.o.kind}:{triple.o.value};".encode("utf-8")
+            )
+        for tag, members in (("C", self._classes), ("P", self._properties)):
+            for term in sorted(members):
+                digest.update(f"{tag}:{term.kind}:{term.value};".encode("utf-8"))
+        #: What :meth:`fingerprint` returns.
+        self.digest = digest.hexdigest()
+
+    def snapshot(self) -> "FrozenSchema":
+        """The value itself: it never changes."""
+        return self
+
+
+class RDFSchema(_SchemaReads):
+    """The editable RDFS constraints of an RDF database.
+
+    Mutators (:meth:`add_subclass` etc.) edit in place and
+    :meth:`snapshot` serializes with them on one lock.  Every read is
+    answered by the value ``snapshot`` returns, so closure-level
+    accessors work on the *closed* relations, which is what both the
     saturation rules and the reformulation rules require.
     """
 
@@ -169,52 +378,66 @@ class RDFSchema:
         self._range: Dict[Term, Set[Term]] = {}
         self._declared_classes: Set[Term] = set()
         self._declared_properties: Set[Term] = set()
-        self._closure: Optional[_SchemaClosure] = None
-        self._fingerprint: Optional[str] = None
+        self._lock = threading.Lock()
+        #: The current state's value; None after an edit.
+        self._frozen: Optional[FrozenSchema] = None
 
-    def _mutated(self) -> None:
-        """Drop derived state (closure, fingerprint) after any assertion."""
-        self._closure = None
-        self._fingerprint = None
+    def snapshot(self) -> FrozenSchema:
+        """The immutable value of the schema as it is now."""
+        frozen = self._frozen  # an edit in flight has not landed yet
+        if frozen is not None:
+            return frozen
+        with self._lock:
+            if self._frozen is None:
+                self._frozen = FrozenSchema(self)
+            return self._frozen
+
+    @contextmanager
+    def _editing(self) -> Iterator[None]:
+        """Edit the asserted relations under the lock; the next
+        :meth:`snapshot` builds a new value."""
+        with self._lock:
+            yield
+            self._frozen = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_subclass(self, sub: Term, sup: Term) -> None:
         """Assert ``sub rdfs:subClassOf sup``."""
-        self._subclass.setdefault(sub, set()).add(sup)
-        self._declared_classes.update((sub, sup))
-        self._mutated()
+        with self._editing():
+            self._subclass.setdefault(sub, set()).add(sup)
+            self._declared_classes.update((sub, sup))
 
     def add_subproperty(self, sub: Term, sup: Term) -> None:
         """Assert ``sub rdfs:subPropertyOf sup``."""
-        self._subproperty.setdefault(sub, set()).add(sup)
-        self._declared_properties.update((sub, sup))
-        self._mutated()
+        with self._editing():
+            self._subproperty.setdefault(sub, set()).add(sup)
+            self._declared_properties.update((sub, sup))
 
     def add_domain(self, prop: Term, cls: Term) -> None:
         """Assert ``prop rdfs:domain cls``."""
-        self._domain.setdefault(prop, set()).add(cls)
-        self._declared_properties.add(prop)
-        self._declared_classes.add(cls)
-        self._mutated()
+        with self._editing():
+            self._domain.setdefault(prop, set()).add(cls)
+            self._declared_properties.add(prop)
+            self._declared_classes.add(cls)
 
     def add_range(self, prop: Term, cls: Term) -> None:
         """Assert ``prop rdfs:range cls``."""
-        self._range.setdefault(prop, set()).add(cls)
-        self._declared_properties.add(prop)
-        self._declared_classes.add(cls)
-        self._mutated()
+        with self._editing():
+            self._range.setdefault(prop, set()).add(cls)
+            self._declared_properties.add(prop)
+            self._declared_classes.add(cls)
 
     def declare_class(self, cls: Term) -> None:
         """Register a class not otherwise mentioned in a constraint."""
-        self._declared_classes.add(cls)
-        self._mutated()
+        with self._editing():
+            self._declared_classes.add(cls)
 
     def declare_property(self, prop: Term) -> None:
         """Register a property not otherwise mentioned in a constraint."""
-        self._declared_properties.add(prop)
-        self._mutated()
+        with self._editing():
+            self._declared_properties.add(prop)
 
     def add_triple(self, triple: Triple) -> bool:
         """Add a schema triple; returns False when the triple is not a constraint."""
@@ -234,14 +457,14 @@ class RDFSchema:
     # Retraction
     # ------------------------------------------------------------------
     def _remove(self, relation: Dict[Term, Set[Term]], source: Term, target: Term) -> bool:
-        targets = relation.get(source)
-        if targets is None or target not in targets:
-            return False
-        targets.discard(target)
-        if not targets:
-            del relation[source]
-        self._mutated()
-        return True
+        with self._editing():
+            targets = relation.get(source)
+            if targets is None or target not in targets:
+                return False
+            targets.discard(target)
+            if not targets:
+                del relation[source]
+            return True
 
     def remove_subclass(self, sub: Term, sup: Term) -> bool:
         """Retract ``sub rdfs:subClassOf sup``; True when it was asserted.
@@ -289,210 +512,6 @@ class RDFSchema:
             schema.add_triple(triple)
         return schema
 
-    def to_triples(self) -> Iterator[Triple]:
-        """Yield the asserted (non-closed) constraint triples."""
-        for relation, prop in (
-            (self._subclass, RDFS_SUBCLASS),
-            (self._subproperty, RDFS_SUBPROPERTY),
-            (self._domain, RDFS_DOMAIN),
-            (self._range, RDFS_RANGE),
-        ):
-            for source in sorted(relation):
-                for target in sorted(relation[source]):
-                    yield Triple(source, prop, target)
-
-    # ------------------------------------------------------------------
-    # Vocabulary
-    # ------------------------------------------------------------------
-    @property
-    def classes(self) -> FrozenSet[Term]:
-        """All classes known to the schema."""
-        return self._closed().classes
-
-    @property
-    def properties(self) -> FrozenSet[Term]:
-        """All (non-built-in) properties known to the schema."""
-        return self._closed().properties
-
-    # ------------------------------------------------------------------
-    # Closure queries (all answers are w.r.t. the schema closure)
-    # ------------------------------------------------------------------
-    def subclasses(self, cls: Term) -> FrozenSet[Term]:
-        """Strict subclasses of ``cls`` in the closure.
-
-        Strict on acyclic hierarchies; members of a declaration cycle
-        are mutually sub- and super-classes of each other (and of
-        themselves — see :meth:`equivalent_classes`).
-        """
-        return frozenset(self._closed().sub_of_class.get(cls, frozenset()))
-
-    def superclasses(self, cls: Term) -> FrozenSet[Term]:
-        """Strict superclasses of ``cls`` in the closure (see :meth:`subclasses`)."""
-        return frozenset(self._closed().super_of_class.get(cls, frozenset()))
-
-    def subproperties(self, prop: Term) -> FrozenSet[Term]:
-        """Strict subproperties of ``prop`` in the closure."""
-        return frozenset(self._closed().sub_of_property.get(prop, frozenset()))
-
-    def superproperties(self, prop: Term) -> FrozenSet[Term]:
-        """Strict superproperties of ``prop`` in the closure."""
-        return frozenset(self._closed().super_of_property.get(prop, frozenset()))
-
-    def domains(self, prop: Term) -> FrozenSet[Term]:
-        """All classes ``c`` with ``domain(prop) = c`` in the closure."""
-        return frozenset(self._closed().domains.get(prop, frozenset()))
-
-    def ranges(self, prop: Term) -> FrozenSet[Term]:
-        """All classes ``c`` with ``range(prop) = c`` in the closure."""
-        return frozenset(self._closed().ranges.get(prop, frozenset()))
-
-    def properties_with_domain(self, cls: Term) -> FrozenSet[Term]:
-        """Properties whose closed domain includes ``cls``."""
-        return frozenset(self._closed().domain_of.get(cls, frozenset()))
-
-    def properties_with_range(self, cls: Term) -> FrozenSet[Term]:
-        """Properties whose closed range includes ``cls``."""
-        return frozenset(self._closed().range_of.get(cls, frozenset()))
-
-    def equivalent_classes(self, cls: Term) -> FrozenSet[Term]:
-        """The declaration-cycle equivalents of ``cls`` (itself included).
-
-        Cyclic ``rdfs:subClassOf`` assertions (``A ⊑ B ⊑ A``) make their
-        members mutually equivalent; for a class on no cycle this is the
-        singleton ``{cls}``.
-        """
-        return self._closed().class_cycles.get(cls, frozenset((cls,)))
-
-    def equivalent_properties(self, prop: Term) -> FrozenSet[Term]:
-        """The declaration-cycle equivalents of ``prop`` (itself included)."""
-        return self._closed().property_cycles.get(prop, frozenset((prop,)))
-
-    def class_cycles(self) -> "tuple[FrozenSet[Term], ...]":
-        """All non-trivial subclass declaration cycles, sorted."""
-        groups = set(self._closed().class_cycles.values())
-        return tuple(sorted(groups, key=sorted))
-
-    def property_cycles(self) -> "tuple[FrozenSet[Term], ...]":
-        """All non-trivial subproperty declaration cycles, sorted."""
-        groups = set(self._closed().property_cycles.values())
-        return tuple(sorted(groups, key=sorted))
-
-    def is_subclass(self, sub: Term, sup: Term) -> bool:
-        """True when ``sub ⊑sc sup`` holds in the closure (strictly)."""
-        return sup in self._closed().super_of_class.get(sub, frozenset())
-
-    def is_subproperty(self, sub: Term, sup: Term) -> bool:
-        """True when ``sub ⊑sp sup`` holds in the closure (strictly)."""
-        return sup in self._closed().super_of_property.get(sub, frozenset())
-
-    def closure_triples(self) -> Iterator[Triple]:
-        """Yield every constraint triple in the schema closure.
-
-        Used to answer query atoms over the schema itself (reformulation
-        rules 8-11 of DESIGN.md) and by the saturation engine when the
-        caller wants schema triples materialized alongside facts.
-        """
-        closed = self._closed()
-        for source, targets in closed.super_of_class.items():
-            for target in targets:
-                yield Triple(source, RDFS_SUBCLASS, target)
-        for source, targets in closed.super_of_property.items():
-            for target in targets:
-                yield Triple(source, RDFS_SUBPROPERTY, target)
-        for prop, classes in closed.domains.items():
-            for cls in classes:
-                yield Triple(prop, RDFS_DOMAIN, cls)
-        for prop, classes in closed.ranges.items():
-            for cls in classes:
-                yield Triple(prop, RDFS_RANGE, cls)
-
-    def fingerprint(self) -> str:
-        """A digest identifying this schema's asserted content.
-
-        Covers the asserted constraints *and* the declared vocabulary
-        (reformulation rules 5-7 instantiate class/property variables
-        over the declared classes and properties, so two schemas with
-        the same constraints but different vocabularies reformulate
-        differently).  Cached; every mutator drops it.  This is the
-        schema component of every reformulation-cache key
-        (DESIGN.md §9).
-        """
-        if self._fingerprint is None:
-            digest = hashlib.blake2b(digest_size=16)
-            for triple in self.to_triples():
-                digest.update(
-                    f"{triple.s.kind}:{triple.s.value}|{triple.p.value}"
-                    f"|{triple.o.kind}:{triple.o.value};".encode("utf-8")
-                )
-            for tag, members in (
-                ("C", self._declared_classes),
-                ("P", self._declared_properties),
-            ):
-                for term in sorted(members):
-                    digest.update(f"{tag}:{term.kind}:{term.value};".encode("utf-8"))
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def __len__(self) -> int:
-        """Number of asserted constraint triples."""
-        return sum(
-            len(targets)
-            for relation in (self._subclass, self._subproperty, self._domain, self._range)
-            for targets in relation.values()
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"RDFSchema(classes={len(self.classes)}, properties={len(self.properties)}, "
-            f"constraints={len(self)})"
-        )
-
-    # ------------------------------------------------------------------
-    # Closure computation
-    # ------------------------------------------------------------------
-    def _closed(self) -> "_SchemaClosure":
-        if self._closure is None:
-            self._closure = _SchemaClosure(self)
-        return self._closure
-
-
-class _SchemaClosure:
-    """Materialized closure relations of one :class:`RDFSchema` snapshot."""
-
-    def __init__(self, schema: RDFSchema) -> None:
-        super_of_class, class_cycles = _closure_and_cycles(schema._subclass)
-        super_of_property, property_cycles = _closure_and_cycles(schema._subproperty)
-
-        # Close domains/ranges: inherit down the subproperty hierarchy,
-        # widen up the subclass hierarchy.
-        domains: Dict[Term, Set[Term]] = {}
-        ranges: Dict[Term, Set[Term]] = {}
-        properties = set(schema._declared_properties)
-        for prop in properties:
-            ancestors = {prop} | super_of_property.get(prop, set())
-            for target, source in ((domains, schema._domain), (ranges, schema._range)):
-                closed: Set[Term] = set()
-                for ancestor in ancestors:
-                    for cls in source.get(ancestor, ()):
-                        closed.add(cls)
-                        closed.update(super_of_class.get(cls, ()))
-                if closed:
-                    target[prop] = closed
-
-        self.super_of_class = super_of_class
-        self.sub_of_class = _invert(super_of_class)
-        self.super_of_property = super_of_property
-        self.sub_of_property = _invert(super_of_property)
-        self.class_cycles = class_cycles
-        self.property_cycles = property_cycles
-        self.domains = domains
-        self.ranges = ranges
-        self.domain_of = _invert(domains)
-        self.range_of = _invert(ranges)
-        self.classes = frozenset(schema._declared_classes)
-        self.properties = frozenset(schema._declared_properties)
-
-
 def split_graph(triples: Iterable[Triple]):
     """Separate an RDF graph into ``(schema, facts)``.
 
@@ -510,4 +529,4 @@ def split_graph(triples: Iterable[Triple]):
     return schema, facts
 
 
-__all__ = ["RDFSchema", "split_graph", "RDF_TYPE"]
+__all__ = ["FrozenSchema", "RDFSchema", "split_graph", "RDF_TYPE"]

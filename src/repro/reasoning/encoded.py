@@ -16,7 +16,7 @@ so one pass over the explicit triples reaches the fixpoint.
 It also makes the store maintainable under insert-only writes
 (DESIGN.md §20): while the schema stands, sat(G ∪ Δ) = sat(G) ∪ sat(Δ),
 so :func:`saturate_database`, given the store it derived before, merges
-in only the base rows stored since (``TripleTable.changes``) and their
+in only the base rows stored since (``TableView.changes``) and their
 consequences.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..rdf.schema import RDFSchema
 from ..rdf.vocabulary import RDF_TYPE
-from ..storage.database import RDFDatabase
+from ..storage.database import RDFDatabase, Snapshot
 from ..storage.dictionary import Dictionary
 from ..storage.triple_table import TripleTable
 
@@ -98,25 +98,30 @@ class Saturated(NamedTuple):
 
 
 def saturate_database(
-    database: RDFDatabase, held: Optional[Saturated] = None
+    database: RDFDatabase,
+    held: Optional[Saturated] = None,
+    snapshot: Optional[Snapshot] = None,
 ) -> Saturated:
     """A new database whose fact table is the saturation of ``database``'s.
 
-    ``held`` is an earlier result for the same database and schema: the
-    new store starts from its indexes and takes only the base rows
-    stored since, with their consequences.  ``held`` itself is not
-    touched.
+    ``snapshot`` is the state saturated (None: the database's, taken
+    here).  ``held`` is an earlier result for the same database and
+    schema, at a version no newer than ``snapshot``'s: the new store
+    starts from its indexes and takes only the base rows stored since,
+    with their consequences.  ``held`` itself is not touched.
     """
-    table = database.table
+    if snapshot is None:
+        snapshot = database.snapshot()
+    view = snapshot.table
     if held is None:
-        out = TripleTable(dictionary=table.dictionary, bits=table.bits)
-        fresh, base_version = table.changes(None)
+        out = TripleTable(dictionary=database.dictionary, bits=view.bits)
+        fresh, base_version = view.changes(None)
     else:
         out = held.database.table.copy()
-        fresh, base_version = table.changes(held.base_version)
-    rows = table.decode_keys(fresh)
+        fresh, base_version = view.changes(held.base_version)
+    rows = view.decode_keys(fresh)
     out.add_block(rows)
-    for block in consequences(database.schema, table.dictionary, rows):
+    for block in consequences(snapshot.schema, database.dictionary, rows):
         out.add_block(block)
     out.freeze()
-    return Saturated(RDFDatabase(schema=database.schema, table=out), base_version)
+    return Saturated(RDFDatabase(schema=snapshot.schema, table=out), base_version)

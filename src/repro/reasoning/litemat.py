@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..rdf.terms import Term
-from ..storage.database import RDFDatabase
+from ..storage.database import RDFDatabase, Snapshot
 from ..storage.dictionary import Dictionary
 from ..storage.interval_encoding import IntervalEncoding
 from ..storage.triple_table import TripleTable
@@ -75,26 +75,30 @@ def _renumbering(
 
 
 def interval_encode_database(
-    database: RDFDatabase, held: Optional[IntervalStore] = None
+    database: RDFDatabase,
+    held: Optional[IntervalStore] = None,
+    snapshot: Optional[Snapshot] = None,
 ) -> IntervalStore:
     """Build the interval-encoded store for one base database state.
 
-    ``held`` is an earlier result for the same database and schema: its
-    encoding is kept, its dictionary and ``remap`` grow by the base codes
-    allocated since, and the new store takes only the base rows stored
-    since.
+    ``snapshot`` is that state (None: the database's, taken here).
+    ``held`` is an earlier result for the same database and schema, at a
+    version no newer than ``snapshot``'s: its encoding is kept, its
+    dictionary and ``remap`` grow by the base codes allocated since, and
+    the new store takes only the base rows stored since.
     """
-    schema = database.schema
+    if snapshot is None:
+        snapshot = database.snapshot()
     base_dictionary = database.dictionary
-    table = database.table
-    fresh, base_version = table.changes(None if held is None else held.base_version)
+    view = snapshot.table
+    fresh, base_version = view.changes(None if held is None else held.base_version)
     # Read after the rows: every code in ``fresh`` is below it.
     known = len(base_dictionary)
     if held is None:
-        encoding = IntervalEncoding.from_schema(schema)
+        encoding = IntervalEncoding.from_schema(snapshot.schema)
         new_dictionary = base_dictionary.remapped(encoding.leading_terms)
         remap = _renumbering(base_dictionary, new_dictionary, encoding.leading_terms, known)
-        out = TripleTable(dictionary=new_dictionary, bits=table.bits)
+        out = TripleTable(dictionary=new_dictionary, bits=view.bits)
     else:
         encoding = held.encoding
         new_dictionary = held.database.dictionary
@@ -103,9 +107,11 @@ def interval_encode_database(
             [held.remap, np.array(new_dictionary.encode_many(appended), dtype=np.int64)]
         )
         out = held.database.table.copy()
-    rows = remap[table.decode_keys(fresh)]
+    rows = remap[view.decode_keys(fresh)]
     out.add_block(rows)
-    for block in consequences(schema, new_dictionary, rows, hierarchy=False):
+    for block in consequences(snapshot.schema, new_dictionary, rows, hierarchy=False):
         out.add_block(block)
     out.freeze()
-    return IntervalStore(encoding, RDFDatabase(schema=schema, table=out), base_version, remap)
+    return IntervalStore(
+        encoding, RDFDatabase(schema=snapshot.schema, table=out), base_version, remap
+    )

@@ -78,7 +78,7 @@ def interval_reformulate(
     """One-shot CQ → interval-UCQ planning (see module docstring)."""
     seen: Set[Tuple] = set()
     results: List[BGPQuery] = []
-    for skeleton in _skeletons(query, schema):
+    for skeleton in _skeletons(query, schema.snapshot()):
         alternative_sets = [
             _interval_atom_alternatives(atom, encoding) for atom in skeleton.body
         ]
@@ -103,27 +103,27 @@ def interval_reformulate(
 
 
 class IntervalReformulator:
-    """Memoizing interval-UCQ planner bound to one schema.
+    """Memoizing interval-UCQ planner.
 
-    Mirrors :class:`repro.reformulation.Reformulator`; the schema part
-    of the memo key is the fingerprint the *encoding* was laid out for,
-    since interval atoms embed that encoding's codes (the answerer
-    hands in the encoding of the store the plan will run on).
+    Mirrors :class:`repro.reformulation.Reformulator`; a plan is made
+    from the schema value the *encoding* was laid out for, and keyed on
+    its fingerprint, since interval atoms embed that encoding's codes
+    (the answerer hands in the encoding of the store the plan will run
+    on).
     """
 
     def __init__(
-        self,
-        schema: RDFSchema,
-        limit: Optional[int] = None,
-        capacity: Optional[int] = None,
+        self, limit: Optional[int] = None, capacity: Optional[int] = None
     ) -> None:
-        self.schema = schema
         self.limit = limit
         #: (encoding's schema fingerprint, canonical query form) → UCQ
         #: (or a memoized limit failure).
         self.cache: LRUCache = LRUCache(capacity)
-        #: Number of non-memoized planning runs (instrumentation).
-        self.runs = 0
+
+    @property
+    def runs(self) -> int:
+        """Number of non-memoized planning runs (instrumentation)."""
+        return self.cache.misses
 
     def reformulate(self, query: BGPQuery, encoding: IntervalEncoding) -> UCQ:
         """The interval-UCQ plan of ``query`` under ``encoding``."""
@@ -132,14 +132,12 @@ class IntervalReformulator:
         if cached is MISSING:
             try:
                 cached = interval_reformulate(
-                    query, self.schema, encoding, limit=self.limit
+                    query, encoding.schema, encoding, limit=self.limit
                 )
             except ReformulationLimitExceeded as error:
                 self.cache.put(key, error)
-                self.runs += 1
                 raise
             self.cache.put(key, cached)
-            self.runs += 1
         if isinstance(cached, ReformulationLimitExceeded):
             raise cached
         return cached

@@ -21,32 +21,40 @@ from ..cost.cardinality import CardinalityEstimator
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
 from ..storage.database import RDFDatabase
+from ..storage.triple_table import TableView
 
 
 def prune_empty_conjuncts(
-    ucq: UCQ, estimator: CardinalityEstimator
+    ucq: UCQ, estimator: CardinalityEstimator, view: Optional[TableView] = None
 ) -> UCQ:
-    """Drop union terms with a provably empty atom.
+    """Drop union terms with a provably empty atom at ``view`` (None: the
+    database's current one).
 
     When *every* term is prunable, one empty-by-construction conjunct is
     kept so the result remains a well-formed UCQ with the same head
     (it evaluates to the empty set, as it must).
     """
+    if view is None:
+        view = estimator.database.snapshot().table
     kept: List[BGPQuery] = []
     for cq in ucq:
         if not cq.body:
             kept.append(cq)  # constant conjuncts always contribute
             continue
-        if all(estimator.atom_count(atom) > 0 for atom in cq.body):
+        if all(estimator.atom_count(atom, view) > 0 for atom in cq.body):
             kept.append(cq)
     if not kept:
         kept = [ucq.cqs[0]]
     return UCQ(kept, name=f"{ucq.name}_pruned", head=ucq.head)
 
 
-def prune_jucq(jucq: JUCQ, estimator: CardinalityEstimator) -> JUCQ:
+def prune_jucq(
+    jucq: JUCQ, estimator: CardinalityEstimator, view: Optional[TableView] = None
+) -> JUCQ:
     """Prune every UCQ operand of a JUCQ."""
-    operands = [prune_empty_conjuncts(ucq, estimator) for ucq in jucq]
+    if view is None:
+        view = estimator.database.snapshot().table
+    operands = [prune_empty_conjuncts(ucq, estimator, view) for ucq in jucq]
     return JUCQ(jucq.head, operands, name=f"{jucq.name}_pruned")
 
 

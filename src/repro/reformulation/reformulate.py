@@ -48,6 +48,7 @@ produces exactly the 11 union terms (0)-(10) listed in the paper.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
 from itertools import compress, product
 from math import prod
@@ -62,7 +63,7 @@ from ..analysis.subsumption import (
     subsume,
 )
 from ..cache.lru import MISSING, LRUCache
-from ..rdf.schema import RDFSchema
+from ..rdf.schema import FrozenSchema, RDFSchema
 from ..rdf.terms import Triple, Variable
 from ..rdf.vocabulary import (
     RDF_TYPE,
@@ -101,7 +102,7 @@ class _Factors:
 
     __slots__ = ("name", "head", "skeletons", "count")
 
-    def __init__(self, query: BGPQuery, schema: RDFSchema) -> None:
+    def __init__(self, query: BGPQuery, schema: FrozenSchema) -> None:
         fresh = _fresh_factory(query)
         self.name = f"{query.name}_ref"
         self.head = query.head
@@ -269,9 +270,11 @@ class Reformulator:
     The memo is the *reformulation cache* level of DESIGN.md §9: a
     (bounded, when ``capacity`` is given) LRU keyed by the schema
     fingerprint — the schema part of the database snapshot — and the
-    query's canonical form.  A schema mutation makes every later lookup
-    a new key, while data updates leave the entries valid (a
-    reformulation is a pure schema consequence).
+    query's canonical form.  Key and union come from one schema value,
+    ``schema.snapshot()`` taken once per call (:meth:`at` pins one for a
+    whole plan).  A schema mutation makes every later lookup a new key,
+    while data updates leave the entries valid (a reformulation is a
+    pure schema consequence).
 
     ``minimize`` (on by default) runs the shape-level subsumption pass
     (:func:`repro.analysis.subsumption.subsume`, DESIGN.md §13) on the
@@ -300,8 +303,6 @@ class Reformulator:
         self.cache: LRUCache = LRUCache(capacity)
         #: The same key → the query's factors, for :meth:`count`.
         self._factors: LRUCache = LRUCache(capacity)
-        #: Number of non-memoized reformulation runs (instrumentation).
-        self.runs = 0
         self.minimize = minimize
         #: Monotone counters of the minimization pass's work, exported
         #: by the answerer as ``repro.analysis.*`` registry counters and
@@ -311,8 +312,16 @@ class Reformulator:
             "analysis.containment_checks": 0,
         }
 
-    def _key(self, query: BGPQuery) -> Tuple[str, Tuple]:
-        return self.schema.fingerprint(), query.canonical()
+    @property
+    def runs(self) -> int:
+        """Number of non-memoized reformulation runs (instrumentation)."""
+        return self.cache.misses
+
+    def at(self, schema: FrozenSchema) -> "Reformulator":
+        """This reformulator reading ``schema``: the same memos and counters."""
+        pinned = copy.copy(self)
+        pinned.schema = schema
+        return pinned
 
     def reformulate(self, query: BGPQuery) -> UCQ:
         """The (minimized) UCQ reformulation of ``query`` w.r.t. the schema.
@@ -320,10 +329,11 @@ class Reformulator:
         Limit overruns are memoized too, so a fragment that once blew
         the term limit fails instantly on every later request.
         """
-        key = self._key(query)
+        schema = self.schema.snapshot()
+        key = (schema.fingerprint(), query.canonical())
         cached = self.cache.get(key, MISSING)
         if cached is MISSING:
-            factors = self._factors.peek(key) or _Factors(query, self.schema)
+            factors = self._factors.peek(key) or _Factors(query, schema)
             try:
                 cached = _materialize(
                     factors,
@@ -333,10 +343,8 @@ class Reformulator:
                 )
             except ReformulationLimitExceeded as error:
                 self.cache.put(key, error)
-                self.runs += 1
                 raise
             self.cache.put(key, cached)
-            self.runs += 1
         if isinstance(cached, ReformulationLimitExceeded):
             raise cached
         return cached
@@ -349,13 +357,14 @@ class Reformulator:
         the factorized union, Σ skeleton ∏ |alternatives| — an upper
         bound, computed once per query.
         """
-        key = self._key(query)
+        schema = self.schema.snapshot()
+        key = (schema.fingerprint(), query.canonical())
         union = self.cache.peek(key)
         if isinstance(union, UCQ):
             return len(union)
         factors = self._factors.get(key)
         if factors is None:
-            factors = _Factors(query, self.schema)
+            factors = _Factors(query, schema)
             self._factors.put(key, factors)
         return factors.count
 
@@ -364,7 +373,7 @@ def reformulate(
     query: BGPQuery, schema: RDFSchema, limit: Optional[int] = None
 ) -> UCQ:
     """One-shot, unminimized CQ → UCQ reformulation (see :class:`Reformulator`)."""
-    return _materialize(_Factors(query, schema), limit, False, {})
+    return _materialize(_Factors(query, schema.snapshot()), limit, False, {})
 
 
 def reformulation_count(query: BGPQuery, schema: RDFSchema) -> int:
@@ -375,7 +384,7 @@ def reformulation_count(query: BGPQuery, schema: RDFSchema) -> int:
     cross-skeleton and renaming-isomorphic duplicates that full
     materialization would additionally merge.
     """
-    return _Factors(query, schema).count
+    return _Factors(query, schema.snapshot()).count
 
 
 def _fresh_factory(query: BGPQuery):
@@ -397,7 +406,7 @@ def _fresh_factory(query: BGPQuery):
 # ----------------------------------------------------------------------
 # Phase 1: instantiation / schema-resolution closure
 # ----------------------------------------------------------------------
-def _skeletons(query: BGPQuery, schema: RDFSchema) -> List[BGPQuery]:
+def _skeletons(query: BGPQuery, schema: FrozenSchema) -> List[BGPQuery]:
     """Close ``query`` under the cross-atom rules (5-11)."""
     seen: Set[Tuple] = {query.canonical()}
     skeletons: List[BGPQuery] = []
@@ -413,7 +422,7 @@ def _skeletons(query: BGPQuery, schema: RDFSchema) -> List[BGPQuery]:
     return skeletons
 
 
-def _instantiation_step(cq: BGPQuery, schema: RDFSchema) -> Iterator[BGPQuery]:
+def _instantiation_step(cq: BGPQuery, schema: FrozenSchema) -> Iterator[BGPQuery]:
     """One application of rules 5-7 (instantiation) or 8-11 (schema atoms)."""
     for index, atom in enumerate(cq.body):
         prop = atom.p
@@ -439,7 +448,7 @@ def _instantiation_step(cq: BGPQuery, schema: RDFSchema) -> Iterator[BGPQuery]:
 # Phase 2: per-atom specialization alternatives
 # ----------------------------------------------------------------------
 def _atom_alternatives(
-    atom: Triple, schema: RDFSchema, fresh
+    atom: Triple, schema: FrozenSchema, fresh
 ) -> Tuple[Tuple[Triple, ...], Tuple[int, int]]:
     """The atom itself plus every rule-1-4/12-13 specialization of it.
 
@@ -478,7 +487,7 @@ def _atom_alternatives(
 
 
 def _resolve_schema_atom(
-    cq: BGPQuery, index: int, atom: Triple, schema: RDFSchema
+    cq: BGPQuery, index: int, atom: Triple, schema: FrozenSchema
 ) -> Iterator[BGPQuery]:
     """Bind a constraint atom against every matching closure triple."""
     for closure_triple in _closure_matches(atom, schema):
@@ -503,7 +512,7 @@ def _resolve_schema_atom(
         yield grounded.replace_atom(index, [])
 
 
-def _closure_matches(atom: Triple, schema: RDFSchema) -> Iterator[Triple]:
+def _closure_matches(atom: Triple, schema: FrozenSchema) -> Iterator[Triple]:
     """Closure triples with the same constraint property as ``atom``.
 
     The closure here includes the *asserted* constraints as well (a
@@ -525,7 +534,7 @@ def _closure_matches(atom: Triple, schema: RDFSchema) -> Iterator[Triple]:
                 yield Triple(p, prop, cls)
 
 
-def _pairs(schema: RDFSchema, upward, members, prop) -> Iterator[Triple]:
+def _pairs(schema: FrozenSchema, upward, members, prop) -> Iterator[Triple]:
     for member in members:
         for ancestor in upward(member):
             yield Triple(member, prop, ancestor)

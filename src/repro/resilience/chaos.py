@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from ..engine.budget import UNLIMITED, ExecutionBudget
 from ..engine.evaluator import AnswerSet, EngineFailure, EngineTimeout
+from ..storage.database import Snapshot
 from ..telemetry.metrics import MetricsRecorder
 
 
@@ -152,6 +153,7 @@ class ChaosEngine:
         tracer=None,
         metrics: Optional[MetricsRecorder] = None,
         budget: ExecutionBudget = UNLIMITED,
+        snapshot: Optional[Snapshot] = None,
     ) -> AnswerSet:
         plan = self._draw(query)
         if plan["slow"]:
@@ -166,7 +168,7 @@ class ChaosEngine:
             error.transient = self.config.transient
             raise error
         answers = self.engine.evaluate(
-            query, tracer=tracer, metrics=metrics, budget=budget
+            query, tracer=tracer, metrics=metrics, budget=budget, snapshot=snapshot
         )
         if plan["failure"]:
             # Mid-evaluation fault: the work was done, the rows are

@@ -6,30 +6,37 @@ triple table, the cost model reads its statistics.  Mirrors the paper's
 setup where "RDFS constraints are kept in memory, while RDF facts are
 stored in a Triples(s,p,o) table".
 
-:meth:`RDFDatabase.snapshot` names the state everything derived from
-the database is current at (DESIGN.md §9): every cache key and derived
-store is stamped with it, or with one of its two parts.
+:meth:`RDFDatabase.snapshot` is the state everything derived from the
+database reads (DESIGN.md §9): an immutable schema value and table view,
+taken once per answer and handed to every reader, so one answer reads
+one state however many writes and edits land meanwhile.  Every cache
+key and derived store is stamped with its :attr:`Snapshot.key`, or one
+of its two parts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 from ..rdf.graph import RDFGraph
-from ..rdf.schema import RDFSchema, split_graph
+from ..rdf.schema import FrozenSchema, RDFSchema, split_graph
 from ..rdf.terms import Triple
 from .dictionary import Dictionary
 from .statistics import TableStatistics
-from .triple_table import TripleTable
+from .triple_table import TableView, TripleTable
 
 
 class Snapshot(NamedTuple):
-    """One state of a database: equal snapshots saw the same schema and rows."""
+    """One state of a database: the schema value and the table view."""
 
-    #: ``RDFSchema.fingerprint()``: what reformulations depend on.
-    schema: str
-    #: ``TripleTable.version``: what statistics and stored rows depend on.
-    data: int
+    schema: FrozenSchema
+    table: TableView
+
+    @property
+    def key(self) -> Tuple[str, int]:
+        """``(schema fingerprint, table version)``: equal keys, same
+        schema and rows; what every cache keys on."""
+        return self.schema.digest, self.table.version
 
 
 class RDFDatabase:
@@ -37,14 +44,13 @@ class RDFDatabase:
 
     def __init__(
         self,
-        schema: Optional[RDFSchema] = None,
+        schema: Union[RDFSchema, FrozenSchema, None] = None,
         table: Optional[TripleTable] = None,
         bits: int = 21,
     ):
         self.schema = schema if schema is not None else RDFSchema()
         self.table = table if table is not None else TripleTable(bits=bits)
         self.statistics = TableStatistics(self.table)
-        self._snapshot = Snapshot("", -1)
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,30 +81,26 @@ class RDFDatabase:
     def snapshot(self) -> Snapshot:
         """The current :class:`Snapshot`, after merging any buffered rows.
 
-        Freezing first counts the rows buffered before the call in
-        ``data``, so what is derived next from the table is not stamped
-        older than the rows it reads.  While neither part moves, every
-        call returns the same object (every cache lookup asks).
+        Freezing first counts the rows buffered before the call, so what
+        is derived next from the table is not stamped older than the
+        rows it reads.
         """
-        table = self.table
-        table.freeze()
-        fingerprint, version = self.schema.fingerprint(), table.version
-        held = self._snapshot
-        if held.data != version or held.schema != fingerprint:
-            held = self._snapshot = Snapshot(fingerprint, version)
-        return held
+        self.table.freeze()
+        return Snapshot(self.schema.snapshot(), self.table.view)
 
     @property
     def epoch(self) -> int:
-        """The table version: ``snapshot().data`` without the freeze."""
-        return self.table.version
+        """The table version.  Its only reader is the e2e benchmark's
+        staged driver (``benchmarks/e2e/e2elib/trace.py``); the library
+        reads ``snapshot().table.version``."""
+        return self.table.view.version
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def facts_graph(self) -> RDFGraph:
         """The stored facts decoded back into an :class:`RDFGraph`."""
-        rows = self.table.match((None, None, None))
+        rows = self.snapshot().table.match((None, None, None))
         return RDFGraph(map(Triple, *self.dictionary.snapshot.decode_columns(rows)))
 
     def saturated(self) -> "RDFDatabase":

@@ -29,8 +29,9 @@ schemas:
   per cycle; ``on_cycle="reject"`` raises :class:`CyclicHierarchyError`
   instead for callers that consider cycles schema corruption.
 
-An encoding is a pure function of the schema — it is stamped with
-``RDFSchema.fingerprint()`` and never mutated, so the fingerprint alone
+An encoding is a pure function of the schema — it holds the
+:class:`~repro.rdf.schema.FrozenSchema` it was laid out for and is
+never mutated, so the fingerprint alone
 says which codes a plan embeds.  Renumbering on schema change goes
 through :class:`IntervalAssigner`, which rebuilds the derived store
 copy-on-write (the old dictionary and table are never touched, so
@@ -47,7 +48,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..rdf.schema import RDFSchema, _strongly_connected_components
+from ..rdf.schema import FrozenSchema, RDFSchema, _strongly_connected_components
 from ..rdf.terms import Term
 from ..rdf.vocabulary import RDFS_SUBCLASS, RDFS_SUBPROPERTY
 
@@ -185,7 +186,7 @@ class IntervalEncoding:
     """
 
     __slots__ = (
-        "schema_fingerprint",
+        "schema",
         "class_order",
         "property_order",
         "cycle_diagnostics",
@@ -197,7 +198,7 @@ class IntervalEncoding:
 
     def __init__(
         self,
-        schema_fingerprint: str,
+        schema: FrozenSchema,
         class_order: Tuple[Term, ...],
         property_order: Tuple[Term, ...],
         class_code: Dict[Term, int],
@@ -206,7 +207,8 @@ class IntervalEncoding:
         property_ranges: Dict[Term, Tuple[Range, ...]],
         cycle_diagnostics: Tuple[str, ...],
     ) -> None:
-        self.schema_fingerprint = schema_fingerprint
+        #: The schema value this layout is for; its plans are made from it.
+        self.schema = schema
         self.class_order = class_order
         self.property_order = property_order
         self.cycle_diagnostics = cycle_diagnostics
@@ -214,6 +216,11 @@ class IntervalEncoding:
         self._property_code = property_code
         self._class_ranges = class_ranges
         self._property_ranges = property_ranges
+
+    @property
+    def schema_fingerprint(self) -> str:
+        """The fingerprint of :attr:`schema`."""
+        return self.schema.fingerprint()
 
     @classmethod
     def from_schema(
@@ -227,6 +234,7 @@ class IntervalEncoding:
         """
         if on_cycle not in ("collapse", "reject"):
             raise ValueError(f"on_cycle must be 'collapse' or 'reject', got {on_cycle!r}")
+        schema = schema.snapshot()
         direct_classes: Dict[Term, Set[Term]] = {}
         direct_properties: Dict[Term, Set[Term]] = {}
         for triple in schema.to_triples():
@@ -258,7 +266,7 @@ class IntervalEncoding:
                 tuple(class_cycles) + tuple(property_cycles),
             )
         return cls(
-            schema_fingerprint=schema.fingerprint(),
+            schema=schema,
             class_order=tuple(class_order),
             property_order=tuple(property_order),
             class_code=class_code,
@@ -335,37 +343,40 @@ class IntervalEncoding:
 class IntervalAssigner:
     """Owns the interval-encoded derived store of one base database.
 
-    The published store is keyed on the base database's
-    :class:`~repro.storage.database.Snapshot`.  Republishing is
-    copy-on-write: when the snapshot moved, the next :meth:`current`
-    call derives a *new* store and publishes it by swapping references
-    under the lock — the superseded store's table is never mutated, so
-    readers still evaluating against it stay consistent.  A schema
-    change re-encodes from scratch; a data-only write keeps the encoding
-    and extends the held store by the new rows (DESIGN.md §20).  A
-    reader whose derivation finishes after a newer one was published
-    keeps its store to itself: the newer entry stays.
+    The published store is keyed on the
+    :attr:`~repro.storage.database.Snapshot.key` it was derived at.
+    Republishing is copy-on-write: when the snapshot moved, the next
+    :meth:`current` call derives a *new* store and publishes it by
+    swapping references under the lock — the superseded store's table
+    is never mutated, so readers still evaluating against it stay
+    consistent.  A schema change re-encodes from scratch; a data-only
+    write keeps the encoding and extends the held store by the new rows
+    (DESIGN.md §20).  A reader whose derivation finishes after a newer
+    one was published keeps its store to itself: the newer entry stays.
 
     Thread-safe; covered by ``tools/lint_locks.py``.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: ``(snapshot, store)`` as published.
-        self._published: Optional[Tuple["Snapshot", "IntervalStore"]] = None
+        #: ``(snapshot key, store)`` as published.
+        self._published: Optional[Tuple[Tuple[str, int], "IntervalStore"]] = None
 
     def current(
-        self, database: "RDFDatabase"
+        self, database: "RDFDatabase", snapshot: Optional["Snapshot"] = None
     ) -> Tuple[IntervalEncoding, "RDFDatabase", "Snapshot"]:
-        """The ``(encoding, derived store, snapshot)`` for ``database``.
+        """The ``(encoding, derived store, snapshot)`` for ``database`` at
+        ``snapshot`` (None: the database's, taken here).
 
-        The snapshot is the one the store was built at, so what anything
-        built over the store (an engine, a plan embedding its codes) is
-        keyed on; it changes whenever the store does.
+        The store is derived at the returned snapshot, so that is what
+        anything built over the store (an engine, a plan embedding its
+        codes) is keyed on; it changes whenever the store does.
         """
-        snapshot = database.snapshot()
+        if snapshot is None:
+            snapshot = database.snapshot()
+        key = snapshot.key
         published = self._published
-        if published is not None and published[0] == snapshot:
+        if published is not None and published[0] == key:
             store = published[1]
             return store.encoding, store.database, snapshot
         # Derive outside the lock: readers of the published store must
@@ -373,14 +384,14 @@ class IntervalAssigner:
         from ..reasoning.litemat import interval_encode_database
 
         held = None
-        if published is not None and published[0].schema == snapshot.schema:
+        if published is not None and published[0][0] == key[0] and published[0] < key:
             held = published[1]
-        derived = interval_encode_database(database, held=held)
+        derived = interval_encode_database(database, held, snapshot)
         with self._lock:
             published = self._published
-            if published is not None and published[0].data > snapshot.data:
-                published = (snapshot, derived)
-            elif published is None or published[0] != snapshot:
-                published = self._published = (snapshot, derived)
-        snapshot, store = published
+            if published is not None and published[0][1] > key[1]:
+                published = (key, derived)
+            elif published is None or published[0] != key:
+                published = self._published = (key, derived)
+        store = published[1]
         return store.encoding, store.database, snapshot

@@ -37,7 +37,8 @@ def save_database(database: RDFDatabase, directory: Union[str, Path]) -> Path:
     """Persist ``database`` under ``directory`` (created if missing)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    rows = database.table.match((None, None, None))
+    snapshot = database.snapshot()
+    rows = snapshot.table.match((None, None, None))
     np.savez_compressed(directory / "triples.npz", triples=rows)
     dictionary = database.dictionary
     with (directory / "dictionary.nt").open("w", encoding="utf-8") as sink:
@@ -46,7 +47,7 @@ def save_database(database: RDFDatabase, directory: Union[str, Path]) -> Path:
             sink.write(term.n3())
             sink.write("\n")
     with (directory / "schema.nt").open("w", encoding="utf-8") as sink:
-        for triple in database.schema.to_triples():
+        for triple in snapshot.schema.to_triples():
             sink.write(serialize_triple(triple))
             sink.write("\n")
     (directory / "meta.json").write_text(

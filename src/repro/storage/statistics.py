@@ -15,38 +15,42 @@ various fragments"):
 Both are memoized: the optimizer probes the same patterns many times
 across candidate covers.
 
-The memos live in one record stamped with the table version it is
-current at, and a read that finds the version moved swaps in a
-successor record instead of clearing this one (DESIGN.md §19), so no
-write path has anything to invalidate.  The successor is a copy that
-keeps every entry no row of the write matches — a row matches only its
-eight ``None``-masks, so the others' counts are unmoved — and starts
-empty when the write has more rows than the record has entries.
+The memos live in one record per table version, computed from that
+version's :class:`~repro.storage.triple_table.TableView` only: a reader
+asks :meth:`TableStatistics.at` for the record of the view it was
+handed, so a count it reads is of its own version.  The newest record
+is published and a newer view swaps in a successor instead of clearing
+it (DESIGN.md §19), so no write path has anything to invalidate.  The
+successor is a copy that keeps every entry no row of the write matches
+— a row matches only its eight ``None``-masks, so the others' counts
+are unmoved — and starts empty when the write has more rows than the
+record has entries.  A reader whose view is older than the published
+record gets a record of its own, which is not published.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .triple_table import Pattern, TripleTable
+from .triple_table import Pattern, TableView, TripleTable
 
 
 class _Counts:
-    """The pattern-count and distinct-count memos of one table version."""
+    """The pattern-count and distinct-count memos of one table view."""
 
-    __slots__ = ("version", "patterns", "distincts")
+    __slots__ = ("view", "patterns", "distincts")
 
-    def __init__(self, version: Optional[int]):
-        self.version = version
+    def __init__(self, view: TableView):
+        self.view = view
         self.patterns: Dict[Pattern, int] = {}
         self.distincts: Dict[Tuple[Pattern, int], int] = {}
 
-    def successor(self, table: TripleTable) -> "_Counts":
-        """The record of the table's current version, carrying what it can."""
-        moved, version = table.changed_patterns(
-            self.version, len(self.patterns) + len(self.distincts)
+    def successor(self, view: TableView) -> "_Counts":
+        """The record of a newer view, carrying what it can."""
+        moved, _ = view.changed_patterns(
+            self.view.version, len(self.patterns) + len(self.distincts)
         )
-        after = _Counts(version)
+        after = _Counts(view)
         if moved is not None:
             # Filtered from copies: a probe still holding this record may
             # store into it meanwhile, and ``dict.copy`` is one atomic step.
@@ -62,37 +66,11 @@ class _Counts:
             }
         return after
 
-
-class TableStatistics:
-    """Memoizing statistics facade over a :class:`TripleTable`.
-
-    Threads answering through one shared answerer probe the same
-    statistics while ordering joins; the read path takes no lock.  A
-    probe captures the current record once and stores only into it, so
-    a count computed while a write lands goes into the record of the
-    version the probe started under, never into a newer one.  A record
-    newer than the version a reader saw is still used: every count is
-    read from the current index anyway.
-    """
-
-    def __init__(self, table: TripleTable):
-        self.table = table
-        self._counts = _Counts(None)
-
-    def _current(self) -> _Counts:
-        """The memo record of the table's current version."""
-        self.table.freeze()
-        counts = self._counts
-        if counts.version is None or counts.version < self.table.version:
-            counts = self._counts = counts.successor(self.table)
-        return counts
-
     def pattern_count(self, pattern: Pattern) -> int:
         """Exact number of triples matching an encoded pattern."""
-        counts = self._current()
-        cached = counts.patterns.get(pattern)
+        cached = self.patterns.get(pattern)
         if cached is None:
-            cached = counts.patterns[pattern] = self.table.match_count(pattern)
+            cached = self.patterns[pattern] = self.view.match_count(pattern)
         return cached
 
     def distinct(self, pattern: Pattern, position: int) -> int:
@@ -103,12 +81,33 @@ class TableStatistics:
         """
         if pattern[position] is not None:
             return 1 if self.pattern_count(pattern) else 0
-        counts = self._current()
         key = (pattern, position)
-        cached = counts.distincts.get(key)
+        cached = self.distincts.get(key)
         if cached is None:
-            cached = counts.distincts[key] = self.table.distinct_count(pattern, position)
+            cached = self.distincts[key] = self.view.distinct_count(pattern, position)
         return cached
+
+
+class TableStatistics:
+    """Memoizing statistics facade over a :class:`TripleTable`.
+
+    Threads answering through one shared answerer probe the same
+    statistics while ordering joins; the read path takes no lock.  A
+    reader takes the record of its view once and stores only into it.
+    """
+
+    def __init__(self, table: TripleTable):
+        self.table = table
+        self._counts = _Counts(table.view)
+
+    def at(self, view: TableView) -> _Counts:
+        """The memo record of ``view``'s version."""
+        counts = self._counts
+        if counts.view.version < view.version:
+            counts = self._counts = counts.successor(view)
+        elif counts.view is not view:
+            counts = _Counts(view)
+        return counts
 
     def probe_calls(self) -> Tuple[int, int]:
         """(count-cache size, distinct-cache size) — for instrumentation."""

@@ -26,15 +26,13 @@ Column codes must fit in ``BITS`` bits (default 21 → two million
 distinct values, ample for the benchmark scales; raise it for more).
 
 Writes merge (DESIGN.md §20): :meth:`TripleTable.freeze` sorts only the
-buffered rows and merges the ones not yet stored into each index.
-Published index arrays are read-only and never written in place; a
-merge builds new arrays and swaps the index dict once, logs its new
-``spo`` keys, then bumps ``version``.  :meth:`TripleTable.changes` reads
-that log, so whatever is derived from the table (statistics, the
-saturated and interval stores, the SQLite mirror) takes a write's rows
-instead of diffing the index.  Buffering and merging serialize on one
-lock (a reader that sees a new ``version`` and then reads gets that
-version's rows); reads of a clean table take none.
+buffered rows, merges the ones not yet stored into *new* read-only
+index arrays, logs them, and publishes all of it as the next version's
+:class:`TableView` by one reference swap.  A reader reads one view, so
+its lookups and log reads are of one version (DESIGN.md §9), and what
+is derived from the table takes a write's rows from
+:meth:`TableView.changes` instead of diffing the index.  Buffering and
+merging serialize on one lock; reads take none.
 """
 
 from __future__ import annotations
@@ -111,151 +109,43 @@ def keys_absent_from(keys: np.ndarray, stored: np.ndarray) -> np.ndarray:
     return keys[stored[at] != keys]
 
 
-class TripleTable:
-    """Sorted-array triple store over a :class:`Dictionary`.
 
-    Usage: ``add_triples`` (or ``add_encoded``) then :meth:`freeze`;
-    lookups require a frozen table.  ``freeze`` is idempotent and
-    re-freezing after more adds merges them into the indexes.
-    """
 
-    def __init__(self, dictionary: Optional[Dictionary] = None, bits: int = 21):
-        if not 1 <= bits <= 21:
-            raise ValueError("bits must be in 1..21 so three columns fit in 63 bits")
-        self.dictionary = dictionary if dictionary is not None else Dictionary()
+class TableView:
+    """One published state of a :class:`TripleTable`: the six sorted
+    index arrays, their row count and version, and the merge log up to
+    that version.  It never changes once published."""
+
+    __slots__ = ("indexes", "count", "version", "bits", "_mask", "_log")
+
+    def __init__(self, indexes: dict, version: int, bits: int, log: List[np.ndarray]):
+        self.indexes = indexes
+        self.count = int(indexes["spo"].shape[0])
+        self.version = version
         self.bits = bits
         self._mask = (1 << bits) - 1
-        #: Serializes buffering and :meth:`freeze`; reads take no lock.
-        self._lock = threading.Lock()
-        self._pending: List[Tuple[int, int, int]] = []
-        self._pending_blocks: List[np.ndarray] = []
-        self._indexes: Optional[dict] = None
-        self._dirty = True
-        self._count = 0
-        self._version = 0
-        #: The new ``spo`` keys of every merge after the first build:
-        #: entry ``i`` took the table from version ``_log_floor + i`` to
-        #: the next (each such merge bumps the version once).
-        self._log: List[np.ndarray] = []
-        self._log_floor = 0
-
-    @property
-    def version(self) -> int:
-        """Monotone content counter: bumped by each :meth:`freeze` that
-        stores a new row, and by nothing else.
-
-        Buffered rows are not counted until merged; read it through
-        :meth:`~repro.storage.database.RDFDatabase.snapshot`, which
-        freezes first (DESIGN.md §9).
-        """
-        return self._version
-
-    # ------------------------------------------------------------------
-    # Loading
-    # ------------------------------------------------------------------
-    def add_triples(self, triples: Iterable[Triple]) -> int:
-        """Encode and buffer ground triples; returns how many were buffered."""
-        encode = self.dictionary.encode
-        return self.add_encoded(
-            [(encode(triple.s), encode(triple.p), encode(triple.o)) for triple in triples]
-        )
-
-    def add_encoded(self, rows: Iterable[Tuple[int, int, int]]) -> int:
-        """Buffer already-encoded rows."""
-        rows = list(rows)
-        with self._lock:
-            self._pending.extend(rows)
-            if rows:
-                self._dirty = True
-        return len(rows)
-
-    def add_block(self, block: np.ndarray) -> int:
-        """Buffer an already-encoded ``(n, 3)`` array without conversion."""
-        if block.ndim != 2 or block.shape[1] != 3:
-            raise ValueError(f"expected an (n, 3) block, got shape {block.shape}")
-        with self._lock:
-            self._pending_blocks.append(np.asarray(block, dtype=np.int64))
-            if block.shape[0]:
-                self._dirty = True
-        return int(block.shape[0])
-
-    def freeze(self) -> None:
-        """Merge the buffered rows into the six sorted composite-key indexes.
-
-        Rows already stored (or repeated in the buffer) are dropped; the
-        rest are merged into *new* index arrays, published together, then
-        logged for :meth:`changes`, and only then is :attr:`version`
-        bumped.  The first build is the same merge into six empty arrays,
-        and is not logged.
-        """
-        if self._indexes is not None and not self._dirty:
-            return
-        with self._lock:
-            if self._indexes is not None and not self._dirty:
-                return
-            if len(self.dictionary) > (1 << self.bits):
-                raise OverflowError(
-                    f"{len(self.dictionary)} dictionary codes exceed {self.bits}-bit columns"
-                )
-            blocks = [np.empty((0, 3), dtype=np.int64), *self._pending_blocks]
-            if self._pending:
-                blocks.append(np.array(self._pending, dtype=np.int64))
-            rows = np.vstack(blocks)
-            stored = self._indexes or dict.fromkeys(PERMUTATIONS, np.empty(0, dtype=np.int64))
-            fresh = _dedup_sorted(np.sort(self._pack(rows[:, 0], rows[:, 1], rows[:, 2])))
-            fresh = keys_absent_from(fresh, stored["spo"])
-            if fresh.size or self._indexes is None:
-                columns = [self._column_from_keys(fresh, slot) for slot in range(3)]
-                indexes = {}
-                for name, order in PERMUTATIONS.items():
-                    keys = fresh
-                    if name != "spo":
-                        keys = np.sort(self._pack(*(columns[position] for position in order)))
-                    held = stored[name]
-                    if held.size:
-                        keys = np.insert(held, np.searchsorted(held, keys), keys)
-                    keys.setflags(write=False)
-                    indexes[name] = keys
-                building = self._indexes is None
-                self._indexes = indexes
-                self._count = int(indexes["spo"].shape[0])
-                if fresh.size:
-                    if not building:
-                        fresh.setflags(write=False)
-                        self._log.append(fresh)
-                    # After the swap and the log: a reader of the new
-                    # version gets its rows and its changes.
-                    self._version += 1
-                if building:
-                    self._log_floor = self._version
-            # Cleared last: a reader that finds the table clean finds the rows.
-            self._pending = []
-            self._pending_blocks = []
-            self._dirty = False
+        #: The table's append-only merge log: entry ``i`` took it from
+        #: version ``i`` to ``i + 1``.  This view reads its first
+        #: ``version`` entries only.
+        self._log = log
 
     def changes(self, since: Optional[int]) -> Tuple[np.ndarray, int]:
-        """The ``spo`` keys stored after version ``since``, and the version they reach.
+        """The ``spo`` keys stored after version ``since``, and this view's version.
 
-        ``since=None`` is the whole ``spo`` index.  Otherwise ``since`` is
-        a version this table has had since its first build (or since the
-        :meth:`copy` that made it), and the keys are the sorted rows the
-        merges after it stored — exactly the index at the returned
-        version minus the index at ``since``.
+        ``since=None`` is the whole ``spo`` index.  Otherwise the keys
+        are the sorted rows the merges from ``since`` up to this view
+        stored: exactly this view's index minus the index at ``since``.
         """
-        self.freeze()
-        with self._lock:
-            version = self._version
-            if since is None:
-                return self._indexes["spo"], version
-            if since < self._log_floor:
-                raise ValueError(f"version {since} predates this table's log")
-            blocks = self._log[since - self._log_floor :]
-        return np.sort(np.concatenate([np.empty(0, dtype=np.int64), *blocks])), version
+        if since is None:
+            return self.indexes["spo"], self.version
+        blocks = self._log[since : self.version]
+        keys = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+        return np.sort(keys), self.version
 
     def changed_patterns(
         self, since: Optional[int], limit: int
     ) -> Tuple[Optional[Set[Pattern]], int]:
-        """Every pattern a row stored after ``since`` matches, and the version reached.
+        """Every pattern a row stored after ``since`` matches, and this view's version.
 
         A row ``(s, p, o)`` matches exactly its eight ``None``-masks, so a
         count or distinct count memoized for any other pattern is unmoved
@@ -263,9 +153,9 @@ class TripleTable:
         rows were stored: a memo of ``limit`` entries is then cheaper to
         refill than to filter.
         """
+        if sum(block.size for block in self._log[since : self.version]) > limit:
+            return None, self.version
         keys, version = self.changes(since)
-        if keys.size > limit:
-            return None, version
         matched: Set[Pattern] = set()
         for s, p, o in self.decode_keys(keys).tolist():
             matched.update(
@@ -275,30 +165,6 @@ class TripleTable:
                 )
             )
         return matched, version
-
-    def copy(self) -> "TripleTable":
-        """A new table over the same dictionary and (shared, read-only) indexes.
-
-        The copy starts at version 0 with an empty log of its own.
-        """
-        self.freeze()
-        other = TripleTable(dictionary=self.dictionary, bits=self.bits)
-        other._indexes = dict(self._indexes)
-        other._count = self._count
-        other._dirty = False
-        return other
-
-    def index(self, name: str) -> np.ndarray:
-        """The published sorted key array of one permutation (read-only)."""
-        self.freeze()
-        return self._indexes[name]
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        self.freeze()
-        return self._count
 
     def match_count(self, pattern: Pattern) -> int:
         """Exact number of triples matching ``pattern`` (O(log n))."""
@@ -343,21 +209,15 @@ class TripleTable:
             column = np.sort(column)
         return int(_dedup_sorted(column).size)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _range(self, pattern: Pattern) -> Tuple[np.ndarray, str]:
         """Binary-search the composite range for a pattern.
 
-        Returns ``(keys, index_name)``: the matching slice of the index,
-        cut from the one array the search ran on, so a merge published
-        meanwhile cannot pair one version's bounds with another's rows.
+        Returns ``(keys, index_name)``: the matching slice of the index.
         """
-        self.freeze()
         bound = frozenset(i for i, v in enumerate(pattern) if v is not None)
         name = _INDEX_FOR_BOUND[bound]
         order = PERMUTATIONS[name]
-        keys = self._indexes[name]
+        keys = self.indexes[name]
         shift2, shift1 = 2 * self.bits, self.bits
         prefix = 0
         width = 3 * self.bits
@@ -378,13 +238,12 @@ class TripleTable:
         self, pattern: Pattern, position: int, lo: int, hi: int
     ) -> Tuple[np.ndarray, str]:
         """Binary-search the composite range for a pattern plus code interval."""
-        self.freeze()
         if pattern[position] is not None:
             raise ValueError(f"range position {position} is bound in pattern {pattern}")
         bound = frozenset(i for i, v in enumerate(pattern) if v is not None)
         name = _RANGE_INDEX[(bound, position)]
         order = PERMUTATIONS[name]
-        keys = self._indexes[name]
+        keys = self.indexes[name]
         shifts = (2 * self.bits, self.bits, 0)
         prefix = 0
         for slot in range(len(bound)):
@@ -405,10 +264,6 @@ class TripleTable:
         shift = (2 * self.bits, self.bits, 0)[slot]
         return (keys >> shift) & self._mask
 
-    def _pack(self, first: np.ndarray, second: np.ndarray, third: np.ndarray) -> np.ndarray:
-        """Composite keys of three code columns, most significant first."""
-        return (first << (2 * self.bits)) | (second << self.bits) | third
-
     def decode_keys(self, keys: np.ndarray, name: str = "spo") -> np.ndarray:
         """Composite keys of one permutation back to ``(n, 3)`` (s, p, o) rows."""
         order = PERMUTATIONS[name]
@@ -417,7 +272,133 @@ class TripleTable:
             out[:, position] = self._column_from_keys(keys, slot)
         return out
 
+
+class TripleTable:
+    """Sorted-array triple store over a :class:`Dictionary`.
+
+    Usage: ``add_triples`` (or ``add_encoded``, ``add_block``) then
+    :meth:`freeze`, which publishes the merged rows as the next
+    :attr:`view`.  Lookups read the published view: rows still buffered
+    are not seen until a freeze merges them.
+    """
+
+    def __init__(self, dictionary: Optional[Dictionary] = None, bits: int = 21):
+        if not 1 <= bits <= 21:
+            raise ValueError("bits must be in 1..21 so three columns fit in 63 bits")
+        self.dictionary = dictionary if dictionary is not None else Dictionary()
+        self.bits = bits
+        #: Serializes buffering and :meth:`freeze`; reads take no lock.
+        self._lock = threading.Lock()
+        self._pending: List[Tuple[int, int, int]] = []
+        self._pending_blocks: List[np.ndarray] = []
+        self._dirty = True
+        #: The new ``spo`` keys of every merge, in version order.
+        self._log: List[np.ndarray] = []
+        empty = np.empty(0, dtype=np.int64)
+        empty.setflags(write=False)
+        #: The published state: replaced whole by each merge that stores a row.
+        self.view = TableView(dict.fromkeys(PERMUTATIONS, empty), 0, bits, self._log)
+
+    # ------------------------------------------------------------------
+    # Loading
+    # ------------------------------------------------------------------
+    def add_triples(self, triples: Iterable[Triple]) -> int:
+        """Encode and buffer ground triples; returns how many were buffered."""
+        encode = self.dictionary.encode
+        return self.add_encoded(
+            [(encode(triple.s), encode(triple.p), encode(triple.o)) for triple in triples]
+        )
+
+    def add_encoded(self, rows: Iterable[Tuple[int, int, int]]) -> int:
+        """Buffer already-encoded rows."""
+        rows = list(rows)
+        with self._lock:
+            self._pending.extend(rows)
+            if rows:
+                self._dirty = True
+        return len(rows)
+
+    def add_block(self, block: np.ndarray) -> int:
+        """Buffer an already-encoded ``(n, 3)`` array without conversion."""
+        if block.ndim != 2 or block.shape[1] != 3:
+            raise ValueError(f"expected an (n, 3) block, got shape {block.shape}")
+        with self._lock:
+            self._pending_blocks.append(np.asarray(block, dtype=np.int64))
+            if block.shape[0]:
+                self._dirty = True
+        return int(block.shape[0])
+
+    def freeze(self) -> None:
+        """Merge the buffered rows into the six sorted composite-key indexes.
+
+        Rows already stored (or repeated in the buffer) are dropped; the
+        rest are merged into *new* index arrays, logged, and published
+        with the next version as one new :class:`TableView`.
+        """
+        if not self._dirty:
+            return
+        with self._lock:
+            if not self._dirty:
+                return
+            if len(self.dictionary) > (1 << self.bits):
+                raise OverflowError(
+                    f"{len(self.dictionary)} dictionary codes exceed {self.bits}-bit columns"
+                )
+            blocks = [np.empty((0, 3), dtype=np.int64), *self._pending_blocks]
+            if self._pending:
+                blocks.append(np.array(self._pending, dtype=np.int64))
+            rows = np.vstack(blocks)
+            stored = self.view.indexes
+            fresh = _dedup_sorted(np.sort(self._pack(rows[:, 0], rows[:, 1], rows[:, 2])))
+            fresh = keys_absent_from(fresh, stored["spo"])
+            if fresh.size:
+                columns = [self.view._column_from_keys(fresh, s) for s in range(3)]
+                indexes = {}
+                for name, order in PERMUTATIONS.items():
+                    keys = fresh
+                    if name != "spo":
+                        keys = np.sort(self._pack(*(columns[position] for position in order)))
+                    held = stored[name]
+                    if held.size:
+                        keys = np.insert(held, np.searchsorted(held, keys), keys)
+                    keys.setflags(write=False)
+                    indexes[name] = keys
+                self._log.append(fresh)
+                version = self.view.version + 1
+                self.view = TableView(indexes, version, self.bits, self._log)
+            self._pending = []
+            self._pending_blocks = []
+            self._dirty = False
+
+    def copy(self) -> "TripleTable":
+        """A new table over the same dictionary and (shared, read-only) indexes.
+
+        The copy starts at version 0 with an empty log of its own.
+        """
+        self.freeze()
+        other = TripleTable(dictionary=self.dictionary, bits=self.bits)
+        other.view = TableView(self.view.indexes, 0, self.bits, other._log)
+        other._dirty = False
+        return other
+
+    def _pack(self, first: np.ndarray, second: np.ndarray, third: np.ndarray) -> np.ndarray:
+        """Composite keys of three code columns, most significant first."""
+        return (first << (2 * self.bits)) | (second << self.bits) | third
+
+    # ------------------------------------------------------------------
+    # Lookup: the published view's (every other read goes to ``view``)
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return self.view.count
+
+    def match(self, pattern: Pattern) -> np.ndarray:
+        """:meth:`TableView.match` of the published view."""
+        return self.view.match(pattern)
+
+    def match_range(self, pattern: Pattern, position: int, lo: int, hi: int) -> np.ndarray:
+        """:meth:`TableView.match_range` of the published view."""
+        return self.view.match_range(pattern, position, lo, hi)
+
     def __repr__(self) -> str:
         pending = len(self._pending) + sum(len(b) for b in self._pending_blocks)
-        frozen = self._count if self._indexes is not None else 0
-        return f"TripleTable({frozen} triples frozen, {pending} pending)"
+        return f"TripleTable({self.view.count} triples frozen, {pending} pending)"

@@ -395,30 +395,30 @@ def saturation_answers_match(query: BGPQuery, schema, graph, union: UCQ) -> bool
 
 
 def assert_memos_match_fresh_probes(estimator: CardinalityEstimator) -> int:
-    """Every entry a long-lived estimator and its table statistics hold
-    for the current version — atom statistics, operand summaries and
-    their conjunct estimates, pattern and distinct counts — equals what
-    is computed from a probe of the table as it is now.
+    """Every entry a long-lived estimator and its table statistics hold —
+    atom statistics, operand summaries and their conjunct estimates,
+    pattern and distinct counts — equals what is computed from a probe
+    of the table view of that record's own version (a record left behind
+    by a reader that lagged a write is of an older view than the table's).
 
     The fresh side is an estimator over a new database object around the
     same table and schema, so none of its statistics are carried.
     Returns how many entries were compared.
     """
-    database, table = estimator.database, estimator.database.table
-    memo = estimator._current()
-    counts = database.statistics._current()
-    fresh = CardinalityEstimator(RDFDatabase(schema=database.schema, table=table))
+    database = estimator.database
+    memo, counts = estimator._memo, database.statistics._counts
+    fresh = CardinalityEstimator(RDFDatabase(schema=database.schema, table=database.table))
+    fresh_memo = fresh._current(memo.view)
     for atom, entry in list(memo.atoms.items()):
-        assert entry == fresh._atom_entry(fresh._current(), atom), atom
+        assert entry == fresh._atom_entry(fresh_memo, atom), atom
     for operand, summary, patterns in list(memo.operands.values()):
-        assert summary == fresh.operand_summary(operand), operand.name
+        assert (summary, patterns) == fresh._summarize(fresh_memo, operand), operand.name
         assert patterns == {fresh.atom_pattern(atom) for cq in operand for atom in cq.body}
-    fresh_cqs = fresh._current().cqs
     for key, entry in list(memo.cqs.items()):
-        if key in fresh_cqs:  # the conjuncts of the operands just summarized
-            assert entry == fresh_cqs[key], key
+        if key in fresh_memo.cqs:  # the conjuncts of the operands just summarized
+            assert entry == fresh_memo.cqs[key], key
     for pattern, count in list(counts.patterns.items()):
-        assert count == table.match_count(pattern), pattern
+        assert count == counts.view.match_count(pattern), pattern
     for (pattern, position), distinct in list(counts.distincts.items()):
-        assert distinct == table.distinct_count(pattern, position), (pattern, position)
+        assert distinct == counts.view.distinct_count(pattern, position), (pattern, position)
     return len(memo.atoms) + len(memo.operands) + len(counts.patterns) + len(counts.distincts)

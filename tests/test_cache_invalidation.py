@@ -201,7 +201,7 @@ class TestDataMutations:
         book_db.load_facts([Triple(ex("doi3"), RDF_TYPE, ex("Book"))])
         assert book_db.epoch > epoch
         assert book_db.schema.fingerprint() == fingerprint
-        assert book_db.snapshot() == (fingerprint, snapshot.data + 1)
+        assert book_db.snapshot().key == (fingerprint, snapshot.table.version + 1)
 
     def test_a_load_that_stores_nothing_new_keeps_every_cache(self, book_db):
         """Loading a row the table already holds is not a write: the
@@ -294,9 +294,9 @@ class TestLitematInvalidation:
         book_db.schema.add_subclass(ex("Thesis"), ex("Publication"))
         _answers(answerer, query, strategy="litemat")
         moved, _store, moved_snapshot = answerer.interval_assigner.current(book_db)
-        assert moved_snapshot == book_db.snapshot()
-        assert moved_snapshot.schema != snapshot.schema
-        assert moved_snapshot.data == snapshot.data
+        assert moved_snapshot.key == book_db.snapshot().key
+        assert moved_snapshot.key[0] != snapshot.key[0]
+        assert moved_snapshot.table.version == snapshot.table.version
         assert moved is not encoding
         assert reformulator.runs == runs_before + 1
 
@@ -315,7 +315,8 @@ class TestLitematInvalidation:
         book_db.load_facts([Triple(ex("doi4"), RDF_TYPE, ex("Book"))])
         after = _answers(answerer, query, strategy="litemat")
         kept, _store, moved = answerer.interval_assigner.current(book_db)
-        assert moved.schema == snapshot.schema and moved.data > snapshot.data
+        assert moved.key[0] == snapshot.key[0]
+        assert moved.table.version > snapshot.table.version
         assert ex("doi4") in {row[0] for row in after}
         assert kept is encoding
         assert answerer.engine_for("litemat") is not engine_before
@@ -383,18 +384,18 @@ class TestStatisticsAutoInvalidation:
         type_code = book_db.dictionary.lookup(RDF_TYPE)
         book_code = book_db.dictionary.lookup(ex("Book"))
         pattern = (None, type_code, book_code)
-        before = book_db.statistics.pattern_count(pattern)
+        before = book_db.statistics.at(book_db.table.view).pattern_count(pattern)
         book_db.load_facts([Triple(ex("doi7"), RDF_TYPE, ex("Book"))])
-        assert book_db.statistics.pattern_count(pattern) == before + 1
+        assert book_db.statistics.at(book_db.table.view).pattern_count(pattern) == before + 1
 
     def test_distinct_tracks_loads(self, book_db):
         type_code = book_db.dictionary.lookup(RDF_TYPE)
         pattern = (None, type_code, None)
-        before = book_db.statistics.distinct(pattern, 0)
+        before = book_db.statistics.at(book_db.table.view).distinct(pattern, 0)
         book_db.load_facts(
             [Triple(ex(f"extra{i}"), RDF_TYPE, ex("Book")) for i in range(3)]
         )
-        assert book_db.statistics.distinct(pattern, 0) == before + 3
+        assert book_db.statistics.at(book_db.table.view).distinct(pattern, 0) == before + 3
 
     def test_sqlite_engine_reloads_on_mutation(self, book_db):
         from repro.engine import SQLiteEngine

@@ -45,6 +45,7 @@ from repro.reformulation.jucq import jucq_for_cover
 from repro.reformulation.litemat import interval_reformulate
 from repro.reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 from repro.storage import RDFDatabase
+from repro.storage.triple_table import TableView
 
 #: Covers with a fragment beyond this many union terms are left out.
 TERM_LIMIT = 300
@@ -188,22 +189,22 @@ def test_a_value_computed_under_the_old_epoch_is_not_served_under_the_new(monkey
     query = BGPQuery([x, y], [Triple(x, t("p"), y)])
     other = BGPQuery([x, y], [Triple(x, t("q"), y)])
     estimator = CardinalityEstimator(database)
-    real = database.table.match_count
+    real = TableView.match_count
     race = [
         lambda: database.load_facts([Triple(t("s9"), t("p"), t("o9"))]),
         lambda: estimator.cq_cardinality(other),
     ]
 
-    def racing(pattern):
-        stale = real(pattern)
+    def racing(view, pattern):
+        stale = real(view, pattern)
         while race:
             race.pop(0)()
         return stale
 
-    monkeypatch.setattr(database.table, "match_count", racing)
+    monkeypatch.setattr(TableView, "match_count", racing)
     snapshot = database.snapshot()
     assert estimator.cq_cardinality(query) == 4.0  # computed from the stale count
-    assert database.snapshot().data > snapshot.data
+    assert database.snapshot().table.version > snapshot.table.version
     assert estimator.cq_cardinality(query) == 5.0
     assert estimator.atom_count(query.body[0]) == 5
     assert estimator.ucq_scan_size(UCQ([query])) == 5
@@ -221,13 +222,13 @@ def test_id_range_atoms_are_counted_by_range_scan_on_the_shared_atom_path(
     ranged = [a for cq in plan for a in cq.body if isinstance(a.o, IdRange)]
     assert ranged, "Professor has subclasses: its closure is an interval"
     calls = []
-    real = store.table.match_range_count
+    real = TableView.match_range_count
 
-    def counting(pattern, position, lo, hi):
+    def counting(view, pattern, position, lo, hi):
         calls.append((pattern, position, lo, hi))
-        return real(pattern, position, lo, hi)
+        return real(view, pattern, position, lo, hi)
 
-    monkeypatch.setattr(store.table, "match_range_count", counting)
+    monkeypatch.setattr(TableView, "match_range_count", counting)
     estimator = CardinalityEstimator(store)
     atom = ranged[0]
     pattern = estimator.atom_pattern(atom)
@@ -298,7 +299,7 @@ def test_carried_records_equal_fresh_probes_after_seeded_writes():
             estimator.ucq_cardinality(operand)
         held = len(estimator._memo.atoms), len(estimator._memo.operands)
         database.load_facts(student_batch(rng, step, department))
-        memo = estimator._current()
+        memo = estimator._current(None)
         carried.update(atoms=len(memo.atoms), operands=len(memo.operands))
         assert len(memo.atoms) < held[0] and len(memo.operands) < held[1]
         assert assert_memos_match_fresh_probes(estimator) > 0
@@ -307,7 +308,7 @@ def test_carried_records_equal_fresh_probes_after_seeded_writes():
             assert estimator.operand_summary(operand) == fresh.operand_summary(operand)
     assert carried["atoms"] > 0 and carried["operands"] > 0
     assert estimator.atom_count(atoms[1]) == 4 * 5
-    assert estimator.atom_count(atoms[0]) == database.table.match_range_count(
+    assert estimator.atom_count(atoms[0]) == database.table.view.match_range_count(
         estimator.atom_pattern(atoms[0]), 2, min(codes), max(codes) + 1
     )
 
@@ -323,16 +324,15 @@ def test_a_write_reprobes_only_the_patterns_its_rows_match(monkeypatch):
         [Triple(t(f"s{i}"), t("p"), t(f"o{i}")) for i in range(4)]
         + [Triple(t("a"), t("q"), t("b"))]
     )
-    table = database.table
     probes = Counter()
     for name in ("match_count", "distinct_count"):
-        real = getattr(table, name)
+        real = getattr(TableView, name)
 
-        def counting(pattern, *rest, real=real, name=name):
+        def counting(view, pattern, *rest, real=real, name=name):
             probes[name, pattern] += 1
-            return real(pattern, *rest)
+            return real(view, pattern, *rest)
 
-        monkeypatch.setattr(table, name, counting)
+        monkeypatch.setattr(TableView, name, counting)
     estimator = CardinalityEstimator(database)
     touched, untouched = Triple(x, t("p"), y), Triple(x, t("q"), y)
     cqs = {atom: BGPQuery([x, y], [atom]) for atom in (touched, untouched)}
@@ -362,7 +362,7 @@ def test_a_write_reprobes_only_the_patterns_its_rows_match(monkeypatch):
     assert estimator.atom_count(untouched) == 1
     assert estimator.atom_distinct(untouched, x) == 1
     assert estimator.operand_summary(operands[untouched]).cardinality == 1
-    assert database.statistics.pattern_count((None, q, None)) == 1
+    assert database.statistics.at(database.table.view).pattern_count((None, q, None)) == 1
     assert estimator.atom_count(touched) == 5
     assert estimator.atom_distinct(touched, y) == 5
     assert estimator.operand_summary(operands[touched]).cardinality == 5

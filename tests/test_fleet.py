@@ -572,6 +572,7 @@ class TestFleetRouting:
 ACCEPTANCE_SEED = 20260807
 
 
+@pytest.mark.slow
 def test_fleet_survives_sigkill_and_socket_chaos(tmp_path, lubm_db):
     """Three subprocess replicas; one is SIGKILLed mid-load while a
     seeded ChaosProxy resets/refuses connections to a second.  The

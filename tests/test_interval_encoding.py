@@ -157,10 +157,10 @@ class TestTripleTableRangeScan:
                 for row in table.match_range(pattern, position, lo, hi)
             }
             assert got == expected, (pattern, position, lo, hi)
-            assert table.match_range_count(pattern, position, lo, hi) == len(expected)
+            assert table.view.match_range_count(pattern, position, lo, hi) == len(expected)
 
     def test_empty_interval_matches_nothing(self, table):
-        assert table.match_range_count((None, None, None), 2, 39, 39) == 0
+        assert table.view.match_range_count((None, None, None), 2, 39, 39) == 0
 
 
 # ----------------------------------------------------------------------
@@ -549,8 +549,8 @@ class TestIntervalAssigner:
         assigner = IntervalAssigner()
         db = _tiny_db()
         encoding, _, snapshot = assigner.current(db)
-        assert snapshot == db.snapshot() == (db.schema.fingerprint(), db.table.version)
-        assert encoding.schema_fingerprint == snapshot.schema
+        assert snapshot.key == db.snapshot().key == (db.schema.fingerprint(), db.table.view.version)
+        assert encoding.schema_fingerprint == snapshot.key[0]
 
     def test_same_key_returns_identical_objects(self):
         assigner = IntervalAssigner()
@@ -568,7 +568,8 @@ class TestIntervalAssigner:
         db.schema.add_subclass(u("Report"), u("Publication"))
         db.load_facts([Triple(u("r1"), RDF_TYPE, u("Report"))])
         enc2, store2, e2 = assigner.current(db)
-        assert e2 == db.snapshot() and e2.schema != e1.schema and e2.data > e1.data
+        assert e2.key == db.snapshot().key and e2.key[0] != e1.key[0]
+        assert e2.table.version > e1.table.version
         assert store2 is not store1 and enc2 is not enc1
         # The superseded derived store was never mutated.
         assert len(store1.table) == old_len

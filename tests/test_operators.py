@@ -34,10 +34,6 @@ class TestRelation:
         r = rel(("a",), [[7]])
         assert r.project(["a", "a"]).to_tuples() == [(7, 7)]
 
-    def test_rename(self):
-        r = rel(("a",), [[1]]).rename(("z",))
-        assert r.columns == ("z",)
-
     def test_column_missing(self):
         with pytest.raises(KeyError):
             rel(("a",), [[1]]).column("zz")

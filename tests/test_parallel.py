@@ -402,8 +402,8 @@ ENGINES = {
 
 @pytest.mark.parametrize("kind", sorted(ENGINES))
 def test_every_engine_gets_the_same_handoff(lubm_db, kind):
-    """``answer()`` calls ``evaluate(planned, tracer=, metrics=, budget=)``
-    on every engine alike, and reaches a derived store's engine only
+    """``answer()`` calls ``evaluate(planned, tracer=, metrics=, budget=,
+    snapshot=)`` on every engine alike, and reaches a derived store's engine only
     through ``for_database``."""
     engine = ENGINES[kind](lubm_db)
     built = []
@@ -427,7 +427,8 @@ def test_every_engine_gets_the_same_handoff(lubm_db, kind):
         evaluate.assert_called_once()
         planned, handed = evaluate.call_args
         assert len(planned) == 1
-        assert sorted(handed) == ["budget", "metrics", "tracer"]
+        assert sorted(handed) == ["budget", "metrics", "snapshot", "tracer"]
+        assert handed["snapshot"].key == lubm_db.snapshot().key
         assert handed["tracer"] is tracer
         assert handed["budget"].max_result_rows == 10_000_000
         assert handed["metrics"] is not None

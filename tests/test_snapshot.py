@@ -21,9 +21,28 @@ answers from a state that no longer exists, and the check sees it.
 key, or the schema part from a reformulation memo key each fails it.)
 SQLite's compound-SELECT limit is the only failure tolerated, as in
 ``TestLitematSweeps``.
+
+An answer reads one snapshot, taken at its door, so two more steps land
+a change *inside* one answer and hold it to the state at the door:
+
+* a merge through a scan hook, between two scans of one native
+  evaluation (on SQLite, between the evaluation's door and its
+  statement): the answer must *equal* the door's, not merely be
+  contained in the state after the write;
+* a schema edit inside one reformulation (after its memo lookup, before
+  its union is built), retracted after the answer: the answer is the
+  original schema's, and the memo holds no entry built from the edited
+  schema.
+
+Two plain tests replay the two torn states these steps first exposed,
+on every strategy and both engines.
 """
 
 from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,13 +58,21 @@ from hypothesis.stateful import (
 from oracle import make_answerer
 from repro.answering import STRATEGIES
 from repro.cache import QueryCache
+from repro.cache.lru import LRUCache
 from repro.engine import EngineFailure, SQLiteEngine
-from repro.query import BGPQuery
+from repro.query import BGPQuery, UCQ
 from repro.query.naive import evaluate
 from repro.rdf import RDF_TYPE, RDFSchema, Triple, URI, Variable
 from repro.rdf.vocabulary import RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBCLASS, RDFS_SUBPROPERTY
 from repro.reasoning import saturate
+from repro.reformulation import Reformulator
 from repro.storage import RDFDatabase
+
+evaluator = sys.modules["repro.engine.evaluator"]
+reformulate_module = sys.modules["repro.reformulation.reformulate"]
+ENGINES = ("native", "sqlite")
+#: The strategies whose plans are reformulated through ``Reformulator``.
+REFORMULATING = ("ucq", "pruned-ucq", "scq", "ecov", "gcov")
 
 
 def ex(name: str) -> URI:
@@ -102,6 +129,75 @@ FACTS = st.one_of(
 SQLITE_LIMIT = "too many terms in compound SELECT"
 
 
+@contextmanager
+def write_between_scans(database, engine, rows):
+    """Merge ``rows`` into ``database`` inside the next evaluation: on the
+    native engine right before its second scan, on SQLite right before
+    its statement runs.  Yields a list that is non-empty once it landed."""
+    landed = []
+
+    def write():
+        if not landed:
+            landed.append(True)
+            database.load_facts(rows)
+
+    if engine == "sqlite":
+        execute = SQLiteEngine.execute_sql
+
+        def hooked(self, *args, **kwargs):
+            write()
+            return execute(self, *args, **kwargs)
+
+        patch = mock.patch.object(SQLiteEngine, "execute_sql", hooked)
+    else:
+        scan, scans = evaluator.match_pattern, []
+
+        def hooked(*args, **kwargs):
+            if scans:
+                write()
+            scans.append(args[0])
+            return scan(*args, **kwargs)
+
+        patch = mock.patch.object(evaluator, "match_pattern", hooked)
+    with patch:
+        yield landed
+
+
+@contextmanager
+def edit_inside_reformulation(schema, memo, edit):
+    """Assert ``edit`` on ``schema`` once, inside the next reformulation:
+    right after its lookup in ``memo`` missed, before its union is built.
+    Yields the list of every query reformulated meanwhile."""
+    lookup, factors = LRUCache.get, reformulate_module._Factors.__init__
+    reformulated = []
+
+    def get(self, key, default=None):
+        value = lookup(self, key, default)
+        if self is memo and value is default and not reformulated:
+            schema.add_triple(edit)
+        return value
+
+    def build(self, query, schema_value):
+        reformulated.append(query)
+        factors(self, query, schema_value)
+
+    with (
+        mock.patch.object(LRUCache, "get", get),
+        mock.patch.object(reformulate_module._Factors, "__init__", build),
+    ):
+        yield reformulated
+
+
+def assert_memo_is_of(reformulator, schema, queries):
+    """Every union memoized for ``queries`` under ``schema``'s fingerprint
+    is the union of ``schema`` itself."""
+    fresh = Reformulator(schema)
+    for query in queries:
+        held = reformulator.cache.peek((schema.fingerprint(), query.canonical()))
+        if isinstance(held, UCQ):
+            assert held == fresh.reformulate(query), query
+
+
 class SnapshotMachine(RuleBasedStateMachine):
     """One database, a cached answerer per engine, and the oracle."""
 
@@ -126,6 +222,9 @@ class SnapshotMachine(RuleBasedStateMachine):
         for answerer in self.answerers.values():
             answerer.close()
         self.sqlite.close()
+
+    def _oracle(self, query):
+        return evaluate(query, saturate(self.database.facts_graph(), self.database.schema))
 
     def _answer(self, engine, query, strategy):
         """The answers, or None past SQLite's compound-SELECT limit."""
@@ -158,6 +257,49 @@ class SnapshotMachine(RuleBasedStateMachine):
     def retract_constraint(self, data):
         asserted = sorted(self.database.schema.to_triples(), key=str)
         assert self.database.schema.remove_triple(data.draw(st.sampled_from(asserted)))
+
+    @rule(
+        fresh=st.lists(FACTS, min_size=1, max_size=4),
+        query=st.sampled_from(QUERIES),
+        strategy=st.sampled_from(STRATEGIES),
+        engine=st.sampled_from(ENGINES),
+    )
+    def write_inside_an_evaluation(self, fresh, query, strategy, engine):
+        """A merge lands between two scans of one evaluation: the answer
+        is the state's at the answer's door, equal and not a subset."""
+        expected = self._oracle(query)
+        with write_between_scans(self.database, engine, fresh) as landed:
+            answers = self._answer(engine, query, strategy)
+        if not landed:
+            self.database.load_facts(fresh)
+        if answers is not None:
+            assert answers == expected, (engine, strategy, query.name)
+
+    @rule(
+        kind=st.sampled_from(sorted(KINDS, key=str)),
+        sub=st.integers(0, 3),
+        sup=st.integers(0, 3),
+        query=st.sampled_from(QUERIES),
+        strategy=st.sampled_from(REFORMULATING),
+    )
+    def edit_inside_a_reformulation(self, kind, sub, sup, query, strategy):
+        """A schema edit lands inside one reformulation of a cold memo and
+        is retracted after the answer: the answer is the original
+        schema's, and no memo entry was built from the edited one."""
+        subjects, objects = KINDS[kind]
+        edit = Triple(subjects[sub], kind, objects[sup])
+        schema = self.database.schema
+        if edit in set(schema.to_triples()):
+            return
+        expected = self._oracle(query)
+        answerer = self.answerers["native"]
+        answerer.cache.clear()
+        memo = answerer.reformulator.cache
+        with edit_inside_reformulation(schema, memo, edit) as reformulated:
+            answers = answerer.answer(query, strategy=strategy).answers
+        assert schema.remove_triple(edit) == bool(reformulated)
+        assert answers == expected, (strategy, query.name, edit)
+        assert_memo_is_of(answerer.reformulator, schema, reformulated)
 
     @invariant()
     def every_strategy_and_engine_matches_the_oracle(self):
@@ -193,3 +335,85 @@ def test_every_strategy_and_engine_matches_the_oracle_through_writes_and_edits()
 @pytest.mark.slow
 def test_every_strategy_and_engine_matches_the_oracle_longer_runs():
     _run(max_examples=300, steps=30)
+
+
+#: The two torn states: ``q(x, y) :- x type A, x p y`` under ``B ⊑ A``
+#: with ``{n type B, n p j1, i0 p j2}`` written inside the evaluation,
+#: and ``x type A`` with ``C ⊑ A`` asserted inside the reformulation.
+A, B, C = CLASSES[:3]
+P = PROPERTIES[0]
+I0, I1, N = INDIVIDUALS[:3]
+J0, J1, J2 = (ex(f"j{i}") for i in range(3))
+TYPED = BGPQuery([x, y], [Triple(x, RDF_TYPE, A), Triple(x, P, y)], name="typed-p")
+OF_A = BGPQuery([x], [Triple(x, RDF_TYPE, A)], name="of-A")
+
+
+def torn_state_database():
+    schema = RDFSchema()
+    schema.add_subclass(B, A)
+    schema.declare_class(C)
+    database = RDFDatabase(schema=schema)
+    database.load_facts(
+        [Triple(I0, RDF_TYPE, A), Triple(I0, P, J0), Triple(I1, RDF_TYPE, C)]
+    )
+    return database
+
+
+@contextmanager
+def torn_state_answerer(engine):
+    database = torn_state_database()
+    sqlite = SQLiteEngine(database) if engine == "sqlite" else None
+    answerer = make_answerer(database, engine=sqlite, cache=QueryCache())
+    try:
+        yield database, answerer
+    finally:
+        answerer.close()
+        if sqlite is not None:
+            sqlite.close()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_write_inside_an_evaluation_is_not_seen_by_it(engine):
+    """Every strategy, on both engines: the write lands inside the
+    evaluation and the answer is ``{(i0, j0)}``, the state at its door,
+    not the torn ``{(i0, j0), (i0, j2)}``; the next answer sees it."""
+    write = [Triple(N, RDF_TYPE, B), Triple(N, P, J1), Triple(I0, P, J2)]
+    for strategy in STRATEGIES:
+        with torn_state_answerer(engine) as (database, answerer):
+            with write_between_scans(database, engine, write) as landed:
+                answers = answerer.answer(TYPED, strategy=strategy).answers
+            assert landed, strategy
+            assert answers == {(I0, J0)}, strategy
+            after = answerer.answer(TYPED, strategy=strategy).answers
+            assert after == {(I0, J0), (I0, J2), (N, J1)}, strategy
+
+
+@pytest.mark.parametrize("strategy", REFORMULATING)
+def test_an_edit_inside_a_reformulation_is_not_seen_by_it(strategy):
+    """``C ⊑ A`` lands after the memo lookup of ``x type A`` and before
+    its union is built, and is retracted after the answer: that answer
+    and every later one are the original schema's (``i1 : C`` is not an
+    ``A``), and the memo holds only the original schema's unions."""
+    with torn_state_answerer("native") as (database, answerer):
+        edit = Triple(C, RDFS_SUBCLASS, A)
+        memo = answerer.reformulator.cache
+        with edit_inside_reformulation(database.schema, memo, edit) as reformulated:
+            answers = answerer.answer(OF_A, strategy=strategy).answers
+        assert database.schema.remove_triple(edit)
+        assert answers == {(I0,)}
+        assert answerer.answer(OF_A, strategy=strategy).answers == answers
+        assert_memo_is_of(answerer.reformulator, database.schema, reformulated)
+
+
+def test_a_sqlite_mirror_ahead_of_a_reader_reloads_at_its_view():
+    """A thread's in-memory mirror already holds a newer version than the
+    snapshot it is next handed: it is rebuilt from that snapshot's view,
+    so the answer is the older state's, and the next newer read is exact."""
+    database = torn_state_database()
+    with SQLiteEngine(database) as engine:
+        older = database.snapshot()
+        database.load_facts([Triple(N, RDF_TYPE, A), Triple(N, P, J1)])
+        newer = database.snapshot()
+        assert engine.evaluate(TYPED, snapshot=newer) == {(I0, J0), (N, J1)}
+        assert engine.evaluate(TYPED, snapshot=older) == {(I0, J0)}
+        assert engine.evaluate(TYPED) == {(I0, J0), (N, J1)}

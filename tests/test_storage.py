@@ -250,7 +250,7 @@ class TestTripleTable:
         pattern = tuple(
             None if n is None else code(table, n) for n in pattern_names
         )
-        assert table.match_count(pattern) == expected
+        assert table.view.match_count(pattern) == expected
         assert table.match(pattern).shape[0] == expected
 
     def test_match_rows_in_spo_order(self, table):
@@ -262,19 +262,19 @@ class TestTripleTable:
         assert decoded == {(u("a"), u("b")), (u("a"), u("c"))}
 
     def test_contains(self, table):
-        assert table.contains(code(table, "a"), code(table, "p"), code(table, "b"))
-        assert not table.contains(code(table, "b"), code(table, "p"), code(table, "a"))
+        assert table.view.contains(code(table, "a"), code(table, "p"), code(table, "b"))
+        assert not table.view.contains(code(table, "b"), code(table, "p"), code(table, "a"))
 
     def test_distinct_count(self, table):
         p = code(table, "p")
-        assert table.distinct_count((None, p, None), 0) == 2  # subjects a, d
-        assert table.distinct_count((None, p, None), 2) == 2  # objects b, c
+        assert table.view.distinct_count((None, p, None), 0) == 2  # subjects a, d
+        assert table.view.distinct_count((None, p, None), 2) == 2  # objects b, c
 
     def test_distinct_count_empty(self, table):
-        assert table.distinct_count((code(table, "b"), None, None), 2) == 0
+        assert table.view.distinct_count((code(table, "b"), None, None), 2) == 0
 
     def test_iter_matches(self, table):
-        rows = list(table.iter_matches((code(table, "d"), None, None)))
+        rows = list(table.view.iter_matches((code(table, "d"), None, None)))
         assert len(rows) == 2
         assert all(isinstance(v, int) for row in rows for v in row)
 
@@ -327,7 +327,7 @@ class TestDatabase:
         assert set(db.facts_graph()) == set(book_facts)
 
     def test_statistics_exact_counts(self, lubm_db):
-        stats = lubm_db.statistics
+        stats = lubm_db.statistics.at(lubm_db.table.view)
         type_code = lubm_db.dictionary.lookup(RDF_TYPE)
         total = stats.pattern_count((None, type_code, None))
         rows = lubm_db.table.match((None, type_code, None))
@@ -336,6 +336,6 @@ class TestDatabase:
     def test_statistics_memoized(self, lubm_db):
         stats = lubm_db.statistics
         type_code = lubm_db.dictionary.lookup(RDF_TYPE)
-        stats.pattern_count((None, type_code, None))
+        stats.at(lubm_db.table.view).pattern_count((None, type_code, None))
         counts, _ = stats.probe_calls()
         assert counts >= 1

@@ -59,8 +59,8 @@ def apply(table, kind, rows):
 def assert_matches(table, rows):
     expected = reference_indexes(rows)
     for name in PERMUTATIONS:
-        assert np.array_equal(table.index(name), expected[name]), name
-        assert not table.index(name).flags.writeable
+        assert np.array_equal(table.view.indexes[name], expected[name]), name
+        assert not table.view.indexes[name].flags.writeable
     assert len(table) == len(set(rows))
 
 
@@ -78,26 +78,25 @@ def test_any_write_history_yields_the_from_scratch_indexes(operations):
         return bumped
 
     for kind, batch_rows in operations:
-        held = None if table._indexes is None else dict(table._indexes)
-        snapshot = None if held is None else {n: a.copy() for n, a in held.items()}
+        held = dict(table.view.indexes)
+        snapshot = {n: a.copy() for n, a in held.items()}
         added = apply(table, kind, batch_rows)
         assert added == len(batch_rows)
         rows += batch_rows
         if kind == "freeze":
             version = merged()
-        assert table.version == version  # buffering bumps nothing
+        assert table.view.version == version  # buffering bumps nothing
         if kind == "freeze":
             assert_matches(table, rows)
-        if held is not None:
-            # Copy-on-write: what a reader held before the call is as it was.
-            for name, array in held.items():
-                assert np.array_equal(array, snapshot[name])
-                assert not array.flags.writeable
-    assert_matches(table, rows)
+        # Copy-on-write: what a reader held before the call is as it was.
+        for name, array in held.items():
+            assert np.array_equal(array, snapshot[name])
+            assert not array.flags.writeable
+    table.freeze()
     version = merged()
-    assert table.version == version
+    assert table.view.version == version
     assert_matches(table, rows)
-    assert table.version == version  # reading bumps nothing
+    assert table.view.version == version  # reading bumps nothing
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,12 +108,12 @@ def test_changes_since_any_observed_version_are_the_index_difference(operations)
         apply(table, kind, batch_rows)
         if kind != "freeze":
             continue
-        version, spo = table.version, table.index("spo")
+        version, spo = table.view.version, table.view.indexes["spo"]
         observed[version] = spo
-        whole, reached = table.changes(None)
+        whole, reached = table.view.changes(None)
         assert reached == version and np.array_equal(whole, spo)
         for since, held in observed.items():
-            keys, reached = table.changes(since)
+            keys, reached = table.view.changes(since)
             assert reached == version
             assert np.array_equal(keys, keys_absent_from(spo, held)), (since, version)
 
@@ -125,16 +124,16 @@ def test_a_freeze_of_stored_rows_logs_nothing_and_keeps_the_version():
     table.freeze()
     table.add_encoded([(1, 2, 3), (2, 3, 4)])
     table.freeze()
-    version, logged = table.version, len(table._log)
+    version, logged = table.view.version, len(table._log)
     table.add_encoded([(0, 1, 2), (2, 3, 4), (2, 3, 4)])
     table.add_block(np.array([[1, 2, 3]], dtype=np.int64))
     table.freeze()
-    assert table.version == version
-    assert len(table._log) == logged == 1
-    keys, reached = table.changes(version)
+    assert table.view.version == version
+    assert len(table._log) == logged == version == 2
+    keys, reached = table.view.changes(version)
     assert reached == version and keys.size == 0
-    keys, reached = table.changes(version - 1)
-    assert table.decode_keys(keys).tolist() == [[1, 2, 3], [2, 3, 4]]
+    keys, reached = table.view.changes(version - 1)
+    assert table.view.decode_keys(keys).tolist() == [[1, 2, 3], [2, 3, 4]]
 
 
 def test_a_copy_starts_its_own_log():
@@ -144,17 +143,18 @@ def test_a_copy_starts_its_own_log():
     table.add_encoded([(1, 2, 3)])
     table.freeze()
     fork = table.copy()
-    assert fork.version == 0 and fork.changes(0)[0].size == 0
+    assert fork.view.version == 0 and fork.view.changes(0)[0].size == 0
     fork.add_encoded([(3, 4, 5), (1, 2, 3)])
-    keys, reached = fork.changes(0)
-    assert reached == 1 and fork.decode_keys(keys).tolist() == [[3, 4, 5]]
-    whole, _ = fork.changes(None)
-    assert fork.decode_keys(whole).tolist() == [[0, 1, 2], [1, 2, 3], [3, 4, 5]]
+    fork.freeze()
+    keys, reached = fork.view.changes(0)
+    assert reached == 1 and fork.view.decode_keys(keys).tolist() == [[3, 4, 5]]
+    whole, _ = fork.view.changes(None)
+    assert fork.view.decode_keys(whole).tolist() == [[0, 1, 2], [1, 2, 3], [3, 4, 5]]
     # The original's log is untouched by the fork's write.
-    keys, reached = table.changes(1)
-    assert reached == 2 and table.decode_keys(keys).tolist() == [[1, 2, 3]]
-    with pytest.raises(ValueError):
-        table.changes(0)  # before the first build: not in the log
+    keys, reached = table.view.changes(1)
+    assert reached == 2 and table.view.decode_keys(keys).tolist() == [[1, 2, 3]]
+    keys, reached = table.view.changes(0)  # the first build is logged too
+    assert reached == 2 and table.view.decode_keys(keys).tolist() == [[0, 1, 2], [1, 2, 3]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,9 +163,10 @@ def test_copy_shares_rows_and_then_diverges(first, second):
     table = fresh_table()
     table.add_encoded(first)
     fork = table.copy()
-    assert fork.index("pos") is table.index("pos")
+    assert fork.view.indexes["pos"] is table.view.indexes["pos"]
     assert fork.dictionary is table.dictionary
     fork.add_encoded(second)
+    fork.freeze()
     assert_matches(fork, first + second)
     assert_matches(table, first)
 
@@ -175,10 +176,11 @@ def test_copy_shares_rows_and_then_diverges(first, second):
 def test_distinct_count_matches_unique(rows, pattern):
     table = fresh_table()
     table.add_encoded(rows)
+    table.freeze()
     matches = table.match(pattern)
     for position in range(3):
         expected = int(np.unique(matches[:, position]).size)
-        assert table.distinct_count(pattern, position) == expected
+        assert table.view.distinct_count(pattern, position) == expected
 
 
 def test_overflow_guard_survives_the_merge():
