@@ -305,9 +305,11 @@ class QueryAnswerer:
     ):
         """Plan-cache wrapper around :meth:`Strategy.plan` (DESIGN.md §9).
 
-        Entries are keyed by (query fingerprint, strategy, snapshot key),
-        the key of the snapshot the plan is built from, so any schema or
-        data mutation makes a fresh key and stale plans are never served.  Planning
+        Entries are keyed by (query fingerprint, strategy, the part of
+        the snapshot the plan reads: :meth:`QueryCache.plan_key`), so a
+        schema edit re-keys every plan, a data write re-keys only the
+        plans that read the data or whose statistics generation it
+        moved, and a stale plan is never served.  Planning
         *failures* (reformulation-limit overruns, infeasible cover
         searches) are memoized too and re-raised on warm hits, so a
         query that cannot be planned fails fast on every retry — stored

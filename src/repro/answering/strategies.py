@@ -20,16 +20,33 @@ derived from them:
     The cost model is bound to the base store, so a plan that runs
     elsewhere yields no accuracy sample.
 
-The rows, in the order ``STRATEGIES`` and the CLI list them:
+One more fact says how long a plan stays valid:
 
-``ucq``         §3: the one-fragment cover — the classic single union.
-``pruned-ucq``  the UCQ with statically empty terms removed (ref. [11]).
-``scq``         §3: the all-singletons cover of [13].
-``ecov``        §4: the cover found by exhaustive search.
-``gcov``        §4: the cover found by the greedy Algorithm 1 (default).
-``saturation``  §5.3: the query as written, over the saturated store.
-``litemat``     LiteMat interval encoding (DESIGN.md §16): range scans
-                over an interval-ordered derived store.
+``reads``
+    The part of the snapshot the plan is a function of, which is what
+    :meth:`~repro.cache.QueryCache.plan_key` keys it on (DESIGN.md §9):
+    ``"schema"`` (the digest), ``"statistics"`` (the digest and the
+    table's statistics generation: a cost-chosen cover) or ``"data"``
+    (the whole snapshot key: the plan reads which atoms are empty);
+    any other value fails when the row is built.
+
+The rows, in the order ``STRATEGIES`` and the CLI list them, with
+what their plans read:
+
+``ucq``         schema      §3: the one-fragment cover — the classic
+                            single union.
+``pruned-ucq``  data        the UCQ with statically empty terms removed
+                            (ref. [11]).
+``scq``         schema      §3: the all-singletons cover of [13].
+``ecov``        statistics  §4: the cover found by exhaustive search.
+``gcov``        statistics  §4: the cover found by the greedy
+                            Algorithm 1 (default).
+``saturation``  schema      §5.3: the query as written (never cached),
+                            over the saturated store.
+``litemat``     schema      LiteMat interval encoding (DESIGN.md §16):
+                            range scans over an interval-ordered derived
+                            store; the layout is a function of the
+                            schema fingerprint.
 
 An eighth strategy is one more row here plus its rewrite function.
 """
@@ -40,6 +57,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple
 
+from ..cache.manager import PLAN_READS
 from ..optimizer.ecov import ecov
 from ..optimizer.gcov import gcov
 from ..optimizer.search import CoverSearchResult
@@ -60,7 +78,8 @@ class Derived(NamedTuple):
     """The store a strategy's plan runs on, resolved once for one answer."""
 
     #: The base snapshot the answer reads and the store is current at:
-    #: its key keys the engine over the store and every plan cached for it.
+    #: its key keys the engine over the store, and the plan cache keys
+    #: each plan on the part of it the plan reads.
     snapshot: Snapshot
     #: Returns a derived store; called only when the engine over it is
     #: rebuilt.  None for the base database.
@@ -81,8 +100,15 @@ class Strategy:
     """One row of the strategy table (module docstring)."""
 
     name: str
+    reads: str
     rewrite: Optional[Rewrite] = None
     store: Optional[Store] = None
+
+    def __post_init__(self) -> None:
+        if self.reads not in PLAN_READS:
+            raise ValueError(
+                f"strategy {self.name!r} reads {self.reads!r}, not one of {PLAN_READS}"
+            )
 
     def plan(
         self,
@@ -149,6 +175,7 @@ def _prune(answerer, planned: JUCQ, tracer, derived: Derived) -> JUCQ:
 
 def _rewriting(
     name: str,
+    reads: str,
     choose: Chooser,
     searches: bool = False,
     post: Optional[Callable[["QueryAnswerer", JUCQ, Any, Derived], JUCQ]] = None,
@@ -187,7 +214,7 @@ def _rewriting(
             planned = post(answerer, planned, tracer, derived)
         return planned, search
 
-    return Strategy(name, rewrite, store)
+    return Strategy(name, reads, rewrite, store)
 
 
 def _saturated_store(answerer, snapshot: Snapshot) -> Derived:
@@ -205,13 +232,13 @@ def _interval_store(answerer, snapshot: Snapshot) -> Derived:
 STRATEGY_TABLE: Dict[str, Strategy] = {
     row.name: row
     for row in (
-        _rewriting("ucq", _fixed(ucq_cover)),
-        _rewriting("pruned-ucq", _fixed(ucq_cover), post=_prune),
-        _rewriting("scq", _fixed(scq_cover)),
-        _rewriting("ecov", _ecov, searches=True),
-        _rewriting("gcov", _gcov, searches=True),
-        Strategy("saturation", store=_saturated_store),
-        _rewriting("litemat", _intervals, store=_interval_store),
+        _rewriting("ucq", "schema", _fixed(ucq_cover)),
+        _rewriting("pruned-ucq", "data", _fixed(ucq_cover), post=_prune),
+        _rewriting("scq", "schema", _fixed(scq_cover)),
+        _rewriting("ecov", "statistics", _ecov, searches=True),
+        _rewriting("gcov", "statistics", _gcov, searches=True),
+        Strategy("saturation", "schema", store=_saturated_store),
+        _rewriting("litemat", "schema", _intervals, store=_interval_store),
     )
 }
 

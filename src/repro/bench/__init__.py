@@ -5,8 +5,9 @@
 ``benchmarks/results/``.
 
 Imported only by ``benchmarks/*.py``; it stays importable as
-``repro.bench`` until ROADMAP item 3's PR, which edits all 18
-``bench_*.py`` anyway, moves it beside them.
+``repro.bench`` until the ROADMAP item "The paper's figures, re-run on
+the engine that ships", which edits all 18 ``bench_*.py`` anyway, moves
+it beside them.
 """
 
 from .report import BenchReport, central, summarize

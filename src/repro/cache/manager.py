@@ -4,9 +4,9 @@ A :class:`QueryCache` coordinates the cache levels of one answering
 pipeline:
 
 * **plan cache** (owned here) — the planned reformulation per
-  ``(query fingerprint, strategy, snapshot)``, including memoized
-  *failures* (infeasible searches, blown term limits), so a repeated
-  monster query fails fast;
+  ``(query fingerprint, strategy, the part of the snapshot the plan
+  reads)``, including memoized *failures* (infeasible searches, blown
+  term limits), so a repeated monster query fails fast;
 * **reformulation cache** (owned by
   :class:`repro.reformulation.Reformulator`, registered here) — CQ→UCQ
   rewritings keyed by ``(schema part of the snapshot, canonical
@@ -17,12 +17,18 @@ pipeline:
 
 Key invalidation matrix (a new key, never a clear):
 
-=====================  ==============  ============  ==========================
-update                 reformulations  plans / SQL   statistics / estimates
-=====================  ==============  ============  ==========================
-data (insert)          survive         re-keyed      carried, less what matches
-schema (constraints)   re-keyed        re-keyed      survive
-=====================  ==============  ============  ==========================
+=====================  ==============  ==================  ==========================
+update                 reformulations  plans               statistics / estimates
+=====================  ==============  ==================  ==========================
+data (insert)          survive         by what they read   carried, less what matches
+schema (constraints)   re-keyed        re-keyed            survive
+=====================  ==============  ==================  ==========================
+
+A data write keeps a plan that reads the schema alone (``ucq``,
+``scq``, ``litemat``), keeps a cost-chosen plan (``gcov``, ``ecov``)
+until the row count moves to another :func:`statistics_generation`, and
+re-keys a plan that reads the data (``pruned-ucq``).  Engine caches
+(SQL) are keyed per plan and dictionary size.
 
 The statistics column is the table statistics and the cardinality
 estimator's records (DESIGN.md §19): a data write hands the next
@@ -36,6 +42,8 @@ layer owns the underlying :class:`~repro.cache.lru.LRUCache`.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Tuple
 
 from .fingerprint import query_fingerprint
@@ -44,6 +52,35 @@ from .lru import LRUCache, MISSING
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..query.bgp import BGPQuery
     from ..storage.database import RDFDatabase, Snapshot
+
+
+#: What a plan can read, narrowest first: the values of a strategy
+#: row's ``reads``, each keyed by :meth:`QueryCache.plan_key`.
+PLAN_READS = ("schema", "statistics", "data")
+
+
+def statistics_generation(rows: int) -> int:
+    """The statistics generation of a table of ``rows`` rows:
+    ``⌊8·log2(rows + 1)⌋``, a geometric bucket about 9 % wide.
+
+    A cost-chosen plan is keyed on it rather than on the table version:
+    Theorem 3.1 makes every cover correct on every data state, so a
+    write can change which cover is cheapest but never whether the held
+    one is right, and the estimator that chose it errs by far more than
+    a few per cent of rows (DESIGN.md §9).  The cover is searched again
+    once the table has grown by about a tenth.
+    """
+    return int(8 * math.log2(rows + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _reads(strategy: str) -> str:
+    """The ``reads`` fact of the strategy row called ``strategy``; the
+    table is imported on first use, since ``repro.answering`` imports
+    this package."""
+    from ..answering.strategies import strategy_named
+
+    return strategy_named(strategy).reads
 
 
 class QueryCache:
@@ -75,11 +112,21 @@ class QueryCache:
     ) -> Tuple[Hashable, ...]:
         """The key of one planning request against one database state.
 
-        Both parts of the snapshot's key count: the schema decides the
-        reformulation, the data the statistics-driven choices (cover,
-        pruned terms, join orders).
+        The key holds the part of the snapshot the strategy's plan reads
+        (its row's ``reads``, DESIGN.md §9): the schema digest for a plan
+        made from the schema alone, the digest and the
+        :func:`statistics_generation` for a cost-chosen cover, the whole
+        snapshot key for a plan that reads the data (pruning reads
+        emptiness).  A plan of an older state is just another key.
         """
-        return (query_fingerprint(query), strategy, snapshot.key)
+        reads = _reads(strategy)
+        if reads == "schema":
+            part: Hashable = snapshot.schema.digest
+        elif reads == "statistics":
+            part = (snapshot.schema.digest, statistics_generation(snapshot.table.count))
+        else:
+            part = snapshot.key
+        return (query_fingerprint(query), strategy, part)
 
     def get_plan(
         self, database: "RDFDatabase", query: "BGPQuery", strategy: str

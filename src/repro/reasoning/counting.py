@@ -23,9 +23,9 @@ after arbitrary interleavings of inserts and deletes (Hypothesis).
 Not wired into answering: insert-only maintenance needs no counts
 (``reasoning/encoded.py`` merges the new rows' consequences, DESIGN.md
 §20) and the store has no delete API yet; deletion maintenance starts
-from this module once ``TripleTable`` can delete (ROADMAP item 7
-decides between wiring it in and deleting it; until then its callers
-are ``examples/update_churn.py`` and the tests).
+from this module once ``TripleTable`` can delete (the ROADMAP item
+"Deletes and ``/update``" decides between wiring it in and deleting it;
+until then its callers are ``examples/update_churn.py`` and the tests).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ are existential anyway, and the rules above never require them.
 
 Library API with no caller inside the package (README quick tour); it
 is the schema-aware special case of ``analysis.containment.core()``,
-where ROADMAP item 6 means to fold it.
+where the ROADMAP item "Delete what does not run" means to fold it.
 """
 
 from __future__ import annotations

@@ -2,21 +2,24 @@
 
 The invalidation matrix under test:
 
-=====================  ==============  ============
+=====================  ==============  ==========================
 update                 reformulations  plans
-=====================  ==============  ============
-data (insert)          survive         new key
+=====================  ==============  ==========================
+data (insert)          survive         new key if the plan reads it
 schema (constraints)   new key         new key
-=====================  ==============  ============
+=====================  ==============  ==========================
 
 Every key is built from ``RDFDatabase.snapshot()`` or one of its parts.
+A plan is keyed on the part it reads: ``ucq``, ``scq`` and ``litemat``
+on the schema, ``gcov`` and ``ecov`` on the schema and the table's
+statistics generation, ``pruned-ucq`` on the whole snapshot.
 
 Each schema mutation kind (add/remove × subclass/subproperty/domain/
 range) must (a) change the answers when it semantically should, and
 (b) never let a stale cached reformulation or plan leak through — the
 cached answerer is differentially checked against a *fresh* answerer
-after every mutation.  Data-only changes must keep reformulations warm
-(they are pure schema consequences) while forcing a re-plan.
+after every mutation.  Data-only changes must keep reformulations and
+every plan that does not read the data warm, and re-plan the rest.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import differential_check, make_answerer
+from repro.answering.strategies import STRATEGY_TABLE, Strategy
 from repro.cache import MISSING, QueryCache
+from repro.cache.manager import PLAN_READS, statistics_generation
 from repro.query import BGPQuery
 from repro.rdf import RDF_TYPE, RDFSchema, Triple, URI, Variable
 from repro.reasoning.litemat import interval_encode_database
@@ -168,15 +173,17 @@ class TestSchemaMutations:
 
 
 # ----------------------------------------------------------------------
-# Data-only mutations keep reformulations, invalidate plans
+# Data-only mutations keep reformulations and the plans that do not read
+# the data
 # ----------------------------------------------------------------------
 class TestDataMutations:
-    def test_data_change_keeps_reformulations_kills_plans(self, book_db):
+    def test_data_change_keeps_reformulations_and_ucq_plan(self, book_db):
         cache = QueryCache()
         answerer = make_answerer(book_db, cache=cache)
         x = Variable("x")
         query = BGPQuery([x], [Triple(x, RDF_TYPE, ex("Publication"))])
         _answers(answerer, query)
+        _answers(answerer, query, strategy="pruned-ucq")
         memo = answerer.reformulator.cache
         memo_invalidations = memo.invalidations
         plan_misses = cache.plans.misses
@@ -185,21 +192,31 @@ class TestDataMutations:
         _answers(answerer, query)
         assert cache.plans.hits == plan_hits + 1
         assert cache.plans.misses == plan_misses
-        # Data-only update: epoch bump ⇒ the next answer re-plans ...
+        # Data-only update: a ucq plan reads the schema alone, so the
+        # next answer is a plan hit and sees the new row ...
         book_db.load_facts([Triple(ex("doi2"), RDF_TYPE, ex("Book"))])
         answers = _answers(answerer, query)
         assert ex("doi2") in {row[0] for row in answers}
+        assert cache.plans.hits == plan_hits + 2
+        assert cache.plans.misses == plan_misses
+        # ... while pruned-ucq, which reads the data, re-plans, and its
+        # reformulation is served from the memo rather than recomputed.
+        runs, memo_hits = answerer.reformulator.runs, memo.hits
+        answers = _answers(answerer, query, strategy="pruned-ucq")
+        assert ex("doi2") in {row[0] for row in answers}
         assert cache.plans.misses == plan_misses + 1
-        # ... but the reformulation memo survived and served a hit.
+        assert answerer.reformulator.runs == runs
+        assert memo.hits > memo_hits
         assert memo.invalidations == memo_invalidations
-        assert memo.hits > 0
+        _check_against_fresh(answerer, query, "data_write")
 
     def test_data_change_bumps_epoch_not_schema_fingerprint(self, book_db):
+        """A data write moves the table version (once called the epoch)
+        and leaves the schema fingerprint."""
         fingerprint = book_db.schema.fingerprint()
-        epoch = book_db.epoch
         snapshot = book_db.snapshot()
         book_db.load_facts([Triple(ex("doi3"), RDF_TYPE, ex("Book"))])
-        assert book_db.epoch > epoch
+        assert book_db.snapshot().table.version > snapshot.table.version
         assert book_db.schema.fingerprint() == fingerprint
         assert book_db.snapshot().key == (fingerprint, snapshot.table.version + 1)
 
@@ -240,6 +257,126 @@ class TestDataMutations:
 
 
 # ----------------------------------------------------------------------
+# A plan is keyed on the part of the snapshot it reads
+# ----------------------------------------------------------------------
+#: The strategies whose plans go through the plan cache.
+PLANNED = tuple(name for name, row in STRATEGY_TABLE.items() if row.rewrite is not None)
+
+
+def _padded_database(book_schema, book_facts, rows=200) -> RDFDatabase:
+    """The book database plus ``rows`` filler facts, large enough that a
+    write of a row or two stays inside one statistics generation."""
+    database = _book_database(book_schema, book_facts)
+    database.load_facts(
+        [Triple(ex(f"f{i}"), ex("filler"), ex("o")) for i in range(rows)]
+    )
+    return database
+
+
+def _generation(database) -> int:
+    return statistics_generation(database.snapshot().table.count)
+
+
+class TestPlanKeys:
+    def _query(self):
+        x, y = Variable("x"), Variable("y")
+        return BGPQuery(
+            [x], [Triple(x, RDF_TYPE, ex("Publication")), Triple(x, ex("hasAuthor"), y)]
+        )
+
+    def _missed(self, answerer, query):
+        """Per planned strategy: did its next answer miss the plan cache?"""
+        plans = answerer.cache.plans
+        missed = {}
+        for strategy in PLANNED:
+            before = plans.misses
+            _answers(answerer, query, strategy=strategy)
+            missed[strategy] = plans.misses > before
+        return missed
+
+    def _assert_all_agree(self, answerer, query):
+        fresh = make_answerer(answerer.database)
+        expected = _answers(fresh, query, strategy="saturation")
+        for strategy in PLANNED:
+            assert _answers(answerer, query, strategy=strategy) == expected, strategy
+        return expected
+
+    def test_a_write_inside_one_generation_replans_only_pruned_ucq(
+        self, book_schema, book_facts
+    ):
+        database = _padded_database(book_schema, book_facts)
+        answerer = make_answerer(database, cache=QueryCache())
+        query = self._query()
+        assert all(self._missed(answerer, query).values())
+        generation = _generation(database)
+        database.load_facts(
+            [
+                Triple(ex("doi5"), RDF_TYPE, ex("Book")),
+                Triple(ex("doi5"), ex("writtenBy"), ex("b2")),
+            ]
+        )
+        assert _generation(database) == generation
+        assert self._missed(answerer, query) == {
+            strategy: strategy == "pruned-ucq" for strategy in PLANNED
+        }
+        assert ex("doi5") in {row[0] for row in self._assert_all_agree(answerer, query)}
+
+    def test_a_load_that_moves_the_generation_replans_the_cost_chosen_covers(
+        self, book_schema, book_facts
+    ):
+        database = _padded_database(book_schema, book_facts)
+        answerer = make_answerer(database, cache=QueryCache())
+        query = self._query()
+        self._missed(answerer, query)
+        generation = _generation(database)
+        database.load_facts(
+            [Triple(ex(f"g{i}"), ex("filler"), ex("o")) for i in range(30)]
+        )
+        assert _generation(database) > generation
+        assert self._missed(answerer, query) == {
+            strategy: strategy in ("pruned-ucq", "ecov", "gcov") for strategy in PLANNED
+        }
+        self._assert_all_agree(answerer, query)
+
+    def test_a_schema_edit_replans_every_strategy(self, book_schema, book_facts):
+        database = _padded_database(book_schema, book_facts)
+        answerer = make_answerer(database, cache=QueryCache())
+        query = self._query()
+        self._missed(answerer, query)
+        database.schema.add_subclass(ex("Report"), ex("Publication"))
+        database.load_facts(
+            [
+                Triple(ex("r1"), RDF_TYPE, ex("Report")),
+                Triple(ex("r1"), ex("hasAuthor"), ex("b1")),
+            ]
+        )
+        assert all(self._missed(answerer, query).values())
+        assert ex("r1") in {row[0] for row in self._assert_all_agree(answerer, query)}
+
+    def test_a_misspelled_reads_fails_at_construction(self):
+        assert {row.reads for row in STRATEGY_TABLE.values()} == set(PLAN_READS)
+        with pytest.raises(ValueError, match="statistic"):
+            Strategy("typo", "statistic")
+
+    def test_pruned_ucq_sees_a_term_a_write_filled(self, book_db):
+        """``x type Report`` is empty at v, so pruning drops its term; the
+        write at v+1 fills it, and the answer there holds the new row: a
+        pruned plan must not outlive the data it read."""
+        book_db.schema.add_subclass(ex("Report"), ex("Publication"))
+        answerer = make_answerer(book_db, cache=QueryCache())
+        x = Variable("x")
+        query = BGPQuery([x], [Triple(x, RDF_TYPE, ex("Publication"))])
+        pruned, _ = answerer.plan(query, "pruned-ucq")
+        full, _ = answerer.plan(query, "ucq")
+        assert pruned.total_union_terms() < full.total_union_terms()
+        before = _answers(answerer, query, "pruned-ucq")
+        assert ex("r1") not in {row[0] for row in before}
+        book_db.load_facts([Triple(ex("r1"), RDF_TYPE, ex("Report"))])
+        after = _answers(answerer, query, "pruned-ucq")
+        assert ex("r1") in {row[0] for row in after}
+
+
+# ----------------------------------------------------------------------
 # LiteMat interval plans must never survive a re-encode (DESIGN.md §16)
 # ----------------------------------------------------------------------
 class TestLitematInvalidation:
@@ -247,9 +384,10 @@ class TestLitematInvalidation:
 
     An interval atom hard-codes dictionary codes of one interval
     encoding.  Any mutation that re-encodes the derived store — every
-    schema-constraint add/retract, and (conservatively) every data
-    change — must drop the memoized interval plans: a stale ``[lo, hi)``
-    over a re-laid-out dictionary would silently scan the wrong codes.
+    schema-constraint add/retract — must miss the memoized interval
+    plans: a stale ``[lo, hi)`` over a re-laid-out dictionary would
+    silently scan the wrong codes.  A data write keeps them, because
+    the layout is a function of the schema fingerprint.
     """
 
     def _publications_query(self):
@@ -302,16 +440,20 @@ class TestLitematInvalidation:
 
     def test_data_write_keeps_encoding_epoch(self, book_db):
         """An insert-only write extends the derived store under the same
-        encoding: the encoding object and the reformulation memo survive,
-        and the engine — keyed on the whole snapshot, not on its schema
-        part alone — is the one over the store with the new row."""
-        answerer = make_answerer(book_db, cache=QueryCache())
+        encoding: the encoding object survives, the plan embedding its
+        codes is a plan-cache hit (so the interval memo is not even
+        reached), and the engine — keyed on the whole snapshot, not on
+        its schema part alone — is the one over the store with the new
+        row."""
+        cache = QueryCache()
+        answerer = make_answerer(book_db, cache=cache)
         query = self._publications_query()
         _answers(answerer, query, strategy="litemat")
         encoding, _store, snapshot = answerer.interval_assigner.current(book_db)
         engine_before = answerer.engine_for("litemat")
         memo = answerer.interval_reformulator.cache
         hits_before, runs_before = memo.hits, answerer.interval_reformulator.runs
+        plan_hits = cache.plans.hits
         book_db.load_facts([Triple(ex("doi4"), RDF_TYPE, ex("Book"))])
         after = _answers(answerer, query, strategy="litemat")
         kept, _store, moved = answerer.interval_assigner.current(book_db)
@@ -320,7 +462,8 @@ class TestLitematInvalidation:
         assert ex("doi4") in {row[0] for row in after}
         assert kept is encoding
         assert answerer.engine_for("litemat") is not engine_before
-        assert memo.hits == hits_before + 1
+        assert cache.plans.hits == plan_hits + 1
+        assert memo.hits == hits_before
         assert answerer.interval_reformulator.runs == runs_before
         assert after == _answers(make_answerer(book_db), query, strategy="saturation")
 

@@ -15,7 +15,7 @@ import pytest
 from repro.answering import QueryAnswerer
 from repro.cache import QueryCache
 from repro.cache.lru import MISSING
-from repro.datasets import lubm_workload, motivating_q1
+from repro.datasets import build_lubm_database, lubm_workload, motivating_q1
 from repro.engine import (
     EngineFailure,
     EngineProfile,
@@ -24,7 +24,7 @@ from repro.engine import (
     SQLiteEngine,
 )
 from repro.optimizer import SearchInfeasible
-from repro.rdf import RDF_TYPE, Triple, Variable
+from repro.rdf import RDF_TYPE, Triple, URI, Variable
 from repro.reformulation import ReformulationLimitExceeded, Reformulator
 from repro.resilience import (
     AllStrategiesFailed,
@@ -327,6 +327,22 @@ class TestPlanCacheFreezing:
             answerer.answer(query, strategy="ucq")
         assert second.value is not first.value
         assert second.value.limit == first.value.limit == 1
+
+    def test_memoized_failure_outlives_a_data_write(self):
+        """A ``ucq`` plan reads the schema alone (DESIGN.md §9), so its
+        memoized failure is still served after a data write: the retry
+        re-raises without running the reformulator again."""
+        database = build_lubm_database(universities=1, seed=0)
+        answerer, cache = self.make_answerer(database)
+        query = lubm_workload()[0].query
+        with pytest.raises(ReformulationLimitExceeded):
+            answerer.answer(query, strategy="ucq")
+        runs, hits = answerer.reformulator.runs, cache.plans.hits
+        database.load_facts([Triple(URI("http://ex/s"), RDF_TYPE, URI("http://ex/C"))])
+        with pytest.raises(ReformulationLimitExceeded):
+            answerer.answer(query, strategy="ucq")
+        assert answerer.reformulator.runs == runs
+        assert cache.plans.hits == hits + 1
 
     def test_deadline_coupled_outcomes_are_not_memoized(self, lubm_db):
         answerer, cache = self.make_answerer(lubm_db, limit=50_000)

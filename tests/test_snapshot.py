@@ -17,10 +17,14 @@ over a saturation built from scratch.  That check also warms every
 cache and store, so the next write or edit always meets them warm: a
 cached answerer that reuses a plan, a memo or a store past its snapshot
 answers from a state that no longer exists, and the check sees it.
-(Dropping the data part from the plan key, from either derived-store
-key, or the schema part from a reformulation memo key each fails it.)
-SQLite's compound-SELECT limit is the only failure tolerated, as in
-``TestLitematSweeps``.
+(Keying the ``pruned-ucq`` plan on the schema alone, dropping the data
+part from either derived-store key, or the schema part from a
+reformulation memo key each fails it.)  SQLite's compound-SELECT limit
+is the only failure tolerated, as in ``TestLitematSweeps``.
+
+A plan is keyed on what it reads, so after every data-only write the
+``ucq``, ``scq`` and ``litemat`` plans served are the very objects
+served before it: a carried plan answers like a fresh one.
 
 An answer reads one snapshot, taken at its door, so two more steps land
 a change *inside* one answer and hold it to the state at the door:
@@ -73,6 +77,8 @@ reformulate_module = sys.modules["repro.reformulation.reformulate"]
 ENGINES = ("native", "sqlite")
 #: The strategies whose plans are reformulated through ``Reformulator``.
 REFORMULATING = ("ucq", "pruned-ucq", "scq", "ecov", "gcov")
+#: The strategies whose plans read the schema alone.
+SCHEMA_PLANS = ("ucq", "scq", "litemat")
 
 
 def ex(name: str) -> URI:
@@ -217,6 +223,10 @@ class SnapshotMachine(RuleBasedStateMachine):
             "native": make_answerer(self.database, cache=QueryCache()),
             "sqlite": make_answerer(self.database, engine=self.sqlite, cache=QueryCache()),
         }
+        #: (engine, strategy, query name) -> the schema plan served last.
+        self.served = {}
+        #: Set by a step that wrote data and edited no schema.
+        self.wrote_data_only = False
 
     def teardown(self):
         for answerer in self.answerers.values():
@@ -242,6 +252,7 @@ class SnapshotMachine(RuleBasedStateMachine):
     def insert(self, fresh, stored):
         held = sorted(self.database.facts_graph(), key=str)
         self.database.load_facts(fresh + [held[i % len(held)] for i in stored])
+        self.wrote_data_only = True
 
     @rule(
         kind=st.sampled_from(sorted(KINDS, key=str)),
@@ -272,6 +283,7 @@ class SnapshotMachine(RuleBasedStateMachine):
             answers = self._answer(engine, query, strategy)
         if not landed:
             self.database.load_facts(fresh)
+        self.wrote_data_only = True
         if answers is not None:
             assert answers == expected, (engine, strategy, query.name)
 
@@ -308,11 +320,18 @@ class SnapshotMachine(RuleBasedStateMachine):
         graph = saturate(self.database.facts_graph(), self.database.schema)
         for query in QUERIES:
             expected = evaluate(query, graph)
-            for engine in self.answerers:
+            for engine, answerer in self.answerers.items():
                 for strategy in STRATEGIES:
                     answers = self._answer(engine, query, strategy)
                     if answers is not None:
                         assert answers == expected, (engine, strategy, query.name)
+                for strategy in SCHEMA_PLANS:
+                    planned, _ = answerer.plan(query, strategy)
+                    key = (engine, strategy, query.name)
+                    if self.wrote_data_only:
+                        assert planned is self.served[key], key
+                    self.served[key] = planned
+        self.wrote_data_only = False
 
 
 def _run(max_examples, steps, **extra):
