@@ -7,9 +7,10 @@ each: how the query is rewritten, which store the plan runs on), hands
 it to an evaluation engine, and reports both the answers and the time
 split between optimization and evaluation.  :meth:`QueryAnswerer.answer`
 is the pipeline, in stages: start the budget and take the snapshot →
-resolve the store → plan through the cache → verify → union budget → the
-engine over that store → evaluate → report.  No stage compares strategy
-names, and every stage reads the one snapshot taken at the door.
+plan through the cache → verify → union budget → the engine over the
+row's store → evaluate → report.  No stage compares strategy names,
+every stage reads the one snapshot taken at the door, and a derived
+store is derived at it at most once, by the first stage that reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ..optimizer.search import SearchInfeasible
 from ..query.algebra import JUCQ
 from ..query.bgp import BGPQuery
 from ..reformulation.litemat import IntervalReformulator
-from ..reasoning.encoded import Saturated, saturate_database
 from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 from ..resilience.errors import (
     RECOVERABLE,
@@ -43,7 +43,6 @@ from ..resilience.errors import (
 )
 from ..resilience.fallback import AttemptRecord, CircuitBreaker, FallbackPolicy
 from ..storage.database import RDFDatabase, Snapshot
-from ..storage.interval_encoding import IntervalAssigner
 from ..telemetry import (
     NULL_TRACER,
     AccuracyRecord,
@@ -53,7 +52,8 @@ from ..telemetry import (
     get_registry,
 )
 from ..telemetry.registry import Histogram
-from .strategies import STRATEGIES, Derived, Strategy, strategy_named
+from .stores import DerivedStoreHolder
+from .strategies import STRATEGIES, STRATEGY_TABLE, Derived, Strategy, strategy_named
 
 __all__ = ["STRATEGIES", "AnswerReport", "QueryAnswerer"]
 
@@ -135,15 +135,21 @@ class QueryAnswerer:
         #: stage (DESIGN.md §8); raises
         #: :class:`repro.analysis.IRVerificationError` on corruption.
         self.verify_ir = verify_ir
+        #: The derived stores (DESIGN.md §20): strategy -> the holder of
+        #: its store and the engine over it, one per row that derives.
+        #: The answerer owns their engines (see ``close``).
+        self.derived_stores: Dict[str, DerivedStoreHolder] = {
+            row.name: DerivedStoreHolder(row.derives, database, self.engine)
+            for row in STRATEGY_TABLE.values()
+            if row.derives is not None
+        }
+        #: The e2e benchmark's name for the interval-encoded store's holder.
+        self.interval_assigner = self.derived_stores["litemat"]
+        #: Memoizes interval plans per encoding (DESIGN.md §16).
+        self.interval_reformulator = IntervalReformulator()
         #: Multi-level query cache (DESIGN.md §9).  None disables plan
         #: caching entirely; when set, the reformulator's memo and the
         #: engine's SQL cache (if any) are registered for unified stats.
-        #: LiteMat interval machinery (DESIGN.md §16): the assigner owns
-        #: the derived interval-encoded store (re-encoded on schema
-        #: mutation, extended on data mutation); the reformulator
-        #: memoizes interval plans per encoding.
-        self.interval_assigner = IntervalAssigner()
-        self.interval_reformulator = IntervalReformulator()
         self.cache = cache
         if cache is not None:
             cache.register("reformulation", self.reformulator.cache)
@@ -162,19 +168,10 @@ class QueryAnswerer:
         #: resilient report's ``metrics``.
         self.resilience_metrics = MetricsRecorder()
         self._breaker: Optional[CircuitBreaker] = None
-        #: Engines over the derived stores, built through
-        #: ``engine.for_database``: strategy -> (key of the snapshot the
-        #: store was derived at, engine).  The answerer owns them (see
-        #: ``close``).
-        self._derived: Dict[str, Tuple[Tuple[str, int], Engine]] = {}
-        #: ``(snapshot key, saturated store)`` as derived last: the state
-        #: the next write's re-saturation starts from.
-        self._saturated: Optional[Tuple[Tuple[str, int], Saturated]] = None
         #: strategy -> its (optimize, evaluate) latency histograms.
         self._latency: Dict[str, Tuple[Histogram, Histogram]] = {}
-        #: Guards the lazily-built shared members (derived engines,
-        #: default breaker) against duplicate construction when
-        #: concurrent callers share one answerer.
+        #: Guards the lazily built default breaker against duplicate
+        #: construction when concurrent callers share one answerer.
         self._lock = threading.Lock()
         #: Process-lifetime instrument registry (DESIGN.md §12): answer
         #: latency histograms plus runtime-state gauges.  Defaults to
@@ -277,7 +274,7 @@ class QueryAnswerer:
             query,
             NULL_TRACER if tracer is None else tracer,
             budget,
-            self._resolve(row, self.database.snapshot()),
+            Derived(self.database.snapshot(), self.derived_stores.get(row.name)),
         )
         if self.verify_ir:
             self._verify(query, planned, search)
@@ -317,11 +314,13 @@ class QueryAnswerer:
         (whose ``__traceback__`` would pin every active frame in the LRU
         for the entry's lifetime), and thawed into a fresh instance per
         hit.  A strategy that does not rewrite plans to the query
-        itself, so there is nothing worth caching; and nothing is
-        *stored* when a deadline budget was active, because the budget
-        is not part of the key — a plan truncated (or a failure caused)
-        by one caller's nearly-spent clock must not be served to the
-        next caller.
+        itself, so there is nothing worth caching.  Nothing is *stored*
+        when the budget has expired by the time planning returns: the
+        budget is not part of the key, and a plan truncated (or a
+        failure caused) by one caller's spent clock must not be served
+        to the next caller.  Planning reads the budget only through
+        ``budget.expired`` and the clock is monotone, so a budget still
+        running then did not shape the plan, and it is stored.
         """
         if self.cache is None or row.rewrite is None:
             return row.plan(self, query, tracer, budget, derived)
@@ -333,14 +332,13 @@ class QueryAnswerer:
             if outcome == "error":
                 raise thaw_exception(payload)
             return payload
-        deadline_active = budget.timeout_s is not None
         try:
             planned, search = row.plan(self, query, tracer, budget, derived)
         except (ReformulationLimitExceeded, SearchInfeasible) as error:
-            if not deadline_active:
+            if not budget.expired:
                 plans.put(key, ("error", freeze_exception(error)))
             raise
-        if not deadline_active:
+        if not budget.expired:
             plans.put(key, ("ok", (planned, search)))
         return planned, search
 
@@ -352,16 +350,14 @@ class QueryAnswerer:
         query: BGPQuery,
         strategy: str = "gcov",
         tracer=None,
-        record_accuracy: Optional[bool] = None,
         budget: ExecutionBudget = UNLIMITED,
     ) -> AnswerReport:
         """Answer ``query`` under ``strategy``; see :class:`AnswerReport`.
 
-        ``tracer`` records this call's spans (none by default).
-        ``record_accuracy`` forces predicted-vs-observed (cost,
-        cardinality) sampling on or off; by default it follows the
-        tracer (accuracy needs extra estimator calls, so the untraced
-        hot path skips them).  Under IR verification every compilation
+        ``tracer`` records this call's spans (none by default); a live
+        one also turns on predicted-vs-observed (cost, cardinality)
+        sampling, which needs extra estimator calls the untraced hot
+        path skips.  Under IR verification every compilation
         stage — input query, cover, JUCQ, the engine's templates,
         generated SQL — is asserted by the IR verifier before evaluation
         starts.
@@ -385,15 +381,13 @@ class QueryAnswerer:
         budget = budget.start()
         snapshot = self.database.snapshot()
         row = strategy_named(strategy)
-        if record_accuracy is None:
-            record_accuracy = tracer.enabled
         metrics = MetricsRecorder()
         counters_before = None if self.cache is None else self.cache.counters()
         analysis_before = dict(self.reformulator.analysis_counters)
         with tracer.span("answer", query=query.name, strategy=strategy) as root:
             start = time.perf_counter()
             with tracer.span("plan", strategy=strategy):
-                derived = self._resolve(row, snapshot)
+                derived = Derived(snapshot, self.derived_stores.get(row.name))
                 planned, search = self._plan_cached(row, query, tracer, budget, derived)
             if self.verify_ir:
                 with tracer.span("verify-ir"):
@@ -406,7 +400,9 @@ class QueryAnswerer:
                     f"max_union_terms={budget.max_union_terms}"
                 )
             optimization_s = time.perf_counter() - start
-            engine = self._engine_over(row, derived)
+            engine = (
+                self.engine if derived.holder is None else derived.derivation().engine
+            )
             start = time.perf_counter()
             with tracer.span("evaluate", engine=engine.name) as eval_span:
                 # A derived store is never written: its engine reads it as is.
@@ -415,7 +411,7 @@ class QueryAnswerer:
                     tracer=tracer,
                     metrics=metrics,
                     budget=budget,
-                    snapshot=snapshot if row.store is None else None,
+                    snapshot=snapshot if derived.holder is None else None,
                 )
                 eval_span.set(answers=len(answers))
             evaluation_s = time.perf_counter() - start
@@ -442,7 +438,7 @@ class QueryAnswerer:
         accuracy = AccuracyRecorder()
         # The cost model is bound to the base store: a plan that ran on
         # a derived one has no meaningful prediction to compare.
-        if record_accuracy and row.store is None:
+        if tracer.enabled and derived.holder is None:
             predicted_cost, predicted_rows = self._record_accuracy(
                 accuracy, query, planned, metrics, evaluation_s, len(answers), snapshot
             )
@@ -490,7 +486,6 @@ class QueryAnswerer:
         policy: Optional[FallbackPolicy] = None,
         budget: ExecutionBudget = UNLIMITED,
         tracer=None,
-        record_accuracy: Optional[bool] = None,
     ) -> AnswerReport:
         """:meth:`answer` behind the strategy-fallback ladder.
 
@@ -558,7 +553,6 @@ class QueryAnswerer:
                             query,
                             strategy=rung,
                             tracer=tracer,
-                            record_accuracy=record_accuracy,
                             budget=budget,
                         )
                     except RECOVERABLE as error:
@@ -698,68 +692,20 @@ class QueryAnswerer:
     def engine_for(self, strategy: str) -> Engine:
         """The engine a strategy's plan runs on: the answerer's own, or
         a sibling over the strategy's derived store (kept current)."""
-        row = strategy_named(strategy)
-        return self._engine_over(row, self._resolve(row, self.database.snapshot()))
-
-    def _resolve(self, row: Strategy, snapshot: Snapshot) -> Derived:
-        """The store the row's plan runs on, at ``snapshot``."""
-        return Derived(snapshot) if row.store is None else row.store(self, snapshot)
-
-    def _saturate(self, snapshot: Snapshot) -> RDFDatabase:
-        """The saturated store at ``snapshot``; while the schema stands,
-        the one derived last, when not newer, is handed back in and only
-        extended (DESIGN.md §20)."""
-        held = self._saturated
-        fingerprint, version = snapshot.key
-        if held is not None and (held[0][0] != fingerprint or held[0][1] > version):
-            held = None
-        saturated = saturate_database(
-            self.database, None if held is None else held[1], snapshot
-        )
-        self._saturated = (snapshot.key, saturated)  # lock: held by _engine_over
-        return saturated.database
-
-    def _engine_over(self, row: Strategy, derived: Optional[Derived]) -> Engine:
-        """The engine over a resolved derived store, rebuilt on a new snapshot.
-
-        The saturated and the interval-encoded store are derived from
-        the database; their snapshot changes whenever the schema or the
-        data has mutated since, so a stale engine is never served.  The
-        lock keeps concurrent first callers from deriving the store
-        twice (and from publishing a half-built engine).  A replaced
-        engine is not closed here: a reader may still be inside it.  A
-        reader whose snapshot is older than the held engine's gets an
-        engine of its own, unpublished, and the newer one stays.
-        """
-        if row.store is None:
-            return self.engine
-        key = derived.snapshot.key
-        with self._lock:
-            held = self._derived.get(row.name)
-            if held is not None and held[0][1] > key[1]:
-                return self.engine.for_database(derived.build())
-            if held is None or held[0] != key:
-                held = (key, self.engine.for_database(derived.build()))
-                self._derived[row.name] = held
-            return held[1]
+        holder = self.derived_stores.get(strategy_named(strategy).name)
+        return self.engine if holder is None else holder.at(self.database.snapshot()).engine
 
     def close(self) -> None:
         """Close the derived-store engines this answerer built.
 
         Idempotent and safe under concurrent callers: the service's
         drain path may call it from a signal handler while another
-        thread is already closing.  Exactly one caller claims the
-        engines under the lock and closes them outside it; everyone
-        else finds nothing left to release.  The engine passed to the
-        constructor stays its creator's to close.
+        thread is already closing (each holder hands its engine to one
+        caller).  The engine passed to the constructor stays its
+        creator's to close.
         """
-        with self._lock:
-            derived, self._derived = self._derived, {}
-            self._saturated = None
-        for _key, engine in derived.values():
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+        for holder in self.derived_stores.values():
+            holder.close()
 
     def __enter__(self) -> "QueryAnswerer":
         return self

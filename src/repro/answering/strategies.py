@@ -13,12 +13,15 @@ derived from them:
     means the query is evaluated as written, so there is nothing to
     plan-cache, no union-term budget to check and
     ``reformulation_terms`` is 0.
-``store``
-    ``None`` for the base database; otherwise ``(answerer, snapshot) ->``
-    :class:`Derived`: the store at the answer's snapshot, resolved once
-    per answer, so the plan and the engine it runs on see the same one.
-    The cost model is bound to the base store, so a plan that runs
-    elsewhere yields no accuracy sample.
+``derives``
+    ``None`` for the base database; otherwise the
+    :class:`~repro.reasoning.encoded.Layout` of the derived store the
+    plan runs on.  The answerer holds one
+    :class:`~repro.answering.stores.DerivedStoreHolder` per such row,
+    and one answer reads the store and its engine at most once, through
+    :class:`Derived`, so the plan and the engine it runs on see the
+    same store.  The cost model is bound to the base store, so a plan
+    that runs elsewhere yields no accuracy sample.
 
 One more fact says how long a plan stays valid:
 
@@ -53,9 +56,9 @@ An eighth strategy is one more row here plus its rewrite function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..cache.manager import PLAN_READS
 from ..optimizer.ecov import ecov
@@ -63,36 +66,41 @@ from ..optimizer.gcov import gcov
 from ..optimizer.search import CoverSearchResult
 from ..query.algebra import JUCQ, ucq_as_jucq
 from ..query.bgp import BGPQuery
+from ..reasoning.encoded import Layout
 from ..reformulation.covers import Cover, scq_cover, ucq_cover
 from ..reformulation.jucq import jucq_for_cover
 from ..reformulation.prune import prune_jucq
-from ..storage.database import RDFDatabase, Snapshot
-from ..storage.interval_encoding import IntervalEncoding
+from ..storage.database import Snapshot
 from ..telemetry import trajectory
+from .stores import Derivation, DerivedStoreHolder
 
 if TYPE_CHECKING:
     from .answerer import QueryAnswerer
 
 
-class Derived(NamedTuple):
-    """The store a strategy's plan runs on, resolved once for one answer."""
+@dataclass
+class Derived:
+    """What one answer's plan reads and runs on."""
 
-    #: The base snapshot the answer reads and the store is current at:
-    #: its key keys the engine over the store, and the plan cache keys
-    #: each plan on the part of it the plan reads.
+    #: The base snapshot the answer reads: the plan cache keys each plan
+    #: on the part of it the plan reads.
     snapshot: Snapshot
-    #: Returns a derived store; called only when the engine over it is
-    #: rebuilt.  None for the base database.
-    build: Optional[Callable[[], RDFDatabase]] = None
-    #: The interval encoding a ``litemat`` plan must embed.
-    encoding: Optional[IntervalEncoding] = None
+    #: The holder of the row's derived store; None for the base database.
+    holder: Optional[DerivedStoreHolder] = None
+    _derivation: Optional[Derivation] = field(default=None, init=False)
+
+    def derivation(self) -> Derivation:
+        """The derived store and its engine at the snapshot, derived on
+        the first ask: once per answer, and only if a stage reads it."""
+        if self._derivation is None:
+            self._derivation = self.holder.at(self.snapshot)
+        return self._derivation
 
 
 Planned = Tuple[Any, Optional[CoverSearchResult]]
 #: ``(answerer, query, search trace or None, budget, derived)`` -> the rewriting.
 Chooser = Callable[["QueryAnswerer", BGPQuery, Optional[list], Any, Derived], Planned]
 Rewrite = Callable[["QueryAnswerer", BGPQuery, Any, Any, Derived], Planned]
-Store = Callable[["QueryAnswerer", Snapshot], Derived]
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ class Strategy:
     name: str
     reads: str
     rewrite: Optional[Rewrite] = None
-    store: Optional[Store] = None
+    derives: Optional[Layout] = None
 
     def __post_init__(self) -> None:
         if self.reads not in PLAN_READS:
@@ -161,7 +169,8 @@ def _gcov(answerer, query, trace, budget, derived) -> Planned:
 
 
 def _intervals(answerer, query, trace, budget, derived) -> Planned:
-    reformulated = answerer.interval_reformulator.reformulate(query, derived.encoding)
+    encoding = derived.derivation().store.encoding
+    reformulated = answerer.interval_reformulator.reformulate(query, encoding)
     return ucq_as_jucq(reformulated), None
 
 
@@ -179,7 +188,7 @@ def _rewriting(
     choose: Chooser,
     searches: bool = False,
     post: Optional[Callable[["QueryAnswerer", JUCQ, Any, Derived], JUCQ]] = None,
-    store: Optional[Store] = None,
+    derives: Optional[Layout] = None,
 ) -> Strategy:
     """A row whose ``rewrite`` is the one body every rewriting strategy
     shares: choose a cover and build its JUCQ inside one span, then the
@@ -214,18 +223,7 @@ def _rewriting(
             planned = post(answerer, planned, tracer, derived)
         return planned, search
 
-    return Strategy(name, reads, rewrite, store)
-
-
-def _saturated_store(answerer, snapshot: Snapshot) -> Derived:
-    return Derived(snapshot, lambda: answerer._saturate(snapshot))
-
-
-def _interval_store(answerer, snapshot: Snapshot) -> Derived:
-    encoding, store, snapshot = answerer.interval_assigner.current(
-        answerer.database, snapshot
-    )
-    return Derived(snapshot, lambda: store, encoding)
+    return Strategy(name, reads, rewrite, derives)
 
 
 #: The seven rows, in public order.
@@ -237,8 +235,8 @@ STRATEGY_TABLE: Dict[str, Strategy] = {
         _rewriting("scq", "schema", _fixed(scq_cover)),
         _rewriting("ecov", "statistics", _ecov, searches=True),
         _rewriting("gcov", "statistics", _gcov, searches=True),
-        Strategy("saturation", "schema", store=_saturated_store),
-        _rewriting("litemat", "schema", _intervals, store=_interval_store),
+        Strategy("saturation", "schema", derives=Layout.SATURATED),
+        _rewriting("litemat", "schema", _intervals, derives=Layout.INTERVALS),
     )
 }
 

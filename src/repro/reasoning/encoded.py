@@ -1,8 +1,8 @@
-"""Vectorized saturation over dictionary-encoded triple tables.
+"""The two derived stores, derived by one function over encoded tables.
 
 :func:`repro.reasoning.saturation.saturate` works triple-at-a-time on
 :class:`~repro.rdf.graph.RDFGraph` objects — the readable reference.
-This module saturates an encoded :class:`~repro.storage.TripleTable`
+This module derives from an encoded :class:`~repro.storage.TripleTable`
 with numpy batch operations instead, which is what makes the
 Figure 10 saturation baseline practical at the benchmark scales.
 
@@ -13,23 +13,40 @@ every entailed fact is an immediate consequence of one explicit fact,
 so one pass over the explicit triples reaches the fixpoint.
 ``tests/test_reasoning.py`` checks both implementations agree.
 
-It also makes the store maintainable under insert-only writes
-(DESIGN.md §20): while the schema stands, sat(G ∪ Δ) = sat(G) ∪ sat(Δ),
-so :func:`saturate_database`, given the store it derived before, merges
-in only the base rows stored since (``TableView.changes``) and their
-consequences.
+:func:`derive` builds either store; a :class:`Layout` says which:
+
+* :attr:`Layout.SATURATED` — the saturation (§5.3): every consequence,
+  in the base store's codes.
+* :attr:`Layout.INTERVALS` — the LiteMat store (DESIGN.md §16): a fresh
+  dictionary seeded with the schema vocabulary in interval order (so
+  the codes of classes and properties *are* the interval codes), every
+  base fact recoded through a base-code → store-code ``remap``, and only
+  the domain/range ``rdf:type`` consequences stored.  Subproperty copies
+  and subclass widening are left out: a range scan over the
+  superproperty's or superclass's interval finds the original rows,
+  while domain/range typing creates rows no range placement can conjure.
+
+The same function maintains them under insert-only writes (DESIGN.md
+§20): while the schema stands, sat(G ∪ Δ) = sat(G) ∪ sat(Δ), so given
+the store it derived before it merges in only the base rows stored
+since (``TableView.changes``) and their consequences, keeping the
+encoding and growing the dictionary.  The base database and the held
+store are never touched, so readers of either stay consistent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from enum import Enum
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..rdf.schema import RDFSchema
+from ..rdf.terms import Term
 from ..rdf.vocabulary import RDF_TYPE
 from ..storage.database import RDFDatabase, Snapshot
 from ..storage.dictionary import Dictionary
+from ..storage.interval_encoding import IntervalEncoding
 from ..storage.triple_table import TripleTable
 
 
@@ -50,7 +67,7 @@ def consequences(
 
     One vectorized batch per (property or class, rule) pair.
     ``hierarchy=False`` keeps domain/range typing only: what the
-    interval-encoded store materializes (``reasoning/litemat.py``).
+    interval-encoded store materializes.
     """
     encode = dictionary.encode
     type_code = encode(RDF_TYPE)
@@ -90,38 +107,91 @@ def consequences(
     return out
 
 
-class Saturated(NamedTuple):
-    """A saturated store and the base table version it reflects."""
+class Layout(Enum):
+    """Which derived store :func:`derive` builds (module docstring)."""
+
+    SATURATED = "saturated"
+    INTERVALS = "intervals"
+
+
+class DerivedStore(NamedTuple):
+    """A derived store and what it was derived from."""
 
     database: RDFDatabase
+    #: The base table version the store reflects.
     base_version: int
+    #: The interval layout of the store's codes; None: the base codes.
+    encoding: Optional[IntervalEncoding] = None
+    #: Base code → store code, for every base code known at the
+    #: derivation; None: the identity.
+    remap: Optional[np.ndarray] = None
 
 
-def saturate_database(
+def _renumbering(
+    base: Dictionary, renumbered: Dictionary, leading: Sequence[Term], known: int
+) -> np.ndarray:
+    """Base code → code in ``renumbered = base.remapped(leading)``, below ``known``.
+
+    Leading terms take the codes ``remapped`` gave them; every other
+    base code shifts by the leading terms placed before it.
+    """
+    pairs = [(base.lookup(term), renumbered.lookup(term)) for term in leading]
+    pairs = [pair for pair in pairs if pair[0] is not None and pair[0] < known]
+    old, new = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    is_leading = np.zeros(known, dtype=bool)
+    is_leading[old] = True
+    remap = len(set(leading)) + np.arange(known) - np.cumsum(is_leading)
+    remap[old] = new
+    return remap
+
+
+def derive(
     database: RDFDatabase,
-    held: Optional[Saturated] = None,
+    layout: Layout,
+    held: Optional[DerivedStore] = None,
     snapshot: Optional[Snapshot] = None,
-) -> Saturated:
-    """A new database whose fact table is the saturation of ``database``'s.
+) -> DerivedStore:
+    """The ``layout`` store of ``database`` at ``snapshot`` (None: the
+    database's, taken here).
 
-    ``snapshot`` is the state saturated (None: the database's, taken
-    here).  ``held`` is an earlier result for the same database and
-    schema, at a version no newer than ``snapshot``'s: the new store
-    starts from its indexes and takes only the base rows stored since,
-    with their consequences.  ``held`` itself is not touched.
+    ``held`` is an earlier result of the same layout for the same
+    database and schema, at a version no newer than ``snapshot``'s: the
+    new store keeps its encoding, starts from its indexes and takes only
+    the base rows stored since, with their consequences; its dictionary
+    and ``remap`` grow by the base codes allocated since.  Without it
+    the delta is the whole table and the store starts empty.
     """
     if snapshot is None:
         snapshot = database.snapshot()
-    view = snapshot.table
-    if held is None:
-        out = TripleTable(dictionary=database.dictionary, bits=view.bits)
-        fresh, base_version = view.changes(None)
-    else:
-        out = held.database.table.copy()
-        fresh, base_version = view.changes(held.base_version)
+    base, view = database.dictionary, snapshot.table
+    fresh, base_version = view.changes(None if held is None else held.base_version)
     rows = view.decode_keys(fresh)
+    # Read after the rows: every code in them is below it.
+    known = len(base)
+    if held is not None:
+        encoding, remap = held.encoding, held.remap
+        out = held.database.table.copy()
+    elif layout is Layout.INTERVALS:
+        encoding = IntervalEncoding.from_schema(snapshot.schema)
+        leading = encoding.leading_terms
+        out = TripleTable(dictionary=base.remapped(leading), bits=view.bits)
+        remap = _renumbering(base, out.dictionary, leading, known)
+    else:
+        encoding, remap = None, None
+        out = TripleTable(dictionary=base, bits=view.bits)
+    if remap is not None:
+        # New base terms follow in base-code order, the order ``remapped``
+        # would give them: a maintained store's codes equal a rebuilt one's.
+        appended = [base.decode(code) for code in range(len(remap), known)]
+        remap = np.concatenate(
+            [remap, np.array(out.dictionary.encode_many(appended), dtype=np.int64)]
+        )
+        rows = remap[rows]
     out.add_block(rows)
-    for block in consequences(snapshot.schema, database.dictionary, rows):
+    hierarchy = layout is Layout.SATURATED
+    for block in consequences(snapshot.schema, out.dictionary, rows, hierarchy):
         out.add_block(block)
     out.freeze()
-    return Saturated(RDFDatabase(schema=snapshot.schema, table=out), base_version)
+    return DerivedStore(
+        RDFDatabase(schema=snapshot.schema, table=out), base_version, encoding, remap
+    )

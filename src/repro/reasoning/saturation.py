@@ -12,7 +12,7 @@ against duplicates so shared consequences are derived once.
 
 This is the reference oracle the differential tests compare against.
 The store the answerer serves is saturated, and maintained under
-insertions, by :func:`repro.reasoning.encoded.saturate_database`
+insertions, by :func:`repro.reasoning.encoded.derive`
 (``held=``, DESIGN.md §20) — the paper motivates reformulation by the
 cost of exactly that maintenance.
 """

@@ -9,7 +9,7 @@ per-atom fan-out with *interval atoms*:
   atom per merged code run of C's subclass closure, instead of one
   union term per subclass **plus** one per domain/range evidence
   property (rules 1-3/12-13; the evidence consequences are materialized
-  in the derived store by :mod:`repro.reasoning.litemat`, so no
+  in the derived store by :func:`repro.reasoning.encoded.derive`, so no
   evidence alternatives are needed);
 * ``?x P ?y``  →  ``?x [lo(P), hi(P)) ?y`` — one range-scan atom per
   merged run of P's subproperty closure, instead of one union term per

@@ -3,18 +3,13 @@
 from .database import RDFDatabase, Snapshot
 from .persistence import load_database, save_database
 from .dictionary import Dictionary
-from .interval_encoding import (
-    CyclicHierarchyError,
-    IntervalAssigner,
-    IntervalEncoding,
-)
+from .interval_encoding import CyclicHierarchyError, IntervalEncoding
 from .statistics import TableStatistics
 from .triple_table import PERMUTATIONS, Pattern, TripleTable
 
 __all__ = [
     "CyclicHierarchyError",
     "Dictionary",
-    "IntervalAssigner",
     "IntervalEncoding",
     "PERMUTATIONS",
     "Pattern",

@@ -112,9 +112,9 @@ class RDFDatabase:
         :func:`repro.reasoning.saturation.saturate` is the reference
         implementation the tests compare against.
         """
-        from ..reasoning.encoded import saturate_database
+        from ..reasoning.encoded import Layout, derive
 
-        return saturate_database(self).database
+        return derive(self, Layout.SATURATED).database
 
     def __len__(self) -> int:
         """Number of stored fact triples."""

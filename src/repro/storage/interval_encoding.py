@@ -32,29 +32,21 @@ schemas:
 An encoding is a pure function of the schema — it holds the
 :class:`~repro.rdf.schema.FrozenSchema` it was laid out for and is
 never mutated, so the fingerprint alone
-says which codes a plan embeds.  Renumbering on schema change goes
-through :class:`IntervalAssigner`, which rebuilds the derived store
-copy-on-write (the old dictionary and table are never touched, so
-concurrent readers of the previous store stay consistent).  A
-data-only write keeps the encoding and extends the derived store.
+says which codes a plan embeds.
 
-This module is kept dependency-light and ``mypy --strict``-clean; the
-numpy bulk re-encode of the fact table lives in
-:mod:`repro.reasoning.litemat`.
+This module is the layout algorithm only, kept dependency-light and
+``mypy --strict``-clean; the derived store laid out by it is built by
+:func:`repro.reasoning.encoded.derive` and held by
+:class:`repro.answering.stores.DerivedStoreHolder`.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..rdf.schema import FrozenSchema, RDFSchema, _strongly_connected_components
 from ..rdf.terms import Term
 from ..rdf.vocabulary import RDFS_SUBCLASS, RDFS_SUBPROPERTY
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..reasoning.litemat import IntervalStore
-    from .database import RDFDatabase, Snapshot
 
 #: A half-open code interval ``[lo, hi)``.
 Range = Tuple[int, int]
@@ -339,59 +331,3 @@ class IntervalEncoding:
             f"{len(self.cycle_diagnostics)} cycles collapsed)"
         )
 
-
-class IntervalAssigner:
-    """Owns the interval-encoded derived store of one base database.
-
-    The published store is keyed on the
-    :attr:`~repro.storage.database.Snapshot.key` it was derived at.
-    Republishing is copy-on-write: when the snapshot moved, the next
-    :meth:`current` call derives a *new* store and publishes it by
-    swapping references under the lock — the superseded store's table
-    is never mutated, so readers still evaluating against it stay
-    consistent.  A schema change re-encodes from scratch; a data-only
-    write keeps the encoding and extends the held store by the new rows
-    (DESIGN.md §20).  A reader whose derivation finishes after a newer
-    one was published keeps its store to itself: the newer entry stays.
-
-    Thread-safe; covered by ``tools/lint_locks.py``.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: ``(snapshot key, store)`` as published.
-        self._published: Optional[Tuple[Tuple[str, int], "IntervalStore"]] = None
-
-    def current(
-        self, database: "RDFDatabase", snapshot: Optional["Snapshot"] = None
-    ) -> Tuple[IntervalEncoding, "RDFDatabase", "Snapshot"]:
-        """The ``(encoding, derived store, snapshot)`` for ``database`` at
-        ``snapshot`` (None: the database's, taken here).
-
-        The store is derived at the returned snapshot, so that is what
-        anything built over the store (an engine, a plan embedding its
-        codes) is keyed on; it changes whenever the store does.
-        """
-        if snapshot is None:
-            snapshot = database.snapshot()
-        key = snapshot.key
-        published = self._published
-        if published is not None and published[0] == key:
-            store = published[1]
-            return store.encoding, store.database, snapshot
-        # Derive outside the lock: readers of the published store must
-        # not block on it.
-        from ..reasoning.litemat import interval_encode_database
-
-        held = None
-        if published is not None and published[0][0] == key[0] and published[0] < key:
-            held = published[1]
-        derived = interval_encode_database(database, held, snapshot)
-        with self._lock:
-            published = self._published
-            if published is not None and published[0][1] > key[1]:
-                published = (key, derived)
-            elif published is None or published[0] != key:
-                published = self._published = (key, derived)
-        store = published[1]
-        return store.encoding, store.database, snapshot

@@ -34,7 +34,7 @@ from repro.cache import MISSING, QueryCache
 from repro.cache.manager import PLAN_READS, statistics_generation
 from repro.query import BGPQuery
 from repro.rdf import RDF_TYPE, RDFSchema, Triple, URI, Variable
-from repro.reasoning.litemat import interval_encode_database
+from repro.reasoning.encoded import Layout, derive
 from repro.storage import IntervalEncoding, RDFDatabase
 
 
@@ -509,7 +509,7 @@ class TestLitematInvalidation:
                     [Triple(ex(f"s{step}"), properties[sub], ex(f"o{step}"))]
                 )
             encoding = IntervalEncoding.from_schema(schema)
-            store = interval_encode_database(database).database
+            store = derive(database, Layout.INTERVALS).database
             layout = (
                 encoding.leading_terms,
                 [encoding.class_ranges(cls) for cls in classes],

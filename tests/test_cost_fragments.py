@@ -39,7 +39,7 @@ from repro.datasets import (
 from repro.query import BGPQuery, JUCQ, UCQ
 from repro.rdf import RDF_TYPE, Literal, Triple, URI, Variable
 from repro.rdf.terms import IdRange
-from repro.reasoning import interval_encode_database
+from repro.reasoning import Layout, derive
 from repro.reformulation import enumerate_covers
 from repro.reformulation.jucq import jucq_for_cover
 from repro.reformulation.litemat import interval_reformulate
@@ -213,7 +213,8 @@ def test_a_value_computed_under_the_old_epoch_is_not_served_under_the_new(monkey
 def test_id_range_atoms_are_counted_by_range_scan_on_the_shared_atom_path(
     lubm_db, monkeypatch
 ):
-    encoding, store, _base_version, _remap = interval_encode_database(lubm_db)
+    derived = derive(lubm_db, Layout.INTERVALS)
+    encoding, store = derived.encoding, derived.database
     x = Variable("x")
     professor = URI("http://swat.cse.lehigh.edu/onto/univ-bench.owl#Professor")
     plan = interval_reformulate(

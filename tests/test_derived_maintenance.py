@@ -22,8 +22,7 @@ from repro.query import parse_query
 from repro.query.naive import evaluate
 from repro.rdf import RDF_TYPE, Literal, Triple, URI
 from repro.reasoning import saturate
-from repro.reasoning.encoded import saturate_database
-from repro.reasoning.litemat import interval_encode_database
+from repro.reasoning.encoded import Layout, derive
 from repro.storage.triple_table import PERMUTATIONS
 
 PREFIX = "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
@@ -37,6 +36,8 @@ QUERIES = [
         ("advised", "SELECT ?s ?x WHERE { ?s ub:advisor ?x . ?x a ub:Professor }"),
     ]
 ]
+#: The derived rows and the layout of their stores.
+LAYOUTS = {"saturation": Layout.SATURATED, "litemat": Layout.INTERVALS}
 #: A leaf class the generator never emits (the churn workload's toggle).
 EDGE = (ub("ExchangeStudent"), ub("Student"))
 KINDS = ("GraduateStudent", "UndergraduateStudent", "TeachingAssistant", "ExchangeStudent")
@@ -111,17 +112,21 @@ def test_maintained_stores_equal_from_scratch_ones_across_writes_and_schema_togg
                 answers = answerer.answer(query, strategy=strategy).answers
                 assert answers == expected[query.name], (step, query.name, strategy)
 
-        # The stores the answerer now serves, against stores from nothing.
+        # The stores the answerer now serves, against stores from nothing:
+        # the published derivation is at the snapshot, and is what the
+        # engine of the row reads.
         snapshot = database.snapshot()
-        saturated_at, saturated = answerer._saturated
-        assert saturated_at == snapshot.key
-        assert_same_indexes(saturated.database, saturate_database(database).database)
-        encoding, interval_store, interval_at = answerer.interval_assigner.current(database)
-        assert interval_at.key == snapshot.key
-        scratch = interval_encode_database(database)
-        assert_same_indexes(interval_store, scratch.database)
+        served = {}
+        for strategy, layout in LAYOUTS.items():
+            served[strategy] = answerer.derived_stores[strategy].at(snapshot)
+            assert served[strategy].key == snapshot.key
+            assert served[strategy].engine is answerer.engine_for(strategy)
+            scratch = derive(database, layout)
+            assert_same_indexes(served[strategy].store.database, scratch.database)
+        interval_store = served["litemat"].store.database
         for term in scratch.encoding.leading_terms:
             assert interval_store.dictionary.lookup(term) == scratch.database.dictionary.lookup(term)
+        encoding = served["litemat"].store.encoding
 
         # A schema change re-encodes; a data-only write keeps the encoding.
         assert snapshot.table.version > snapshot_before.table.version
@@ -142,84 +147,131 @@ def test_maintained_stores_equal_from_scratch_ones_across_writes_and_schema_togg
 
 def test_held_state_is_only_a_shortcut():
     """Deriving with held state and deriving from nothing are one function:
-    same result whether the held store is one write or three writes old."""
+    same result whether the held store is one write or three writes old,
+    in either layout."""
     rng = random.Random(7)
     database = build_lubm_database(universities=1, seed=0)
-    old_saturated = saturate_database(database)
-    old_interval = interval_encode_database(database)
+    old = {layout: derive(database, layout) for layout in Layout}
     for step in range(2):
         database.load_facts(write_batch(rng, step))
-    recent_saturated = saturate_database(database, old_saturated)
+    recent = {layout: derive(database, layout, old[layout]) for layout in Layout}
     database.load_facts(write_batch(rng, "last"))
     version = database.snapshot().table.version
-    assert old_saturated.base_version == version - 3
-    assert recent_saturated.base_version == version - 1
-    scratch = saturate_database(database).database
-    for held in (old_saturated, recent_saturated, old_saturated):
-        maintained = saturate_database(database, held)
-        assert maintained.base_version == version
-        assert_same_indexes(maintained.database, scratch)
-    assert len(old_saturated.database) < len(recent_saturated.database) < len(scratch)
-    maintained = interval_encode_database(database, held=old_interval)
-    assert maintained.encoding is old_interval.encoding
-    assert maintained.base_version == version
-    assert_same_indexes(maintained.database, interval_encode_database(database).database)
+    for layout in Layout:
+        assert old[layout].base_version == version - 3
+        assert recent[layout].base_version == version - 1
+        scratch = derive(database, layout)
+        for held in (old[layout], recent[layout], old[layout]):
+            maintained = derive(database, layout, held)
+            assert maintained.base_version == version
+            assert maintained.encoding is held.encoding
+            assert_same_indexes(maintained.database, scratch.database)
+        assert len(old[layout].database) < len(recent[layout].database) < len(scratch.database)
+    assert old[Layout.SATURATED].remap is None and old[Layout.SATURATED].encoding is None
     assert len(maintained.remap) == len(database.dictionary)
 
 
 def test_an_older_derivation_never_replaces_a_newer_one(monkeypatch):
-    """Two derivations finish out of order: the reader that derived at
-    version v finishes after a reader at v + 1 has published.  The newer
-    store and engine stay published, the older reader is handed its
-    own, and the next reader at v + 1 derives nothing."""
+    """Two derivations of one row finish out of order: a reader that
+    derived at version v finishes after a reader at v + 1 has published.
+    For each derived row the newer derivation — held store and engine —
+    stays published, the older reader answers from its own, a reader
+    resolved at v later is handed its own too, and the next reader at
+    v + 1 derives nothing."""
     import threading
 
-    import repro.reasoning.litemat as litemat
-    from repro.answering.strategies import strategy_named
+    import repro.answering.stores as stores
 
     rng = random.Random(5)
     database = build_lubm_database(universities=1, seed=0)
     answerer = make_answerer(database)
-    assigner = answerer.interval_assigner
-    real = litemat.interval_encode_database
-    derived, resume, built = threading.Event(), threading.Event(), []
+    query = QUERIES[0]
+    real = stores.derive
+    built, reader = [], None
 
-    def paced(database, held=None, snapshot=None):
-        store = real(database, held, snapshot)
-        built.append(store.base_version)
+    def paced(database, layout, held=None, snapshot=None):
+        store = real(database, layout, held, snapshot)
+        built.append((layout, store.base_version))
         if threading.current_thread() is reader:
             derived.set()
             assert resume.wait(30)
         return store
 
-    monkeypatch.setattr(litemat, "interval_encode_database", paced)
-    older = []
-    reader = threading.Thread(target=lambda: older.append(assigner.current(database)))
-    before = database.snapshot()
-    reader.start()
-    assert derived.wait(30)
-    database.load_facts(write_batch(rng, "newer"))
-    _encoding, newer_store, newer_at = assigner.current(database)
-    resume.set()
-    reader.join(30)
-    (_encoding, older_store, older_at), = older
-    assert older_at == before and newer_at.table.version > before.table.version
-    assert len(older_store) < len(newer_store)
-    assert assigner._published[0] == newer_at.key
-    assert assigner.current(database)[1] is newer_store
-    assert built == [before.table.version, newer_at.table.version]
+    def read(strategy, into):
+        into.append(answerer.answer(query, strategy=strategy).answers)
 
-    # The engines over the stores: a reader resolved before a write asks
-    # for its engine after the newer one is published.
-    for strategy in ("saturation", "litemat"):
-        row = strategy_named(strategy)
-        stale = answerer._resolve(row, database.snapshot())
-        database.load_facts(write_batch(rng, f"again-{strategy}"))
+    monkeypatch.setattr(stores, "derive", paced)
+    for strategy, layout in LAYOUTS.items():
+        holder = answerer.derived_stores[strategy]
+        answerer.answer(query, strategy=strategy)  # a published store to extend
+        database.load_facts(write_batch(rng, f"older-{strategy}"))
+        before, expected_before = database.snapshot(), oracle_answers(database)
+        derived, resume, older = threading.Event(), threading.Event(), []
+        reader = threading.Thread(target=read, args=(strategy, older))
+        reader.start()
+        assert derived.wait(30)
+        database.load_facts(write_batch(rng, f"newer-{strategy}"))
         newer_engine = answerer.engine_for(strategy)
-        own = answerer._engine_over(row, stale)
-        assert own is not newer_engine
-        assert answerer._derived[strategy][0] == database.snapshot().key
-        assert answerer.engine_for(strategy) is newer_engine
+        resume.set()
+        reader.join(30)
+        now = database.snapshot()
+        assert older == [expected_before[query.name]]
+        assert built[-2:] == [
+            (layout, before.table.version),
+            (layout, now.table.version),
+        ]
+        newer = holder.at(now)
+        assert newer.key == now.key and newer.engine is newer_engine
+        scratch_before = real(database, layout, snapshot=before).database
+        assert len(newer.store.database) > len(scratch_before)
+
+        # A reader resolved before the write asks after the newer one is
+        # published: it gets its own, of its own version, and the newer stays.
+        stale = holder.at(before)
+        assert stale.key == before.key and stale.engine is not newer_engine
+        assert_same_indexes(stale.store.database, scratch_before)
+        assert holder.at(now) is newer
+        count = len(built)
+        assert answerer.answer(query, strategy=strategy).answers == oracle_answers(database)[query.name]
+        assert len(built) == count
+
+
+def test_a_published_store_is_read_beside_another_rows_derivation(monkeypatch):
+    """A reader of a published derived store does not wait while another
+    row derives its store: each holder derives outside every lock."""
+    import threading
+
+    import repro.answering.stores as stores
+
+    database = build_lubm_database(universities=1, seed=0)
+    answerer = make_answerer(database)
+    query = QUERIES[0]
+    expected = answerer.answer(query, strategy="litemat").answers
+    real = stores.derive
+    parked, resume = threading.Event(), threading.Event()
+
+    def paced(database, layout, held=None, snapshot=None):
+        if layout is Layout.SATURATED:
+            parked.set()
+            assert resume.wait(30)
+        return real(database, layout, held, snapshot)
+
+    monkeypatch.setattr(stores, "derive", paced)
+    saturating = threading.Thread(target=lambda: answerer.answer(query, strategy="saturation"))
+    saturating.start()
+    try:
+        assert parked.wait(30)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(answerer.answer(query, strategy="litemat").answers)
+        )
+        reader.start()
+        reader.join(5)
+        assert not reader.is_alive(), "the litemat reader waited on saturation"
+        assert read == [expected]
+    finally:
+        resume.set()
+        saturating.join(30)
 
 
 def test_readers_beside_a_writer_see_one_version_at_a_time():

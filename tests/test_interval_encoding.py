@@ -5,7 +5,9 @@ table's range-scan primitive, the interval layout itself (trees, DAGs,
 cycles, and a hypothesis sweep over random DAG hierarchies asserting
 every class's ranges exactly cover its subclass-closure code set), the
 dictionary's copy-on-write renumbering under concurrency, and the
-snapshot-keyed :class:`IntervalAssigner`.
+snapshot-keyed holder of the derived store
+(:class:`~repro.answering.stores.DerivedStoreHolder`, the answerer's
+``interval_assigner``).
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.answering import QueryAnswerer
 from repro.engine.evaluator import AnswerSet
 from repro.rdf import BlankNode, Literal, RDFSchema, RDF_TYPE, Triple, URI, Variable
 from repro.rdf.terms import IdRange
 from repro.storage import (
     CyclicHierarchyError,
     Dictionary,
-    IntervalAssigner,
     IntervalEncoding,
     RDFDatabase,
     TripleTable,
@@ -529,7 +531,7 @@ class TestDictionaryRemap:
 
 
 # ----------------------------------------------------------------------
-# The snapshot-keyed assigner
+# The snapshot-keyed holder of the interval-encoded store
 # ----------------------------------------------------------------------
 def _tiny_db() -> RDFDatabase:
     schema = RDFSchema()
@@ -544,24 +546,28 @@ def _tiny_db() -> RDFDatabase:
     return db
 
 
+def _assigner(db: RDFDatabase):
+    return QueryAnswerer(db).interval_assigner
+
+
 class TestIntervalAssigner:
     def test_key_is_the_database_snapshot(self):
-        assigner = IntervalAssigner()
         db = _tiny_db()
+        assigner = _assigner(db)
         encoding, _, snapshot = assigner.current(db)
         assert snapshot.key == db.snapshot().key == (db.schema.fingerprint(), db.table.view.version)
         assert encoding.schema_fingerprint == snapshot.key[0]
 
     def test_same_key_returns_identical_objects(self):
-        assigner = IntervalAssigner()
         db = _tiny_db()
+        assigner = _assigner(db)
         enc1, store1, e1 = assigner.current(db)
         enc2, store2, e2 = assigner.current(db)
         assert enc1 is enc2 and store1 is store2 and e1 == e2
 
     def test_mutation_rebuilds_copy_on_write(self):
-        assigner = IntervalAssigner()
         db = _tiny_db()
+        assigner = _assigner(db)
         enc1, store1, e1 = assigner.current(db)
         old_len = len(store1.table)
         old_dict_len = len(store1.dictionary)
@@ -576,8 +582,8 @@ class TestIntervalAssigner:
         assert len(store1.dictionary) == old_dict_len
 
     def test_derived_store_codes_are_interval_codes(self):
-        assigner = IntervalAssigner()
         db = _tiny_db()
+        assigner = _assigner(db)
         encoding, store, _ = assigner.current(db)
         for cls in db.schema.classes:
             assert store.dictionary.lookup(cls) == encoding.class_code(cls)
@@ -586,7 +592,7 @@ class TestIntervalAssigner:
 
 
 # ----------------------------------------------------------------------
-# Lock hygiene: the assigner is covered by the lint
+# Lock hygiene: the derived-store holder is covered by the lint
 # ----------------------------------------------------------------------
 class TestLockLint:
     @pytest.fixture(scope="class")
@@ -603,7 +609,7 @@ class TestLockLint:
     def test_assigner_and_dictionary_are_covered(self, lint_locks, capsys):
         assert lint_locks.main(["--list-classes"]) == 0
         listed = capsys.readouterr().out
-        assert "IntervalAssigner" in listed
+        assert "DerivedStoreHolder" in listed
         assert "Dictionary" in listed
 
     def test_repo_lint_is_clean(self, lint_locks):

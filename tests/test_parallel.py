@@ -433,6 +433,9 @@ def test_every_engine_gets_the_same_handoff(lubm_db, kind):
         assert handed["budget"].max_result_rows == 10_000_000
         assert handed["metrics"] is not None
         assert built == []
+        # Planning the saturation row derives nothing: its plan is the query.
+        answerer.plan(query, "saturation")
+        assert built == []
         for strategy in ("saturation", "litemat"):
             # The second answer reuses the derived engine.
             for _ in range(2):
@@ -460,7 +463,7 @@ def test_close_is_idempotent_and_safe_under_concurrent_callers(lubm_db):
     query = BGPQuery([x], [Triple(x, RDF_TYPE, some_class)], name="close-probe")
     expected = answerer.answer(query, strategy="saturation").answers
     assert answerer.answer(query, strategy="litemat").answers == expected
-    derived = [held[1] for held in answerer._derived.values()]
+    derived = [answerer.engine_for(strategy) for strategy in ("saturation", "litemat")]
     assert len(derived) == 2
     assert all(sibling.pool_size() == 1 for sibling in derived)
 

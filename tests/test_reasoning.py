@@ -10,7 +10,7 @@ from repro.reasoning import (
     saturate,
     saturate_in_place,
 )
-from repro.reasoning.encoded import saturate_database
+from repro.reasoning.encoded import Layout, derive
 from repro.storage import RDFDatabase
 
 from conftest import ex
@@ -102,13 +102,13 @@ class TestSaturation:
 
 class TestEncodedSaturation:
     def test_matches_reference_on_lubm(self, lubm_db):
-        fast = saturate_database(lubm_db).database
+        fast = derive(lubm_db, Layout.SATURATED).database
         reference = saturate(lubm_db.facts_graph(), lubm_db.schema)
         assert len(fast) == len(reference)
         assert fast.facts_graph() == reference
 
     def test_database_saturated_shortcut(self, lubm_db):
-        assert len(lubm_db.saturated()) == len(saturate_database(lubm_db).database)
+        assert len(lubm_db.saturated()) == len(derive(lubm_db, Layout.SATURATED).database)
 
 
 # ----------------------------------------------------------------------
@@ -164,4 +164,4 @@ def test_encoded_equals_reference_saturation(schema, facts):
     reference = saturate(RDFGraph(facts), schema)
     db = RDFDatabase(schema=schema)
     db.load_facts(facts)
-    assert saturate_database(db).database.facts_graph() == reference
+    assert derive(db, Layout.SATURATED).database.facts_graph() == reference

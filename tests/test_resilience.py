@@ -361,6 +361,21 @@ class TestPlanCacheFreezing:
         assert report.answers is not None
         assert cache.get_plan(lubm_db, query, "ecov") is not MISSING
 
+    def test_plans_under_a_running_deadline_are_cached(self, lubm_db):
+        """A deadline that has not expired when planning returns did not
+        shape the plan, so repeated answers under a generous one are
+        plan hits, for every rewriting strategy."""
+        answerer, cache = self.make_answerer(lubm_db, limit=50_000)
+        query = lubm_workload()[0].query
+        strategies = ("ucq", "gcov", "litemat")
+        for _ in range(3):
+            for strategy in strategies:
+                answerer.answer(query, strategy=strategy, budget=ExecutionBudget(timeout_s=60))
+        assert cache.plans.misses == len(strategies)
+        assert cache.plans.hits == 2 * len(strategies)
+        for strategy in strategies:
+            assert cache.get_plan(lubm_db, query, strategy) is not MISSING
+
 
 # ----------------------------------------------------------------------
 # answer_resilient orchestration

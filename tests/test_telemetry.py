@@ -347,10 +347,10 @@ class TestAnsweringTelemetry:
         # ... but operator counters are always collected.
         assert report.metrics["counters"]["scan.atoms"] > 0
 
-    def test_accuracy_opt_in_without_tracer(self, lubm_db):
+    def test_accuracy_samples_follow_the_tracer(self, lubm_db):
         answerer = QueryAnswerer(lubm_db)
         query = parse_query(self.QUERY)
-        report = answerer.answer(query, strategy="gcov", record_accuracy=True)
+        report = answerer.answer(query, strategy="gcov", tracer=Tracer())
         assert report.accuracy
         labels = [sample.label for sample in report.accuracy]
         # Top-level sample plus one per JUCQ operand.
