@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cache.lru import MISSING, LRUCache
 from ..cache.manager import QueryCache
@@ -45,10 +45,10 @@ from ..resilience.fallback import AttemptRecord, CircuitBreaker, FallbackPolicy
 from ..storage.database import RDFDatabase, Snapshot
 from ..telemetry import (
     NULL_TRACER,
-    AccuracyRecord,
-    AccuracyRecorder,
     MetricsRecorder,
     MetricsRegistry,
+    Span,
+    accuracy_sample,
     get_registry,
 )
 from ..telemetry.registry import Histogram
@@ -60,7 +60,12 @@ __all__ = ["STRATEGIES", "AnswerReport", "QueryAnswerer"]
 
 @dataclass
 class AnswerReport:
-    """Answers plus the per-phase accounting the benchmarks report."""
+    """Answers plus the per-phase accounting the benchmarks report.
+
+    Everything else an answer can tell — operator counters, the plan
+    cache's hit or miss, cost-model accuracy samples — is on its trace
+    (DESIGN.md §7), and only a traced answer records it.
+    """
 
     query: BGPQuery
     strategy: str
@@ -70,15 +75,6 @@ class AnswerReport:
     reformulation_terms: int
     cover: Optional[frozenset] = None
     covers_explored: int = 0
-    #: Operator-level counters/series collected during evaluation
-    #: (:meth:`repro.telemetry.MetricsRecorder.as_dict` form).
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Predicted-vs-observed samples (filled when accuracy tracking is on).
-    accuracy: List[AccuracyRecord] = field(default_factory=list)
-    #: Cost-model prediction for the evaluated query, when recorded.
-    predicted_cost: Optional[float] = None
-    #: Cardinality estimate for the evaluated query, when recorded.
-    predicted_cardinality: Optional[float] = None
     #: The strategy whose answers these actually are.  Equal to
     #: ``strategy`` for a direct :meth:`QueryAnswerer.answer` call; the
     #: rung that finally succeeded for a resilient one.
@@ -164,8 +160,8 @@ class QueryAnswerer:
         self.fallback = fallback
         #: Counters for the resilience layer (attempts, retries,
         #: fallbacks, degradations, breaker activity) — monotone over
-        #: the answerer's lifetime; per-call deltas are folded into each
-        #: resilient report's ``metrics``.
+        #: the answerer's lifetime and exported through the registry;
+        #: one call's own trail is its report's ``attempts``.
         self.resilience_metrics = MetricsRecorder()
         self._breaker: Optional[CircuitBreaker] = None
         #: strategy -> its (optimize, evaluate) latency histograms.
@@ -230,8 +226,7 @@ class QueryAnswerer:
             lambda: self.resilience_metrics.as_dict()["counters"],
         )
         # The reformulator's minimization-pass counters carry an
-        # "analysis." key prefix (folded verbatim into per-answer report
-        # metrics); strip it here so they export as
+        # "analysis." key prefix; strip it here so they export as
         # ``repro.analysis.terms_eliminated`` etc. without colliding
         # with the "repro"-prefixed resilience source above.
         registry.register_counters(
@@ -255,8 +250,9 @@ class QueryAnswerer:
         """The reformulated query a strategy would evaluate (no execution).
 
         Returns ``(planned_query, search_result_or_None)``.  When a
-        live ``tracer`` is given, planning is wrapped in
-        ``reformulate``/``cover-search`` spans and the cover search's
+        live ``tracer`` is given, planning is wrapped in a ``plan`` span
+        (with the plan cache's outcome) over the
+        ``reformulate``/``cover-search`` spans, and the cover search's
         exploration trajectory is attached as a ``search`` record.
         Under IR verification the input query and the produced
         reformulation, down to the templates the native engine runs,
@@ -321,26 +317,32 @@ class QueryAnswerer:
         to the next caller.  Planning reads the budget only through
         ``budget.expired`` and the clock is monotone, so a budget still
         running then did not shape the plan, and it is stored.
+
+        Planning runs inside the ``plan`` span, whose ``cached`` says
+        whether the cache served this call's plan (or failure).
         """
-        if self.cache is None or row.rewrite is None:
-            return row.plan(self, query, tracer, budget, derived)
-        key = self.cache.plan_key(derived.snapshot, query, row.name)
-        plans = self.cache.plans
-        entry = plans.get(key, MISSING)
-        if entry is not MISSING:
-            outcome, payload = entry
-            if outcome == "error":
-                raise thaw_exception(payload)
-            return payload
-        try:
-            planned, search = row.plan(self, query, tracer, budget, derived)
-        except (ReformulationLimitExceeded, SearchInfeasible) as error:
+        with tracer.span("plan", strategy=row.name) as span:
+            if self.cache is None or row.rewrite is None:
+                span.set(cached=False)
+                return row.plan(self, query, tracer, budget, derived)
+            key = self.cache.plan_key(derived.snapshot, query, row.name)
+            plans = self.cache.plans
+            entry = plans.get(key, MISSING)
+            span.set(cached=entry is not MISSING)
+            if entry is not MISSING:
+                outcome, payload = entry
+                if outcome == "error":
+                    raise thaw_exception(payload)
+                return payload
+            try:
+                planned, search = row.plan(self, query, tracer, budget, derived)
+            except (ReformulationLimitExceeded, SearchInfeasible) as error:
+                if not budget.expired:
+                    plans.put(key, ("error", freeze_exception(error)))
+                raise
             if not budget.expired:
-                plans.put(key, ("error", freeze_exception(error)))
-            raise
-        if not budget.expired:
-            plans.put(key, ("ok", (planned, search)))
-        return planned, search
+                plans.put(key, ("ok", (planned, search)))
+            return planned, search
 
     # ------------------------------------------------------------------
     # Answering
@@ -354,13 +356,15 @@ class QueryAnswerer:
     ) -> AnswerReport:
         """Answer ``query`` under ``strategy``; see :class:`AnswerReport`.
 
-        ``tracer`` records this call's spans (none by default); a live
-        one also turns on predicted-vs-observed (cost, cardinality)
-        sampling, which needs extra estimator calls the untraced hot
-        path skips.  Under IR verification every compilation
-        stage — input query, cover, JUCQ, the engine's templates,
-        generated SQL — is asserted by the IR verifier before evaluation
-        starts.
+        ``tracer`` is this call's record (none by default).  A live one
+        gets the spans, the plan cache's outcome on the ``plan`` span,
+        the engine's operator counters on the ``evaluate`` span, and
+        predicted-vs-observed (cost, cardinality) ``accuracy`` records,
+        which need extra estimator calls.  Without one the engine gets
+        ``metrics=None`` and nothing per answer is counted.  Under IR
+        verification every compilation stage — input query, cover,
+        JUCQ, the engine's templates, generated SQL — is asserted by the
+        IR verifier before evaluation starts.
 
         State: the database's snapshot is taken here, once, and every
         stage reads it, so the answers are those of that state whatever
@@ -381,14 +385,11 @@ class QueryAnswerer:
         budget = budget.start()
         snapshot = self.database.snapshot()
         row = strategy_named(strategy)
-        metrics = MetricsRecorder()
-        counters_before = None if self.cache is None else self.cache.counters()
-        analysis_before = dict(self.reformulator.analysis_counters)
+        metrics = MetricsRecorder() if tracer.enabled else None
         with tracer.span("answer", query=query.name, strategy=strategy) as root:
             start = time.perf_counter()
-            with tracer.span("plan", strategy=strategy):
-                derived = Derived(snapshot, self.derived_stores.get(row.name))
-                planned, search = self._plan_cached(row, query, tracer, budget, derived)
+            derived = Derived(snapshot, self.derived_stores.get(row.name))
+            planned, search = self._plan_cached(row, query, tracer, budget, derived)
             if self.verify_ir:
                 with tracer.span("verify-ir"):
                     self._verify(query, planned, search, database=self.database)
@@ -405,6 +406,9 @@ class QueryAnswerer:
             )
             start = time.perf_counter()
             with tracer.span("evaluate", engine=engine.name) as eval_span:
+                if metrics is not None:
+                    # The recorder's own dict: it fills as the engine runs.
+                    eval_span.set(counters=metrics.counters)
                 # A derived store is never written: its engine reads it as is.
                 answers = engine.evaluate(
                     planned,
@@ -419,31 +423,12 @@ class QueryAnswerer:
         optimize_seconds, evaluate_seconds = self._latency_histograms(strategy)
         optimize_seconds.observe(optimization_s)
         evaluate_seconds.observe(evaluation_s)
-        if counters_before is not None:
-            # Export this call's cache activity as metric deltas
-            # (cache.<level>.<hits|misses|evictions|invalidations>).
-            for name, value in self.cache.counters().items():
-                delta = value - counters_before.get(name, 0)
-                if delta:
-                    metrics.inc(name, delta)
-        # Likewise the minimization pass's work during this call
-        # (analysis.terms_eliminated / analysis.containment_checks);
-        # warm memo hits contribute zero, exactly like cache counters.
-        for name, value in self.reformulator.analysis_counters.items():
-            delta = value - analysis_before.get(name, 0)
-            if delta:
-                metrics.inc(name, delta)
-        predicted_cost = None
-        predicted_rows = None
-        accuracy = AccuracyRecorder()
         # The cost model is bound to the base store: a plan that ran on
         # a derived one has no meaningful prediction to compare.
         if tracer.enabled and derived.holder is None:
-            predicted_cost, predicted_rows = self._record_accuracy(
-                accuracy, query, planned, metrics, evaluation_s, len(answers), snapshot
+            self._record_accuracy(
+                tracer, query, planned, eval_span, evaluation_s, len(answers), snapshot
             )
-            for sample in accuracy.records:
-                tracer.record("accuracy", sample.to_dict())
         return AnswerReport(
             query=query,
             strategy=strategy,
@@ -453,10 +438,6 @@ class QueryAnswerer:
             reformulation_terms=terms,
             cover=None if search is None else search.cover,
             covers_explored=0 if search is None else search.covers_explored,
-            metrics=metrics.as_dict(),
-            accuracy=accuracy.records,
-            predicted_cost=predicted_cost,
-            predicted_cardinality=predicted_rows,
             strategy_used=strategy,
         )
 
@@ -499,8 +480,7 @@ class QueryAnswerer:
         The returned report is the succeeding rung's, annotated with
         ``strategy_used``, the full ``attempts`` trail and ``degraded``
         (True unless the first rung succeeded on its first try); the
-        call's resilience counter deltas are folded into its
-        ``metrics``.  Raises
+        ``fallback`` span carries the same three.  Raises
         :class:`~repro.resilience.BudgetExhausted` when the clock runs
         out between attempts and
         :class:`~repro.resilience.AllStrategiesFailed` when the ladder
@@ -518,7 +498,6 @@ class QueryAnswerer:
         requested = ladder[0]
         attempts: List[AttemptRecord] = []
         rmetrics = self.resilience_metrics
-        counters_before = dict(rmetrics.counters)
         with tracer.span(
             "fallback", query=query.name, ladder=",".join(ladder)
         ) as span:
@@ -613,13 +592,6 @@ class QueryAnswerer:
                         report.strategy_used = rung
                         report.attempts = attempts
                         report.degraded = degraded
-                        delta = {
-                            name: value - counters_before.get(name, 0)
-                            for name, value in rmetrics.counters.items()
-                            if value - counters_before.get(name, 0)
-                        }
-                        if delta:
-                            report.metrics.setdefault("counters", {}).update(delta)
                         span.set(
                             strategy_used=rung,
                             attempts=len(attempts),
@@ -652,42 +624,44 @@ class QueryAnswerer:
 
     def _record_accuracy(
         self,
-        accuracy: AccuracyRecorder,
+        tracer,
         query: BGPQuery,
         planned,
-        metrics: MetricsRecorder,
+        evaluated: Span,
         evaluation_s: float,
         answer_count: int,
         snapshot: Snapshot,
-    ):
-        """Sample predicted-vs-observed for the query and its operands
-        (base-store strategies only: see the caller)."""
+    ) -> None:
+        """Record predicted-vs-observed for the query and, where the
+        engine traced one ``operand`` span per JUCQ operand (the native
+        engine does), for each operand (base-store strategies only: see
+        the caller)."""
         estimator, view = self.cost_model.estimator, snapshot.table
-        predicted_cost = self.cost_model.cost(planned, view)
-        predicted_rows = estimator.estimate(planned, view)
-        accuracy.record(
-            query.name,
-            predicted_cost=predicted_cost,
-            observed_s=evaluation_s,
-            predicted_rows=predicted_rows,
-            observed_rows=answer_count,
+        tracer.record(
+            "accuracy",
+            accuracy_sample(
+                query.name,
+                predicted_cost=self.cost_model.cost(planned, view),
+                observed_s=evaluation_s,
+                predicted_rows=estimator.estimate(planned, view),
+                observed_rows=answer_count,
+            ),
         )
-        # Per-operand samples, when the native engine reported the
-        # materialized operand sizes in evaluation order.
-        operand_rows = metrics.series.get("jucq.operand_rows", [])
-        operand_s = metrics.series.get("jucq.operand_s", [])
-        if isinstance(planned, JUCQ) and len(operand_rows) == len(planned.operands):
-            for index, operand in enumerate(planned):
-                accuracy.record(
-                    f"{query.name}.operand[{index}]",
+        spans = [span for span in evaluated.children if span.name == "operand"]
+        if not isinstance(planned, JUCQ) or len(spans) != len(planned.operands):
+            return
+        for span in spans:
+            operand = planned.operands[span.attributes["index"]]
+            tracer.record(
+                "accuracy",
+                accuracy_sample(
+                    f"{query.name}.operand[{span.attributes['index']}]",
                     predicted_cost=self.cost_model.ucq_eval_cost(operand, view),
-                    observed_s=(
-                        operand_s[index] if index < len(operand_s) else 0.0
-                    ),
+                    observed_s=span.duration_s,
                     predicted_rows=estimator.ucq_cardinality(operand, view),
-                    observed_rows=operand_rows[index],
-                )
-        return predicted_cost, predicted_rows
+                    observed_rows=span.attributes["rows"],
+                ),
+            )
 
     def engine_for(self, strategy: str) -> Engine:
         """The engine a strategy's plan runs on: the answerer's own, or

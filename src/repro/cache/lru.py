@@ -3,9 +3,9 @@
 Every cache level of the answering pipeline (reformulations, plans,
 generated SQL) is one of these: an :class:`LRUCache` with a capacity
 bound, eviction in strict least-recently-*used* order (both ``get`` and
-``put`` refresh recency), and monotone hit/miss/eviction/invalidation
-counters that the answerer exports through
-:class:`repro.telemetry.MetricsRecorder` (DESIGN.md §9).
+``put`` refresh recency), and lifetime hit/miss/eviction/invalidation
+counters, read through :meth:`repro.cache.QueryCache.stats` and
+``counters()`` (DESIGN.md §9).
 
 ``capacity=None`` means unbounded — used where the legacy behaviour
 (memoize forever) is still wanted, while keeping the accounting.

@@ -150,11 +150,12 @@ class QueryCache:
     # Accounting
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, int]:
-        """Flat monotone counters, ``cache.<level>.<counter>`` keyed.
+        """Flat lifetime counters, ``cache.<level>.<counter>`` keyed.
 
-        The answerer snapshots this before and after a call and records
-        the delta into the call's
-        :class:`~repro.telemetry.MetricsRecorder`.
+        Monotone over the cache's life and shared by every thread
+        answering through it, so no one answer's share can be read off
+        them: a traced answer's own plan-cache outcome is its ``plan``
+        span's ``cached`` (DESIGN.md §7).
         """
         flat: Dict[str, int] = {}
         for name, cache in self._levels.items():

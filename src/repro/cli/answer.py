@@ -100,7 +100,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     Reports the full phase split — parse time (excluded from the
     report's ``total_s`` because the answerer receives a parsed query)
     alongside the report's optimization/evaluation accounting — plus
-    the answer count and headline operator counters.
+    the answer count, and under ``--trace`` the headline operator
+    counters (an untraced answer counts nothing).
     """
     tracer = Tracer() if args.trace else NULL_TRACER
     _query, report, parse_s, cache = _answer(args, tracer)
@@ -121,30 +122,42 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.fallback:
         _print_resilience_summary(report)
     if cache is not None:
-        for level, stats in cache.stats().items():
-            print(
-                f"# cache.{level}: size={stats['size']} hits={stats['hits']} "
-                f"misses={stats['misses']} evictions={stats['evictions']} "
-                f"hit_rate={stats['hit_rate']:.2f}",
-                file=sys.stderr,
-            )
-    counters = report.metrics.get("counters", {})
-    if counters:
+        for line in _cache_lines(cache):
+            print(f"# {line}", file=sys.stderr)
+    if args.trace:
+        counters = _counters(tracer)
         print(
             f"# rows scanned={counters.get('scan.rows', 0)} "
             f"| dedup {counters.get('dedup.input_rows', 0)}"
             f"->{counters.get('dedup.output_rows', 0)} rows",
             file=sys.stderr,
         )
-    if args.trace:
         written = tracer.export_jsonl(args.trace)
         print(f"# trace: {written} records -> {args.trace}", file=sys.stderr)
     return 0
 
 
+def _cache_lines(cache: QueryCache):
+    """One stats line per query-cache level."""
+    for level, stats in cache.stats().items():
+        yield (
+            f"cache.{level}: size={stats['size']} hits={stats['hits']} "
+            f"misses={stats['misses']} evictions={stats['evictions']} "
+            f"hit_rate={stats['hit_rate']:.2f}"
+        )
+
+
+def _counters(tracer) -> dict:
+    """The operator counters of the last answer the trace holds."""
+    evaluated = tracer.spans("evaluate")
+    return evaluated[-1].attributes.get("counters", {}) if evaluated else {}
+
+
 def _print_span(span, indent: int = 0) -> None:
+    # The counters get their own section.
     attributes = " ".join(
         f"{key}={value}" for key, value in span.attributes.items()
+        if key != "counters"
     )
     suffix = f"  [{attributes}]" if attributes else ""
     print(f"{'  ' * indent}{span.name:<{max(24 - 2 * indent, 1)}} "
@@ -160,7 +173,7 @@ def _format_q(value: float) -> str:
 def cmd_profile(args: argparse.Namespace) -> int:
     """``repro profile``: answer one query with full telemetry output."""
     tracer = Tracer()
-    query, report, _parse_s, _cache = _answer(args, tracer)
+    query, report, _parse_s, cache = _answer(args, tracer)
     print(
         f"query {query.name}: {report.answer_count} answers "
         f"| strategy={report.strategy} | engine={args.engine} "
@@ -171,33 +184,30 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print("\n== spans ==")
     for root in tracer.roots:
         _print_span(root)
-    counters = report.metrics.get("counters", {})
+    counters = _counters(tracer)
     if counters:
         print("\n== operator counters ==")
         width = max(len(name) for name in counters)
         for name in sorted(counters):
             print(f"  {name:<{width}}  {counters[name]}")
-    series = report.metrics.get("series", {})
-    if series:
-        print("\n== series ==")
-        for name in sorted(series):
-            values = series[name]
-            rendered = ", ".join(
-                f"{v:.6f}" if isinstance(v, float) else str(v) for v in values
-            )
-            print(f"  {name}: [{rendered}]")
-    if report.accuracy:
+    if cache is not None:
+        print("\n== query cache ==")
+        for line in _cache_lines(cache):
+            print(f"  {line}")
+    samples = [record for record in tracer.records if record["type"] == "accuracy"]
+    if samples:
         print("\n== cost-model accuracy ==")
         print(
             f"  {'label':<24} {'pred cost':>12} {'obs s':>12} {'q(cost)':>8} "
             f"{'pred rows':>12} {'obs rows':>9} {'q(card)':>8}"
         )
-        for sample in report.accuracy:
+        for sample in samples:
             print(
-                f"  {sample.label:<24} {sample.predicted_cost:>12.6f} "
-                f"{sample.observed_s:>12.6f} {_format_q(sample.cost_q_error):>8} "
-                f"{sample.predicted_rows:>12.1f} {sample.observed_rows:>9} "
-                f"{_format_q(sample.cardinality_q_error):>8}"
+                f"  {sample['label']:<24} {sample['predicted_cost']:>12.6f} "
+                f"{sample['observed_s']:>12.6f} "
+                f"{_format_q(sample['cost_q_error']):>8} "
+                f"{sample['predicted_rows']:>12.1f} {sample['observed_rows']:>9} "
+                f"{_format_q(sample['cardinality_q_error']):>8}"
             )
     for record in tracer.records:
         if record.get("type") != "search":

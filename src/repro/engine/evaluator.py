@@ -731,14 +731,10 @@ class NativeEngine:
         for index, ucq in enumerate(jucq):
             names = _variable_names(ucq.head)
             with tracer.span("operand", index=index, terms=len(ucq)) as span:
-                started = time.perf_counter()
                 operand = self._eval_union(
                     ucq.templates(), budget, names, scans, tracer, metrics
                 )
                 span.set(rows=len(operand))
-            if metrics is not None:
-                metrics.append("jucq.operand_rows", len(operand))
-                metrics.append("jucq.operand_s", time.perf_counter() - started)
             operands.append(operand)
         if metrics is not None:
             metrics.inc("jucq.operands", len(operands))

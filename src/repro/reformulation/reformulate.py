@@ -49,10 +49,11 @@ produces exactly the 11 union terms (0)-(10) listed in the paper.
 from __future__ import annotations
 
 import copy
+import threading
 from bisect import bisect_right
 from itertools import compress, product
 from math import prod
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..analysis.subsumption import (
     DEFAULT_MAX_TERMS,
@@ -210,7 +211,7 @@ def _materialize(
     factors: _Factors,
     limit: Optional[int],
     minimize: bool,
-    counters: Dict[str, int],
+    count: Callable[[int, int, bool], None],
 ) -> UCQ:
     """The union of ``factors``: minimized on the factors, then expanded.
 
@@ -219,7 +220,8 @@ def _materialize(
     ``minimize`` the constraint-atom rows and, up to
     :data:`DEFAULT_MAX_TERMS` rows, the subsumed rows are dropped too,
     each elimination re-checked from its certificate.  Only survivors
-    are ever built.
+    are ever built.  A minimized union reports its work once through
+    ``count(containment checks, terms eliminated, skipped)``.
     """
     total = factors.count
     if total == 1 and (limit is None or limit >= 1):
@@ -250,14 +252,7 @@ def _materialize(
             # is well-formed (it evaluates to ∅).
             empty.discard(min(empty))
         dropped |= empty
-        counters["analysis.containment_checks"] += result.checks
-        counters["analysis.terms_eliminated"] += len(dropped) - len(
-            result.duplicates
-        )
-        if capped:
-            counters["analysis.minimize_skipped"] = (
-                counters.get("analysis.minimize_skipped", 0) + 1
-            )
+        count(result.checks, len(dropped) - len(result.duplicates), capped)
     return UCQ(factors.terms(dropped), name=factors.name, head=factors.head)
 
 
@@ -304,13 +299,18 @@ class Reformulator:
         #: The same key → the query's factors, for :meth:`count`.
         self._factors: LRUCache = LRUCache(capacity)
         self.minimize = minimize
-        #: Monotone counters of the minimization pass's work, exported
-        #: by the answerer as ``repro.analysis.*`` registry counters and
-        #: folded (as deltas) into per-answer report metrics.
+        #: Lifetime counters of the minimization pass's work, exported
+        #: by the answerer as ``repro.analysis.*`` registry counters.
+        #: Every key exists from the start and is bumped under
+        #: ``_counters_lock``, so the reformulating threads lose no
+        #: increment and an exporter iterating the dict never sees it
+        #: grow.
         self.analysis_counters: Dict[str, int] = {
             "analysis.terms_eliminated": 0,
             "analysis.containment_checks": 0,
+            "analysis.minimize_skipped": 0,
         }
+        self._counters_lock = threading.Lock()
 
     @property
     def runs(self) -> int:
@@ -336,10 +336,7 @@ class Reformulator:
             factors = self._factors.peek(key) or _Factors(query, schema)
             try:
                 cached = _materialize(
-                    factors,
-                    self.limit,
-                    self.minimize,
-                    self.analysis_counters,
+                    factors, self.limit, self.minimize, self._count
                 )
             except ReformulationLimitExceeded as error:
                 self.cache.put(key, error)
@@ -348,6 +345,14 @@ class Reformulator:
         if isinstance(cached, ReformulationLimitExceeded):
             raise cached
         return cached
+
+    def _count(self, checks: int, eliminated: int, skipped: bool) -> None:
+        """Add one minimized union's work to ``analysis_counters``."""
+        counters = self.analysis_counters
+        with self._counters_lock:
+            counters["analysis.containment_checks"] += checks
+            counters["analysis.terms_eliminated"] += eliminated
+            counters["analysis.minimize_skipped"] += int(skipped)
 
     def count(self, query: BGPQuery) -> int:
         """``|q_ref|`` without materializing the union.
@@ -373,7 +378,10 @@ def reformulate(
     query: BGPQuery, schema: RDFSchema, limit: Optional[int] = None
 ) -> UCQ:
     """One-shot, unminimized CQ → UCQ reformulation (see :class:`Reformulator`)."""
-    return _materialize(_Factors(query, schema.snapshot()), limit, False, {})
+    # Never minimized, so never counted.
+    return _materialize(
+        _Factors(query, schema.snapshot()), limit, False, lambda *work: None
+    )
 
 
 def reformulation_count(query: BGPQuery, schema: RDFSchema) -> int:

@@ -1,13 +1,16 @@
 """Zero-dependency tracing + metrics for the answering pipeline.
 
-Four pieces (see DESIGN.md §7 for the span and counter taxonomy):
+Five pieces (see DESIGN.md §7 for the span and counter taxonomy).  A
+traced answer's trace is its one record: spans, the operator counters
+on its ``evaluate`` span, its accuracy samples and search trajectory as
+loose records.  An untraced answer keeps no per-answer record.
 
 * :mod:`.tracer` — hierarchical spans with wall-clock + monotonic
   timing and a no-op :data:`NULL_TRACER` default;
 * :mod:`.metrics` — operator-level counters (rows scanned per index
   permutation, join probe/emit counts, dedup input/output, …);
 * :mod:`.accuracy` — predicted-vs-observed (cost, cardinality) samples
-  with q-error ratios;
+  as plain dicts with their q-errors;
 * :mod:`.search_trace` — the GCov/ECov exploration trajectory in
   JSON-friendly form;
 * :mod:`.registry` — process-lifetime typed instruments (gauges,
@@ -15,7 +18,7 @@ Four pieces (see DESIGN.md §7 for the span and counter taxonomy):
   JSON exposition (DESIGN.md §12).
 """
 
-from .accuracy import AccuracyRecord, AccuracyRecorder, q_error
+from .accuracy import accuracy_sample, q_error
 from .metrics import MetricsRecorder
 from .registry import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -30,8 +33,6 @@ from .search_trace import cover_fragments, trajectory
 from .tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
-    "AccuracyRecord",
-    "AccuracyRecorder",
     "DEFAULT_LATENCY_BUCKETS_S",
     "Gauge",
     "Histogram",
@@ -42,6 +43,7 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
+    "accuracy_sample",
     "cover_fragments",
     "get_registry",
     "q_error",

@@ -2,9 +2,10 @@
 
 The paper's Figure 9 compares its cost model against engine-internal
 estimates by how well each *orders* the candidate covers; this module
-records the raw material for that judgement on every evaluated
-(sub)query: predicted cost vs. observed wall-clock seconds, and
-predicted cardinality vs. observed result rows.  Both pairs are
+shapes the raw material for that judgement, which a traced answer
+records as one ``accuracy`` trace record per evaluated (sub)query:
+predicted cost vs. observed wall-clock seconds, and predicted
+cardinality vs. observed result rows.  Both pairs are
 condensed into the **q-error** of the learned-costing literature
 (Leis et al., "How Good Are Query Optimizers, Really?"):
 
@@ -18,9 +19,7 @@ a non-zero observation — or vice versa — is infinitely wrong (q = inf).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 
 def q_error(predicted: float, observed: float) -> float:
@@ -32,91 +31,25 @@ def q_error(predicted: float, observed: float) -> float:
     return max(predicted / observed, observed / predicted)
 
 
-@dataclass
-class AccuracyRecord:
-    """One predicted-vs-observed sample for an evaluated (sub)query."""
-
-    label: str
-    predicted_cost: float
-    observed_s: float
-    predicted_rows: float
-    observed_rows: int
-
-    @property
-    def cost_q_error(self) -> float:
-        """q-error of the cost model's time prediction."""
-        return q_error(self.predicted_cost, self.observed_s)
-
-    @property
-    def cardinality_q_error(self) -> float:
-        """q-error of the cardinality estimate."""
-        return q_error(self.predicted_rows, float(self.observed_rows))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form, q-errors included."""
-        return {
-            "label": self.label,
-            "predicted_cost": self.predicted_cost,
-            "observed_s": self.observed_s,
-            "predicted_rows": self.predicted_rows,
-            "observed_rows": self.observed_rows,
-            "cost_q_error": self.cost_q_error,
-            "cardinality_q_error": self.cardinality_q_error,
-        }
-
-
-class AccuracyRecorder:
-    """Accumulates :class:`AccuracyRecord` samples and summarizes them."""
-
-    def __init__(self) -> None:
-        self.records: List[AccuracyRecord] = []
-
-    def record(
-        self,
-        label: str,
-        *,
-        predicted_cost: float,
-        observed_s: float,
-        predicted_rows: float,
-        observed_rows: int,
-    ) -> AccuracyRecord:
-        """Append one sample; returns it for further annotation."""
-        sample = AccuracyRecord(
-            label=label,
-            predicted_cost=float(predicted_cost),
-            observed_s=float(observed_s),
-            predicted_rows=float(predicted_rows),
-            observed_rows=int(observed_rows),
-        )
-        self.records.append(sample)
-        return sample
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """All samples as plain dicts (trace-export form)."""
-        return [record.to_dict() for record in self.records]
-
-    def summary(self) -> Dict[str, Any]:
-        """Aggregate view: count plus mean/max of the *finite* q-errors.
-
-        Infinite q-errors (one-sided zeros) are counted separately so a
-        single empty result does not wash out the mean.
-        """
-        cost_qs = [r.cost_q_error for r in self.records]
-        card_qs = [r.cardinality_q_error for r in self.records]
-
-        def stats(values: List[float]) -> Dict[str, Optional[float]]:
-            finite = [v for v in values if math.isfinite(v)]
-            return {
-                "mean": sum(finite) / len(finite) if finite else None,
-                "max": max(finite) if finite else None,
-                "infinite": len(values) - len(finite),
-            }
-
-        return {
-            "samples": len(self.records),
-            "cost_q_error": stats(cost_qs),
-            "cardinality_q_error": stats(card_qs),
-        }
-
-    def __len__(self) -> int:
-        return len(self.records)
+def accuracy_sample(
+    label: str,
+    *,
+    predicted_cost: float,
+    observed_s: float,
+    predicted_rows: float,
+    observed_rows: int,
+) -> Dict[str, Any]:
+    """One predicted-vs-observed sample for an evaluated (sub)query, as
+    the ``accuracy`` trace record's payload: both pairs and their
+    q-errors."""
+    predicted_cost, observed_s = float(predicted_cost), float(observed_s)
+    predicted_rows, observed_rows = float(predicted_rows), int(observed_rows)
+    return {
+        "label": label,
+        "predicted_cost": predicted_cost,
+        "observed_s": observed_s,
+        "predicted_rows": predicted_rows,
+        "observed_rows": observed_rows,
+        "cost_q_error": q_error(predicted_cost, observed_s),
+        "cardinality_q_error": q_error(predicted_rows, float(observed_rows)),
+    }

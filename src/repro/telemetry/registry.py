@@ -2,7 +2,7 @@
 
 This module is the *state* half of the observability layer (DESIGN.md
 §12).  Where :class:`~repro.telemetry.metrics.MetricsRecorder` collects
-per-call counters that travel with one answer report, the
+one traced answer's operator counters for its ``evaluate`` span, the
 :class:`MetricsRegistry` holds *process-lifetime* instruments:
 
 * :class:`Histogram` — fixed-bucket latency distributions with

@@ -152,6 +152,17 @@ class Tracer:
         """The innermost live span, if any."""
         return self._stack[-1] if self._stack else None
 
+    def spans(self, name: str) -> List[Span]:
+        """Every span called ``name``, in pre-order (oldest root first)."""
+        found: List[Span] = []
+        pending = list(reversed(self.roots))
+        while pending:
+            span = pending.pop()
+            if span.name == name:
+                found.append(span)
+            pending.extend(reversed(span.children))
+        return found
+
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
@@ -243,6 +254,9 @@ class NullTracer:
     @property
     def current(self) -> None:
         return None
+
+    def spans(self, name: str) -> List[Span]:
+        return []
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         return []

@@ -12,6 +12,7 @@ from repro.query import BGPQuery
 from repro.rdf import RDF_TYPE, RDFSchema, Triple, URI, Variable
 from repro.reformulation import ReformulationLimitExceeded, Reformulator
 from repro.storage import RDFDatabase
+from repro.telemetry import Tracer
 
 
 def ex(name: str) -> URI:
@@ -234,13 +235,16 @@ class TestAnswererPlanCache:
         from repro.datasets import lubm_workload
 
         query = next(e.query for e in lubm_workload() if e.name == "Q04")
-        first = answerer.answer(query, strategy="gcov")
+        traces = [Tracer(), Tracer()]
+        first = answerer.answer(query, strategy="gcov", tracer=traces[0])
         assert cache.plans.hits == 0 and cache.plans.misses == 1
-        second = answerer.answer(query, strategy="gcov")
+        second = answerer.answer(query, strategy="gcov", tracer=traces[1])
         assert cache.plans.hits == 1
         assert first.answers == second.answers
-        # The per-call metrics carry the delta, not the running total.
-        assert second.metrics["counters"]["cache.plan.hits"] == 1
+        # Each answer's own record says whether its plan was served.
+        assert [
+            trace.spans("plan")[0].attributes["cached"] for trace in traces
+        ] == [False, True]
 
     def test_failure_memoized_and_reraised(self, lubm_db):
         from repro.datasets import motivating_q2

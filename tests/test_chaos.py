@@ -159,7 +159,9 @@ class TestResilientRecovery:
         assert report.degraded
         assert [a.outcome for a in report.attempts] == ["error", "ok"]
         assert report.attempts[1].retry == 1
-        counters = report.metrics["counters"]
+        assert [a.classification for a in report.attempts] == ["transient", None]
+        # The answerer's lifetime counters hold exactly this one call.
+        counters = answerer.resilience_metrics.counters
         assert counters["resilience.retries"] == 1
         assert counters["resilience.faults.transient"] == 1
 

@@ -97,6 +97,28 @@ class TestQuery:
         assert any(e["type"] == "search" for e in entries)
         assert any(e["type"] == "accuracy" for e in entries)
 
+    def test_counters_only_under_trace(self, dataset, tmp_path, capsys):
+        """An untraced answer counts nothing, so ``query`` prints its
+        rows-scanned line only under ``--trace``, read off the trace."""
+        argv = [
+            "query",
+            str(dataset),
+            "-q",
+            "SELECT ?x WHERE { ?x a ub:Chair }",
+            "--prefix",
+            f"ub={UB}",
+        ]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        assert "rows scanned" not in err
+        code, _, err = run_cli(
+            argv + ["--trace", str(tmp_path / "t.jsonl"), "--cache", "--repeat", "2"],
+            capsys,
+        )
+        assert code == 0
+        assert re.search(r"# rows scanned=[1-9]\d* \| dedup \d+->\d+ rows", err)
+        assert "# cache.plan: size=1 hits=1 misses=1" in err
+
     def test_sqlite_engine(self, dataset, capsys):
         code, out, _ = run_cli(
             [
@@ -254,6 +276,24 @@ class TestProfile:
         assert "== cost-model accuracy ==" in out
         assert "q(cost)" in out
         assert "search trajectory" in out
+
+    def test_cache_levels_printed(self, dataset, capsys):
+        code, out, _ = run_cli(
+            [
+                "profile",
+                str(dataset),
+                "-q",
+                "SELECT ?x WHERE { ?x a ub:Chair }",
+                "--prefix",
+                f"ub={UB}",
+                "--cache",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "cached=False" in out
+        assert "== query cache ==" in out
+        assert "cache.plan: size=1 hits=0 misses=1" in out
 
     def test_trace_export(self, dataset, tmp_path, capsys):
         trace_path = tmp_path / "profile.jsonl"

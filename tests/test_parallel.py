@@ -3,13 +3,15 @@
 Queries are evaluated serially by the engine on the calling thread;
 what many threads share — one answerer and its caches, one SQLite
 engine's per-thread connections, the dictionary, a tracer — must stay
-correct under them.  Also here: the one engine hand-off in ``answer()``
+correct under them, and each traced answer's record must hold only its
+own facts.  Also here: the one engine hand-off in ``answer()``
 (the ``Engine`` protocol), its budget semantics, and what ``close()``
 releases.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from unittest import mock
@@ -25,6 +27,7 @@ from oracle import (
 )
 from repro.answering import QueryAnswerer
 from repro.cache import QueryCache
+from repro.datasets import lubm_workload
 from repro.engine import (
     EngineFailure,
     EngineTimeout,
@@ -34,10 +37,16 @@ from repro.engine import (
 from repro.optimizer import SearchInfeasible
 from repro.query import BGPQuery
 from repro.rdf import Literal, RDF_TYPE, Triple, URI, Variable
-from repro.reformulation import ReformulationLimitExceeded
-from repro.resilience import ChaosConfig, ChaosEngine, ExecutionBudget
+from repro.reformulation import ReformulationLimitExceeded, Reformulator
+from repro.resilience import (
+    ChaosConfig,
+    ChaosEngine,
+    ExecutionBudget,
+    FallbackPolicy,
+)
 from repro.storage import RDFDatabase
-from repro.telemetry import Tracer
+from repro.telemetry import MetricsRecorder, Tracer
+
 
 def ex(name: str) -> URI:
     return URI(f"http://ex/{name}")
@@ -146,6 +155,129 @@ def test_stress_eight_threads_warm_cache(lubm_db):
     for query in random_queries(lubm_db, 3, seed=0, max_atoms=2):
         differential_check(answerer, query)
     _stress(answerer, lubm_db)
+
+
+# ----------------------------------------------------------------------
+# One record per answer: a traced answer's facts are its own
+# ----------------------------------------------------------------------
+def _run_threads(worker, threads: int) -> list:
+    """Run ``worker(index)`` on ``threads`` threads released together;
+    the exceptions they raised."""
+    errors = []
+    barrier = threading.Barrier(threads)
+
+    def run(index: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            worker(index)
+        except Exception as error:  # noqa: BLE001 — surfaced by the caller
+            errors.append(error)
+
+    pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in pool), "a worker hung"
+    return errors
+
+
+def test_each_traced_answer_records_only_itself(lubm_db):
+    """4 threads × 50 traced warm answers through one answerer and one
+    ``QueryCache``, half of them through the fallback ladder: every
+    answer's own trace says its plan was served from the cache, holds
+    the operator counters a single-threaded run of the same query
+    holds, and every resilient report has the one attempt it made.
+    (Per-answer diffs of the shared cache and resilience counters,
+    which overlapping answers bump too, got all three wrong.)"""
+    answerer = QueryAnswerer(
+        lubm_db, cache=QueryCache(), fallback=FallbackPolicy(sleep=lambda _s: None)
+    )
+    queries = [entry.query for entry in lubm_workload()[:8]]
+    reference = {}
+    for query in queries:
+        tracer = Tracer()
+        answerer.answer(query, strategy="gcov", tracer=tracer)
+        reference[query.name] = tracer.spans("evaluate")[0].attributes["counters"]
+    assert all(counters["scan.rows"] > 0 for counters in reference.values())
+
+    def worker(index: int) -> None:
+        for step in range(50):
+            query = queries[(index + step) % len(queries)]
+            tracer = Tracer()
+            if step % 2:
+                report = answerer.answer_resilient(query, "gcov", tracer=tracer)
+                assert len(report.attempts) == 1, report.attempts
+                [ladder] = tracer.spans("fallback")
+                assert ladder.attributes["attempts"] == 1
+            else:
+                answerer.answer(query, strategy="gcov", tracer=tracer)
+            [planned] = tracer.spans("plan")
+            assert planned.attributes["cached"] is True, query.name
+            [evaluated] = tracer.spans("evaluate")
+            assert evaluated.attributes["counters"] == reference[query.name], query.name
+
+    errors = _run_threads(worker, threads=4)
+    assert not errors, f"{len(errors)} thread(s) failed; first: {errors[0]!r}"
+    # The lifetime counters still count every call.
+    assert answerer.resilience_metrics.get("resilience.attempts") == 4 * 25
+
+
+def test_untraced_answers_hand_the_engine_no_recorder(lubm_db):
+    """An untraced answer, direct or through the ladder, passes
+    ``metrics=None``: the operators count nothing."""
+    engine = ForwardingEngine(NativeEngine(lubm_db))
+    handed = []
+    evaluate = engine.evaluate
+
+    def spy(query, **kwargs):
+        handed.append(kwargs["metrics"])
+        return evaluate(query, **kwargs)
+
+    engine.evaluate = spy
+    query = lubm_workload()[0].query
+    with QueryAnswerer(lubm_db, engine=engine) as answerer:
+        answerer.answer(query, strategy="gcov")
+        answerer.answer_resilient(query, "gcov")
+        assert handed == [None, None]
+        answerer.answer(query, strategy="gcov", tracer=Tracer())
+        assert isinstance(handed[-1], MetricsRecorder)
+
+
+class TestAnalysisCounters:
+    """``Reformulator.analysis_counters``: lifetime counters that many
+    threads bump and ``/metrics`` exports by iterating the dict."""
+
+    def test_every_key_exists_from_the_start(self, lubm_db):
+        assert Reformulator(lubm_db.schema).analysis_counters == {
+            "analysis.terms_eliminated": 0,
+            "analysis.containment_checks": 0,
+            "analysis.minimize_skipped": 0,
+        }
+
+    def test_threads_lose_no_increment(self, lubm_db):
+        # Q28's union has ~186k terms; the rest reformulate in ms.
+        queries = [entry.query for entry in lubm_workload() if entry.name != "Q28"]
+        serial = Reformulator(lubm_db.schema)
+        for query in queries:
+            serial.reformulate(query)
+        assert all(serial.analysis_counters.values())
+        shared = Reformulator(lubm_db.schema)
+        threads = 4
+
+        def worker(index: int) -> None:
+            # Distinct queries per thread: each union is minimized once.
+            for query in queries[index::threads]:
+                shared.reformulate(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid read-modify-write
+        try:
+            errors = _run_threads(worker, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert shared.analysis_counters == serial.analysis_counters
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import time
+from unittest import mock
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.query.bgp import BGPQuery
 from repro.storage import RDFDatabase
 from repro.telemetry import (
     NULL_TRACER,
-    AccuracyRecorder,
     MetricsRecorder,
     NullTracer,
     Tracer,
@@ -137,21 +137,6 @@ class TestQError:
         assert q_error(-1.0, -2.0) == 1.0
         assert q_error(-1.0, 3.0) == float("inf")
 
-    def test_summary_separates_infinite(self):
-        recorder = AccuracyRecorder()
-        recorder.record(
-            "a", predicted_cost=1.0, observed_s=2.0, predicted_rows=4.0, observed_rows=2
-        )
-        recorder.record(
-            "b", predicted_cost=1.0, observed_s=1.0, predicted_rows=3.0, observed_rows=0
-        )
-        summary = recorder.summary()
-        assert summary["samples"] == 2
-        assert summary["cost_q_error"]["infinite"] == 0
-        assert summary["cost_q_error"]["max"] == 2.0
-        assert summary["cardinality_q_error"]["infinite"] == 1
-        assert summary["cardinality_q_error"]["max"] == 2.0
-
 
 # ----------------------------------------------------------------------
 # Operator counters
@@ -253,15 +238,6 @@ class TestOperatorCounters:
         assert metrics.counters["join.merge.count"] == 2
         assert "join.hash.count" not in metrics.counters
 
-    def test_recorder_merge(self):
-        a, b = MetricsRecorder(), MetricsRecorder()
-        a.inc("n", 2)
-        a.append("s", 1)
-        b.inc("n", 3)
-        b.append("s", 2)
-        a.merge(b)
-        assert a.counters["n"] == 5
-        assert a.series["s"] == [1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -312,16 +288,23 @@ class TestAnsweringTelemetry:
         assert report.answers == baseline.answers
         names = _span_names(tracer)
         assert {"answer", "plan", "cover-search", "evaluate", "dedup"} <= names
-        # Operator counters surface on the report.
-        counters = report.metrics["counters"]
+        # Operator counters surface on the evaluate span.
+        [evaluated] = tracer.spans("evaluate")
+        counters = evaluated.attributes["counters"]
         assert counters["scan.rows"] > 0
         assert counters["dedup.output_rows"] >= report.answer_count
-        # Accuracy samples carry predicted-vs-observed pairs.
-        assert report.accuracy
-        assert report.predicted_cost is not None
-        for sample in report.accuracy:
-            assert sample.cost_q_error >= 1.0
-            assert sample.cardinality_q_error >= 1.0
+        # Without a plan cache the plan is never a cached one.
+        [planned] = tracer.spans("plan")
+        assert planned.attributes["cached"] is False
+        # Accuracy samples carry predicted-vs-observed pairs; the first
+        # is the whole query's.
+        samples = [r for r in tracer.records if r["type"] == "accuracy"]
+        assert samples and samples[0]["label"] == query.name
+        assert samples[0]["predicted_cost"] > 0
+        assert samples[0]["observed_rows"] == report.answer_count
+        for sample in samples:
+            assert sample["cost_q_error"] >= 1.0
+            assert sample["cardinality_q_error"] >= 1.0
         # The search record holds the exploration trajectory.
         searches = [r for r in tracer.records if r["type"] == "search"]
         assert len(searches) == 1
@@ -339,23 +322,50 @@ class TestAnsweringTelemetry:
         assert traced.answers == baseline.answers
 
     def test_untraced_run_skips_accuracy(self, lubm_db):
+        """An untraced answer counts nothing: the engine gets no
+        recorder and the report carries only the answers and timings."""
         answerer = QueryAnswerer(lubm_db)
         query = parse_query(self.QUERY)
-        report = answerer.answer(query, strategy="gcov")
-        assert report.accuracy == []
-        assert report.predicted_cost is None
-        # ... but operator counters are always collected.
-        assert report.metrics["counters"]["scan.atoms"] > 0
+        with mock.patch.object(
+            answerer.engine, "evaluate", wraps=answerer.engine.evaluate
+        ) as evaluate:
+            report = answerer.answer(query, strategy="gcov")
+        assert evaluate.call_args.kwargs["metrics"] is None
+        assert report.answer_count > 0
+        for gone in ("metrics", "accuracy", "predicted_cost", "predicted_cardinality"):
+            assert not hasattr(report, gone)
 
     def test_accuracy_samples_follow_the_tracer(self, lubm_db):
         answerer = QueryAnswerer(lubm_db)
         query = parse_query(self.QUERY)
-        report = answerer.answer(query, strategy="gcov", tracer=Tracer())
-        assert report.accuracy
-        labels = [sample.label for sample in report.accuracy]
-        # Top-level sample plus one per JUCQ operand.
-        assert labels[0] == query.name
-        assert len(labels) == 1 + len(report.metrics["series"]["jucq.operand_rows"])
+        tracer = Tracer()
+        answerer.answer(query, strategy="gcov", tracer=tracer)
+        samples = [r for r in tracer.records if r["type"] == "accuracy"]
+        operands = tracer.spans("operand")
+        assert len(operands) == 2, "the chosen cover has two fragments"
+        # Top-level sample plus one per operand span, each observing
+        # that span's rows and duration.
+        assert [sample["label"] for sample in samples] == [query.name] + [
+            f"{query.name}.operand[{span.attributes['index']}]" for span in operands
+        ]
+        for sample, span in zip(samples[1:], operands):
+            assert sample["observed_rows"] == span.attributes["rows"]
+            assert sample["observed_s"] == span.duration_s
+
+    def test_evaluate_counters_are_the_engines(self, lubm_db):
+        """A traced native answer's ``evaluate`` counters are what the
+        engine counts for the same plan given a recorder of its own (the
+        e2e benchmark's traced driver reads them that way)."""
+        answerer = QueryAnswerer(lubm_db)
+        query = parse_query(self.QUERY)
+        tracer = Tracer()
+        answerer.answer(query, strategy="gcov", tracer=tracer)
+        [evaluated] = tracer.spans("evaluate")
+        planned, _search = answerer.plan(query, "gcov")
+        recorder = MetricsRecorder()
+        answerer.engine.evaluate_relation(planned, metrics=recorder)
+        assert evaluated.attributes["counters"] == recorder.counters
+        assert recorder.get("scan.rows") > 0
 
     def test_trace_export_contains_everything(self, lubm_db, tmp_path):
         answerer = QueryAnswerer(lubm_db)
