@@ -25,20 +25,27 @@ s, p, o      spo
 Column codes must fit in ``BITS`` bits (default 21 → two million
 distinct values, ample for the benchmark scales; raise it for more).
 
-Writes merge (DESIGN.md §20): :meth:`TripleTable.freeze` sorts only the
-buffered rows, merges the ones not yet stored into *new* read-only
-index arrays, logs them, and publishes all of it as the next version's
-:class:`TableView` by one reference swap.  A reader reads one view, so
-its lookups and log reads are of one version (DESIGN.md §9), and what
-is derived from the table takes a write's rows from
-:meth:`TableView.changes` instead of diffing the index.  Buffering and
-merging serialize on one lock; reads take none.
+Writes cost what they change (DESIGN.md §20).  Each index is two
+sorted, read-only runs of the same permutation: a large *base* and a
+small *tail*.  :meth:`TripleTable.freeze` sorts only the buffered rows,
+drops the ones either run already holds, merges the rest into a *new*
+tail, and folds the tail into a new base only once it holds
+:data:`FOLD_SHARE` of the base's rows; a first build folds at once, so a
+store built once and never written has empty tails.  The merge logs the
+new rows and publishes all of it as the next version's
+:class:`TableView` by one reference swap.  A scan merges the two runs'
+ranges only when the tail's is non-empty, and returns the rows, in the
+order, of one merged index; counts add the two range sizes.  A reader
+reads one view, so its lookups and log reads are of one version
+(DESIGN.md §9), and what is derived from the table takes a write's rows
+from :meth:`TableView.changes` instead of diffing the index.  Buffering
+and merging serialize on one lock; reads take none.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -94,6 +101,16 @@ def index_for_range(pattern: Pattern, position: int) -> str:
     return _RANGE_INDEX[(bound, position)]
 
 
+#: A tail is folded into its base once it holds this share of the base's
+#: rows: a write then copies O(tail) keys per index, not O(base), and a
+#: fold's O(base) copy is paid once per ``FOLD_SHARE * base`` new rows
+#: (DESIGN.md §20 has the measurement behind the value).
+FOLD_SHARE = 1 / 16
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.setflags(write=False)
+
+
 def _dedup_sorted(values: np.ndarray) -> np.ndarray:
     """A sorted array without its adjacent duplicates."""
     keep = np.ones(values.shape, dtype=bool)
@@ -109,18 +126,40 @@ def keys_absent_from(keys: np.ndarray, stored: np.ndarray) -> np.ndarray:
     return keys[stored[at] != keys]
 
 
+def _merge(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted, disjoint key arrays.
+
+    Returns one of them as it is when the other is empty; otherwise a
+    new array (a stable sort of two sorted runs is one linear merge).
+    """
+    if not second.size:
+        return first
+    if not first.size:
+        return second
+    out = np.concatenate((first, second))
+    out.sort(kind="stable")
+    return out
 
 
 class TableView:
-    """One published state of a :class:`TripleTable`: the six sorted
-    index arrays, their row count and version, and the merge log up to
+    """One published state of a :class:`TripleTable`: each permutation's
+    two sorted runs, their row count and version, and the merge log up to
     that version.  It never changes once published."""
 
-    __slots__ = ("indexes", "count", "version", "bits", "_mask", "_log")
+    __slots__ = ("runs", "count", "version", "bits", "_mask", "_log")
 
-    def __init__(self, indexes: dict, version: int, bits: int, log: List[np.ndarray]):
-        self.indexes = indexes
-        self.count = int(indexes["spo"].shape[0])
+    def __init__(
+        self,
+        runs: Dict[str, Tuple[np.ndarray, np.ndarray]],
+        version: int,
+        bits: int,
+        log: List[np.ndarray],
+    ):
+        #: ``runs[name]`` is ``(base, tail)``: two sorted, disjoint,
+        #: read-only key arrays whose merge is the ``name`` index.
+        self.runs = runs
+        base, tail = runs["spo"]
+        self.count = int(base.shape[0] + tail.shape[0])
         self.version = version
         self.bits = bits
         self._mask = (1 << bits) - 1
@@ -137,7 +176,7 @@ class TableView:
         stored: exactly this view's index minus the index at ``since``.
         """
         if since is None:
-            return self.indexes["spo"], self.version
+            return _merge(*self.runs["spo"]), self.version
         blocks = self._log[since : self.version]
         keys = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
         return np.sort(keys), self.version
@@ -168,15 +207,16 @@ class TableView:
 
     def match_count(self, pattern: Pattern) -> int:
         """Exact number of triples matching ``pattern`` (O(log n))."""
-        return self._range(pattern)[0].shape[0]
+        return self._count(*self._bounds(pattern))
 
     def match(self, pattern: Pattern) -> np.ndarray:
         """All matching triples as an ``(n, 3)`` array in (s, p, o) order."""
-        return self.decode_keys(*self._range(pattern))
+        name, lo_key, hi_key = self._bounds(pattern)
+        return self.decode_keys(self._scan(name, lo_key, hi_key), name)
 
     def match_range_count(self, pattern: Pattern, position: int, lo: int, hi: int) -> int:
         """Number of triples matching ``pattern`` with ``position``'s code in ``[lo, hi)``."""
-        return self._range_interval(pattern, position, lo, hi)[0].shape[0]
+        return self._count(*self._interval_bounds(pattern, position, lo, hi))
 
     def match_range(self, pattern: Pattern, position: int, lo: int, hi: int) -> np.ndarray:
         """Triples matching ``pattern`` whose ``position`` code lies in ``[lo, hi)``.
@@ -187,7 +227,8 @@ class TableView:
         contiguous key range (the LiteMat range-scan primitive,
         DESIGN.md §16).  Returns an ``(n, 3)`` array in (s, p, o) order.
         """
-        return self.decode_keys(*self._range_interval(pattern, position, lo, hi))
+        name, lo_key, hi_key = self._interval_bounds(pattern, position, lo, hi)
+        return self.decode_keys(self._scan(name, lo_key, hi_key), name)
 
     def iter_matches(self, pattern: Pattern) -> Iterator[Tuple[int, int, int]]:
         """Iterate matches as plain tuples (used by tuple-at-a-time code)."""
@@ -199,25 +240,57 @@ class TableView:
         return self.match_count((s, p, o)) == 1
 
     def distinct_count(self, pattern: Pattern, position: int) -> int:
-        """Number of distinct values at ``position`` among matches."""
-        keys, name = self._range(pattern)
-        order = PERMUTATIONS[name]
-        slot = order.index(position)
-        column = self._column_from_keys(keys, slot)
-        # The slot right after the bound prefix is sorted within the range.
-        if slot != sum(value is not None for value in pattern):
-            column = np.sort(column)
-        return int(_dedup_sorted(column).size)
+        """Number of distinct values at ``position`` among matches.
 
-    def _range(self, pattern: Pattern) -> Tuple[np.ndarray, str]:
-        """Binary-search the composite range for a pattern.
-
-        Returns ``(keys, index_name)``: the matching slice of the index.
+        Counted per run, merging no keys: the base's distinct values plus
+        the tail's that the base's lack.
         """
+        name, lo_key, hi_key = self._bounds(pattern)
+        slot = PERMUTATIONS[name].index(position)
+        # The slot right after the bound prefix is sorted within the range.
+        presorted = slot == sum(value is not None for value in pattern)
+        base, tail = self.runs[name]
+        values = self._distinct(base, lo_key, hi_key, slot, presorted)
+        if tail.size:
+            extra = self._distinct(tail, lo_key, hi_key, slot, presorted)
+            return int(values.size + keys_absent_from(extra, values).size)
+        return int(values.size)
+
+    def _distinct(
+        self, run: np.ndarray, lo_key: int, hi_key: int, slot: int, presorted: bool
+    ) -> np.ndarray:
+        """The sorted distinct codes at ``slot`` of ``run``'s keys in ``[lo_key, hi_key)``."""
+        keys = run[run.searchsorted(lo_key) : run.searchsorted(hi_key)]
+        column = self._column_from_keys(keys, slot)
+        if not presorted:
+            column = np.sort(column)
+        return _dedup_sorted(column)
+
+    def _scan(self, name: str, lo_key: int, hi_key: int) -> np.ndarray:
+        """The ``name`` index's keys in ``[lo_key, hi_key)``, in index order.
+
+        The two runs' ranges are merged only when the tail's is non-empty.
+        """
+        base, tail = self.runs[name]
+        keys = base[base.searchsorted(lo_key) : base.searchsorted(hi_key)]
+        if tail.size:
+            extra = tail[tail.searchsorted(lo_key) : tail.searchsorted(hi_key)]
+            keys = _merge(keys, extra)
+        return keys
+
+    def _count(self, name: str, lo_key: int, hi_key: int) -> int:
+        """The number of ``name`` keys in ``[lo_key, hi_key)``, copying none."""
+        total = 0
+        for run in self.runs[name]:
+            if run.size:
+                total += int(run.searchsorted(hi_key) - run.searchsorted(lo_key))
+        return total
+
+    def _bounds(self, pattern: Pattern) -> Tuple[str, int, int]:
+        """The index serving a pattern and its composite key range ``[lo, hi)``."""
         bound = frozenset(i for i, v in enumerate(pattern) if v is not None)
         name = _INDEX_FOR_BOUND[bound]
         order = PERMUTATIONS[name]
-        keys = self.indexes[name]
         shift2, shift1 = 2 * self.bits, self.bits
         prefix = 0
         width = 3 * self.bits
@@ -228,22 +301,18 @@ class TableView:
             shift = (shift2, shift1, 0)[slot]
             prefix |= value << shift
             width = shift
-        lo_key = prefix
         hi_key = prefix + (1 << width) if width else prefix + 1
-        lo = int(np.searchsorted(keys, lo_key, side="left"))
-        hi = int(np.searchsorted(keys, hi_key, side="left"))
-        return keys[lo:hi], name
+        return name, prefix, hi_key
 
-    def _range_interval(
+    def _interval_bounds(
         self, pattern: Pattern, position: int, lo: int, hi: int
-    ) -> Tuple[np.ndarray, str]:
-        """Binary-search the composite range for a pattern plus code interval."""
+    ) -> Tuple[str, int, int]:
+        """The index serving a pattern plus code interval, and its key range."""
         if pattern[position] is not None:
             raise ValueError(f"range position {position} is bound in pattern {pattern}")
         bound = frozenset(i for i, v in enumerate(pattern) if v is not None)
         name = _RANGE_INDEX[(bound, position)]
         order = PERMUTATIONS[name]
-        keys = self.indexes[name]
         shifts = (2 * self.bits, self.bits, 0)
         prefix = 0
         for slot in range(len(bound)):
@@ -252,13 +321,9 @@ class TableView:
         lo = max(lo, 0)
         hi = min(hi, self._mask + 1)
         if lo >= hi:
-            return keys[:0], name
+            return name, 0, 0
         shift = shifts[len(bound)]
-        lo_key = prefix | (lo << shift)
-        hi_key = prefix + (hi << shift)
-        row_lo = int(np.searchsorted(keys, lo_key, side="left"))
-        row_hi = int(np.searchsorted(keys, hi_key, side="left"))
-        return keys[row_lo:row_hi], name
+        return name, prefix | (lo << shift), prefix + (hi << shift)
 
     def _column_from_keys(self, keys: np.ndarray, slot: int) -> np.ndarray:
         shift = (2 * self.bits, self.bits, 0)[slot]
@@ -289,51 +354,72 @@ class TripleTable:
         self.bits = bits
         #: Serializes buffering and :meth:`freeze`; reads take no lock.
         self._lock = threading.Lock()
-        self._pending: List[Tuple[int, int, int]] = []
-        self._pending_blocks: List[np.ndarray] = []
+        #: Buffered ``(n, 3)`` blocks the table owns, merged by the next freeze.
+        self._pending: List[np.ndarray] = []
         self._dirty = True
         #: The new ``spo`` keys of every merge, in version order.
         self._log: List[np.ndarray] = []
-        empty = np.empty(0, dtype=np.int64)
-        empty.setflags(write=False)
         #: The published state: replaced whole by each merge that stores a row.
-        self.view = TableView(dict.fromkeys(PERMUTATIONS, empty), 0, bits, self._log)
+        empty = dict.fromkeys(PERMUTATIONS, (_EMPTY, _EMPTY))
+        self.view = TableView(empty, 0, bits, self._log)
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def add_triples(self, triples: Iterable[Triple]) -> int:
-        """Encode and buffer ground triples; returns how many were buffered."""
+        """Encode and buffer ground triples; returns how many were buffered.
+
+        Codes come from the dictionary, so :meth:`freeze`'s dictionary
+        size check is their bound.
+        """
         encode = self.dictionary.encode
-        return self.add_encoded(
-            [(encode(triple.s), encode(triple.p), encode(triple.o)) for triple in triples]
-        )
+        rows = [(encode(triple.s), encode(triple.p), encode(triple.o)) for triple in triples]
+        return self._buffer(np.array(rows, dtype=np.int64).reshape(len(rows), 3))
 
     def add_encoded(self, rows: Iterable[Tuple[int, int, int]]) -> int:
-        """Buffer already-encoded rows."""
+        """Buffer already-encoded rows.
+
+        Raises ValueError, buffering none of them, if a code lies outside
+        ``[0, 2**bits)``.
+        """
         rows = list(rows)
-        with self._lock:
-            self._pending.extend(rows)
-            if rows:
-                self._dirty = True
-        return len(rows)
+        block = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        return self._buffer(self._checked(block))
 
     def add_block(self, block: np.ndarray) -> int:
-        """Buffer an already-encoded ``(n, 3)`` array without conversion."""
+        """Buffer a copy of an already-encoded ``(n, 3)`` array.
+
+        The copy is taken here, so the caller may reuse ``block`` at once.
+        Raises ValueError, buffering nothing, if a code lies outside
+        ``[0, 2**bits)``.
+        """
         if block.ndim != 2 or block.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) block, got shape {block.shape}")
-        with self._lock:
-            self._pending_blocks.append(np.asarray(block, dtype=np.int64))
-            if block.shape[0]:
+        return self._buffer(self._checked(np.array(block, dtype=np.int64)))
+
+    def _checked(self, block: np.ndarray) -> np.ndarray:
+        """``block`` itself, once every code in it fits a ``bits``-bit column."""
+        if block.size and (block.min() < 0 or block.max() >> self.bits):
+            raise ValueError(
+                f"codes must lie in [0, {1 << self.bits}) for {self.bits}-bit columns"
+            )
+        return block
+
+    def _buffer(self, block: np.ndarray) -> int:
+        """Hold an ``(n, 3)`` block this table owns until the next freeze."""
+        if block.shape[0]:
+            with self._lock:
+                self._pending.append(block)
                 self._dirty = True
         return int(block.shape[0])
 
     def freeze(self) -> None:
-        """Merge the buffered rows into the six sorted composite-key indexes.
+        """Merge the buffered rows into the six indexes' tails.
 
         Rows already stored (or repeated in the buffer) are dropped; the
-        rest are merged into *new* index arrays, logged, and published
-        with the next version as one new :class:`TableView`.
+        rest are merged into *new* tail arrays — folded into new base
+        arrays once a tail holds :data:`FOLD_SHARE` of its base — logged,
+        and published with the next version as one new :class:`TableView`.
         """
         if not self._dirty:
             return
@@ -344,40 +430,40 @@ class TripleTable:
                 raise OverflowError(
                     f"{len(self.dictionary)} dictionary codes exceed {self.bits}-bit columns"
                 )
-            blocks = [np.empty((0, 3), dtype=np.int64), *self._pending_blocks]
-            if self._pending:
-                blocks.append(np.array(self._pending, dtype=np.int64))
-            rows = np.vstack(blocks)
-            stored = self.view.indexes
+            view = self.view
+            rows = np.concatenate([np.empty((0, 3), dtype=np.int64), *self._pending])
             fresh = _dedup_sorted(np.sort(self._pack(rows[:, 0], rows[:, 1], rows[:, 2])))
-            fresh = keys_absent_from(fresh, stored["spo"])
+            for run in view.runs["spo"]:
+                fresh = keys_absent_from(fresh, run)
             if fresh.size:
-                columns = [self.view._column_from_keys(fresh, s) for s in range(3)]
-                indexes = {}
+                columns = [view._column_from_keys(fresh, s) for s in range(3)]
+                base, tail = view.runs["spo"]
+                fold = tail.size + fresh.size >= FOLD_SHARE * base.size
+                runs = {}
                 for name, order in PERMUTATIONS.items():
                     keys = fresh
                     if name != "spo":
                         keys = np.sort(self._pack(*(columns[position] for position in order)))
-                    held = stored[name]
-                    if held.size:
-                        keys = np.insert(held, np.searchsorted(held, keys), keys)
-                    keys.setflags(write=False)
-                    indexes[name] = keys
+                    base, tail = view.runs[name]
+                    tail = _merge(tail, keys)
+                    if fold:
+                        base, tail = _merge(base, tail), _EMPTY
+                    base.setflags(write=False)
+                    tail.setflags(write=False)
+                    runs[name] = (base, tail)
                 self._log.append(fresh)
-                version = self.view.version + 1
-                self.view = TableView(indexes, version, self.bits, self._log)
+                self.view = TableView(runs, view.version + 1, self.bits, self._log)
             self._pending = []
-            self._pending_blocks = []
             self._dirty = False
 
     def copy(self) -> "TripleTable":
-        """A new table over the same dictionary and (shared, read-only) indexes.
+        """A new table over the same dictionary and (shared, read-only) runs.
 
         The copy starts at version 0 with an empty log of its own.
         """
         self.freeze()
         other = TripleTable(dictionary=self.dictionary, bits=self.bits)
-        other.view = TableView(self.view.indexes, 0, self.bits, other._log)
+        other.view = TableView(self.view.runs, 0, self.bits, other._log)
         other._dirty = False
         return other
 
@@ -400,5 +486,5 @@ class TripleTable:
         return self.view.match_range(pattern, position, lo, hi)
 
     def __repr__(self) -> str:
-        pending = len(self._pending) + sum(len(b) for b in self._pending_blocks)
+        pending = sum(len(block) for block in self._pending)
         return f"TripleTable({self.view.count} triples frozen, {pending} pending)"

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.analysis.containment import (
     DEFAULT_MAX_TERMS,
     is_contained,
@@ -42,6 +44,7 @@ from repro.reformulation.reformulate import (
 )
 from repro.resilience import ChaosConfig, ChaosEngine, FallbackPolicy
 from repro.storage import RDFDatabase
+from repro.storage.triple_table import PERMUTATIONS, index_for_range
 
 #: Strategies a sweep exercises by default; ``saturation`` is the
 #: reformulation-free ground truth and must always succeed.
@@ -422,3 +425,22 @@ def assert_memos_match_fresh_probes(estimator: CardinalityEstimator) -> int:
     for (pattern, position), distinct in list(counts.distincts.items()):
         assert distinct == counts.view.distinct_count(pattern, position), (pattern, position)
     return len(memo.atoms) + len(memo.operands) + len(counts.patterns) + len(counts.distincts)
+
+
+def read_index(view, name: str) -> np.ndarray:
+    """The ``name`` permutation index as a reader reads it: its composite
+    keys, in its order, through one ``match_range`` per leading code.
+
+    A range on the second position of a pattern that binds the first is
+    served by exactly this permutation, so each of the six is read
+    through its own runs.
+    """
+    first, second, third = PERMUTATIONS[name]
+    blocks = [np.empty((0, 3), dtype=np.int64)]
+    for code in np.unique(view.match((None, None, None))[:, first]).tolist():
+        pattern = tuple(code if at == first else None for at in range(3))
+        assert index_for_range(pattern, second) == name
+        blocks.append(view.match_range(pattern, second, 0, 1 << view.bits))
+    rows = np.concatenate(blocks)
+    bits = view.bits
+    return (rows[:, first] << (2 * bits)) | (rows[:, second] << bits) | rows[:, third]
