@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cache.lru import MISSING, LRUCache
+from ..cache.lru import LRUCache
 from ..cache.manager import QueryCache
 from ..cost.model import CostModel
 from ..engine.budget import UNLIMITED, ExecutionBudget
@@ -28,7 +28,6 @@ from ..engine.evaluator import AnswerSet, Engine, NativeEngine
 from ..optimizer.search import SearchInfeasible
 from ..query.algebra import JUCQ
 from ..query.bgp import BGPQuery
-from ..reformulation.litemat import IntervalReformulator
 from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 from ..resilience.errors import (
     RECOVERABLE,
@@ -37,9 +36,7 @@ from ..resilience.errors import (
     UnionBudgetExceeded,
     classify,
     describe_failures,
-    freeze_exception,
     is_transient,
-    thaw_exception,
 )
 from ..resilience.fallback import AttemptRecord, CircuitBreaker, FallbackPolicy
 from ..storage.database import RDFDatabase, Snapshot
@@ -141,17 +138,14 @@ class QueryAnswerer:
         }
         #: The e2e benchmark's name for the interval-encoded store's holder.
         self.interval_assigner = self.derived_stores["litemat"]
-        #: Memoizes interval plans per encoding (DESIGN.md §16).
-        self.interval_reformulator = IntervalReformulator()
         #: Multi-level query cache (DESIGN.md §9).  None disables plan
         #: caching entirely; when set, the reformulator's memo and the
         #: engine's SQL cache (if any) are registered for unified stats.
+        #: The plan cache is also the memo of ``litemat``'s interval
+        #: plans (DESIGN.md §16).
         self.cache = cache
         if cache is not None:
             cache.register("reformulation", self.reformulator.cache)
-            cache.register(
-                "interval-reformulation", self.interval_reformulator.cache
-            )
             engine_sql_cache = getattr(self.engine, "sql_cache", None)
             if engine_sql_cache is not None:
                 cache.register("sql", engine_sql_cache)
@@ -304,17 +298,14 @@ class QueryAnswerer:
         plans that read the data or whose statistics generation it
         moved, and a stale plan is never served.  Planning
         *failures* (reformulation-limit overruns, infeasible cover
-        searches) are memoized too and re-raised on warm hits, so a
-        query that cannot be planned fails fast on every retry — stored
-        *frozen* as ``(type, args)``, never as the live exception object
-        (whose ``__traceback__`` would pin every active frame in the LRU
-        for the entry's lifetime), and thawed into a fresh instance per
-        hit.  A strategy that does not rewrite plans to the query
-        itself, so there is nothing worth caching.  Nothing is *stored*
-        when the budget has expired by the time planning returns: the
-        budget is not part of the key, and a plan truncated (or a
-        failure caused) by one caller's spent clock must not be served
-        to the next caller.  Planning reads the budget only through
+        searches) are memoized too, frozen by :meth:`LRUCache.memo`, so
+        a query that cannot be planned fails fast on every retry.  A
+        strategy that does not rewrite plans to the query itself, so
+        there is nothing worth caching.  Nothing is *stored* when the
+        budget has expired by the time planning returns: the budget is
+        not part of the key, and a plan truncated (or a failure caused)
+        by one caller's spent clock must not be served to the next
+        caller.  Planning reads the budget only through
         ``budget.expired`` and the clock is monotone, so a budget still
         running then did not shape the plan, and it is stored.
 
@@ -325,24 +316,20 @@ class QueryAnswerer:
             if self.cache is None or row.rewrite is None:
                 span.set(cached=False)
                 return row.plan(self, query, tracer, budget, derived)
-            key = self.cache.plan_key(derived.snapshot, query, row.name)
-            plans = self.cache.plans
-            entry = plans.get(key, MISSING)
-            span.set(cached=entry is not MISSING)
-            if entry is not MISSING:
-                outcome, payload = entry
-                if outcome == "error":
-                    raise thaw_exception(payload)
-                return payload
-            try:
-                planned, search = row.plan(self, query, tracer, budget, derived)
-            except (ReformulationLimitExceeded, SearchInfeasible) as error:
-                if not budget.expired:
-                    plans.put(key, ("error", freeze_exception(error)))
-                raise
-            if not budget.expired:
-                plans.put(key, ("ok", (planned, search)))
-            return planned, search
+            # Served unless planning runs: ``memo`` raises a memoized
+            # failure before it could report the hit.
+            span.set(cached=True)
+
+            def plan():
+                span.set(cached=False)
+                return row.plan(self, query, tracer, budget, derived)
+
+            return self.cache.plans.memo(
+                self.cache.plan_key(derived.snapshot, query, row.name),
+                plan,
+                (ReformulationLimitExceeded, SearchInfeasible),
+                keep=lambda: not budget.expired,
+            )[0]
 
     # ------------------------------------------------------------------
     # Answering

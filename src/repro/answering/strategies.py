@@ -69,6 +69,7 @@ from ..query.bgp import BGPQuery
 from ..reasoning.encoded import Layout
 from ..reformulation.covers import Cover, scq_cover, ucq_cover
 from ..reformulation.jucq import jucq_for_cover
+from ..reformulation.litemat import interval_reformulate
 from ..reformulation.prune import prune_jucq
 from ..storage.database import Snapshot
 from ..telemetry import trajectory
@@ -170,8 +171,7 @@ def _gcov(answerer, query, trace, budget, derived) -> Planned:
 
 def _intervals(answerer, query, trace, budget, derived) -> Planned:
     encoding = derived.derivation().store.encoding
-    reformulated = answerer.interval_reformulator.reformulate(query, encoding)
-    return ucq_as_jucq(reformulated), None
+    return ucq_as_jucq(interval_reformulate(query, encoding.schema, encoding)), None
 
 
 def _prune(answerer, planned: JUCQ, tracer, derived: Derived) -> JUCQ:

@@ -7,6 +7,12 @@ bound, eviction in strict least-recently-*used* order (both ``get`` and
 counters, read through :meth:`repro.cache.QueryCache.stats` and
 ``counters()`` (DESIGN.md §9).
 
+Every memo of the pipeline fills through one rule, :meth:`LRUCache.memo`:
+one counted lookup per call, the value computed outside the lock on a
+miss, and a failure of a listed type stored *frozen*
+(:func:`freeze_exception`) and re-raised as a fresh instance on every
+hit — a cache never holds a live exception object.
+
 ``capacity=None`` means unbounded — used where the legacy behaviour
 (memoize forever) is still wanted, while keeping the accounting.
 
@@ -22,10 +28,63 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Type,
+)
 
 #: Sentinel distinguishing "absent" from a stored ``None``.
 MISSING = object()
+
+
+class FrozenFailure(NamedTuple):
+    """A memoized failure: the constructor recipe of an exception."""
+
+    exc_type: Type[BaseException]
+    args: Tuple[Any, ...]
+
+
+def freeze_exception(error: BaseException) -> FrozenFailure:
+    """A storable ``(type, args)`` form of an exception.
+
+    Caches must never hold *live* exception objects: a raised-and-caught
+    exception carries ``__traceback__``, which pins every frame (and
+    everything those frames reference) for as long as the cache entry
+    lives, and re-raising one object grows that traceback on every
+    raise.  Freezing keeps only the constructor recipe.  Exceptions
+    whose ``__init__`` signature differs from ``args`` (e.g.
+    :class:`~repro.reformulation.ReformulationLimitExceeded`) must
+    override ``__reduce__``.
+    """
+    reduced = error.__reduce__()
+    if isinstance(reduced, tuple) and len(reduced) >= 2:
+        factory, args = reduced[0], reduced[1]
+        if isinstance(factory, type) and isinstance(args, tuple):
+            return FrozenFailure(factory, args)
+    return FrozenFailure(type(error), error.args)
+
+
+def thaw_exception(
+    frozen: Tuple[Type[BaseException], Tuple[Any, ...]],
+) -> BaseException:
+    """A fresh instance from :func:`freeze_exception` output.
+
+    Falls back to a plain :class:`RuntimeError` if the stored type
+    cannot be reconstructed (so a cache hit can never crash the hit
+    path itself).
+    """
+    exc_type, args = frozen
+    try:
+        return exc_type(*args)
+    except Exception:  # pragma: no cover - defensive
+        return RuntimeError(f"{exc_type.__name__}{args!r}")
 
 
 class LRUCache:
@@ -79,6 +138,39 @@ class LRUCache:
                 while len(data) > self.capacity:
                     data.popitem(last=False)
                     self.evictions += 1
+
+    def memo(
+        self,
+        key: Hashable,
+        compute: Callable[[], Any],
+        failures: Tuple[Type[BaseException], ...] = (),
+        keep: Callable[[], bool] = lambda: True,
+    ) -> Tuple[Any, bool]:
+        """``(the value stored under key, True)``, or on a miss
+        ``(compute(), False)`` after storing it.
+
+        One counted lookup per call; ``compute`` runs outside the lock,
+        so two threads that miss together may both compute (the later
+        store wins).  A failure of one of the ``failures`` types is
+        stored frozen and re-raised as a fresh instance on every hit;
+        any other exception propagates and stores nothing.  Nothing is
+        stored when ``keep()`` is false once ``compute`` has returned
+        or raised.
+        """
+        value = self.get(key, MISSING)
+        if value is MISSING:
+            try:
+                value = compute()
+            except failures as error:
+                if keep():
+                    self.put(key, freeze_exception(error))
+                raise
+            if keep():
+                self.put(key, value)
+            return value, False
+        if isinstance(value, FrozenFailure):
+            raise thaw_exception(value)
+        return value, True
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Uncounted lookup that does not refresh recency (tests/tools)."""

@@ -6,7 +6,8 @@ pipeline:
 * **plan cache** (owned here) — the planned reformulation per
   ``(query fingerprint, strategy, the part of the snapshot the plan
   reads)``, including memoized *failures* (infeasible searches, blown
-  term limits), so a repeated monster query fails fast;
+  term limits), so a repeated monster query fails fast.  It is also
+  the only memo of ``litemat``'s interval plans;
 * **reformulation cache** (owned by
   :class:`repro.reformulation.Reformulator`, registered here) — CQ→UCQ
   rewritings keyed by ``(schema part of the snapshot, canonical
@@ -35,6 +36,11 @@ estimator's records (DESIGN.md §19): a data write hands the next
 version's record every entry none of whose atom patterns a row of the
 write matches.
 
+The three memo levels fill through one rule, :meth:`LRUCache.memo
+<repro.cache.lru.LRUCache.memo>`: one counted lookup per call, and a
+memoized failure stored frozen as ``(type, args)`` and re-raised as a
+fresh exception on every hit, never as a live exception object.
+
 The registry exists so one ``cache-stats`` surface (CLI, telemetry
 counters, the benchmark harness) sees every level regardless of which
 layer owns the underlying :class:`~repro.cache.lru.LRUCache`.
@@ -57,6 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: What a plan can read, narrowest first: the values of a strategy
 #: row's ``reads``, each keyed by :meth:`QueryCache.plan_key`.
 PLAN_READS = ("schema", "statistics", "data")
+
+#: Entries of the plan cache.
+PLAN_CACHE_CAPACITY = 512
 
 
 def statistics_generation(rows: int) -> int:
@@ -86,8 +95,8 @@ def _reads(strategy: str) -> str:
 class QueryCache:
     """Coordinates the cache levels threaded through a QueryAnswerer."""
 
-    def __init__(self, plan_capacity: int = 512) -> None:
-        self.plans = LRUCache(plan_capacity)
+    def __init__(self) -> None:
+        self.plans = LRUCache(PLAN_CACHE_CAPACITY)
         self._levels: Dict[str, LRUCache] = {"plan": self.plans}
 
     # ------------------------------------------------------------------
@@ -135,16 +144,6 @@ class QueryCache:
         return self.plans.get(
             self.plan_key(database.snapshot(), query, strategy), MISSING
         )
-
-    def put_plan(
-        self,
-        database: "RDFDatabase",
-        query: "BGPQuery",
-        strategy: str,
-        entry: Any,
-    ) -> None:
-        """Store a plan entry (a result or a memoized failure)."""
-        self.plans.put(self.plan_key(database.snapshot(), query, strategy), entry)
 
     # ------------------------------------------------------------------
     # Accounting

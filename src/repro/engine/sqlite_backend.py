@@ -34,11 +34,11 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..cache.lru import MISSING, LRUCache
+from ..cache.lru import LRUCache
 from ..storage.database import RDFDatabase, Snapshot
 from ..storage.triple_table import TableView
 from ..telemetry.metrics import MetricsRecorder
@@ -51,6 +51,9 @@ from .sql import to_sql
 #: The six permutation indexes of the paper's storage layout.  The
 #: table's own rowid ordering serves as the seventh full scan path.
 _INDEX_ORDERS = ("spo", "sop", "pso", "pos", "osp", "ops")
+
+#: Entries of an engine's compiled-SQL cache.
+SQL_CACHE_CAPACITY = 256
 
 
 class _PooledConnection:
@@ -66,7 +69,7 @@ class _PooledConnection:
 class SQLiteEngine:
     """Evaluates queries by compiling them to SQL and running SQLite."""
 
-    def __init__(self, database: RDFDatabase, sql_capacity: Optional[int] = 256):
+    def __init__(self, database: RDFDatabase):
         self.database = database
         #: Compiled-SQL text cache (the *SQL cache* level of DESIGN.md
         #: §9).  Keyed by (query, dictionary size): generated SQL depends
@@ -74,7 +77,7 @@ class SQLiteEngine:
         #: was unknown compiles to an unsatisfiable conjunct — and lookup
         #: results can only change when the dictionary grows.  Shared by
         #: every pooled connection (the LRU itself is thread-safe).
-        self.sql_cache: LRUCache = LRUCache(sql_capacity)
+        self.sql_cache: LRUCache = LRUCache(SQL_CACHE_CAPACITY)
         #: VM instructions between deadline checks of the cooperative
         #: progress handler.  Tests shrink it so timeouts fire even on
         #: statements too small to ever reach the production interval.
@@ -90,8 +93,8 @@ class SQLiteEngine:
     name = "sqlite"
 
     def for_database(self, database: RDFDatabase) -> "SQLiteEngine":
-        """A sibling engine over another store (same SQL-cache bound)."""
-        return type(self)(database, sql_capacity=self.sql_cache.capacity)
+        """A sibling engine over another store."""
+        return type(self)(database)
 
     # ------------------------------------------------------------------
     # Connection pool
@@ -154,14 +157,13 @@ class SQLiteEngine:
         connection.commit()
         return version
 
-    def _compile(self, query) -> str:
-        """``to_sql`` with a bounded per-(query, dictionary-size) memo."""
-        key = (query, len(self.database.dictionary))
-        sql = self.sql_cache.get(key, MISSING)
-        if sql is MISSING:
-            sql = to_sql(query, self.database.dictionary)
-            self.sql_cache.put(key, sql)
-        return sql
+    def _compile(self, query) -> Tuple[str, bool]:
+        """``to_sql`` with a bounded per-(query, dictionary-size) memo:
+        the SQL and whether the memo served it."""
+        dictionary = self.database.dictionary
+        return self.sql_cache.memo(
+            (query, len(dictionary)), lambda: to_sql(query, dictionary)
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -186,9 +188,8 @@ class SQLiteEngine:
         tracer = NULL_TRACER if tracer is None else tracer
         started = time.perf_counter()
         with tracer.span("sqlite.compile") as span:
-            hits_before = self.sql_cache.hits
-            sql = self._compile(query)
-            span.set(sql_chars=len(sql), cached=self.sql_cache.hits > hits_before)
+            sql, cached = self._compile(query)
+            span.set(sql_chars=len(sql), cached=cached)
         with tracer.span("sqlite.execute", sql_chars=len(sql)) as span:
             execute_started = time.perf_counter()
             rows = self.execute_sql(sql, budget, snapshot)
@@ -268,7 +269,7 @@ class SQLiteEngine:
         """The SQL :meth:`evaluate` would run, then SQLite's own
         ``EXPLAIN QUERY PLAN`` for it (one indented row per plan step)."""
         connection = self._acquire().raw
-        sql = self._compile(query)
+        sql, _cached = self._compile(query)
         try:
             rows = connection.execute(f"EXPLAIN QUERY PLAN {sql}").fetchall()
         except sqlite3.Error as error:

@@ -187,10 +187,13 @@ def derive(
             [remap, np.array(out.dictionary.encode_many(appended), dtype=np.int64)]
         )
         rows = remap[rows]
-    out.add_block(rows)
     hierarchy = layout is Layout.SATURATED
-    for block in consequences(snapshot.schema, out.dictionary, rows, hierarchy):
-        out.add_block(block)
+    # One block: the copy and the bound check are paid once per derive.
+    out.add_block(
+        np.concatenate(
+            [rows, *consequences(snapshot.schema, out.dictionary, rows, hierarchy)]
+        )
+    )
     out.freeze()
     return DerivedStore(
         RDFDatabase(schema=snapshot.schema, table=out), base_version, encoding, remap

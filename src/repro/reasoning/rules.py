@@ -29,6 +29,29 @@ from ..rdf.terms import Triple
 from ..rdf.vocabulary import RDF_TYPE
 
 
+#: Rule names in the order they are reported by :func:`explain_entailment`.
+RULE_NAMES: Tuple[str, ...] = ("rdfs9", "rdfs7", "rdfs2", "rdfs3")
+
+
+def _conclusions(triple: Triple, schema: RDFSchema) -> Iterator[Tuple[str, Triple]]:
+    """Every ``(rule, triple)`` immediately entailed by ``triple``."""
+    if triple.p == RDF_TYPE:
+        # rdfs9 over the closed subclass relation.
+        for superclass in schema.superclasses(triple.o):
+            yield "rdfs9", Triple(triple.s, RDF_TYPE, superclass)
+        return
+    # rdfs7 over the closed subproperty relation.
+    for superproperty in schema.superproperties(triple.p):
+        yield "rdfs7", Triple(triple.s, superproperty, triple.o)
+    # rdfs2 / rdfs3 over the closed domain/range maps (these already
+    # account for domains of superproperties and superclasses of the
+    # declared domain class, i.e. rules 12-13 of DESIGN.md).
+    for cls in schema.domains(triple.p):
+        yield "rdfs2", Triple(triple.s, RDF_TYPE, cls)
+    for cls in schema.ranges(triple.p):
+        yield "rdfs3", Triple(triple.o, RDF_TYPE, cls)
+
+
 def entail_from_triple(triple: Triple, schema: RDFSchema) -> Iterator[Triple]:
     """Yield every triple *immediately* entailed by ``triple`` and the schema.
 
@@ -37,25 +60,8 @@ def entail_from_triple(triple: Triple, schema: RDFSchema) -> Iterator[Triple]:
     fact entailed from this single fact — iterating until fixpoint over
     a whole graph therefore converges in one round for new triples.
     """
-    if triple.p == RDF_TYPE:
-        # rdfs9 over the closed subclass relation.
-        for superclass in schema.superclasses(triple.o):
-            yield Triple(triple.s, RDF_TYPE, superclass)
-        return
-    # rdfs7 over the closed subproperty relation.
-    for superproperty in schema.superproperties(triple.p):
-        yield Triple(triple.s, superproperty, triple.o)
-    # rdfs2 / rdfs3 over the closed domain/range maps (these already
-    # account for domains of superproperties and superclasses of the
-    # declared domain class, i.e. rules 12-13 of DESIGN.md).
-    for cls in schema.domains(triple.p):
-        yield Triple(triple.s, RDF_TYPE, cls)
-    for cls in schema.ranges(triple.p):
-        yield Triple(triple.o, RDF_TYPE, cls)
-
-
-#: Rule names in the order they are reported by :func:`explain_entailment`.
-RULE_NAMES: Tuple[str, ...] = ("rdfs9", "rdfs7", "rdfs2", "rdfs3")
+    for _rule, conclusion in _conclusions(triple, schema):
+        yield conclusion
 
 
 def explain_entailment(triple: Triple, schema: RDFSchema) -> List[Tuple[str, Triple]]:
@@ -64,15 +70,4 @@ def explain_entailment(triple: Triple, schema: RDFSchema) -> List[Tuple[str, Tri
     Intended for debugging and for the tests that check per-rule
     behaviour in isolation.
     """
-    conclusions: List[Tuple[str, Triple]] = []
-    if triple.p == RDF_TYPE:
-        for superclass in schema.superclasses(triple.o):
-            conclusions.append(("rdfs9", Triple(triple.s, RDF_TYPE, superclass)))
-        return conclusions
-    for superproperty in schema.superproperties(triple.p):
-        conclusions.append(("rdfs7", Triple(triple.s, superproperty, triple.o)))
-    for cls in schema.domains(triple.p):
-        conclusions.append(("rdfs2", Triple(triple.s, RDF_TYPE, cls)))
-    for cls in schema.ranges(triple.p):
-        conclusions.append(("rdfs3", Triple(triple.o, RDF_TYPE, cls)))
-    return conclusions
+    return list(_conclusions(triple, schema))

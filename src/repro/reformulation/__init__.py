@@ -20,7 +20,7 @@ from .jucq import (
     scq_reformulation,
     ucq_reformulation,
 )
-from .litemat import IntervalReformulator, interval_reformulate
+from .litemat import interval_reformulate
 from .reformulate import (
     ReformulationLimitExceeded,
     Reformulator,
@@ -31,7 +31,6 @@ from .reformulate import (
 __all__ = [
     "Cover",
     "Fragment",
-    "IntervalReformulator",
     "ReformulationLimitExceeded",
     "Reformulator",
     "interval_reformulate",

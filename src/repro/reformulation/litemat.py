@@ -21,25 +21,25 @@ class/property the encoding does not know (no entailments exist) keep
 their original constant form, as do single-code runs (a plain constant
 scan is the same index probe).
 
-The memo is keyed on the encoding's schema fingerprint and the query:
-an interval atom hard-codes the codes of one encoding, and an encoding
-is a pure function of the schema fingerprint, so a plan is reused
-exactly when the codes it embeds are the ones the store uses.
+There is no memo here: the plan cache is the memo.  ``litemat`` plans
+read the schema alone, so :meth:`repro.cache.QueryCache.plan_key` keys
+them on the schema digest, and an encoding is a pure function of the
+schema, so a cached plan is reused exactly when the codes it embeds are
+the ones the store uses.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
-from ..cache.lru import MISSING, LRUCache
 from ..query.algebra import UCQ
 from ..query.bgp import BGPQuery
 from ..rdf.schema import RDFSchema
 from ..rdf.terms import IdRange, Triple, Variable
 from ..rdf.vocabulary import RDF_TYPE, SCHEMA_PROPERTIES
 from ..storage.interval_encoding import IntervalEncoding
-from .reformulate import ReformulationLimitExceeded, _skeletons
+from .reformulate import _skeletons
 
 
 def _interval_atom_alternatives(
@@ -70,12 +70,9 @@ def _interval_atom_alternatives(
 
 
 def interval_reformulate(
-    query: BGPQuery,
-    schema: RDFSchema,
-    encoding: IntervalEncoding,
-    limit: Optional[int] = None,
+    query: BGPQuery, schema: RDFSchema, encoding: IntervalEncoding
 ) -> UCQ:
-    """One-shot CQ → interval-UCQ planning (see module docstring)."""
+    """CQ → interval-UCQ planning (see module docstring)."""
     seen: Set[Tuple] = set()
     results: List[BGPQuery] = []
     for skeleton in _skeletons(query, schema.snapshot()):
@@ -96,48 +93,5 @@ def interval_reformulate(
             if key in seen:
                 continue
             seen.add(key)
-            if limit is not None and len(seen) > limit:
-                raise ReformulationLimitExceeded(limit)
             results.append(candidate)
     return UCQ(results, name=f"{query.name}_litemat", head=query.head)
-
-
-class IntervalReformulator:
-    """Memoizing interval-UCQ planner.
-
-    Mirrors :class:`repro.reformulation.Reformulator`; a plan is made
-    from the schema value the *encoding* was laid out for, and keyed on
-    its fingerprint, since interval atoms embed that encoding's codes
-    (the answerer hands in the encoding of the store the plan will run
-    on).
-    """
-
-    def __init__(
-        self, limit: Optional[int] = None, capacity: Optional[int] = None
-    ) -> None:
-        self.limit = limit
-        #: (encoding's schema fingerprint, canonical query form) → UCQ
-        #: (or a memoized limit failure).
-        self.cache: LRUCache = LRUCache(capacity)
-
-    @property
-    def runs(self) -> int:
-        """Number of non-memoized planning runs (instrumentation)."""
-        return self.cache.misses
-
-    def reformulate(self, query: BGPQuery, encoding: IntervalEncoding) -> UCQ:
-        """The interval-UCQ plan of ``query`` under ``encoding``."""
-        key = (encoding.schema_fingerprint, query.canonical())
-        cached = self.cache.get(key, MISSING)
-        if cached is MISSING:
-            try:
-                cached = interval_reformulate(
-                    query, encoding.schema, encoding, limit=self.limit
-                )
-            except ReformulationLimitExceeded as error:
-                self.cache.put(key, error)
-                raise
-            self.cache.put(key, cached)
-        if isinstance(cached, ReformulationLimitExceeded):
-            raise cached
-        return cached

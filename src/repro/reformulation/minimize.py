@@ -8,8 +8,9 @@ a person' is redundant."  The benchmark queries were designed
 redundancy-free; this module provides the check and the minimization a
 library user needs to do the same.
 
-An atom is redundant when some *other* atom of the query entails it
-under the schema closure:
+An atom is redundant when some *other* atom of the query equals it or
+entails it under the schema closure — the four instance rules of
+:mod:`repro.reasoning.rules`, read over atoms:
 
 * ``(s rdf:type C)``  is entailed by ``(s rdf:type C')`` with
   ``C' ⊑sc C``, by ``(s P y)`` with ``C ∈ domains(P)``, and by
@@ -20,54 +21,27 @@ Removing a redundant atom preserves the certain answers provided its
 variables remain covered — non-head variables occurring nowhere else
 are existential anyway, and the rules above never require them.
 
-Library API with no caller inside the package (README quick tour); it
-is the schema-aware special case of ``analysis.containment.core()``,
-where the ROADMAP item "Delete what does not run" means to fold it.
+Library API with no caller inside the package (README quick tour).
 """
 
 from __future__ import annotations
 
 from typing import List, Set
 
+from ..query.bgp import BGPQuery
 from ..rdf.schema import RDFSchema
 from ..rdf.terms import Triple, Variable
-from ..rdf.vocabulary import RDF_TYPE
-from ..query.bgp import BGPQuery
+from ..reasoning.rules import entail_from_triple
 
 
 def _entails_atom(candidate: Triple, target: Triple, schema: RDFSchema) -> bool:
-    """True when ``candidate`` alone entails ``target`` under ``schema``.
+    """True when ``candidate`` equals ``target`` or alone entails it
+    under ``schema`` (:func:`~repro.reasoning.rules.entail_from_triple`).
 
     Both atoms come from the same query, so identical variables denote
     the same binding.
     """
-    if candidate == target:
-        return False  # an atom does not make *itself* redundant
-    if target.p == RDF_TYPE and not isinstance(target.o, Variable):
-        cls = target.o
-        if (
-            candidate.p == RDF_TYPE
-            and candidate.s == target.s
-            and not isinstance(candidate.o, Variable)
-            and (candidate.o == cls or schema.is_subclass(candidate.o, cls))
-        ):
-            # Same class is covered by the candidate == target guard;
-            # equality here means duplicate atoms, which entail too.
-            return True
-        if isinstance(candidate.p, Variable) or candidate.p == RDF_TYPE:
-            return False
-        if candidate.s == target.s and cls in schema.domains(candidate.p):
-            return True
-        return candidate.o == target.s and cls in schema.ranges(candidate.p)
-    if (
-        not isinstance(target.p, Variable)
-        and target.p != RDF_TYPE
-        and not isinstance(candidate.p, Variable)
-        and candidate.s == target.s
-        and candidate.o == target.o
-    ):
-        return candidate.p == target.p or schema.is_subproperty(candidate.p, target.p)
-    return False
+    return candidate == target or target in entail_from_triple(candidate, schema)
 
 
 def redundant_atoms(query: BGPQuery, schema: RDFSchema) -> List[int]:

@@ -63,7 +63,7 @@ from ..analysis.subsumption import (
     layout_of,
     subsume,
 )
-from ..cache.lru import MISSING, LRUCache
+from ..cache.lru import LRUCache
 from ..rdf.schema import FrozenSchema, RDFSchema
 from ..rdf.terms import Triple, Variable
 from ..rdf.vocabulary import (
@@ -294,7 +294,7 @@ class Reformulator:
         self.schema = schema
         self.limit = limit
         #: (schema fingerprint, canonical query form) → UCQ (or a
-        #: memoized limit failure).
+        #: frozen limit failure).
         self.cache: LRUCache = LRUCache(capacity)
         #: The same key → the query's factors, for :meth:`count`.
         self._factors: LRUCache = LRUCache(capacity)
@@ -326,25 +326,22 @@ class Reformulator:
     def reformulate(self, query: BGPQuery) -> UCQ:
         """The (minimized) UCQ reformulation of ``query`` w.r.t. the schema.
 
-        Limit overruns are memoized too, so a fragment that once blew
-        the term limit fails instantly on every later request.
+        Limit overruns are memoized too (frozen, re-raised fresh by
+        :meth:`LRUCache.memo`), so a fragment that once blew the term
+        limit fails instantly on every later request.
         """
         schema = self.schema.snapshot()
         key = (schema.fingerprint(), query.canonical())
-        cached = self.cache.get(key, MISSING)
-        if cached is MISSING:
-            factors = self._factors.peek(key) or _Factors(query, schema)
-            try:
-                cached = _materialize(
-                    factors, self.limit, self.minimize, self._count
-                )
-            except ReformulationLimitExceeded as error:
-                self.cache.put(key, error)
-                raise
-            self.cache.put(key, cached)
-        if isinstance(cached, ReformulationLimitExceeded):
-            raise cached
-        return cached
+        return self.cache.memo(
+            key,
+            lambda: _materialize(
+                self._factors.peek(key) or _Factors(query, schema),
+                self.limit,
+                self.minimize,
+                self._count,
+            ),
+            (ReformulationLimitExceeded,),
+        )[0]
 
     def _count(self, checks: int, eliminated: int, skipped: bool) -> None:
         """Add one minimized union's work to ``analysis_counters``."""

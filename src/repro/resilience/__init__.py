@@ -17,6 +17,7 @@ DESIGN.md §10.  Three pieces:
   degradation path runs in CI.
 """
 
+from ..cache.lru import freeze_exception, thaw_exception
 from ..engine.budget import UNLIMITED, ExecutionBudget
 from .chaos import ChaosConfig, ChaosEngine, InjectedFailure, InjectedTimeout
 from .errors import (
@@ -28,9 +29,7 @@ from .errors import (
     ResilienceError,
     UnionBudgetExceeded,
     classify,
-    freeze_exception,
     is_transient,
-    thaw_exception,
 )
 from .fallback import (
     DEFAULT_LADDER,

@@ -21,7 +21,7 @@ raises a :class:`ResilienceError` (:class:`BudgetExhausted` or
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple, Type
+from typing import Any, List, Optional
 
 from ..engine.evaluator import EngineFailure
 from ..optimizer.search import SearchInfeasible
@@ -98,43 +98,6 @@ def is_transient(error: BaseException) -> bool:
 def classify(error: BaseException) -> str:
     """``"transient"`` or ``"permanent"`` for any pipeline exception."""
     return TRANSIENT if is_transient(error) else PERMANENT
-
-
-# ----------------------------------------------------------------------
-# Cache-safe exception storage
-# ----------------------------------------------------------------------
-def freeze_exception(error: BaseException) -> Tuple[Type[BaseException], Tuple[Any, ...]]:
-    """A storable ``(type, args)`` form of an exception.
-
-    Caches must never hold *live* exception objects: a raised-and-caught
-    exception carries ``__traceback__``, which pins every frame (and
-    everything those frames reference) for as long as the cache entry
-    lives.  Freezing keeps only the constructor recipe.  Exceptions
-    whose ``__init__`` signature differs from ``args`` (e.g.
-    :class:`ReformulationLimitExceeded`) must override ``__reduce__``.
-    """
-    reduced = error.__reduce__()
-    if isinstance(reduced, tuple) and len(reduced) >= 2:
-        factory, args = reduced[0], reduced[1]
-        if isinstance(factory, type) and isinstance(args, tuple):
-            return factory, args
-    return type(error), error.args
-
-
-def thaw_exception(
-    frozen: Tuple[Type[BaseException], Tuple[Any, ...]],
-) -> BaseException:
-    """A fresh instance from :func:`freeze_exception` output.
-
-    Falls back to a plain :class:`RuntimeError` if the stored type
-    cannot be reconstructed (so a cache hit can never crash the hit
-    path itself).
-    """
-    exc_type, args = frozen
-    try:
-        return exc_type(*args)
-    except Exception:  # pragma: no cover - defensive
-        return RuntimeError(f"{exc_type.__name__}{args!r}")
 
 
 def describe_failures(attempts: List[Any]) -> str:

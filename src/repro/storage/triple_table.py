@@ -369,12 +369,13 @@ class TripleTable:
     def add_triples(self, triples: Iterable[Triple]) -> int:
         """Encode and buffer ground triples; returns how many were buffered.
 
-        Codes come from the dictionary, so :meth:`freeze`'s dictionary
-        size check is their bound.
+        Raises ValueError, buffering none of them, if a term's code does
+        not fit ``[0, 2**bits)`` (the terms stay in the dictionary).
         """
         encode = self.dictionary.encode
         rows = [(encode(triple.s), encode(triple.p), encode(triple.o)) for triple in triples]
-        return self._buffer(np.array(rows, dtype=np.int64).reshape(len(rows), 3))
+        block = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        return self._buffer(self._checked(block))
 
     def add_encoded(self, rows: Iterable[Tuple[int, int, int]]) -> int:
         """Buffer already-encoded rows.
@@ -426,10 +427,6 @@ class TripleTable:
         with self._lock:
             if not self._dirty:
                 return
-            if len(self.dictionary) > (1 << self.bits):
-                raise OverflowError(
-                    f"{len(self.dictionary)} dictionary codes exceed {self.bits}-bit columns"
-                )
             view = self.view
             rows = np.concatenate([np.empty((0, 3), dtype=np.int64), *self._pending])
             fresh = _dedup_sorted(np.sort(self._pack(rows[:, 0], rows[:, 1], rows[:, 2])))

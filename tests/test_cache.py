@@ -202,8 +202,9 @@ class TestQueryCache:
         x = Variable("x")
         query = BGPQuery([x], [Triple(x, RDF_TYPE, ex("B"))])
         assert cache.get_plan(db, query, "ucq") is MISSING
-        cache.put_plan(db, query, "ucq", ("ok", "payload"))
-        assert cache.get_plan(db, query, "ucq") == ("ok", "payload")
+        QueryAnswerer(db, cache=cache).answer(query, strategy="ucq")
+        planned, search = cache.get_plan(db, query, "ucq")
+        assert planned.total_union_terms() == 2 and search is None
         assert cache.get_plan(db, query, "gcov") is MISSING
 
     def test_register_and_counters(self):
@@ -287,6 +288,33 @@ class TestAnswererPlanCache:
             answerer.answer(query, strategy="ucq")
             answerer.answer(query, strategy="ucq")
             assert engine.sql_cache.hits >= 1
+
+    def test_sqlite_compile_span_reads_its_own_outcome(self, lubm_db, monkeypatch):
+        """The ``sqlite.compile`` span says whether *this* call's SQL was
+        served, even when another thread hits the shared SQL cache while
+        this one compiles."""
+        import repro.engine.sqlite_backend as backend
+        from repro.engine import SQLiteEngine
+
+        with SQLiteEngine(lubm_db) as engine:
+            engine.sql_cache.put("other", "SELECT 1")
+            real = backend.to_sql
+
+            def racing(query, dictionary):
+                engine.sql_cache.get("other")  # another thread's hit
+                return real(query, dictionary)
+
+            monkeypatch.setattr(backend, "to_sql", racing)
+            answerer = QueryAnswerer(lubm_db, engine=engine, cache=QueryCache())
+            x = Variable("x")
+            ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"
+            query = BGPQuery([x], [Triple(x, RDF_TYPE, URI(f"{ub}Professor"))])
+            traces = [Tracer(), Tracer()]
+            for trace in traces:
+                answerer.answer(query, strategy="ucq", tracer=trace)
+        assert [
+            trace.spans("sqlite.compile")[0].attributes["cached"] for trace in traces
+        ] == [False, True]
 
 
 # ----------------------------------------------------------------------

@@ -422,13 +422,15 @@ class TestLitematInvalidation:
         assert after == _answers(fresh, query, strategy="saturation")
 
     def test_schema_mutation_moves_snapshot_and_misses_memo(self, book_db):
-        answerer = make_answerer(book_db, cache=QueryCache())
+        """The plan cache is the memo of interval plans: a schema edit
+        re-keys the plan, so the next answer plans again."""
+        cache = QueryCache()
+        answerer = make_answerer(book_db, cache=cache)
         query = self._publications_query()
         _answers(answerer, query, strategy="litemat")
-        reformulator = answerer.interval_reformulator
-        assert len(reformulator.cache) > 0
+        assert cache.get_plan(book_db, query, "litemat") is not MISSING
         encoding, _store, snapshot = answerer.interval_assigner.current(book_db)
-        runs_before = reformulator.runs
+        hits_before, misses_before = cache.plans.hits, cache.plans.misses
         book_db.schema.add_subclass(ex("Thesis"), ex("Publication"))
         _answers(answerer, query, strategy="litemat")
         moved, _store, moved_snapshot = answerer.interval_assigner.current(book_db)
@@ -436,24 +438,22 @@ class TestLitematInvalidation:
         assert moved_snapshot.key[0] != snapshot.key[0]
         assert moved_snapshot.table.version == snapshot.table.version
         assert moved is not encoding
-        assert reformulator.runs == runs_before + 1
+        assert cache.plans.misses == misses_before + 1
+        assert cache.plans.hits == hits_before
 
     def test_data_write_keeps_encoding_epoch(self, book_db):
         """An insert-only write extends the derived store under the same
         encoding: the encoding object survives, the plan embedding its
-        codes is a plan-cache hit (so the interval memo is not even
-        reached), and the engine — keyed on the whole snapshot, not on
-        its schema part alone — is the one over the store with the new
-        row."""
+        codes is a plan-cache hit, and the engine — keyed on the whole
+        snapshot, not on its schema part alone — is the one over the
+        store with the new row."""
         cache = QueryCache()
         answerer = make_answerer(book_db, cache=cache)
         query = self._publications_query()
         _answers(answerer, query, strategy="litemat")
         encoding, _store, snapshot = answerer.interval_assigner.current(book_db)
         engine_before = answerer.engine_for("litemat")
-        memo = answerer.interval_reformulator.cache
-        hits_before, runs_before = memo.hits, answerer.interval_reformulator.runs
-        plan_hits = cache.plans.hits
+        plan_hits, plan_misses = cache.plans.hits, cache.plans.misses
         book_db.load_facts([Triple(ex("doi4"), RDF_TYPE, ex("Book"))])
         after = _answers(answerer, query, strategy="litemat")
         kept, _store, moved = answerer.interval_assigner.current(book_db)
@@ -463,8 +463,7 @@ class TestLitematInvalidation:
         assert kept is encoding
         assert answerer.engine_for("litemat") is not engine_before
         assert cache.plans.hits == plan_hits + 1
-        assert memo.hits == hits_before
-        assert answerer.interval_reformulator.runs == runs_before
+        assert cache.plans.misses == plan_misses
         assert after == _answers(make_answerer(book_db), query, strategy="saturation")
 
     @settings(max_examples=40, deadline=None)

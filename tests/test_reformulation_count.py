@@ -90,6 +90,27 @@ class TestLimitMemoization:
         assert time.perf_counter() - start < 0.01
         assert reformulator.runs == 1
 
+    def test_memoized_failure_is_raised_fresh_and_shallow(self, schema):
+        """Every hit raises a new exception object whose traceback is no
+        deeper than the first one's: the memo holds no live exception,
+        so no hit grows a traceback or pins a caller's frames."""
+        import traceback
+
+        from repro.datasets import motivating_q2
+
+        reformulator = Reformulator(schema, limit=100)
+        query = motivating_q2().query
+        raised, depths = [], []
+        for _ in range(4):
+            with pytest.raises(ReformulationLimitExceeded) as info:
+                reformulator.reformulate(query)
+            raised.append(info.value)
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert len({id(error) for error in raised}) == len(raised)
+        assert all(error.limit == 100 for error in raised)
+        assert max(depths[1:]) <= depths[0]
+        assert reformulator.runs == 1
+
     def test_count_unaffected_by_limit(self, schema):
         from repro.datasets import motivating_q2
 

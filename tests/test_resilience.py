@@ -14,7 +14,7 @@ import pytest
 
 from repro.answering import QueryAnswerer
 from repro.cache import QueryCache
-from repro.cache.lru import MISSING
+from repro.cache.lru import MISSING, FrozenFailure
 from repro.datasets import build_lubm_database, lubm_workload, motivating_q1
 from repro.engine import (
     EngineFailure,
@@ -308,14 +308,12 @@ class TestPlanCacheFreezing:
         with pytest.raises(ReformulationLimitExceeded):
             answerer.answer(query, strategy="ucq")
         entry = cache.get_plan(lubm_db, query, "ucq")
-        assert entry is not MISSING
-        outcome, payload = entry
-        assert outcome == "error"
-        assert not isinstance(payload, BaseException), (
+        assert isinstance(entry, FrozenFailure)
+        assert not isinstance(entry, BaseException), (
             "the cache must hold (type, args), not a live exception "
             "(its __traceback__ would pin every frame)"
         )
-        exc_type, args = payload
+        exc_type, args = entry
         assert exc_type is ReformulationLimitExceeded and args == (1,)
 
     def test_warm_hit_reraises_a_fresh_instance(self, lubm_db):

@@ -298,9 +298,16 @@ class TestTripleTable:
 
     def test_bits_overflow_detected(self):
         t = TripleTable(bits=2)
-        t.add_triples([Triple(u(f"v{i}"), u("p"), u("o")) for i in range(10)])
-        with pytest.raises(OverflowError):
-            t.freeze()
+        with pytest.raises(ValueError):
+            t.add_triples([Triple(u(f"v{i}"), u("p"), u("o")) for i in range(10)])
+        assert repr(t) == "TripleTable(0 triples frozen, 0 pending)"
+        t.freeze()
+        assert len(t) == 0
+        # The rows whose codes fit are refused with the rest; stored alone,
+        # they are kept.
+        t.add_triples([Triple(u("v0"), u("p"), u("o"))])
+        t.freeze()
+        assert t.match((None, None, None)).tolist() == [[0, 1, 2]]
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):

@@ -203,13 +203,18 @@ def test_overflow_guard_survives_the_merge():
     table.add_triples([Triple(TERMS[0], TERMS[1], TERMS[2])])
     table.freeze()
     assert len(table) == 1
-    # A fifth term no longer fits two-bit columns: the merge must refuse
-    # exactly as the first build does, and keep what is stored readable.
-    table.add_triples([Triple(TERMS[3], TERMS[4], TERMS[0])])
-    with pytest.raises(OverflowError):
-        table.freeze()
-    with pytest.raises(OverflowError):
-        TripleTable(dictionary=table.dictionary, bits=2).freeze()
+    # A fifth term no longer fits two-bit columns: the write is refused
+    # whole, nothing of it stays pending, and what is stored stays readable.
+    with pytest.raises(ValueError):
+        table.add_triples([Triple(TERMS[3], TERMS[4], TERMS[0])])
+    assert repr(table) == "TripleTable(1 triples frozen, 0 pending)"
+    table.freeze()
+    assert table.match((None, None, None)).tolist() == [[0, 1, 2]]
+    # A later write whose codes fit is stored, although the dictionary
+    # has outgrown the columns.
+    table.add_triples([Triple(TERMS[3], TERMS[1], TERMS[0])])
+    table.freeze()
+    assert table.match((None, None, None)).tolist() == [[0, 1, 2], [3, 1, 0]]
 
 
 def test_repr_counts_every_pending_row():
