@@ -36,7 +36,6 @@ from .diagnostics import (
 if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
     from .containment import (
         MinimizationResult,
-        Witness,
         containment_witness,
         core,
         equivalent,
@@ -50,13 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         check_bgp,
         check_cover,
         check_jucq,
-        check_minimization,
         check_subsumption,
         check_templates,
         verify_bgp,
         verify_cover,
         verify_jucq,
-        verify_minimization,
         verify_pipeline,
         verify_subsumption,
     )
@@ -65,13 +62,11 @@ _LAZY = {
     "check_bgp": "verifier",
     "check_cover": "verifier",
     "check_jucq": "verifier",
-    "check_minimization": "verifier",
     "check_subsumption": "verifier",
     "check_templates": "verifier",
     "verify_bgp": "verifier",
     "verify_cover": "verifier",
     "verify_jucq": "verifier",
-    "verify_minimization": "verifier",
     "verify_pipeline": "verifier",
     "verify_subsumption": "verifier",
     "check_sql": "sqlcheck",
@@ -81,7 +76,6 @@ _LAZY = {
     "lint_text": "lint",
     "format_report": "lint",
     "MinimizationResult": "containment",
-    "Witness": "containment",
     "containment_witness": "containment",
     "core": "containment",
     "equivalent": "containment",

@@ -23,10 +23,10 @@ one CQ, this module compares whole CQs:
   pass the reformulator runs on its factors
   (:mod:`repro.analysis.subsumption`): one minimizer, two ways in.
 
-Every elimination carries a :class:`Witness` — an equivalence
-certificate the IR verifier's ``IR-M*`` rules re-check independently
-(:func:`repro.analysis.verifier.check_minimization`), and that the
-differential oracle uses to assert minimized ≡ unminimized answers.
+Every elimination is proved by a certificate of that pass, which the
+IR verifier's ``IR-M*`` rules re-check without the search
+(:func:`repro.analysis.verifier.check_subsumption`); the differential
+oracle asserts minimized ≡ unminimized answers besides.
 
 The pass is *pure*: its output depends only on the UCQ and the schema
 vocabulary, never on the data, so reformulation memos and plan caches
@@ -35,18 +35,19 @@ keyed by (query, schema) stay correct across data updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache.fingerprint import query_fingerprint
 from ..query.algebra import UCQ
-from ..query.bgp import BGPQuery, Substitution, substitute_triple
+from ..query.bgp import BGPQuery, Substitution
 from ..rdf.terms import Term, Triple, Variable
 from ..rdf.vocabulary import SCHEMA_PROPERTIES
 from .subsumption import (
     DEFAULT_MAX_TERMS,
     Domain,
     Shape,
+    Subsumption,
     cells_of,
     layout_of,
     subsume,
@@ -54,7 +55,6 @@ from .subsumption import (
 
 __all__ = [
     "MinimizationResult",
-    "Witness",
     "containment_witness",
     "core",
     "equivalent",
@@ -62,7 +62,6 @@ __all__ = [
     "is_contained",
     "minimize_ucq",
     "schema_empty_atoms",
-    "verify_witness",
 ]
 
 
@@ -211,132 +210,98 @@ def core(query: BGPQuery) -> Tuple[BGPQuery, List[Substitution]]:
 
 
 # ----------------------------------------------------------------------
-# Equivalence certificates
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Witness:
-    """Why one union term was eliminated, with a re-checkable proof.
-
-    ``kind`` is one of:
-
-    * ``"subsumed"``  — ``removed ⊑ keeper``; ``mapping`` is the witness
-      homomorphism ``keeper → removed`` (head-preserving, atoms land in
-      ``removed``'s body);
-    * ``"duplicate"`` — ``removed`` and ``keeper`` are equal up to
-      renaming of variables (same cache fingerprint); ``mapping`` is
-      the homomorphism ``keeper → removed`` (one direction of the
-      isomorphism);
-    * ``"empty"``     — ``removed`` retains an unresolved RDFS
-      constraint atom (``atom_index``) and therefore matches no data
-      triple; ``keeper`` is None.
-    """
-
-    kind: str
-    removed: BGPQuery
-    keeper: Optional[BGPQuery]
-    mapping: Tuple[Tuple[Variable, Term], ...] = ()
-    atom_index: Optional[int] = None
-
-    def substitution(self) -> Substitution:
-        """The witness homomorphism as a substitution dict."""
-        return dict(self.mapping)
-
-    def describe(self) -> str:
-        """One-line human rendering (used by ``repro analyze``)."""
-        if self.kind == "empty":
-            atom = (
-                self.removed.body[self.atom_index]
-                if self.atom_index is not None
-                and self.atom_index < len(self.removed.body)
-                else None
-            )
-            detail = f" (atom {atom.s} {atom.p} {atom.o})" if atom else ""
-            return f"{self.removed}: unresolved constraint atom{detail}"
-        mapping = ", ".join(f"{v}->{t}" for v, t in self.mapping)
-        return f"{self.removed} {self.kind} by {self.keeper} via {{{mapping}}}"
-
-
-def _frozen_mapping(
-    mapping: Substitution,
-) -> Tuple[Tuple[Variable, Term], ...]:
-    return tuple(sorted(mapping.items()))
-
-
-def verify_witness(witness: Witness) -> Optional[str]:
-    """Independently re-check one certificate; None when it holds.
-
-    This is deliberately *not* the search that produced the witness: it
-    only re-applies the recorded mapping and checks set inclusion, so a
-    bug in the homomorphism search cannot vouch for itself.  Returns a
-    human-readable defect description otherwise (the verifier's IR-M
-    rules turn these into diagnostics).
-    """
-    if witness.kind == "empty":
-        index = witness.atom_index
-        if index is None or not 0 <= index < len(witness.removed.body):
-            return f"empty-term witness has no valid atom index ({index})"
-        atom = witness.removed.body[index]
-        if atom.p not in SCHEMA_PROPERTIES:
-            return (
-                f"atom ({atom.s} {atom.p} {atom.o}) is not an RDFS "
-                "constraint atom, so the term is not statically empty"
-            )
-        return None
-    keeper = witness.keeper
-    if keeper is None:
-        return f"{witness.kind} witness lacks a keeper term"
-    mapping = witness.substitution()
-    removed = witness.removed
-    if len(keeper.head) != len(removed.head):
-        return "keeper and removed terms disagree on arity"
-    for position, (kept_term, removed_term) in enumerate(
-        zip(keeper.head, removed.head)
-    ):
-        image = mapping.get(kept_term, kept_term) if isinstance(
-            kept_term, Variable
-        ) else kept_term
-        if image != removed_term:
-            return (
-                f"witness maps head position {position} of the keeper to "
-                f"{image}, not to the removed term's {removed_term}"
-            )
-    removed_atoms = removed._body_set
-    for atom in keeper.body:
-        image_atom = substitute_triple(atom, mapping)
-        if image_atom not in removed_atoms:
-            return (
-                f"image ({image_atom.s} {image_atom.p} {image_atom.o}) of "
-                f"keeper atom ({atom.s} {atom.p} {atom.o}) is not an atom "
-                "of the removed term"
-            )
-    return None
-
-
-# ----------------------------------------------------------------------
 # UCQ subsumption minimization
 # ----------------------------------------------------------------------
 @dataclass
 class MinimizationResult:
     """Outcome of :func:`minimize_ucq`.
 
-    ``checks`` counts homomorphism searches run; ``skipped`` is True
-    when the union was larger than ``max_terms`` and only the cheap
-    passes ran.
+    ``subsumption`` is the shape-level pass's record, its row numbers
+    the positions of the ``listed`` terms: the ``eliminated`` rows with
+    the certificate proving each, and the ``merged`` rows that repeat an
+    earlier row — what :func:`repro.analysis.verifier.check_subsumption`
+    re-checks.  ``empty_rows`` are the terms dropped for an unresolved
+    RDFS constraint atom.  ``skipped`` is True when the union was larger
+    than ``max_terms`` and only the cheap passes ran.
     """
 
     ucq: UCQ
-    witnesses: Tuple[Witness, ...] = ()
-    checks: int = 0
+    listed: UCQ
+    subsumption: Subsumption
+    empty_rows: Tuple[int, ...] = ()
     skipped: bool = False
-    duplicates: int = 0
-    empty: int = 0
-    subsumed: int = 0
-    counters: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def checks(self) -> int:
+        """Homomorphism searches the pass ran."""
+        return self.subsumption.checks
+
+    @property
+    def empty(self) -> int:
+        """Terms dropped for an unresolved constraint atom."""
+        return len(self.empty_rows)
+
+    @property
+    def duplicates(self) -> int:
+        """Terms equal to an earlier one up to renaming of variables."""
+        return len(self.subsumption.duplicates)
+
+    @property
+    def subsumed(self) -> int:
+        """Terms contained in a sibling they are not a renaming of."""
+        duplicates = self.subsumption.duplicates
+        return sum(1 for row in self.subsumption.eliminated if row not in duplicates)
 
     @property
     def eliminated(self) -> int:
         """Number of union terms removed."""
-        return len(self.witnesses)
+        record = self.subsumption
+        return len(self.empty_rows) + len(record.merged) + len(record.eliminated)
+
+    def eliminations(self) -> List[Tuple[str, str]]:
+        """``(kind, one-line text)`` per eliminated term (``repro analyze``).
+
+        ``kind`` is ``"empty"``, ``"duplicate"`` or ``"subsumed"``; the
+        text of a duplicate or subsumed term spells out, on the two
+        listed terms, the mapping of the keeper onto it.
+        """
+        terms = self.listed.cqs
+        record = self.subsumption
+        lines: List[Tuple[str, str]] = []
+        for row in self.empty_rows:
+            term = terms[row]
+            atom = term.body[schema_empty_atoms(term)[0]]
+            lines.append(
+                (
+                    "empty",
+                    f"{term}: unresolved constraint atom "
+                    f"(atom {atom.s} {atom.p} {atom.o})",
+                )
+            )
+        for removed, keeper in record.merged.items():
+            same = range(len(terms[removed].body))
+            lines.append(_elimination("duplicate", terms[removed], terms[keeper], same))
+        for removed, (keeper, number) in record.eliminated.items():
+            kind = "duplicate" if removed in record.duplicates else "subsumed"
+            pi = record.certificates[number].hom.pi
+            lines.append(_elimination(kind, terms[removed], terms[keeper], pi))
+        return lines
+
+
+def _elimination(
+    kind: str, removed: BGPQuery, keeper: BGPQuery, pi: Sequence[int]
+) -> Tuple[str, str]:
+    """``(kind, text)`` of one elimination: ``pi`` spelled out on two terms."""
+    mapping: Substitution = {}
+    for atom, onto in zip(keeper.body, pi):
+        for term, image in zip(atom, removed.body[onto]):
+            if type(term) is Variable:
+                mapping[term] = image
+    for term, image in zip(keeper.head, removed.head):
+        if type(term) is Variable:
+            mapping[term] = image
+    spelled = ", ".join(f"{v}->{t}" for v, t in sorted(mapping.items()))
+    return kind, f"{removed} {kind} by {keeper} via {{{spelled}}}"
 
 
 def schema_empty_atoms(term: BGPQuery) -> List[int]:
@@ -454,26 +419,16 @@ def minimize_ucq(
     """
     del schema
     terms = ucq.cqs
-    witnesses: List[Witness] = []
+    empty_rows: List[int] = []
     live: List[Tuple[int, BGPQuery]] = []
     for number, term in enumerate(terms):
-        empty_atoms = schema_empty_atoms(term)
-        if empty_atoms:
-            witnesses.append(
-                Witness(
-                    kind="empty",
-                    removed=term,
-                    keeper=None,
-                    atom_index=empty_atoms[0],
-                )
-            )
+        if schema_empty_atoms(term):
+            empty_rows.append(number)
         else:
             live.append((number, term))
-    empty = len(witnesses)
     if not live:
         # Keep one empty term so the UCQ stays well-formed (it evaluates to ∅).
-        witnesses = witnesses[1:]
-        empty -= 1
+        del empty_rows[0]
 
     shapes, repeated = _listed_shapes(live)
 
@@ -486,63 +441,27 @@ def minimize_ucq(
     if capped and len(live) - len(repeated) - len(result.duplicates) <= max_terms:
         capped = False
         result = subsume(shapes, form)
-    duplicates = len(repeated) + len(result.duplicates)
-    for removed, keeper in repeated.items():
-        pi = tuple(range(len(terms[removed].body)))
-        witnesses.append(_witness("duplicate", terms[removed], terms[keeper], pi))
-    for removed, (keeper, number) in result.eliminated.items():
-        kind = "duplicate" if removed in result.duplicates else "subsumed"
-        pi = result.certificates[number].hom.pi
-        witnesses.append(_witness(kind, terms[removed], terms[keeper], pi))
-
-    gone = {id(witness.removed) for witness in witnesses}
-    survivors = [term for term in terms if id(term) not in gone]
+    # A term listed twice up to variable names repeats its first copy,
+    # as a factor row repeats an earlier row.
+    result.merged.update(repeated)
+    result.duplicates.update(repeated)
+    dropped = set(empty_rows) | set(result.merged) | set(result.eliminated)
     minimized = (
-        ucq
-        if len(survivors) == len(ucq)
-        else UCQ(survivors, name=ucq.name, head=ucq.head)
+        UCQ(
+            [term for number, term in enumerate(terms) if number not in dropped],
+            name=ucq.name,
+            head=ucq.head,
+        )
+        if dropped
+        else ucq
     )
-    counters = {
-        "analysis.containment_checks": result.checks,
-        "analysis.terms_eliminated": len(witnesses),
-    }
-    if capped:
-        counters["analysis.minimize_skipped"] = 1
-    return MinimizationResult(
-        ucq=minimized,
-        witnesses=tuple(witnesses),
-        checks=result.checks,
-        skipped=capped,
-        duplicates=duplicates,
-        empty=empty,
-        subsumed=len(result.eliminated) - len(result.duplicates),
-        counters=counters,
-    )
+    return MinimizationResult(minimized, ucq, result, tuple(empty_rows), capped)
 
 
-def _witness(
-    kind: str, removed: BGPQuery, keeper: BGPQuery, pi: Sequence[int]
-) -> Witness:
-    """The per-term certificate: the mapping ``pi`` spells out on two terms."""
-    mapping: Substitution = {}
-    for atom, onto in zip(keeper.body, pi):
-        for term, image in zip(atom, removed.body[onto]):
-            if type(term) is Variable:
-                mapping[term] = image
-    for term, image in zip(keeper.head, removed.head):
-        if type(term) is Variable:
-            mapping[term] = image
-    return Witness(
-        kind=kind, removed=removed, keeper=keeper, mapping=_frozen_mapping(mapping)
-    )
-
-
-def minimization_summary(
-    original: UCQ, result: MinimizationResult
-) -> Dict[str, object]:
+def minimization_summary(result: MinimizationResult) -> Dict[str, object]:
     """JSON-ready description of one minimization (``repro analyze``)."""
     return {
-        "terms_before": len(original),
+        "terms_before": len(result.listed),
         "terms_after": len(result.ucq),
         "eliminated": result.eliminated,
         "subsumed": result.subsumed,
@@ -550,5 +469,5 @@ def minimization_summary(
         "empty": result.empty,
         "containment_checks": result.checks,
         "skipped_subsumption": result.skipped,
-        "witnesses": [w.describe() for w in result.witnesses],
+        "witnesses": [text for _, text in result.eliminations()],
     }

@@ -284,13 +284,15 @@ def _lint_union_redundancy(
     result = minimize_ucq(raw, schema)
     findings: List[Diagnostic] = []
     if result.subsumed:
-        example = next(w for w in result.witnesses if w.kind == "subsumed")
+        example = next(
+            text for kind, text in result.eliminations() if kind == "subsumed"
+        )
         findings.append(
             _finding(
                 "L111",
                 Severity.INFO,
                 f"{result.subsumed} of {len(raw)} union terms are subsumed "
-                f"by a sibling term (e.g. {example.describe()}); the "
+                f"by a sibling term (e.g. {example}); the "
                 "containment-based minimization pass removes them",
                 query,
             )
@@ -324,8 +326,10 @@ def _lint_cost_model(
             )
         )
     if reformulator is not None and max_operand_terms is not None:
+        from ..reformulation.reformulate import reformulation_count
+
         try:
-            terms = reformulator.count(query)
+            terms = reformulation_count(query, reformulator.schema)
         except Exception:  # noqa: BLE001 - count is advisory only
             return findings
         if terms > max_operand_terms:

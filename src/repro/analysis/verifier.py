@@ -20,8 +20,8 @@ Stage letters (full catalogue in DESIGN.md §8):
 * ``IR-Txx`` — the per-shape templates the native engine executes
   (DESIGN.md §18);
 * ``IR-Sxx`` — generated-SQL sanity (see :mod:`repro.analysis.sqlcheck`);
-* ``IR-Mxx`` — UCQ-minimization equivalence certificates (witness
-  homomorphisms recorded by :mod:`repro.analysis.containment`).
+* ``IR-Mxx`` — UCQ-minimization equivalence certificates (the
+  mappings recorded by :mod:`repro.analysis.subsumption`).
 
 ``verify_pipeline`` strings the stages together; it is what the
 answerer's IR-verification switch (CLI: ``--verify-ir``) runs after
@@ -51,13 +51,11 @@ __all__ = [
     "check_subsumption",
     "check_cover",
     "check_jucq",
-    "check_minimization",
     "check_templates",
     "verify_bgp",
     "verify_subsumption",
     "verify_cover",
     "verify_jucq",
-    "verify_minimization",
     "verify_pipeline",
 ]
 
@@ -322,94 +320,6 @@ def check_templates(ucq: UCQ) -> List[Diagnostic]:
 # ----------------------------------------------------------------------
 # Stage M: minimization equivalence certificates
 # ----------------------------------------------------------------------
-def check_minimization(original: UCQ, result) -> List[Diagnostic]:
-    """Re-check a UCQ minimization's equivalence certificates (stage ``M``).
-
-    ``result`` is a :class:`repro.analysis.containment.MinimizationResult`.
-    The checks are independent of the homomorphism *search* that
-    produced the witnesses — they only re-apply the recorded mappings —
-    so a search bug cannot vouch for its own eliminations.
-
-    * ``IR-M01`` — a witness fails its independent re-check (the
-      recorded mapping is not a head-preserving homomorphism into the
-      removed term, or an empty-term witness points at a non-constraint
-      atom);
-    * ``IR-M02`` — the minimized UCQ contains a term that is not a term
-      of the original (minimization may only delete);
-    * ``IR-M03`` — term accounting is inconsistent: survivors plus
-      eliminations do not add up to the original union;
-    * ``IR-M04`` — a witness's keeper chain does not reach a surviving
-      term (every elimination must be anchored, transitively, in a term
-      that is still present).
-    """
-    from .containment import verify_witness
-
-    findings: List[Diagnostic] = []
-
-    def finding(code: str, message: str) -> Diagnostic:
-        return Diagnostic(
-            code=code,
-            severity=Severity.ERROR,
-            message=message,
-            stage="minimize",
-            subject=result.ucq.name,
-        )
-
-    original_keys = {cq.canonical() for cq in original}
-    survivor_keys = {cq.canonical() for cq in result.ucq}
-    for term in result.ucq:
-        if term.canonical() not in original_keys:
-            findings.append(
-                finding(
-                    "IR-M02",
-                    f"minimized term {term} does not occur in the original UCQ",
-                )
-            )
-    if len(result.ucq) + len(result.witnesses) != len(original):
-        findings.append(
-            finding(
-                "IR-M03",
-                f"{len(original)} original terms != {len(result.ucq)} "
-                f"survivors + {len(result.witnesses)} eliminations",
-            )
-        )
-    removed_to_keeper = {}
-    for witness in result.witnesses:
-        defect = verify_witness(witness)
-        if defect is not None:
-            findings.append(finding("IR-M01", defect))
-        if witness.removed.canonical() not in original_keys:
-            findings.append(
-                finding(
-                    "IR-M02",
-                    f"eliminated term {witness.removed} does not occur in "
-                    "the original UCQ",
-                )
-            )
-        if witness.keeper is not None:
-            removed_to_keeper[witness.removed.canonical()] = (
-                witness.keeper.canonical()
-            )
-    for witness in result.witnesses:
-        if witness.keeper is None:
-            continue
-        key = witness.keeper.canonical()
-        seen = {witness.removed.canonical()}
-        while key not in survivor_keys:
-            if key in seen or key not in removed_to_keeper:
-                findings.append(
-                    finding(
-                        "IR-M04",
-                        f"keeper chain of eliminated term {witness.removed} "
-                        "does not reach a surviving term",
-                    )
-                )
-                break
-            seen.add(key)
-            key = removed_to_keeper[key]
-    return sort_diagnostics(findings)
-
-
 def _replay(source, target, hom):
     """What a mapping between two layouts demands, or a defect text.
 
@@ -537,7 +447,9 @@ def _certified_pairs(certificate, replays):
 def check_subsumption(result) -> List[Diagnostic]:
     """Re-check a shape-level subsumption (stage ``M``, DESIGN.md §13).
 
-    ``result`` is a :class:`repro.analysis.subsumption.Subsumption`.
+    ``result`` is a :class:`repro.analysis.subsumption.Subsumption`: the
+    reformulator's, or the ``subsumption`` of a listed union's
+    :func:`repro.analysis.containment.minimize_ucq`.
 
     * ``IR-M01`` — a certificate's mapping is not a homomorphism from
       its keeper layout into its removed layout, its pattern table pairs
@@ -627,11 +539,6 @@ def verify_jucq(
 ) -> None:
     """Raise :class:`IRVerificationError` unless ``jucq`` is well-structured."""
     _raise_on_error(check_jucq(jucq, query=query, cover=cover))
-
-
-def verify_minimization(original: UCQ, result) -> None:
-    """Raise :class:`IRVerificationError` unless every certificate holds."""
-    _raise_on_error(check_minimization(original, result))
 
 
 def verify_subsumption(result) -> None:

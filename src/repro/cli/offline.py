@@ -146,7 +146,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     1 when any error-severity finding or certificate fault fires.
     """
     from ..analysis.containment import minimization_summary, minimize_ucq
-    from ..analysis.verifier import check_minimization
+    from ..analysis.verifier import check_subsumption
 
     targets = collect_queries(args)
     database = load_database(args.data)
@@ -176,8 +176,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 failed += 1
             continue
         result = minimize_ucq(raw, database.schema)
-        row.update(minimization_summary(raw, result))
-        faults = check_minimization(raw, result)
+        row.update(minimization_summary(result))
+        faults = check_subsumption(result.subsumption)
         row["certificate_faults"] = [d.to_dict() for d in faults]
         if faults or not report.ok:
             failed += 1

@@ -31,7 +31,7 @@ the ones the store uses.
 from __future__ import annotations
 
 from itertools import product
-from typing import List, Set, Tuple
+from typing import Tuple
 
 from ..query.algebra import UCQ
 from ..query.bgp import BGPQuery
@@ -72,26 +72,19 @@ def _interval_atom_alternatives(
 def interval_reformulate(
     query: BGPQuery, schema: RDFSchema, encoding: IntervalEncoding
 ) -> UCQ:
-    """CQ → interval-UCQ planning (see module docstring)."""
-    seen: Set[Tuple] = set()
-    results: List[BGPQuery] = []
-    for skeleton in _skeletons(query, schema.snapshot()):
-        alternative_sets = [
-            _interval_atom_alternatives(atom, encoding) for atom in skeleton.body
-        ]
-        if not alternative_sets:
-            key = skeleton.canonical()
-            if key not in seen:
-                seen.add(key)
-                results.append(skeleton)
-            continue
-        head = skeleton.head
-        name = skeleton.name
-        for combination in product(*alternative_sets):
-            candidate = BGPQuery._raw(head, combination, name)
-            key = candidate.canonical()
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append(candidate)
-    return UCQ(results, name=f"{query.name}_litemat", head=query.head)
+    """CQ → interval-UCQ planning (see module docstring).
+
+    ``UCQ`` merges the terms that are equal up to renaming, as it does
+    for every union.
+    """
+    return UCQ(
+        [
+            BGPQuery._raw(skeleton.head, body, skeleton.name)
+            for skeleton in _skeletons(query, schema.snapshot())
+            for body in product(
+                *[_interval_atom_alternatives(atom, encoding) for atom in skeleton.body]
+            )
+        ],
+        name=f"{query.name}_litemat",
+        head=query.head,
+    )

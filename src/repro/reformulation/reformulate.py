@@ -262,10 +262,9 @@ class Reformulator:
     Memoizes per-query results: the optimizers reformulate the same
     cover queries (fragments) many times while scoring candidate covers.
 
-    The memo is the *reformulation cache* level of DESIGN.md §9: a
-    (bounded, when ``capacity`` is given) LRU keyed by the schema
-    fingerprint — the schema part of the database snapshot — and the
-    query's canonical form.  Key and union come from one schema value,
+    The memo is the *reformulation cache* level of DESIGN.md §9: an
+    unbounded LRU keyed by the schema fingerprint — the schema part of
+    the database snapshot — and the query's canonical form.  Key and union come from one schema value,
     ``schema.snapshot()`` taken once per call (:meth:`at` pins one for a
     whole plan).  A schema mutation makes every later lookup a new key,
     while data updates leave the entries valid (a reformulation is a
@@ -288,16 +287,13 @@ class Reformulator:
         self,
         schema: RDFSchema,
         limit: Optional[int] = None,
-        capacity: Optional[int] = None,
         minimize: bool = True,
     ):
         self.schema = schema
         self.limit = limit
         #: (schema fingerprint, canonical query form) → UCQ (or a
         #: frozen limit failure).
-        self.cache: LRUCache = LRUCache(capacity)
-        #: The same key → the query's factors, for :meth:`count`.
-        self._factors: LRUCache = LRUCache(capacity)
+        self.cache: LRUCache = LRUCache()
         self.minimize = minimize
         #: Lifetime counters of the minimization pass's work, exported
         #: by the answerer as ``repro.analysis.*`` registry counters.
@@ -335,7 +331,7 @@ class Reformulator:
         return self.cache.memo(
             key,
             lambda: _materialize(
-                self._factors.peek(key) or _Factors(query, schema),
+                _Factors(query, schema),
                 self.limit,
                 self.minimize,
                 self._count,
@@ -350,25 +346,6 @@ class Reformulator:
             counters["analysis.containment_checks"] += checks
             counters["analysis.terms_eliminated"] += eliminated
             counters["analysis.minimize_skipped"] += int(skipped)
-
-    def count(self, query: BGPQuery) -> int:
-        """``|q_ref|`` without materializing the union.
-
-        The memoized (and, by default, minimized) union's exact size
-        once :meth:`reformulate` has built it; until then the size of
-        the factorized union, Σ skeleton ∏ |alternatives| — an upper
-        bound, computed once per query.
-        """
-        schema = self.schema.snapshot()
-        key = (schema.fingerprint(), query.canonical())
-        union = self.cache.peek(key)
-        if isinstance(union, UCQ):
-            return len(union)
-        factors = self._factors.get(key)
-        if factors is None:
-            factors = _Factors(query, schema)
-            self._factors.put(key, factors)
-        return factors.count
 
 
 def reformulate(

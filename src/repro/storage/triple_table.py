@@ -49,7 +49,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..rdf.terms import Triple
+from ..rdf.terms import Term, Triple
 from .dictionary import Dictionary
 
 #: A pattern binds some positions to codes and leaves others None.
@@ -369,12 +369,30 @@ class TripleTable:
     def add_triples(self, triples: Iterable[Triple]) -> int:
         """Encode and buffer ground triples; returns how many were buffered.
 
-        Raises ValueError, buffering none of them, if a term's code does
-        not fit ``[0, 2**bits)`` (the terms stay in the dictionary).
+        Raises ValueError, buffering none of them and adding no term to
+        the dictionary, if a term's code would not fit ``[0, 2**bits)``:
+        known terms keep their codes, new ones would take the next free
+        codes, and both are checked before any new term is encoded.
         """
-        encode = self.dictionary.encode
-        rows = [(encode(triple.s), encode(triple.p), encode(triple.o)) for triple in triples]
+        dictionary = self.dictionary
+        known = dictionary.snapshot.code_of.get
+        #: New term -> ``-1 - n``, its place among the new terms.
+        new: Dict[Term, int] = {}
+
+        def code(term: Term) -> int:
+            found = known(term)
+            return new.setdefault(term, -1 - len(new)) if found is None else found
+
+        rows = [(code(t.s), code(t.p), code(t.o)) for t in triples]
         block = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        top = len(dictionary) + len(new) - 1 if new else -1
+        if block.size and max(int(block.max()), top) >> self.bits:
+            raise self._overflow()
+        if new:
+            codes = np.array([dictionary.encode(term) for term in new], dtype=np.int64)
+            placeholders = block < 0
+            block[placeholders] = codes[-1 - block[placeholders]]
+        # A racing encoder may still have moved the new terms' codes up.
         return self._buffer(self._checked(block))
 
     def add_encoded(self, rows: Iterable[Tuple[int, int, int]]) -> int:
@@ -401,10 +419,13 @@ class TripleTable:
     def _checked(self, block: np.ndarray) -> np.ndarray:
         """``block`` itself, once every code in it fits a ``bits``-bit column."""
         if block.size and (block.min() < 0 or block.max() >> self.bits):
-            raise ValueError(
-                f"codes must lie in [0, {1 << self.bits}) for {self.bits}-bit columns"
-            )
+            raise self._overflow()
         return block
+
+    def _overflow(self) -> ValueError:
+        return ValueError(
+            f"codes must lie in [0, {1 << self.bits}) for {self.bits}-bit columns"
+        )
 
     def _buffer(self, block: np.ndarray) -> int:
         """Hold an ``(n, 3)`` block this table owns until the next freeze."""

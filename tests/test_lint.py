@@ -7,6 +7,7 @@ CLI-level exit-code / JSON-format tests.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -22,7 +23,7 @@ from repro.cli import main
 from repro.datasets import UB, dblp_workload, lubm_workload
 from repro.query.bgp import BGPQuery
 from repro.rdf import Literal, RDF_TYPE, RDFS_SUBCLASS, Triple, URI, Variable
-from repro.reformulation import Reformulator
+from repro.reformulation import Reformulator, reformulation_count
 
 
 def ex(name: str) -> URI:
@@ -120,7 +121,7 @@ class TestLintRules:
     def test_reformulation_blowup_is_l109(self, book_schema):
         reformulator = Reformulator(book_schema)
         query = BGPQuery([x, y], [Triple(x, ex("hasAuthor"), y)])
-        assert reformulator.count(query) > 1  # hasAuthor + writtenBy + ...
+        assert reformulation_count(query, book_schema) > 1  # hasAuthor + writtenBy + ...
         report = lint_query(
             query,
             schema=book_schema,
@@ -384,3 +385,42 @@ class TestAnalyzeCLI:
         row = payload["reports"][0]
         assert row["terms_after"] <= row["terms_before"]
         assert row["certificate_faults"] == []
+
+    def test_tampered_certificate_is_a_fault(self, dataset, capsys, monkeypatch):
+        """The certificates ``repro analyze`` re-checks are the ones the
+        pass returned: one that no longer proves its elimination is
+        reported, and fails the run."""
+        import repro.analysis.containment as containment
+
+        honest = containment.minimize_ucq
+
+        def tampered(ucq, schema=None, **kwargs):
+            result = honest(ucq, schema, **kwargs)
+            record = result.subsumption
+            _, (_, number) = next(iter(record.eliminated.items()))
+            certificate = record.certificates[number]
+            # Mappings are shared by every union of the process: tamper
+            # with a copy.
+            hom = certificate.hom = copy.copy(certificate.hom)
+            atoms = len(certificate.removed.layout.atoms)
+            hom.pi = tuple((onto + 1) % atoms for onto in hom.pi)
+            return result
+
+        monkeypatch.setattr(containment, "minimize_ucq", tampered)
+        code, out, _ = run_cli(
+            [
+                "analyze",
+                str(dataset),
+                "-q",
+                "SELECT ?x ?y WHERE { ?x a ub:Employee . ?x ub:worksFor ?y }",
+                "--prefix",
+                f"ub={UB}",
+                "--format",
+                "json",
+            ],
+            capsys,
+        )
+        assert code == 1
+        row = json.loads(out)["reports"][0]
+        assert row["subsumed"] > 0
+        assert "IR-M01" in {fault["code"] for fault in row["certificate_faults"]}

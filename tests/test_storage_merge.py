@@ -210,11 +210,36 @@ def test_overflow_guard_survives_the_merge():
     assert repr(table) == "TripleTable(1 triples frozen, 0 pending)"
     table.freeze()
     assert table.match((None, None, None)).tolist() == [[0, 1, 2]]
-    # A later write whose codes fit is stored, although the dictionary
-    # has outgrown the columns.
+    # A later write whose codes fit is stored.
     table.add_triples([Triple(TERMS[3], TERMS[1], TERMS[0])])
     table.freeze()
     assert table.match((None, None, None)).tolist() == [[0, 1, 2], [3, 1, 0]]
+
+
+def test_a_refused_write_adds_no_term_to_the_dictionary():
+    table = TripleTable(bits=2)
+    table.add_triples([Triple(TERMS[0], TERMS[1], TERMS[2])])
+    with pytest.raises(ValueError):
+        table.add_triples([Triple(TERMS[3], TERMS[4], TERMS[5])])
+    assert len(table.dictionary) == 3
+    assert TERMS[3] not in table.dictionary
+    # The next new term takes the next free code, which still fits.
+    table.add_triples([Triple(TERMS[0], TERMS[1], TERMS[5])])
+    assert table.dictionary.lookup(TERMS[5]) == 3
+    table.freeze()
+    assert table.match((None, None, None)).tolist() == [[0, 1, 2], [0, 1, 3]]
+
+
+def test_known_codes_that_fit_are_stored_from_an_outgrown_dictionary():
+    dictionary = Dictionary()
+    for term in TERMS:
+        dictionary.encode(term)
+    table = TripleTable(dictionary, bits=2)
+    table.add_triples([Triple(TERMS[0], TERMS[1], TERMS[2])])
+    with pytest.raises(ValueError):
+        table.add_triples([Triple(TERMS[0], TERMS[1], TERMS[5])])
+    table.freeze()
+    assert table.match((None, None, None)).tolist() == [[0, 1, 2]]
 
 
 def test_repr_counts_every_pending_row():
