@@ -395,8 +395,7 @@ def lint_text(
     from ..query.parser import parse_query
 
     try:
-        query = parse_query(text)
-        query.name = name  # diagnostics subject matches the report name
+        query = parse_query(text, name)  # the diagnostics' subject
     except ValueError as error:
         code = "L106" if "unsafe query" in str(error) else "L100"
         report = LintReport(query_name=name)

@@ -28,6 +28,7 @@ from ..engine.evaluator import AnswerSet, Engine, NativeEngine
 from ..optimizer.search import SearchInfeasible
 from ..query.algebra import JUCQ
 from ..query.bgp import BGPQuery
+from ..query.parser import PARSE_MEMO
 from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 from ..resilience.errors import (
     RECOVERABLE,
@@ -139,12 +140,13 @@ class QueryAnswerer:
         #: The e2e benchmark's name for the interval-encoded store's holder.
         self.interval_assigner = self.derived_stores["litemat"]
         #: Multi-level query cache (DESIGN.md §9).  None disables plan
-        #: caching entirely; when set, the reformulator's memo and the
-        #: engine's SQL cache (if any) are registered for unified stats.
-        #: The plan cache is also the memo of ``litemat``'s interval
-        #: plans (DESIGN.md §16).
+        #: caching entirely; when set, the process's parse memo, the
+        #: reformulator's memo and the engine's SQL cache (if any) are
+        #: registered for unified stats.  The plan cache is also the
+        #: memo of ``litemat``'s interval plans (DESIGN.md §16).
         self.cache = cache
         if cache is not None:
+            cache.register("parse", PARSE_MEMO)
             cache.register("reformulation", self.reformulator.cache)
             engine_sql_cache = getattr(self.engine, "sql_cache", None)
             if engine_sql_cache is not None:
@@ -218,6 +220,14 @@ class QueryAnswerer:
         registry.register_counters(
             "repro",
             lambda: self.resilience_metrics.as_dict()["counters"],
+        )
+        registry.register_counters(
+            "repro.cache.parse",
+            lambda: {
+                "hits": PARSE_MEMO.hits,
+                "misses": PARSE_MEMO.misses,
+                "evictions": PARSE_MEMO.evictions,
+            },
         )
         # The reformulator's minimization-pass counters carry an
         # "analysis." key prefix; strip it here so they export as

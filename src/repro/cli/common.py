@@ -202,9 +202,10 @@ def collect_queries(args: argparse.Namespace) -> List[Tuple[str, BGPQuery]]:
     """
     declarations = render_prefixes(args.prefix)
     texts = [args.query] if isinstance(args.query, str) else args.query
+    names = [f"q{index + 1}" for index in range(len(texts))]
     queries = [
-        (f"q{index + 1}", parse_query(declarations + text))
-        for index, text in enumerate(texts)
+        (name, parse_query(declarations + text, name=name))
+        for name, text in zip(names, texts)
     ]
     queries += workload_queries(args)
     require_queries(args, queries)

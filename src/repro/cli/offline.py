@@ -155,7 +155,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows = []
     reports = []
     for name, query in targets:
-        query.name = name
         row: dict = {"query": name}
         report = lint_query(
             query,

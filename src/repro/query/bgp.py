@@ -78,12 +78,15 @@ def renaming_invariant_key(
 class BGPQuery:
     """A conjunctive query over triples: head terms + body atoms.
 
-    Immutable.  ``name`` is cosmetic (used in printouts and benchmark
-    reports).  Equality and hashing use the head and the *set* of body
-    atoms, so atom order is irrelevant.
+    Immutable: :func:`~repro.query.parser.parse_query` hands one object
+    to every caller of the same text, so ``name`` is read-only, and
+    the lazily filled fields are pure functions of head and body.
+    ``name`` is cosmetic (used in printouts and benchmark reports).
+    Equality and hashing use the head and the *set* of body atoms, so
+    atom order is irrelevant.
     """
 
-    __slots__ = ("name", "head", "body", "_body_set", "_canonical", "_fingerprint",
+    __slots__ = ("_name", "head", "body", "_body_set", "_canonical", "_fingerprint",
                  "_templates")
 
     def __init__(
@@ -104,7 +107,7 @@ class BGPQuery:
                 )
                 for t in body
             )
-        self.name = name
+        self._name = name
         self.head: Tuple[Term, ...] = tuple(head)
         self.body: Tuple[Triple, ...] = body
         self._body_set = frozenset(body)
@@ -125,7 +128,7 @@ class BGPQuery:
         substitution/recombination qualify).
         """
         query = object.__new__(cls)
-        query.name = name
+        query._name = name
         query.head = head
         query.body = body
         query._body_set = frozenset(body)
@@ -133,6 +136,11 @@ class BGPQuery:
         query._fingerprint = None
         query._templates = None
         return query
+
+    @property
+    def name(self) -> str:
+        """The query's label (read-only; not part of its identity)."""
+        return self._name
 
     def _check_safety(self) -> None:
         body_variables = self.variables()

@@ -10,6 +10,12 @@ Grammar (case-insensitive keywords)::
 ``a`` abbreviates ``rdf:type``, as in SPARQL.  The ``rdf:`` and
 ``rdfs:`` prefixes are predeclared.  This covers everything the paper's
 workloads use; OPTIONAL/FILTER/etc. are out of scope of BGP queries.
+
+:func:`parse_query` fills through one bounded memo keyed on
+``(text, name)`` (DESIGN.md §9): every caller that sends the same text
+gets the same immutable :class:`BGPQuery`, so its canonical form,
+fingerprint and template partition are computed once per distinct text.
+Parsing reads no schema, data or snapshot, so the key holds no state.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Tuple
 
+# ``cache.lru`` imports nothing of the package, so reaching it here
+# cannot cycle back through ``cache.fingerprint`` into this module.
+from ..cache.lru import LRUCache
 from ..rdf.terms import Literal, Term, Triple, URI, Variable
 from ..rdf.vocabulary import RDF_NS, RDF_TYPE, RDFS_NS
 from .bgp import BGPQuery
@@ -41,6 +50,18 @@ _TOKEN = re.compile(
 )
 
 _DEFAULT_PREFIXES = {"rdf": RDF_NS, "rdfs": RDFS_NS}
+
+#: Entries of the parse memo.
+PARSE_MEMO_CAPACITY = 512
+
+#: The longest text the parse memo stores (characters); a longer one is
+#: parsed on every call.  With the capacity this bounds the memo's text
+#: at 4 Mi characters.
+PARSE_MEMO_MAX_TEXT = 8 * 1024
+
+#: ``(text, name)`` -> the parsed :class:`BGPQuery`.  A syntax error is
+#: never stored: it is raised afresh on every call.
+PARSE_MEMO = LRUCache(PARSE_MEMO_CAPACITY)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
@@ -168,7 +189,16 @@ def parse_query(text: str, name: str = "q") -> BGPQuery:
     Every rejection is a :class:`SPARQLSyntaxError`, including what the
     grammar lets through and the term or query constructors refuse (an
     empty IRI, a head variable the body never binds).
+
+    A repeated ``(text, name)`` returns the object the first call built,
+    while the entry lives in :data:`PARSE_MEMO`.
     """
+    if len(text) > PARSE_MEMO_MAX_TEXT:
+        return _parse(text, name)
+    return PARSE_MEMO.memo((text, name), lambda: _parse(text, name))[0]
+
+
+def _parse(text: str, name: str) -> BGPQuery:
     try:
         return _Parser(_tokenize(text), name).parse()
     except SPARQLSyntaxError:

@@ -354,6 +354,18 @@ class FrozenSchema(_SchemaReads):
                 digest.update(f"{tag}:{term.kind}:{term.value};".encode("utf-8"))
         #: What :meth:`fingerprint` returns.
         self.digest = digest.hexdigest()
+        #: Every term a reformulation over this schema can put in a
+        #: head, sorted: the declared vocabulary, the constraints' terms,
+        #: ``rdf:type`` and the four constraint properties.
+        self.terms = tuple(
+            sorted(
+                self._classes
+                | self._properties
+                | {term for triple in self.triples for term in triple}
+                | SCHEMA_PROPERTIES
+                | {RDF_TYPE}
+            )
+        )
 
     def snapshot(self) -> "FrozenSchema":
         """The value itself: it never changes."""

@@ -186,6 +186,34 @@ class _Factors:
         """The canonical form of union term ``row``: what ``UCQ`` merges on."""
         return self._term(row).canonical()
 
+    def more_forms_than(self, limit: int) -> bool:
+        """True when the rows surely hold more than ``limit`` distinct
+        :meth:`form` values, whatever merging renamings finds.
+
+        A row's *signature* is its head and the set of its atoms with
+        every non-head variable masked.  It is a function of the row's
+        form, so rows of one form share one signature and the distinct
+        signatures are a lower bound on the distinct forms.  They are
+        counted on the factors, over each atom's distinct masked
+        alternatives, stopping at the first past ``limit``.
+        """
+        signatures: Set[Tuple] = set()
+        for skeleton, alternatives, _, _, _ in self.skeletons:
+            head = frozenset(t for t in skeleton.head if type(t) is Variable)
+
+            def mask(term):
+                return None if type(term) is Variable and term not in head else term
+
+            masked = [
+                {(mask(a.s), mask(a.p), mask(a.o)) for a in options}
+                for options in alternatives
+            ]
+            for atoms in product(*masked):
+                signatures.add((skeleton.head, frozenset(atoms)))
+                if len(signatures) > limit:
+                    return True
+        return False
+
     def terms(self, dropped: Set[int]) -> List[BGPQuery]:
         """The union terms, in order, minus the ``dropped`` rows."""
         keep = bytearray(b"\x01") * self.count
@@ -216,7 +244,8 @@ def _materialize(
     """The union of ``factors``: minimized on the factors, then expanded.
 
     Rows equal to an earlier row up to renaming are always merged, and
-    ``limit`` is checked against what is left of ``factors.count``; with
+    ``limit`` is checked against what is left of ``factors.count`` (a
+    union surely past it is refused before the merges are looked for); with
     ``minimize`` the constraint-atom rows and, up to
     :data:`DEFAULT_MAX_TERMS` rows, the subsumed rows are dropped too,
     each elimination re-checked from its certificate.  Only survivors
@@ -227,6 +256,10 @@ def _materialize(
     if total == 1 and (limit is None or limit >= 1):
         # One row: nothing to merge it into, nothing to contain it.
         return UCQ(factors.terms(set()), name=factors.name, head=factors.head)
+    if limit is not None and total > limit and factors.more_forms_than(limit):
+        # Merging cannot bring the union under the limit: refuse before
+        # the pass that would find the merges.
+        raise ReformulationLimitExceeded(limit)
     shapes = factors.shapes()
     empty = factors.empty_rows() if minimize else set()
     # Past the cap only renamings are looked for, as long as merging

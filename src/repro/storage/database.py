@@ -51,6 +51,8 @@ class RDFDatabase:
         self.schema = schema if schema is not None else RDFSchema()
         self.table = table if table is not None else TripleTable(bits=bits)
         self.statistics = TableStatistics(self.table)
+        #: The schema value whose terms the dictionary already holds.
+        self._encoded_schema: Optional[FrozenSchema] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -83,10 +85,16 @@ class RDFDatabase:
 
         Freezing first counts the rows buffered before the call, so what
         is derived next from the table is not stamped older than the
-        rows it reads.
+        rows it reads.  A newly published schema's terms get their
+        codes here, so no read allocates one for a head constant a plan
+        of that schema carries (DESIGN.md §9).
         """
         self.table.freeze()
-        return Snapshot(self.schema.snapshot(), self.table.view)
+        schema = self.schema.snapshot()
+        if schema is not self._encoded_schema:
+            self.dictionary.encode_many(schema.terms)
+            self._encoded_schema = schema
+        return Snapshot(schema, self.table.view)
 
     @property
     def epoch(self) -> int:

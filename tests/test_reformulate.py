@@ -6,9 +6,12 @@ for random schemas S, graphs G and queries q — the defining property of
 reformulation-based query answering (paper Section 2.3).
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datasets import dblp_workload, lubm_workload
 from repro.query import BGPQuery, evaluate
 from repro.rdf import (
     RDFGraph,
@@ -24,6 +27,7 @@ from repro.rdf import (
 )
 from repro.reasoning import saturate
 from repro.reformulation import ReformulationLimitExceeded, Reformulator, reformulate
+from repro.reformulation.reformulate import _Factors
 
 from conftest import ex
 
@@ -159,6 +163,40 @@ class TestMachinery:
         q = BGPQuery([x, y], [Triple(x, RDF_TYPE, y)])
         with pytest.raises(ReformulationLimitExceeded):
             reformulate(q, book_schema, limit=5)
+
+    def test_a_refusal_skips_the_merge_pass(self, dblp_db):
+        # DBLP Q10 factors into 36 864 rows whose signatures alone number
+        # more than 2 000: the refusal needs no renaming search.
+        q10 = {entry.name: entry.query for entry in dblp_workload()}["Q10"]
+        with mock.patch(
+            "repro.reformulation.reformulate.subsume",
+            side_effect=AssertionError("subsume ran"),
+        ):
+            for limit in (2_000, 512):
+                with pytest.raises(ReformulationLimitExceeded):
+                    reformulate(q10, dblp_db.schema, limit=limit)
+                with pytest.raises(ReformulationLimitExceeded):
+                    Reformulator(dblp_db.schema, limit=limit).reformulate(q10)
+
+    @pytest.mark.parametrize("name", ["Q05", "Q09", "Q18", "Q19"])
+    def test_the_limit_refuses_exactly_past_the_merged_union(self, lubm_db, name):
+        query = {entry.name: entry.query for entry in lubm_workload()}[name]
+        merged = len(reformulate(query, lubm_db.schema))
+        assert len(reformulate(query, lubm_db.schema, limit=merged)) == merged
+        with pytest.raises(ReformulationLimitExceeded):
+            reformulate(query, lubm_db.schema, limit=merged - 1)
+
+    @pytest.mark.parametrize("workload", ["lubm", "dblp"])
+    def test_signatures_never_outnumber_forms(self, lubm_db, dblp_db, workload):
+        database, entries = (
+            (lubm_db, lubm_workload()) if workload == "lubm" else (dblp_db, dblp_workload())
+        )
+        for entry in entries:
+            factors = _Factors(entry.query, database.schema.snapshot())
+            if factors.count > 5_000:
+                continue
+            forms = len({factors.form(row) for row in range(factors.count)})
+            assert not factors.more_forms_than(forms), entry.name
 
     def test_reformulator_memoizes(self, book_schema):
         reformulator = Reformulator(book_schema)
