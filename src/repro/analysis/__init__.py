@@ -36,7 +36,6 @@ from .diagnostics import (
 if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
     from .containment import (
         MinimizationResult,
-        containment_witness,
         core,
         equivalent,
         find_homomorphism,
@@ -44,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         minimize_ucq,
     )
     from .lint import format_report, lint_query, lint_text
-    from .sqlcheck import check_sql, verify_sql
+    from .sqlcheck import check_sql
     from .verifier import (
         check_bgp,
         check_cover,
@@ -70,13 +69,10 @@ _LAZY = {
     "verify_pipeline": "verifier",
     "verify_subsumption": "verifier",
     "check_sql": "sqlcheck",
-    "verify_sql": "sqlcheck",
-    "sql_output_columns": "sqlcheck",
     "lint_query": "lint",
     "lint_text": "lint",
     "format_report": "lint",
     "MinimizationResult": "containment",
-    "containment_witness": "containment",
     "core": "containment",
     "equivalent": "containment",
     "find_homomorphism": "containment",

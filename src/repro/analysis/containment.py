@@ -10,7 +10,7 @@ one CQ, this module compares whole CQs:
 * :func:`find_homomorphism` — a head-preserving homomorphism between
   two BGPs (constants fixed, distinguished head terms mapped
   positionally);
-* :func:`is_contained` / :func:`containment_witness` — the classical
+* :func:`is_contained` — the classical
   characterization ``q1 ⊑ q2  iff  ∃ hom h: q2 → q1``;
 * :func:`core` — single-BGP minimization by folding atoms under
   head-fixing endomorphisms (the query's core);
@@ -55,7 +55,6 @@ from .subsumption import (
 
 __all__ = [
     "MinimizationResult",
-    "containment_witness",
     "core",
     "equivalent",
     "find_homomorphism",
@@ -158,16 +157,10 @@ def find_homomorphism(
     return _search(source.body, target.body, binding)
 
 
-def containment_witness(
-    sub: BGPQuery, sup: BGPQuery
-) -> Optional[Substitution]:
-    """A homomorphism ``sup → sub`` witnessing ``sub ⊑ sup``, or None."""
-    return find_homomorphism(sup, sub)
-
-
 def is_contained(sub: BGPQuery, sup: BGPQuery) -> bool:
-    """``sub ⊑ sup``: every answer of ``sub`` is one of ``sup``, on any graph."""
-    return containment_witness(sub, sup) is not None
+    """``sub ⊑ sup``: every answer of ``sub`` is one of ``sup``, on any
+    graph, witnessed by a homomorphism ``sup → sub``."""
+    return find_homomorphism(sup, sub) is not None
 
 
 def equivalent(left: BGPQuery, right: BGPQuery) -> bool:

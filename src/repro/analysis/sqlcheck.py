@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .diagnostics import Diagnostic, IRVerificationError, Severity, errors, sort_diagnostics
+from .diagnostics import Diagnostic, Severity, sort_diagnostics
 
 #: Columns of the base ``Triples(s, p, o)`` table.
 _TRIPLES_COLUMNS = ("s", "p", "o")
@@ -223,18 +223,3 @@ def check_sql(
         label = subject if index == 0 else f"{subject}/union[{index}]"
         _check_select(select, findings, label, allow_cross)
     return sort_diagnostics(findings)
-
-
-def verify_sql(
-    sql: str, subject: str = "sql", allow_cross: bool = False
-) -> None:
-    """Raise :class:`IRVerificationError` on any error-severity finding."""
-    failed = errors(check_sql(sql, subject=subject, allow_cross=allow_cross))
-    if failed:
-        raise IRVerificationError(failed)
-
-
-def sql_output_columns(sql: str) -> Optional[Tuple[str, ...]]:
-    """The statement's output column names, if parseable (for tests)."""
-    columns = _union_output_columns(sql)
-    return columns or None

@@ -18,12 +18,12 @@ pipeline:
 
 Key invalidation matrix (a new key, never a clear):
 
-=====================  ==============  ==================  ==========================
-update                 reformulations  plans               statistics / estimates
-=====================  ==============  ==================  ==========================
-data (insert)          survive         by what they read   carried, less what matches
+=====================  ==============  ==================  ======================
+update                 reformulations  plans               counts / estimates
+=====================  ==============  ==================  ======================
+data (insert)          survive         by what they read   start empty
 schema (constraints)   re-keyed        re-keyed            survive
-=====================  ==============  ==================  ==========================
+=====================  ==============  ==================  ======================
 
 A data write keeps a plan that reads the schema alone (``ucq``,
 ``scq``, ``litemat``), keeps a cost-chosen plan (``gcov``, ``ecov``)
@@ -31,10 +31,9 @@ until the row count moves to another :func:`statistics_generation`, and
 re-keys a plan that reads the data (``pruned-ucq``).  Engine caches
 (SQL) are keyed per plan and dictionary size.
 
-The statistics column is the table statistics and the cardinality
-estimator's records (DESIGN.md §19): a data write hands the next
-version's record every entry none of whose atom patterns a row of the
-write matches.
+The last column is the counts each table view memoizes and the
+cardinality estimator's records (DESIGN.md §19): both belong to one
+table version, so a data write's new view starts with empty ones.
 
 The three memo levels fill through one rule, :meth:`LRUCache.memo
 <repro.cache.lru.LRUCache.memo>`: one counted lookup per call, and a

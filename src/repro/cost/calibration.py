@@ -42,7 +42,6 @@ def _probe_queries(database: RDFDatabase, max_properties: int = 8):
     from ..rdf.vocabulary import RDF_TYPE
 
     view = database.snapshot().table
-    counts = database.statistics.at(view)
     dictionary = database.dictionary
     # Collect per-property counts; keep a spread of sizes.
     property_counts: List[Tuple[URI, int]] = []
@@ -51,7 +50,7 @@ def _probe_queries(database: RDFDatabase, max_properties: int = 8):
         if p in seen:
             continue
         seen.add(p)
-        count = counts.pattern_count((None, p, None))
+        count = view.pattern_count((None, p, None))
         term = dictionary.decode(p)
         if term != RDF_TYPE:
             property_counts.append((term, count))

@@ -17,13 +17,13 @@ of various subqueries of the JUCQ".  This module provides them:
   from the tightest atom-level distinct count mentioning the variable.
 
 Every level is memoized per table version and computed from that
-version's view only, and a write carries the entries it cannot have
-moved into the next version's record (DESIGN.md §19).
+version's view only; the view itself memoizes the exact counts
+(DESIGN.md §19).
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
@@ -65,65 +65,25 @@ def _join_selectivity(estimate: float, occurrences: Dict[Variable, List]) -> flo
     return estimate
 
 
-#: An atom's encoded pattern; None when one of its constants is unknown.
-AtomPattern = Optional[Pattern]
-#: An atom's memo entry: its pattern and its statistics.
-AtomEntry = Tuple[AtomPattern, AtomStatistics]
+#: An atom's memo entry: its encoded pattern (None when one of its
+#: constants is unknown) and its statistics.
+AtomEntry = Tuple[Optional[Pattern], AtomStatistics]
 
 
 class _Memo:
-    """The per-atom, per-conjunct and per-operand memos of one table view.
-
-    Every entry keeps the patterns of the atoms it was computed from, so
-    the successor can tell which entries a write left as they were.
-    """
+    """The per-atom, per-conjunct and per-operand memos of one table view."""
 
     __slots__ = ("view", "atoms", "cqs", "operands")
 
     def __init__(self, view: TableView):
         self.view = view
         self.atoms: Dict[Triple, AtomEntry] = {}
-        #: canonical form → (estimate, the patterns of its atoms).
-        self.cqs: Dict[Tuple, Tuple[float, Tuple[AtomPattern, ...]]] = {}
-        #: ``id(ucq)`` → (the operand, its summary, the patterns of its
-        #: atoms).  Keyed on identity because ``UCQ.__hash__`` hashes a
-        #: frozenset of every term; the entry holds the operand, so its
-        #: id cannot be recycled.
-        self.operands: Dict[int, Tuple[UCQ, OperandSummary, Set[AtomPattern]]] = {}
-
-    def successor(self, view: TableView) -> "_Memo":
-        """The memo of a newer view.
-
-        An entry none of whose atoms a new row matches is carried; an
-        atom whose constant was unknown may match now, so it is dropped
-        with every conjunct and operand it occurs in.
-        """
-        moved, _ = view.changed_patterns(self.view.version, len(self.atoms))
-        after = _Memo(view)
-        if moved is not None:
-            # Filtered from copies: a computation still holding this
-            # record may store into it meanwhile.
-            after.atoms = {
-                atom: entry
-                for atom, entry in self.atoms.copy().items()
-                if entry[0] is not None and entry[0] not in moved
-            }
-            after.cqs = {
-                key: entry
-                for key, entry in self.cqs.copy().items()
-                if _unmoved(entry[1], moved)
-            }
-            after.operands = {
-                key: entry
-                for key, entry in self.operands.copy().items()
-                if _unmoved(entry[2], moved)
-            }
-        return after
-
-
-def _unmoved(patterns: Collection[AtomPattern], moved: Set[Pattern]) -> bool:
-    """No pattern has an unknown constant or is one a write's rows match."""
-    return None not in patterns and moved.isdisjoint(patterns)
+        #: canonical form → estimate.
+        self.cqs: Dict[Tuple, float] = {}
+        #: ``id(ucq)`` → (the operand, its summary).  Keyed on identity
+        #: because ``UCQ.__hash__`` hashes a frozenset of every term; the
+        #: entry holds the operand, so its id cannot be recycled.
+        self.operands: Dict[int, Tuple[UCQ, OperandSummary]] = {}
 
 
 class CardinalityEstimator:
@@ -137,20 +97,19 @@ class CardinalityEstimator:
     ``view`` it is asked at: the answerer hands in its snapshot's, and a
     caller that passes none gets the database's current one, taken once
     per call.  A computation captures the record once and writes only
-    into it; a newer view swaps in a successor record by one reference
-    assignment, and a view older than the published record gets an
-    unpublished record of its own.  So a count stored in a record is of
-    that record's version, and the read path takes no lock.  The
-    successor keeps every atom, conjunct and operand entry
-    none of whose atoms' encoded patterns a row of the write matches
-    (:meth:`TripleTable.changes` names the rows), so a write re-probes
-    only the atoms it touched and re-estimates only what reads them.
+    into it; a newer view publishes a new, empty record by one reference
+    assignment, and any other view gets an unpublished record of its
+    own.  So an entry stored in a record is of that record's version,
+    and the read path takes no lock.  The exact counts an atom entry
+    reads are memoized by the view itself
+    (:meth:`~repro.storage.triple_table.TableView.pattern_count`), so
+    they are shared with every other reader of that version.
 
     Only a table write that stores a row moves the version.  The term
     dictionary can also grow *without* one (``cq_to_sql`` encodes head
     constants), and that cannot invalidate an entry: a constant that
     was unknown when an atom was encoded occurs in no triple until a
-    write stores one, and no successor carries such an entry.
+    write stores one, and that write's view starts a new record.
     """
 
     def __init__(self, database: RDFDatabase):
@@ -162,10 +121,11 @@ class CardinalityEstimator:
         if view is None:
             view = self.database.snapshot().table
         memo = self._memo
-        if memo.view.version < view.version:
-            memo = self._memo = memo.successor(view)
-        elif memo.view is not view:
+        if memo.view is not view:
+            newer = memo.view.version < view.version
             memo = _Memo(view)
+            if newer:
+                self._memo = memo
         return memo
 
     # ------------------------------------------------------------------
@@ -200,21 +160,21 @@ class CardinalityEstimator:
         if pattern is None:
             result = AtomStatistics(0, dict.fromkeys(atom.variables(), 0))
         else:
-            statistics = self.database.statistics.at(memo.view)
+            view = memo.view
             count: Optional[int] = None
             distinct = dict.fromkeys(atom.variables())
             for position, term in enumerate(atom):
                 if isinstance(term, IdRange):
-                    count = memo.view.match_range_count(
+                    count = view.match_range_count(
                         pattern, position, term.lo, term.hi
                     )
                 elif isinstance(term, Variable):
-                    here = statistics.distinct(pattern, position)
+                    here = view.distinct(pattern, position)
                     best = distinct[term]
                     if best is None or here < best:
                         distinct[term] = here
             if count is None:
-                count = statistics.pattern_count(pattern)
+                count = view.pattern_count(pattern)
             result = AtomStatistics(count, distinct)
         entry = memo.atoms[atom] = (pattern, result)
         return entry
@@ -240,16 +200,16 @@ class CardinalityEstimator:
         Memoized per canonical conjunct form and table version.
         """
         memo = self._current(view)
-        return self._cq_entry(memo, cq, self._body(memo, cq))[0]
+        return self._cq_estimate(memo, cq, self._body(memo, cq))
 
-    def _cq_entry(
+    def _cq_estimate(
         self, memo: _Memo, cq: BGPQuery, body: Sequence[AtomEntry]
-    ) -> Tuple[float, Tuple[AtomPattern, ...]]:
+    ) -> float:
         key = cq.canonical()
         cached = memo.cqs.get(key)
         if cached is None:
-            estimate = self._estimate_cq(cq, [statistics for _, statistics in body])
-            cached = memo.cqs[key] = (estimate, tuple(pattern for pattern, _ in body))
+            atoms = [statistics for _, statistics in body]
+            cached = memo.cqs[key] = self._estimate_cq(cq, atoms)
         return cached
 
     @staticmethod
@@ -295,21 +255,17 @@ class CardinalityEstimator:
         memo = self._current(view)
         entry = memo.operands.get(id(ucq))
         if entry is None or entry[0] is not ucq:
-            entry = memo.operands[id(ucq)] = (ucq, *self._summarize(memo, ucq))
+            entry = memo.operands[id(ucq)] = (ucq, self._summarize(memo, ucq))
         return entry[1]
 
-    def _summarize(
-        self, memo: _Memo, ucq: UCQ
-    ) -> Tuple[OperandSummary, Set[AtomPattern]]:
+    def _summarize(self, memo: _Memo, ucq: UCQ) -> OperandSummary:
         head_variables = list(set(ucq.head_variables()))
         totals = [0.0] * len(head_variables)
         scan_size = 0
         sizes: List[float] = []
-        patterns: Set[AtomPattern] = set()
         for cq in ucq:
             body = self._body(memo, cq)
-            size, cq_patterns = self._cq_entry(memo, cq, body)
-            patterns.update(cq_patterns)
+            size = self._cq_estimate(memo, cq, body)
             atoms = [statistics for _, statistics in body]
             sizes.append(size)
             for atom in atoms:
@@ -325,7 +281,7 @@ class CardinalityEstimator:
                     ),
                     default=size,
                 )
-        summary = OperandSummary(
+        return OperandSummary(
             scan_size,
             sum(sizes),
             tuple(
@@ -333,7 +289,6 @@ class CardinalityEstimator:
                 for variable, total in zip(head_variables, totals)
             ),
         )
-        return summary, patterns
 
     def ucq_cardinality(self, ucq: UCQ, view: Optional[TableView] = None) -> float:
         """Sum of the conjunct estimates (overlap between terms ignored)."""

@@ -522,7 +522,7 @@ class NativeEngine:
             return view.match_range_count(
                 pattern, range_position, range_term.lo, range_term.hi
             )
-        return self.database.statistics.at(view).pattern_count(pattern)
+        return view.pattern_count(pattern)
 
     # ------------------------------------------------------------------
     # Unions, one join pipeline per template (DESIGN.md §18)

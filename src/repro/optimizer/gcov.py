@@ -46,18 +46,12 @@ def _initial_cover(query: BGPQuery) -> Cover:
 
 
 def _apply_move(
-    query: BGPQuery,
-    cover: Cover,
-    fragment: Fragment,
-    triple_index: int,
-    fragment_cost,
-) -> Optional[Cover]:
+    cover: Cover, fragment: Fragment, triple_index: int, fragment_cost
+) -> Cover:
     """The cover after growing ``fragment`` with ``triple_index``.
 
     Removes fragments made redundant, costliest first, re-scanning until
-    stable.  Returns None when the move degenerates (e.g. the grown
-    fragment swallows the whole cover into an already-analysed shape is
-    left for the caller to detect via the ``analysed`` set).
+    stable.
     """
     grown = frozenset(fragment | {triple_index})
     fragments = [f for f in cover if f != fragment]
@@ -147,8 +141,8 @@ def gcov(
 
     def develop(cover: Cover, threshold: float, strict: bool) -> None:
         for fragment, triple_index in _candidate_moves(query, cover):
-            produced = _apply_move(query, cover, fragment, triple_index, sweep_key)
-            if produced is None or produced in analysed:
+            produced = _apply_move(cover, fragment, triple_index, sweep_key)
+            if produced in analysed:
                 continue
             analysed.add(produced)
             cost = scorer.cost(produced)

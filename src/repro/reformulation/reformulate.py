@@ -31,7 +31,9 @@ create a new instantiable position (their outputs have constant
 classes/properties), and they never bind variables shared across atoms
 (fresh variables only) — so no phase-1 rule can ever fire on a phase-2
 result.  ``tests/test_reformulate.py`` pins this with the golden
-equivalence property against saturation.
+equivalence property against saturation.  Both phases read the schema's
+sets sorted, so the order of the terms and the fresh-variable names
+they carry do not follow the hash seed (DESIGN.md §4).
 
 The two phases are kept *as factors* (:class:`_Factors`: per skeleton
 the head and the per-atom alternative tuples, each alternative in one
@@ -444,13 +446,13 @@ def _instantiation_step(cq: BGPQuery, schema: FrozenSchema) -> Iterator[BGPQuery
         if isinstance(prop, Variable):
             # Rules 6-7: instantiate a property variable with every
             # schema property, and with rdf:type.
-            for candidate in schema.properties:
+            for candidate in sorted(schema.properties):
                 yield cq.substitute({prop: candidate})
             yield cq.substitute({prop: RDF_TYPE})
             continue
         if prop == RDF_TYPE and isinstance(atom.o, Variable):
             # Rule 5: instantiate a class variable with every class.
-            for candidate in schema.classes:
+            for candidate in sorted(schema.classes):
                 yield cq.substitute({atom.o: candidate})
             continue
         if prop in SCHEMA_PROPERTIES:
@@ -482,21 +484,21 @@ def _atom_alternatives(
             return (atom,), (1, 1)
         alternatives = [atom]
         # Rule 1: specialize the class along the subclass closure.
-        for sub in schema.subclasses(cls):
+        for sub in sorted(schema.subclasses(cls)):
             alternatives.append(Triple(atom.s, RDF_TYPE, sub))
         domain = len(alternatives)
         # Rules 2 & 12: evidence via a property whose closed domain
         # includes the class.
-        for p in schema.properties_with_domain(cls):
+        for p in sorted(schema.properties_with_domain(cls)):
             alternatives.append(Triple(atom.s, p, fresh()))
         range_ = len(alternatives)
         # Rules 3 & 13: same, via range.
-        for p in schema.properties_with_range(cls):
+        for p in sorted(schema.properties_with_range(cls)):
             alternatives.append(Triple(fresh(), p, atom.s))
         return tuple(alternatives), (domain, range_)
     # Rule 4: specialize the property along the subproperty closure.
     alternatives = [atom]
-    for sub in schema.subproperties(prop):
+    for sub in sorted(schema.subproperties(prop)):
         alternatives.append(Triple(atom.s, sub, atom.o))
     return tuple(alternatives), (len(alternatives),) * 2
 
@@ -540,16 +542,16 @@ def _closure_matches(atom: Triple, schema: FrozenSchema) -> Iterator[Triple]:
     elif prop == RDFS_SUBPROPERTY:
         yield from _pairs(schema, schema.superproperties, schema.properties, prop)
     elif prop == RDFS_DOMAIN:
-        for p in schema.properties:
-            for cls in schema.domains(p):
+        for p in sorted(schema.properties):
+            for cls in sorted(schema.domains(p)):
                 yield Triple(p, prop, cls)
     elif prop == RDFS_RANGE:
-        for p in schema.properties:
-            for cls in schema.ranges(p):
+        for p in sorted(schema.properties):
+            for cls in sorted(schema.ranges(p)):
                 yield Triple(p, prop, cls)
 
 
 def _pairs(schema: FrozenSchema, upward, members, prop) -> Iterator[Triple]:
-    for member in members:
-        for ancestor in upward(member):
+    for member in sorted(members):
+        for ancestor in sorted(upward(member)):
             yield Triple(member, prop, ancestor)

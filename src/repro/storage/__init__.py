@@ -1,10 +1,9 @@
-"""RDBMS-style storage: dictionary encoding, triple table, statistics."""
+"""RDBMS-style storage: dictionary encoding and the triple table."""
 
 from .database import RDFDatabase, Snapshot
 from .persistence import load_database, save_database
 from .dictionary import Dictionary
 from .interval_encoding import CyclicHierarchyError, IntervalEncoding
-from .statistics import TableStatistics
 from .triple_table import PERMUTATIONS, Pattern, TripleTable
 
 __all__ = [
@@ -17,6 +16,5 @@ __all__ = [
     "load_database",
     "save_database",
     "Snapshot",
-    "TableStatistics",
     "TripleTable",
 ]

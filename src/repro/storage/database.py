@@ -1,8 +1,8 @@
-"""The RDF database: schema (in memory) + facts (triple table) + stats.
+"""The RDF database: schema (in memory) + facts (triple table).
 
 An :class:`RDFDatabase` is the unit every other layer works against:
 the reformulation algorithm reads its schema, the engines read its
-triple table, the cost model reads its statistics.  Mirrors the paper's
+triple table, the cost model reads its counts.  Mirrors the paper's
 setup where "RDFS constraints are kept in memory, while RDF facts are
 stored in a Triples(s,p,o) table".
 
@@ -22,7 +22,6 @@ from ..rdf.graph import RDFGraph
 from ..rdf.schema import FrozenSchema, RDFSchema, split_graph
 from ..rdf.terms import Triple
 from .dictionary import Dictionary
-from .statistics import TableStatistics
 from .triple_table import TableView, TripleTable
 
 
@@ -40,7 +39,7 @@ class Snapshot(NamedTuple):
 
 
 class RDFDatabase:
-    """Schema + fact store + statistics, ready for query answering."""
+    """Schema + fact store, ready for query answering."""
 
     def __init__(
         self,
@@ -50,7 +49,6 @@ class RDFDatabase:
     ):
         self.schema = schema if schema is not None else RDFSchema()
         self.table = table if table is not None else TripleTable(bits=bits)
-        self.statistics = TableStatistics(self.table)
         #: The schema value whose terms the dictionary already holds.
         self._encoded_schema: Optional[FrozenSchema] = None
 

@@ -45,7 +45,7 @@ and merging serialize on one lock; reads take none.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -144,9 +144,12 @@ def _merge(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 class TableView:
     """One published state of a :class:`TripleTable`: each permutation's
     two sorted runs, their row count and version, and the merge log up to
-    that version.  It never changes once published."""
+    that version.  Its rows never change once published, so it also
+    memoizes the exact pattern and distinct counts asked of it
+    (:meth:`pattern_count`, :meth:`distinct`): every reader of one
+    version shares them, and the next version starts with empty memos."""
 
-    __slots__ = ("runs", "count", "version", "bits", "_mask", "_log")
+    __slots__ = ("runs", "count", "version", "bits", "_mask", "_log", "_counts", "_distincts")
 
     def __init__(
         self,
@@ -167,6 +170,8 @@ class TableView:
         #: version ``i`` to ``i + 1``.  This view reads its first
         #: ``version`` entries only.
         self._log = log
+        self._counts: Dict[Pattern, int] = {}
+        self._distincts: Dict[Tuple[Pattern, int], int] = {}
 
     def changes(self, since: Optional[int]) -> Tuple[np.ndarray, int]:
         """The ``spo`` keys stored after version ``since``, and this view's version.
@@ -181,29 +186,24 @@ class TableView:
         keys = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
         return np.sort(keys), self.version
 
-    def changed_patterns(
-        self, since: Optional[int], limit: int
-    ) -> Tuple[Optional[Set[Pattern]], int]:
-        """Every pattern a row stored after ``since`` matches, and this view's version.
+    def pattern_count(self, pattern: Pattern) -> int:
+        """:meth:`match_count`, memoized: the optimizers ask the same
+        patterns many times across candidate covers (paper Section 5.2)."""
+        cached = self._counts.get(pattern)
+        if cached is None:
+            cached = self._counts[pattern] = self.match_count(pattern)
+        return cached
 
-        A row ``(s, p, o)`` matches exactly its eight ``None``-masks, so a
-        count or distinct count memoized for any other pattern is unmoved
-        (DESIGN.md §20).  None instead of the set when more than ``limit``
-        rows were stored: a memo of ``limit`` entries is then cheaper to
-        refill than to filter.
-        """
-        if sum(block.size for block in self._log[since : self.version]) > limit:
-            return None, self.version
-        keys, version = self.changes(since)
-        matched: Set[Pattern] = set()
-        for s, p, o in self.decode_keys(keys).tolist():
-            matched.update(
-                (
-                    (s, p, o), (s, p, None), (s, None, o), (None, p, o),
-                    (s, None, None), (None, p, None), (None, None, o), (None, None, None),
-                )
-            )
-        return matched, version
+    def distinct(self, pattern: Pattern, position: int) -> int:
+        """:meth:`distinct_count`, memoized; for a bound position, 1 when
+        any match exists (0 otherwise)."""
+        if pattern[position] is not None:
+            return 1 if self.pattern_count(pattern) else 0
+        key = (pattern, position)
+        cached = self._distincts.get(key)
+        if cached is None:
+            cached = self._distincts[key] = self.distinct_count(pattern, position)
+        return cached
 
     def match_count(self, pattern: Pattern) -> int:
         """Exact number of triples matching ``pattern`` (O(log n))."""

@@ -44,7 +44,7 @@ from repro.reformulation.reformulate import (
 )
 from repro.resilience import ChaosConfig, ChaosEngine, FallbackPolicy
 from repro.storage import RDFDatabase
-from repro.storage.triple_table import PERMUTATIONS, index_for_range
+from repro.storage.triple_table import PERMUTATIONS, TableView, index_for_range
 
 #: Strategies a sweep exercises by default; ``saturation`` is the
 #: reformulation-free ground truth and must always succeed.
@@ -398,33 +398,36 @@ def saturation_answers_match(query: BGPQuery, schema, graph, union: UCQ) -> bool
 
 
 def assert_memos_match_fresh_probes(estimator: CardinalityEstimator) -> int:
-    """Every entry a long-lived estimator and its table statistics hold —
-    atom statistics, operand summaries and their conjunct estimates,
-    pattern and distinct counts — equals what is computed from a probe
-    of the table view of that record's own version (a record left behind
-    by a reader that lagged a write is of an older view than the table's).
+    """Every entry a long-lived estimator and the table views hold —
+    atom statistics, operand summaries and their conjunct estimates, and
+    the pattern and distinct counts memoized by the estimator's view and
+    the table's current one — equals what is computed from a raw probe
+    of that entry's own view (a record left behind by a reader that
+    lagged a write is of an older view than the table's).
 
-    The fresh side is an estimator over a new database object around the
-    same table and schema, so none of its statistics are carried.
+    The fresh side is an estimator reading a copy of the record's view
+    with empty count memos, so it shares no entry with what it checks.
     Returns how many entries were compared.
     """
-    database = estimator.database
-    memo, counts = estimator._memo, database.statistics._counts
-    fresh = CardinalityEstimator(RDFDatabase(schema=database.schema, table=database.table))
-    fresh_memo = fresh._current(memo.view)
+    database, memo = estimator.database, estimator._memo
+    view = memo.view
+    fresh = CardinalityEstimator(database)
+    fresh_memo = fresh._current(TableView(view.runs, view.version, view.bits, view._log))
     for atom, entry in list(memo.atoms.items()):
         assert entry == fresh._atom_entry(fresh_memo, atom), atom
-    for operand, summary, patterns in list(memo.operands.values()):
-        assert (summary, patterns) == fresh._summarize(fresh_memo, operand), operand.name
-        assert patterns == {fresh.atom_pattern(atom) for cq in operand for atom in cq.body}
-    for key, entry in list(memo.cqs.items()):
+    for operand, summary in list(memo.operands.values()):
+        assert summary == fresh._summarize(fresh_memo, operand), operand.name
+    for key, estimate in list(memo.cqs.items()):
         if key in fresh_memo.cqs:  # the conjuncts of the operands just summarized
-            assert entry == fresh_memo.cqs[key], key
-    for pattern, count in list(counts.patterns.items()):
-        assert count == counts.view.match_count(pattern), pattern
-    for (pattern, position), distinct in list(counts.distincts.items()):
-        assert distinct == counts.view.distinct_count(pattern, position), (pattern, position)
-    return len(memo.atoms) + len(memo.operands) + len(counts.patterns) + len(counts.distincts)
+            assert estimate == fresh_memo.cqs[key], key
+    compared = len(memo.atoms) + len(memo.operands)
+    for counted in {id(v): v for v in (view, database.table.view)}.values():
+        for pattern, count in list(counted._counts.items()):
+            assert count == counted.match_count(pattern), pattern
+        for (pattern, position), distinct in list(counted._distincts.items()):
+            assert distinct == counted.distinct_count(pattern, position), (pattern, position)
+        compared += len(counted._counts) + len(counted._distincts)
+    return compared
 
 
 def read_index(view, name: str) -> np.ndarray:

@@ -526,18 +526,18 @@ class TestStatisticsAutoInvalidation:
         type_code = book_db.dictionary.lookup(RDF_TYPE)
         book_code = book_db.dictionary.lookup(ex("Book"))
         pattern = (None, type_code, book_code)
-        before = book_db.statistics.at(book_db.table.view).pattern_count(pattern)
+        before = book_db.table.view.pattern_count(pattern)
         book_db.load_facts([Triple(ex("doi7"), RDF_TYPE, ex("Book"))])
-        assert book_db.statistics.at(book_db.table.view).pattern_count(pattern) == before + 1
+        assert book_db.table.view.pattern_count(pattern) == before + 1
 
     def test_distinct_tracks_loads(self, book_db):
         type_code = book_db.dictionary.lookup(RDF_TYPE)
         pattern = (None, type_code, None)
-        before = book_db.statistics.at(book_db.table.view).distinct(pattern, 0)
+        before = book_db.table.view.distinct(pattern, 0)
         book_db.load_facts(
             [Triple(ex(f"extra{i}"), RDF_TYPE, ex("Book")) for i in range(3)]
         )
-        assert book_db.statistics.at(book_db.table.view).distinct(pattern, 0) == before + 3
+        assert book_db.table.view.distinct(pattern, 0) == before + 3
 
     def test_sqlite_engine_reloads_on_mutation(self, book_db):
         from repro.engine import SQLiteEngine

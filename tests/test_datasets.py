@@ -65,7 +65,7 @@ class TestLUBMGenerator:
             code = lubm_db.dictionary.lookup(ub(general))
             if code is None:
                 continue
-            assert lubm_db.statistics.at(lubm_db.table.view).pattern_count((None, type_code, code)) == 0
+            assert lubm_db.table.view.pattern_count((None, type_code, code)) == 0
 
     def test_reasoning_gap_is_large(self, lubm_db):
         saturated = lubm_db.saturated()
@@ -75,7 +75,7 @@ class TestLUBMGenerator:
         dictionary = lubm_db.dictionary
         assert dictionary.lookup(university_uri(0)) is not None
         prop = dictionary.lookup(ub("undergraduateDegreeFrom"))
-        assert lubm_db.statistics.at(lubm_db.table.view).pattern_count((None, prop, None)) > 0
+        assert lubm_db.table.view.pattern_count((None, prop, None)) > 0
 
 
 class TestDBLPGenerator:
@@ -93,7 +93,7 @@ class TestDBLPGenerator:
             code = dblp_db.dictionary.lookup(dblp(kind))
             if code is None:
                 return 0
-            return dblp_db.statistics.at(dblp_db.table.view).pattern_count((None, type_code, code))
+            return dblp_db.table.view.pattern_count((None, type_code, code))
 
         assert count("Inproceedings") > 10 * count("PhdThesis")
 

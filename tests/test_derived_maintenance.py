@@ -283,8 +283,8 @@ def test_readers_beside_a_writer_see_one_version_at_a_time():
     snapshot its call took, so every answer a reader gets *equals* the
     oracle's answer after some prefix of the writes (never a mix of two
     versions), no reader fails, and the last read is exact.  The
-    statistics the answerer's estimator carried through the writes then
-    equal fresh probes of their own versions."""
+    answerer's estimator record and the views' memoized counts then
+    equal raw probes of their own versions."""
     readers_beside_a_writer(make_answerer(build_lubm_database(universities=1, seed=0)))
 
 
@@ -358,5 +358,5 @@ def readers_beside_a_writer(answerer):
     assert failures == []
     assert len(results) == len(readers)
     assert all(seen == versions[-1] for seen in results.values())
-    # What the estimator carried through the writes is what a probe reads.
+    # What the estimator and the views memoized is what a raw probe reads.
     assert assert_memos_match_fresh_probes(answerer.cost_model.estimator) > 0

@@ -6,8 +6,7 @@ from repro.cost import CostModel
 from repro.datasets import lubm_query, motivating_q1, motivating_q2
 from repro.engine import ExecutionBudget
 from repro.optimizer import SearchInfeasible, ecov, gcov
-from repro.query import BGPQuery
-from repro.rdf import Triple, URI, Variable
+from repro.rdf import Variable
 from repro.reformulation import (
     Reformulator,
     enumerate_covers,
@@ -129,21 +128,10 @@ class TestMoveMechanics:
         def key(f):
             return (len(f), tuple(sorted(f)))
 
-        u_ = lambda s: URI(f"http://mv/{s}")
-        a, b, c, d = (Variable(s) for s in "abcd")
-        query = BGPQuery(
-            [a],
-            [
-                Triple(a, u_("p1"), b),
-                Triple(a, u_("p2"), c),
-                Triple(a, u_("p3"), d),
-                Triple(a, u_("p4"), b),
-            ],
-        )
         cover = frozenset(
             {frozenset({0, 1}), frozenset({0, 2}), frozenset({2, 3})}
         )
-        moved = _apply_move(query, cover, frozenset({0, 1}), 3, key)
+        moved = _apply_move(cover, frozenset({0, 1}), 3, key)
         assert moved == frozenset({frozenset({0, 1, 3}), frozenset({0, 2})})
 
 

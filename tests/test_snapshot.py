@@ -2,8 +2,8 @@
 
 Every cache and derived store is stamped with ``RDFDatabase.snapshot()``
 or one of its parts: the plan cache, the reformulation and interval
-memos, the statistics and estimator records, the SQLite mirror, the
-saturated store and the interval-encoded store.  Theorem 3.1 must hold
+memos, the estimator records, the SQLite mirror, the saturated store
+and the interval-encoded store.  Theorem 3.1 must hold
 after any mix of writes and schema edits, so a hypothesis state machine
 (grown from ``tests/test_derived_maintenance.py``) interleaves
 

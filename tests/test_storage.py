@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.engine.evaluator import AnswerSet
 from repro.rdf import BlankNode, Literal, RDF_TYPE, Triple, URI, Variable
 from repro.storage import Dictionary, RDFDatabase, TripleTable
-from repro.storage.triple_table import PERMUTATIONS
+from repro.storage.triple_table import PERMUTATIONS, TableView
 
 
 def u(name):
@@ -334,15 +334,29 @@ class TestDatabase:
         assert set(db.facts_graph()) == set(book_facts)
 
     def test_statistics_exact_counts(self, lubm_db):
-        stats = lubm_db.statistics.at(lubm_db.table.view)
+        view = lubm_db.table.view
         type_code = lubm_db.dictionary.lookup(RDF_TYPE)
-        total = stats.pattern_count((None, type_code, None))
+        total = view.pattern_count((None, type_code, None))
         rows = lubm_db.table.match((None, type_code, None))
         assert total == rows.shape[0]
 
-    def test_statistics_memoized(self, lubm_db):
-        stats = lubm_db.statistics
-        type_code = lubm_db.dictionary.lookup(RDF_TYPE)
-        stats.at(lubm_db.table.view).pattern_count((None, type_code, None))
-        counts, _ = stats.probe_calls()
-        assert counts >= 1
+    def test_statistics_memoized(self, lubm_db, monkeypatch):
+        """A view probes a pattern once; a new view starts empty."""
+        probes = []
+        for name in ("match_count", "distinct_count"):
+            real = getattr(TableView, name)
+
+            def counting(view, pattern, *rest, real=real, name=name):
+                probes.append((name, pattern))
+                return real(view, pattern, *rest)
+
+            monkeypatch.setattr(TableView, name, counting)
+        pattern = (None, lubm_db.dictionary.lookup(RDF_TYPE), None)
+        view = lubm_db.table.copy().view
+        for _ in range(3):
+            assert view.pattern_count(pattern) == lubm_db.table.view.match_count(pattern)
+            assert view.distinct(pattern, 0) > 0
+        assert probes.count(("match_count", pattern)) == 4
+        assert probes.count(("distinct_count", pattern)) == 1
+        lubm_db.table.copy().view.pattern_count(pattern)
+        assert probes.count(("match_count", pattern)) == 5
