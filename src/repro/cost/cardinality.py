@@ -16,8 +16,8 @@ of various subqueries of the JUCQ".  This module provides them:
   of operand results, with per-variable distinct counts approximated
   from the tightest atom-level distinct count mentioning the variable.
 
-Every level is memoized per table version and computed from that
-version's view only; the view itself memoizes the exact counts
+Atoms and operands are memoized per table version and computed from
+that version's view only; the view itself memoizes the exact counts
 (DESIGN.md §19).
 """
 
@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
-from ..rdf.terms import IdRange, Triple, Variable
+from ..rdf.terms import IdRange, Term, Triple, Variable
 from ..storage.database import RDFDatabase
 from ..storage.triple_table import Pattern, TableView
 
@@ -37,11 +37,11 @@ class AtomStatistics(NamedTuple):
 
     #: Exact number of stored triples matching the atom.
     count: int
-    #: Variable → exact distinct values it takes among the matches (the
-    #: tightest position when it occurs twice), in ``atom.variables()``
-    #: iteration order: the per-variable divisions of the join formula
-    #: run in that order, and a float result depends on it.
-    distinct: Dict[Variable, int]
+    #: Variable name → exact distinct values it takes among the matches
+    #: (the tightest position when it occurs twice), in position order
+    #: (s, p, o): the per-variable divisions of the join formula run in
+    #: that order, and a float result depends on it.
+    distinct: Dict[str, int]
 
 
 class OperandSummary(NamedTuple):
@@ -51,12 +51,12 @@ class OperandSummary(NamedTuple):
     scan_size: int
     #: Σ over terms of the conjunct estimates.
     cardinality: float
-    #: (head variable, distinct-count proxy), in ``set(head_variables())``
-    #: iteration order (the operand-join divisions run in that order).
+    #: (head variable, distinct-count proxy), in head order, each
+    #: variable once (the operand-join divisions run in that order).
     distinct: Tuple[Tuple[Variable, float], ...]
 
 
-def _join_selectivity(estimate: float, occurrences: Dict[Variable, List]) -> float:
+def _join_selectivity(estimate: float, occurrences: Dict) -> float:
     """Per join variable: divide by all-but-the-smallest distinct counts."""
     for distincts in occurrences.values():
         distincts.sort()
@@ -65,21 +65,51 @@ def _join_selectivity(estimate: float, occurrences: Dict[Variable, List]) -> flo
     return estimate
 
 
+def _conjunct(
+    atoms: Sequence[AtomStatistics], head: Sequence[Term]
+) -> Tuple[float, int, Dict[str, List[int]]]:
+    """One conjunct's join estimate capped by its head, its scan volume,
+    and its occurrences map: variable name → ``max(1, distinct)`` at
+    each atom mentioning it, in atom then position order (sorted only
+    when the join formula ran, that is when no atom is empty)."""
+    occurrences: Dict[str, List[int]] = {}
+    scan = 0
+    for atom in atoms:
+        scan += atom.count
+        for name, distinct in atom.distinct.items():
+            occurrences.setdefault(name, []).append(max(1, distinct))
+    if not atoms:
+        return 1.0, scan, occurrences
+    if any(atom.count == 0 for atom in atoms):
+        return 0.0, scan, occurrences
+    estimate = 1.0
+    for atom in atoms:
+        estimate *= atom.count
+    estimate = _join_selectivity(estimate, occurrences)
+    # Head projection cap: no more rows than the product of the head
+    # variables' tightest domains (constants contribute factor 1).
+    cap = 1.0
+    for term in head:
+        if isinstance(term, Variable):
+            cap *= occurrences[term.value][0] if term.value in occurrences else 1
+    # With no head variables (boolean or all-constant head) the cap
+    # stays 1.0: at most one distinct answer row under set semantics.
+    return max(min(estimate, cap), 0.0), scan, occurrences
+
+
 #: An atom's memo entry: its encoded pattern (None when one of its
 #: constants is unknown) and its statistics.
 AtomEntry = Tuple[Optional[Pattern], AtomStatistics]
 
 
 class _Memo:
-    """The per-atom, per-conjunct and per-operand memos of one table view."""
+    """The per-atom and per-operand memos of one table view."""
 
-    __slots__ = ("view", "atoms", "cqs", "operands")
+    __slots__ = ("view", "atoms", "operands")
 
     def __init__(self, view: TableView):
         self.view = view
         self.atoms: Dict[Triple, AtomEntry] = {}
-        #: canonical form → estimate.
-        self.cqs: Dict[Tuple, float] = {}
         #: ``id(ucq)`` → (the operand, its summary).  Keyed on identity
         #: because ``UCQ.__hash__`` hashes a frozenset of every term; the
         #: entry holds the operand, so its id cannot be recycled.
@@ -90,13 +120,14 @@ class CardinalityEstimator:
     """Estimates answer-set sizes against one database.
 
     The cover searches re-ask about the same fragments constantly, so
-    every level is memoized: atoms by the atom, conjuncts by canonical
-    form, operands by identity (the ``Reformulator`` memo hands a
-    repeated fragment the *same* ``UCQ``).  The three memos live in one
-    record per table view (DESIGN.md §19), and every estimate is of the
-    ``view`` it is asked at: the answerer hands in its snapshot's, and a
-    caller that passes none gets the database's current one, taken once
-    per call.  A computation captures the record once and writes only
+    atoms are memoized by the atom and operands by identity (the
+    ``Reformulator`` memo hands a repeated fragment the *same* ``UCQ``);
+    a conjunct is computed from its atom entries in one pass, since its
+    terms arrive once, inside their operand's one summary.  The two
+    memos live in one record per table view (DESIGN.md §19), and every
+    estimate is of the ``view`` it is asked at: the answerer hands in its
+    snapshot's, and a caller that passes none gets the database's current
+    one, taken once per call.  A computation captures the record once and writes only
     into it; a newer view publishes a new, empty record by one reference
     assignment, and any other view gets an unpublished record of its
     own.  So an entry stored in a record is of that record's version,
@@ -158,11 +189,12 @@ class CardinalityEstimator:
             return cached
         pattern = self.atom_pattern(atom)
         if pattern is None:
-            result = AtomStatistics(0, dict.fromkeys(atom.variables(), 0))
+            names = [t.value for t in atom if isinstance(t, Variable)]
+            result = AtomStatistics(0, dict.fromkeys(names, 0))
         else:
             view = memo.view
             count: Optional[int] = None
-            distinct = dict.fromkeys(atom.variables())
+            distinct: Dict[str, int] = {}
             for position, term in enumerate(atom):
                 if isinstance(term, IdRange):
                     count = view.match_range_count(
@@ -170,17 +202,17 @@ class CardinalityEstimator:
                     )
                 elif isinstance(term, Variable):
                     here = view.distinct(pattern, position)
-                    best = distinct[term]
+                    best = distinct.get(term.value)
                     if best is None or here < best:
-                        distinct[term] = here
+                        distinct[term.value] = here
             if count is None:
                 count = view.pattern_count(pattern)
             result = AtomStatistics(count, distinct)
         entry = memo.atoms[atom] = (pattern, result)
         return entry
 
-    def _body(self, memo: _Memo, cq: BGPQuery) -> List[AtomEntry]:
-        return [self._atom_entry(memo, atom) for atom in cq.body]
+    def _atoms(self, memo: _Memo, cq: BGPQuery) -> List[AtomStatistics]:
+        return [self._atom_entry(memo, atom)[1] for atom in cq.body]
 
     def atom_count(self, atom: Triple, view: Optional[TableView] = None) -> int:
         """Exact number of stored triples matching the atom."""
@@ -189,57 +221,18 @@ class CardinalityEstimator:
     def atom_distinct(self, atom: Triple, variable: Variable) -> int:
         """Exact distinct values the variable takes among the atom's matches."""
         distinct = self._atom_entry(self._current(None), atom)[1].distinct
-        return distinct.get(variable, 0)
+        return distinct.get(variable.value, 0)
 
     # ------------------------------------------------------------------
     # Conjunctive queries
     # ------------------------------------------------------------------
     def cq_cardinality(self, cq: BGPQuery, view: Optional[TableView] = None) -> float:
-        """Estimated answer count of one conjunct (before head projection cap).
-
-        Memoized per canonical conjunct form and table version.
-        """
-        memo = self._current(view)
-        return self._cq_estimate(memo, cq, self._body(memo, cq))
-
-    def _cq_estimate(
-        self, memo: _Memo, cq: BGPQuery, body: Sequence[AtomEntry]
-    ) -> float:
-        key = cq.canonical()
-        cached = memo.cqs.get(key)
-        if cached is None:
-            atoms = [statistics for _, statistics in body]
-            cached = memo.cqs[key] = self._estimate_cq(cq, atoms)
-        return cached
-
-    @staticmethod
-    def _estimate_cq(cq: BGPQuery, atoms: Sequence[AtomStatistics]) -> float:
-        if not atoms:
-            return 1.0
-        if any(atom.count == 0 for atom in atoms):
-            return 0.0
-        estimate = 1.0
-        for atom in atoms:
-            estimate *= atom.count
-        occurrences: Dict[Variable, List[int]] = {}
-        for atom in atoms:
-            for variable, distinct in atom.distinct.items():
-                occurrences.setdefault(variable, []).append(max(1, distinct))
-        estimate = _join_selectivity(estimate, occurrences)
-        # Head projection cap: no more rows than the product of the head
-        # variables' tightest domains (constants contribute factor 1).
-        cap = 1.0
-        for term in cq.head:
-            if isinstance(term, Variable):
-                cap *= occurrences[term][0] if term in occurrences else 1
-        # With no head variables (boolean or all-constant head) the cap
-        # stays 1.0: at most one distinct answer row under set semantics.
-        return max(min(estimate, cap), 0.0)
+        """Estimated answer count of one conjunct (capped by its head's domains)."""
+        return _conjunct(self._atoms(self._current(view), cq), cq.head)[0]
 
     def cq_scan_size(self, cq: BGPQuery, view: Optional[TableView] = None) -> int:
         """Σ over atoms of their exact match counts (the scan volume)."""
-        body = self._body(self._current(view), cq)
-        return sum(statistics.count for _, statistics in body)
+        return sum(atom.count for atom in self._atoms(self._current(view), cq))
 
     # ------------------------------------------------------------------
     # Unions and joins of unions
@@ -259,34 +252,25 @@ class CardinalityEstimator:
         return entry[1]
 
     def _summarize(self, memo: _Memo, ucq: UCQ) -> OperandSummary:
-        head_variables = list(set(ucq.head_variables()))
-        totals = [0.0] * len(head_variables)
+        heads = list(dict.fromkeys(ucq.head_variables()))
+        totals = [0.0] * len(heads)
         scan_size = 0
         sizes: List[float] = []
         for cq in ucq:
-            body = self._body(memo, cq)
-            size = self._cq_estimate(memo, cq, body)
-            atoms = [statistics for _, statistics in body]
+            size, scan, occurrences = _conjunct(self._atoms(memo, cq), cq.head)
             sizes.append(size)
-            for atom in atoms:
-                scan_size += atom.count
-            for index, variable in enumerate(head_variables):
+            scan_size += scan
+            for index, variable in enumerate(heads):
                 # The tightest atom-level distinct mentioning the variable;
                 # a term that instantiated it contributes its own size.
-                totals[index] += min(
-                    (
-                        float(max(1, atom.distinct[variable]))
-                        for atom in atoms
-                        if variable in atom.distinct
-                    ),
-                    default=size,
-                )
+                distincts = occurrences.get(variable.value)
+                totals[index] += float(min(distincts)) if distincts else size
         return OperandSummary(
             scan_size,
             sum(sizes),
             tuple(
                 (variable, max(total, 1.0))
-                for variable, total in zip(head_variables, totals)
+                for variable, total in zip(heads, totals)
             ),
         )
 

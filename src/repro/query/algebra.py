@@ -12,7 +12,7 @@ Theorem 3.1's ``q_f1^UCQ ⋈ ... ⋈ q_fm^UCQ``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import Term, Variable
 from .bgp import BGPQuery
@@ -31,7 +31,9 @@ class UCQ:
 
     Duplicate conjuncts (up to renaming of non-distinguished variables)
     are removed at construction; the paper counts ``|q_ref|`` as the
-    number of distinct union terms, and so do we.
+    number of distinct union terms, and so do we.  The reformulator
+    has merged its rows before it builds them, and hands them over
+    through :meth:`_raw`, which skips that merge (DESIGN.md §13).
     """
 
     __slots__ = ("head", "cqs", "name", "_templates")
@@ -53,16 +55,28 @@ class UCQ:
                     f"UCQ conjunct arity mismatch: expected {arity}, "
                     f"got {cq.arity} in {cq}"
                 )
-        unique: List[BGPQuery] = []
-        seen = set()
+        first: Dict[Tuple, BGPQuery] = {}
         for cq in cqs:
-            key = cq.canonical()
-            if key not in seen:
-                seen.add(key)
-                unique.append(cq)
-        self.cqs: Tuple[BGPQuery, ...] = tuple(unique)
+            first.setdefault(cq.canonical(), cq)
+        self.cqs: Tuple[BGPQuery, ...] = tuple(first.values())
         self.name = name
         self._templates: Optional[Tuple[Template, ...]] = None
+
+    @classmethod
+    def _raw(
+        cls, cqs: Sequence[BGPQuery], name: str, head: Tuple[Term, ...]
+    ) -> "UCQ":
+        """Checked-elsewhere constructor: no arity check, no merge.
+
+        Callers guarantee at least one term, all of ``head``'s arity,
+        with pairwise distinct ``canonical()`` forms (a reformulator's
+        survivors, or a subset of a UCQ's terms, qualify)."""
+        ucq = object.__new__(cls)
+        ucq.head = head
+        ucq.cqs = tuple(cqs)
+        ucq.name = name
+        ucq._templates = None
+        return ucq
 
     @property
     def arity(self) -> int:

@@ -45,7 +45,7 @@ def prune_empty_conjuncts(
             kept.append(cq)
     if not kept:
         kept = [ucq.cqs[0]]
-    return UCQ(kept, name=f"{ucq.name}_pruned", head=ucq.head)
+    return UCQ._raw(kept, f"{ucq.name}_pruned", ucq.head)
 
 
 def prune_jucq(

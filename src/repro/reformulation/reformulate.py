@@ -251,13 +251,14 @@ def _materialize(
     ``minimize`` the constraint-atom rows and, up to
     :data:`DEFAULT_MAX_TERMS` rows, the subsumed rows are dropped too,
     each elimination re-checked from its certificate.  Only survivors
-    are ever built.  A minimized union reports its work once through
-    ``count(containment checks, terms eliminated, skipped)``.
+    are ever built, and their forms are pairwise distinct, so they go
+    to ``UCQ._raw`` as they are.  A minimized union reports its work
+    once through ``count(containment checks, terms eliminated, skipped)``.
     """
     total = factors.count
     if total == 1 and (limit is None or limit >= 1):
         # One row: nothing to merge it into, nothing to contain it.
-        return UCQ(factors.terms(set()), name=factors.name, head=factors.head)
+        return UCQ._raw(factors.terms(set()), factors.name, factors.head)
     if limit is not None and total > limit and factors.more_forms_than(limit):
         # Merging cannot bring the union under the limit: refuse before
         # the pass that would find the merges.
@@ -288,7 +289,7 @@ def _materialize(
             empty.discard(min(empty))
         dropped |= empty
         count(result.checks, len(dropped) - len(result.duplicates), capped)
-    return UCQ(factors.terms(dropped), name=factors.name, head=factors.head)
+    return UCQ._raw(factors.terms(dropped), factors.name, factors.head)
 
 
 class Reformulator:

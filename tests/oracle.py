@@ -399,11 +399,11 @@ def saturation_answers_match(query: BGPQuery, schema, graph, union: UCQ) -> bool
 
 def assert_memos_match_fresh_probes(estimator: CardinalityEstimator) -> int:
     """Every entry a long-lived estimator and the table views hold —
-    atom statistics, operand summaries and their conjunct estimates, and
-    the pattern and distinct counts memoized by the estimator's view and
-    the table's current one — equals what is computed from a raw probe
-    of that entry's own view (a record left behind by a reader that
-    lagged a write is of an older view than the table's).
+    atom statistics, operand summaries, and the pattern and distinct
+    counts memoized by the estimator's view and the table's current
+    one — equals what is computed from a raw probe of that entry's own
+    view (a record left behind by a reader that lagged a write is of an
+    older view than the table's).
 
     The fresh side is an estimator reading a copy of the record's view
     with empty count memos, so it shares no entry with what it checks.
@@ -417,9 +417,6 @@ def assert_memos_match_fresh_probes(estimator: CardinalityEstimator) -> int:
         assert entry == fresh._atom_entry(fresh_memo, atom), atom
     for operand, summary in list(memo.operands.values()):
         assert summary == fresh._summarize(fresh_memo, operand), operand.name
-    for key, estimate in list(memo.cqs.items()):
-        if key in fresh_memo.cqs:  # the conjuncts of the operands just summarized
-            assert estimate == fresh_memo.cqs[key], key
     compared = len(memo.atoms) + len(memo.operands)
     for counted in {id(v): v for v in (view, database.table.view)}.values():
         for pattern, count in list(counted._counts.items()):

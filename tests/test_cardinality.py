@@ -86,12 +86,14 @@ class TestCQ:
         assert estimator.cq_scan_size(q) == 28
 
     def test_memoized(self, db):
+        # A conjunct is computed afresh from its atoms' memo entries,
+        # which a repeated question reads rather than probing again.
         est = CardinalityEstimator(db)
         q = BGPQuery([x, y], [Triple(x, u("p"), y)])
-        est.cq_cardinality(q)
-        assert len(est._memo.cqs) == 1
-        est.cq_cardinality(q)
-        assert len(est._memo.cqs) == 1
+        first = est.cq_cardinality(q)
+        entry = est._memo.atoms[q.body[0]]
+        assert est.cq_cardinality(q) == first
+        assert len(est._memo.atoms) == 1 and est._memo.atoms[q.body[0]] is entry
 
 
 class TestUCQAndJUCQ:

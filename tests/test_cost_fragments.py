@@ -300,7 +300,7 @@ def test_memo_records_equal_fresh_probes_after_seeded_writes():
         database.load_facts(student_batch(rng, step, department))
         memo = estimator._current(None)
         assert memo is estimator._memo and memo.view is database.table.view
-        assert not memo.atoms and not memo.operands and not memo.cqs
+        assert not memo.atoms and not memo.operands
         fresh = CardinalityEstimator(database)
         for operand in operands:
             assert estimator.operand_summary(operand) == fresh.operand_summary(operand)

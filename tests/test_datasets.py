@@ -16,7 +16,7 @@ from repro.datasets import (
     ub,
     university_uri,
 )
-from repro.rdf import RDF_TYPE, Triple
+from repro.rdf import RDF_TYPE
 from repro.reformulation import Reformulator
 
 

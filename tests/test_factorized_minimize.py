@@ -13,6 +13,11 @@ same output, in the same order:
     answers must also equal saturation's;
 (c) on the ``limit=`` contract;
 (d) on tampered certificates, which the hot path must refuse.
+
+In (a) and (b) the terms of ``reformulate`` and of
+``Reformulator.reformulate`` also have pairwise distinct ``canonical()``
+forms, which is what lets the union skip its constructor's merge
+(DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -64,14 +69,24 @@ def canonical(terms):
     return [term.canonical() for term in terms]
 
 
+def assert_distinct_forms(union):
+    """The reformulator hands its survivors to ``UCQ._raw``, which does
+    not merge them: no two may share a canonical form."""
+    forms = canonical(union)
+    assert len(set(forms)) == len(forms), union.name
+
+
 def assert_same_as_reference(query, schema):
     """Raw union, minimized union and counters against the reference."""
     raw = reference_reformulate(query, schema)
-    assert canonical(reformulate(query, schema)) == canonical(raw)
+    expanded = reformulate(query, schema)
+    assert_distinct_forms(expanded)
+    assert canonical(expanded) == canonical(raw)
     reference = reference_minimize_ucq(raw)
     reformulator = Reformulator(schema)
     union = reformulator.reformulate(query)
     counters = reformulator.analysis_counters
+    assert_distinct_forms(union)
     assert canonical(union) == canonical(reference.terms)
     assert counters["analysis.terms_eliminated"] == reference.eliminated
     assert bool(counters.get("analysis.minimize_skipped")) == reference.skipped

@@ -17,9 +17,9 @@ change that must not move plans), never to make a failing test pass::
     PYTHONHASHSEED=0 PYTHONPATH=src python tools/gen_gcov_golden.py
 
 ``--stdout`` prints the document instead of writing it (the test's
-mode).  The hash seed is pinned because the estimator divides per join
-variable in set-iteration order, so the last bit of a cost may depend
-on it.
+mode).  The document does not depend on the hash seed (the estimator
+divides per join variable in position and head order, DESIGN.md §19):
+it is written under seed 0 and the test regenerates it under seed 1.
 """
 
 from __future__ import annotations
