@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..query.algebra import JUCQ, UCQ
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..rdf.terms import BlankNode, Variable
 from ..rdf.vocabulary import RDF_TYPE
@@ -554,9 +554,11 @@ def verify_pipeline(
 ) -> None:
     """Assert every stage of one compiled query, end to end.
 
-    ``planned`` is the reformulated query the answerer will evaluate
-    (a JUCQ, or the original BGPQuery under the saturation strategy).
-    Every union's templates are checked (:func:`check_templates`); with
+    ``planned`` is the query the answerer will evaluate, taken as its
+    JUCQ (:func:`~repro.query.algebra.as_jucq`; under the saturation
+    strategy, the original query as a one-term operand).  The JUCQ's
+    structure is checked — against ``cover`` when a search chose one —
+    and so is every operand's templates (:func:`check_templates`); with
     a ``database``, the planned query is also compiled to SQL and
     checked by :mod:`repro.analysis.sqlcheck` — nothing is executed.
 
@@ -564,17 +566,15 @@ def verify_pipeline(
     findings, deterministically ordered.
     """
     verify_bgp(query)
-    if isinstance(planned, BGPQuery):
-        if planned is not query:
-            verify_bgp(planned)
-        return
+    planned = as_jucq(planned)
     if cover is not None:
         verify_cover(query, cover)
         verify_jucq(planned, query=query, cover=cover)
-    elif isinstance(planned, JUCQ):
+    else:
         verify_jucq(planned)
-    unions = planned.operands if isinstance(planned, JUCQ) else (planned,)
-    _raise_on_error([found for ucq in unions for found in check_templates(ucq)])
+    _raise_on_error(
+        [found for ucq in planned.operands for found in check_templates(ucq)]
+    )
     if database is not None:
         from ..engine.sql import to_sql
         from .sqlcheck import check_sql

@@ -251,9 +251,9 @@ class QueryAnswerer:
         tracer=None,
         budget: ExecutionBudget = UNLIMITED,
     ):
-        """The reformulated query a strategy would evaluate (no execution).
+        """The JUCQ a strategy would evaluate (no execution).
 
-        Returns ``(planned_query, search_result_or_None)``.  When a
+        Returns ``(planned_jucq, search_result_or_None)``.  When a
         live ``tracer`` is given, planning is wrapped in a ``plan`` span
         (with the plan cache's outcome) over the
         ``reformulate``/``cover-search`` spans, and the cover search's
@@ -280,7 +280,7 @@ class QueryAnswerer:
             self._verify(query, planned, search)
         return planned, search
 
-    def _verify(self, query: BGPQuery, planned, search, database=None) -> None:
+    def _verify(self, query: BGPQuery, planned: JUCQ, search, database=None) -> None:
         """The verify stage: assert the compiled IR (DESIGN.md §8); with
         a ``database``, down to the generated SQL."""
         from ..analysis.verifier import verify_pipeline
@@ -310,7 +310,8 @@ class QueryAnswerer:
         *failures* (reformulation-limit overruns, infeasible cover
         searches) are memoized too, frozen by :meth:`LRUCache.memo`, so
         a query that cannot be planned fails fast on every retry.  A
-        strategy that does not rewrite plans to the query itself, so
+        strategy that does not rewrite plans to the query itself (its
+        one-term JUCQ), so
         there is nothing worth caching.  Nothing is *stored* when the
         budget has expired by the time planning returns: the budget is
         not part of the key, and a plan truncated (or a failure caused)
@@ -623,7 +624,7 @@ class QueryAnswerer:
         self,
         tracer,
         query: BGPQuery,
-        planned,
+        planned: JUCQ,
         evaluated: Span,
         evaluation_s: float,
         answer_count: int,
@@ -645,7 +646,7 @@ class QueryAnswerer:
             ),
         )
         spans = [span for span in evaluated.children if span.name == "operand"]
-        if not isinstance(planned, JUCQ) or len(spans) != len(planned.operands):
+        if len(spans) != len(planned.operands):
             return
         for span in spans:
             operand = planned.operands[span.attributes["index"]]

@@ -8,9 +8,10 @@ the store-side approaches differ in which store the plan runs on.  A
 derived from them:
 
 ``rewrite``
-    How the planned query is produced — ``(answerer, query, tracer,
+    How the planned JUCQ is produced — ``(answerer, query, tracer,
     budget, derived) -> (planned, search result or None)``.  ``None``
-    means the query is evaluated as written, so there is nothing to
+    means the query is evaluated as written (as its one-term JUCQ,
+    :func:`~repro.query.algebra.as_jucq`), so there is nothing to
     plan-cache, no union-term budget to check and
     ``reformulation_terms`` is 0.
 ``derives``
@@ -44,8 +45,9 @@ what their plans read:
 ``ecov``        statistics  §4: the cover found by exhaustive search.
 ``gcov``        statistics  §4: the cover found by the greedy
                             Algorithm 1 (default).
-``saturation``  schema      §5.3: the query as written (never cached),
-                            over the saturated store.
+``saturation``  schema      §5.3: the query as written, as a one-term
+                            operand (never cached), over the saturated
+                            store.
 ``litemat``     schema      LiteMat interval encoding (DESIGN.md §16):
                             range scans over an interval-ordered derived
                             store; the layout is a function of the
@@ -64,7 +66,7 @@ from ..cache.manager import PLAN_READS
 from ..optimizer.ecov import ecov
 from ..optimizer.gcov import gcov
 from ..optimizer.search import CoverSearchResult
-from ..query.algebra import JUCQ, ucq_as_jucq
+from ..query.algebra import JUCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..reasoning.encoded import Layout
 from ..reformulation.covers import Cover, scq_cover, ucq_cover
@@ -98,7 +100,7 @@ class Derived:
         return self._derivation
 
 
-Planned = Tuple[Any, Optional[CoverSearchResult]]
+Planned = Tuple[JUCQ, Optional[CoverSearchResult]]
 #: ``(answerer, query, search trace or None, budget, derived)`` -> the rewriting.
 Chooser = Callable[["QueryAnswerer", BGPQuery, Optional[list], Any, Derived], Planned]
 Rewrite = Callable[["QueryAnswerer", BGPQuery, Any, Any, Derived], Planned]
@@ -127,9 +129,9 @@ class Strategy:
         budget,
         derived: Derived,
     ) -> Planned:
-        """``(planned query, search result or None)`` for ``query``."""
+        """``(planned JUCQ, search result or None)`` for ``query``."""
         if self.rewrite is None:
-            return query, None
+            return as_jucq(query), None
         return self.rewrite(answerer, query, tracer, budget, derived)
 
 
@@ -140,7 +142,7 @@ def _fixed(cover_of: Callable[[BGPQuery], Cover]) -> Chooser:
         cover = cover_of(query)
         reformulator = answerer.reformulator.at(derived.snapshot.schema)
         if len(cover) == 1:  # the query is its own cover query
-            return ucq_as_jucq(reformulator.reformulate(query)), None
+            return as_jucq(reformulator.reformulate(query)), None
         return jucq_for_cover(query, cover, reformulator), None
 
     return choose
@@ -171,7 +173,7 @@ def _gcov(answerer, query, trace, budget, derived) -> Planned:
 
 def _intervals(answerer, query, trace, budget, derived) -> Planned:
     encoding = derived.derivation().store.encoding
-    return ucq_as_jucq(interval_reformulate(query, encoding.schema, encoding)), None
+    return as_jucq(interval_reformulate(query, encoding.schema, encoding)), None
 
 
 def _prune(answerer, planned: JUCQ, tracer, derived: Derived) -> JUCQ:

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from ..engine.budget import ExecutionBudget
-from ..query.algebra import JUCQ, UCQ
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..rdf.terms import URI, Variable
 from ..storage.database import RDFDatabase
@@ -95,19 +95,16 @@ def _probe_queries(database: RDFDatabase, max_properties: int = 8):
 
 
 def _features(query, estimator: CardinalityEstimator) -> np.ndarray:
-    """The model's feature vector (c_db, c_t+c_j, c_j+c_m, c_l) for a probe."""
-    if isinstance(query, BGPQuery):
-        query = UCQ([query])
-    if isinstance(query, UCQ):
-        scan = estimator.ucq_scan_size(query)
-        result = estimator.ucq_cardinality(query)
-        return np.array([1.0, scan, 0.0, result])
-    if isinstance(query, JUCQ):
-        scan = sum(estimator.ucq_scan_size(u) for u in query)
-        sizes = [estimator.ucq_cardinality(u) for u in query]
-        dedup = sum(sizes) + estimator.jucq_cardinality(query)
-        return np.array([1.0, scan, float(sum(sizes)), dedup])
-    raise TypeError(f"cannot featurize {type(query).__name__}")
+    """The model's feature vector (c_db, c_t+c_j, c_j+c_m, c_l) for a
+    probe, as its JUCQ: the join columns only with two or more operands,
+    as in :meth:`~repro.cost.model.CostModel.jucq_cost`."""
+    jucq = as_jucq(query)
+    scan = sum(estimator.ucq_scan_size(u) for u in jucq)
+    sizes = [estimator.ucq_cardinality(u) for u in jucq]
+    if len(sizes) == 1:
+        return np.array([1.0, scan, 0.0, sizes[0]])
+    dedup = sum(sizes) + estimator.jucq_cardinality(jucq)
+    return np.array([1.0, scan, float(sum(sizes)), dedup])
 
 
 #: Each probe's allowance: a probe slower than this is skipped.

@@ -1,4 +1,4 @@
-"""Result-size estimation for CQs, UCQs and JUCQs.
+"""Result-size estimation for JUCQs and their parts.
 
 The paper's cost model (Section 4.1) "relies on estimated cardinalities
 of various subqueries of the JUCQ".  This module provides them:
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..query.algebra import JUCQ, UCQ
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..rdf.terms import IdRange, Term, Triple, Variable
 from ..storage.database import RDFDatabase
@@ -230,10 +230,6 @@ class CardinalityEstimator:
         """Estimated answer count of one conjunct (capped by its head's domains)."""
         return _conjunct(self._atoms(self._current(view), cq), cq.head)[0]
 
-    def cq_scan_size(self, cq: BGPQuery, view: Optional[TableView] = None) -> int:
-        """Σ over atoms of their exact match counts (the scan volume)."""
-        return sum(atom.count for atom in self._atoms(self._current(view), cq))
-
     # ------------------------------------------------------------------
     # Unions and joins of unions
     # ------------------------------------------------------------------
@@ -300,11 +296,6 @@ class CardinalityEstimator:
         return self.join_cardinality([self.operand_summary(u, view) for u in jucq])
 
     def estimate(self, query, view: Optional[TableView] = None) -> float:
-        """Estimate any supported query form (dispatch by type)."""
-        if isinstance(query, BGPQuery):
-            return self.cq_cardinality(query, view)
-        if isinstance(query, UCQ):
-            return self.ucq_cardinality(query, view)
-        if isinstance(query, JUCQ):
-            return self.jucq_cardinality(query, view)
-        raise TypeError(f"cannot estimate {type(query).__name__}")
+        """Estimate any query form, as its JUCQ: for one operand the
+        operand's own estimate, for one term the conjunct's."""
+        return self.jucq_cardinality(as_jucq(query), view)

@@ -18,8 +18,12 @@ For a JUCQ ``q(x̄) :- u1 ⋈ ... ⋈ um`` evaluated through an RDBMS::
 count of a single atom — is exact from the indexes; result sizes
 ``|u_i|`` come from :class:`repro.cost.cardinality.CardinalityEstimator`.
 
-A single-operand JUCQ (the classic UCQ reformulation) degenerates to
-(i)+(ii)+(vi): there is nothing to join or materialize.
+Every query is priced as its JUCQ (:func:`repro.query.algebra.as_jucq`).
+A single-operand JUCQ (the classic UCQ reformulation, or a bare CQ as a
+one-term union) is charged (i)+(ii) only, (ii) including its (iii)
+dedup: nothing is joined or materialized and no final dedup is charged.
+That is what the engine runs for it — the operand's union and its one
+dedup (:meth:`~repro.query.algebra.JUCQ.lone_union`).
 
 The constants are per-engine, produced by
 :mod:`repro.cost.calibration`; sensible defaults let the model run
@@ -33,8 +37,7 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Dict, Optional, Tuple
 
-from ..query.algebra import JUCQ, UCQ
-from ..query.bgp import BGPQuery
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..storage.database import RDFDatabase
 from ..storage.triple_table import TableView
 from .cardinality import CardinalityEstimator
@@ -181,19 +184,6 @@ class CostModel:
         return breakdown
 
     def cost(self, query, view: Optional[TableView] = None) -> float:
-        """Scalar estimated cost of a CQ, UCQ or JUCQ, at ``view`` (None:
-        the database's current one)."""
-        if isinstance(query, JUCQ):
-            return self.jucq_cost(query, view).total
-        if isinstance(query, UCQ):
-            if self.max_operand_terms is not None and len(query) > self.max_operand_terms:
-                return float("inf")
-            return self.constants.c_db + self.ucq_eval_cost(query, view)
-        if isinstance(query, BGPQuery):
-            # A bare CQ is its own one-term operand.
-            scan_join, dedup = self._operand_cost(
-                self.estimator.cq_scan_size(query, view),
-                self.estimator.cq_cardinality(query, view),
-            )
-            return self.constants.c_db + (scan_join + dedup)
-        raise TypeError(f"cannot cost {type(query).__name__}")
+        """Scalar estimated cost of any query form, as its JUCQ, at
+        ``view`` (None: the database's current one)."""
+        return self.jucq_cost(as_jucq(query), view).total

@@ -19,8 +19,9 @@ Reformulation emits union terms by the hundred that differ only in a
 class or property constant, so a union is evaluated one *template* —
 one family of same-shaped terms (:mod:`repro.query.templates`) — at a
 time: each distinct scan once, the scans of an atom stacked, one join
-order and one join pipeline for the whole family (DESIGN.md §18).  A
-CQ is the family of one.
+order and one join pipeline for the whole family (DESIGN.md §18).
+Every query runs as a JUCQ (:func:`~repro.query.algebra.as_jucq`): a CQ
+is the one-term union, the family of one.
 
 The limits are honest emulations of real failure modes the paper hit
 (footnote 1: stack-depth errors, I/O exceptions while materializing
@@ -40,8 +41,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..query.algebra import JUCQ, UCQ
-from ..query.bgp import BGPQuery
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.templates import ConstantPattern, Template, VariableLayout
 from ..rdf.terms import Term, Variable
 from ..storage.database import RDFDatabase, Snapshot
@@ -382,35 +382,26 @@ class NativeEngine:
         if snapshot is None:
             snapshot = self.database.snapshot()
         scans = _Scans(snapshot.table, self.database.dictionary, metrics)
-        if isinstance(query, (BGPQuery, UCQ)):
-            # A CQ is the union of one term: the one-member template.
-            result = self._eval_union(
-                query.templates(), budget,
-                _positional_names(query.head), scans, tracer, metrics,
-            )
-        elif isinstance(query, JUCQ):
-            result = self._eval_jucq(query, budget, scans, tracer, metrics)
-        else:
-            raise TypeError(f"cannot evaluate {type(query).__name__}")
+        result = self._eval_jucq(as_jucq(query), budget, scans, tracer, metrics)
         _check_result_cap(budget, len(result))
         return result
 
     def explain(self, query) -> str:
         """The pipelines :meth:`evaluate` would run, without running them.
 
-        One walk over the templates (DESIGN.md §18), a CQ being the
-        one-member template: per template its term count, its distinct
-        scans with exact index counts, the join order
-        :func:`_greedy_order` picks over them, the tagged atoms that
-        pair with ``members`` and whether the head-constant join runs.
-        A JUCQ adds the operand join: the profile's algorithm, the
-        shared-variable keys and the smallest-materialized-first rule.
+        One walk over the templates (DESIGN.md §18): per template its
+        term count, its distinct scans with exact index counts, the join
+        order :func:`_greedy_order` picks over them, the tagged atoms
+        that pair with ``members`` and whether the head-constant join
+        runs.  A JUCQ that is not its lone union adds the operand join:
+        the profile's algorithm, the shared-variable keys and the
+        smallest-materialized-first rule.
         """
+        query = as_jucq(query)
         view = self.database.snapshot().table
-        if isinstance(query, (BGPQuery, UCQ)):
-            return "\n".join(self._explain_union(query, "", view))
-        if not isinstance(query, JUCQ):
-            raise TypeError(f"cannot explain {type(query).__name__}")
+        lone = query.lone_union()
+        if lone is not None:
+            return "\n".join(self._explain_union(lone, "", view))
         operands = query.operands
         lines = [
             f"JUCQ: {len(operands)} operands, {query.total_union_terms()} union terms"
@@ -431,8 +422,8 @@ class NativeEngine:
         lines.append(f"  then project to ({_terms(query.head)}) + distinct")
         return "\n".join(lines)
 
-    def _explain_union(self, union, indent: str, view: TableView) -> List[str]:
-        """A CQ's or UCQ's templates, each with its pipeline."""
+    def _explain_union(self, union: UCQ, indent: str, view: TableView) -> List[str]:
+        """A UCQ's templates, each with its pipeline."""
         templates = union.templates()
         counts = {
             pattern: self._pattern_count(pattern, view)
@@ -440,10 +431,9 @@ class NativeEngine:
             for patterns in template.patterns
             for pattern in patterns
         }
-        kind = "CQ" if isinstance(union, BGPQuery) else "UCQ"
         terms = sum(template.size for template in templates)
         lines = [
-            f"{indent}{kind}: {terms} union terms in {len(templates)} templates, "
+            f"{indent}UCQ: {terms} union terms in {len(templates)} templates, "
             f"{len(counts)} distinct scans (~{sum(counts.values())} tuples), "
             "union + distinct"
         ]
@@ -726,10 +716,13 @@ class NativeEngine:
         tracer=NULL_TRACER,
         metrics: Optional[MetricsRecorder] = None,
     ) -> Relation:
-        row_cap = budget.row_limit(self.profile.max_intermediate_rows)
+        """The operands, each one union + dedup, then their join, the
+        head's projection and the final dedup; a lone union is the
+        answer itself, under the head's positional names."""
+        lone = jucq.lone_union()
         operands: List[Relation] = []
         for index, ucq in enumerate(jucq):
-            names = _variable_names(ucq.head)
+            names = (_variable_names if lone is None else _positional_names)(ucq.head)
             with tracer.span("operand", index=index, terms=len(ucq)) as span:
                 operand = self._eval_union(
                     ucq.templates(), budget, names, scans, tracer, metrics
@@ -738,6 +731,9 @@ class NativeEngine:
             operands.append(operand)
         if metrics is not None:
             metrics.inc("jucq.operands", len(operands))
+        if lone is not None:
+            return operands[0]
+        row_cap = budget.row_limit(self.profile.max_intermediate_rows)
         # Greedy join order over materialized operand sizes.
         remaining = list(range(len(operands)))
         remaining.sort(key=lambda i: len(operands[i]))

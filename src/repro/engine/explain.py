@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..cost.cardinality import CardinalityEstimator
-from ..query.algebra import JUCQ, UCQ
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..storage.database import RDFDatabase
 from .evaluator import EngineProfile, NATIVE_HASH
@@ -137,11 +137,5 @@ class EngineCostEstimator:
         return cost
 
     def cost(self, query) -> float:
-        """Estimate any supported query form (dispatch by type)."""
-        if isinstance(query, JUCQ):
-            return self.jucq_cost(query)
-        if isinstance(query, UCQ):
-            return self.constants.startup + self.ucq_cost(query)
-        if isinstance(query, BGPQuery):
-            return self.constants.startup + self.cq_cost(query)
-        raise TypeError(f"cannot cost {type(query).__name__}")
+        """Estimate any query form, as its JUCQ."""
+        return self.jucq_cost(as_jucq(query))

@@ -25,11 +25,11 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..query.algebra import JUCQ, UCQ
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..rdf.terms import Term, Triple, Variable
 from ..storage.database import RDFDatabase
@@ -216,15 +216,8 @@ class PlanCompiler:
         return JoinNode(left, right, algorithm=self.profile.join_algorithm)
 
     # -- conjunct ------------------------------------------------------
-    def compile_cq(
-        self, cq: BGPQuery, output_names: Optional[Sequence[str]] = None
-    ) -> PlanNode:
+    def compile_cq(self, cq: BGPQuery, names: Tuple[str, ...]) -> PlanNode:
         """Greedy smallest-connected-next left-deep join tree + project."""
-        names = tuple(
-            output_names
-            if output_names is not None
-            else [f"c{i}" for i in range(cq.arity)]
-        )
         if not cq.body:
             return ConstantRowNode(cq.head, names)
         counts = [self._atom_count(atom) for atom in cq.body]
@@ -245,15 +238,8 @@ class PlanCompiler:
         return ProjectNode(plan, cq.head, names)
 
     # -- union ---------------------------------------------------------
-    def compile_ucq(
-        self, ucq: UCQ, output_names: Optional[Sequence[str]] = None
-    ) -> PlanNode:
+    def compile_ucq(self, ucq: UCQ, names: Tuple[str, ...]) -> PlanNode:
         """Per-conjunct plans under a Union, topped with Distinct."""
-        names = tuple(
-            output_names
-            if output_names is not None
-            else [f"c{i}" for i in range(ucq.arity)]
-        )
         inputs = tuple(self.compile_cq(cq, names) for cq in ucq)
         if len(inputs) == 1:
             return DistinctNode(inputs[0])
@@ -261,16 +247,21 @@ class PlanCompiler:
 
     # -- join of unions --------------------------------------------------
     def compile_jucq(self, jucq: JUCQ) -> PlanNode:
-        """Operand plans joined on shared head variables, then project+distinct."""
+        """Operand plans joined on shared head variables, then
+        project+distinct; a lone union is its own plan."""
+        names = tuple(f"c{i}" for i in range(jucq.arity))
+        lone = jucq.lone_union()
+        if lone is not None:
+            return self.compile_ucq(lone, names)
         operands: List[PlanNode] = []
         operand_vars: List[Set[str]] = []
         for ucq in jucq:
-            names = tuple(
+            operand_names = tuple(
                 term.value if isinstance(term, Variable) else f"c{i}"
                 for i, term in enumerate(ucq.head)
             )
-            operands.append(self.compile_ucq(ucq, names))
-            operand_vars.append({n for n in names})
+            operands.append(self.compile_ucq(ucq, operand_names))
+            operand_vars.append(set(operand_names))
         order = sorted(range(len(operands)), key=lambda i: -len(jucq.operands[i]))
         # Smallest-union-last heuristics mirror the evaluator's greedy
         # materialized-size order only approximately; correctness does
@@ -284,18 +275,11 @@ class PlanCompiler:
             rest = [i for i in rest if i != index]
             plan = self._join(plan, operands[index], bool(operand_vars[index] & seen))
             seen |= operand_vars[index]
-        names = tuple(f"c{i}" for i in range(jucq.arity))
         return DistinctNode(ProjectNode(plan, jucq.head, names))
 
     def compile(self, query) -> PlanNode:
-        """Compile any supported query form."""
-        if isinstance(query, BGPQuery):
-            return DistinctNode(self.compile_cq(query))
-        if isinstance(query, UCQ):
-            return self.compile_ucq(query)
-        if isinstance(query, JUCQ):
-            return self.compile_jucq(query)
-        raise TypeError(f"cannot compile {type(query).__name__}")
+        """Compile any query form, as its JUCQ."""
+        return self.compile_jucq(as_jucq(query))
 
 
 def compile_query(

@@ -1,14 +1,19 @@
-"""SQL generation for CQ/UCQ/JUCQ queries over ``Triples(s, p, o)``.
+"""SQL generation for JUCQs over ``Triples(s, p, o)``.
 
 Reformulated queries are "handled for evaluation to a query evaluation
 engine, which can be an RDBMS" (paper Section 1); this module produces
-the SQL text the RDBMS-backed engine executes:
+the SQL text the RDBMS-backed engine executes.  :func:`to_sql` takes any
+query form through :func:`~repro.query.algebra.as_jucq`, then:
 
-* a CQ becomes a ``SELECT DISTINCT`` over one ``triples`` alias per
-  atom, with constant selections and join equalities in ``WHERE``;
-* a UCQ becomes the ``UNION`` (set semantics) of its conjuncts;
+* a conjunct becomes a ``SELECT DISTINCT`` over one ``triples`` alias
+  per atom, with constant selections and join equalities in ``WHERE``;
+* a UCQ operand becomes the ``UNION`` (set semantics) of its conjuncts;
 * a JUCQ becomes a ``SELECT DISTINCT`` over its UCQ operands as derived
-  tables, joined on shared head variables.
+  tables, joined on shared head variables — unless it is its lone union
+  (:meth:`~repro.query.algebra.JUCQ.lone_union`), which is emitted
+  directly under the head's positional aliases.  A one-operand JUCQ
+  whose head repeats a variable or holds a constant is not one, and
+  takes the derived-table form like any other.
 
 Constants are emitted as integer dictionary codes.  A constant missing
 from the dictionary makes the conjunct unsatisfiable; it is compiled to
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..query.algebra import JUCQ, UCQ
+from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..rdf.terms import IdRange, Term, Variable
 from ..storage.dictionary import Dictionary
@@ -105,6 +110,9 @@ def ucq_to_sql(
 
 def jucq_to_sql(jucq: JUCQ, dictionary: Dictionary) -> str:
     """SQL for a JUCQ: derived-table join of its UCQ operands."""
+    lone = jucq.lone_union()
+    if lone is not None:
+        return ucq_to_sql(lone, dictionary, [f"c{i}" for i in range(jucq.arity)])
     operand_sqls: List[str] = []
     operand_names: List[List[str]] = []
     for ucq in jucq:
@@ -114,11 +122,6 @@ def jucq_to_sql(jucq: JUCQ, dictionary: Dictionary) -> str:
         ]
         operand_names.append(names)
         operand_sqls.append(ucq_to_sql(ucq, dictionary, names))
-    if len(jucq) == 1:
-        # A single operand is the whole query: emit the union directly
-        # with the JUCQ head's positional aliases.
-        names = [f"c{i}" for i in range(jucq.arity)]
-        return ucq_to_sql(jucq.operands[0], dictionary, names)
     var_source: Dict[str, str] = {}
     conditions: List[str] = []
     for index, names in enumerate(operand_names):
@@ -151,15 +154,5 @@ def jucq_to_sql(jucq: JUCQ, dictionary: Dictionary) -> str:
 
 
 def to_sql(query, dictionary: Dictionary) -> str:
-    """Compile any supported query form to SQL."""
-    if isinstance(query, BGPQuery):
-        return cq_to_sql(
-            query, dictionary, [f"c{i}" for i in range(query.arity)]
-        )
-    if isinstance(query, UCQ):
-        return ucq_to_sql(
-            query, dictionary, [f"c{i}" for i in range(query.arity)]
-        )
-    if isinstance(query, JUCQ):
-        return jucq_to_sql(query, dictionary)
-    raise TypeError(f"cannot compile {type(query).__name__} to SQL")
+    """Compile any query form to SQL (as its JUCQ)."""
+    return jucq_to_sql(as_jucq(query), dictionary)

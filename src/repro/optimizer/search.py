@@ -3,22 +3,24 @@
 Both ECov and GCov score candidate covers by (a) building the
 cover-based JUCQ reformulation — reformulating each fragment's cover
 query, memoized across candidates — and (b) applying a cost function to
-the JUCQ.  :class:`CoverScorer` packages that, counts how many covers
-were explored (the paper's Figures 7-8 metric), and memoizes per-cover
-costs.
+the JUCQ.  :class:`CoverScorer` packages that and counts how many
+covers were explored (the paper's Figures 7-8 metric).  It keeps no
+per-cover memo: GCov's ``analysed`` set and ECov's enumeration already
+cost each cover once, and the winner's JUCQ is rebuilt at the end from
+the cover-query and reformulator memos.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable
 
 from ..query.algebra import JUCQ
 from ..query.bgp import BGPQuery
 from ..reformulation.covers import Cover
 from ..reformulation.jucq import CoverQueryMemo, jucq_for_cover
-from ..reformulation.reformulate import Reformulator
+from ..reformulation.reformulate import ReformulationLimitExceeded, Reformulator
 
 #: A cost function maps a JUCQ to an estimated scalar cost.
 CostFunction = Callable[[JUCQ], float]
@@ -46,7 +48,7 @@ class CoverSearchResult:
 
 
 class CoverScorer:
-    """Builds and costs cover-based JUCQs, with memoization and accounting."""
+    """Builds and costs cover-based JUCQs, counting the covers costed."""
 
     def __init__(
         self,
@@ -57,47 +59,35 @@ class CoverScorer:
         self.query = query
         self.reformulator = reformulator
         self.cost_function = cost_function
-        self._jucq_cache: Dict[Cover, JUCQ] = {}
         #: A move changes one fragment; the others keep their cover query.
         self._cover_queries: CoverQueryMemo = {}
-        self._cost_cache: Dict[Cover, float] = {}
-        #: Distinct covers whose cost was computed.
+        #: Covers whose cost was computed (each search asks once per cover).
         self.covers_explored = 0
 
     def jucq(self, cover: Cover) -> JUCQ:
         """The JUCQ reformulation for a cover (validation skipped: the
         search algorithms only generate valid covers)."""
-        cached = self._jucq_cache.get(cover)
-        if cached is None:
-            cached = jucq_for_cover(
-                self.query,
-                cover,
-                self.reformulator,
-                validate=False,
-                cover_queries=self._cover_queries,
-            )
-            self._jucq_cache[cover] = cached
-        return cached
+        return jucq_for_cover(
+            self.query,
+            cover,
+            self.reformulator,
+            validate=False,
+            cover_queries=self._cover_queries,
+        )
 
     def cost(self, cover: Cover) -> float:
-        """Estimated cost of the cover's JUCQ (memoized).
+        """Estimated cost of the cover's JUCQ.
 
         When the reformulator carries a term limit and a fragment blows
         past it, the cover is simply infeasible (its operand would
         exceed any engine's statement size): cost +inf, nothing
         materialized.
         """
-        from ..reformulation.reformulate import ReformulationLimitExceeded
-
-        cached = self._cost_cache.get(cover)
-        if cached is None:
-            try:
-                cached = self.cost_function(self.jucq(cover))
-            except ReformulationLimitExceeded:
-                cached = float("inf")
-            self._cost_cache[cover] = cached
-            self.covers_explored += 1
-        return cached
+        self.covers_explored += 1
+        try:
+            return self.cost_function(self.jucq(cover))
+        except ReformulationLimitExceeded:
+            return float("inf")
 
 
 class Stopwatch:

@@ -1,6 +1,6 @@
 """Query model: BGP conjunctive queries, UCQ/JUCQ algebra, parser."""
 
-from .algebra import JUCQ, UCQ, cq_as_ucq, ucq_as_jucq
+from .algebra import JUCQ, UCQ, as_jucq
 from .bgp import BGPQuery, Substitution, apply_substitution, substitute_triple
 from .naive import evaluate, evaluate_cq, evaluate_jucq, evaluate_ucq
 from .parser import SPARQLSyntaxError, parse_query, to_sparql
@@ -12,7 +12,7 @@ __all__ = [
     "Substitution",
     "UCQ",
     "apply_substitution",
-    "cq_as_ucq",
+    "as_jucq",
     "evaluate",
     "evaluate_cq",
     "evaluate_jucq",
@@ -20,5 +20,4 @@ __all__ = [
     "parse_query",
     "substitute_triple",
     "to_sparql",
-    "ucq_as_jucq",
 ]

@@ -8,6 +8,12 @@ A :class:`UCQ` requires all its conjuncts to share the same head.  A
 :class:`JUCQ` joins UCQ operands *naturally* — on the head variables
 they share — and projects onto its own head, exactly the semantics of
 Theorem 3.1's ``q_f1^UCQ ⋈ ... ⋈ q_fm^UCQ``.
+
+:func:`as_jucq` is the one place that tells the three forms apart:
+every engine, compiler and cost model takes a query through it once
+and reads only the JUCQ.  A JUCQ whose one operand answers its own
+head (:meth:`JUCQ.lone_union`) is run, compiled and priced as that
+union, with its one dedup.
 """
 
 from __future__ import annotations
@@ -166,6 +172,15 @@ class JUCQ:
                 counts[var] = counts.get(var, 0) + 1
         return {v: n for v, n in counts.items() if n > 1}
 
+    def lone_union(self) -> Optional[UCQ]:
+        """The operand this JUCQ *is*, when it is one union over its own
+        head: nothing to join, project or dedup past that union's own
+        dedup.  None otherwise (a repeated head variable or a head
+        constant still needs the projection)."""
+        if len(self.operands) == 1 and self.operands[0].head == self.head:
+            return self.operands[0]
+        return None
+
     def total_union_terms(self) -> int:
         """Sum of ``len(ucq)`` over the operands (reformulation size)."""
         return sum(len(u) for u in self.operands)
@@ -197,11 +212,18 @@ class JUCQ:
         return f"{self.name}({head}) := {parts}"
 
 
-def cq_as_ucq(cq: BGPQuery) -> UCQ:
-    """Wrap a single CQ as a one-term UCQ."""
-    return UCQ([cq], name=cq.name)
-
-
-def ucq_as_jucq(ucq: UCQ) -> JUCQ:
-    """Wrap a UCQ as a single-operand JUCQ (the classic reformulation shape)."""
-    return JUCQ(ucq.head, [ucq], name=ucq.name)
+def as_jucq(query) -> JUCQ:
+    """``query`` as a JUCQ: a JUCQ as is, a UCQ as its one operand, a
+    CQ as a one-term operand (cached on the immutable query, like its
+    ``canonical()``).  ``TypeError`` for anything else."""
+    if isinstance(query, JUCQ):
+        return query
+    if isinstance(query, UCQ):
+        return JUCQ(query.head, [query], name=query.name)
+    if isinstance(query, BGPQuery):
+        cached = query._jucq
+        if cached is None:
+            union = UCQ._raw([query], query.name, query.head)
+            cached = query._jucq = JUCQ(query.head, [union], name=query.name)
+        return cached
+    raise TypeError(f"not a query: {type(query).__name__}")

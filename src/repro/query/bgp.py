@@ -13,10 +13,9 @@ so the constructor renames them to fresh variables up front.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..rdf.terms import BlankNode, Term, Triple, Variable
-from .templates import Template, partition_terms
 
 #: A substitution maps variables to arbitrary terms.
 Substitution = Dict[Variable, Term]
@@ -87,7 +86,7 @@ class BGPQuery:
     """
 
     __slots__ = ("_name", "head", "body", "_body_set", "_canonical", "_fingerprint",
-                 "_templates")
+                 "_jucq")
 
     def __init__(
         self,
@@ -114,7 +113,8 @@ class BGPQuery:
         self._canonical = None
         #: Lazily filled by :func:`repro.cache.fingerprint.query_fingerprint`.
         self._fingerprint = None
-        self._templates: Optional[Tuple[Template, ...]] = None
+        #: Lazily filled by :func:`repro.query.algebra.as_jucq`.
+        self._jucq = None
         self._check_safety()
 
     @classmethod
@@ -134,7 +134,7 @@ class BGPQuery:
         query._body_set = frozenset(body)
         query._canonical = None
         query._fingerprint = None
-        query._templates = None
+        query._jucq = None
         return query
 
     @property
@@ -245,13 +245,6 @@ class BGPQuery:
             cached = self._canonical = renaming_invariant_key(
                 self.head, self.body, fixed
             )
-        return cached
-
-    def templates(self) -> Tuple[Template, ...]:
-        """This CQ as the one-member template group (cached; DESIGN.md §18)."""
-        cached = self._templates
-        if cached is None:
-            cached = self._templates = partition_terms((self,))
         return cached
 
     # ------------------------------------------------------------------

@@ -22,8 +22,9 @@ minimizer removed) and look up (head constants, one-to-many: domain and
 range rules emit identical bodies with different head constants).
 
 The partition depends on nothing but the terms, so the immutable query
-objects compute it once and keep it (``UCQ.templates()``,
-``BGPQuery.templates()``): a plan-cached query never recomputes it.
+objects compute it once and keep it (``UCQ.templates()``; a CQ is the
+one-term union of :func:`~repro.query.algebra.as_jucq`): a plan-cached
+query never recomputes it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from .covers import (
     validate_cover,
 )
 from .minimize import is_minimal, minimize_query, redundant_atoms
-from .prune import prune, prune_empty_conjuncts, prune_jucq
+from .prune import prune_empty_conjuncts, prune_jucq
 from .jucq import (
     jucq_for_cover,
     scq_reformulation,
@@ -43,7 +43,6 @@ __all__ = [
     "is_minimal",
     "jucq_for_cover",
     "minimize_query",
-    "prune",
     "prune_empty_conjuncts",
     "prune_jucq",
     "reformulate",

@@ -20,7 +20,6 @@ from typing import List, Optional
 from ..cost.cardinality import CardinalityEstimator
 from ..query.algebra import JUCQ, UCQ
 from ..query.bgp import BGPQuery
-from ..storage.database import RDFDatabase
 from ..storage.triple_table import TableView
 
 
@@ -56,13 +55,3 @@ def prune_jucq(
         view = estimator.database.snapshot().table
     operands = [prune_empty_conjuncts(ucq, estimator, view) for ucq in jucq]
     return JUCQ(jucq.head, operands, name=f"{jucq.name}_pruned")
-
-
-def prune(query, database: RDFDatabase, estimator: Optional[CardinalityEstimator] = None):
-    """Prune a UCQ or JUCQ against a database (convenience dispatch)."""
-    estimator = estimator or CardinalityEstimator(database)
-    if isinstance(query, UCQ):
-        return prune_empty_conjuncts(query, estimator)
-    if isinstance(query, JUCQ):
-        return prune_jucq(query, estimator)
-    raise TypeError(f"cannot prune {type(query).__name__}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.query import BGPQuery, JUCQ, UCQ, cq_as_ucq, ucq_as_jucq
+from repro.query import BGPQuery, JUCQ, UCQ, as_jucq
 from repro.rdf import Triple, URI, Variable
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -85,7 +85,12 @@ class TestJUCQ:
 
     def test_wrappers(self):
         q = cq([x], Triple(x, u("p"), y))
-        assert len(cq_as_ucq(q)) == 1
-        j = ucq_as_jucq(cq_as_ucq(q))
-        assert len(j) == 1
+        j = as_jucq(q)
+        assert len(j) == 1 and list(j.operands[0]) == [q]
         assert j.head == (x,)
+        assert as_jucq(q) is j  # cached on the immutable query
+        assert as_jucq(j) is j
+        union = UCQ([q])
+        assert as_jucq(union).operands == (union,)
+        with pytest.raises(TypeError):
+            as_jucq("q(x) :- x p y")

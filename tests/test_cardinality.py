@@ -83,7 +83,7 @@ class TestCQ:
 
     def test_scan_size(self, estimator):
         q = BGPQuery([x], [Triple(x, u("p"), y), Triple(x, RDF_TYPE, u("C"))])
-        assert estimator.cq_scan_size(q) == 28
+        assert estimator.ucq_scan_size(UCQ([q])) == 28
 
     def test_memoized(self, db):
         # A conjunct is computed afresh from its atoms' memo entries,

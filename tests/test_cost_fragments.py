@@ -237,7 +237,7 @@ def test_id_range_atoms_are_counted_by_range_scan_on_the_shared_atom_path(
     assert estimator.atom_count(atom) == rows.shape[0] > 0
     assert calls == [(pattern, 2, atom.o.lo, atom.o.hi)]
     # Every other question about the atom reads the same statistics.
-    assert estimator.cq_scan_size(BGPQuery([x], [atom])) == rows.shape[0]
+    assert estimator.ucq_scan_size(UCQ([BGPQuery([x], [atom])])) == rows.shape[0]
     assert estimator.ucq_scan_size(plan) == sum(
         estimator.atom_count(a) for cq in plan for a in cq.body
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.query import BGPQuery, evaluate
-from repro.query.algebra import ucq_as_jucq
+from repro.query.algebra import as_jucq
 from repro.rdf import RDFGraph, RDF_TYPE, Triple, URI, Variable
 from repro.reasoning import saturate
 from repro.reformulation import (
@@ -74,7 +74,7 @@ class TestTheorem31:
 
 class TestShapes:
     def test_ucq_as_jucq_single_operand(self, query, reformulator):
-        jucq = ucq_as_jucq(ucq_reformulation(query, reformulator))
+        jucq = as_jucq(ucq_reformulation(query, reformulator))
         assert len(jucq) == 1
 
     def test_scq_operands_are_per_atom(self, query, reformulator):
@@ -87,7 +87,7 @@ class TestShapes:
         # A *raw*-shape invariant: minimization can shrink the one-block
         # UCQ across atoms while per-atom SCQ fragments stay put.
         raw = Reformulator(book_schema, minimize=False)
-        ucq_j = ucq_as_jucq(ucq_reformulation(query, raw))
+        ucq_j = as_jucq(ucq_reformulation(query, raw))
         scq_j = scq_reformulation(query, raw)
         # SCQ never exceeds UCQ in union-term count (no cross products).
         assert scq_j.total_union_terms() <= ucq_j.total_union_terms() * len(query.body)

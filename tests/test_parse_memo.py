@@ -17,7 +17,7 @@ from repro.answering import QueryAnswerer
 from repro.cache import QueryCache
 from repro.datasets import lubm_workload
 from repro.query import SPARQLSyntaxError, parse_query, to_sparql
-from repro.query import bgp, parser
+from repro.query import algebra, parser
 from repro.telemetry import MetricsRegistry
 
 _fresh = count()
@@ -104,7 +104,7 @@ def test_ten_saturation_answers_of_one_text_partition_it_once(lubm_db):
     answerer = QueryAnswerer(lubm_db, cache=QueryCache())
     try:
         with mock.patch.object(
-            bgp, "partition_terms", side_effect=bgp.partition_terms
+            algebra, "partition_terms", side_effect=algebra.partition_terms
         ) as partition:
             counts = {
                 answerer.answer(

@@ -67,7 +67,7 @@ class TestStructure:
         assert len(plan.child.inputs) == 2
 
     def test_empty_body_constant_row(self, db):
-        plan = PlanCompiler(db).compile_cq(BGPQuery([u("k")], []), ["c0"])
+        plan = PlanCompiler(db).compile_cq(BGPQuery([u("k")], []), ("c0",))
         assert isinstance(plan, ConstantRowNode)
 
     def test_render_and_count(self, db):

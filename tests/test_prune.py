@@ -10,8 +10,8 @@ from repro.rdf import RDF_TYPE, Triple, URI, Variable
 from repro.reasoning import saturate
 from repro.reformulation import (
     Reformulator,
-    prune,
     prune_empty_conjuncts,
+    prune_jucq,
     scq_reformulation,
 )
 from repro.storage import RDFDatabase
@@ -63,12 +63,8 @@ class TestPruning:
         )
         from repro.query import JUCQ
 
-        pruned = prune(JUCQ([x], [alive, mixed]), db)
+        pruned = prune_jucq(JUCQ([x], [alive, mixed]), estimator)
         assert [len(op) for op in pruned] == [1, 1]
-
-    def test_dispatch_rejects_cq(self, db):
-        with pytest.raises(TypeError):
-            prune(BGPQuery([x], [Triple(x, u("present"), y)]), db)
 
 
 class TestStrategy:

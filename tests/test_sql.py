@@ -161,3 +161,34 @@ def test_sqlite_matches_native_on_random_patterns(db, sqlite, pattern, graph):
     head = sorted({t for t in (s, p, o) if isinstance(t, Variable)})
     query = BGPQuery(head or [], [Triple(s, p, o)])
     assert sqlite.evaluate(query) == NativeEngine(db).evaluate(query)
+
+
+# ----------------------------------------------------------------------
+# Regression: a searched cover's one operand under a head that repeats a
+# variable.  The compiler emitted the operand's union under the JUCQ's
+# head, whose arity differs, and raised ValueError on these 20 pairs.
+# ----------------------------------------------------------------------
+_REPEATED_HEAD_PAIRS = [
+    (name, strategy)
+    for name in ("Q01", "Q03", "Q10", "Q11", "Q14", "Q17", "Q20", "Q22", "Q23", "Q27")
+    for strategy in ("gcov", "ecov")
+]
+
+
+@pytest.fixture(scope="module")
+def lubm_answerers(lubm_db):
+    from repro.answering import QueryAnswerer
+
+    with SQLiteEngine(lubm_db) as engine:
+        yield QueryAnswerer(lubm_db), QueryAnswerer(lubm_db, engine=engine)
+
+
+@pytest.mark.parametrize("name,strategy", _REPEATED_HEAD_PAIRS)
+def test_sqlite_answers_a_repeated_head_variable(lubm_answerers, name, strategy):
+    from repro.datasets import lubm_query
+
+    native, sqlite = lubm_answerers
+    query = lubm_query(name)
+    repeated = BGPQuery(query.head + (query.head[0],), query.body, name=name)
+    expected = native.answer(repeated, strategy).answers
+    assert sqlite.answer(repeated, strategy).answers == expected
