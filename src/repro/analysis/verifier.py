@@ -559,8 +559,11 @@ def verify_pipeline(
     strategy, the original query as a one-term operand).  The JUCQ's
     structure is checked — against ``cover`` when a search chose one —
     and so is every operand's templates (:func:`check_templates`); with
-    a ``database``, the planned query is also compiled to SQL and
-    checked by :mod:`repro.analysis.sqlcheck` — nothing is executed.
+    a ``database``, the SQL program SQLite would run for it on the
+    database's current snapshot — every statement it may run, each key
+    table filled and every filter on
+    (:func:`~repro.engine.sqlite_backend.program_statements`) — is
+    checked by :mod:`repro.analysis.sqlcheck`; nothing is executed.
 
     Raises :class:`IRVerificationError` carrying *all* error-severity
     findings, deterministically ordered.
@@ -576,7 +579,7 @@ def verify_pipeline(
         [found for ucq in planned.operands for found in check_templates(ucq)]
     )
     if database is not None:
-        from ..engine.sql import to_sql
+        from ..engine.sqlite_backend import program_statements
         from .sqlcheck import check_sql
 
         body_connected = len(query.body) <= 1 or query.is_connected(
@@ -584,7 +587,7 @@ def verify_pipeline(
         )
         _raise_on_error(
             check_sql(
-                to_sql(planned, database.dictionary),
+                ";\n".join(program_statements(planned, database)),
                 allow_cross=not body_connected,
             )
         )

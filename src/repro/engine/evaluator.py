@@ -302,6 +302,43 @@ NATIVE_MERGE = EngineProfile(name="native-merge", join_algorithm="merge",
                              max_intermediate_rows=5_000_000)
 
 
+#: A later JUCQ operand is filtered on a variable's keys — the distinct
+#: values the operands evaluated before it hold there — when
+#: ``len(keys) * SEMIJOIN_RATIO <= `` its scan volume (DESIGN.md §18).
+#: Below this ratio a probe per scanned row costs more than the rows it
+#: drops: with keys about as many as rows, LUBM Q06-Q08 ran ~3x slower.
+SEMIJOIN_RATIO = 16
+
+
+def scan_volume(union: UCQ, view: TableView, dictionary) -> int:
+    """The rows a union's distinct scans read in ``view``: the sum of
+    their exact index counts (memoized on the view; nothing is read)."""
+    patterns = {
+        pattern
+        for template in union.templates()
+        for patterns in template.patterns
+        for pattern in patterns
+    }
+    return sum(pattern_count(pattern, view, dictionary) for pattern in patterns)
+
+
+def pattern_count(constants: ConstantPattern, view: TableView, dictionary) -> int:
+    """Exact number of triples one scan would match (nothing is read)."""
+    encoded = encode_pattern(constants, dictionary)
+    if encoded is None:
+        return 0
+    pattern, range_position, range_term = encoded
+    if range_term is not None and range_position is not None:
+        return view.match_range_count(pattern, range_position, range_term.lo, range_term.hi)
+    return view.pattern_count(pattern)
+
+
+def semijoin_order(volumes: Sequence[int]) -> List[int]:
+    """The order a JUCQ's operands are evaluated in: ascending scan
+    volume, ties in plan order."""
+    return sorted(range(len(volumes)), key=volumes.__getitem__)
+
+
 def _check(budget: ExecutionBudget) -> None:
     """A deadline checkpoint between operator steps."""
     if budget.expired:
@@ -395,7 +432,9 @@ class NativeEngine:
         that pair with ``members`` and whether the head-constant join
         runs.  A JUCQ that is not its lone union adds the operand join:
         the profile's algorithm, the shared-variable keys and the
-        smallest-materialized-first rule.
+        smallest-materialized-first rule, after the order the operands
+        run in and which earlier operands' keys may filter which later
+        one, on which variable (the rule of :meth:`_eval_jucq`).
         """
         query = as_jucq(query)
         view = self.database.snapshot().table
@@ -409,6 +448,20 @@ class NativeEngine:
         for index, operand in enumerate(operands):
             lines.append(f"  operand u{index} ({_terms(operand.head)}):")
             lines += self._explain_union(operand, "    ", view)
+        volumes = [scan_volume(u, view, self.database.dictionary) for u in operands]
+        order = semijoin_order(volumes)
+        lines.append(
+            "  operands run by scan volume: "
+            + ", ".join(f"u{i} (~{volumes[i]})" for i in order)
+        )
+        for step, index in enumerate(order):
+            for variable in operands[index].head_variables():
+                sources = [f"u{i}" for i in order[:step] if variable in operands[i].head]
+                if sources:
+                    lines.append(
+                        f"    semi-join: {', '.join(sources)} filter u{index} on "
+                        f"{variable} when keys x {SEMIJOIN_RATIO} <= {volumes[index]}"
+                    )
         lines.append(
             f"  operand join: {self.profile.join_algorithm}-join, smallest "
             "materialized operand first, then the smallest sharing a key with it"
@@ -426,7 +479,7 @@ class NativeEngine:
         """A UCQ's templates, each with its pipeline."""
         templates = union.templates()
         counts = {
-            pattern: self._pattern_count(pattern, view)
+            pattern: pattern_count(pattern, view, self.database.dictionary)
             for template in templates
             for patterns in template.patterns
             for pattern in patterns
@@ -502,18 +555,6 @@ class NativeEngine:
         lines.append(f"{indent}  members: {pairing}; head-constant join: {joined}")
         return lines
 
-    def _pattern_count(self, constants: ConstantPattern, view: TableView) -> int:
-        """Exact number of triples one scan would match (nothing is read)."""
-        encoded = encode_pattern(constants, self.database.dictionary)
-        if encoded is None:
-            return 0
-        pattern, range_position, range_term = encoded
-        if range_term is not None and range_position is not None:
-            return view.match_range_count(
-                pattern, range_position, range_term.lo, range_term.hi
-            )
-        return view.pattern_count(pattern)
-
     # ------------------------------------------------------------------
     # Unions, one join pipeline per template (DESIGN.md §18)
     # ------------------------------------------------------------------
@@ -525,8 +566,14 @@ class NativeEngine:
         scans: "_Scans",
         tracer=NULL_TRACER,
         metrics: Optional[MetricsRecorder] = None,
+        keys: Optional[Dict[str, np.ndarray]] = None,
     ) -> Relation:
-        """Union + distinct of the union terms grouped into ``templates``."""
+        """Union + distinct of the union terms grouped into ``templates``.
+
+        ``keys`` maps output names to key tables (:func:`_keep_keys`): a
+        scan bound to one of those head variables keeps only the rows
+        whose value is a key (the JUCQ's semi-join reduction), before any
+        join."""
         terms = sum(template.size for template in templates)
         union_cap = budget.union_limit(self.profile.max_union_terms)
         if terms > union_cap:
@@ -537,7 +584,9 @@ class NativeEngine:
         row_cap = budget.row_limit(self.profile.max_intermediate_rows)
         with tracer.span("union", terms=terms, templates=len(templates)) as span:
             parts = [
-                self._eval_template(template, budget, row_cap, out_names, scans, metrics)
+                self._eval_template(
+                    template, budget, row_cap, out_names, scans, metrics, keys
+                )
                 for template in templates
             ]
             combined = union_all(parts, out_names)
@@ -566,15 +615,23 @@ class NativeEngine:
         out_names: Sequence[str],
         scans: "_Scans",
         metrics: Optional[MetricsRecorder] = None,
+        keys: Optional[Dict[str, np.ndarray]] = None,
     ) -> Relation:
         """All of a template's members at once; columns named ``out_names``.
 
         Runs once per template, so it carries counters but no spans.
+        ``keys`` (by output name) filter the scans of the head variables
+        they name, in the template's own variable names.
         """
         _check(budget)
+        local = {
+            entry: keys[name]
+            for entry, name in zip(template.head, out_names)
+            if keys and isinstance(entry, str) and name in keys
+        }
         relations: List[Relation] = []
         for index in range(len(template.atoms)):
-            relation = self._stack_scans(template, index, scans, metrics)
+            relation = self._stack_scans(template, index, scans, metrics, local)
             if len(relation) == 0:
                 # No member is satisfiable; skip the remaining scans.
                 return Relation.empty(out_names)
@@ -621,14 +678,28 @@ class NativeEngine:
         index: int,
         scans: "_Scans",
         metrics: Optional[MetricsRecorder],
+        keys: Dict[str, np.ndarray],
     ) -> Relation:
-        """One atom of a template: its distinct patterns' scans, stacked."""
+        """One atom of a template: its distinct patterns' scans, stacked,
+        keeping the rows whose variables in ``keys`` hold one of theirs."""
         matched = [scans[pattern] for pattern in template.patterns[index]]
         stacked = matched[0] if len(matched) == 1 else np.vstack(matched)
         tag = None
         if index in template.tagged:
             sizes = [rows.shape[0] for rows in matched]
             tag = (f"#{index}", np.repeat(np.arange(len(matched)), sizes))
+        kept = None
+        for position, name in enumerate(template.atoms[index]):
+            if name in keys:
+                inside = _is_in(stacked[:, position], keys[name])
+                kept = inside if kept is None else kept & inside
+        if kept is not None and not kept.all():
+            rows = np.flatnonzero(kept)
+            if metrics is not None:
+                metrics.inc("semijoin.rows_dropped", len(kept) - len(rows))
+            stacked = stacked.take(rows, axis=0)
+            if tag is not None:
+                tag = (tag[0], tag[1].take(rows))
         return bind_variables(stacked, template.atoms[index], metrics, tag)
 
     def _members(self, template: Template) -> Relation:
@@ -718,17 +789,44 @@ class NativeEngine:
     ) -> Relation:
         """The operands, each one union + dedup, then their join, the
         head's projection and the final dedup; a lone union is the
-        answer itself, under the head's positional names."""
+        answer itself, under the head's positional names.
+
+        Operands run in ascending scan volume (:func:`semijoin_order`).
+        After each, the distinct values of every head variable a later
+        operand shares are kept (intersected across operands); a later
+        operand whose volume is at least :data:`SEMIJOIN_RATIO` times a
+        variable's key count scans only rows holding one of those keys.
+        A dropped row has no join partner, so the answers do not move
+        (DESIGN.md §18)."""
         lone = jucq.lone_union()
-        operands: List[Relation] = []
-        for index, ucq in enumerate(jucq):
-            names = (_variable_names if lone is None else _positional_names)(ucq.head)
+        naming = _variable_names if lone is None else _positional_names
+        volumes = [scans.volume(ucq) for ucq in jucq] if len(jucq) > 1 else [0]
+        order = semijoin_order(volumes)
+        keys: Dict[str, Tuple[np.ndarray, int]] = {}
+        operands: List[Relation] = [Relation.unit()] * len(volumes)
+        for step, index in enumerate(order):
+            ucq = jucq.operands[index]
+            names = naming(ucq.head)
+            used = {
+                name: keys[name] for name in names
+                if name in keys and keys[name][1] * SEMIJOIN_RATIO <= volumes[index]
+            }
+            tables = {name: table for name, (table, _count) in used.items()}
+            count = sum(count for _table, count in used.values())
             with tracer.span("operand", index=index, terms=len(ucq)) as span:
                 operand = self._eval_union(
-                    ucq.templates(), budget, names, scans, tracer, metrics
+                    ucq.templates(), budget, names, scans, tracer, metrics, tables
                 )
                 span.set(rows=len(operand))
-            operands.append(operand)
+                if used:
+                    span.set(reduced_by=sorted(used), keys=count)
+            if metrics is not None and used:
+                metrics.inc("semijoin.keys", count)
+            operands[index] = operand
+            _keep_keys(
+                keys, operand, ucq.head,
+                [jucq.operands[later].head for later in order[step + 1:]],
+            )
         if metrics is not None:
             metrics.inc("jucq.operands", len(operands))
         if lone is not None:
@@ -769,10 +867,42 @@ class _Scans(dict):
     def __init__(self, view: TableView, dictionary, metrics) -> None:
         super().__init__()
         self.read = lambda pattern: match_pattern(pattern, view, dictionary, metrics)
+        self.volume = lambda union: scan_volume(union, view, dictionary)
 
     def __missing__(self, pattern: ConstantPattern) -> np.ndarray:
         rows = self[pattern] = self.read(pattern)
         return rows
+
+
+def _keep_keys(
+    keys: Dict[str, Tuple[np.ndarray, int]],
+    operand: Relation,
+    head: Sequence[Term],
+    later: Sequence[Sequence[Term]],
+) -> None:
+    """Intersect ``keys`` with an evaluated operand's values of each head
+    variable that a later operand's head shares.
+
+    A key set is a membership table over codes and its key count:
+    ``table[c]`` is True iff ``c`` is a key, and the last entry, False,
+    stands for every code past the end (:func:`_is_in`), so building,
+    intersecting and probing are each one vectorized pass, with no sort.
+    """
+    for term in head:
+        if isinstance(term, Variable) and any(term in h for h in later):
+            column = operand.column(term.value)
+            table = np.zeros(int(column.max(initial=-1)) + 2, dtype=bool)
+            table[column] = True
+            if term.value in keys:
+                known = keys[term.value][0]
+                table = table[: len(known)] & known[: len(table)]
+                table[-1] = False
+            keys[term.value] = (table, int(np.count_nonzero(table)))
+
+
+def _is_in(column: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Which codes of ``column`` are keys of a :func:`_keep_keys` table."""
+    return table[np.minimum(column, len(table) - 1)]
 
 
 def _greedy_order(sizes: Sequence[int], atoms: Sequence[VariableLayout]) -> List[int]:

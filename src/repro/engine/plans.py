@@ -33,7 +33,7 @@ from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
 from ..rdf.terms import Term, Triple, Variable
 from ..storage.database import RDFDatabase
-from .evaluator import NATIVE_HASH, EngineProfile, NativeEngine
+from .evaluator import NATIVE_HASH, EngineProfile, pattern_count
 from .operators import cross_product, distinct, hash_join, merge_join, scan_atom, union_all
 from .relation import Relation
 
@@ -200,14 +200,14 @@ class PlanCompiler:
     def __init__(self, database: RDFDatabase, profile: EngineProfile = NATIVE_HASH):
         self.database = database
         self.profile = profile
-        self._engine = NativeEngine(database, profile)
 
     # -- helpers -------------------------------------------------------
     def _atom_count(self, atom: Triple) -> int:
         """Exact index count of one atom, as the native engine's explain."""
-        return self._engine._pattern_count(
+        return pattern_count(
             tuple(None if isinstance(term, Variable) else term for term in atom),
             self.database.snapshot().table,
+            self.database.dictionary,
         )
 
     def _join(self, left: PlanNode, right: PlanNode, shares: bool) -> JoinNode:

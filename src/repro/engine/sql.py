@@ -2,18 +2,30 @@
 
 Reformulated queries are "handled for evaluation to a query evaluation
 engine, which can be an RDBMS" (paper Section 1); this module produces
-the SQL text the RDBMS-backed engine executes.  :func:`to_sql` takes any
-query form through :func:`~repro.query.algebra.as_jucq`, then:
+the SQL text the RDBMS-backed engine executes.  Every query form goes
+through :func:`~repro.query.algebra.as_jucq`, then:
 
 * a conjunct becomes a ``SELECT DISTINCT`` over one ``triples`` alias
   per atom, with constant selections and join equalities in ``WHERE``;
 * a UCQ operand becomes the ``UNION`` (set semantics) of its conjuncts;
-* a JUCQ becomes a ``SELECT DISTINCT`` over its UCQ operands as derived
-  tables, joined on shared head variables — unless it is its lone union
-  (:meth:`~repro.query.algebra.JUCQ.lone_union`), which is emitted
-  directly under the head's positional aliases.  A one-operand JUCQ
-  whose head repeats a variable or holds a constant is not one, and
-  takes the derived-table form like any other.
+* a JUCQ that is its lone union
+  (:meth:`~repro.query.algebra.JUCQ.lone_union`) is that ``UNION``
+  under the head's positional aliases: one statement;
+* any other JUCQ is a short program (:class:`SQLProgram`), the paper's
+  §4.1 plan: ``CREATE TEMP TABLE m<i> AS <union>`` for every operand
+  but the largest, indexed key tables ``k_<v>`` filled from them, and
+  one final ``SELECT DISTINCT`` joining the ``m<i>`` tables with the
+  largest operand's union on shared head variables.  Each arm of a
+  later operand may be filtered on a key table (``+ref IN k_<v>``, or
+  ``ref IN k_<v>`` to drive it from the keys); the engine decides
+  which from the counts it reads as the program runs (DESIGN.md §18).
+  A one-operand JUCQ whose head repeats a variable or holds a constant
+  is not a lone union: its final select reads its union as a derived
+  table.
+
+:func:`to_sql` writes a query's program as ``;``-separated text, with
+no key filter and the last operand in the largest's place, which
+:meth:`~repro.engine.SQLiteEngine.execute_sql` runs.
 
 Constants are emitted as integer dictionary codes.  A constant missing
 from the dictionary makes the conjunct unsatisfiable; it is compiled to
@@ -22,7 +34,7 @@ a ``WHERE 0`` conjunct so the SQL stays valid.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
@@ -31,19 +43,41 @@ from ..storage.dictionary import Dictionary
 
 _POSITION_COLUMNS = ("s", "p", "o")
 
+#: A key filter per head name: True drives the arm from the key table
+#: (``ref IN k_v``), False only probes it (``+ref IN k_v``).
+KeyFilters = Mapping[str, bool]
 
-def _encode(dictionary: Dictionary, term: Term) -> Optional[int]:
-    code = dictionary.lookup(term)
-    return code
+
+class _Select(NamedTuple):
+    """One conjunct's SELECT, kept in parts so a key filter can join its
+    ``WHERE``: ``refs`` maps each output name bound by a body variable
+    to the column it is read from."""
+
+    head: str
+    body: str
+    conditions: List[str]
+    refs: Dict[str, str]
+
+    def sql(self, keys: Optional[KeyFilters] = None) -> str:
+        conditions = self.conditions
+        if keys and conditions != ["0"]:
+            conditions = conditions + [
+                f"{'' if drive else '+'}{self.refs[name]} IN k_{name}"
+                for name, drive in keys.items()
+                if name in self.refs
+            ]
+        sql = self.head + self.body
+        if conditions:
+            sql += f" WHERE {' AND '.join(conditions)}"
+        return sql
 
 
-def cq_to_sql(
+def _cq_select(
     cq: BGPQuery,
     dictionary: Dictionary,
     output_names: Sequence[str],
     distinct: bool = True,
-) -> str:
-    """SQL for one conjunct; output columns aliased to ``output_names``."""
+) -> _Select:
     if len(output_names) != len(cq.head):
         raise ValueError("output_names must match the head arity")
     select_kw = "SELECT DISTINCT" if distinct else "SELECT"
@@ -51,10 +85,11 @@ def cq_to_sql(
         # Constant conjunct from schema-atom resolution.  Head constants
         # are *encoded* (allocating a fresh code when absent — harmless,
         # the stored rows are untouched) so answers decode correctly.
-        parts = []
-        for name, term in zip(output_names, cq.head):
-            parts.append(f"{dictionary.encode(term)} AS {name}")
-        return f"{select_kw} {', '.join(parts)}"
+        parts = [
+            f"{dictionary.encode(term)} AS {name}"
+            for name, term in zip(output_names, cq.head)
+        ]
+        return _Select(f"{select_kw} {', '.join(parts)}", "", [], {})
     var_ref: Dict[str, str] = {}
     conditions: List[str] = []
     unsatisfiable = False
@@ -75,7 +110,7 @@ def cq_to_sql(
                     f"{reference} BETWEEN {term.lo} AND {term.hi - 1}"
                 )
             else:
-                code = _encode(dictionary, term)
+                code = dictionary.lookup(term)
                 if code is None:
                     unsatisfiable = True
                 else:
@@ -83,19 +118,30 @@ def cq_to_sql(
     if unsatisfiable:
         conditions = ["0"]
     select_parts: List[str] = []
+    refs: Dict[str, str] = {}
     for name, term in zip(output_names, cq.head):
         if isinstance(term, Variable):
-            select_parts.append(f"{var_ref[term.value]} AS {name}")
+            refs[name] = var_ref[term.value]
+            select_parts.append(f"{refs[name]} AS {name}")
         else:
             select_parts.append(f"{dictionary.encode(term)} AS {name}")
     if not select_parts:
         # Boolean query: any constant column marks non-emptiness.
         select_parts.append("1 AS nonempty")
     from_clause = ", ".join(f"triples t{i}" for i in range(len(cq.body)))
-    sql = f"{select_kw} {', '.join(select_parts)} FROM {from_clause}"
-    if conditions:
-        sql += f" WHERE {' AND '.join(conditions)}"
-    return sql
+    return _Select(
+        f"{select_kw} {', '.join(select_parts)}", f" FROM {from_clause}", conditions, refs
+    )
+
+
+def cq_to_sql(
+    cq: BGPQuery,
+    dictionary: Dictionary,
+    output_names: Sequence[str],
+    distinct: bool = True,
+) -> str:
+    """SQL for one conjunct; output columns aliased to ``output_names``."""
+    return _cq_select(cq, dictionary, output_names, distinct).sql()
 
 
 def ucq_to_sql(
@@ -104,30 +150,110 @@ def ucq_to_sql(
     """SQL for a UCQ: ``UNION`` of the conjunct selects (set semantics)."""
     # UNION already eliminates duplicates across branches, but each
     # branch keeps DISTINCT so single-conjunct UCQs dedup too.
-    selects = [cq_to_sql(cq, dictionary, output_names) for cq in ucq]
-    return "\nUNION\n".join(selects)
+    return "\nUNION\n".join(
+        _cq_select(cq, dictionary, output_names).sql() for cq in ucq
+    )
 
 
-def jucq_to_sql(jucq: JUCQ, dictionary: Dictionary) -> str:
-    """SQL for a JUCQ: derived-table join of its UCQ operands."""
-    lone = jucq.lone_union()
-    if lone is not None:
-        return ucq_to_sql(lone, dictionary, [f"c{i}" for i in range(jucq.arity)])
-    operand_sqls: List[str] = []
-    operand_names: List[List[str]] = []
-    for ucq in jucq:
-        names = [
-            term.value if isinstance(term, Variable) else f"c{i}"
-            for i, term in enumerate(ucq.head)
+class SQLProgram:
+    """The statements SQLite runs for one query, built on demand.
+
+    A lone union (:meth:`~repro.query.algebra.JUCQ.lone_union`) is one
+    statement, its ``UNION`` under the head's positional names.  Any
+    other JUCQ runs as the paper's §4.1 prices it: every operand but the
+    largest is materialized (:meth:`materialize`, ``m<i>``), the keys a
+    later operand may be filtered on go into indexed key tables
+    (:meth:`key_table` / :meth:`fill_keys`, ``k_<v>``), and one final
+    ``SELECT DISTINCT`` (:meth:`final`) joins the ``m<i>`` tables with
+    the largest operand's union on their shared head variables.  Which
+    operand is largest and which keys filter which arms are decided by
+    the runner (:class:`~repro.engine.SQLiteEngine`); every operand's
+    arms are compiled once, here.
+    """
+
+    def __init__(self, query, dictionary: Dictionary) -> None:
+        jucq = as_jucq(query)
+        lone = jucq.lone_union()
+        self.lone = lone is not None
+        operands: Tuple[UCQ, ...] = (lone,) if lone is not None else tuple(jucq)
+        self.operands = operands
+        #: Per operand, its output names: the head's positional names for
+        #: a lone union, else each head variable's own name.
+        self.names: List[List[str]] = [
+            _positional(len(lone.head)) if lone is not None else _operand_names(ucq.head)
+            for ucq in operands
         ]
-        operand_names.append(names)
-        operand_sqls.append(ucq_to_sql(ucq, dictionary, names))
+        #: Per operand, the names of its head variables (what keys bind).
+        self.variables: List[List[str]] = [
+            [term.value for term in ucq.head if isinstance(term, Variable)]
+            if lone is None else []
+            for ucq in operands
+        ]
+        self._arms = [
+            [_cq_select(cq, dictionary, names) for cq in ucq]
+            for ucq, names in zip(operands, self.names)
+        ]
+        self._select, self._conditions = "", []
+        if lone is None:
+            self._select, self._conditions = _join_parts(jucq, self.names, dictionary)
+
+    def __len__(self) -> int:
+        return len(self._arms)
+
+    def union(self, index: int, keys: Optional[KeyFilters] = None) -> str:
+        """Operand ``index``'s ``UNION``, each arm filtered on ``keys``."""
+        return "\nUNION\n".join(arm.sql(keys) for arm in self._arms[index])
+
+    def materialize(self, index: int, keys: Optional[KeyFilters] = None) -> str:
+        return f"CREATE TEMP TABLE m{index} AS\n{self.union(index, keys)}"
+
+    @staticmethod
+    def key_table(name: str) -> str:
+        return f"CREATE TEMP TABLE k_{name}(v INTEGER PRIMARY KEY)"
+
+    @staticmethod
+    def fill_keys(name: str, index: int, limit: int) -> str:
+        """Up to ``limit`` distinct values of ``name`` from ``m<index>``."""
+        return (
+            f"INSERT INTO k_{name} SELECT DISTINCT {name} FROM m{index} LIMIT {limit}"
+        )
+
+    def final(self, largest: int, keys: Optional[KeyFilters] = None) -> str:
+        """The answer rows: the lone union, or the join of every ``m<i>``
+        with operand ``largest``'s union, projected onto the head."""
+        if self.lone:
+            return self.union(0, keys)
+        tables = ", ".join(
+            f"(\n{self.union(index, keys)}\n) u{index}" if index == largest
+            else f"m{index} u{index}"
+            for index in range(len(self))
+        )
+        query = f"SELECT DISTINCT {self._select}\nFROM {tables}"
+        if self._conditions:
+            query += f"\nWHERE {' AND '.join(self._conditions)}"
+        return query
+
+
+def _positional(arity: int) -> List[str]:
+    return [f"c{i}" for i in range(arity)]
+
+
+def _operand_names(head: Sequence[Term]) -> List[str]:
+    return [
+        term.value if isinstance(term, Variable) else f"c{i}"
+        for i, term in enumerate(head)
+    ]
+
+
+def _join_parts(
+    jucq: JUCQ, operand_names: Sequence[Sequence[str]], dictionary: Dictionary
+) -> Tuple[str, List[str]]:
+    """The final select list and the join equalities over ``u<i>``."""
     var_source: Dict[str, str] = {}
     conditions: List[str] = []
     for index, names in enumerate(operand_names):
-        alias = f"u{index}"
         for name in names:
-            reference = f"{alias}.{name}"
+            reference = f"u{index}.{name}"
             first = var_source.get(name)
             if first is None:
                 var_source[name] = reference
@@ -141,16 +267,17 @@ def jucq_to_sql(jucq: JUCQ, dictionary: Dictionary) -> str:
             select_parts.append(f"{dictionary.encode(term)} AS c{i}")
     if not select_parts:
         select_parts.append("1 AS nonempty")
-    from_parts = [
-        f"(\n{sql}\n) u{index}" for index, sql in enumerate(operand_sqls)
-    ]
-    query = (
-        f"SELECT DISTINCT {', '.join(select_parts)}\n"
-        f"FROM {', '.join(from_parts)}"
-    )
-    if conditions:
-        query += f"\nWHERE {' AND '.join(conditions)}"
-    return query
+    return ", ".join(select_parts), conditions
+
+
+def jucq_to_sql(jucq: JUCQ, dictionary: Dictionary) -> str:
+    """SQL for a JUCQ: its :class:`SQLProgram` with no key filter and
+    the last operand in the largest's place, ``;``-separated (one
+    statement for a lone union)."""
+    program = SQLProgram(jucq, dictionary)
+    last = len(program) - 1
+    statements = [program.materialize(index) for index in range(last)]
+    return ";\n".join(statements + [program.final(last)])
 
 
 def to_sql(query, dictionary: Dictionary) -> str:

@@ -10,6 +10,17 @@ reformulations fail on it exactly the way the paper's DB2/Postgres
 failed on its large-reformulation queries.  Such failures surface as
 :class:`EngineFailure`.
 
+A lone union runs as one statement.  Any other JUCQ runs as a short
+program (:func:`run_program`, DESIGN.md §18): its operands in
+ascending scan volume, every one but the last materialized into a
+temp table, the keys a later operand shares put into indexed key
+tables, and the arms of a later operand filtered on the keys when
+they are few against its volume — the native engine's semi-join rule
+— before one final join.  All statements of a program run on one
+connection under one budget (:meth:`SQLiteEngine._session`): a
+deadline check before each, the cooperative progress handler within
+each, and every temp table dropped however the program ends.
+
 Concurrency model
 -----------------
 
@@ -34,7 +45,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +56,30 @@ from ..telemetry.metrics import MetricsRecorder
 from ..telemetry.registry import get_registry
 from ..telemetry.tracer import NULL_TRACER
 from .budget import UNLIMITED, ExecutionBudget
-from .evaluator import AnswerSet, EngineFailure, EngineTimeout, _check_result_cap
-from .sql import to_sql
+from .evaluator import (
+    SEMIJOIN_RATIO,
+    AnswerSet,
+    EngineFailure,
+    EngineTimeout,
+    _check_result_cap,
+    scan_volume,
+    semijoin_order,
+)
+from .sql import KeyFilters, SQLProgram
+
+#: A key filter drives its arm from the key table (``ref IN k_v``:
+#: SQLite looks each key up in the triple indexes) when the keys are at
+#: most 1/DRIVE_RATIO of the filtered operand's scan volume, and only
+#: probes it (``+ref IN k_v``) above that.  On 48 LUBM universities,
+#: driving cut Q05 from 8.0 to 1.4 ms and q1 from 25 to 4.4 ms (ratios
+#: 800 and 1 500), but Q18's 6 912 keys driven (ratio 21) took 276 ms
+#: against 166 ms probed.
+DRIVE_RATIO = 64
+
+#: One statement's runner: the SQL text in, its executed cursor out.
+Run = Callable[[str], sqlite3.Cursor]
+
+_EXPLAIN = "EXPLAIN QUERY PLAN "
 
 #: The six permutation indexes of the paper's storage layout.  The
 #: table's own rowid ordering serves as the seventh full scan path.
@@ -157,12 +190,12 @@ class SQLiteEngine:
         connection.commit()
         return version
 
-    def _compile(self, query) -> Tuple[str, bool]:
-        """``to_sql`` with a bounded per-(query, dictionary-size) memo:
-        the SQL and whether the memo served it."""
+    def _compile(self, query) -> Tuple[SQLProgram, bool]:
+        """The query's :class:`SQLProgram`, through a bounded
+        per-(query, dictionary-size) memo, and whether the memo served it."""
         dictionary = self.database.dictionary
         return self.sql_cache.memo(
-            (query, len(dictionary)), lambda: to_sql(query, dictionary)
+            (query, len(dictionary)), lambda: SQLProgram(query, dictionary)
         )
 
     # ------------------------------------------------------------------
@@ -179,28 +212,34 @@ class SQLiteEngine:
         """Evaluate: the distinct answer rows, as an :class:`AnswerSet`.
 
         SQLite's internal operators are opaque, so telemetry records the
-        SQL boundary instead: compile/execute spans, statement size, and
-        fetched-row counters.  The statement runs on a mirror of
-        ``snapshot``'s table view (:meth:`execute_sql`); ``budget``'s
-        deadline interrupts it and its result cap bounds the fetched
-        rows.
+        SQL boundary instead: compile/execute spans, statement count and
+        size, and fetched-row counters.  The program (:func:`run_program`) runs
+        on a mirror of ``snapshot``'s table view; ``budget``'s deadline
+        interrupts any of its statements and its result cap bounds the
+        fetched rows.
         """
         tracer = NULL_TRACER if tracer is None else tracer
         started = time.perf_counter()
         with tracer.span("sqlite.compile") as span:
-            sql, cached = self._compile(query)
-            span.set(sql_chars=len(sql), cached=cached)
-        with tracer.span("sqlite.execute", sql_chars=len(sql)) as span:
+            program, cached = self._compile(query)
+            span.set(cached=cached)
+        with tracer.span("sqlite.execute") as span:
             execute_started = time.perf_counter()
-            rows = self.execute_sql(sql, budget, snapshot)
-            span.set(rows=len(rows))
+            dictionary = self.database.dictionary
+            statements, rows = self._session(
+                budget,
+                snapshot,
+                lambda run, view: run_program(program, run, view, dictionary),
+            )
+            sql_chars = sum(map(len, statements))
+            span.set(rows=len(rows), statements=len(statements), sql_chars=sql_chars)
         get_registry().histogram(
             "repro.sqlite.execute_seconds",
-            help="wall-clock time of one executed SQLite statement",
+            help="wall-clock time of one executed SQLite program",
         ).observe(time.perf_counter() - execute_started)
         if metrics is not None:
-            metrics.inc("sqlite.statements")
-            metrics.inc("sqlite.sql_chars", len(sql))
+            metrics.inc("sqlite.statements", len(statements))
+            metrics.inc("sqlite.sql_chars", sql_chars)
             metrics.inc("sqlite.rows_fetched", len(rows))
         _check_result_cap(budget, len(rows))
         if rows:
@@ -225,36 +264,61 @@ class SQLiteEngine:
         budget: ExecutionBudget = UNLIMITED,
         snapshot: Optional[Snapshot] = None,
     ):
-        """Run SQL text on this thread's mirror of ``snapshot``'s table
-        view (None: the database's snapshot, taken here); engine errors
-        become :class:`EngineFailure`.
+        """Run SQL text — one statement, or a ``;``-separated program
+        such as :func:`~repro.engine.sql.to_sql` writes — on this
+        thread's mirror of ``snapshot``'s table view (None: the
+        database's snapshot, taken here); the last statement's rows.
+        Engine errors become :class:`EngineFailure`, as in
+        :meth:`_session`."""
+        statements = sql.split(";\n")
+        return self._session(
+            budget, snapshot,
+            lambda run, view: [run(s) for s in statements][-1].fetchall(),
+        )[1]
+
+    def _session(
+        self,
+        budget: ExecutionBudget,
+        snapshot: Optional[Snapshot],
+        program: Callable[[Run, TableView], List[tuple]],
+    ) -> Tuple[List[str], List[tuple]]:
+        """Run ``program(run, view)`` on this thread's mirror of
+        ``snapshot``'s view: the statements it ran and what it returned.
 
         ``budget``'s deadline (started here if the caller has not) is
-        checked once before the statement and then cooperatively: the
-        progress handler runs every :attr:`progress_interval` VM
+        checked before every statement and, within one, cooperatively:
+        the progress handler runs every :attr:`progress_interval` VM
         instructions and a non-zero return cancels the running
         statement.  Whether a statement was interrupted is tracked by an
         explicit flag the handler sets — *never* by matching
         "interrupted" in the error text, which a user literal could
         spoof into misclassifying an :class:`EngineFailure` as an
-        :class:`EngineTimeout`.
+        :class:`EngineTimeout`.  Every ``temp`` table the program made
+        is dropped before this returns or raises.
         """
         budget = budget.start()
         if budget.expired:
             raise EngineTimeout("SQLite statement timed out before it started")
-        connection = self._acquire(None if snapshot is None else snapshot.table).raw
+        view = (self.database.snapshot() if snapshot is None else snapshot).table
+        connection = self._acquire(view).raw
         interrupted = [False]
+        statements: List[str] = []
 
         def check() -> int:
             interrupted[0] = budget.expired
             return interrupted[0]
 
+        def run(sql: str) -> sqlite3.Cursor:
+            if statements and budget.expired:
+                raise EngineTimeout("SQLite program timed out between statements")
+            statements.append(sql)
+            return connection.execute(sql)
+
         deadline = budget.timeout_s is not None
         if deadline:
             connection.set_progress_handler(check, self.progress_interval)
         try:
-            cursor = connection.execute(sql)
-            return cursor.fetchall()
+            return statements, program(run, view)
         except sqlite3.OperationalError as error:
             if interrupted[0]:
                 raise EngineTimeout("SQLite statement timed out") from error
@@ -264,18 +328,27 @@ class SQLiteEngine:
         finally:
             if deadline:
                 connection.set_progress_handler(None, 0)
+            if len(statements) > 1:
+                _drop_temp_tables(connection)
 
     def explain(self, query) -> str:
-        """The SQL :meth:`evaluate` would run, then SQLite's own
-        ``EXPLAIN QUERY PLAN`` for it (one indented row per plan step)."""
-        connection = self._acquire().raw
-        sql, _cached = self._compile(query)
+        """Every statement :meth:`evaluate` would run for ``query`` on the
+        current snapshot, then SQLite's own ``EXPLAIN QUERY PLAN`` for
+        the final one (one indented row per plan step).  The statements
+        before it do run — the plan needs their temp tables — and those
+        tables are dropped after."""
+        program, _cached = self._compile(query)
         try:
-            rows = connection.execute(f"EXPLAIN QUERY PLAN {sql}").fetchall()
-        except sqlite3.Error as error:
+            statements, rows = self._session(
+                UNLIMITED, None, lambda run, view: run_program(
+                    program, run, view, self.database.dictionary, explain=True
+                )
+            )
+        except EngineFailure as error:
             raise EngineFailure(f"SQLite failed to plan: {error}") from error
+        statements[-1] = statements[-1][len(_EXPLAIN):]
         depth = {0: 0}
-        lines = [sql, "", "-- SQLite query plan --"]
+        lines = [";\n".join(statements), "", "-- SQLite query plan --"]
         for node, parent, _unused, detail in rows:
             depth[node] = depth.get(parent, 0) + 1
             lines.append("  " * depth[node] + detail)
@@ -297,3 +370,90 @@ class SQLiteEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def run_program(
+    program: SQLProgram,
+    run: Run,
+    view: TableView,
+    dictionary,
+    explain: bool = False,
+) -> List[tuple]:
+    """Run ``program``; the rows of its final statement (of its
+    ``EXPLAIN QUERY PLAN`` when ``explain``).
+
+    The semi-join rule of the native engine (DESIGN.md §18): operands
+    run in ascending scan volume, each but the last materialized;
+    after each, a key table is filled for every head variable a later
+    operand shares (from the first operand that holds it, and only up
+    to the most keys a later operand could take, so a table that
+    could never filter costs little), and a later operand with at
+    least :data:`SEMIJOIN_RATIO` times as much scan volume as a table
+    has keys gets that table's filter on each of its arms.
+    """
+    volumes = [0]
+    if len(program) > 1:
+        volumes = [scan_volume(ucq, view, dictionary) for ucq in program.operands]
+    order = semijoin_order(volumes)
+    counts: Dict[str, int] = {}
+    for step, index in enumerate(order[:-1]):
+        run(program.materialize(index, _filters(counts, program, index, volumes)))
+        for name in program.variables[index]:
+            # The most keys any later operand sharing ``name`` takes.
+            limit = max(
+                (volumes[j] // SEMIJOIN_RATIO for j in order[step + 1:]
+                 if name in program.variables[j]),
+                default=0,
+            )
+            if limit and name not in counts:
+                run(program.key_table(name))
+                # One key past the limit marks the table too big to use.
+                counts[name] = run(program.fill_keys(name, index, limit + 1)).rowcount
+    final = program.final(order[-1], _filters(counts, program, order[-1], volumes))
+    return run(_EXPLAIN + final if explain else final).fetchall()
+
+
+def program_statements(query, database: RDFDatabase) -> List[str]:
+    """Every statement :class:`SQLiteEngine` may run for ``query`` on
+    ``database``'s current snapshot, in its order, executing none: the
+    run of :func:`run_program` in which every key table fills empty, so
+    each one is created and filters every arm it can."""
+
+    class Dry:
+        rowcount = 0
+
+        def fetchall(self) -> List[tuple]:
+            return []
+
+    statements: List[str] = []
+
+    def record(sql: str) -> "Dry":
+        statements.append(sql)
+        return Dry()
+
+    program = SQLProgram(query, database.dictionary)
+    view = database.snapshot().table
+    run_program(program, record, view, database.dictionary)  # type: ignore[arg-type]
+    return statements
+
+
+def _filters(
+    counts: Dict[str, int], program: SQLProgram, index: int, volumes: Sequence[int]
+) -> KeyFilters:
+    """The key tables that filter operand ``index``, each marked True
+    where few enough keys drive its scans."""
+    volume = volumes[index]
+    return {
+        name: counts[name] * DRIVE_RATIO <= volume
+        for name in program.variables[index]
+        if name in counts and counts[name] * SEMIJOIN_RATIO <= volume
+    }
+
+
+def _drop_temp_tables(connection: sqlite3.Connection) -> None:
+    """Drop every table of the connection's ``temp`` schema."""
+    names = connection.execute(
+        "SELECT name FROM temp.sqlite_master WHERE type = 'table'"
+    ).fetchall()
+    for (name,) in names:
+        connection.execute(f"DROP TABLE temp.{name}")

@@ -298,13 +298,13 @@ class TestAnswererPlanCache:
 
         with SQLiteEngine(lubm_db) as engine:
             engine.sql_cache.put("other", "SELECT 1")
-            real = backend.to_sql
+            real = backend.SQLProgram
 
             def racing(query, dictionary):
                 engine.sql_cache.get("other")  # another thread's hit
                 return real(query, dictionary)
 
-            monkeypatch.setattr(backend, "to_sql", racing)
+            monkeypatch.setattr(backend, "SQLProgram", racing)
             answerer = QueryAnswerer(lubm_db, engine=engine, cache=QueryCache())
             x = Variable("x")
             ub = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#"

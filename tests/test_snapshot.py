@@ -139,7 +139,8 @@ SQLITE_LIMIT = "too many terms in compound SELECT"
 def write_between_scans(database, engine, rows):
     """Merge ``rows`` into ``database`` inside the next evaluation: on the
     native engine right before its second scan, on SQLite right before
-    its statement runs.  Yields a list that is non-empty once it landed."""
+    its first statement runs.  Yields a list that is non-empty once it
+    landed."""
     landed = []
 
     def write():
@@ -148,13 +149,13 @@ def write_between_scans(database, engine, rows):
             database.load_facts(rows)
 
     if engine == "sqlite":
-        execute = SQLiteEngine.execute_sql
+        session = SQLiteEngine._session
 
         def hooked(self, *args, **kwargs):
             write()
-            return execute(self, *args, **kwargs)
+            return session(self, *args, **kwargs)
 
-        patch = mock.patch.object(SQLiteEngine, "execute_sql", hooked)
+        patch = mock.patch.object(SQLiteEngine, "_session", hooked)
     else:
         scan, scans = evaluator.match_pattern, []
 
