@@ -4,9 +4,9 @@
 ``SELECT [DISTINCT] ... FROM ... [WHERE ...]`` statements over
 ``triples`` aliases, combined with top-level ``UNION``, and (for
 JUCQs) a ``;``-separated program: ``CREATE TEMP TABLE m<i> AS <union>``
-per materialized operand, ``CREATE TEMP TABLE k_<v>(v ...)`` plus an
-``INSERT INTO k_<v> SELECT ...`` per key table, arms filtered by
-``[+]ref IN k_<v>``, and one final select over the ``m<i>`` tables and
+per materialized operand, ``CREATE TEMP TABLE k<j>(v ...)`` plus an
+``INSERT INTO k<j> SELECT ...`` per key table, arms filtered by
+``[+]ref IN k<j>``, and one final select over the ``m<i>`` tables and
 one parenthesized derived table.  A created table is in scope for every
 later statement, with its columns: an ``m<i>``'s are its union's ``AS``
 names, a declared table's its column list.  This module re-parses that

@@ -235,7 +235,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """``repro explain``: the chosen reformulation, and what the
     ``--engine`` would run for it (native: the template pipelines;
-    sqlite: the SQL and SQLite's query plan), without running it."""
+    sqlite: the SQL and SQLite's query plan), without computing the
+    answer.  SQLite does run a JUCQ's setup statements, which its plan
+    reads, within ``EXPLAIN_TIMEOUT_S``."""
     database = load_database(args.data)
     [(_name, query)] = collect_queries(args)
     row = strategy_named(args.strategy)
@@ -276,7 +278,8 @@ QUERY = Command(
 )
 EXPLAIN = Command(
     "explain",
-    "show the chosen reformulation and the engine's plan for it",
+    "show the chosen reformulation and the engine's plan for it "
+    "(sqlite runs a JUCQ's setup statements to plan its final one)",
     cmd_explain,
     ONE_QUERY,
 )

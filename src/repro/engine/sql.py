@@ -13,19 +13,28 @@ through :func:`~repro.query.algebra.as_jucq`, then:
   under the head's positional aliases: one statement;
 * any other JUCQ is a short program (:class:`SQLProgram`), the paper's
   §4.1 plan: ``CREATE TEMP TABLE m<i> AS <union>`` for every operand
-  but the largest, indexed key tables ``k_<v>`` filled from them, and
+  but the largest, indexed key tables ``k<j>`` filled from them, and
   one final ``SELECT DISTINCT`` joining the ``m<i>`` tables with the
   largest operand's union on shared head variables.  Each arm of a
-  later operand may be filtered on a key table (``+ref IN k_<v>``, or
-  ``ref IN k_<v>`` to drive it from the keys); the engine decides
+  later operand may be filtered on a key table (``+ref IN k<j>``, or
+  ``ref IN k<j>`` to drive it from the keys); the engine decides
   which from the counts it reads as the program runs (DESIGN.md §18).
   A one-operand JUCQ whose head repeats a variable or holds a constant
   is not a lone union: its final select reads its union as a derived
   table.
 
+An operand's columns and key tables are named by position, never by
+variable: the ``j``-th distinct head variable of the JUCQ is column
+``v<j>`` of every operand that holds it and key table ``k<j>``.  SQL
+identifiers are case-insensitive and may be keywords, SPARQL variables
+are neither, so ``?x`` beside ``?X``, or ``?order``, would otherwise
+clash or fail to parse.
+
 :func:`to_sql` writes a query's program as ``;``-separated text, with
 no key filter and the last operand in the largest's place, which
-:meth:`~repro.engine.SQLiteEngine.execute_sql` runs.
+:meth:`~repro.engine.SQLiteEngine.execute_sql` runs.  It is not the
+program :meth:`~repro.engine.SQLiteEngine.evaluate` runs, which
+orders, materializes and filters operands from the store's counts.
 
 Constants are emitted as integer dictionary codes.  A constant missing
 from the dictionary makes the conjunct unsatisfiable; it is compiled to
@@ -38,13 +47,13 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..query.algebra import JUCQ, UCQ, as_jucq
 from ..query.bgp import BGPQuery
-from ..rdf.terms import IdRange, Term, Variable
+from ..rdf.terms import IdRange, Variable
 from ..storage.dictionary import Dictionary
 
 _POSITION_COLUMNS = ("s", "p", "o")
 
-#: A key filter per head name: True drives the arm from the key table
-#: (``ref IN k_v``), False only probes it (``+ref IN k_v``).
+#: A key filter per ``v<j>`` column: True drives the arm from the key
+#: table (``ref IN k<j>``), False only probes it (``+ref IN k<j>``).
 KeyFilters = Mapping[str, bool]
 
 
@@ -62,7 +71,7 @@ class _Select(NamedTuple):
         conditions = self.conditions
         if keys and conditions != ["0"]:
             conditions = conditions + [
-                f"{'' if drive else '+'}{self.refs[name]} IN k_{name}"
+                f"{'' if drive else '+'}{self.refs[name]} IN {_key_table(name)}"
                 for name, drive in keys.items()
                 if name in self.refs
             ]
@@ -163,7 +172,7 @@ class SQLProgram:
     other JUCQ runs as the paper's §4.1 prices it: every operand but the
     largest is materialized (:meth:`materialize`, ``m<i>``), the keys a
     later operand may be filtered on go into indexed key tables
-    (:meth:`key_table` / :meth:`fill_keys`, ``k_<v>``), and one final
+    (:meth:`key_table` / :meth:`fill_keys`, ``k<j>``), and one final
     ``SELECT DISTINCT`` (:meth:`final`) joins the ``m<i>`` tables with
     the largest operand's union on their shared head variables.  Which
     operand is largest and which keys filter which arms are decided by
@@ -177,15 +186,27 @@ class SQLProgram:
         self.lone = lone is not None
         operands: Tuple[UCQ, ...] = (lone,) if lone is not None else tuple(jucq)
         self.operands = operands
+        #: Each distinct head variable of a JUCQ's operands → its column,
+        #: ``v<j>`` in order of first appearance.
+        self.columns: Dict[str, str] = {}
+        if lone is None:
+            for ucq in operands:
+                for term in ucq.head:
+                    if isinstance(term, Variable):
+                        self.columns.setdefault(term.value, f"v{len(self.columns)}")
         #: Per operand, its output names: the head's positional names for
-        #: a lone union, else each head variable's own name.
+        #: a lone union, else each head variable's column.
         self.names: List[List[str]] = [
-            _positional(len(lone.head)) if lone is not None else _operand_names(ucq.head)
+            _positional(len(lone.head)) if lone is not None
+            else [
+                self.columns[term.value] if isinstance(term, Variable) else f"c{i}"
+                for i, term in enumerate(ucq.head)
+            ]
             for ucq in operands
         ]
-        #: Per operand, the names of its head variables (what keys bind).
+        #: Per operand, the columns of its head variables (what keys bind).
         self.variables: List[List[str]] = [
-            [term.value for term in ucq.head if isinstance(term, Variable)]
+            [self.columns[term.value] for term in ucq.head if isinstance(term, Variable)]
             if lone is None else []
             for ucq in operands
         ]
@@ -195,7 +216,9 @@ class SQLProgram:
         ]
         self._select, self._conditions = "", []
         if lone is None:
-            self._select, self._conditions = _join_parts(jucq, self.names, dictionary)
+            self._select, self._conditions = _join_parts(
+                jucq, self.names, self.columns, dictionary
+            )
 
     def __len__(self) -> int:
         return len(self._arms)
@@ -208,15 +231,21 @@ class SQLProgram:
         return f"CREATE TEMP TABLE m{index} AS\n{self.union(index, keys)}"
 
     @staticmethod
-    def key_table(name: str) -> str:
-        return f"CREATE TEMP TABLE k_{name}(v INTEGER PRIMARY KEY)"
+    def key_table(column: str) -> str:
+        return f"CREATE TEMP TABLE {_key_table(column)}(v INTEGER PRIMARY KEY)"
 
     @staticmethod
-    def fill_keys(name: str, index: int, limit: int) -> str:
-        """Up to ``limit`` distinct values of ``name`` from ``m<index>``."""
+    def fill_keys(column: str, index: int, limit: int) -> str:
+        """Up to ``limit`` distinct values of ``column`` from ``m<index>``."""
         return (
-            f"INSERT INTO k_{name} SELECT DISTINCT {name} FROM m{index} LIMIT {limit}"
+            f"INSERT INTO {_key_table(column)} "
+            f"SELECT DISTINCT {column} FROM m{index} LIMIT {limit}"
         )
+
+    def legend(self) -> str:
+        """A SQL comment naming the variable behind each ``v<j>`` column."""
+        pairs = (f"{column} = ?{name}" for name, column in self.columns.items())
+        return f"-- {', '.join(pairs)}"
 
     def final(self, largest: int, keys: Optional[KeyFilters] = None) -> str:
         """The answer rows: the lone union, or the join of every ``m<i>``
@@ -238,15 +267,16 @@ def _positional(arity: int) -> List[str]:
     return [f"c{i}" for i in range(arity)]
 
 
-def _operand_names(head: Sequence[Term]) -> List[str]:
-    return [
-        term.value if isinstance(term, Variable) else f"c{i}"
-        for i, term in enumerate(head)
-    ]
+def _key_table(column: str) -> str:
+    """Column ``v<j>``'s key table, ``k<j>``."""
+    return f"k{column[1:]}"
 
 
 def _join_parts(
-    jucq: JUCQ, operand_names: Sequence[Sequence[str]], dictionary: Dictionary
+    jucq: JUCQ,
+    operand_names: Sequence[Sequence[str]],
+    columns: Mapping[str, str],
+    dictionary: Dictionary,
 ) -> Tuple[str, List[str]]:
     """The final select list and the join equalities over ``u<i>``."""
     var_source: Dict[str, str] = {}
@@ -262,7 +292,7 @@ def _join_parts(
     select_parts: List[str] = []
     for i, term in enumerate(jucq.head):
         if isinstance(term, Variable):
-            select_parts.append(f"{var_source[term.value]} AS c{i}")
+            select_parts.append(f"{var_source[columns[term.value]]} AS c{i}")
         else:
             select_parts.append(f"{dictionary.encode(term)} AS c{i}")
     if not select_parts:

@@ -67,14 +67,19 @@ from .evaluator import (
 )
 from .sql import KeyFilters, SQLProgram
 
-#: A key filter drives its arm from the key table (``ref IN k_v``:
+#: A key filter drives its arm from the key table (``ref IN k<j>``:
 #: SQLite looks each key up in the triple indexes) when the keys are at
 #: most 1/DRIVE_RATIO of the filtered operand's scan volume, and only
-#: probes it (``+ref IN k_v``) above that.  On 48 LUBM universities,
+#: probes it (``+ref IN k<j>``) above that.  On 48 LUBM universities,
 #: driving cut Q05 from 8.0 to 1.4 ms and q1 from 25 to 4.4 ms (ratios
 #: 800 and 1 500), but Q18's 6 912 keys driven (ratio 21) took 276 ms
 #: against 166 ms probed.
 DRIVE_RATIO = 64
+
+#: Seconds :meth:`SQLiteEngine.explain` lets a program's setup
+#: statements (its materializations and key fills) run before it gives
+#: up with :class:`EngineTimeout`.
+EXPLAIN_TIMEOUT_S = 30.0
 
 #: One statement's runner: the SQL text in, its executed cursor out.
 Run = Callable[[str], sqlite3.Cursor]
@@ -309,9 +314,11 @@ class SQLiteEngine:
             return interrupted[0]
 
         def run(sql: str) -> sqlite3.Cursor:
-            if statements and budget.expired:
-                raise EngineTimeout("SQLite program timed out between statements")
+            # Recorded before the check: a program stopped here already
+            # ran the statements before it, which may have made tables.
             statements.append(sql)
+            if len(statements) > 1 and budget.expired:
+                raise EngineTimeout("SQLite program timed out between statements")
             return connection.execute(sql)
 
         deadline = budget.timeout_s is not None
@@ -335,20 +342,30 @@ class SQLiteEngine:
         """Every statement :meth:`evaluate` would run for ``query`` on the
         current snapshot, then SQLite's own ``EXPLAIN QUERY PLAN`` for
         the final one (one indented row per plan step).  The statements
-        before it do run — the plan needs their temp tables — and those
-        tables are dropped after."""
+        before it do run — the plan needs their temp tables, and which
+        filters it holds depends on their counts — within
+        :data:`EXPLAIN_TIMEOUT_S`, and those tables are dropped after."""
         program, _cached = self._compile(query)
         try:
             statements, rows = self._session(
-                UNLIMITED, None, lambda run, view: run_program(
+                ExecutionBudget(timeout_s=EXPLAIN_TIMEOUT_S),
+                None,
+                lambda run, view: run_program(
                     program, run, view, self.database.dictionary, explain=True
-                )
+                ),
             )
+        except EngineTimeout as error:
+            raise EngineTimeout(
+                f"SQLite's setup statements ran past {EXPLAIN_TIMEOUT_S:g} s "
+                f"while planning: {error}"
+            ) from error
         except EngineFailure as error:
             raise EngineFailure(f"SQLite failed to plan: {error}") from error
         statements[-1] = statements[-1][len(_EXPLAIN):]
         depth = {0: 0}
         lines = [";\n".join(statements), "", "-- SQLite query plan --"]
+        if program.columns:
+            lines.insert(0, program.legend())
         for node, parent, _unused, detail in rows:
             depth[node] = depth.get(parent, 0) + 1
             lines.append("  " * depth[node] + detail)
@@ -398,17 +415,17 @@ def run_program(
     counts: Dict[str, int] = {}
     for step, index in enumerate(order[:-1]):
         run(program.materialize(index, _filters(counts, program, index, volumes)))
-        for name in program.variables[index]:
-            # The most keys any later operand sharing ``name`` takes.
+        for column in program.variables[index]:
+            # The most keys any later operand sharing ``column`` takes.
             limit = max(
                 (volumes[j] // SEMIJOIN_RATIO for j in order[step + 1:]
-                 if name in program.variables[j]),
+                 if column in program.variables[j]),
                 default=0,
             )
-            if limit and name not in counts:
-                run(program.key_table(name))
+            if limit and column not in counts:
+                run(program.key_table(column))
                 # One key past the limit marks the table too big to use.
-                counts[name] = run(program.fill_keys(name, index, limit + 1)).rowcount
+                counts[column] = run(program.fill_keys(column, index, limit + 1)).rowcount
     final = program.final(order[-1], _filters(counts, program, order[-1], volumes))
     return run(_EXPLAIN + final if explain else final).fetchall()
 
@@ -444,9 +461,9 @@ def _filters(
     where few enough keys drive its scans."""
     volume = volumes[index]
     return {
-        name: counts[name] * DRIVE_RATIO <= volume
-        for name in program.variables[index]
-        if name in counts and counts[name] * SEMIJOIN_RATIO <= volume
+        column: counts[column] * DRIVE_RATIO <= volume
+        for column in program.variables[index]
+        if column in counts and counts[column] * SEMIJOIN_RATIO <= volume
     }
 
 

@@ -126,25 +126,6 @@ class _Factors:
         #: rows (equal up to renaming) are merged.
         self.count = total
 
-    def share(self, atoms: Dict[Triple, Triple]) -> "_Factors":
-        """Replace every alternative by ``atoms``' object for an equal
-        atom (adding those it lacks), so the unions of one reformulator
-        hold one object per distinct atom; returns ``self``."""
-        self.skeletons = [
-            (
-                skeleton,
-                tuple(
-                    tuple(atoms.setdefault(atom, atom) for atom in options)
-                    for options in alternatives
-                ),
-                cuts,
-                base,
-                size,
-            )
-            for skeleton, alternatives, cuts, base, size in self.skeletons
-        ]
-        return self
-
     def shapes(self) -> List[Shape]:
         """One :class:`Shape` per skeleton × layout class per atom."""
         shapes: List[Shape] = []
@@ -350,11 +331,6 @@ class Reformulator:
         #: frozen limit failure).
         self.cache: LRUCache = LRUCache()
         self.minimize = minimize
-        #: One atom object per distinct atom across every union built
-        #: here (it grows as the memo does), so the estimator's atom memo
-        #: (keyed by atom) matches its hits by identity instead of
-        #: comparing equal triples term by term.
-        self.atoms: Dict[Triple, Triple] = {}
         #: Lifetime counters of the minimization pass's work, exported
         #: by the answerer as ``repro.analysis.*`` registry counters.
         #: Every key exists from the start and is bumped under
@@ -391,7 +367,7 @@ class Reformulator:
         return self.cache.memo(
             key,
             lambda: _materialize(
-                _Factors(query, schema).share(self.atoms),
+                _Factors(query, schema),
                 self.limit,
                 self.minimize,
                 self._count,

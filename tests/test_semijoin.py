@@ -2,7 +2,7 @@
 
 A JUCQ's operands run in ascending scan volume; the distinct values of
 a head variable that earlier operands hold filter a later operand's
-scans (native) or arms (SQLite, through an indexed ``k_<v>`` table)
+scans (native) or arms (SQLite, through an indexed ``k<j>`` table)
 when they are few enough against its scan volume.  These tests pin the
 work it saves as counters on a 1-university store, the SQL program
 SQLite runs, its verification, its cleanup on every exit, and its
@@ -21,6 +21,7 @@ from repro.datasets import motivating_q1, motivating_q2
 from repro.engine import EngineFailure, EngineTimeout, NativeEngine, SQLiteEngine
 from repro.engine.sql import SQLProgram
 from repro.engine.sqlite_backend import program_statements
+from repro.query import parse_query
 from repro.resilience import ExecutionBudget
 from repro.telemetry import Tracer
 
@@ -100,17 +101,41 @@ class TestSQLiteProgram:
         statements = program_statements(q1_plan, lubm_db)
         assert [s.split()[0:4] for s in statements[:3]] == [
             ["CREATE", "TEMP", "TABLE", "m1"],
-            ["CREATE", "TEMP", "TABLE", "k_x(v"],
-            ["INSERT", "INTO", "k_x", "SELECT"],
+            ["CREATE", "TEMP", "TABLE", "k0(v"],
+            ["INSERT", "INTO", "k0", "SELECT"],
         ]
         final = statements[-1]
         assert final.startswith("SELECT DISTINCT") and "m1 u1" in final and "m2 u2" in final
-        # Every arm of the largest operand is filtered on ?x.
-        assert final.count(" IN k_x") == 135
+        # Every arm of the largest operand is filtered on ?x (column v0).
+        assert final.count(" IN k0") == 135
         # The run filled its key table under the limit, so it ran them all.
         counters = tracer.spans("evaluate")[0].attributes["counters"]
         assert counters["sqlite.statements"] == len(statements) == 5
         assert tracer.spans("sqlite.execute")[0].attributes["statements"] == 5
+
+    @pytest.mark.parametrize(
+        "body, head",
+        [
+            # ?x and ?X are one SQL identifier, ?order and ?from keywords.
+            ("?x a ub:Professor . ?x ub:worksFor ?X . ?X a ub:Department . "
+             "?X ub:subOrganizationOf ?u . ?x ub:doctoralDegreeFrom ?u", "?x ?X"),
+            ("?order a ub:Professor . ?order ub:worksFor ?from", "?order ?from"),
+        ],
+        ids=["case", "keywords"],
+    )
+    def test_columns_are_named_by_position(self, lubm_db, body, head):
+        query = parse_query(
+            "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+            f"SELECT {head} WHERE {{ {body} }}"
+        )
+        planned, _search = QueryAnswerer(lubm_db).plan(query, "gcov")
+        assert planned.lone_union() is None
+        expected = NativeEngine(lubm_db).evaluate(planned)
+        assert len(expected) > 0
+        with SQLiteEngine(lubm_db) as engine:
+            assert engine.evaluate(planned) == expected
+            assert engine.evaluate(planned) == expected
+            assert _temp_tables(engine) == []
 
     def test_lone_union_stays_one_statement(self, lubm_db):
         tracer = Tracer()
@@ -127,7 +152,8 @@ class TestSQLiteProgram:
             assert _temp_tables(engine) == []
         program, plan = text.split("-- SQLite query plan --")
         assert program.count("CREATE TEMP TABLE m") == 2
-        assert "INSERT INTO k_x SELECT DISTINCT x FROM m1" in program
+        assert program.startswith("-- v0 = ?x, v1 = ?y\n")
+        assert "INSERT INTO k0 SELECT DISTINCT v0 FROM m1" in program
         assert "SCAN u" in plan or "SEARCH" in plan
 
     def test_to_sql_program_runs_through_execute_sql(self, lubm_db, q1_plan):
@@ -147,14 +173,14 @@ class TestVerifiedProgram:
 
     def test_uncreated_key_table_is_s01(self, lubm_db, q1_plan):
         statements = program_statements(q1_plan, lubm_db)
-        without = [s for s in statements if not s.startswith("CREATE TEMP TABLE k_")]
-        without = [s for s in without if not s.startswith("INSERT INTO k_")]
+        without = [s for s in statements if not s.startswith("CREATE TEMP TABLE k")]
+        without = [s for s in without if not s.startswith("INSERT INTO k")]
         codes = {d.code for d in check_sql(";\n".join(without))}
         assert "IR-S01" in codes
 
     def test_missing_column_of_a_materialized_operand_is_s03(self, lubm_db, q1_plan):
         statements = program_statements(q1_plan, lubm_db)
-        final = statements[-1].replace("u1.x", "u1.y", 1)
+        final = statements[-1].replace("u1.v0", "u1.v1", 1)
         codes = {d.code for d in check_sql(";\n".join(statements[:-1] + [final]))}
         assert "IR-S03" in codes
 
@@ -181,23 +207,31 @@ class _Switch:
 
 
 class TestSQLiteRobustness:
-    @pytest.mark.parametrize("grace", [0, 1], ids=["between-statements", "in-handler"])
+    @pytest.mark.parametrize(
+        "step, grace",
+        [("key_table", 0), ("final", 0), ("final", 1)],
+        ids=["after-first-statement", "before-final", "in-final-handler"],
+    )
     def test_deadline_mid_program_times_out_and_cleans_up(
-        self, lubm_db, q1_plan, monkeypatch, grace
+        self, lubm_db, q1_plan, monkeypatch, step, grace
     ):
-        """Armed while the final statement is built, the deadline fires at
-        its pre-statement check (grace 0) or, one read later, inside it
-        through the progress handler (grace 1)."""
+        """Armed while a statement is built, the deadline fires at its
+        pre-statement check (grace 0) or, one read later, inside it
+        through the progress handler (grace 1).  Armed at the first key
+        table, only ``m1`` exists when it fires."""
         clock = _Switch()
-        real = SQLProgram.final
+        real = getattr(SQLProgram, step)
 
-        def arming(program, largest, keys=None):
+        def arming(*args):
             clock.arm(grace)
-            return real(program, largest, keys)
+            return real(*args)
 
+        static = isinstance(SQLProgram.__dict__[step], staticmethod)
         with SQLiteEngine(lubm_db) as engine:
             engine.progress_interval = 1
-            monkeypatch.setattr(SQLProgram, "final", arming)
+            monkeypatch.setattr(
+                SQLProgram, step, staticmethod(arming) if static else arming
+            )
             budget = ExecutionBudget(timeout_s=10.0, clock=clock)
             with pytest.raises(EngineTimeout):
                 engine.evaluate(q1_plan, budget=budget)
@@ -205,18 +239,28 @@ class TestSQLiteRobustness:
             monkeypatch.undo()
             assert engine.evaluate(q1_plan) == NativeEngine(lubm_db).evaluate(q1_plan)
 
+    def test_explain_is_bounded(self, lubm_db, q1_plan, monkeypatch):
+        """Explain runs the setup statements, but under a deadline."""
+        from repro.engine import sqlite_backend
+
+        monkeypatch.setattr(sqlite_backend, "EXPLAIN_TIMEOUT_S", 1e-9)
+        with SQLiteEngine(lubm_db) as engine:
+            with pytest.raises(EngineTimeout, match="while planning"):
+                engine.explain(q1_plan)
+            assert _temp_tables(engine) == []
+
     def test_failure_inside_a_materialized_operand_cleans_up(
         self, lubm_db, q1_plan, monkeypatch
     ):
         """The second materialization reads a column that does not exist:
-        ``m1`` and ``k_x`` already exist when it fails."""
+        ``m1`` and ``k0`` already exist when it fails."""
         real = SQLProgram.materialize
         calls = []
 
         def breaking(program, index, keys=None):
             calls.append(index)
             sql = real(program, index, keys)
-            return sql.replace("AS x", "AS x, t0.nope", 1) if len(calls) == 2 else sql
+            return sql.replace("AS v0", "AS v0, t0.nope", 1) if len(calls) == 2 else sql
 
         with SQLiteEngine(lubm_db) as engine:
             monkeypatch.setattr(SQLProgram, "materialize", breaking)

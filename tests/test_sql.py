@@ -81,7 +81,9 @@ class TestSQLText:
         materialize, final = sql.split(";\n")
         assert materialize.startswith("CREATE TEMP TABLE m0 AS\nSELECT DISTINCT")
         assert "FROM m0 u0, (" in final and ") u1" in final
-        assert "u1.y = u0.y" in final
+        # Columns are named by variable position: ?x v0, ?y v1, ?z v2.
+        assert "u1.v1 = u0.v1" in final
+        assert final.startswith("SELECT DISTINCT u0.v0 AS c0, u1.v2 AS c1")
 
     def test_dispatch(self, db):
         q = BGPQuery([x], [Triple(x, u("p"), y)])
